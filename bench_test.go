@@ -10,15 +10,11 @@
 package rpg2_test
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"rpg2"
 	"rpg2/internal/baselines"
@@ -29,7 +25,6 @@ import (
 	"rpg2/internal/perf"
 	rpgcore "rpg2/internal/rpg2"
 	"rpg2/internal/stats"
-	"rpg2/internal/store"
 	"rpg2/internal/workloads"
 )
 
@@ -376,69 +371,6 @@ func BenchmarkAblationKernelPlacement(b *testing.B) {
 	}
 }
 
-// ---- store contention ----------------------------------------------------
-
-// storeOpsPerSecond drives the warm-start mix (lookup; commit on miss;
-// occasional refund) against st from `workers` goroutines over a shared
-// key population, and reports aggregate operations per wall-clock second.
-// The same mix backs BenchmarkStoreContention and the trajectory point.
-func storeOpsPerSecond(st store.Store, workers, opsPerWorker int) float64 {
-	keys := make([]store.Key, 64)
-	for i := range keys {
-		keys[i] = store.Key{
-			Bench:   fmt.Sprintf("bench%d", i%16),
-			Input:   fmt.Sprintf("input%d", i/16),
-			Machine: "clx",
-		}
-	}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < opsPerWorker; i++ {
-				k := keys[(w*31+i)%len(keys)]
-				_, gen, ok := st.Lookup(k)
-				if !ok {
-					st.Commit(k, store.Entry{Distance: i%64 + 1})
-					continue
-				}
-				if i%64 == 0 {
-					st.Refund(k, gen)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return float64(workers*opsPerWorker) / time.Since(start).Seconds()
-}
-
-// BenchmarkStoreContention contrasts the single-mutex Memory store with the
-// 8-way Sharded store under the same warm-start mix at 8 concurrent
-// workers — the serialization the sharding exists to remove. The
-// sharded/memory wall-clock ratio is the headline metric and also lands in
-// the BENCH_fleet.json trajectory via BenchmarkFleetTrajectory.
-//
-// The ratio is only meaningful with real parallelism: on a single-CPU host
-// the 8 workers serialize no matter how the locks are split, so the ratio
-// degenerates to the shard-routing overhead (below 1.0). The cpus metric is
-// reported alongside so a recorded ratio is always interpretable.
-func BenchmarkStoreContention(b *testing.B) {
-	const workers, ops = 8, 200_000
-	var mem, shd float64
-	for i := 0; i < b.N; i++ {
-		mem = storeOpsPerSecond(store.NewMemory(store.Config{}), workers, ops)
-		shd = storeOpsPerSecond(store.NewSharded(store.Config{}, 8), workers, ops)
-	}
-	fmt.Fprintf(os.Stderr, "\n===== %s =====\nmemory %.0f ops/s, sharded(8) %.0f ops/s, speedup %.2fx on %d CPUs\n",
-		b.Name(), mem, shd, shd/mem, runtime.NumCPU())
-	b.ReportMetric(mem/1e6, "memory-Mops/s")
-	b.ReportMetric(shd/1e6, "sharded-Mops/s")
-	b.ReportMetric(shd/mem, "shard-speedup")
-	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
-}
-
 // ---- helpers ------------------------------------------------------------
 
 func mustOptimize(b *testing.B, m machine.Machine, bench, input string, cfg rpg2.Config) *rpgcore.Report {
@@ -534,150 +466,4 @@ func placementSpeedup(b *testing.B, m machine.Machine, inner bool) float64 {
 func injectWithPlacement(w *workloads.Workload, cand []int, d int, inner bool) (*bolt.Rewrite, error) {
 	return bolt.InjectPrefetchWithOptions(w.Bin, workloads.KernelFunc, cand, d,
 		bolt.Options{PreferInnerPlacement: inner})
-}
-
-// ---- performance trajectory (BENCH_*.json) ------------------------------
-
-// benchJSON, when set (go test -bench=FleetTrajectory -args -benchjson=
-// BENCH_fleet.json), appends this run's headline throughput numbers to a
-// JSON trajectory file, so successive commits accumulate a comparable
-// performance history. CI runs this as a non-gating step.
-var benchJSON = flag.String("benchjson", "", "append FleetTrajectory metrics to this JSON file")
-
-// trajectoryPoint is one commit's entry in the BENCH_*.json history.
-type trajectoryPoint struct {
-	Time              string  `json:"time"`
-	Commit            string  `json:"commit,omitempty"`
-	Sessions          int     `json:"sessions"`
-	WallSeconds       float64 `json:"wall_seconds"`
-	SessionsPerSecond float64 `json:"sessions_per_second"`
-	Instructions      uint64  `json:"instructions"`
-	NsPerInstruction  float64 `json:"ns_per_instruction"`
-	// Store contention: the BenchmarkStoreContention mix at 8 workers, so
-	// the sharded/memory ratio accumulates a history alongside throughput.
-	// CPUs records the host's parallelism — on a single-CPU host the ratio
-	// degenerates to routing overhead and must be read accordingly.
-	StoreMemoryOps    float64 `json:"store_memory_ops_per_second,omitempty"`
-	StoreShardedOps   float64 `json:"store_sharded_ops_per_second,omitempty"`
-	StoreShardSpeedup float64 `json:"store_shard_speedup,omitempty"`
-	CPUs              int     `json:"cpus,omitempty"`
-	// Drift recovery latency: one bc-drift session under a 1s watchdog.
-	// Detection windows (sampler windows from phase switch to firing) plus
-	// re-tune probes is the lane's end-to-end recovery latency in windows —
-	// the number the drift study gates on, tracked here per commit.
-	DriftDetectWindows   float64 `json:"drift_detect_windows,omitempty"`
-	DriftRetuneProbes    int     `json:"drift_retune_probes,omitempty"`
-	DriftRecoveryWindows float64 `json:"drift_recovery_windows,omitempty"`
-	DriftRetunes         int     `json:"drift_retunes,omitempty"`
-}
-
-// BenchmarkFleetTrajectory measures the two throughput numbers the
-// trajectory tracks: raw interpreter speed (wall-clock ns per simulated
-// instruction, the floor under everything else) and fleet throughput
-// (sessions per wall-clock second through the full admission + profile +
-// rewrite + tune pipeline, store amortisation included).
-func BenchmarkFleetTrajectory(b *testing.B) {
-	var pt trajectoryPoint
-	for i := 0; i < b.N; i++ {
-		pt = measureTrajectory(b)
-	}
-	b.ReportMetric(pt.SessionsPerSecond, "sessions/s")
-	b.ReportMetric(pt.NsPerInstruction, "ns/instr")
-	if *benchJSON == "" {
-		return
-	}
-	var points []trajectoryPoint
-	if data, err := os.ReadFile(*benchJSON); err == nil {
-		json.Unmarshal(data, &points) // a damaged file restarts the history
-	}
-	points = append(points, pt)
-	data, err := json.MarshalIndent(points, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "\n===== %s =====\nappended point %d to %s: %.2f sessions/s, %.1f ns/instr\n",
-		b.Name(), len(points), *benchJSON, pt.SessionsPerSecond, pt.NsPerInstruction)
-}
-
-func measureTrajectory(b *testing.B) trajectoryPoint {
-	b.Helper()
-	pt := trajectoryPoint{Time: time.Now().UTC().Format(time.RFC3339)}
-	if sha := os.Getenv("GITHUB_SHA"); sha != "" {
-		pt.Commit = sha
-	}
-
-	// Interpreter floor: run one workload flat out and clock it.
-	m := machine.CascadeLake()
-	w, err := workloads.Build("is", "", 1<<30)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := m.Launch(w.Bin, w.Setup)
-	if err != nil {
-		b.Fatal(err)
-	}
-	start := time.Now()
-	p.Run(m.Seconds(2))
-	elapsed := time.Since(start)
-	pt.Instructions = p.Counters().Instructions
-	if pt.Instructions > 0 {
-		pt.NsPerInstruction = float64(elapsed.Nanoseconds()) / float64(pt.Instructions)
-	}
-
-	// Fleet throughput: a mixed batch through the whole pipeline.
-	pairs := []rpg2.SessionSpec{
-		{Bench: "is"}, {Bench: "cg"}, {Bench: "randacc"},
-		{Bench: "bfs", Input: "soc-gamma"},
-	}
-	f := rpg2.NewFleet(rpg2.FleetConfig{Machine: m, Workers: 4})
-	defer f.Close()
-	const sessions = 16
-	start = time.Now()
-	for i := 0; i < sessions; i++ {
-		spec := pairs[i%len(pairs)]
-		spec.Seed = int64(i + 1)
-		if _, err := f.Submit(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	f.Drain()
-	wall := time.Since(start).Seconds()
-	pt.Sessions = sessions
-	pt.WallSeconds = wall
-	if wall > 0 {
-		pt.SessionsPerSecond = float64(sessions) / wall
-	}
-
-	// Store contention floor, same mix as BenchmarkStoreContention.
-	pt.CPUs = runtime.NumCPU()
-	pt.StoreMemoryOps = storeOpsPerSecond(store.NewMemory(store.Config{}), 8, 200_000)
-	pt.StoreShardedOps = storeOpsPerSecond(store.NewSharded(store.Config{}, 8), 8, 200_000)
-	if pt.StoreMemoryOps > 0 {
-		pt.StoreShardSpeedup = pt.StoreShardedOps / pt.StoreMemoryOps
-	}
-
-	// Drift recovery latency: one bc-drift session with the watchdog armed.
-	// SeedDistance 2 lands the activation in the pre-switch regime so the
-	// phase switch drifts it hard and the re-tune lane has real work to do.
-	df := rpg2.NewFleet(rpg2.FleetConfig{Machine: m, Workers: 1, WatchdogInterval: 1})
-	defer df.Close()
-	s, err := df.Submit(rpg2.SessionSpec{
-		Bench: "bc-drift", Seed: 1, Cold: true, RunSeconds: 30,
-		Config: &rpgcore.Config{SeedDistance: 2},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	df.Drain()
-	snap := df.Snapshot()
-	pt.DriftDetectWindows = snap.DetectWindowsMean
-	pt.DriftRetunes = snap.RetunesCompleted
-	if rep := s.Report(); rep != nil && snap.RetunesCompleted > 0 {
-		pt.DriftRetuneProbes = rep.Costs.PDEdits
-		pt.DriftRecoveryWindows = snap.DetectWindowsMean + float64(rep.Costs.PDEdits)
-	}
-	return pt
 }

@@ -39,88 +39,35 @@ import (
 	"syscall"
 
 	"rpg2"
+	"rpg2/cmd/internal/fleetflags"
 )
 
-// options carries every CLI flag into run.
+// options carries the batch-only flags into run; the fleet-shaping ones
+// (shared with rpg2-fleetd) live in fleetflags.
 type options struct {
-	machine   string
-	sessions  int
-	workers   int
-	seconds   float64
-	seed      int64
-	benches   string
-	pairs     int
-	journal   bool
-	metrics   string
-	nostore   bool
-	translate bool
-	shards    int
-	storeAddr string
+	fleet *fleetflags.Flags
 
-	// Admission & resilience knobs.
+	sessions int
+	seed     int64
+	benches  string
+	pairs    int
+	journal  bool
+	metrics  string
+
 	faults    float64
 	faultSeed int64
-	retries   int
-	quota     int
-	breaker   int
-
-	// Phase-drift watchdog knobs.
-	watchdog   float64
-	wdWindow   float64
-	wdThresh   float64
-	wdHyst     int
-	retunes    int
-	retuneWait float64
-	retuneCold bool
-
-	// Persistence knobs.
-	stateDir string
-	resume   bool
-	fresh    bool
-	fsync    string
-
-	// Disk-chaos knobs.
-	diskWrite    float64
-	diskSync     float64
-	diskSnapshot float64
-	rearmBackoff int
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.machine, "machine", "cascadelake", "machine: cascadelake or haswell")
+	o := options{fleet: fleetflags.Bind(flag.CommandLine)}
 	flag.IntVar(&o.sessions, "sessions", 32, "number of optimization sessions to run")
-	flag.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	flag.Float64Var(&o.seconds, "seconds", 2, "simulated post-optimization run budget per session")
 	flag.Int64Var(&o.seed, "seed", 1, "root seed; session i uses seed+i")
 	flag.StringVar(&o.benches, "bench", "all", "comma-separated benchmarks to draw from, or all")
 	flag.IntVar(&o.pairs, "pairs", 8, "limit of distinct (benchmark, input) pairs (0 = no limit)")
 	flag.BoolVar(&o.journal, "journal", false, "dump the event journal as JSON lines after the snapshot")
 	flag.StringVar(&o.metrics, "metrics", "", "also write the metrics snapshot as JSON to this file (- for stdout)")
-	flag.BoolVar(&o.nostore, "no-store", false, "disable the profile store (every session cold)")
-	flag.BoolVar(&o.translate, "translate", false, "on a store miss, seed from a sibling machine's profile with a latency-scaled distance")
-	flag.IntVar(&o.shards, "store-shards", 0, "shard the profile store by (bench, input) hash across this many locks (0/1 = single-shard store, byte-identical to the unsharded fleet)")
-	flag.StringVar(&o.storeAddr, "store-addr", "", "share an rpg2-stored daemon's profile store at this base URL (e.g. http://127.0.0.1:8049) instead of an in-process store")
 	flag.Float64Var(&o.faults, "faults", 0, "deterministic fault-injection rate per controller stage (0 = off)")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "fault injector seed")
-	flag.IntVar(&o.retries, "retries", 0, "retry budget for failed/rolled-back sessions (0 = no retry lane)")
-	flag.IntVar(&o.quota, "quota", 0, "max in-flight sessions per (benchmark, input) pair (0 = unlimited)")
-	flag.IntVar(&o.breaker, "breaker", 0, "consecutive rollbacks that trip a pair's circuit breaker (0 = off)")
-	flag.Float64Var(&o.watchdog, "watchdog-interval", 0, "sample tuned sessions every this many simulated seconds for phase drift (0 = watchdog off, byte-identical fleet)")
-	flag.Float64Var(&o.wdWindow, "watchdog-window", 0, "measured window length per watchdog sample in simulated seconds (0 = default 0.2)")
-	flag.Float64Var(&o.wdThresh, "watchdog-threshold", 0, "relative rate degradation that counts as drifted (0 = default 0.25)")
-	flag.IntVar(&o.wdHyst, "watchdog-hysteresis", 0, "consecutive degraded samples before the watchdog fires (0 = default 3)")
-	flag.IntVar(&o.retunes, "max-retunes", 0, "re-tune lane budget per session (0 = default 1 when the watchdog is armed)")
-	flag.Float64Var(&o.retuneWait, "retune-delay", 0, "fixed virtual delay before a re-tune dispatch (0 = default 0.5)")
-	flag.BoolVar(&o.retuneCold, "retune-cold", false, "ablation: re-tune searches start cold instead of seeded from the installed distance")
-	flag.StringVar(&o.stateDir, "state-dir", "", "persist the journal WAL and profile-store snapshots here (empty = in-memory only)")
-	flag.BoolVar(&o.resume, "resume", false, "recover the state dir and finish its interrupted sessions instead of submitting new work")
-	flag.BoolVar(&o.fresh, "fresh", false, "discard a state dir's interrupted run and start a fresh epoch (default: refuse)")
-	flag.StringVar(&o.fsync, "fsync", "interval", "WAL durability: interval, always, or never")
-	flag.Float64Var(&o.diskWrite, "chaos-disk-write", 0, "probability a WAL write fails with an injected disk fault (0 = off)")
-	flag.Float64Var(&o.diskSync, "chaos-disk-sync", 0, "probability a WAL fsync fails with an injected disk fault")
-	flag.Float64Var(&o.diskSnapshot, "chaos-disk-snapshot", 0, "probability a snapshot rewrite fails with an injected disk fault")
-	flag.IntVar(&o.rearmBackoff, "rearm-backoff", 0, "journal events to wait before degraded persistence retries re-arming (0 = default 64, negative = stay degraded)")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -186,10 +133,11 @@ func catalogue(benches string, limit int) ([]rpg2.SessionSpec, error) {
 }
 
 func run(o options) error {
-	m, ok := rpg2.MachineByName(o.machine)
-	if !ok {
-		return fmt.Errorf("unknown machine %q", o.machine)
+	cfg, err := o.fleet.Resolve(o.faultSeed)
+	if err != nil {
+		return err
 	}
+	m := cfg.Machine
 	pool, err := catalogue(o.benches, o.pairs)
 	if err != nil {
 		return err
@@ -197,60 +145,14 @@ func run(o options) error {
 	if len(pool) == 0 {
 		return fmt.Errorf("no (benchmark, input) pairs selected")
 	}
-
-	fsync, err := rpg2.ParseFsyncPolicy(o.fsync)
-	if err != nil {
-		return err
-	}
-	// Guard the operator who forgets -resume: a state dir holding an
-	// interrupted run is recoverable work, not scratch space.
-	if o.stateDir != "" && !o.resume && !o.fresh {
-		if n := rpg2.FleetPendingSessions(o.stateDir); n > 0 {
-			return fmt.Errorf("state dir %q holds an interrupted run (%d unfinished sessions); pass -resume to finish it or -fresh to discard it", o.stateDir, n)
-		}
-	}
-	cfg := rpg2.FleetConfig{
-		Machine:            m,
-		Workers:            o.workers,
-		RunSeconds:         o.seconds,
-		DisableStore:       o.nostore,
-		StoreShards:        o.shards,
-		StoreAddr:          o.storeAddr,
-		Translate:          o.translate,
-		Quota:              o.quota,
-		MaxRetries:         o.retries,
-		BreakerThreshold:   o.breaker,
-		StateDir:           o.stateDir,
-		Fsync:              fsync,
-		Overwrite:          o.fresh,
-		WatchdogInterval:   o.watchdog,
-		WatchdogWindow:     o.wdWindow,
-		WatchdogThreshold:  o.wdThresh,
-		WatchdogHysteresis: o.wdHyst,
-		MaxRetunes:         o.retunes,
-		RetuneDelay:        o.retuneWait,
-		RetuneCold:         o.retuneCold,
-	}
 	if o.faults > 0 {
 		cfg.Faults = rpg2.NewFaultInjector(rpg2.FaultConfig{Seed: o.faultSeed, Rate: o.faults})
 	}
-	if o.diskWrite > 0 || o.diskSync > 0 || o.diskSnapshot > 0 {
-		cfg.DiskFaults = rpg2.NewDiskFaultInjector(rpg2.DiskFaultConfig{
-			Seed:         o.faultSeed,
-			WriteRate:    o.diskWrite,
-			SyncRate:     o.diskSync,
-			SnapshotRate: o.diskSnapshot,
-		})
-	}
-	cfg.RearmBackoff = o.rearmBackoff
 
 	var f *rpg2.Fleet
 	var rec *rpg2.FleetRecovery
-	if o.resume {
-		if o.stateDir == "" {
-			return fmt.Errorf("-resume needs -state-dir")
-		}
-		f, rec, err = rpg2.RecoverFleet(o.stateDir, cfg)
+	if o.fleet.Resume {
+		f, rec, err = rpg2.RecoverFleet(cfg.StateDir, cfg)
 		if err != nil {
 			return err
 		}
@@ -275,7 +177,7 @@ func run(o options) error {
 		}
 	}()
 
-	if o.resume {
+	if o.fleet.Resume {
 		f.Drain()
 	} else {
 		specs := make([]rpg2.SessionSpec, o.sessions)
@@ -296,7 +198,7 @@ func run(o options) error {
 	f.Close()
 	snap := f.Snapshot()
 	fmt.Print(snap.Render())
-	if o.resume {
+	if o.fleet.Resume {
 		terminal := 0
 		for _, s := range rec.Requeued {
 			if s.State().Terminal() {

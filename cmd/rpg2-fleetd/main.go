@@ -27,185 +27,47 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"rpg2"
+	"rpg2/cmd/internal/fleetflags"
+	"rpg2/internal/daemon"
 )
 
-type options struct {
-	listen  string
-	machine string
-	workers int
-	seconds float64
-
-	nostore   bool
-	translate bool
-	shards    int
-	storeAddr string
-
-	quota       int
-	tenantQuota int
-	maxQueue    int
-	tenantQueue int
-	retries     int
-	breaker     int
-
-	watchdog   float64
-	wdWindow   float64
-	wdThresh   float64
-	wdHyst     int
-	retunes    int
-	retuneWait float64
-	retuneCold bool
-
-	stateDir string
-	resume   bool
-	fresh    bool
-	fsync    string
-
-	retryAfterCap int
-	addrFile      string
-
-	reqTimeout time.Duration
-	maxBody    int64
-
-	chaosSeed    int64
-	diskWrite    float64
-	diskSync     float64
-	diskSnapshot float64
-	rearmBackoff int
-	netDelay     float64
-	netError     float64
-	netSever     float64
-	netPanic     float64
-}
-
 func main() {
-	var o options
-	flag.StringVar(&o.listen, "listen", "127.0.0.1:8047", "address to serve the HTTP API on")
-	flag.StringVar(&o.machine, "machine", "cascadelake", "machine: cascadelake or haswell")
-	flag.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	flag.Float64Var(&o.seconds, "seconds", 2, "default simulated post-optimization run budget per session")
-	flag.BoolVar(&o.nostore, "no-store", false, "disable the profile store (every session cold)")
-	flag.BoolVar(&o.translate, "translate", false, "on a store miss, seed from a sibling machine's profile with a latency-scaled distance")
-	flag.IntVar(&o.shards, "store-shards", 0, "shard the profile store by (bench, input) hash across this many locks (0/1 = single-shard store, byte-identical to the unsharded fleet)")
-	flag.StringVar(&o.storeAddr, "store-addr", "", "share an rpg2-stored daemon's profile store at this base URL (e.g. http://127.0.0.1:8049) instead of an in-process store")
-	flag.IntVar(&o.quota, "quota", 0, "max in-flight sessions per (benchmark, input) pair (0 = unlimited)")
-	flag.IntVar(&o.tenantQuota, "tenant-quota", 0, "max in-flight sessions per tenant (0 = unlimited)")
-	flag.IntVar(&o.maxQueue, "max-queue", 0, "max waiting sessions before submissions get 429 (0 = unbounded)")
-	flag.IntVar(&o.tenantQueue, "tenant-queue", 0, "max waiting sessions per tenant before its submissions get 429 (0 = unbounded)")
-	flag.IntVar(&o.retries, "retries", 0, "retry budget for failed/rolled-back sessions (0 = no retry lane)")
-	flag.IntVar(&o.breaker, "breaker", 0, "consecutive rollbacks that trip a pair's circuit breaker (0 = off)")
-	flag.Float64Var(&o.watchdog, "watchdog-interval", 0, "sample tuned sessions every this many simulated seconds for phase drift (0 = watchdog off, byte-identical fleet)")
-	flag.Float64Var(&o.wdWindow, "watchdog-window", 0, "measured window length per watchdog sample in simulated seconds (0 = default 0.2)")
-	flag.Float64Var(&o.wdThresh, "watchdog-threshold", 0, "relative rate degradation that counts as drifted (0 = default 0.25)")
-	flag.IntVar(&o.wdHyst, "watchdog-hysteresis", 0, "consecutive degraded samples before the watchdog fires (0 = default 3)")
-	flag.IntVar(&o.retunes, "max-retunes", 0, "re-tune lane budget per session (0 = default 1 when the watchdog is armed)")
-	flag.Float64Var(&o.retuneWait, "retune-delay", 0, "fixed virtual delay before a re-tune dispatch (0 = default 0.5)")
-	flag.BoolVar(&o.retuneCold, "retune-cold", false, "ablation: re-tune searches start cold instead of seeded from the installed distance")
-	flag.StringVar(&o.stateDir, "state-dir", "", "persist the journal WAL and profile-store snapshots here (empty = in-memory only)")
-	flag.BoolVar(&o.resume, "resume", false, "recover the state dir's interrupted run; its sessions stay pollable under their old IDs")
-	flag.BoolVar(&o.fresh, "fresh", false, "discard a state dir's interrupted run and start a fresh epoch (default: refuse)")
-	flag.StringVar(&o.fsync, "fsync", "interval", "WAL durability: interval, always, or never")
-	flag.IntVar(&o.retryAfterCap, "retry-after-cap", 30, "upper bound on the Retry-After header, in seconds")
-	flag.StringVar(&o.addrFile, "addr-file", "", "write the bound listen address to this file once serving (for test harnesses using port 0)")
-	flag.DurationVar(&o.reqTimeout, "request-timeout", 0, "per-request context deadline for non-streaming handlers (0 = default 30s, negative = off)")
-	flag.Int64Var(&o.maxBody, "max-body", 0, "max submit body size in bytes, 413 past it (0 = default 1 MiB, negative = unlimited)")
-	flag.Int64Var(&o.chaosSeed, "chaos-seed", 1, "seed shared by the disk and network fault injectors")
-	flag.Float64Var(&o.diskWrite, "chaos-disk-write", 0, "probability a WAL write fails with an injected disk fault")
-	flag.Float64Var(&o.diskSync, "chaos-disk-sync", 0, "probability a WAL fsync fails with an injected disk fault")
-	flag.Float64Var(&o.diskSnapshot, "chaos-disk-snapshot", 0, "probability a snapshot rewrite fails with an injected disk fault")
-	flag.IntVar(&o.rearmBackoff, "rearm-backoff", 0, "journal events to wait before degraded persistence retries re-arming (0 = default 64, negative = stay degraded)")
-	flag.Float64Var(&o.netDelay, "chaos-net-delay", 0, "probability a request is delayed before dispatch")
-	flag.Float64Var(&o.netError, "chaos-net-error", 0, "probability a request gets an injected 500")
-	flag.Float64Var(&o.netSever, "chaos-net-sever", 0, "probability a response body is severed mid-stream")
-	flag.Float64Var(&o.netPanic, "chaos-net-panic", 0, "probability a handler panics (exercises panic recovery)")
+	fleet := fleetflags.Bind(flag.CommandLine)
+	var cfg rpg2.FleetDaemonConfig
+	var chaos rpg2.NetFaultConfig
+	listen := flag.String("listen", "127.0.0.1:8047", "address to serve the HTTP API on")
+	flag.IntVar(&fleet.Fleet.TenantQuota, "tenant-quota", 0, "max in-flight sessions per tenant (0 = unlimited)")
+	flag.IntVar(&fleet.Fleet.MaxQueue, "max-queue", 0, "max waiting sessions before submissions get 429 (0 = unbounded)")
+	flag.IntVar(&fleet.Fleet.MaxTenantQueue, "tenant-queue", 0, "max waiting sessions per tenant before its submissions get 429 (0 = unbounded)")
+	flag.IntVar(&cfg.RetryAfterCap, "retry-after-cap", 30, "upper bound on the Retry-After header, in seconds")
+	addrFile := flag.String("addr-file", "", "write the bound listen address to this file once serving (for test harnesses using port 0)")
+	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", 0, "per-request context deadline for non-streaming handlers (0 = default 30s, negative = off)")
+	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", 0, "max submit body size in bytes, 413 past it (0 = default 1 MiB, negative = unlimited)")
+	flag.Int64Var(&chaos.Seed, "chaos-seed", 1, "seed shared by the disk and network fault injectors")
+	flag.Float64Var(&chaos.DelayRate, "chaos-net-delay", 0, "probability a request is delayed before dispatch")
+	flag.Float64Var(&chaos.ErrorRate, "chaos-net-error", 0, "probability a request gets an injected 500")
+	flag.Float64Var(&chaos.SeverRate, "chaos-net-sever", 0, "probability a response body is severed mid-stream")
+	flag.Float64Var(&chaos.PanicRate, "chaos-net-panic", 0, "probability a handler panics (exercises panic recovery)")
 	flag.Parse()
 
-	if err := run(o); err != nil {
+	if err := run(fleet, cfg, chaos, *listen, *addrFile); err != nil {
 		fmt.Fprintln(os.Stderr, "rpg2-fleetd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o options) error {
-	m, ok := rpg2.MachineByName(o.machine)
-	if !ok {
-		return fmt.Errorf("unknown machine %q", o.machine)
-	}
-	fsync, err := rpg2.ParseFsyncPolicy(o.fsync)
-	if err != nil {
+func run(fleet *fleetflags.Flags, cfg rpg2.FleetDaemonConfig, chaos rpg2.NetFaultConfig, listen, addrFile string) error {
+	var err error
+	if cfg.Fleet, err = fleet.Resolve(chaos.Seed); err != nil {
 		return err
 	}
-	if o.resume && o.stateDir == "" {
-		return fmt.Errorf("-resume needs -state-dir")
+	cfg.Resume = fleet.Resume
+	if chaos.DelayRate > 0 || chaos.ErrorRate > 0 || chaos.SeverRate > 0 || chaos.PanicRate > 0 {
+		cfg.NetFaults = rpg2.NewNetFaultInjector(chaos)
 	}
-	// Same guard as rpg2-fleet: an interrupted run is recoverable work,
-	// not scratch space — refuse to overwrite it silently.
-	if o.stateDir != "" && !o.resume && !o.fresh {
-		if n := rpg2.FleetPendingSessions(o.stateDir); n > 0 {
-			return fmt.Errorf("state dir %q holds an interrupted run (%d unfinished sessions); pass -resume to serve it or -fresh to discard it", o.stateDir, n)
-		}
-	}
-
-	var diskFaults *rpg2.DiskFaultInjector
-	if o.diskWrite > 0 || o.diskSync > 0 || o.diskSnapshot > 0 {
-		diskFaults = rpg2.NewDiskFaultInjector(rpg2.DiskFaultConfig{
-			Seed:         o.chaosSeed,
-			WriteRate:    o.diskWrite,
-			SyncRate:     o.diskSync,
-			SnapshotRate: o.diskSnapshot,
-		})
-	}
-	var netFaults *rpg2.NetFaultInjector
-	if o.netDelay > 0 || o.netError > 0 || o.netSever > 0 || o.netPanic > 0 {
-		netFaults = rpg2.NewNetFaultInjector(rpg2.NetFaultConfig{
-			Seed:      o.chaosSeed,
-			DelayRate: o.netDelay,
-			ErrorRate: o.netError,
-			SeverRate: o.netSever,
-			PanicRate: o.netPanic,
-		})
-	}
-
-	srv, err := rpg2.NewFleetDaemon(rpg2.FleetDaemonConfig{
-		Fleet: rpg2.FleetConfig{
-			Machine:          m,
-			Workers:          o.workers,
-			RunSeconds:       o.seconds,
-			DisableStore:     o.nostore,
-			StoreShards:      o.shards,
-			StoreAddr:        o.storeAddr,
-			Translate:        o.translate,
-			Quota:            o.quota,
-			TenantQuota:      o.tenantQuota,
-			MaxQueue:         o.maxQueue,
-			MaxTenantQueue:   o.tenantQueue,
-			MaxRetries:       o.retries,
-			BreakerThreshold: o.breaker,
-			StateDir:         o.stateDir,
-			Fsync:            fsync,
-			Overwrite:        o.fresh,
-
-			WatchdogInterval:   o.watchdog,
-			WatchdogWindow:     o.wdWindow,
-			WatchdogThreshold:  o.wdThresh,
-			WatchdogHysteresis: o.wdHyst,
-			MaxRetunes:         o.retunes,
-			RetuneDelay:        o.retuneWait,
-			RetuneCold:         o.retuneCold,
-
-			DiskFaults:   diskFaults,
-			RearmBackoff: o.rearmBackoff,
-		},
-		Resume:         o.resume,
-		RetryAfterCap:  o.retryAfterCap,
-		NetFaults:      netFaults,
-		RequestTimeout: o.reqTimeout,
-		MaxBodyBytes:   o.maxBody,
-	})
+	srv, err := rpg2.NewFleetDaemon(cfg)
 	if err != nil {
 		return err
 	}
@@ -213,43 +75,16 @@ func run(o options) error {
 		fmt.Println(rec.Summary())
 	}
 
-	ln, err := net.Listen("tcp", o.listen)
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("rpg2-fleetd: serving on http://%s (machine %s)\n", ln.Addr(), m.Name)
-	if o.addrFile != "" {
-		// Write-then-rename so a watching parent never reads a torn file.
-		tmp := o.addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(ln.Addr().String()), 0o644); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, o.addrFile); err != nil {
-			return err
-		}
-	}
-
-	httpSrv := srv.HTTPServer()
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-sigc:
-		signal.Stop(sigc) // a second signal kills the process normally
+	fmt.Printf("rpg2-fleetd: serving on http://%s (machine %s)\n", ln.Addr(), cfg.Fleet.Machine.Name)
+	return daemon.Serve(ln, srv.HTTPServer(), addrFile, func(sig os.Signal) {
 		fmt.Fprintf(os.Stderr, "rpg2-fleetd: %v: draining (in-flight sessions finish, queued cancel)\n", sig)
-	}
-
-	// Drain first — event streams deliver everything and end, queued
-	// sessions journal as cancelled, the WAL flushes — then close the
-	// HTTP listener.
-	st := srv.Drain()
-	httpSrv.Close()
-	snap := srv.Fleet().Snapshot()
-	fmt.Printf("rpg2-fleetd: drained: %d queued cancelled, %d completed, %d failed\n",
-		st.Cancelled, snap.Completed, snap.Failed)
-	return nil
+		st := srv.Drain()
+		snap := srv.Fleet().Snapshot()
+		fmt.Printf("rpg2-fleetd: drained: %d queued cancelled, %d completed, %d failed\n",
+			st.Cancelled, snap.Completed, snap.Failed)
+	})
 }

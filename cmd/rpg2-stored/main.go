@@ -25,105 +25,55 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"rpg2"
+	"rpg2/internal/daemon"
 )
 
-type options struct {
-	listen   string
-	shards   int
-	maxReuse int
-
-	stateDir string
-	fresh    bool
-	fsync    string
-	snapshot int
-
-	addrFile   string
-	reqTimeout time.Duration
-	maxBody    int64
-}
-
 func main() {
-	var o options
-	flag.StringVar(&o.listen, "listen", "127.0.0.1:8049", "address to serve the store API on")
-	flag.IntVar(&o.shards, "store-shards", 0, "shard the store by (bench, input) hash across this many locks (0/1 = single-shard)")
-	flag.IntVar(&o.maxReuse, "max-reuse", 0, "serves per committed entry before it goes stale (0 = default 16)")
-	flag.StringVar(&o.stateDir, "state-dir", "", "persist the op journal and snapshots here (empty = in-memory only)")
-	flag.BoolVar(&o.fresh, "fresh", false, "discard the state dir's prior contents instead of recovering them")
-	flag.StringVar(&o.fsync, "fsync", "interval", "WAL durability: interval, always, or never")
-	flag.IntVar(&o.snapshot, "snapshot-every", 0, "journaled mutations between snapshots (0 = default 256, negative = journal only)")
-	flag.StringVar(&o.addrFile, "addr-file", "", "write the bound listen address to this file once serving (for test harnesses using port 0)")
-	flag.DurationVar(&o.reqTimeout, "request-timeout", 0, "per-request context deadline (0 = default 30s, negative = off)")
-	flag.Int64Var(&o.maxBody, "max-body", 0, "max request body size in bytes, 413 past it (0 = default 1 MiB, negative = unlimited)")
+	var cfg rpg2.StoreDaemonConfig
+	listen := flag.String("listen", "127.0.0.1:8049", "address to serve the store API on")
+	flag.IntVar(&cfg.Shards, "store-shards", 0, "shard the store by (bench, input) hash across this many locks (0/1 = single-shard)")
+	flag.IntVar(&cfg.Store.MaxReuse, "max-reuse", 0, "serves per committed entry before it goes stale (0 = default 16)")
+	flag.StringVar(&cfg.StateDir, "state-dir", "", "persist the op journal and snapshots here (empty = in-memory only)")
+	flag.BoolVar(&cfg.Fresh, "fresh", false, "discard the state dir's prior contents instead of recovering them")
+	fsync := flag.String("fsync", "interval", "WAL durability: interval, always, or never")
+	flag.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "journaled mutations between snapshots (0 = default 256, negative = journal only)")
+	addrFile := flag.String("addr-file", "", "write the bound listen address to this file once serving (for test harnesses using port 0)")
+	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", 0, "per-request context deadline (0 = default 30s, negative = off)")
+	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", 0, "max request body size in bytes, 413 past it (0 = default 1 MiB, negative = unlimited)")
 	flag.Parse()
 
-	if err := run(o); err != nil {
+	if err := run(cfg, *listen, *fsync, *addrFile); err != nil {
 		fmt.Fprintln(os.Stderr, "rpg2-stored:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o options) error {
-	fsync, err := rpg2.ParseFsyncPolicy(o.fsync)
-	if err != nil {
+func run(cfg rpg2.StoreDaemonConfig, listen, fsync, addrFile string) error {
+	var err error
+	if cfg.Fsync, err = rpg2.ParseFsyncPolicy(fsync); err != nil {
 		return err
 	}
-	srv, err := rpg2.NewStoreDaemon(rpg2.StoreDaemonConfig{
-		Store:          rpg2.StoreConfig{MaxReuse: o.maxReuse},
-		Shards:         o.shards,
-		StateDir:       o.stateDir,
-		Fresh:          o.fresh,
-		Fsync:          fsync,
-		SnapshotEvery:  o.snapshot,
-		RequestTimeout: o.reqTimeout,
-		MaxBodyBytes:   o.maxBody,
-	})
+	srv, err := rpg2.NewStoreDaemon(cfg)
 	if err != nil {
 		return err
 	}
 	if n := srv.Recovered(); n > 0 {
-		fmt.Printf("rpg2-stored: recovered %d entries from %s\n", n, o.stateDir)
+		fmt.Printf("rpg2-stored: recovered %d entries from %s\n", n, cfg.StateDir)
 	}
 
-	ln, err := net.Listen("tcp", o.listen)
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("rpg2-stored: serving on http://%s (%d shards)\n", ln.Addr(), srv.Store().Shards())
-	if o.addrFile != "" {
-		// Write-then-rename so a watching parent never reads a torn file.
-		tmp := o.addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(ln.Addr().String()), 0o644); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, o.addrFile); err != nil {
-			return err
-		}
-	}
-
-	httpSrv := srv.HTTPServer()
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-sigc:
-		signal.Stop(sigc) // a second signal kills the process normally
+	return daemon.Serve(ln, srv.HTTPServer(), addrFile, func(sig os.Signal) {
 		fmt.Fprintf(os.Stderr, "rpg2-stored: %v: draining (final snapshot, WAL close)\n", sig)
-	}
-
-	st := srv.Drain()
-	httpSrv.Close()
-	if msg, bad := srv.Degraded(); bad {
-		fmt.Fprintf(os.Stderr, "rpg2-stored: persistence degraded: %s\n", msg)
-	}
-	fmt.Printf("rpg2-stored: drained: %d entries live, snapshotted %v\n", st.Entries, st.Snapshotted)
-	return nil
+		st := srv.Drain()
+		if msg, bad := srv.Degraded(); bad {
+			fmt.Fprintf(os.Stderr, "rpg2-stored: persistence degraded: %s\n", msg)
+		}
+		fmt.Printf("rpg2-stored: drained: %d entries live, snapshotted %v\n", st.Entries, st.Snapshotted)
+	})
 }

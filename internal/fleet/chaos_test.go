@@ -16,6 +16,21 @@ import (
 	"rpg2/internal/wal"
 )
 
+// newGated builds a fleet whose workers have not started yet; start()
+// launches them. Everything submitted before start() is journaled before
+// the first dispatch, which is what makes a one-worker run's *whole*
+// journal deterministic: under a live pool a submitter's "queued" records
+// race the worker's records (even that session's own "admitted" — the
+// item is visible to workers before its queued record is appended), so
+// only per-session projections are comparable. Recover has the same
+// shape: re-admit, publish the journal, then start the workers.
+func newGated(cfg Config) (f *Fleet, start func()) {
+	f = newFleet(cfg)
+	f.initPersist()
+	f.commitPersist()
+	return f, f.startWorkers
+}
+
 // chaosSubmit queues n seeded sessions drawn from crashPairs.
 func chaosSubmit(t *testing.T, f *Fleet, n int) {
 	t.Helper()
@@ -334,8 +349,9 @@ func TestChaosZeroKnobsByteIdentical(t *testing.T) {
 			cfg.DiskFaults = faults.NewDisk(faults.DiskConfig{Seed: 999})
 			cfg.RearmBackoff = 0 // default
 		}
-		f := New(cfg)
+		f, start := newGated(cfg)
 		chaosSubmit(t, f, 16)
+		start()
 		f.Drain()
 		f.Close()
 		return f.Journal().Events(), f.Snapshot()

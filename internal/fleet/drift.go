@@ -40,9 +40,11 @@ func (f *Fleet) driftConfig() drift.Config {
 // stays open and a later dispatch finishes it; otherwise the terminal
 // bookkeeping lands here.
 func (f *Fleet) finishWatched(s *Session, live *rpgcore.Session, rep *rpgcore.Report, started time.Time, m machine.Machine, deadline float64, tier seedTier) {
-	f.transition(s, Done, rep.Costs.ExecSeconds)
+	f.settle(s, Done, rep.Costs.ExecSeconds, func() {
+		s.report = rep
+		s.wall = time.Since(started)
+	})
 	s.mu.Lock()
-	s.report = rep
 	s.live = live
 	s.tier = tier
 	switch {

@@ -838,7 +838,7 @@ func (f *Fleet) submit(spec SessionSpec, attempt int, enforceCaps bool) (*Sessio
 		// The replayable spec rides the WAL so recovery can re-admit this
 		// session if it never finishes; in-memory journals skip it to stay
 		// byte-identical to the pre-WAL fleet.
-		ev.Spec = recordSpec(spec)
+		ev.Spec = RecordSpec(spec)
 	}
 	f.journal.add(ev)
 	f.cond.Broadcast()
@@ -889,7 +889,9 @@ func (f *Fleet) tendPersist() {
 		f.rearmPersist(attempt)
 		return
 	}
-	f.maybePersistSnapshot()
+	if f.persist.claimSnapshot() {
+		f.persistSnapshot()
+	}
 }
 
 // rearmPersist runs one claimed re-arm attempt: journal it, capture live
@@ -909,16 +911,6 @@ func (f *Fleet) rearmPersist(attempt int) {
 		return
 	}
 	f.journal.add(Event{Session: -1, Type: "persist-rearmed", Attempt: attempt})
-}
-
-// maybePersistSnapshot writes a fresh snapshot if enough store commits
-// accumulated since the last one. claimSnapshot grants the threshold
-// crossing to exactly one worker.
-func (f *Fleet) maybePersistSnapshot() {
-	if f.persist == nil || !f.persist.claimSnapshot() {
-		return
-	}
-	f.persistSnapshot()
 }
 
 // persistSnapshot captures and writes a snapshot, one at a time (snapMu):
@@ -972,10 +964,7 @@ func (f *Fleet) CancelQueued() int {
 			break
 		}
 		s := it.Payload.(*Session)
-		f.transition(s, Failed, 0)
-		s.mu.Lock()
-		s.err = ErrCanceled
-		s.mu.Unlock()
+		f.settle(s, Failed, 0, func() { s.err = ErrCanceled })
 		f.metrics.fail(0)
 		f.journal.add(Event{
 			Session: s.ID, Type: "session-failed", State: Failed.String(),
@@ -1136,10 +1125,7 @@ func (f *Fleet) worker() {
 // admission, retry, and breaker decisions all run on the scheduler's
 // virtual clock, and the byte-identity CI checks strip wall fields.)
 func (f *Fleet) parkSession(s *Session) {
-	f.transition(s, Degraded, 0)
-	s.mu.Lock()
-	s.wall = 0
-	s.mu.Unlock()
+	f.settle(s, Degraded, 0, func() { s.wall = 0 })
 	f.metrics.degrade(s.Wall())
 	f.journal.add(Event{
 		Session: s.ID, Type: "session-degraded", State: Degraded.String(),
@@ -1196,7 +1182,21 @@ func (f *Fleet) reportBreakerLocked(s *Session, o admission.Outcome) {
 // An illegal edge is a controller bug; it panics rather than silently
 // corrupting the lifecycle invariants the tests assert on.
 func (f *Fleet) transition(s *Session, next State, at float64) {
+	f.settle(s, next, at, nil)
+}
+
+// settle is transition with the edge's outcome attached: outcome (when
+// non-nil) stores the session's result fields — report, error, wall time —
+// inside the same s.mu hold that flips the state. A poller that observes a
+// terminal state therefore also observes its outcome. Flipping first and
+// storing afterwards left the journal append (an fsync under fsync-always)
+// between the two, so a concurrent result fetch could return a terminal
+// session with no report.
+func (f *Fleet) settle(s *Session, next State, at float64, outcome func()) {
 	s.mu.Lock()
+	if outcome != nil {
+		outcome()
+	}
 	cur := s.state
 	if cur == next {
 		s.mu.Unlock()
@@ -1222,11 +1222,10 @@ func (f *Fleet) transition(s *Session, next State, at float64) {
 }
 
 func (f *Fleet) failSession(s *Session, started time.Time, err error) {
-	f.transition(s, Failed, 0)
-	s.mu.Lock()
-	s.err = err
-	s.wall = time.Since(started)
-	s.mu.Unlock()
+	f.settle(s, Failed, 0, func() {
+		s.err = err
+		s.wall = time.Since(started)
+	})
 	f.journal.add(Event{
 		Session: s.ID, Type: "session-failed", State: Failed.String(),
 		Kind:  s.Spec.Kind.String(),
@@ -1265,10 +1264,7 @@ func (f *Fleet) runSeconds(s *Session) (float64, bool) {
 // finishAux completes a non-optimize session with its terminal
 // bookkeeping.
 func (f *Fleet) finishAux(s *Session, started time.Time) {
-	f.transition(s, Done, 0)
-	s.mu.Lock()
-	s.wall = time.Since(started)
-	s.mu.Unlock()
+	f.settle(s, Done, 0, func() { s.wall = time.Since(started) })
 	f.metrics.finishAux(s.Spec.Kind.String(), s.Wall())
 	f.journal.add(Event{
 		Session: s.ID, Type: "session-done", State: Done.String(),
@@ -1551,11 +1547,10 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 	if rep.Outcome == rpgcore.RolledBack {
 		final = RolledBack
 	}
-	f.transition(s, final, rep.Costs.ExecSeconds)
-	s.mu.Lock()
-	s.report = rep
-	s.wall = time.Since(started)
-	s.mu.Unlock()
+	f.settle(s, final, rep.Costs.ExecSeconds, func() {
+		s.report = rep
+		s.wall = time.Since(started)
+	})
 
 	// Resilience policy: every optimize outcome feeds the key's breaker,
 	// and a rolled-back attempt may re-enter through the retry lane — in

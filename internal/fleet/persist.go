@@ -110,9 +110,6 @@ func RecordSpec(spec SessionSpec) *SpecRecord {
 	return r
 }
 
-// recordSpec is the WAL-internal alias for RecordSpec.
-func recordSpec(spec SessionSpec) *SpecRecord { return RecordSpec(spec) }
-
 // Spec rehydrates the projection. An unknown machine-override name falls
 // back to the fleet's machine (dropping the override, not the session).
 func (r *SpecRecord) Spec() SessionSpec {
@@ -228,23 +225,48 @@ func (p *persister) faultHook(key string) func(op string) error {
 	}
 }
 
-// openPersister starts epoch state under dir, ordered so that every
-// crash instant leaves a recoverable pairing. It reads the previous
-// epoch number from whatever state files exist, bumps it, atomically
-// writes the fresh epoch's snapshot (carrying the caller's store and
-// scheduler state) while the old journal is still untouched, and then
-// opens a *staged* journal at journalStageFile stamped with the epoch
-// record. Events append to the staged journal until commitJournal
-// renames it over journalFile; until that rename, recovery reads the new
-// snapshot over the old journal (readState's snapshot-ahead branch), so
-// neither rolled-forward store commits nor pending sessions are ever
-// orphaned behind a stale snapshot. The reverse order — truncate the
-// journal, then snapshot — would let a crash between the two lose both.
-// An error means the state dir is unusable (nothing was destroyed) and
-// the fleet should degrade from birth. Injected disk faults (cfg.DiskFaults)
-// arm only once the epoch is open: birth either succeeds or degrades
-// permanently, so the injector targets the steady state the re-arm
-// machinery can actually heal.
+// roll names the journal's live and staging paths for wal's epoch roll.
+func (p *persister) roll() wal.Roll {
+	return wal.Roll{
+		Live:   filepath.Join(p.dir, journalFile),
+		Stage:  filepath.Join(p.dir, journalStageFile),
+		Config: wal.Config{Sync: p.fsync, Interval: p.interval, FaultHook: p.faultHook(journalFile)},
+	}
+}
+
+// stageEpoch is the first half of an epoch roll (wal.Roll.Begin), shared
+// by birth and re-arm: read the previous epoch number from whatever state
+// files exist, bump it, atomically write the fresh epoch's snapshot set
+// (covering journal events up to seq) while the old journal is still
+// untouched, and open a staged journal stamped with the epoch record.
+// Events append to the staged journal until commitJournal publishes it;
+// until then recovery reads the new snapshot over the old journal
+// (readState's snapshot-ahead branch), so neither rolled-forward store
+// commits nor pending sessions are ever orphaned behind a stale snapshot.
+func (p *persister) stageEpoch(seq int, sched admission.PersistState, dr []DriftRecord, ss storeState) (int, *wal.Log, error) {
+	epoch := prevEpoch(p.dir) + 1
+	meta, _ := json.Marshal(walMeta{Wal: "journal", Epoch: epoch})
+	log, err := p.roll().Begin(meta, func() error {
+		if err := writeSnapshotSet(p.dir, epoch, seq, sched, dr, ss, p.faultHook("snapshot")); err != nil {
+			return err
+		}
+		// The fresh epoch's snapshot set is durable in the configured
+		// layout; files from the *other* layout (a shard-count change across
+		// restarts) and shard files beyond the configured count all carry
+		// older epochs now, so dropping them is a best-effort tidy —
+		// readState would have out-voted them on epoch anyway.
+		cleanupStaleSnapshots(p.dir, ss.shards)
+		return nil
+	})
+	return epoch, log, err
+}
+
+// openPersister starts epoch state under dir with the caller's store and
+// scheduler state as the fresh epoch's snapshot. An error means the state
+// dir is unusable (nothing was destroyed) and the fleet should degrade
+// from birth. Injected disk faults (cfg.DiskFaults) arm only once the
+// epoch is open: birth either succeeds or degrades permanently, so the
+// injector targets the steady state the re-arm machinery can actually heal.
 func openPersister(dir string, cfg Config, sched admission.PersistState, dr []DriftRecord, ss storeState) (*persister, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -268,32 +290,11 @@ func openPersister(dir string, cfg Config, sched admission.PersistState, dr []Dr
 		disk: cfg.DiskFaults, rearmBase: rearmBase, rearmCap: rearmCap,
 		lastSeq: -1,
 	}
-	epoch := prevEpoch(dir) + 1
-	if err := writeSnapshotSet(dir, epoch, -1, sched, dr, ss, nil); err != nil {
-		return nil, err
-	}
-	// The fresh epoch's snapshot set is durable in the configured layout;
-	// files from the *other* layout (a shard-count change across restarts)
-	// and shard files beyond the configured count all carry older epochs
-	// now, so dropping them is a best-effort tidy — readState would have
-	// out-voted them on epoch anyway.
-	cleanupStaleSnapshots(dir, ss.shards)
-	// Stage the fresh journal beside the old one; a stale stage file is a
-	// previous epoch start that died before committing, superseded now.
-	staged := filepath.Join(dir, journalStageFile)
-	if err := os.Remove(staged); err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	log, _, err := wal.Open(staged, wal.Config{Sync: cfg.Fsync, Interval: cfg.FsyncInterval, FaultHook: p.faultHook(journalFile)})
+	epoch, log, err := p.stageEpoch(-1, sched, dr, ss)
 	if err != nil {
 		return nil, err
 	}
 	p.epoch, p.shards, p.log, p.snapshots = epoch, ss.shards, log, 1
-	meta, _ := json.Marshal(walMeta{Wal: "journal", Epoch: epoch})
-	if err := log.Append(meta); err != nil {
-		log.Abort()
-		return nil, err
-	}
 	p.hookArmed.Store(true)
 	return p, nil
 }
@@ -321,31 +322,20 @@ func cleanupStaleSnapshots(dir string, shards int) {
 	}
 }
 
-// commitJournal publishes the staged journal: flush it, then atomically
-// rename it over journalFile. The open log keeps appending to the same
-// inode — only the name changes. Everything appended before the commit
-// (the epoch record, Recover's re-admitted "queued" events) is already
-// inside the file when it takes the journal's name, so a pending session
-// is vouched for by the old journal up to the rename and by the new one
-// from the rename on, with no gap.
+// commitJournal publishes the staged journal over journalFile (the second
+// half of the epoch roll). Everything appended before the commit (the
+// epoch record, Recover's re-admitted "queued" events) is already inside
+// the file when it takes the journal's name, so a pending session is
+// vouched for by the old journal up to the rename and by the new one from
+// the rename on, with no gap.
 func (p *persister) commitJournal() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.degraded || p.closed {
 		return
 	}
-	if err := p.log.Sync(); err != nil {
+	if err := p.roll().Publish(p.log); err != nil {
 		p.failLocked(err)
-		return
-	}
-	if err := os.Rename(filepath.Join(p.dir, journalStageFile), filepath.Join(p.dir, journalFile)); err != nil {
-		p.failLocked(err)
-		return
-	}
-	// Best effort: persist the rename itself.
-	if d, err := os.Open(p.dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 }
 
@@ -429,24 +419,30 @@ func (p *persister) watermark() int {
 	return p.lastSeq
 }
 
-// snapshotPayloads frames a single-file snapshot's records: meta,
-// scheduler state, watchdog state (only when non-empty, keeping zero-knob
-// snapshots in the pre-watchdog format byte-for-byte), store entries.
-func snapshotPayloads(epoch, seq int, sched admission.PersistState, dr []DriftRecord, entries []KeyedEntry) ([][]byte, error) {
+// snapshotPayloads frames one snapshot-family file's records: its meta,
+// then — when sched is non-nil — the scheduler state and the watchdog
+// state (the latter only when non-empty, keeping zero-knob snapshots in the
+// pre-watchdog format byte-for-byte), then the store entries. The legacy
+// single file carries all of it; in the sharded layout the manifest
+// carries meta + scheduler + watchdog and each shard file meta + entries,
+// so a shard file is purely store data.
+func snapshotPayloads(meta walMeta, sched *admission.PersistState, dr []DriftRecord, entries []KeyedEntry) ([][]byte, error) {
 	payloads := make([][]byte, 0, len(entries)+3)
-	meta, _ := json.Marshal(walMeta{Wal: "snapshot", Epoch: epoch, Seq: seq})
-	payloads = append(payloads, meta)
-	sc, err := json.Marshal(walSched{Sched: &sched})
-	if err != nil {
-		return nil, fmt.Errorf("encode scheduler state: %w", err)
-	}
-	payloads = append(payloads, sc)
-	if len(dr) > 0 {
-		db, err := json.Marshal(walDrift{Drift: dr})
+	m, _ := json.Marshal(meta)
+	payloads = append(payloads, m)
+	if sched != nil {
+		sc, err := json.Marshal(walSched{Sched: sched})
 		if err != nil {
-			return nil, fmt.Errorf("encode drift state: %w", err)
+			return nil, fmt.Errorf("encode scheduler state: %w", err)
 		}
-		payloads = append(payloads, db)
+		payloads = append(payloads, sc)
+		if len(dr) > 0 {
+			db, err := json.Marshal(walDrift{Drift: dr})
+			if err != nil {
+				return nil, fmt.Errorf("encode drift state: %w", err)
+			}
+			payloads = append(payloads, db)
+		}
 	}
 	for _, ke := range entries {
 		b, err := json.Marshal(ke)
@@ -454,45 +450,6 @@ func snapshotPayloads(epoch, seq int, sched admission.PersistState, dr []DriftRe
 			return nil, fmt.Errorf("encode store entry: %w", err)
 		}
 		payloads = append(payloads, b)
-	}
-	return payloads, nil
-}
-
-// shardPayloads frames one shard's snapshot file: meta (with the shard
-// index and layout width), then that shard's entries. The scheduler state
-// does not live here — it moved to its own record in the manifest, so a
-// shard file is purely store data.
-func shardPayloads(epoch, seq, shard, shards int, entries []KeyedEntry) ([][]byte, error) {
-	payloads := make([][]byte, 0, len(entries)+1)
-	meta, _ := json.Marshal(walMeta{Wal: "shard", Epoch: epoch, Seq: seq, Shard: shard, Shards: shards})
-	payloads = append(payloads, meta)
-	for _, ke := range entries {
-		b, err := json.Marshal(ke)
-		if err != nil {
-			return nil, fmt.Errorf("encode store entry: %w", err)
-		}
-		payloads = append(payloads, b)
-	}
-	return payloads, nil
-}
-
-// manifestPayloads frames the manifest that seals a shard set: meta
-// (epoch, watermark, shard count) plus the scheduler state as its own
-// record, then the watchdog state when non-empty (shard files stay purely
-// store data).
-func manifestPayloads(epoch, seq, shards int, sched admission.PersistState, dr []DriftRecord) ([][]byte, error) {
-	meta, _ := json.Marshal(walMeta{Wal: "manifest", Epoch: epoch, Seq: seq, Shards: shards})
-	sc, err := json.Marshal(walSched{Sched: &sched})
-	if err != nil {
-		return nil, fmt.Errorf("encode scheduler state: %w", err)
-	}
-	payloads := [][]byte{meta, sc}
-	if len(dr) > 0 {
-		db, err := json.Marshal(walDrift{Drift: dr})
-		if err != nil {
-			return nil, fmt.Errorf("encode drift state: %w", err)
-		}
-		payloads = append(payloads, db)
 	}
 	return payloads, nil
 }
@@ -505,35 +462,29 @@ func manifestPayloads(epoch, seq, shards int, sched admission.PersistState, dr [
 // snapshot) names a watermark all its shard files have folded in.
 // The optional hook is the disk-fault seam, consulted once per file write.
 func writeSnapshotSet(dir string, epoch, seq int, sched admission.PersistState, dr []DriftRecord, ss storeState, hook func(op string) error) error {
-	if ss.shards <= 1 {
-		var entries []KeyedEntry
-		if len(ss.perShard) > 0 {
-			entries = ss.perShard[0]
-		}
-		payloads, err := snapshotPayloads(epoch, seq, sched, dr, entries)
+	write := func(name string, meta walMeta, sched *admission.PersistState, entries []KeyedEntry) error {
+		payloads, err := snapshotPayloads(meta, sched, dr, entries)
 		if err != nil {
 			return err
 		}
-		return wal.WriteAtomicHook(filepath.Join(dir, snapshotFile), payloads, hook)
+		return wal.WriteAtomicHook(filepath.Join(dir, name), payloads, hook)
+	}
+	shardEntries := func(i int) []KeyedEntry {
+		if i < len(ss.perShard) {
+			return ss.perShard[i]
+		}
+		return nil
+	}
+	if ss.shards <= 1 {
+		return write(snapshotFile, walMeta{Wal: "snapshot", Epoch: epoch, Seq: seq}, &sched, shardEntries(0))
 	}
 	for i := 0; i < ss.shards; i++ {
-		var entries []KeyedEntry
-		if i < len(ss.perShard) {
-			entries = ss.perShard[i]
-		}
-		payloads, err := shardPayloads(epoch, seq, i, ss.shards, entries)
-		if err != nil {
-			return err
-		}
-		if err := wal.WriteAtomicHook(filepath.Join(dir, shardFileName(i)), payloads, hook); err != nil {
+		meta := walMeta{Wal: "shard", Epoch: epoch, Seq: seq, Shard: i, Shards: ss.shards}
+		if err := write(shardFileName(i), meta, nil, shardEntries(i)); err != nil {
 			return err
 		}
 	}
-	payloads, err := manifestPayloads(epoch, seq, ss.shards, sched, dr)
-	if err != nil {
-		return err
-	}
-	return wal.WriteAtomicHook(filepath.Join(dir, manifestFile), payloads, hook)
+	return write(manifestFile, walMeta{Wal: "manifest", Epoch: epoch, Seq: seq, Shards: ss.shards}, &sched, nil)
 }
 
 // writeSnapshot atomically replaces the snapshot (file or shard set +
@@ -631,9 +582,9 @@ func (p *persister) rearmFailed(err error) {
 }
 
 // rearm rebuilds on-disk state for a degraded persister from the live
-// in-memory journal: a fresh-epoch snapshot of the caller's captured
-// state, then a staged journal re-seeded — under the journal lock, so no
-// event can slip between the scan and the sink coming back to life — with
+// in-memory journal: stageEpoch with the caller's captured state, then the
+// staged journal re-seeded — under the journal lock, so no event can slip
+// between the scan and the sink coming back to life — with
 // every non-terminal session's history (so a later crash still re-admits
 // them) plus any store/breaker events newer than the snapshot watermark,
 // then the same atomic commit as startup. Every crash instant during a
@@ -645,30 +596,13 @@ func (p *persister) rearm(j *Journal, sched admission.PersistState, dr []DriftRe
 	if ss.shards < 1 {
 		ss.shards = 1
 	}
-	epoch := prevEpoch(p.dir) + 1
 	// Watermark before capture is the standing snapshot discipline; here
 	// the journal's own tail is the freshest "known Seq" there is. The
 	// caller captured state after this point, so replaying a little extra
 	// on recovery stays idempotent.
 	w0 := j.LastSeq()
-	if err := writeSnapshotSet(p.dir, epoch, w0, sched, dr, ss, p.faultHook("snapshot")); err != nil {
-		p.rearmFailed(err)
-		return err
-	}
-	cleanupStaleSnapshots(p.dir, ss.shards)
-	staged := filepath.Join(p.dir, journalStageFile)
-	if err := os.Remove(staged); err != nil && !os.IsNotExist(err) {
-		p.rearmFailed(err)
-		return err
-	}
-	log, _, err := wal.Open(staged, wal.Config{Sync: p.fsync, Interval: p.interval, FaultHook: p.faultHook(journalFile)})
+	epoch, log, err := p.stageEpoch(w0, sched, dr, ss)
 	if err != nil {
-		p.rearmFailed(err)
-		return err
-	}
-	meta, _ := json.Marshal(walMeta{Wal: "journal", Epoch: epoch})
-	if err := log.Append(meta); err != nil {
-		log.Abort()
 		p.rearmFailed(err)
 		return err
 	}

@@ -374,11 +374,11 @@ func readState(dir string) (*recoveredState, error) {
 	// folded into the snapshot already — but its pending sessions were
 	// never re-admitted anywhere, so session tracking still reads it.
 	watermark := snapSeq
-	switch {
-	case snapEpoch == journalEpoch:
-	case snapEpoch > journalEpoch:
-		watermark = int(^uint(0) >> 1) // fold nothing: snapshot is ahead
-	default:
+	rel := wal.Relate(snapEpoch, journalEpoch)
+	switch rel {
+	case wal.SnapshotAhead:
+		watermark = int(^uint(0) >> 1) // fold nothing
+	case wal.JournalAhead:
 		watermark = -1 // no (usable) snapshot for this epoch: replay all
 	}
 
@@ -483,7 +483,6 @@ func readState(dir string) (*recoveredState, error) {
 	// detector posture only exists here. The journal is authoritative for
 	// whether a re-tune admission is pending — except when the snapshot is
 	// from a newer epoch than the journal, in which case it saw further.
-	snapAhead := snapEpoch > journalEpoch
 	for _, d := range snap.drift {
 		tr := sessions[d.Session]
 		if tr == nil {
@@ -495,7 +494,7 @@ func readState(dir string) (*recoveredState, error) {
 		if d.Retunes > tr.retunes {
 			tr.retunes = d.Retunes
 		}
-		if snapAhead {
+		if rel == wal.SnapshotAhead {
 			tr.retuning = d.Retuning
 		}
 		if tr.retuneDistance == 0 {
@@ -607,7 +606,15 @@ func readLegacySnap(dir string) (snapState, error) {
 		return ss, nil
 	}
 	ss.ok, ss.epoch, ss.seq = true, meta.Epoch, meta.Seq
-	for _, rec := range recs[1:] {
+	ss.absorb(recs[1:])
+	return ss, nil
+}
+
+// absorb decodes a snapshot-family file's records past its meta —
+// scheduler state, watchdog state, store entries — whichever of them the
+// file's role carries.
+func (ss *snapState) absorb(recs [][]byte) {
+	for _, rec := range recs {
 		var sc walSched
 		if json.Unmarshal(rec, &sc) == nil && sc.Sched != nil {
 			ss.sched = sc.Sched
@@ -623,7 +630,6 @@ func readLegacySnap(dir string) (snapState, error) {
 			ss.entries = append(ss.entries, ke)
 		}
 	}
-	return ss, nil
 }
 
 // readShardedSnap decodes the sharded snapshot layout. The manifest is
@@ -658,17 +664,7 @@ func readShardedSnap(dir string) (snapState, error) {
 		return ss, nil
 	}
 	ss.ok, ss.epoch, ss.seq, ss.shards = true, meta.Epoch, meta.Seq, meta.Shards
-	for _, rec := range recs[1:] {
-		var sc walSched
-		if json.Unmarshal(rec, &sc) == nil && sc.Sched != nil {
-			ss.sched = sc.Sched
-			continue
-		}
-		var wd walDrift
-		if json.Unmarshal(rec, &wd) == nil && len(wd.Drift) > 0 {
-			ss.drift = wd.Drift
-		}
-	}
+	ss.absorb(recs[1:])
 	names, _ := filepath.Glob(filepath.Join(dir, "shard-*.wal"))
 	indexes := make([]int, 0, len(names))
 	for _, name := range names {
@@ -709,12 +705,7 @@ func readShardedSnap(dir string) (snapState, error) {
 		if i < ss.shards && smeta.Epoch == ss.epoch && smeta.Seq < ss.seq {
 			ss.seq = smeta.Seq // defensive: never claim past a member's own watermark
 		}
-		for _, rec := range srecs[1:] {
-			var ke KeyedEntry
-			if json.Unmarshal(rec, &ke) == nil && ke.Key.Bench != "" {
-				ss.entries = append(ss.entries, ke)
-			}
-		}
+		ss.absorb(srecs[1:])
 	}
 	for i := 0; i < ss.shards; i++ {
 		if !seen[i] {

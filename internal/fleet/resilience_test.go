@@ -3,11 +3,14 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"rpg2/internal/faults"
 	"rpg2/internal/machine"
 	rpgcore "rpg2/internal/rpg2"
+	"rpg2/internal/wal"
 )
 
 // stressSpecs builds n specs cycling over pairs that reliably activate,
@@ -472,4 +475,45 @@ func TestZeroKnobRunsMatchLegacyFIFO(t *testing.T) {
 		snap.Degraded != 0 || snap.VirtualClock != 0 {
 		t.Fatalf("zero-knob run accrued policy counters: %+v", snap)
 	}
+}
+
+// TestTerminalStateCarriesItsOutcome: a poller that sees a terminal state
+// must also see that state's outcome — a report for a finished optimize, an
+// error for a failure. Pollers spin on each session while it completes
+// under fsync-always (where the state edge's journal append is slowest);
+// flipping the state before storing the report left exactly that fsync
+// between the two, and a result fetched in the gap came back reportless.
+func TestTerminalStateCarriesItsOutcome(t *testing.T) {
+	f := New(Config{
+		Machine: machine.CascadeLake(), Workers: 2,
+		StateDir: t.TempDir(), Fsync: wal.SyncAlways,
+	})
+	defer f.Close()
+	specs := append(stressSpecs(6, 1), SessionSpec{Bench: "no-such-bench", Seed: 7})
+	var wg sync.WaitGroup
+	for _, spec := range specs {
+		s, err := f.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				st := s.State()
+				if !st.Terminal() {
+					runtime.Gosched()
+					continue
+				}
+				switch {
+				case st == Failed && s.Err() == nil:
+					t.Errorf("session %d observed Failed with no error", s.ID)
+				case st != Failed && s.Report() == nil:
+					t.Errorf("session %d observed %v with no report", s.ID, st)
+				}
+				return
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -272,14 +272,18 @@ func checkDispositions(t *testing.T, f *Fleet, reasons map[string]bool) {
 // experiments harness relies on.
 func TestTranslateOffJournalIdentical(t *testing.T) {
 	journal := func(translate bool) string {
-		f := New(Config{Machine: machine.CascadeLake(), Workers: 1, Translate: translate})
-		defer f.Close()
-		_, err := f.Run([]SessionSpec{
+		// Gated: the whole journal is compared, so every submit must be
+		// journaled before the worker starts (see newGated).
+		f, start := newGated(Config{Machine: machine.CascadeLake(), Workers: 1, Translate: translate})
+		for _, spec := range []SessionSpec{
 			{Bench: "is", Seed: 1}, {Bench: "cg", Seed: 2}, {Bench: "is", Seed: 3},
-		})
-		if err != nil {
-			t.Fatal(err)
+		} {
+			if _, err := f.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
 		}
+		start()
+		f.Drain()
 		f.Close()
 		evs := f.Journal().Events()
 		var out []byte

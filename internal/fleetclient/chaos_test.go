@@ -19,13 +19,13 @@ import (
 // ordinal), so two clients with the same seed replay the same wait
 // sequence, and every draw stays inside [d/2, d].
 func TestJitterDeterministicPerSeed(t *testing.T) {
-	const d = 100 * time.Millisecond
+	const d = 100 * time.Millisecond // attempt 2's pre-jitter wait at the default 50ms base
 	a := New(Config{BaseURL: "http://unused", Seed: 5})
 	b := New(Config{BaseURL: "http://unused", Seed: 5})
 	c := New(Config{BaseURL: "http://unused", Seed: 6})
 	differs := false
 	for i := 0; i < 64; i++ {
-		ja, jb, jc := a.jitter(d), b.jitter(d), c.jitter(d)
+		ja, jb, jc := a.retry.BackoffWait(2), b.retry.BackoffWait(2), c.retry.BackoffWait(2)
 		if ja != jb {
 			t.Fatalf("draw %d: same seed diverged: %s vs %s", i, ja, jb)
 		}
@@ -47,7 +47,7 @@ func TestOverloadWaitNeverUndercutsHint(t *testing.T) {
 	c := New(Config{BaseURL: "http://unused", Seed: 9})
 	const hint = 2 * time.Second
 	for i := 0; i < 64; i++ {
-		if w := c.overloadWait(hint); w < hint || w > hint+hint/2 {
+		if w := c.retry.OverloadWait(hint); w < hint || w > hint+hint/2 {
 			t.Fatalf("draw %d: wait %s outside [%s, %s]", i, w, hint, hint+hint/2)
 		}
 	}

@@ -8,7 +8,6 @@
 package fleetclient
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,12 +16,12 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"rpg2/internal/faults"
 	"rpg2/internal/fleet"
 	"rpg2/internal/fleetd"
+	"rpg2/internal/retry"
 )
 
 // Config points a client at a daemon. Only BaseURL is required.
@@ -62,7 +61,7 @@ type Config struct {
 // Client calls one daemon. Safe for concurrent use.
 type Client struct {
 	cfg   Config
-	draws atomic.Uint64
+	retry *retry.Retrier
 }
 
 // New builds a client; zero-value config fields get defaults.
@@ -70,20 +69,8 @@ func New(cfg Config) *Client {
 	if cfg.HTTP == nil {
 		cfg.HTTP = http.DefaultClient
 	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 4
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 50 * time.Millisecond
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = time.Second
-	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 25 * time.Millisecond
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	if cfg.NetFaults != nil {
 		// Clone the http.Client so the caller's copy stays fault-free.
@@ -95,7 +82,10 @@ func New(cfg Config) *Client {
 		hc.Transport = cfg.NetFaults.Transport(base)
 		cfg.HTTP = &hc
 	}
-	return &Client{cfg: cfg}
+	return &Client{cfg: cfg, retry: retry.ForFleetClient(retry.Policy{
+		HTTP: cfg.HTTP, MaxRetries: cfg.MaxRetries, Base: cfg.RetryBase, Cap: cfg.RetryCap,
+		OverloadRetries: cfg.OverloadRetries, Seed: cfg.Seed,
+	})}
 }
 
 // Overloaded is a backpressure rejection: the daemon returned 429 and
@@ -127,178 +117,44 @@ func (e *APIError) Is(target error) bool {
 	return target == ErrNotFound && e.Code == http.StatusNotFound
 }
 
-// transientCode reports response codes worth retrying: the daemon (or a
-// proxy in front of it) was unreachable or mid-restart, not wrong.
-func transientCode(code int) bool {
-	return code == http.StatusBadGateway ||
-		code == http.StatusServiceUnavailable ||
-		code == http.StatusGatewayTimeout
-}
-
-// jitter spreads a wait over [d/2, d], hash-derived from the client's
-// seed and a monotone draw counter — deterministic replay, no RNG, and no
-// synchronized thundering herd when many clients share a daemon.
-func (c *Client) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	f := faults.Hash01(uint64(c.cfg.Seed), c.draws.Add(1), 31)
-	return d/2 + time.Duration(f*float64(d/2))
-}
-
-// overloadWait is the honored form of a Retry-After hint: at least the
-// hint, plus up to half again of deterministic jitter so retries from a
-// fleet of clients don't land on the same tick the daemon suggested.
-func (c *Client) overloadWait(after time.Duration) time.Duration {
-	if after <= 0 {
-		after = time.Second
-	}
-	f := faults.Hash01(uint64(c.cfg.Seed), c.draws.Add(1), 32)
-	return after + time.Duration(f*float64(after)/2)
-}
-
-// sleepFor sleeps out d, honouring ctx.
-func (c *Client) sleepFor(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// backoff sleeps out attempt n's capped, jittered exponential wait.
-func (c *Client) backoff(ctx context.Context, attempt int) error {
-	d := c.cfg.RetryBase << (attempt - 1)
-	if d > c.cfg.RetryCap || d <= 0 {
-		d = c.cfg.RetryCap
-	}
-	return c.sleepFor(ctx, c.jitter(d))
-}
-
-// parseRetryAfter resolves a Retry-After header, which RFC 9110 allows in
-// two forms: non-negative delta-seconds ("3") and an HTTP-date ("Wed, 21
-// Oct 2015 07:28:00 GMT" — what proxies often emit). A date is converted
-// to the delta from now. Malformed values, and dates already in the past,
-// report !ok so the caller falls back to its normal backoff default
-// instead of a zero-length wait.
-func parseRetryAfter(raw string, now time.Time) (time.Duration, bool) {
-	if raw == "" {
-		return 0, false
-	}
-	if secs, err := strconv.Atoi(raw); err == nil {
-		if secs > 0 {
-			return time.Duration(secs) * time.Second, true
-		}
-		return 0, false
-	}
-	if at, err := http.ParseTime(raw); err == nil {
-		if d := at.Sub(now); d > 0 {
-			return d, true
-		}
-	}
-	return 0, false
-}
-
-// decodeErr extracts the {"error": ...} body of a non-2xx response.
-func decodeErr(resp *http.Response) string {
-	var ae struct {
-		Error string `json:"error"`
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
-		return ae.Error
-	}
-	return resp.Status
-}
-
-// do runs one request with transient-failure retry, decoding a 2xx (or,
-// when acceptAccepted, a 202) JSON body into out. Request bodies are byte
-// slices so every retry resends the same payload.
+// do runs one request through the retry kit's loop, decoding a 2xx (or,
+// when acceptAccepted, a 202) JSON body into out. Transient failures
+// (connection errors, 502/503/504) spend the MaxRetries budget; a 429
+// surfaces as *Overloaded once the opt-in OverloadRetries budget is spent;
+// an expired context reports ctx.Err(), never a stale transport error.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any, acceptAccepted bool) (int, error) {
-	var lastErr error
-	attempt, overloads := 0, 0
-	// retry charges one transient attempt and sleeps the jittered backoff;
-	// it reports false when the retry budget is spent.
-	retry := func(err error) (bool, error) {
-		lastErr = err
-		attempt++
-		if attempt > c.cfg.MaxRetries {
-			return false, nil
-		}
-		if serr := c.backoff(ctx, attempt); serr != nil {
-			return false, serr
-		}
-		return true, nil
-	}
-	for {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, rd)
-		if err != nil {
-			return 0, err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.cfg.HTTP.Do(req)
+	var code int
+	err := c.retry.Do(ctx, method, c.cfg.BaseURL+path, body, func(resp *http.Response, err error) retry.Verdict {
 		if err != nil {
 			if ctx.Err() != nil {
-				return 0, ctx.Err()
+				return retry.Fatal(ctx.Err())
 			}
-			if again, serr := retry(err); serr != nil {
-				return 0, serr
-			} else if again {
-				continue
-			}
-			return 0, lastErr
+			return retry.Transient(err)
 		}
-		code := resp.StatusCode
+		code = resp.StatusCode
 		switch {
 		case code == http.StatusOK || (code == http.StatusAccepted && acceptAccepted):
 			if out != nil {
-				err = json.NewDecoder(resp.Body).Decode(out)
+				if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+					return retry.Fatal(fmt.Errorf("fleetd: decode response: %w", err))
+				}
 			}
-			resp.Body.Close()
-			if err != nil {
-				return 0, fmt.Errorf("fleetd: decode response: %w", err)
-			}
-			return code, nil
+			return retry.Done()
 		case code == http.StatusTooManyRequests:
-			msg := decodeErr(resp)
-			resp.Body.Close()
 			after := time.Second
-			if d, ok := parseRetryAfter(resp.Header.Get("Retry-After"), time.Now()); ok {
+			if d, ok := retry.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Now()); ok {
 				after = d
 			}
-			over := &Overloaded{RetryAfter: after, Message: msg}
-			// Overload retries are budgeted separately from transient ones:
-			// honoring Retry-After is opt-in policy, not transport recovery.
-			if overloads >= c.cfg.OverloadRetries {
-				return 0, over
-			}
-			overloads++
-			if serr := c.sleepFor(ctx, c.overloadWait(after)); serr != nil {
-				return 0, serr
-			}
-		case transientCode(code):
-			err := &APIError{Code: code, Message: decodeErr(resp)}
-			resp.Body.Close()
-			if again, serr := retry(err); serr != nil {
-				return 0, serr
-			} else if !again {
-				return 0, lastErr
-			}
-		default:
-			msg := decodeErr(resp)
-			resp.Body.Close()
-			return 0, &APIError{Code: code, Message: msg}
+			return retry.Overloaded(after, &Overloaded{RetryAfter: after, Message: retry.DecodeErr(resp)})
+		case retry.TransientCode(code):
+			return retry.Transient(&APIError{Code: code, Message: retry.DecodeErr(resp)})
 		}
+		return retry.Fatal(&APIError{Code: code, Message: retry.DecodeErr(resp)})
+	})
+	if err != nil {
+		return 0, err
 	}
+	return code, nil
 }
 
 // Submit sends one spec (the fleet's WAL wire form) and returns the
@@ -381,17 +237,8 @@ func (c *Client) Metrics(ctx context.Context) (fleet.Snapshot, error) {
 	return snap, err
 }
 
-// LookupResult is a store peek: the entry, and for translated lookups the
-// sibling key it would seed from. Against a daemon running a sharded
-// store, Shard is the shard the key routed to and Shards the layout
-// width; both are absent for the single-shard store.
-type LookupResult struct {
-	Key    fleet.Key   `json:"key"`
-	Entry  fleet.Entry `json:"entry"`
-	Source *fleet.Key  `json:"source,omitempty"`
-	Shard  *int        `json:"shard,omitempty"`
-	Shards int         `json:"shards,omitempty"`
-}
+// LookupResult is a store peek, as the daemon frames it.
+type LookupResult = fleetd.LookupResponse
 
 func storeQuery(k fleet.Key) string {
 	q := url.Values{}
@@ -436,10 +283,10 @@ func (c *Client) Stream(ctx context.Context, since int, fn func(fleet.Event) err
 		case err != nil && ctx.Err() == nil && !isStreamAbort(err):
 			// Transport failure: back off and resume from the cursor.
 			attempt++
-			if attempt > c.cfg.MaxRetries {
+			if attempt > c.retry.MaxRetries {
 				return err
 			}
-			if berr := c.backoff(ctx, attempt); berr != nil {
+			if berr := c.retry.Backoff(ctx, attempt); berr != nil {
 				return berr
 			}
 			continue
@@ -481,7 +328,7 @@ func (c *Client) streamOnce(ctx context.Context, cursor *int, fn func(fleet.Even
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return false, &APIError{Code: resp.StatusCode, Message: decodeErr(resp)}
+		return false, &APIError{Code: resp.StatusCode, Message: retry.DecodeErr(resp)}
 	}
 	dec := json.NewDecoder(resp.Body)
 	for {

@@ -96,34 +96,6 @@ func TestOverloadedNotRetried(t *testing.T) {
 	}
 }
 
-// TestParseRetryAfter: both RFC 9110 forms resolve — delta-seconds and
-// HTTP-date — and every malformed, zero, negative, or already-past value
-// reports !ok so the caller falls back to its default wait instead of a
-// zero-length one.
-func TestParseRetryAfter(t *testing.T) {
-	now := time.Date(2026, time.August, 8, 12, 0, 0, 0, time.UTC)
-	cases := []struct {
-		raw  string
-		want time.Duration
-		ok   bool
-	}{
-		{"7", 7 * time.Second, true},
-		{"0", 0, false},
-		{"-3", 0, false},
-		{now.Add(90 * time.Second).UTC().Format(http.TimeFormat), 90 * time.Second, true},
-		{now.Add(-time.Minute).UTC().Format(http.TimeFormat), 0, false},
-		{"soon", 0, false},
-		{"1.5", 0, false},
-		{"", 0, false},
-	}
-	for _, c := range cases {
-		got, ok := parseRetryAfter(c.raw, now)
-		if ok != c.ok || got != c.want {
-			t.Errorf("parseRetryAfter(%q) = %s, %v; want %s, %v", c.raw, got, ok, c.want, c.ok)
-		}
-	}
-}
-
 // TestOverloadedHTTPDateRetryAfter: a proxy-style HTTP-date Retry-After
 // reaches the caller as a real duration, not the 1s fallback garbage the
 // delta-seconds-only parser produced.

@@ -271,8 +271,8 @@ func TestDaemonOversizedBodyRejected(t *testing.T) {
 	}
 }
 
-// TestHTTPServerRealTimeouts: the daemon's http.Server carries real
-// timeouts — defaults when unset, the configured values when set.
+// TestHTTPServerRealTimeouts: the daemon's http.Server carries the
+// daemon kit's real timeouts — none is left at net/http's zero (forever).
 func TestHTTPServerRealTimeouts(t *testing.T) {
 	srv, err := fleetd.New(fleetd.Config{
 		Fleet: fleet.Config{Machine: machine.CascadeLake(), Workers: 1},
@@ -283,24 +283,7 @@ func TestHTTPServerRealTimeouts(t *testing.T) {
 	defer srv.Drain()
 	hs := srv.HTTPServer()
 	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.WriteTimeout <= 0 || hs.IdleTimeout <= 0 {
-		t.Fatalf("default HTTPServer leaves a timeout unset: %+v", hs)
-	}
-
-	srv2, err := fleetd.New(fleetd.Config{
-		Fleet:             fleet.Config{Machine: machine.CascadeLake(), Workers: 1},
-		ReadHeaderTimeout: 7 * time.Second,
-		ReadTimeout:       8 * time.Second,
-		WriteTimeout:      9 * time.Second,
-		IdleTimeout:       10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Drain()
-	hs2 := srv2.HTTPServer()
-	if hs2.ReadHeaderTimeout != 7*time.Second || hs2.ReadTimeout != 8*time.Second ||
-		hs2.WriteTimeout != 9*time.Second || hs2.IdleTimeout != 10*time.Second {
-		t.Fatalf("configured timeouts not honored: %+v", hs2)
+		t.Fatalf("HTTPServer leaves a timeout unset: %+v", hs)
 	}
 }
 
@@ -309,13 +292,13 @@ func TestHTTPServerRealTimeouts(t *testing.T) {
 // WriteTimeout keeps delivering instead of dying mid-tail.
 func TestDaemonEventsStreamSurvivesWriteTimeout(t *testing.T) {
 	srv, err := fleetd.New(fleetd.Config{
-		Fleet:        fleet.Config{Machine: machine.CascadeLake(), Workers: 1},
-		WriteTimeout: 250 * time.Millisecond,
+		Fleet: fleet.Config{Machine: machine.CascadeLake(), Workers: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hs := srv.HTTPServer()
+	hs.WriteTimeout = 250 * time.Millisecond
 	ts := httptest.NewUnstartedServer(nil)
 	ts.Config = hs
 	ts.Start()

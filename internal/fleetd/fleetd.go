@@ -14,7 +14,6 @@
 package fleetd
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,6 +26,7 @@ import (
 	"time"
 
 	"rpg2/internal/baselines"
+	"rpg2/internal/daemon"
 	"rpg2/internal/faults"
 	"rpg2/internal/fleet"
 	rpgcore "rpg2/internal/rpg2"
@@ -58,13 +58,6 @@ type Config struct {
 	// MaxBodyBytes caps POST bodies via http.MaxBytesReader (default 1MiB;
 	// negative disables). Oversized submissions get 413.
 	MaxBodyBytes int64
-	// ReadHeaderTimeout, ReadTimeout, WriteTimeout and IdleTimeout are
-	// applied by HTTPServer (defaults 5s, 1m, 1m, 2m). The events stream
-	// survives WriteTimeout by clearing its write deadline per-response.
-	ReadHeaderTimeout time.Duration
-	ReadTimeout       time.Duration
-	WriteTimeout      time.Duration
-	IdleTimeout       time.Duration
 }
 
 // Server is the daemon: one fleet behind an http.Handler. Create with New,
@@ -78,10 +71,6 @@ type Server struct {
 	netFaults  *faults.NetInjector
 	reqTimeout time.Duration
 	maxBody    int64
-	readHdrTO  time.Duration
-	readTO     time.Duration
-	writeTO    time.Duration
-	idleTO     time.Duration
 
 	draining  atomic.Bool
 	drainOnce sync.Once
@@ -109,33 +98,11 @@ func New(cfg Config) (*Server, error) {
 		netFaults:  cfg.NetFaults,
 		reqTimeout: cfg.RequestTimeout,
 		maxBody:    cfg.MaxBodyBytes,
-		readHdrTO:  cfg.ReadHeaderTimeout,
-		readTO:     cfg.ReadTimeout,
-		writeTO:    cfg.WriteTimeout,
-		idleTO:     cfg.IdleTimeout,
 		drainDone:  make(chan struct{}),
 		sessions:   make(map[int]registered),
 	}
 	if s.retryCap <= 0 {
 		s.retryCap = 30
-	}
-	if s.reqTimeout == 0 {
-		s.reqTimeout = 30 * time.Second
-	}
-	if s.maxBody == 0 {
-		s.maxBody = 1 << 20
-	}
-	if s.readHdrTO <= 0 {
-		s.readHdrTO = 5 * time.Second
-	}
-	if s.readTO <= 0 {
-		s.readTO = time.Minute
-	}
-	if s.writeTO <= 0 {
-		s.writeTO = time.Minute
-	}
-	if s.idleTO <= 0 {
-		s.idleTO = 2 * time.Minute
 	}
 	if cfg.Resume && cfg.Fleet.StateDir != "" && fleet.PendingSessions(cfg.Fleet.StateDir) > 0 {
 		f, rec, err := fleet.Recover(cfg.Fleet.StateDir, cfg.Fleet)
@@ -165,27 +132,29 @@ func (s *Server) Fleet() *fleet.Fleet { return s.fleet }
 // Recovery reports what a resumed daemon salvaged (nil for fresh starts).
 func (s *Server) Recovery() *fleet.Recovery { return s.recovery }
 
-// Handler returns the daemon's HTTP API wrapped in its hardening
-// middleware: panic recovery outermost (a panicking handler journals the
-// event and answers 500 instead of killing the daemon), a per-request
-// context deadline, and — only when Config.NetFaults is set — the chaos
-// layer that injects delays, 500s, severed bodies and panics.
+// Handler returns the daemon's HTTP API inside the daemon kit's hardening
+// stack (panic recovery outermost, then the per-request deadline) with —
+// only when Config.NetFaults is set — the chaos layer innermost. A
+// recovered panic is journaled as a fleet-level "handler-panic" event and
+// the session the request addressed (if still queued) is parked Degraded,
+// so pollers see a terminal state instead of hanging forever. The events
+// stream is exempt from the deadline: it is long-lived by contract.
 func (s *Server) Handler() http.Handler {
-	return s.recoverPanics(s.withDeadline(s.withChaos(s.mux)))
+	return daemon.Harden(s.withChaos(s.mux), daemon.Hardening{
+		Timeout: s.reqTimeout,
+		Exempt:  func(r *http.Request) bool { return r.URL.Path == "/v1/events" },
+		OnPanic: func(r *http.Request, p any) {
+			s.fleet.RecordPanic(routeKey(r), fmt.Sprint(p))
+			if id, ok := pathSessionID(r.URL.Path); ok {
+				s.fleet.DegradeQueued(id)
+			}
+		},
+	})
 }
 
-// HTTPServer wraps Handler in an http.Server with real timeouts, so a
-// slow-loris client or a stuck write cannot pin a connection forever.
+// HTTPServer wraps Handler in the kit's http.Server (real timeouts).
 // Callers still own ListenAndServe/Serve and Shutdown.
-func (s *Server) HTTPServer() *http.Server {
-	return &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: s.readHdrTO,
-		ReadTimeout:       s.readTO,
-		WriteTimeout:      s.writeTO,
-		IdleTimeout:       s.idleTO,
-	}
-}
+func (s *Server) HTTPServer() *http.Server { return daemon.HTTPServer(s.Handler()) }
 
 // routeKey is the fault-injection and journal key for a request. It uses
 // the raw URL path, not the mux pattern, so ordinals advance per concrete
@@ -205,31 +174,6 @@ func pathSessionID(path string) (int, bool) {
 	}
 	id, err := strconv.Atoi(rest)
 	return id, err == nil
-}
-
-// trackWriter remembers whether anything was written, so the recovery
-// middleware knows whether a 500 can still be sent after a panic.
-type trackWriter struct {
-	http.ResponseWriter
-	wrote bool
-}
-
-func (t *trackWriter) WriteHeader(code int) {
-	t.wrote = true
-	t.ResponseWriter.WriteHeader(code)
-}
-
-func (t *trackWriter) Write(b []byte) (int, error) {
-	t.wrote = true
-	return t.ResponseWriter.Write(b)
-}
-
-func (t *trackWriter) Unwrap() http.ResponseWriter { return t.ResponseWriter }
-
-func (t *trackWriter) Flush() {
-	if f, ok := t.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // severWriter delivers exactly `remaining` more body bytes, then aborts
@@ -260,59 +204,11 @@ func (s *severWriter) Flush() {
 	}
 }
 
-// recoverPanics keeps the daemon alive through handler panics: the panic
-// is journaled as a fleet-level "handler-panic" event, the session the
-// request addressed (if still queued) is marked Degraded so pollers see a
-// terminal state instead of hanging forever, and the client gets a 500 if
-// the response hadn't started. http.ErrAbortHandler is re-thrown — that
-// is net/http's sanctioned "abort this connection" signal and the sever
-// fault depends on it propagating.
-func (s *Server) recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tw := &trackWriter{ResponseWriter: w}
-		defer func() {
-			p := recover()
-			if p == nil {
-				return
-			}
-			if err, ok := p.(error); ok && errors.Is(err, http.ErrAbortHandler) {
-				panic(p)
-			}
-			s.fleet.RecordPanic(routeKey(r), fmt.Sprint(p))
-			if id, ok := pathSessionID(r.URL.Path); ok {
-				s.fleet.DegradeQueued(id)
-			}
-			if !tw.wrote {
-				writeErr(tw, http.StatusInternalServerError, "internal error: handler panicked")
-			}
-		}()
-		next.ServeHTTP(tw, r)
-	})
-}
-
-// withDeadline bounds every non-streaming request with a context deadline
-// so a wedged handler cannot hold a connection past RequestTimeout. The
-// events stream is exempt: it is long-lived by contract.
-func (s *Server) withDeadline(next http.Handler) http.Handler {
-	if s.reqTimeout <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/events" {
-			next.ServeHTTP(w, r)
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
-
 // withChaos is the daemon-side network fault layer. Each request draws at
 // most one fault from the injector, keyed by (seed, route, ordinal):
 // a delay before dispatch, an injected 500, a response severed after
-// SeverAfter body bytes, or a handler panic (which then exercises
-// recoverPanics end to end). A nil injector returns next unchanged, so
+// SeverAfter body bytes, or a handler panic (which then exercises the
+// kit's panic recovery end to end). A nil injector returns next unchanged, so
 // the zero-knob path has no wrapper at all.
 func (s *Server) withChaos(next http.Handler) http.Handler {
 	if s.netFaults == nil {
@@ -330,7 +226,7 @@ func (s *Server) withChaos(next http.Handler) http.Handler {
 				return
 			}
 		case faults.NetError:
-			writeErr(w, http.StatusInternalServerError, "%v", f.Err())
+			daemon.WriteErr(w, http.StatusInternalServerError, "%v", f.Err())
 			return
 		case faults.NetSever:
 			w = &severWriter{ResponseWriter: w, remaining: f.SeverAfter}
@@ -420,40 +316,16 @@ type SubmitResponse struct {
 	State string `json:"state"`
 }
 
-// apiError is every non-2xx body: one JSON object naming what went wrong.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/sessions", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/sessions/{id}/result", s.handleResult)
-	s.mux.HandleFunc("GET /v1/store/lookup", s.handleLookup)
-	s.mux.HandleFunc("GET /v1/store/translated", s.handleTranslated)
+	s.mux.HandleFunc("GET /v1/store/lookup", s.handlePeek(false))
+	s.mux.HandleFunc("GET /v1/store/translated", s.handlePeek(true))
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/healthz", s.handleHealth)
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	state := "ok"
-	if s.draining.Load() {
-		state = "draining"
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": state})
+	s.mux.HandleFunc("GET /v1/healthz", daemon.Health(&s.draining))
 }
 
 // retryAfter estimates how long a rejected submitter should wait before
@@ -482,31 +354,19 @@ func (s *Server) retryAfter(depth int) int {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, "daemon is draining")
+		daemon.WriteErr(w, http.StatusServiceUnavailable, "daemon is draining")
 		return
 	}
-	body := r.Body
-	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
 	var rec fleet.SpecRecord
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rec); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "spec body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "decode spec: %v", err)
+	if !daemon.DecodeJSON(w, r, s.maxBody, true, "spec", &rec) {
 		return
 	}
 	if rec.Bench == "" {
-		writeErr(w, http.StatusBadRequest, "spec needs a bench")
+		daemon.WriteErr(w, http.StatusBadRequest, "spec needs a bench")
 		return
 	}
 	if rec.Kind > uint8(fleet.APTGETJob) {
-		writeErr(w, http.StatusBadRequest, "unknown job kind %d", rec.Kind)
+		daemon.WriteErr(w, http.StatusBadRequest, "unknown job kind %d", rec.Kind)
 		return
 	}
 	sess, err := s.fleet.Submit(rec.Spec())
@@ -514,31 +374,36 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.As(err, &over):
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(over.Depth)))
-		writeErr(w, http.StatusTooManyRequests, "%v", over)
+		daemon.WriteErr(w, http.StatusTooManyRequests, "%v", over)
 		return
 	case errors.Is(err, fleet.ErrClosed):
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
+		daemon.WriteErr(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	case err != nil:
-		writeErr(w, http.StatusInternalServerError, "%v", err)
+		daemon.WriteErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	s.mu.Lock()
 	s.sessions[sess.ID] = registered{live: sess}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: sess.ID, State: sess.State().String()})
+	daemon.WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: sess.ID, State: sess.State().String()})
 }
 
-// lookup resolves a session ID to its registered handle or record.
-func (s *Server) lookup(id int) (registered, bool) {
+// session resolves the request's {id} to its registered handle or record,
+// answering 400/404 itself when it cannot.
+func (s *Server) session(w http.ResponseWriter, r *http.Request) (int, registered, bool) {
+	id, err := strconv.Atoi(r.PathValue("id"))
+	if err != nil {
+		daemon.WriteErr(w, http.StatusBadRequest, "bad session id")
+		return 0, registered{}, false
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	reg, ok := s.sessions[id]
-	return reg, ok
-}
-
-func sessionID(r *http.Request) (int, error) {
-	return strconv.Atoi(r.PathValue("id"))
+	s.mu.Unlock()
+	if !ok {
+		daemon.WriteErr(w, http.StatusNotFound, "no session %d", id)
+	}
+	return id, reg, ok
 }
 
 func statusOf(id int, reg registered) Status {
@@ -562,41 +427,27 @@ func statusOf(id int, reg registered) Status {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad session id")
-		return
+	if id, reg, ok := s.session(w, r); ok {
+		daemon.WriteJSON(w, http.StatusOK, statusOf(id, reg))
 	}
-	reg, ok := s.lookup(id)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no session %d", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, statusOf(id, reg))
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad session id")
-		return
-	}
-	reg, ok := s.lookup(id)
+	id, reg, ok := s.session(w, r)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "no session %d", id)
 		return
 	}
 	if reg.live != nil {
 		if !reg.live.State().Terminal() {
 			// Not done yet: hand back the poll view instead of a result,
 			// with 202 so clients can tell "keep waiting" from an error.
-			writeJSON(w, http.StatusAccepted, statusOf(id, reg))
+			daemon.WriteJSON(w, http.StatusAccepted, statusOf(id, reg))
 			return
 		}
-		writeJSON(w, http.StatusOK, OutcomeOf(reg.live))
+		daemon.WriteJSON(w, http.StatusOK, OutcomeOf(reg.live))
 		return
 	}
-	writeJSON(w, http.StatusOK, Outcome{
+	daemon.WriteJSON(w, http.StatusOK, Outcome{
 		State: reg.rec.State, Warm: reg.rec.Warm, Translated: reg.rec.Translated,
 		Attempt: reg.rec.Attempt, Err: reg.rec.Err, Report: reg.rec.Report,
 	})
@@ -619,12 +470,12 @@ func (s *Server) storeKey(r *http.Request) fleet.Key {
 	return k
 }
 
-// lookupResponse frames a store peek: the entry, and (for translated
+// LookupResponse frames a store peek: the entry, and (for translated
 // lookups) the sibling key it would seed from. Against a sharded store it
 // also reports which shard the key routed to and the layout width —
 // translated lookups report the same shard as plain lookups for the same
 // (bench, input), because the shard key excludes the machine axis.
-type lookupResponse struct {
+type LookupResponse struct {
 	Key    fleet.Key   `json:"key"`
 	Entry  fleet.Entry `json:"entry"`
 	Source *fleet.Key  `json:"source,omitempty"`
@@ -632,59 +483,45 @@ type lookupResponse struct {
 	Shards int         `json:"shards,omitempty"`
 }
 
-// shardInfo annotates a peek response with the routing shard when the
-// store is sharded; single-shard responses stay byte-identical.
-func shardInfo(st fleet.Store, k fleet.Key, resp *lookupResponse) {
-	if n := st.Shards(); n > 1 {
-		sh := st.ShardOf(k)
-		resp.Shard, resp.Shards = &sh, n
+// handlePeek serves both store peeks: the plain lookup, and (translated)
+// the sibling entry a cross-machine warm start would seed from. Against a
+// sharded store the response also names the routing shard; single-shard
+// responses stay byte-identical.
+func (s *Server) handlePeek(translated bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		st := s.fleet.Store()
+		if st == nil {
+			daemon.WriteErr(w, http.StatusNotFound, "profile store disabled")
+			return
+		}
+		k := s.storeKey(r)
+		if k.Bench == "" {
+			daemon.WriteErr(w, http.StatusBadRequest, "lookup needs a bench")
+			return
+		}
+		resp := LookupResponse{Key: k}
+		var ok bool
+		if translated {
+			var src fleet.Key
+			if resp.Entry, src, ok = st.PeekTranslated(k); !ok {
+				daemon.WriteErr(w, http.StatusNotFound, "no sibling entry for %+v", k)
+				return
+			}
+			resp.Source = &src
+		} else if resp.Entry, ok = st.Peek(k); !ok {
+			daemon.WriteErr(w, http.StatusNotFound, "no entry for %+v", k)
+			return
+		}
+		if n := st.Shards(); n > 1 {
+			sh := st.ShardOf(k)
+			resp.Shard, resp.Shards = &sh, n
+		}
+		daemon.WriteJSON(w, http.StatusOK, resp)
 	}
-}
-
-func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	st := s.fleet.Store()
-	if st == nil {
-		writeErr(w, http.StatusNotFound, "profile store disabled")
-		return
-	}
-	k := s.storeKey(r)
-	if k.Bench == "" {
-		writeErr(w, http.StatusBadRequest, "lookup needs a bench")
-		return
-	}
-	e, ok := st.Peek(k)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no entry for %+v", k)
-		return
-	}
-	resp := lookupResponse{Key: k, Entry: e}
-	shardInfo(st, k, &resp)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleTranslated(w http.ResponseWriter, r *http.Request) {
-	st := s.fleet.Store()
-	if st == nil {
-		writeErr(w, http.StatusNotFound, "profile store disabled")
-		return
-	}
-	k := s.storeKey(r)
-	if k.Bench == "" {
-		writeErr(w, http.StatusBadRequest, "lookup needs a bench")
-		return
-	}
-	e, src, ok := st.PeekTranslated(k)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no sibling entry for %+v", k)
-		return
-	}
-	resp := lookupResponse{Key: k, Entry: e, Source: &src}
-	shardInfo(st, k, &resp)
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.fleet.Snapshot())
+	daemon.WriteJSON(w, http.StatusOK, s.fleet.Snapshot())
 }
 
 // handleEvents streams the journal as NDJSON from a sequence cursor
@@ -698,7 +535,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("since"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad since cursor %q", raw)
+			daemon.WriteErr(w, http.StatusBadRequest, "bad since cursor %q", raw)
 			return
 		}
 		since = n

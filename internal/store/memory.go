@@ -211,7 +211,7 @@ func (s *Memory) Export() []KeyedEntry {
 	for k, e := range s.entries {
 		out = append(out, KeyedEntry{Key: k, Entry: e.Entry})
 	}
-	sortEntries(out)
+	SortEntries(out)
 	return out
 }
 
@@ -262,7 +262,9 @@ func (s *Memory) ShardCounters() []Counters {
 	return []Counters{s.Counters()}
 }
 
-func sortEntries(out []KeyedEntry) {
+// SortEntries orders entries by (bench, input, machine) — the order every
+// Export promises, and the order recovery imports in.
+func SortEntries(out []KeyedEntry) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Key, out[j].Key
 		if a.Bench != b.Bench {

@@ -7,8 +7,8 @@
 // resolve exactly like two in-process workers.
 //
 // The interface has no error returns, so the transport must never surface
-// one. Transient failures (connection errors, 502/503/504) retry with the
-// same capped, hash-jittered exponential backoff the fleet client uses.
+// one. Transient failures (connection errors, 502/503/504) retry through
+// the retry kit's capped, hash-jittered backoff, like the fleet client's.
 // When the budget is spent — the daemon is gone, not flaky — the client
 // degrades permanently to a process-local fallback store and fires
 // OnDegrade exactly once so the fleet can journal the event. The fallback
@@ -21,18 +21,17 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rpg2/internal/faults"
+	"rpg2/internal/retry"
 	"rpg2/internal/store"
+	"rpg2/internal/stored"
 )
 
 // Config points a client at a store daemon. Only BaseURL is required.
@@ -68,7 +67,7 @@ type Config struct {
 type Client struct {
 	cfg      Config
 	fb       store.Store
-	draws    atomic.Uint64
+	retry    *retry.Retrier
 	degraded atomic.Bool
 	degOnce  sync.Once
 	shards   atomic.Int32 // daemon's shard count, 0 until first fetched
@@ -80,28 +79,15 @@ var _ store.Store = (*Client)(nil)
 // is not contacted here — an unreachable address degrades on first use,
 // not at construction, so a fleet can start before its store does.
 func New(cfg Config) *Client {
-	if cfg.HTTP == nil {
-		cfg.HTTP = http.DefaultClient
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 4
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 50 * time.Millisecond
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = time.Second
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 15 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 	if cfg.Fallback == nil {
 		cfg.Fallback = store.New(cfg.FallbackConfig, cfg.FallbackShards)
 	}
-	return &Client{cfg: cfg, fb: cfg.Fallback}
+	return &Client{cfg: cfg, fb: cfg.Fallback, retry: retry.ForStoreClient(retry.Policy{
+		HTTP: cfg.HTTP, MaxRetries: cfg.MaxRetries, Base: cfg.RetryBase, Cap: cfg.RetryCap, Seed: cfg.Seed,
+	})}
 }
 
 // Degraded reports whether the client has switched to its local fallback.
@@ -116,94 +102,12 @@ func (c *Client) degrade(err error) {
 	})
 }
 
-// --- wire types (the daemon's endpoint contract) ---
-
-type keyReq struct {
-	Key store.Key `json:"key"`
-}
-
-type commitReq struct {
-	Key   store.Key   `json:"key"`
-	Entry store.Entry `json:"entry"`
-}
-
-type genReq struct {
-	Key store.Key `json:"key"`
-	Gen uint64    `json:"gen"`
-}
-
-type lookupResp struct {
-	Entry store.Entry `json:"entry"`
-	From  store.Key   `json:"from"`
-	Gen   uint64      `json:"gen"`
-	Found bool        `json:"found"`
-}
-
-type genResp struct {
-	Gen uint64 `json:"gen"`
-}
-
-type okResp struct {
-	OK bool `json:"ok"`
-}
-
-type entriesMsg struct {
-	Entries []store.KeyedEntry `json:"entries"`
-}
-
-type statsResp struct {
-	Len           int              `json:"len"`
-	Shards        int              `json:"shards"`
-	Counters      store.Counters   `json:"counters"`
-	ShardCounters []store.Counters `json:"shard_counters"`
-}
-
-// --- transport ---
-
-func transientCode(code int) bool {
-	return code == http.StatusBadGateway ||
-		code == http.StatusServiceUnavailable ||
-		code == http.StatusGatewayTimeout
-}
-
-// jitter spreads a wait over [d/2, d], hash-derived like the fleet
-// client's (salt 33 keeps the streams distinct).
-func (c *Client) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	f := faults.Hash01(uint64(c.cfg.Seed), c.draws.Add(1), 33)
-	return d/2 + time.Duration(f*float64(d/2))
-}
-
-func (c *Client) backoff(ctx context.Context, attempt int) error {
-	d := c.cfg.RetryBase << (attempt - 1)
-	if d > c.cfg.RetryCap || d <= 0 {
-		d = c.cfg.RetryCap
-	}
-	t := time.NewTimer(c.jitter(d))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-func decodeErr(resp *http.Response) string {
-	var ae struct {
-		Error string `json:"error"`
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
-		return ae.Error
-	}
-	return resp.Status
-}
-
-// call runs one operation against the daemon with transient retry under
-// the per-op timeout. in == nil sends a GET; otherwise a JSON POST.
+// call runs one operation against the daemon through the retry kit's
+// loop, under the per-op timeout. in == nil sends a GET; otherwise a JSON
+// POST. Transient failures (connection errors, 502/503/504) spend the
+// MaxRetries budget; when the timeout expires instead, the operation
+// reports its last real failure rather than the context's, so OnDegrade
+// names what was wrong with the daemon.
 func (c *Client) call(path string, in, out any) error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
 	defer cancel()
@@ -217,57 +121,31 @@ func (c *Client) call(path string, in, out any) error {
 		body, method = raw, http.MethodPost
 	}
 	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if attempt > c.cfg.MaxRetries {
-				return lastErr
-			}
-			if err := c.backoff(ctx, attempt); err != nil {
-				if lastErr != nil {
-					return lastErr
-				}
-				return err
-			}
-		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, rd)
-		if err != nil {
-			return err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.cfg.HTTP.Do(req)
+	return c.retry.Do(ctx, method, c.cfg.BaseURL+path, body, func(resp *http.Response, err error) retry.Verdict {
 		if err != nil {
 			if ctx.Err() != nil && lastErr != nil {
-				return lastErr
+				return retry.Fatal(lastErr)
 			}
 			lastErr = err
-			continue
+			return retry.Transient(err)
 		}
 		if resp.StatusCode == http.StatusOK {
 			if out != nil {
-				err = json.NewDecoder(resp.Body).Decode(out)
+				if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+					return retry.Fatal(fmt.Errorf("remote store: decode response: %w", err))
+				}
 			}
-			resp.Body.Close()
-			if err != nil {
-				return fmt.Errorf("remote store: decode response: %w", err)
-			}
-			return nil
+			return retry.Done()
 		}
-		msg := decodeErr(resp)
-		resp.Body.Close()
-		err = fmt.Errorf("remote store: HTTP %d on %s: %s", resp.StatusCode, path, msg)
-		if !transientCode(resp.StatusCode) {
+		err = fmt.Errorf("remote store: HTTP %d on %s: %s", resp.StatusCode, path, retry.DecodeErr(resp))
+		if !retry.TransientCode(resp.StatusCode) {
 			// A non-transient rejection (bad request, daemon draining into
 			// shutdown) will not heal by retrying.
-			return err
+			return retry.Fatal(err)
 		}
 		lastErr = err
-	}
+		return retry.Transient(err)
+	})
 }
 
 // op runs call and reports whether the daemon answered; a failure
@@ -286,56 +164,56 @@ func (c *Client) op(path string, in, out any) bool {
 // --- store.Store ---
 
 func (c *Client) Lookup(k store.Key) (store.Entry, uint64, bool) {
-	var resp lookupResp
-	if !c.op("/v1/store/lookup", keyReq{Key: k}, &resp) {
+	var resp stored.LookupResp
+	if !c.op("/v1/store/lookup", stored.KeyReq{Key: k}, &resp) {
 		return c.fb.Lookup(k)
 	}
 	return resp.Entry, resp.Gen, resp.Found
 }
 
 func (c *Client) LookupTranslated(k store.Key) (store.Entry, store.Key, uint64, bool) {
-	var resp lookupResp
-	if !c.op("/v1/store/lookup-translated", keyReq{Key: k}, &resp) {
+	var resp stored.LookupResp
+	if !c.op("/v1/store/lookup-translated", stored.KeyReq{Key: k}, &resp) {
 		return c.fb.LookupTranslated(k)
 	}
 	return resp.Entry, resp.From, resp.Gen, resp.Found
 }
 
 func (c *Client) Peek(k store.Key) (store.Entry, bool) {
-	var resp lookupResp
-	if !c.op("/v1/store/peek", keyReq{Key: k}, &resp) {
+	var resp stored.LookupResp
+	if !c.op("/v1/store/peek", stored.KeyReq{Key: k}, &resp) {
 		return c.fb.Peek(k)
 	}
 	return resp.Entry, resp.Found
 }
 
 func (c *Client) PeekTranslated(k store.Key) (store.Entry, store.Key, bool) {
-	var resp lookupResp
-	if !c.op("/v1/store/peek-translated", keyReq{Key: k}, &resp) {
+	var resp stored.LookupResp
+	if !c.op("/v1/store/peek-translated", stored.KeyReq{Key: k}, &resp) {
 		return c.fb.PeekTranslated(k)
 	}
 	return resp.Entry, resp.From, resp.Found
 }
 
 func (c *Client) Commit(k store.Key, e store.Entry) uint64 {
-	var resp genResp
-	if !c.op("/v1/store/commit", commitReq{Key: k, Entry: e}, &resp) {
+	var resp stored.GenResp
+	if !c.op("/v1/store/commit", stored.CommitReq{Key: k, Entry: e}, &resp) {
 		return c.fb.Commit(k, e)
 	}
 	return resp.Gen
 }
 
 func (c *Client) Refund(k store.Key, gen uint64) bool {
-	var resp okResp
-	if !c.op("/v1/store/refund", genReq{Key: k, Gen: gen}, &resp) {
+	var resp stored.OKResp
+	if !c.op("/v1/store/refund", stored.GenReq{Key: k, Gen: gen}, &resp) {
 		return c.fb.Refund(k, gen)
 	}
 	return resp.OK
 }
 
 func (c *Client) Invalidate(k store.Key, gen uint64) bool {
-	var resp okResp
-	if !c.op("/v1/store/invalidate", genReq{Key: k, Gen: gen}, &resp) {
+	var resp stored.OKResp
+	if !c.op("/v1/store/invalidate", stored.GenReq{Key: k, Gen: gen}, &resp) {
 		return c.fb.Invalidate(k, gen)
 	}
 	return resp.OK
@@ -354,7 +232,7 @@ func (c *Client) Thaw() {
 }
 
 func (c *Client) Export() []store.KeyedEntry {
-	var resp entriesMsg
+	var resp stored.EntriesMsg
 	if !c.op("/v1/store/export", nil, &resp) {
 		return c.fb.Export()
 	}
@@ -362,7 +240,7 @@ func (c *Client) Export() []store.KeyedEntry {
 }
 
 func (c *Client) Import(entries []store.KeyedEntry) {
-	if !c.op("/v1/store/import", entriesMsg{Entries: entries}, nil) {
+	if !c.op("/v1/store/import", stored.EntriesMsg{Entries: entries}, nil) {
 		c.fb.Import(entries)
 	}
 }
@@ -406,7 +284,7 @@ func (c *Client) ShardOf(k store.Key) int {
 }
 
 func (c *Client) ExportShard(i int) []store.KeyedEntry {
-	var resp entriesMsg
+	var resp stored.EntriesMsg
 	if !c.op(fmt.Sprintf("/v1/store/shard/%d", i), nil, &resp) {
 		return c.fb.ExportShard(i)
 	}
@@ -421,10 +299,10 @@ func (c *Client) ShardCounters() []store.Counters {
 	return st.ShardCounters
 }
 
-func (c *Client) stats() (statsResp, bool) {
-	var st statsResp
+func (c *Client) stats() (stored.StatsResp, bool) {
+	var st stored.StatsResp
 	if !c.op("/v1/store/stats", nil, &st) {
-		return statsResp{}, false
+		return stored.StatsResp{}, false
 	}
 	if st.Shards > 0 {
 		c.shards.Store(int32(st.Shards))

@@ -123,7 +123,7 @@ func (s *Sharded) Export() []KeyedEntry {
 		}
 	}
 	s.unlockAll()
-	sortEntries(out)
+	SortEntries(out)
 	return out
 }
 

@@ -5,20 +5,14 @@ package stored
 //	store-snapshot.wal  meta{epoch E} + one entry record per live profile
 //	store-journal.wal   meta{epoch E} + one op record per accepted mutation
 //
-// Every snapshot rolls the epoch: write the whole store atomically under
-// epoch E+1, then reset the journal to an empty epoch-E+1 log. The epoch
-// stamp is what makes the pair crash-consistent without any cross-file
-// coordination — recovery folds the journal over the snapshot only when
-// their epochs match. The crash windows:
-//
-//   - mid-snapshot: WriteAtomic leaves the old epoch-E snapshot intact and
-//     the epoch-E journal still holds every op — fold, lose nothing.
-//   - after the snapshot lands, before the journal resets: the journal
-//     still says epoch E, the snapshot says E+1 — but those ops were
-//     exported into the E+1 snapshot, so the stale journal is redundant
-//     and recovery rightly ignores it.
-//   - mid-journal-reset: a truncated or headerless journal salvages to
-//     zero records, which reads as "no ops since snapshot". Correct again.
+// Every snapshot is an epoch roll (wal.Roll): the whole store written
+// atomically under epoch E+1, an empty journal stamped E+1 staged beside
+// the live one, then renamed over it. The stamp makes the pair
+// crash-consistent without cross-file coordination: recovery folds the
+// journal over the snapshot only when wal.Relate says their epochs match —
+// a journal one epoch behind was exported into the newer snapshot already.
+// The journal is never removed or truncated in place, so there is no
+// instant at which it is missing or headerless.
 //
 // Fold order equals commit order because Server.mu spans each store
 // mutation and its journal append, so replaying ops in sequence lands on
@@ -40,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"rpg2/internal/store"
@@ -48,8 +41,9 @@ import (
 )
 
 const (
-	snapshotFile = "store-snapshot.wal"
-	journalFile  = "store-journal.wal"
+	snapshotFile     = "store-snapshot.wal"
+	journalFile      = "store-journal.wal"
+	journalStageFile = "store-journal.next"
 )
 
 // opRecord is one WAL record: the epoch meta ("epoch"), a snapshot entry
@@ -63,7 +57,7 @@ type opRecord struct {
 
 type persister struct {
 	dir     string
-	walCfg  wal.Config
+	roll    wal.Roll
 	every   int // mutations between snapshots (<0 = never)
 	epoch   uint64
 	journal *wal.Log
@@ -81,20 +75,24 @@ type persister struct {
 // openPersister recovers prior state from cfg.StateDir (unless Fresh) and
 // returns the persister plus the folded entries to import. The journal is
 // not opened here: the caller takes its first snapshot immediately after
-// importing, and snapshot() rolls the epoch and opens the fresh journal.
+// importing, and snapshot() rolls the epoch and publishes the fresh journal.
 func openPersister(cfg Config) (*persister, []store.KeyedEntry, error) {
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("stored: create state dir: %w", err)
 	}
-	p := &persister{
-		dir:    cfg.StateDir,
-		walCfg: wal.Config{Sync: cfg.Fsync, Interval: cfg.FsyncInterval},
-		every:  cfg.SnapshotEvery,
-	}
 	snapPath := filepath.Join(cfg.StateDir, snapshotFile)
 	jrnlPath := filepath.Join(cfg.StateDir, journalFile)
+	p := &persister{
+		dir: cfg.StateDir,
+		roll: wal.Roll{
+			Live:   jrnlPath,
+			Stage:  filepath.Join(cfg.StateDir, journalStageFile),
+			Config: wal.Config{Sync: cfg.Fsync, Interval: cfg.FsyncInterval},
+		},
+		every: cfg.SnapshotEvery,
+	}
 	if cfg.Fresh {
-		for _, path := range []string{snapPath, jrnlPath} {
+		for _, path := range []string{snapPath, jrnlPath, p.roll.Stage} {
 			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 				return nil, nil, fmt.Errorf("stored: discard prior state: %w", err)
 			}
@@ -102,26 +100,28 @@ func openPersister(cfg Config) (*persister, []store.KeyedEntry, error) {
 		return p, nil, nil
 	}
 
-	snapEpoch, state, err := readSnapshot(snapPath)
+	snapEpoch, snap, err := readLog(snapPath, "snapshot")
 	if err != nil {
 		return nil, nil, err
 	}
-	jrnlEpoch, ops, err := readJournal(jrnlPath)
+	jrnlEpoch, ops, err := readLog(jrnlPath, "journal")
 	if err != nil {
 		return nil, nil, err
 	}
-	if jrnlEpoch == snapEpoch {
-		for _, rec := range ops {
-			switch rec.Op {
-			case "commit":
-				if rec.Entry != nil {
-					state[rec.Key] = *rec.Entry
-				}
-			case "invalidate":
-				// Unguarded on replay: the gen guard already ran live
-				// against the generation the op was issued for.
-				delete(state, rec.Key)
+	if wal.Relate(snapEpoch, jrnlEpoch) != wal.SameEpoch {
+		ops = nil // a stale journal's ops are already inside the snapshot
+	}
+	state := make(map[store.Key]store.Entry)
+	for _, rec := range append(snap, ops...) {
+		switch rec.Op {
+		case "entry", "commit":
+			if rec.Entry != nil {
+				state[rec.Key] = *rec.Entry
 			}
+		case "invalidate":
+			// Unguarded on replay: the gen guard already ran live against
+			// the generation the op was issued for.
+			delete(state, rec.Key)
 		}
 	}
 	p.epoch = max(snapEpoch, jrnlEpoch)
@@ -130,77 +130,41 @@ func openPersister(cfg Config) (*persister, []store.KeyedEntry, error) {
 	for k, e := range state {
 		entries = append(entries, store.KeyedEntry{Key: k, Entry: e})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i].Key, entries[j].Key
-		if a.Bench != b.Bench {
-			return a.Bench < b.Bench
-		}
-		if a.Input != b.Input {
-			return a.Input < b.Input
-		}
-		return a.Machine < b.Machine
-	})
+	store.SortEntries(entries)
 	p.recoveredEntries = len(entries)
 	return p, entries, nil
 }
 
-// readSnapshot folds the snapshot file into a state map. A missing file
-// is an empty store; a salvaged tail keeps the valid prefix.
-func readSnapshot(path string) (uint64, map[store.Key]store.Entry, error) {
-	state := make(map[store.Key]store.Entry)
-	payloads, _, err := wal.ReadAll(path)
-	if os.IsNotExist(err) {
-		return 0, state, nil
-	}
-	if err != nil {
-		return 0, nil, fmt.Errorf("stored: read snapshot: %w", err)
-	}
-	var epoch uint64
-	for _, raw := range payloads {
-		var rec opRecord
-		if json.Unmarshal(raw, &rec) != nil {
-			continue // checksummed frame, so this is a version skew, not rot
-		}
-		switch rec.Op {
-		case "epoch":
-			epoch = rec.Epoch
-		case "entry":
-			if rec.Entry != nil {
-				state[rec.Key] = *rec.Entry
-			}
-		}
-	}
-	return epoch, state, nil
-}
-
-// readJournal returns the journal's epoch and its op records in append
-// order. A missing or headerless (mid-reset) journal is zero ops.
-func readJournal(path string) (uint64, []opRecord, error) {
+// readLog reads one state file (what names it in errors): its epoch stamp
+// and its other records in order. A missing file is epoch 0 with no
+// records; a salvaged tail keeps the valid prefix.
+func readLog(path, what string) (uint64, []opRecord, error) {
 	payloads, _, err := wal.ReadAll(path)
 	if os.IsNotExist(err) {
 		return 0, nil, nil
 	}
 	if err != nil {
-		return 0, nil, fmt.Errorf("stored: read journal: %w", err)
+		return 0, nil, fmt.Errorf("stored: read %s: %w", what, err)
 	}
 	var epoch uint64
-	var ops []opRecord
+	var recs []opRecord
 	for _, raw := range payloads {
 		var rec opRecord
 		if json.Unmarshal(raw, &rec) != nil {
-			continue
+			continue // checksummed frame, so this is a version skew, not rot
 		}
 		if rec.Op == "epoch" {
 			epoch = rec.Epoch
 			continue
 		}
-		ops = append(ops, rec)
+		recs = append(recs, rec)
 	}
-	return epoch, ops, nil
+	return epoch, recs, nil
 }
 
-// snapshot writes the whole store durably under a new epoch and resets
-// the journal. Callers hold Server.mu (or are pre-serving).
+// snapshot rolls the epoch: the whole store durably under epoch E+1, then
+// an empty E+1 journal published over the old one. Callers hold Server.mu
+// (or are pre-serving).
 func (p *persister) snapshot(entries []store.KeyedEntry) error {
 	if p == nil || p.isDegraded() {
 		return fmt.Errorf("stored: persistence degraded")
@@ -216,25 +180,20 @@ func (p *persister) snapshot(entries []store.KeyedEntry) error {
 		}
 		payloads = append(payloads, raw)
 	}
-	if err := wal.WriteAtomic(filepath.Join(p.dir, snapshotFile), payloads); err != nil {
-		return p.degrade(fmt.Errorf("stored: write snapshot: %w", err))
-	}
-	// The snapshot is the commit point; now roll the journal under it.
-	if p.journal != nil {
-		p.journal.Close()
-		p.journal = nil
-	}
-	jrnlPath := filepath.Join(p.dir, journalFile)
-	if err := os.Remove(jrnlPath); err != nil && !os.IsNotExist(err) {
-		return p.degrade(fmt.Errorf("stored: reset journal: %w", err))
-	}
-	log, _, err := wal.Open(jrnlPath, p.walCfg)
+	log, err := p.roll.Begin(meta, func() error {
+		return wal.WriteAtomic(filepath.Join(p.dir, snapshotFile), payloads)
+	})
 	if err != nil {
-		return p.degrade(fmt.Errorf("stored: open journal: %w", err))
+		return p.degrade(fmt.Errorf("stored: stage epoch %d: %w", next, err))
 	}
-	if err := log.Append(meta); err != nil {
+	if err := p.roll.Publish(log); err != nil {
 		log.Abort()
-		return p.degrade(fmt.Errorf("stored: stamp journal epoch: %w", err))
+		return p.degrade(fmt.Errorf("stored: publish epoch %d journal: %w", next, err))
+	}
+	if p.journal != nil {
+		// Every op the old journal holds is in the snapshot just written,
+		// and its name now belongs to the new file: nothing left to flush.
+		p.journal.Abort()
 	}
 	p.journal = log
 	p.epoch = next
@@ -281,9 +240,8 @@ func (p *persister) degrade(err error) error {
 }
 
 func (p *persister) isDegraded() bool {
-	p.degMu.Lock()
-	defer p.degMu.Unlock()
-	return p.degErr != nil
+	_, bad := p.degradedErr()
+	return bad
 }
 
 func (p *persister) degradedErr() (string, bool) {

@@ -39,15 +39,13 @@
 package stored
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"rpg2/internal/daemon"
 	"rpg2/internal/store"
 	"rpg2/internal/wal"
 )
@@ -81,19 +79,6 @@ type Config struct {
 	MaxBodyBytes int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 256
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	return c
-}
-
 // Server is the daemon: a wrapped store behind the endpoint map, with
 // optional WAL persistence. Serve Handler (or HTTPServer) and stop with
 // Drain.
@@ -116,7 +101,9 @@ type Server struct {
 // New builds a daemon over a fresh store — or, when cfg.StateDir holds
 // prior state, over the recovered contents.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	if cfg.SnapshotEvery == 0 {
+		cfg.SnapshotEvery = 256
+	}
 	s := &Server{cfg: cfg, store: store.New(cfg.Store, cfg.Shards)}
 	if cfg.StateDir != "" {
 		p, recovered, err := openPersister(cfg)
@@ -150,23 +137,15 @@ func (s *Server) Recovered() int {
 	return s.persist.recoveredEntries
 }
 
-// Handler returns the daemon's HTTP handler with the middleware stack
-// (panic recovery outermost, then a per-request deadline) applied.
+// Handler returns the daemon's HTTP handler inside the daemon kit's
+// hardening stack (panic recovery outermost, then a per-request deadline).
 func (s *Server) Handler() http.Handler {
-	return s.recoverPanics(s.withDeadline(s.mux))
+	return daemon.Harden(s.mux, daemon.Hardening{Timeout: s.cfg.RequestTimeout})
 }
 
-// HTTPServer wraps Handler in an http.Server with real timeouts, so a
+// HTTPServer wraps Handler in the kit's http.Server (real timeouts), so a
 // stalled peer cannot pin a connection forever.
-func (s *Server) HTTPServer() *http.Server {
-	return &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-}
+func (s *Server) HTTPServer() *http.Server { return daemon.HTTPServer(s.Handler()) }
 
 // DrainStats reports what Drain flushed.
 type DrainStats struct {
@@ -203,223 +182,95 @@ func (s *Server) Degraded() (string, bool) {
 	return s.persist.degradedErr()
 }
 
-// --- wire types ---
-
-type keyReq struct {
-	Key store.Key `json:"key"`
-}
-
-type commitReq struct {
-	Key   store.Key   `json:"key"`
-	Entry store.Entry `json:"entry"`
-}
-
-type genReq struct {
-	Key store.Key `json:"key"`
-	Gen uint64    `json:"gen"`
-}
-
-type lookupResp struct {
-	Entry store.Entry `json:"entry"`
-	From  store.Key   `json:"from,omitempty"`
-	Gen   uint64      `json:"gen,omitempty"`
-	Found bool        `json:"found"`
-}
-
-type genResp struct {
-	Gen uint64 `json:"gen"`
-}
-
-type okResp struct {
-	OK bool `json:"ok"`
-}
-
-type entriesMsg struct {
-	Entries []store.KeyedEntry `json:"entries"`
-}
-
-// statsResp answers Len/Shards/Counters/ShardCounters in one round trip;
-// the counters come from one consistent instant (the store's all-shard
-// critical section), so the remote client's snapshot is as torn-free as a
-// local store's.
-type statsResp struct {
-	Len           int              `json:"len"`
-	Shards        int              `json:"shards"`
-	Counters      store.Counters   `json:"counters"`
-	ShardCounters []store.Counters `json:"shard_counters"`
-	// Persistence is "active" or "degraded" when a state dir is configured,
-	// empty for an in-memory daemon.
-	Persistence      string `json:"persistence,omitempty"`
-	PersistenceError string `json:"persistence_error,omitempty"`
-}
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
-// --- middleware ---
-
-// recoverPanics turns a handler panic into a 500 instead of killing the
-// daemon's whole connection.
-func (s *Server) recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				writeErr(w, http.StatusInternalServerError, "internal error: %v", rec)
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// withDeadline bounds each request with the configured timeout so a
-// wedged handler cannot hold a connection past RequestTimeout.
-func (s *Server) withDeadline(next http.Handler) http.Handler {
-	if s.cfg.RequestTimeout < 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
-
 // --- routing ---
 
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
-	mux.Handle("POST /v1/store/lookup", s.op(s.handleLookup))
-	mux.Handle("POST /v1/store/lookup-translated", s.op(s.handleLookupTranslated))
-	mux.Handle("POST /v1/store/peek", s.op(s.handlePeek))
-	mux.Handle("POST /v1/store/peek-translated", s.op(s.handlePeekTranslated))
-	mux.Handle("POST /v1/store/commit", s.op(s.handleCommit))
-	mux.Handle("POST /v1/store/refund", s.op(s.handleRefund))
-	mux.Handle("POST /v1/store/invalidate", s.op(s.handleInvalidate))
-	mux.Handle("POST /v1/store/freeze", s.op(s.handleFreeze))
-	mux.Handle("POST /v1/store/thaw", s.op(s.handleThaw))
-	mux.Handle("POST /v1/store/import", s.op(s.handleImport))
-	mux.Handle("GET /v1/store/export", s.op(s.handleExport))
-	mux.Handle("GET /v1/store/shard/{i}", s.op(s.handleExportShard))
-	mux.Handle("GET /v1/store/stats", s.op(s.handleStats))
+	mux.HandleFunc("GET /v1/healthz", daemon.Health(&s.draining))
+	mux.Handle("POST /v1/store/lookup", op(s, s.lookup))
+	mux.Handle("POST /v1/store/lookup-translated", op(s, s.lookupTranslated))
+	mux.Handle("POST /v1/store/peek", op(s, s.peek))
+	mux.Handle("POST /v1/store/peek-translated", op(s, s.peekTranslated))
+	mux.Handle("POST /v1/store/commit", op(s, s.commit))
+	mux.Handle("POST /v1/store/refund", op(s, s.refund))
+	mux.Handle("POST /v1/store/invalidate", op(s, s.invalidate))
+	mux.Handle("POST /v1/store/import", op(s, s.importEntries))
+	mux.Handle("POST /v1/store/freeze", s.answer(func() any { s.store.Freeze(); return OKResp{OK: true} }))
+	mux.Handle("POST /v1/store/thaw", s.answer(func() any { s.store.Thaw(); return OKResp{OK: true} }))
+	mux.Handle("GET /v1/store/export", s.answer(func() any { return EntriesMsg{Entries: s.store.Export()} }))
+	mux.Handle("GET /v1/store/shard/{i}", s.sealed(s.handleExportShard))
+	mux.Handle("GET /v1/store/stats", s.answer(s.stats))
 	return mux
 }
 
-// op gates every store endpoint on the drain seal.
-func (s *Server) op(h http.HandlerFunc) http.Handler {
+// sealed gates a store endpoint on the drain seal.
+func (s *Server) sealed(h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
-			writeErr(w, http.StatusServiceUnavailable, "store daemon is draining")
+			daemon.WriteErr(w, http.StatusServiceUnavailable, "store daemon is draining")
 			return
 		}
 		h(w, r)
 	})
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	status := "ok"
-	if s.draining.Load() {
-		status = "draining"
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": status})
+// answer serves a bodiless operation: seal, run, JSON answer.
+func (s *Server) answer(fn func() any) http.Handler {
+	return s.sealed(func(w http.ResponseWriter, r *http.Request) {
+		daemon.WriteJSON(w, http.StatusOK, fn())
+	})
 }
 
-// decode reads one JSON request body (bounded by MaxBodyBytes) into v.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := r.Body
-	if s.cfg.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-		} else {
-			writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+// op serves one store operation with a request body: seal, decode Req
+// (bounded by MaxBodyBytes), run, JSON answer.
+func op[Req any](s *Server, fn func(Req) any) http.Handler {
+	return s.sealed(func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if daemon.DecodeJSON(w, r, s.cfg.MaxBodyBytes, false, "request", &req) {
+			daemon.WriteJSON(w, http.StatusOK, fn(req))
 		}
-		return false
-	}
-	return true
+	})
 }
 
-func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	var req keyReq
-	if !s.decode(w, r, &req) {
-		return
-	}
+func (s *Server) lookup(req KeyReq) any {
 	e, gen, ok := s.store.Lookup(req.Key)
-	writeJSON(w, http.StatusOK, lookupResp{Entry: e, Gen: gen, Found: ok})
+	return LookupResp{Entry: e, Gen: gen, Found: ok}
 }
 
-func (s *Server) handleLookupTranslated(w http.ResponseWriter, r *http.Request) {
-	var req keyReq
-	if !s.decode(w, r, &req) {
-		return
-	}
+func (s *Server) lookupTranslated(req KeyReq) any {
 	e, from, gen, ok := s.store.LookupTranslated(req.Key)
-	writeJSON(w, http.StatusOK, lookupResp{Entry: e, From: from, Gen: gen, Found: ok})
+	return LookupResp{Entry: e, From: from, Gen: gen, Found: ok}
 }
 
-func (s *Server) handlePeek(w http.ResponseWriter, r *http.Request) {
-	var req keyReq
-	if !s.decode(w, r, &req) {
-		return
-	}
+func (s *Server) peek(req KeyReq) any {
 	e, ok := s.store.Peek(req.Key)
-	writeJSON(w, http.StatusOK, lookupResp{Entry: e, Found: ok})
+	return LookupResp{Entry: e, Found: ok}
 }
 
-func (s *Server) handlePeekTranslated(w http.ResponseWriter, r *http.Request) {
-	var req keyReq
-	if !s.decode(w, r, &req) {
-		return
-	}
+func (s *Server) peekTranslated(req KeyReq) any {
 	e, from, ok := s.store.PeekTranslated(req.Key)
-	writeJSON(w, http.StatusOK, lookupResp{Entry: e, From: from, Found: ok})
+	return LookupResp{Entry: e, From: from, Found: ok}
 }
 
-func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
-	var req commitReq
-	if !s.decode(w, r, &req) {
-		return
-	}
+func (s *Server) commit(req CommitReq) any {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	gen := s.store.Commit(req.Key, req.Entry)
 	if gen != 0 && s.persist != nil {
 		s.persist.appendOp(opRecord{Op: "commit", Key: req.Key, Entry: &req.Entry}, s.store)
 	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, genResp{Gen: gen})
+	return GenResp{Gen: gen}
 }
 
-func (s *Server) handleRefund(w http.ResponseWriter, r *http.Request) {
-	var req genReq
-	if !s.decode(w, r, &req) {
-		return
-	}
-	// Refunds move only the in-memory reuse budget — recovery resets
-	// budgets anyway (Import grants fresh ones), so nothing is journaled.
-	ok := s.store.Refund(req.Key, req.Gen)
-	writeJSON(w, http.StatusOK, okResp{OK: ok})
+// refund moves only the in-memory reuse budget — recovery resets budgets
+// anyway (Import grants fresh ones), so nothing is journaled.
+func (s *Server) refund(req GenReq) any {
+	return OKResp{OK: s.store.Refund(req.Key, req.Gen)}
 }
 
-func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
-	var req genReq
-	if !s.decode(w, r, &req) {
-		return
-	}
+func (s *Server) invalidate(req GenReq) any {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	ok := s.store.Invalidate(req.Key, req.Gen)
 	if ok && s.persist != nil {
 		// Journal only guard-passing invalidations: the op deleted a live
@@ -427,60 +278,41 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 		// already ran, live, against the gen it was issued for).
 		s.persist.appendOp(opRecord{Op: "invalidate", Key: req.Key}, s.store)
 	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, okResp{OK: ok})
+	return OKResp{OK: ok}
 }
 
-func (s *Server) handleFreeze(w http.ResponseWriter, r *http.Request) {
-	s.store.Freeze()
-	writeJSON(w, http.StatusOK, okResp{OK: true})
-}
-
-func (s *Server) handleThaw(w http.ResponseWriter, r *http.Request) {
-	s.store.Thaw()
-	writeJSON(w, http.StatusOK, okResp{OK: true})
-}
-
-func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
-	var req entriesMsg
-	if !s.decode(w, r, &req) {
-		return
-	}
+func (s *Server) importEntries(req EntriesMsg) any {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.store.Import(req.Entries)
 	if s.persist != nil {
 		for i := range req.Entries {
 			s.persist.appendOp(opRecord{Op: "commit", Key: req.Entries[i].Key, Entry: &req.Entries[i].Entry}, s.store)
 		}
 	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, okResp{OK: true})
-}
-
-func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, entriesMsg{Entries: s.store.Export()})
+	return OKResp{OK: true}
 }
 
 func (s *Server) handleExportShard(w http.ResponseWriter, r *http.Request) {
 	var i int
 	if _, err := fmt.Sscanf(r.PathValue("i"), "%d", &i); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad shard index %q", r.PathValue("i"))
+		daemon.WriteErr(w, http.StatusBadRequest, "bad shard index %q", r.PathValue("i"))
 		return
 	}
 	if i < 0 || i >= s.store.Shards() {
-		writeErr(w, http.StatusNotFound, "no shard %d (store has %d)", i, s.store.Shards())
+		daemon.WriteErr(w, http.StatusNotFound, "no shard %d (store has %d)", i, s.store.Shards())
 		return
 	}
-	writeJSON(w, http.StatusOK, entriesMsg{Entries: s.store.ExportShard(i)})
+	daemon.WriteJSON(w, http.StatusOK, EntriesMsg{Entries: s.store.ExportShard(i)})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) stats() any {
 	per := s.store.ShardCounters()
 	var tot store.Counters
 	for _, c := range per {
 		tot.Add(c)
 	}
-	resp := statsResp{
+	resp := StatsResp{
 		Len:           s.store.Len(),
 		Shards:        s.store.Shards(),
 		Counters:      tot,
@@ -492,5 +324,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp.Persistence, resp.PersistenceError = "degraded", msg
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }

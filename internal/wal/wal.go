@@ -401,49 +401,43 @@ func WriteAtomic(path string, payloads [][]byte) error {
 // "snapshot") before the write begins; a non-nil hook error aborts the
 // write with the old file untouched — which is also the failure atomicity
 // a real mid-snapshot disk error would leave behind.
-func WriteAtomicHook(path string, payloads [][]byte, hook func(op string) error) error {
+func WriteAtomicHook(path string, payloads [][]byte, hook func(op string) error) (err error) {
 	if hook != nil {
 		if err := hook("snapshot"); err != nil {
 			return err
 		}
+	}
+	var buf bytes.Buffer
+	buf.WriteString(header)
+	for _, p := range payloads {
+		if bytes.IndexByte(p, '\n') >= 0 {
+			return fmt.Errorf("wal: payload contains a raw newline")
+		}
+		buf.Write(frame(p))
 	}
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	buf.WriteString(header)
-	for _, p := range payloads {
-		if bytes.IndexByte(p, '\n') >= 0 {
-			f.Close()
+	defer func() {
+		if err != nil {
+			f.Close() // harmless if the success path's Close already ran
 			os.Remove(tmp)
-			return fmt.Errorf("wal: payload contains a raw newline")
 		}
-		buf.Write(frame(p))
-	}
+	}()
 	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return err
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return err
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return err
 	}
-	// Best effort: persist the rename itself.
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	syncDir(filepath.Dir(path))
 	return nil
 }
