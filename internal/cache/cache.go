@@ -21,6 +21,8 @@
 package cache
 
 import (
+	"math/bits"
+
 	"rpg2/internal/isa"
 	"rpg2/internal/mem"
 )
@@ -126,13 +128,15 @@ type Stats struct {
 	LatePF         uint64 // demand hits on still-in-flight prefetched lines
 }
 
+// level is one set-associative cache level under exact LRU. A way is one
+// packed word, (line+1)<<1 | unusedPF, 0 when invalid, and every set is kept
+// most-recently-used first: a hit moves its way to the front, a fill shifts
+// the set down and drops the tail, where the invalid ways and then the
+// least recently used one sit (DESIGN.md §2).
 type level struct {
 	cfg     LevelConfig
-	sets    int
 	setMask uint64
-	tags    []uint64 // line ID + 1; 0 = invalid
-	use     []uint64 // LRU timestamps
-	pf      []bool   // line was brought in by a prefetch and not yet used
+	ways    []uint64
 }
 
 func newLevel(cfg LevelConfig) *level {
@@ -143,27 +147,24 @@ func newLevel(cfg LevelConfig) *level {
 	if sets&(sets-1) != 0 {
 		panic("cache: set count must be a power of two: " + cfg.Name)
 	}
-	return &level{
-		cfg:     cfg,
-		sets:    sets,
-		setMask: uint64(sets - 1),
-		tags:    make([]uint64, cfg.Lines),
-		use:     make([]uint64, cfg.Lines),
-		pf:      make([]bool, cfg.Lines),
-	}
+	return &level{cfg: cfg, setMask: uint64(sets - 1), ways: make([]uint64, cfg.Lines)}
 }
 
-// lookup probes the level; on hit it refreshes LRU state and reports whether
-// the line was an unused prefetch.
-func (l *level) lookup(line Line, clock uint64) (hit, wasPF bool) {
+// set returns the line's set and the line's packed word with the mark clear.
+func (l *level) set(line Line) (set []uint64, key uint64) {
 	base := int(line&l.setMask) * l.cfg.Assoc
-	tag := line + 1
-	for w := 0; w < l.cfg.Assoc; w++ {
-		if l.tags[base+w] == tag {
-			l.use[base+w] = clock
-			wasPF = l.pf[base+w]
-			l.pf[base+w] = false
-			return true, wasPF
+	return l.ways[base : base+l.cfg.Assoc], (line + 1) << 1
+}
+
+// lookup probes the level; on hit it makes the line most recently used,
+// clears its unused-prefetch mark and reports whether the mark was set.
+func (l *level) lookup(line Line) (hit, wasPF bool) {
+	set, key := l.set(line)
+	for i, w := range set {
+		if w&^1 == key {
+			copy(set[1:i+1], set[:i])
+			set[0] = key
+			return true, w&1 != 0
 		}
 	}
 	return false, false
@@ -172,11 +173,10 @@ func (l *level) lookup(line Line, clock uint64) (hit, wasPF bool) {
 // clearPF clears the unused-prefetch mark if the line is present, so a line
 // consumed at an upper level is not later miscounted as a useless prefetch.
 func (l *level) clearPF(line Line) {
-	base := int(line&l.setMask) * l.cfg.Assoc
-	tag := line + 1
-	for w := 0; w < l.cfg.Assoc; w++ {
-		if l.tags[base+w] == tag {
-			l.pf[base+w] = false
+	set, key := l.set(line)
+	for i, w := range set {
+		if w&^1 == key {
+			set[i] = key
 			return
 		}
 	}
@@ -184,50 +184,41 @@ func (l *level) clearPF(line Line) {
 
 // present probes without touching LRU state.
 func (l *level) present(line Line) bool {
-	base := int(line&l.setMask) * l.cfg.Assoc
-	tag := line + 1
-	for w := 0; w < l.cfg.Assoc; w++ {
-		if l.tags[base+w] == tag {
+	set, key := l.set(line)
+	for _, w := range set {
+		if w&^1 == key {
 			return true
 		}
 	}
 	return false
 }
 
-// install fills the line, evicting the LRU way; it returns the evicted line
-// and whether the victim was an unused prefetch.
-func (l *level) install(line Line, clock uint64, isPF bool) (victim Line, victimValid, victimPF bool) {
-	base := int(line&l.setMask) * l.cfg.Assoc
-	tag := line + 1
-	lru, lruUse := base, l.use[base]
-	for w := 0; w < l.cfg.Assoc; w++ {
-		i := base + w
-		if l.tags[i] == tag { // already present; refresh
-			l.use[i] = clock
-			return 0, false, false
-		}
-		if l.tags[i] == 0 {
-			lru, lruUse = i, 0
-		} else if l.use[i] < lruUse {
-			lru, lruUse = i, l.use[i]
-		}
+// fill installs a line the caller has just probed for and missed; it returns
+// the evicted LRU line and whether that was an unused prefetch.
+func (l *level) fill(line Line, isPF bool) (victim Line, victimValid, victimPF bool) {
+	set, key := l.set(line)
+	tail := set[len(set)-1]
+	copy(set[1:], set)
+	if isPF {
+		key |= 1
 	}
-	victimValid = l.tags[lru] != 0
-	if victimValid {
-		victim = l.tags[lru] - 1
-		victimPF = l.pf[lru]
+	set[0] = key
+	if tail == 0 {
+		return 0, false, false
 	}
-	l.tags[lru] = tag
-	l.use[lru] = clock
-	l.pf[lru] = isPF
-	return victim, victimValid, victimPF
+	return tail>>1 - 1, true, tail&1 != 0
 }
 
-func (l *level) reset() {
-	clear(l.tags)
-	clear(l.use)
-	clear(l.pf)
+// install fills a line that may already be present; if it is, it is consumed
+// in place exactly as a lookup hit consumes it.
+func (l *level) install(line Line, isPF bool) (victim Line, victimValid, victimPF bool) {
+	if hit, _ := l.lookup(line); hit {
+		return 0, false, false
+	}
+	return l.fill(line, isPF)
 }
+
+func (l *level) reset() { clear(l.ways) }
 
 type strideEntry struct {
 	pc     uint64
@@ -238,11 +229,11 @@ type strideEntry struct {
 
 // mshr is one in-flight fill: the line being fetched and the cycle its data
 // arrives. The table is a small fixed array, like the hardware CAM it
-// models; entries whose completion has passed are free.
+// models; entries whose completion has passed are free, and a never-used or
+// consumed entry has completion 0.
 type mshr struct {
 	line     Line
 	complete uint64
-	valid    bool
 }
 
 // Hierarchy is the full memory system. It is not safe for concurrent use;
@@ -251,11 +242,12 @@ type Hierarchy struct {
 	cfg         Config
 	l1, l2      *level
 	l3          *level
-	clock       uint64 // internal LRU clock (per access)
 	dramFree    uint64 // next cycle the DRAM controller is free
 	maxComplete uint64 // latest in-flight completion, for a fast skip
 	inflight    []mshr
+	inflightSig uint64 // bit line&63 is set for every unconsumed entry's line
 	stride      []strideEntry
+	strideRecip uint64 // floor((2^64-1) / len(stride)), for strideIndex
 	stats       Stats
 }
 
@@ -270,6 +262,7 @@ func New(cfg Config) *Hierarchy {
 	}
 	if cfg.Stride.Enabled {
 		h.stride = make([]strideEntry, cfg.Stride.TableSize)
+		h.strideRecip = ^uint64(0) / uint64(cfg.Stride.TableSize)
 	}
 	return h
 }
@@ -289,9 +282,8 @@ func (h *Hierarchy) Reset() {
 	h.stats = Stats{}
 	h.dramFree = 0
 	h.maxComplete = 0
-	for i := range h.inflight {
-		h.inflight[i] = mshr{}
-	}
+	clear(h.inflight)
+	h.inflightSig = 0
 	if h.stride != nil {
 		clear(h.stride)
 	}
@@ -300,33 +292,48 @@ func (h *Hierarchy) Reset() {
 // findInflight returns the MSHR index tracking the line (still in flight at
 // the given cycle), or -1.
 func (h *Hierarchy) findInflight(line Line, now uint64) int {
+	if h.inflightSig>>(line&63)&1 == 0 {
+		return -1
+	}
 	for i := range h.inflight {
 		e := &h.inflight[i]
-		if e.valid && e.line == line && e.complete > now {
+		if e.line == line && e.complete > now {
 			return i
 		}
 	}
 	return -1
 }
 
-// allocInflight claims a free MSHR (invalid or expired); it returns -1 when
+// allocInflight claims a free MSHR (unused or expired); it returns -1 when
 // the table is full.
 func (h *Hierarchy) allocInflight(now uint64) int {
 	for i := range h.inflight {
 		e := &h.inflight[i]
-		if !e.valid || e.complete <= now {
+		if e.complete <= now {
 			return i
 		}
 	}
 	return -1
 }
 
-// installAll fills the line into every level (an inclusive hierarchy), and
-// tracks useless-prefetch victims.
-func (h *Hierarchy) installAll(line Line, isPF bool) {
-	h.l1.install(line, h.clock, isPF)
-	h.l2.install(line, h.clock, isPF)
-	if _, vValid, vPF := h.l3.install(line, h.clock, isPF); vValid && vPF {
+// setInflight writes one MSHR and rebuilds the signature findInflight
+// filters on; a consumed entry is written as the zero mshr.
+func (h *Hierarchy) setInflight(slot int, e mshr) {
+	h.inflight[slot] = e
+	h.inflightSig = 0
+	for _, e := range h.inflight {
+		if e.complete != 0 {
+			h.inflightSig |= 1 << (e.line & 63)
+		}
+	}
+}
+
+// fillAll fills a line absent from every level into every level (an
+// inclusive hierarchy), and tracks useless-prefetch victims.
+func (h *Hierarchy) fillAll(line Line, isPF bool) {
+	h.l1.fill(line, isPF)
+	h.l2.fill(line, isPF)
+	if _, vValid, vPF := h.l3.fill(line, isPF); vValid && vPF {
 		h.stats.UselessPF++
 	}
 }
@@ -336,13 +343,12 @@ func (h *Hierarchy) installAll(line Line, isPF bool) {
 // Stores are modelled as cache accesses with the same fill path but callers
 // typically hide store latency (store buffer), so only loads charge cycles.
 func (h *Hierarchy) Access(pc uint64, addr mem.Addr, now uint64) Result {
-	h.clock++
 	h.stats.DemandAccesses++
 	line := LineOf(addr)
 
 	res := h.demandLookup(line, now)
 
-	if h.cfg.Stride.Enabled {
+	if h.stride != nil {
 		h.strideObserve(pc, line, now+res.Cycles)
 	}
 	return res
@@ -355,15 +361,22 @@ func (h *Hierarchy) demandLookup(line Line, now uint64) Result {
 	if h.maxComplete > now {
 		if i := h.findInflight(line, now); i >= 0 {
 			c := h.inflight[i].complete
-			h.inflight[i].valid = false
+			h.setInflight(i, mshr{})
 			h.stats.MSHRHits++
 			h.stats.LatePF++
 			h.stats.LLCMisses++
-			h.installAll(line, false)
+			// Installed at issue time, the line may have been evicted
+			// since from any level. Where it is still present this use
+			// consumes its mark: late is not also timely, or useless.
+			h.l1.install(line, false)
+			h.l2.install(line, false)
+			if _, vValid, vPF := h.l3.install(line, false); vValid && vPF {
+				h.stats.UselessPF++
+			}
 			return Result{Cycles: (c - now) + h.cfg.L1.Latency, LLCMiss: true, Level: 0}
 		}
 	}
-	if hit, wasPF := h.l1.lookup(line, h.clock); hit {
+	if hit, wasPF := h.l1.lookup(line); hit {
 		h.stats.L1Hits++
 		if wasPF {
 			h.stats.TimelyPF++
@@ -372,22 +385,22 @@ func (h *Hierarchy) demandLookup(line Line, now uint64) Result {
 		}
 		return Result{Cycles: h.cfg.L1.Latency, Level: 1}
 	}
-	if hit, wasPF := h.l2.lookup(line, h.clock); hit {
+	if hit, wasPF := h.l2.lookup(line); hit {
 		h.stats.L2Hits++
 		if wasPF {
 			h.stats.TimelyPF++
 			h.l3.clearPF(line)
 		}
-		h.l1.install(line, h.clock, false)
+		h.l1.fill(line, false)
 		return Result{Cycles: h.cfg.L2.Latency, Level: 2}
 	}
-	if hit, wasPF := h.l3.lookup(line, h.clock); hit {
+	if hit, wasPF := h.l3.lookup(line); hit {
 		h.stats.L3Hits++
 		if wasPF {
 			h.stats.TimelyPF++
 		}
-		h.l1.install(line, h.clock, false)
-		h.l2.install(line, h.clock, false)
+		h.l1.fill(line, false)
+		h.l2.fill(line, false)
 		return Result{Cycles: h.cfg.L3.Latency, Level: 3}
 	}
 	// Full miss: occupy a DRAM service slot.
@@ -396,7 +409,7 @@ func (h *Hierarchy) demandLookup(line Line, now uint64) Result {
 	start := max(now, h.dramFree)
 	h.dramFree = start + h.cfg.DRAM.ServiceCycles
 	complete := start + h.cfg.DRAM.Latency
-	h.installAll(line, false)
+	h.fillAll(line, false)
 	return Result{Cycles: complete - now, LLCMiss: true, Level: 4}
 }
 
@@ -404,7 +417,6 @@ func (h *Hierarchy) demandLookup(line Line, now uint64) Result {
 // true if a fill was actually started (for stats and tests). kind selects
 // software vs hardware prefetch accounting.
 func (h *Hierarchy) Prefetch(addr mem.Addr, now uint64, kind AccessKind) bool {
-	h.clock++
 	line := LineOf(addr)
 	switch kind {
 	case SoftwarePrefetch:
@@ -429,18 +441,30 @@ func (h *Hierarchy) Prefetch(addr mem.Addr, now uint64, kind AccessKind) bool {
 	if complete > h.maxComplete {
 		h.maxComplete = complete
 	}
-	h.inflight[slot] = mshr{line: line, complete: complete, valid: true}
+	h.setInflight(slot, mshr{line: line, complete: complete})
 	// Install immediately (marked prefetched) so the line participates in
 	// replacement from issue time; consumers arriving before completion
 	// pay the residual via the inflight table.
-	h.installAll(line, true)
+	h.fillAll(line, true)
 	return true
+}
+
+// strideIndex is pc % len(h.stride) without the division: the high word of
+// pc * strideRecip is the quotient or one less, for any pc and table size.
+func (h *Hierarchy) strideIndex(pc uint64) uint64 {
+	n := uint64(len(h.stride))
+	q, _ := bits.Mul64(pc, h.strideRecip)
+	i := pc - q*n
+	if i >= n {
+		i -= n
+	}
+	return i
 }
 
 // strideObserve trains the stride table on a demand access and issues
 // hardware prefetches once confident.
 func (h *Hierarchy) strideObserve(pc uint64, line Line, now uint64) {
-	e := &h.stride[pc%uint64(len(h.stride))]
+	e := &h.stride[h.strideIndex(pc)]
 	if e.pc != pc {
 		*e = strideEntry{pc: pc, last: line}
 		return

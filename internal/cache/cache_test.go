@@ -102,6 +102,27 @@ func TestPrefetchLatePaysResidual(t *testing.T) {
 	}
 }
 
+// A prefetch that arrives late is late, and nothing else: the demand access
+// that finds it in flight consumes the unused-prefetch mark, so the next hit
+// on the line is an ordinary one and its eventual eviction is not "useless".
+func TestLatePrefetchIsCountedOnce(t *testing.T) {
+	h := New(testConfig())
+	h.Prefetch(addr(5), 0, SoftwarePrefetch) // completes at 100
+	h.Access(1, addr(5), 5)
+	h.Access(1, addr(5), 1000)
+	if s := h.Stats(); s.LatePF != 1 || s.TimelyPF != 0 || s.MSHRHits != 1 || s.L1Hits != 1 {
+		t.Fatalf("want one late prefetch and one plain L1 hit: %+v", s)
+	}
+	now := uint64(2000)
+	for l := Line(100); l < 160; l++ { // churn line 5 out of every level
+		h.Access(1, addr(l), now)
+		now += 200
+	}
+	if s := h.Stats(); h.Present(addr(5)) || s.UselessPF != 0 {
+		t.Fatalf("a used prefetch was evicted as useless: %+v", s)
+	}
+}
+
 func TestPrefetchDeduplicates(t *testing.T) {
 	h := New(testConfig())
 	if !h.Prefetch(addr(5), 0, SoftwarePrefetch) {
@@ -250,4 +271,219 @@ func TestBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	New(bad)
+}
+
+// The stride table is indexed by pc modulo its size, computed without a
+// division; the multiply must agree with % for every size and any pc.
+func TestStrideIndexIsModulo(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sizes := []int{1, 2, 3, 7, 8, 48, 64, 1000, 4096, 4097}
+	for _, n := range sizes {
+		cfg := testConfig()
+		cfg.Stride = StrideConfig{Enabled: true, TableSize: n, Confidence: 2, Degree: 2}
+		h := New(cfg)
+		pcs := []uint64{0, 1, uint64(n) - 1, uint64(n), uint64(n) + 1, 1<<32 - 1, 1 << 32, 1<<63 - 1, 1 << 63, ^uint64(0), ^uint64(0) - uint64(n)}
+		for i := 0; i < 2000; i++ {
+			pcs = append(pcs, rng.Uint64()>>uint(rng.Intn(64)))
+		}
+		for _, pc := range pcs {
+			if got, want := h.strideIndex(pc), pc%uint64(n); got != want {
+				t.Fatalf("strideIndex(%d) with %d entries = %d, want %d", pc, n, got, want)
+			}
+		}
+	}
+}
+
+// refLevel is the timestamp-LRU level the packed most-recently-used-first
+// sets replaced, kept verbatim as the reference the new level must equal:
+// tags, a use timestamp and an unused-prefetch flag per way, and an install
+// that scans the set for the minimum timestamp.
+type refLevel struct {
+	cfg     LevelConfig
+	sets    int
+	setMask uint64
+	tags    []uint64 // line ID + 1; 0 = invalid
+	use     []uint64 // LRU timestamps
+	pf      []bool   // line was brought in by a prefetch and not yet used
+}
+
+func newRefLevel(cfg LevelConfig) *refLevel {
+	sets := cfg.Lines / cfg.Assoc
+	return &refLevel{
+		cfg:     cfg,
+		sets:    sets,
+		setMask: uint64(sets - 1),
+		tags:    make([]uint64, cfg.Lines),
+		use:     make([]uint64, cfg.Lines),
+		pf:      make([]bool, cfg.Lines),
+	}
+}
+
+func (l *refLevel) lookup(line Line, clock uint64) (hit, wasPF bool) {
+	base := int(line&l.setMask) * l.cfg.Assoc
+	tag := line + 1
+	for w := 0; w < l.cfg.Assoc; w++ {
+		if l.tags[base+w] == tag {
+			l.use[base+w] = clock
+			wasPF = l.pf[base+w]
+			l.pf[base+w] = false
+			return true, wasPF
+		}
+	}
+	return false, false
+}
+
+func (l *refLevel) clearPF(line Line) {
+	base := int(line&l.setMask) * l.cfg.Assoc
+	tag := line + 1
+	for w := 0; w < l.cfg.Assoc; w++ {
+		if l.tags[base+w] == tag {
+			l.pf[base+w] = false
+			return
+		}
+	}
+}
+
+func (l *refLevel) present(line Line) bool {
+	base := int(line&l.setMask) * l.cfg.Assoc
+	tag := line + 1
+	for w := 0; w < l.cfg.Assoc; w++ {
+		if l.tags[base+w] == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (l *refLevel) install(line Line, clock uint64, isPF bool) (victim Line, victimValid, victimPF bool) {
+	base := int(line&l.setMask) * l.cfg.Assoc
+	tag := line + 1
+	lru, lruUse := base, l.use[base]
+	for w := 0; w < l.cfg.Assoc; w++ {
+		i := base + w
+		if l.tags[i] == tag { // already present; refresh
+			l.use[i] = clock
+			return 0, false, false
+		}
+		if l.tags[i] == 0 {
+			lru, lruUse = i, 0
+		} else if l.use[i] < lruUse {
+			lru, lruUse = i, l.use[i]
+		}
+	}
+	victimValid = l.tags[lru] != 0
+	if victimValid {
+		victim = l.tags[lru] - 1
+		victimPF = l.pf[lru]
+	}
+	l.tags[lru] = tag
+	l.use[lru] = clock
+	l.pf[lru] = isPF
+	return victim, victimValid, victimPF
+}
+
+func (l *refLevel) reset() {
+	clear(l.tags)
+	clear(l.use)
+	clear(l.pf)
+}
+
+// levelOps drives a level and the reference through one operation per two
+// bytes of ops and fails at the first observable difference: hit and wasPF
+// of a lookup, present, and the (victim, valid, victimPF) triple of a fill.
+// The reference's clock ticks once per operation, which is what the
+// hierarchy gives each of its levels: at most one touch per access.
+func levelOps(t *testing.T, assoc, sets int, ops []byte) {
+	t.Helper()
+	cfg := LevelConfig{Name: "L", Lines: assoc * sets, Assoc: assoc}
+	got, ref := newLevel(cfg), newRefLevel(cfg)
+	lines := uint64(2*assoc*sets + 1) // enough to overflow every set
+	clock := uint64(0)
+	for i := 0; i+1 < len(ops); i += 2 {
+		clock++
+		op, line := ops[i]%16, Line(ops[i+1])%lines
+		isPF := ops[i]&16 != 0
+		type triple struct {
+			victim    Line
+			valid, pf bool
+		}
+		var g, r triple
+		samePresent := func() bool {
+			gp, rp := got.present(line), ref.present(line)
+			if gp != rp {
+				t.Fatalf("op %d: present(%d) = %v, reference %v", i/2, line, gp, rp)
+			}
+			return gp
+		}
+		switch {
+		case op < 5:
+			gh, gp := got.lookup(line)
+			rh, rp := ref.lookup(line, clock)
+			if gh != rh || gp != rp {
+				t.Fatalf("op %d: lookup(%d) = %v,%v, reference %v,%v", i/2, line, gh, gp, rh, rp)
+			}
+		case op < 9:
+			// The reference's install left a present line's mark set,
+			// which counted a late prefetch a second time as timely;
+			// the level clears it, so the reference is made to.
+			g.victim, g.valid, g.pf = got.install(line, isPF)
+			if ref.present(line) {
+				ref.clearPF(line)
+			}
+			r.victim, r.valid, r.pf = ref.install(line, clock, isPF)
+		case op < 12: // the known-absent fill, after the probe its callers make
+			if !samePresent() {
+				g.victim, g.valid, g.pf = got.fill(line, isPF)
+				r.victim, r.valid, r.pf = ref.install(line, clock, isPF)
+			}
+		case op < 14:
+			got.clearPF(line)
+			ref.clearPF(line)
+		case op < 15:
+			samePresent()
+		default:
+			if line%8 == 0 { // rarely, or no set ever fills
+				got.reset()
+				ref.reset()
+			}
+		}
+		if g != r {
+			t.Fatalf("op %d: fill(%d, pf=%v) evicted %+v, reference %+v", i/2, line, isPF, g, r)
+		}
+	}
+	// Whatever the operations left behind must agree too.
+	for line := Line(0); line < lines; line++ {
+		gh, gp := got.lookup(line)
+		rh, rp := ref.lookup(line, clock+1+line)
+		if gh != rh || gp != rp {
+			t.Fatalf("final lookup(%d) = %v,%v, reference %v,%v", line, gh, gp, rh, rp)
+		}
+	}
+}
+
+// levelGeometry picks the associativity and set count a byte selects.
+func levelGeometry(b byte) (assoc, sets int) {
+	return []int{1, 2, 8, 16}[b%4], []int{1, 2, 4}[b/4%3]
+}
+
+func TestLevelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for geom := byte(0); geom < 12; geom++ {
+		assoc, sets := levelGeometry(geom)
+		for round := 0; round < 40; round++ {
+			ops := make([]byte, 2*(1+rng.Intn(600)))
+			rng.Read(ops)
+			levelOps(t, assoc, sets, ops)
+		}
+	}
+}
+
+func FuzzLevelMatchesReference(f *testing.F) {
+	f.Add(byte(0), []byte{5, 1, 5, 2, 0, 1, 5, 3, 0, 2})
+	f.Add(byte(2), []byte{21, 1, 0, 1, 9, 2, 12, 2, 0, 2, 15, 0})
+	f.Add(byte(7), []byte{})
+	f.Fuzz(func(t *testing.T, geom byte, ops []byte) {
+		assoc, sets := levelGeometry(geom)
+		levelOps(t, assoc, sets, ops)
+	})
 }

@@ -41,36 +41,38 @@ func (t *Thread) Runnable() bool { return !t.Halted && t.Fault == nil }
 // across binaries, unlike IPC, which the prefetch kernel's extra
 // instructions inflate.
 type Watch struct {
-	// PCs are the watched instruction addresses.
+	// PCs are the watched instruction addresses, set by NewWatch and Extend.
 	PCs []int
 	// Count is the total retirements of any watched PC.
 	Count uint64
+
+	bits []uint64 // bit pc is set for every pc in PCs
 }
 
 // NewWatch builds a watch over the given PCs.
-func NewWatch(pcs []int) *Watch { return &Watch{PCs: append([]int(nil), pcs...)} }
+func NewWatch(pcs []int) *Watch {
+	w := &Watch{}
+	w.Extend(pcs)
+	return w
+}
 
 // Extend unions additional PCs into the watch without touching its count.
 func (w *Watch) Extend(pcs []int) {
-	have := make(map[int]bool, len(w.PCs))
-	for _, pc := range w.PCs {
-		have[pc] = true
-	}
 	for _, pc := range pcs {
-		if !have[pc] {
-			w.PCs = append(w.PCs, pc)
-			have[pc] = true
+		if pc < 0 || w.has(pc) {
+			continue
 		}
+		if need := pc>>6 + 1; need > len(w.bits) {
+			w.bits = append(w.bits, make([]uint64, need-len(w.bits))...)
+		}
+		w.bits[pc>>6] |= 1 << (pc & 63)
+		w.PCs = append(w.PCs, pc)
 	}
 }
 
-func (w *Watch) observe(pc int) {
-	for _, p := range w.PCs {
-		if p == pc {
-			w.Count++
-			return
-		}
-	}
+func (w *Watch) has(pc int) bool {
+	i := uint(pc) >> 6
+	return i < uint(len(w.bits)) && w.bits[i]&(1<<(uint(pc)&63)) != 0
 }
 
 // Config holds the core's microarchitectural parameters.
@@ -148,156 +150,184 @@ var ErrHalted = fmt.Errorf("cpu: thread is not runnable")
 
 // Step executes one instruction of the thread against the given text segment
 // and address space, advancing the core clock. A memory fault on a demand
-// access records the fault on the thread and stops it, like a fatal SIGSEGV.
+// access records the fault on the thread and stops it, like a fatal SIGSEGV;
+// so do a PC outside the text and an unknown opcode, which also return errors.
 func (c *Core) Step(t *Thread, text []isa.Instr, as *mem.AddrSpace) error {
 	if !t.Runnable() {
 		return ErrHalted
 	}
-	if t.PC < 0 || t.PC >= len(text) {
-		t.Fault = &mem.Fault{Addr: uint64(t.PC)}
-		return fmt.Errorf("cpu: pc %d outside text segment", t.PC)
-	}
-	in := text[t.PC]
-	pc := t.PC
-	t.PC++
-	c.Now++
-	c.Instructions++
-	for _, w := range c.Watches {
-		w.observe(pc)
-	}
+	return c.RunUntil(t, text, as, c.Now+1)
+}
 
+// RunUntil is the interpreter loop: it executes the thread until the core
+// clock reaches bound, the thread halts or faults, or a hook (OnLLCMiss,
+// OnInitDone) has fired. Runnability, the text bounds and the watch list are
+// read once, and a hook may stop the process, grow its text or change the
+// watches: RunUntil returns after the instruction that fired one and the
+// caller, re-reading what it passes, calls again. A thread that is not
+// runnable or already at bound returns nil.
+func (c *Core) RunUntil(t *Thread, text []isa.Instr, as *mem.AddrSpace, bound uint64) error {
+	if !t.Runnable() {
+		return nil
+	}
 	r := &t.Regs
-	switch in.Op {
-	case isa.Nop, isa.InitDone:
-		if in.Op == isa.InitDone && c.OnInitDone != nil {
-			c.OnInitDone()
+	watches := c.Watches
+	for c.Now < bound {
+		pc := t.PC
+		if uint(pc) >= uint(len(text)) {
+			t.Fault = &mem.Fault{Addr: uint64(pc)}
+			return fmt.Errorf("cpu: pc %d outside text segment", pc)
 		}
-	case isa.MovImm:
-		r[in.Rd] = uint64(in.Imm)
-	case isa.Mov:
-		r[in.Rd] = r[in.Rs1]
-	case isa.Add:
-		r[in.Rd] = r[in.Rs1] + r[in.Rs2]
-	case isa.AddImm:
-		r[in.Rd] = r[in.Rs1] + uint64(in.Imm)
-	case isa.Sub:
-		r[in.Rd] = r[in.Rs1] - r[in.Rs2]
-	case isa.SubImm:
-		r[in.Rd] = r[in.Rs1] - uint64(in.Imm)
-	case isa.Mul:
-		r[in.Rd] = r[in.Rs1] * r[in.Rs2]
-	case isa.MulImm:
-		r[in.Rd] = r[in.Rs1] * uint64(in.Imm)
-	case isa.ShlImm:
-		r[in.Rd] = r[in.Rs1] << uint64(in.Imm)
-	case isa.ShrImm:
-		r[in.Rd] = r[in.Rs1] >> uint64(in.Imm)
-	case isa.AndImm:
-		r[in.Rd] = r[in.Rs1] & uint64(in.Imm)
-	case isa.Min:
-		a, b := r[in.Rs1], r[in.Rs2]
-		if b < a {
-			a = b
+		in := &text[pc]
+		t.PC++
+		c.Now++
+		c.Instructions++
+		for _, w := range watches {
+			if w.has(pc) {
+				w.Count++
+			}
 		}
-		r[in.Rd] = a
-	case isa.Load:
-		addr := r[in.Rs1] + uint64(in.Imm)
-		if in.Rs2 != isa.NoReg {
-			addr += r[in.Rs2]
-		}
-		v, ok := as.Read(addr)
-		if !ok {
-			t.Fault = &mem.Fault{Addr: addr}
-			return nil
-		}
-		res := c.hier.Access(uint64(pc), addr, c.Now)
-		c.chargeLoad(pc, addr, res)
-		r[in.Rd] = v
-	case isa.Store:
-		addr := r[in.Rs1] + uint64(in.Imm)
-		if in.Rs2 != isa.NoReg {
-			addr += r[in.Rs2]
-		}
-		if !as.Write(addr, r[in.Rd]) {
-			t.Fault = &mem.Fault{Addr: addr, Write: true}
-			return nil
-		}
-		// Stores occupy the fill path (write-allocate) but do not stall
-		// the core: store-miss latency hides behind the store buffer.
-		c.hier.Access(uint64(pc), addr, c.Now)
-	case isa.Prefetch:
-		addr := r[in.Rs1] + uint64(in.Imm)
-		if in.Rs2 != isa.NoReg {
-			addr += r[in.Rs2]
-		}
-		// Prefetch never faults: unmapped addresses are dropped.
-		if as.Mapped(addr) {
-			c.hier.Prefetch(addr, c.Now, cache.SoftwarePrefetch)
-		}
-	case isa.Br:
-		if in.Cond.Holds(r[in.Rs1], r[in.Rs2]) {
+
+		switch in.Op {
+		case isa.Nop:
+		case isa.InitDone:
+			if c.OnInitDone != nil {
+				c.OnInitDone()
+				return nil
+			}
+		case isa.MovImm:
+			r[in.Rd] = uint64(in.Imm)
+		case isa.Mov:
+			r[in.Rd] = r[in.Rs1]
+		case isa.Add:
+			r[in.Rd] = r[in.Rs1] + r[in.Rs2]
+		case isa.AddImm:
+			r[in.Rd] = r[in.Rs1] + uint64(in.Imm)
+		case isa.Sub:
+			r[in.Rd] = r[in.Rs1] - r[in.Rs2]
+		case isa.SubImm:
+			r[in.Rd] = r[in.Rs1] - uint64(in.Imm)
+		case isa.Mul:
+			r[in.Rd] = r[in.Rs1] * r[in.Rs2]
+		case isa.MulImm:
+			r[in.Rd] = r[in.Rs1] * uint64(in.Imm)
+		case isa.ShlImm:
+			r[in.Rd] = r[in.Rs1] << uint64(in.Imm)
+		case isa.ShrImm:
+			r[in.Rd] = r[in.Rs1] >> uint64(in.Imm)
+		case isa.AndImm:
+			r[in.Rd] = r[in.Rs1] & uint64(in.Imm)
+		case isa.Min:
+			a, b := r[in.Rs1], r[in.Rs2]
+			if b < a {
+				a = b
+			}
+			r[in.Rd] = a
+		case isa.Load:
+			addr := r[in.Rs1] + uint64(in.Imm)
+			if in.Rs2 != isa.NoReg {
+				addr += r[in.Rs2]
+			}
+			v, ok := as.Read(addr)
+			if !ok {
+				t.Fault = &mem.Fault{Addr: addr}
+				return nil
+			}
+			hooked := c.chargeLoad(pc, addr, c.hier.Access(uint64(pc), addr, c.Now))
+			r[in.Rd] = v
+			if hooked {
+				return nil
+			}
+		case isa.Store:
+			addr := r[in.Rs1] + uint64(in.Imm)
+			if in.Rs2 != isa.NoReg {
+				addr += r[in.Rs2]
+			}
+			if !as.Write(addr, r[in.Rd]) {
+				t.Fault = &mem.Fault{Addr: addr, Write: true}
+				return nil
+			}
+			// Stores occupy the fill path (write-allocate) but do not stall
+			// the core: store-miss latency hides behind the store buffer.
+			c.hier.Access(uint64(pc), addr, c.Now)
+		case isa.Prefetch:
+			addr := r[in.Rs1] + uint64(in.Imm)
+			if in.Rs2 != isa.NoReg {
+				addr += r[in.Rs2]
+			}
+			// Prefetch never faults: unmapped addresses are dropped.
+			if as.Mapped(addr) {
+				c.hier.Prefetch(addr, c.Now, cache.SoftwarePrefetch)
+			}
+		case isa.Br:
+			if in.Cond.Holds(r[in.Rs1], r[in.Rs2]) {
+				t.PC = in.Target
+				c.Now += c.cfg.BranchCost
+			}
+		case isa.BrImm:
+			if in.Cond.Holds(r[in.Rs1], uint64(in.Imm)) {
+				t.PC = in.Target
+				c.Now += c.cfg.BranchCost
+			}
+		case isa.Jmp:
 			t.PC = in.Target
 			c.Now += c.cfg.BranchCost
-		}
-	case isa.BrImm:
-		if in.Cond.Holds(r[in.Rs1], uint64(in.Imm)) {
+		case isa.Call:
+			r[isa.SP]--
+			if !as.Write(r[isa.SP], uint64(t.PC)) {
+				t.Fault = &mem.Fault{Addr: r[isa.SP], Write: true}
+				return nil
+			}
 			t.PC = in.Target
 			c.Now += c.cfg.BranchCost
-		}
-	case isa.Jmp:
-		t.PC = in.Target
-		c.Now += c.cfg.BranchCost
-	case isa.Call:
-		r[isa.SP]--
-		if !as.Write(r[isa.SP], uint64(t.PC)) {
-			t.Fault = &mem.Fault{Addr: r[isa.SP], Write: true}
+		case isa.Ret:
+			v, ok := as.Read(r[isa.SP])
+			if !ok {
+				t.Fault = &mem.Fault{Addr: r[isa.SP]}
+				return nil
+			}
+			r[isa.SP]++
+			t.PC = int(v)
+			c.Now += c.cfg.BranchCost
+		case isa.Push:
+			r[isa.SP]--
+			if !as.Write(r[isa.SP], r[in.Rs1]) {
+				t.Fault = &mem.Fault{Addr: r[isa.SP], Write: true}
+				return nil
+			}
+		case isa.Pop:
+			v, ok := as.Read(r[isa.SP])
+			if !ok {
+				t.Fault = &mem.Fault{Addr: r[isa.SP]}
+				return nil
+			}
+			r[isa.SP]++
+			r[in.Rd] = v
+		case isa.Halt:
+			t.Halted = true
 			return nil
+		default:
+			// Code a tracer poked wrong: a crash, not a clean exit.
+			t.Fault = &mem.Fault{Addr: uint64(pc)}
+			return fmt.Errorf("cpu: pc %d: unknown opcode %v", pc, in.Op)
 		}
-		t.PC = in.Target
-		c.Now += c.cfg.BranchCost
-	case isa.Ret:
-		v, ok := as.Read(r[isa.SP])
-		if !ok {
-			t.Fault = &mem.Fault{Addr: r[isa.SP]}
-			return nil
-		}
-		r[isa.SP]++
-		t.PC = int(v)
-		c.Now += c.cfg.BranchCost
-	case isa.Push:
-		r[isa.SP]--
-		if !as.Write(r[isa.SP], r[in.Rs1]) {
-			t.Fault = &mem.Fault{Addr: r[isa.SP], Write: true}
-			return nil
-		}
-	case isa.Pop:
-		v, ok := as.Read(r[isa.SP])
-		if !ok {
-			t.Fault = &mem.Fault{Addr: r[isa.SP]}
-			return nil
-		}
-		r[isa.SP]++
-		r[in.Rd] = v
-	case isa.Halt:
-		t.Halted = true
-	default:
-		return fmt.Errorf("cpu: pc %d: unknown opcode %v", pc, in.Op)
 	}
 	return nil
 }
 
 // chargeLoad applies load latency: cache hits pay their level latency
-// directly; LLC misses enter the MLP window.
-func (c *Core) chargeLoad(pc int, addr mem.Addr, res cache.Result) {
-	if res.LLCMiss {
-		completion := c.Now + res.Cycles
-		c.Now += c.chargeMiss(completion)
-		if c.OnLLCMiss != nil {
-			c.OnLLCMiss(pc, addr)
-		}
-		return
+// directly; LLC misses enter the MLP window. It reports whether it called
+// the OnLLCMiss hook.
+func (c *Core) chargeLoad(pc int, addr mem.Addr, res cache.Result) (hooked bool) {
+	if !res.LLCMiss {
+		c.Now += res.Cycles
+		return false
 	}
-	c.Now += res.Cycles
+	c.Now += c.chargeMiss(c.Now + res.Cycles)
+	if hooked = c.OnLLCMiss != nil; hooked {
+		c.OnLLCMiss(pc, addr)
+	}
+	return hooked
 }
 
 // IPC returns instructions-per-cycle over the core's lifetime. Callers that

@@ -269,3 +269,142 @@ func TestIPCAccounting(t *testing.T) {
 		t.Fatalf("IPC = %f", ipc)
 	}
 }
+
+// missLoop is a loop of loads that walk a large array a line at a time (so
+// most of them miss), with a store and ALU work between.
+func missLoop(t *testing.T) (*isa.Binary, func() (*Core, *Thread, *mem.AddrSpace)) {
+	t.Helper()
+	a := isa.NewAsm("main")
+	a.MovImm(1, 0)
+	a.InitDone()
+	a.Label("loop")
+	a.Load(2, 0, 0)
+	a.Add(3, 3, 2)
+	a.Store(0, 1, 3)
+	a.AddImm(0, 0, 24)
+	a.AddImm(1, 1, 1)
+	a.BrImm(isa.LT, 1, 400, "loop")
+	a.Halt()
+	bin, err := isa.NewProgram("main").Add(a).Link()
+	if err != nil {
+		t.Fatalf("link: %v", err)
+	}
+	return bin, func() (*Core, *Thread, *mem.AddrSpace) {
+		as := mem.NewAddrSpace()
+		data := as.Alloc("data", 400*24+8)
+		for i := range data.Data {
+			data.Data[i] = uint64(i) * 7
+		}
+		th := &Thread{}
+		th.Regs[0] = data.Base
+		return New(Config{MLP: 2, BranchCost: 1}, testHier()), th, as
+	}
+}
+
+// RunUntil is the same interpreter as Step: at every bound the two reach
+// the same registers, clock, retirement count, watch count and cache stats.
+func TestRunUntilMatchesReferenceStep(t *testing.T) {
+	bin, fresh := missLoop(t)
+	for _, bound := range []uint64{1, 2, 7, 100, 1001, 5000, 1 << 40} {
+		stepCore, stepTh, stepAS := fresh()
+		runCore, runTh, runAS := fresh()
+		stepW, runW := NewWatch([]int{3, 5}), NewWatch([]int{3, 5})
+		stepCore.Watches, runCore.Watches = []*Watch{stepW}, []*Watch{runW}
+		for stepTh.Runnable() && stepCore.Now < bound {
+			if err := stepCore.Step(stepTh, bin.Text, stepAS); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := runCore.RunUntil(runTh, bin.Text, runAS, bound); err != nil {
+			t.Fatal(err)
+		}
+		if runTh.Fault != nil || stepTh.Fault != nil {
+			t.Fatalf("bound %d: the loop faulted: %v, %v", bound, runTh.Fault, stepTh.Fault)
+		}
+		if *runTh != *stepTh || runCore.Now != stepCore.Now || runCore.Instructions != stepCore.Instructions ||
+			runW.Count != stepW.Count || runCore.Hierarchy().Stats() != stepCore.Hierarchy().Stats() {
+			t.Fatalf("bound %d: RunUntil reached %+v at %d/%d, Step %+v at %d/%d", bound,
+				*runTh, runCore.Now, runCore.Instructions, *stepTh, stepCore.Now, stepCore.Instructions)
+		}
+		if bound == 1<<40 && !runTh.Halted {
+			t.Fatal("an unbounded RunUntil must run to Halt")
+		}
+	}
+}
+
+// A hook may stop the process, grow the text or change the watches, so
+// RunUntil hands control back after every instruction that fired one.
+func TestRunUntilReturnsAfterEveryHook(t *testing.T) {
+	bin, fresh := missLoop(t)
+	core, th, as := fresh()
+	hooks, calls := 0, 0
+	core.OnInitDone = func() { hooks++ }
+	core.OnLLCMiss = func(pc int, addr mem.Addr) {
+		if pc != 2 {
+			t.Fatalf("LLC miss attributed to pc %d, want the load at 2", pc)
+		}
+		hooks++
+	}
+	for th.Runnable() {
+		before := hooks
+		if err := core.RunUntil(th, bin.Text, as, 1<<40); err != nil {
+			t.Fatal(err)
+		}
+		calls++
+		if hooks-before > 1 {
+			t.Fatalf("RunUntil ran on past a hook: %d fired in one call", hooks-before)
+		}
+		if hooks == before && th.Runnable() {
+			t.Fatal("RunUntil returned early with no hook, below bound, on a runnable thread")
+		}
+	}
+	if hooks < 100 || calls != hooks+1 {
+		t.Fatalf("%d hooks over %d calls; want one call per hook and one to Halt", hooks, calls)
+	}
+}
+
+func TestRunUntilOnStoppedThreadOrPastBound(t *testing.T) {
+	bin, fresh := missLoop(t)
+	core, th, as := fresh()
+	core.Now = 50
+	if err := core.RunUntil(th, bin.Text, as, 50); err != nil || core.Instructions != 0 {
+		t.Fatalf("RunUntil at its bound retired %d instructions, err %v", core.Instructions, err)
+	}
+	th.Halted = true
+	if err := core.RunUntil(th, bin.Text, as, 1000); err != nil || core.Instructions != 0 {
+		t.Fatalf("RunUntil on a halted thread retired %d instructions, err %v", core.Instructions, err)
+	}
+}
+
+// An unknown opcode is code a tracer poked wrong: it must read as a crash
+// at that PC, not as a clean exit.
+func TestIllegalInstructionFaults(t *testing.T) {
+	text := []isa.Instr{isa.MakeNop(), {Op: isa.Op(250)}, isa.MakeNop()}
+	for name, exec := range map[string]func(*Core, *Thread) error{
+		"Step": func(c *Core, th *Thread) error {
+			c.Step(th, text, mem.NewAddrSpace())
+			return c.Step(th, text, mem.NewAddrSpace())
+		},
+		"RunUntil": func(c *Core, th *Thread) error { return c.RunUntil(th, text, mem.NewAddrSpace(), 100) },
+	} {
+		core, th := New(Config{MLP: 1}, testHier()), &Thread{}
+		if err := exec(core, th); err == nil {
+			t.Fatalf("%s: an unknown opcode must error", name)
+		}
+		if th.Fault == nil || th.Fault.Addr != 1 || th.Runnable() {
+			t.Fatalf("%s: want a fault at pc 1 and a dead thread, got %+v", name, th)
+		}
+	}
+}
+
+func TestWatchIgnoresPCsItCannotSee(t *testing.T) {
+	w := NewWatch([]int{-1, 5, 200})
+	for _, pc := range []int{-1, 0, 4, 6, 199, 201, 1 << 30} {
+		if w.has(pc) {
+			t.Fatalf("watch over %v claims pc %d", w.PCs, pc)
+		}
+	}
+	if !w.has(5) || !w.has(200) || len(w.PCs) != 2 {
+		t.Fatalf("watch lost a PC: %v", w.PCs)
+	}
+}

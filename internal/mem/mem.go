@@ -52,11 +52,26 @@ func (s *Segment) Contains(a Addr) bool { return a >= s.Base && a < s.End() }
 // an unguarded out-of-bounds kernel load reliably faults.
 const GuardGap = 4096
 
+const (
+	// pageShift sizes the lookup index's pages: no larger than GuardGap,
+	// so segments placed by Alloc and Map never share one.
+	pageShift = 12
+	// maxIndexPages bounds the index (8 bytes a page); a segment MapAt
+	// places beyond it is found by the scan.
+	maxIndexPages = 1 << 20
+)
+
+// ambiguous marks an index page that more than one segment overlaps.
+var ambiguous = new(Segment)
+
 // AddrSpace is a process's data address space: an ordered set of segments.
 type AddrSpace struct {
 	segs []*Segment
 	next Addr
-	last *Segment // 1-entry lookup cache for the hot path
+	// pages maps addr>>pageShift to the one segment overlapping that
+	// page, nil when there is none and ambiguous when MapAt put several
+	// there. It is built from each segment's length at map time.
+	pages []*Segment
 }
 
 // NewAddrSpace returns an empty address space. Address 0 is never mapped, so
@@ -77,6 +92,7 @@ func (as *AddrSpace) Map(name string, data []uint64) *Segment {
 	s := &Segment{Name: name, Base: as.next, Data: data}
 	as.segs = append(as.segs, s)
 	as.next = s.End() + GuardGap
+	as.index(s)
 	return s
 }
 
@@ -94,17 +110,50 @@ func (as *AddrSpace) MapAt(name string, base Addr, data []uint64) (*Segment, err
 	if s.End()+GuardGap > as.next {
 		as.next = s.End() + GuardGap
 	}
+	as.index(s)
 	return s, nil
+}
+
+// index enters the segment into every index page it overlaps.
+func (as *AddrSpace) index(s *Segment) {
+	if len(s.Data) == 0 {
+		return
+	}
+	first, last := s.Base>>pageShift, min((s.End()-1)>>pageShift, maxIndexPages-1)
+	if first > last {
+		return
+	}
+	if n := int(last) + 1; n > len(as.pages) {
+		as.pages = append(as.pages, make([]*Segment, n-len(as.pages))...)
+	}
+	for p := first; p <= last; p++ {
+		if as.pages[p] == nil {
+			as.pages[p] = s
+		} else {
+			as.pages[p] = ambiguous
+		}
+	}
 }
 
 // Lookup returns the segment containing the address, or nil.
 func (as *AddrSpace) Lookup(a Addr) *Segment {
-	if s := as.last; s != nil && s.Contains(a) {
-		return s
+	if p := a >> pageShift; p < uint64(len(as.pages)) {
+		s := as.pages[p]
+		if s == nil || s.Contains(a) {
+			return s
+		}
+		if s != ambiguous {
+			return nil
+		}
 	}
+	return as.scan(a)
+}
+
+// scan is the linear lookup: the fallback for ambiguous pages and for
+// addresses past the index, and the reference the index is tested against.
+func (as *AddrSpace) scan(a Addr) *Segment {
 	for _, s := range as.segs {
 		if s.Contains(a) {
-			as.last = s
 			return s
 		}
 	}

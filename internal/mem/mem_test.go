@@ -108,3 +108,97 @@ func TestMappedBoundaryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// layoutFromBytes builds an address space from a byte string, three bytes an
+// operation: Alloc, Map, or a MapAt whose base is aimed at an existing page
+// (so segments share pages), at page edges, or far past the index.
+func layoutFromBytes(ops []byte) *AddrSpace {
+	as := NewAddrSpace()
+	for ; len(ops) >= 3; ops = ops[3:] {
+		kind, x, y := ops[0]%6, uint64(ops[1]), uint64(ops[2])
+		size := int(y) * int(x%5) * 37 // 0 for a fifth of the draws
+		switch kind {
+		case 0:
+			as.Alloc("a", size)
+		case 1:
+			as.Map("m", make([]uint64, size))
+		case 2: // low addresses, several to a page, address 0 included
+			as.MapAt("lo", x*16, make([]uint64, y%40))
+		case 3: // straddling a page edge
+			as.MapAt("edge", (x%8+1)<<pageShift-y%7, make([]uint64, y))
+		case 4: // inside the gap after the last mapping, or on top of it
+			as.MapAt("gap", as.next-x*40, make([]uint64, y))
+		case 5: // beyond what the index covers
+			as.MapAt("far", maxIndexPages<<pageShift-128+x, make([]uint64, y))
+		}
+	}
+	return as
+}
+
+// checkLookup holds Lookup, Mapped and Read to the linear scan at a.
+func checkLookup(t *testing.T, as *AddrSpace, a Addr) {
+	t.Helper()
+	want := as.scan(a)
+	if got := as.Lookup(a); got != want {
+		t.Fatalf("Lookup(%#x) = %v, scan says %v", a, got, want)
+	}
+	v, ok := as.Read(a)
+	if ok != (want != nil) || as.Mapped(a) != ok {
+		t.Fatalf("Read/Mapped(%#x) = %v, scan says %v", a, ok, want)
+	}
+	if ok && v != want.Data[a-want.Base] {
+		t.Fatalf("Read(%#x) = %d, want %d", a, v, want.Data[a-want.Base])
+	}
+}
+
+// checkLayout probes every segment's edges, address 0, the pages around the
+// end of the index and the top of the address range, then the given probe.
+func checkLayout(t *testing.T, as *AddrSpace, probe Addr) {
+	t.Helper()
+	for i, s := range as.Segments() {
+		for j := range s.Data {
+			s.Data[j] = uint64(i)<<32 | uint64(j)
+		}
+	}
+	end := Addr(len(as.pages)) << pageShift
+	probes := []Addr{0, 1, end - 1, end, end + 1, end + 1<<pageShift, as.next, ^Addr(0), probe, probe % (as.next + 1)}
+	for _, s := range as.Segments() {
+		probes = append(probes, s.Base-1, s.Base, s.Base+Addr(len(s.Data))/2, s.End()-1, s.End())
+	}
+	for _, a := range probes {
+		checkLookup(t, as, a)
+	}
+}
+
+var lookupSeeds = [][]byte{
+	{},
+	{0, 1, 100, 0, 2, 200, 1, 3, 50},               // Alloc/Map only
+	{2, 10, 8, 2, 11, 8, 2, 0, 1},                  // two MapAt segments in one page, and address 0
+	{0, 5, 9, 1, 1, 1, 0, 1, 7},                    // zero-length segments between real ones
+	{3, 0, 5, 3, 1, 200, 4, 1, 30, 4, 0, 9},        // page-straddling and gap-filling MapAt
+	{5, 0, 255, 5, 200, 100, 0, 1, 255},            // past the index cap
+	{0, 4, 255, 0, 4, 255, 2, 255, 39, 4, 90, 255}, // multi-page segments
+}
+
+func TestLookupMatchesScanReference(t *testing.T) {
+	for _, seed := range lookupSeeds {
+		as := layoutFromBytes(seed)
+		checkLayout(t, as, 0)
+		// Every address up to a page past the last mapping, capped.
+		for a := Addr(0); a < min(as.next+1<<pageShift, 1<<18); a++ {
+			checkLookup(t, as, a)
+		}
+	}
+}
+
+func FuzzLookupMatchesScan(f *testing.F) {
+	for _, seed := range lookupSeeds {
+		f.Add(seed, uint64(4096))
+	}
+	f.Fuzz(func(t *testing.T, ops []byte, probe uint64) {
+		if len(ops) > 96 {
+			ops = ops[:96]
+		}
+		checkLayout(t, layoutFromBytes(ops), probe)
+	})
+}

@@ -275,13 +275,16 @@ func (p *Process) Run(cycles uint64) {
 		bound := min(p.Clock()+quantum, target)
 		progressed := false
 		for _, t := range p.threads {
+			retired := t.Core.Instructions
+			// RunUntil comes back early after a hook; p.Text is re-read
+			// because a tracer may have grown it from inside one.
 			for t.Thread.Runnable() && t.Core.Now < bound {
-				if err := t.Core.Step(&t.Thread, p.Text, p.AS); err != nil {
+				if err := t.Core.RunUntil(&t.Thread, p.Text, p.AS, bound); err != nil {
 					t.Thread.Halted = true
 					break
 				}
-				progressed = true
 			}
+			progressed = progressed || t.Core.Instructions != retired
 			// Keep halted threads' clocks moving so the process
 			// clock stays meaningful.
 			if !t.Thread.Runnable() && t.Core.Now < bound {

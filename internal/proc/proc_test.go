@@ -266,3 +266,88 @@ func TestStateString(t *testing.T) {
 		}
 	}
 }
+
+// A tracer that pokes a bad instruction has crashed its target: the process
+// must read Crashed, so the controller's "target crashed" path fires, and
+// not Exited as if it had run to Halt.
+func TestIllegalInstructionCrashesTheProcess(t *testing.T) {
+	p := launchCounter(t, 1<<40)
+	p.Run(100)
+	tr := Attach(p)
+	tr.Stop()
+	loop := p.MainThread().Thread.PC
+	if err := tr.PokeText(loop, isa.Instr{Op: isa.Op(250)}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Resume()
+	p.Run(1000)
+	if p.State() != Crashed {
+		t.Fatalf("state = %v after an illegal instruction, want crashed", p.State())
+	}
+	if f := p.FaultedThread(); f == nil || f.Thread.Fault.Addr != uint64(loop) {
+		t.Fatalf("want a fault recorded at pc %d, got %+v", loop, f)
+	}
+}
+
+// Run's inner loop lives in cpu.RunUntil, which hoists the text bounds. A
+// tracer working from inside a miss hook stops the target and injects code
+// past the old end of the text; the thread must run on into it.
+func TestHookMayStopAndGrowText(t *testing.T) {
+	a := isa.NewAsm("main")
+	a.InitDone()
+	a.Label("loop")
+	a.Load(2, 0, 0)
+	a.AddImm(0, 0, 8)
+	a.Jmp("loop")
+	bin, err := isa.NewProgram("main").Add(a).Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Free tracer operations: the thread is still below its quantum's
+	// bound when the hook returns, and runs on inside the same slice.
+	opts := testOptions()
+	opts.Costs = CostModel{}
+	p, err := Launch(bin, func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
+		regs[0] = as.Alloc("data", 1<<16).Base
+	}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, agent := Attach(p), Preload(p)
+	core := p.MainThread().Core
+	stoppedAt := uint64(0)
+	core.OnLLCMiss = func(pc int, addr mem.Addr) {
+		core.OnLLCMiss = nil
+		tr.Stop()
+		entry := agent.NextPC()
+		// Far more than the text's spare capacity, so it reallocates.
+		code := make([]isa.Instr, 4096)
+		for i := range code {
+			code[i] = isa.MakeNop()
+		}
+		code[len(code)-2] = isa.Instr{Op: isa.MovImm, Rd: 5, Rs1: isa.NoReg, Rs2: isa.NoReg, Imm: 77}
+		code[len(code)-1] = isa.Instr{Op: isa.Halt, Rd: isa.NoReg, Rs1: isa.NoReg, Rs2: isa.NoReg}
+		if _, err := agent.InjectCode("f1", code); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.PokeText(2, isa.Instr{Op: isa.Jmp, Rd: isa.NoReg, Rs1: isa.NoReg, Rs2: isa.NoReg, Target: entry}); err != nil {
+			t.Fatal(err)
+		}
+		stoppedAt = core.Instructions
+	}
+	p.Run(50_000)
+	if !tr.Stopped() || stoppedAt == 0 {
+		t.Fatal("the hook should have stopped the process")
+	}
+	// The very next instruction is the poked jump, and the rest of the
+	// slice runs in code the text did not have when the slice began.
+	if f1, _ := p.Func("f1"); !f1.Contains(p.MainThread().Thread.PC) {
+		t.Fatalf("pc = %d after the hook's slice, want inside the injected %+v", p.MainThread().Thread.PC, f1)
+	}
+	tr.Resume()
+	p.Run(50_000)
+	if p.State() != Exited || p.MainThread().Thread.Regs[5] != 77 {
+		t.Fatalf("state %v, r5 = %d: the thread did not run the injected code to its Halt (fault: %v)",
+			p.State(), p.MainThread().Thread.Regs[5], p.MainThread().Thread.Fault)
+	}
+}
