@@ -31,7 +31,6 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&c.RunSeconds, "seconds", 2, "simulated post-optimization run budget per session")
 	fs.BoolVar(&c.DisableStore, "no-store", false, "disable the profile store (every session cold)")
 	fs.BoolVar(&c.Translate, "translate", false, "on a store miss, seed from a sibling machine's profile with a latency-scaled distance")
-	fs.IntVar(&c.StoreShards, "store-shards", 0, "shard the profile store by (bench, input) hash across this many locks (0/1 = single-shard store, byte-identical to the unsharded fleet)")
 	fs.StringVar(&c.StoreAddr, "store-addr", "", "share an rpg2-stored daemon's profile store at this base URL (e.g. http://127.0.0.1:8049) instead of an in-process store")
 	fs.IntVar(&c.Quota, "quota", 0, "max in-flight sessions per (benchmark, input) pair (0 = unlimited)")
 	fs.IntVar(&c.MaxRetries, "retries", 0, "retry budget for failed/rolled-back sessions (0 = no retry lane)")
@@ -58,7 +57,8 @@ func Bind(fs *flag.FlagSet) *Flags {
 // configuration. diskSeed seeds the disk-fault injector (each binary names
 // its own seed flag). A state dir still holding an interrupted run is
 // recoverable work, not scratch space: without -resume or -fresh it is
-// refused here, before anything opens it.
+// refused here, before anything opens it — and so is one that cannot be
+// read (with -resume, recovery itself reports that).
 func (f *Flags) Resolve(diskSeed int64) (rpg2.FleetConfig, error) {
 	cfg := f.Fleet
 	var ok bool
@@ -73,7 +73,11 @@ func (f *Flags) Resolve(diskSeed int64) (rpg2.FleetConfig, error) {
 		return cfg, fmt.Errorf("-resume needs -state-dir")
 	}
 	if cfg.StateDir != "" && !f.Resume && !cfg.Overwrite {
-		if n := rpg2.FleetPendingSessions(cfg.StateDir); n > 0 {
+		n, err := rpg2.FleetPendingSessions(cfg.StateDir)
+		if err != nil {
+			return cfg, err
+		}
+		if n > 0 {
 			return cfg, fmt.Errorf("state dir %q holds an interrupted run (%d unfinished sessions); pass -resume to recover it or -fresh to discard it", cfg.StateDir, n)
 		}
 	}

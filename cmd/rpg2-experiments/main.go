@@ -34,7 +34,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "fleet worker pool size (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 0, "override the root seed (default per configuration)")
 	warm := flag.Bool("warm", false, "let Figure 7's RPG² trials warm-start from the profile store")
-	shards := flag.Int("store-shards", 0, "shard the fleet's profile store across this many locks (0/1 = single-shard store; results are byte-identical either way)")
 	storeAddr := flag.String("store-addr", "", "share an rpg2-stored daemon's profile store at this base URL instead of an in-process store")
 	translate := flag.Bool("translate", false, "run the cross-machine transplant study (cold vs warm vs translated seeding)")
 	drift := flag.Bool("drift", false, "run the phase-drift study (no-watchdog baseline vs warm re-tune vs cold-re-tune ablation)")
@@ -60,7 +59,6 @@ func main() {
 		opts.Seed = *seed
 	}
 	opts.WarmStart = *warm
-	opts.StoreShards = *shards
 	opts.StoreAddr = *storeAddr
 
 	var benchList []string

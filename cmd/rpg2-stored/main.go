@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	rpg2-stored -listen 127.0.0.1:8049 -store-shards 8
+//	rpg2-stored -listen 127.0.0.1:8049
 //	rpg2-stored -listen :8049 -state-dir ./store-state -fsync always
 //	rpg2-stored -listen :8049 -state-dir ./store-state -fresh
 //
@@ -33,7 +33,6 @@ import (
 func main() {
 	var cfg rpg2.StoreDaemonConfig
 	listen := flag.String("listen", "127.0.0.1:8049", "address to serve the store API on")
-	flag.IntVar(&cfg.Shards, "store-shards", 0, "shard the store by (bench, input) hash across this many locks (0/1 = single-shard)")
 	flag.IntVar(&cfg.Store.MaxReuse, "max-reuse", 0, "serves per committed entry before it goes stale (0 = default 16)")
 	flag.StringVar(&cfg.StateDir, "state-dir", "", "persist the op journal and snapshots here (empty = in-memory only)")
 	flag.BoolVar(&cfg.Fresh, "fresh", false, "discard the state dir's prior contents instead of recovering them")
@@ -67,7 +66,7 @@ func run(cfg rpg2.StoreDaemonConfig, listen, fsync, addrFile string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("rpg2-stored: serving on http://%s (%d shards)\n", ln.Addr(), srv.Store().Shards())
+	fmt.Printf("rpg2-stored: serving on http://%s\n", ln.Addr())
 	return daemon.Serve(ln, srv.HTTPServer(), addrFile, func(sig os.Signal) {
 		fmt.Fprintf(os.Stderr, "rpg2-stored: %v: draining (final snapshot, WAL close)\n", sig)
 		st := srv.Drain()

@@ -104,30 +104,6 @@ func TestTransplantDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Sharding the profile store is a contention optimisation, not a policy
-// change: Figure 7 must render byte-identical whether the store is the
-// single-mutex Memory (StoreShards <= 1) or Sharded at any width. WarmStart
-// makes the measured trials actually read the store, so a routing or
-// translation bug in the sharded path would change the rendered bytes.
-func TestFig7DeterministicAcrossStoreShards(t *testing.T) {
-	render := func(shards int) string {
-		o := determinismOptions()
-		o.Parallelism = 4
-		o.WarmStart = true
-		o.StoreShards = shards
-		r := experiments.NewRunner(o)
-		defer r.Close()
-		return renderFig7(t, r)
-	}
-	want := render(1)
-	if !strings.Contains(want, "Figure 7") {
-		t.Fatalf("render produced no output:\n%s", want)
-	}
-	if got := render(8); got != want {
-		t.Errorf("StoreShards=8 render differs from StoreShards=1:\n--- 1 shard ---\n%s\n--- 8 shards ---\n%s", want, got)
-	}
-}
-
 // With WarmStart the measured RPG² trials may seed from the frozen profile
 // store; the pipeline must still complete and stay deterministic run to run.
 func TestFig7WarmStartDeterministic(t *testing.T) {

@@ -48,11 +48,6 @@ type Options struct {
 	Trials int
 	// Parallelism bounds concurrent fleet sessions (default: GOMAXPROCS).
 	Parallelism int
-	// StoreShards shards the fleet's profile store by (bench, input) hash
-	// across this many locks (0/1 = the single-shard store). Figure 7 is
-	// byte-identical at any shard count — the store's policy decisions
-	// depend on keys, not layout.
-	StoreShards int
 	// StoreAddr, when set, points the fleet at a shared rpg2-stored
 	// daemon at this base URL instead of an in-process store. Results
 	// then depend on what the daemon already holds: only byte-identical
@@ -158,11 +153,10 @@ func NewRunner(opts Options) *Runner {
 		fm = opts.Machines[0]
 	}
 	f := fleet.New(fleet.Config{
-		Machine:     fm,
-		Workers:     opts.Parallelism,
-		RunSeconds:  opts.RunSeconds,
-		StoreShards: opts.StoreShards,
-		StoreAddr:   opts.StoreAddr,
+		Machine:    fm,
+		Workers:    opts.Parallelism,
+		RunSeconds: opts.RunSeconds,
+		StoreAddr:  opts.StoreAddr,
 	})
 	return &Runner{
 		opts:    opts,

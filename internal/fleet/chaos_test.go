@@ -392,16 +392,15 @@ func TestChaosZeroKnobsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRecoverManifestBadCRC corrupts the sharded snapshot layout's
-// manifest (the commit point recovery trusts the shard set through): a
-// CRC-breaking byte flip must push recovery off the watermark fast path
-// and into a full journal replay that still converges to exactly the
-// ledger's committed entries.
+// TestRecoverManifestBadCRC corrupts snapshot.wal, the file that vouches
+// for the journal watermark: a CRC-breaking byte flip in its last record
+// must push recovery off the watermark fast path and into a full journal
+// replay that still converges to exactly the ledger's committed entries.
 func TestRecoverManifestBadCRC(t *testing.T) {
 	dir := t.TempDir()
 	f := New(Config{
 		Machine: machine.CascadeLake(), Workers: 2,
-		StateDir: dir, StoreShards: 4, SnapshotEvery: 2,
+		StateDir: dir, SnapshotEvery: 2,
 	})
 	for i, spec := range crashPairs {
 		spec.Seed = int64(i + 1)
@@ -412,16 +411,16 @@ func TestRecoverManifestBadCRC(t *testing.T) {
 	f.Drain()
 	f.Close()
 
-	mp := filepath.Join(dir, manifestFile)
-	data, err := os.ReadFile(mp)
+	sp := filepath.Join(dir, snapshotFile)
+	data, err := os.ReadFile(sp)
 	if err != nil {
-		t.Fatalf("read manifest: %v", err)
+		t.Fatalf("read snapshot: %v", err)
 	}
-	// Flip a payload byte near the end: the record's CRC no longer
-	// matches, so the manifest salvages short and cannot vouch for the
-	// shard set's watermark.
+	// Flip a payload byte near the end: the last record (a store entry)
+	// fails its CRC, so the snapshot salvages one entry short and cannot
+	// vouch for its watermark.
 	data[len(data)-2] ^= 0xFF
-	if err := os.WriteFile(mp, data, 0o644); err != nil {
+	if err := os.WriteFile(sp, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	wantKeys, _, _ := journalLedger(t, dir)
@@ -429,17 +428,17 @@ func TestRecoverManifestBadCRC(t *testing.T) {
 		t.Fatal("ledger has no committed keys; the corruption test has nothing to protect")
 	}
 
-	f2, rec, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 2, StoreShards: 4})
+	f2, rec, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 2})
 	if err != nil {
-		t.Fatalf("Recover with corrupt manifest: %v", err)
+		t.Fatalf("Recover with corrupt snapshot: %v", err)
 	}
 	defer f2.Close()
 	if rec.StoreEntries != len(wantKeys) {
 		t.Fatalf("full journal replay converged to %d entries, ledger says %d",
 			rec.StoreEntries, len(wantKeys))
 	}
-	if rec.Replayed == 0 {
-		t.Fatal("corrupt manifest did not force a journal replay")
+	if rec.SnapshotSalvage.Clean() || rec.Replayed == 0 {
+		t.Fatalf("corrupt snapshot did not force a journal replay: salvage %q, %d replayed", rec.SnapshotSalvage, rec.Replayed)
 	}
 	// The replayed store must serve: a session on a committed key
 	// warm-starts.

@@ -385,15 +385,6 @@ type Config struct {
 	Builds *workloads.BuildCache
 	// StoreConfig configures the private store when Store is nil.
 	StoreConfig StoreConfig
-	// StoreShards shards the private store by an FNV hash of
-	// (bench, input) across this many independently locked shards
-	// (store.Sharded), splitting lookup/commit contention across workers;
-	// 0 or 1 keeps the single-mutex store.Memory path byte-identical to
-	// the pre-sharding fleet. The shard key excludes Machine, so
-	// translation lookups never cross shards. Ignored when Store is set
-	// or DisableStore is on. When persisting, a sharded store snapshots
-	// as per-shard shard-<i>.wal files sealed by a manifest.wal.
-	StoreShards int
 	// DisableStore turns off profile reuse: every session runs cold.
 	DisableStore bool
 	// StoreAddr, when set, replaces the in-process store with a client for
@@ -687,7 +678,6 @@ func newFleet(cfg Config) *Fleet {
 			f.store = remote.New(remote.Config{
 				BaseURL:        cfg.StoreAddr,
 				FallbackConfig: cfg.StoreConfig,
-				FallbackShards: cfg.StoreShards,
 				OnDegrade: func(err error) {
 					msg := err.Error()
 					f.storeErr.Store(&msg)
@@ -696,7 +686,7 @@ func newFleet(cfg Config) *Fleet {
 				},
 			})
 		} else {
-			f.store = newConfiguredStore(cfg.StoreConfig, cfg.StoreShards)
+			f.store = NewStore(cfg.StoreConfig)
 		}
 	}
 	f.cond = sync.NewCond(&f.mu)
@@ -708,17 +698,21 @@ func newFleet(cfg Config) *Fleet {
 // lands atomically on disk first, then a staged journal opens for
 // appends; commitPersist publishes it over the previous epoch's journal.
 // An unusable state dir degrades the fleet instead of failing it — and so
-// does a state dir still holding an interrupted run, unless the caller
-// explicitly opted into discarding it (Config.Overwrite) or is Recover,
-// which consumes that state. Either way the old files are untouched.
+// does a state dir still holding an interrupted run, or one readState
+// cannot read, unless the caller explicitly opted into discarding it
+// (Config.Overwrite) or is Recover, which consumes that state. Either way
+// the old files are untouched.
 func (f *Fleet) initPersist() {
 	if f.cfg.StateDir == "" {
 		return
 	}
 	if !f.cfg.Overwrite {
-		if n := PendingSessions(f.cfg.StateDir); n > 0 {
-			f.persist = degradedPersister(f.cfg.StateDir, fmt.Errorf(
-				"state dir holds an interrupted run (%d unfinished sessions); Recover it (-resume) or set Overwrite (-fresh) to discard it", n))
+		n, err := PendingSessions(f.cfg.StateDir)
+		if err == nil && n > 0 {
+			err = fmt.Errorf("state dir holds an interrupted run (%d unfinished sessions); Recover it (-resume) or set Overwrite (-fresh) to discard it", n)
+		}
+		if err != nil {
+			f.persist = degradedPersister(f.cfg.StateDir, err)
 			return
 		}
 	}
@@ -930,24 +924,15 @@ func (f *Fleet) persistSnapshot() {
 	f.persist.writeSnapshot(w, sched, dr, f.captureStore())
 }
 
-// captureStore snapshots the store's contents in its shard layout, for a
-// WAL snapshot: one entry slice per shard (a single slice for Memory or a
-// disabled store). Per-shard exports are taken one shard lock at a time —
-// the manifest's journal watermark, not a global freeze, is what makes the
-// recovered whole consistent.
-func (f *Fleet) captureStore() storeState {
+// captureStore exports the store's contents for a WAL snapshot.
+func (f *Fleet) captureStore() []KeyedEntry {
 	// A remote store is the daemon's to persist: snapshotting its contents
 	// into this fleet's WAL would re-import another process's entries (and
 	// stale generations) on recovery, so the WAL records an empty store.
 	if f.store == nil || f.cfg.DisableStore || f.cfg.StoreAddr != "" {
-		return storeState{shards: 1, perShard: [][]KeyedEntry{nil}}
+		return nil
 	}
-	n := f.store.Shards()
-	ss := storeState{shards: n, perShard: make([][]KeyedEntry, n)}
-	for i := 0; i < n; i++ {
-		ss.perShard[i] = f.store.ExportShard(i)
-	}
-	return ss
+	return f.store.Export()
 }
 
 // CancelQueued fails every session still waiting in the queue or retry
@@ -1754,9 +1739,7 @@ func (f *Fleet) applyStorePolicy(s *Session, key Key, rep *rpgcore.Report, warm 
 // commitEvent builds a "store-commit" journal event. When persisting, the
 // event additionally carries the store machine key and the committed entry
 // so WAL replay can rebuild the store; in-memory journals omit both to
-// stay byte-identical to the pre-WAL fleet. A sharded store's persisted
-// events also carry the shard the key routes to (replay re-hashes and does
-// not depend on it, but it makes the journal auditable per shard).
+// stay byte-identical to the pre-WAL fleet.
 func (f *Fleet) commitEvent(s *Session, key Key, e Entry, warm bool) Event {
 	ev := Event{Session: s.ID, Type: "store-commit",
 		Bench: key.Bench, Input: key.Input, Warm: warm}
@@ -1764,32 +1747,19 @@ func (f *Fleet) commitEvent(s *Session, key Key, e Entry, warm bool) Event {
 		ev.Machine = key.Machine
 		ec := e
 		ev.Entry = &ec
-		f.annotateShard(&ev, key)
 	}
 	return ev
 }
 
 // invalidateEvent builds a "store-invalidate" journal event; the machine
-// key (and, when sharded, the shard) rides along only when persisting
-// (replay needs the full store key).
+// key rides along only when persisting (replay needs the full store key).
 func (f *Fleet) invalidateEvent(s *Session, key Key, warm bool) Event {
 	ev := Event{Session: s.ID, Type: "store-invalidate",
 		Bench: key.Bench, Input: key.Input, Warm: warm}
 	if f.persist != nil {
 		ev.Machine = key.Machine
-		f.annotateShard(&ev, key)
 	}
 	return ev
-}
-
-// annotateShard stamps the shard a key routes to onto a persisted store
-// event when the store is sharded; single-shard journals stay
-// byte-identical to the pre-sharding fleet.
-func (f *Fleet) annotateShard(ev *Event, key Key) {
-	if f.store != nil && f.store.Shards() > 1 {
-		sh := f.store.ShardOf(key)
-		ev.Shard = &sh
-	}
 }
 
 func (f *Fleet) entryFrom(s *Session, rep *rpgcore.Report, cands []int) Entry {

@@ -98,13 +98,6 @@ type Event struct {
 	// Entry is the committed profile, attached to "store-commit" events
 	// only when persisting, so replay can rebuild the store.
 	Entry *Entry `json:"entry,omitempty"`
-	// Shard is the store shard the key routes to, attached to persisted
-	// store-commit/store-invalidate events only when the store is sharded
-	// (a pointer so shard 0 still serializes). Replay re-hashes keys into
-	// the recovering fleet's own layout and does not depend on it; it is
-	// there so a journal can be audited per shard. In-memory and
-	// single-shard journals stay byte-identical to the pre-sharding fleet.
-	Shard *int `json:"shard,omitempty"`
 }
 
 // Journal is an append-only, concurrency-safe event log.

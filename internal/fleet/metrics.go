@@ -237,17 +237,10 @@ type Snapshot struct {
 	P50Wall float64 `json:"p50_wall"`
 	P95Wall float64 `json:"p95_wall"`
 
-	// Store policy counters and the derived hit rate. The aggregate and
-	// the per-shard breakdown come from one consistent instant (all shard
-	// locks held for the read), so StoreShardCounters always sums to
-	// Store. StoreShards/StoreShardCounters are omitted for the
-	// single-shard store — its snapshot JSON is byte-identical to the
-	// pre-sharding fleet's.
-	Store              StoreCounters   `json:"store"`
-	StoreHitRate       float64         `json:"store_hit_rate"`
-	StoreEntries       int             `json:"store_entries"`
-	StoreShards        int             `json:"store_shards,omitempty"`
-	StoreShardCounters []StoreCounters `json:"store_shard_counters,omitempty"`
+	// Store policy counters and the derived hit rate.
+	Store        StoreCounters `json:"store"`
+	StoreHitRate float64       `json:"store_hit_rate"`
+	StoreEntries int           `json:"store_entries"`
 
 	// Workload build-cache counters: graph constructions performed and
 	// Build calls served by an existing entry.
@@ -367,19 +360,8 @@ func (m *metrics) snapshot(st Store, builds *workloads.BuildCache, workers, queu
 	s.P50Wall = percentile(sorted, 0.50)
 	s.P95Wall = percentile(sorted, 0.95)
 	if st != nil {
-		// One ShardCounters call is one consistent instant (every shard
-		// lock held); the aggregate is summed from it so the breakdown
-		// always adds up to the total — no torn reads between shard
-		// counter loads.
-		per := st.ShardCounters()
-		for _, c := range per {
-			s.Store.Add(c)
-		}
+		s.Store = st.Counters()
 		s.StoreEntries = st.Len()
-		if st.Shards() > 1 {
-			s.StoreShards = st.Shards()
-			s.StoreShardCounters = per
-		}
 		if n := s.Store.Hits + s.Store.Misses; n > 0 {
 			s.StoreHitRate = float64(s.Store.Hits) / float64(n)
 		}
@@ -422,13 +404,6 @@ func (s Snapshot) Render() string {
 	if s.Store.Translations > 0 || s.Store.Refunds > 0 {
 		fmt.Fprintf(&b, "  store extras   %d cross-machine translations, %d refunds\n",
 			s.Store.Translations, s.Store.Refunds)
-	}
-	if s.StoreShards > 1 {
-		fmt.Fprintf(&b, "  store shards   %d shards\n", s.StoreShards)
-		for i, c := range s.StoreShardCounters {
-			fmt.Fprintf(&b, "    shard %-3d    %d hits, %d misses, %d stale, %d invalidated, %d commits, %d translations, %d refunds\n",
-				i, c.Hits, c.Misses, c.Stale, c.Invalidations, c.Commits, c.Translations, c.Refunds)
-		}
 	}
 	if len(s.StoreBypasses) > 0 {
 		reasons := make([]string, 0, len(s.StoreBypasses))

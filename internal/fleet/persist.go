@@ -35,38 +35,15 @@ import (
 	"rpg2/internal/wal"
 )
 
-// State-dir file names: the event WAL, the store+scheduler snapshot, and
-// the staged journal a fresh epoch appends to until commitJournal
-// atomically renames it over journalFile.
-//
-// A single-shard store (StoreShards <= 1) persists exactly as before the
-// sharding refactor: one snapshotFile holding meta + scheduler + entries.
-// A sharded store persists as a *snapshot set*: one shard-<i>.wal per
-// shard (meta + that shard's entries), each replaced atomically, sealed
-// by manifestFile — meta (epoch, watermark, shard count) plus the
-// scheduler state in its own record — written last. The manifest is the
-// commit point: recovery trusts a shard set only as far as the manifest's
-// watermark, so a crash that lands between shard writes simply recovers
-// at the previous manifest's consistent epoch and rolls the journal
-// forward (replay is idempotent, so shard files newer than the manifest
-// are harmless).
+// State-dir file names: the event WAL, the snapshot (meta + scheduler +
+// watchdog + store entries, replaced atomically), and the staged journal a
+// fresh epoch appends to until commitJournal atomically renames it over
+// journalFile.
 const (
 	journalFile      = "journal.wal"
 	snapshotFile     = "snapshot.wal"
 	journalStageFile = "journal.next"
-	manifestFile     = "manifest.wal"
 )
-
-// shardFileName is the snapshot file for one store shard.
-func shardFileName(i int) string { return fmt.Sprintf("shard-%d.wal", i) }
-
-// storeState is a store snapshot in its shard layout: one entry slice per
-// shard. shards is 1 (with a single, possibly nil, slice) for Memory or a
-// disabled store.
-type storeState struct {
-	shards   int
-	perShard [][]KeyedEntry
-}
 
 // SpecRecord is the JSON-safe projection of a SessionSpec the WAL
 // persists on "queued" events so a crashed fleet can re-admit waiting
@@ -131,18 +108,13 @@ func (r *SpecRecord) Spec() SessionSpec {
 }
 
 // walMeta is the first record of every state file: it names the file's
-// role ("journal", "snapshot", "shard", "manifest") and epoch, and (for
-// snapshot-role files) the journal watermark — the highest event Seq whose
-// effects the snapshot already folds in. Shard files add their index and
-// the layout's shard count; the manifest adds the shard count it seals.
-// The extra fields are omitempty so single-shard snapshot metas are
-// byte-identical to the pre-sharding fleet's.
+// role ("journal" or "snapshot") and epoch, and (for the snapshot) the
+// journal watermark — the highest event Seq whose effects the snapshot
+// already folds in.
 type walMeta struct {
-	Wal    string `json:"wal"`
-	Epoch  int    `json:"epoch"`
-	Seq    int    `json:"seq"`
-	Shard  int    `json:"shard,omitempty"`
-	Shards int    `json:"shards,omitempty"`
+	Wal   string `json:"wal"`
+	Epoch int    `json:"epoch"`
+	Seq   int    `json:"seq"`
 }
 
 // walSched frames the scheduler state inside a snapshot file.
@@ -191,7 +163,6 @@ type persister struct {
 
 	mu        sync.Mutex
 	epoch     int
-	shards    int // snapshot layout this epoch writes (1 = legacy single file)
 	log       *wal.Log
 	lastSeq   int // highest event Seq appended to the WAL
 	commits   int // store commits since the last snapshot
@@ -236,27 +207,18 @@ func (p *persister) roll() wal.Roll {
 
 // stageEpoch is the first half of an epoch roll (wal.Roll.Begin), shared
 // by birth and re-arm: read the previous epoch number from whatever state
-// files exist, bump it, atomically write the fresh epoch's snapshot set
+// files exist, bump it, atomically write the fresh epoch's snapshot
 // (covering journal events up to seq) while the old journal is still
 // untouched, and open a staged journal stamped with the epoch record.
 // Events append to the staged journal until commitJournal publishes it;
 // until then recovery reads the new snapshot over the old journal
 // (readState's snapshot-ahead branch), so neither rolled-forward store
 // commits nor pending sessions are ever orphaned behind a stale snapshot.
-func (p *persister) stageEpoch(seq int, sched admission.PersistState, dr []DriftRecord, ss storeState) (int, *wal.Log, error) {
+func (p *persister) stageEpoch(seq int, sched admission.PersistState, dr []DriftRecord, entries []KeyedEntry) (int, *wal.Log, error) {
 	epoch := prevEpoch(p.dir) + 1
 	meta, _ := json.Marshal(walMeta{Wal: "journal", Epoch: epoch})
 	log, err := p.roll().Begin(meta, func() error {
-		if err := writeSnapshotSet(p.dir, epoch, seq, sched, dr, ss, p.faultHook("snapshot")); err != nil {
-			return err
-		}
-		// The fresh epoch's snapshot set is durable in the configured
-		// layout; files from the *other* layout (a shard-count change across
-		// restarts) and shard files beyond the configured count all carry
-		// older epochs now, so dropping them is a best-effort tidy —
-		// readState would have out-voted them on epoch anyway.
-		cleanupStaleSnapshots(p.dir, ss.shards)
-		return nil
+		return writeSnapshotFile(p.dir, epoch, seq, sched, dr, entries, p.faultHook("snapshot"))
 	})
 	return epoch, log, err
 }
@@ -267,16 +229,13 @@ func (p *persister) stageEpoch(seq int, sched admission.PersistState, dr []Drift
 // from birth. Injected disk faults (cfg.DiskFaults) arm only once the
 // epoch is open: birth either succeeds or degrades permanently, so the
 // injector targets the steady state the re-arm machinery can actually heal.
-func openPersister(dir string, cfg Config, sched admission.PersistState, dr []DriftRecord, ss storeState) (*persister, error) {
+func openPersister(dir string, cfg Config, sched admission.PersistState, dr []DriftRecord, entries []KeyedEntry) (*persister, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	snapEvery := cfg.SnapshotEvery
 	if snapEvery <= 0 {
 		snapEvery = 8
-	}
-	if ss.shards < 1 {
-		ss.shards = 1
 	}
 	rearmBase, rearmCap := cfg.RearmBackoff, cfg.RearmBackoffCap
 	if rearmBase == 0 {
@@ -290,36 +249,19 @@ func openPersister(dir string, cfg Config, sched admission.PersistState, dr []Dr
 		disk: cfg.DiskFaults, rearmBase: rearmBase, rearmCap: rearmCap,
 		lastSeq: -1,
 	}
-	epoch, log, err := p.stageEpoch(-1, sched, dr, ss)
+	epoch, log, err := p.stageEpoch(-1, sched, dr, entries)
 	if err != nil {
 		return nil, err
 	}
-	p.epoch, p.shards, p.log, p.snapshots = epoch, ss.shards, log, 1
+	// Only an Overwrite start gets here with sharded-layout files in the
+	// dir (readState refuses them): the caller chose to discard that state,
+	// so drop the files or the next start is refused again.
+	for _, name := range shardedLayoutFiles(dir) {
+		os.Remove(filepath.Join(dir, name))
+	}
+	p.epoch, p.log, p.snapshots = epoch, log, 1
 	p.hookArmed.Store(true)
 	return p, nil
-}
-
-// cleanupStaleSnapshots removes snapshot files the configured layout will
-// never write again: the sharded set when the layout is single-file, the
-// legacy single file when sharded, and shard files at indexes past the
-// configured count. Purely best-effort — every candidate is from an older
-// epoch, which recovery already ignores.
-func cleanupStaleSnapshots(dir string, shards int) {
-	if shards <= 1 {
-		os.Remove(filepath.Join(dir, manifestFile))
-	} else {
-		os.Remove(filepath.Join(dir, snapshotFile))
-	}
-	stale, _ := filepath.Glob(filepath.Join(dir, "shard-*.wal"))
-	for _, f := range stale {
-		var i int
-		if _, err := fmt.Sscanf(filepath.Base(f), "shard-%d.wal", &i); err != nil {
-			continue
-		}
-		if shards <= 1 || i >= shards {
-			os.Remove(f)
-		}
-	}
 }
 
 // commitJournal publishes the staged journal over journalFile (the second
@@ -340,18 +282,10 @@ func (p *persister) commitJournal() {
 }
 
 // prevEpoch finds the newest epoch recorded in dir's state files (0 when
-// there are none). Shard files count too: an epoch start that died after
-// writing shard files but before its manifest must not get its epoch
-// number reused.
+// there are none).
 func prevEpoch(dir string) int {
-	names := []string{snapshotFile, journalFile, manifestFile}
-	if shardFiles, err := filepath.Glob(filepath.Join(dir, "shard-*.wal")); err == nil {
-		for _, f := range shardFiles {
-			names = append(names, filepath.Base(f))
-		}
-	}
 	best := 0
-	for _, name := range names {
+	for _, name := range []string{snapshotFile, journalFile} {
 		recs, _, err := wal.ReadAll(filepath.Join(dir, name))
 		if err != nil || len(recs) == 0 {
 			continue
@@ -419,79 +353,41 @@ func (p *persister) watermark() int {
 	return p.lastSeq
 }
 
-// snapshotPayloads frames one snapshot-family file's records: its meta,
-// then — when sched is non-nil — the scheduler state and the watchdog
-// state (the latter only when non-empty, keeping zero-knob snapshots in the
-// pre-watchdog format byte-for-byte), then the store entries. The legacy
-// single file carries all of it; in the sharded layout the manifest
-// carries meta + scheduler + watchdog and each shard file meta + entries,
-// so a shard file is purely store data.
-func snapshotPayloads(meta walMeta, sched *admission.PersistState, dr []DriftRecord, entries []KeyedEntry) ([][]byte, error) {
+// writeSnapshotFile atomically replaces the snapshot with the given state,
+// covering journal events up to seq: meta, the scheduler state, the
+// watchdog state (only when non-empty, keeping zero-knob snapshots in the
+// pre-watchdog format byte-for-byte), then the store entries. The optional
+// hook is the disk-fault seam.
+func writeSnapshotFile(dir string, epoch, seq int, sched admission.PersistState, dr []DriftRecord, entries []KeyedEntry, hook func(op string) error) error {
 	payloads := make([][]byte, 0, len(entries)+3)
-	m, _ := json.Marshal(meta)
+	m, _ := json.Marshal(walMeta{Wal: "snapshot", Epoch: epoch, Seq: seq})
 	payloads = append(payloads, m)
-	if sched != nil {
-		sc, err := json.Marshal(walSched{Sched: sched})
+	sc, err := json.Marshal(walSched{Sched: &sched})
+	if err != nil {
+		return fmt.Errorf("encode scheduler state: %w", err)
+	}
+	payloads = append(payloads, sc)
+	if len(dr) > 0 {
+		db, err := json.Marshal(walDrift{Drift: dr})
 		if err != nil {
-			return nil, fmt.Errorf("encode scheduler state: %w", err)
+			return fmt.Errorf("encode drift state: %w", err)
 		}
-		payloads = append(payloads, sc)
-		if len(dr) > 0 {
-			db, err := json.Marshal(walDrift{Drift: dr})
-			if err != nil {
-				return nil, fmt.Errorf("encode drift state: %w", err)
-			}
-			payloads = append(payloads, db)
-		}
+		payloads = append(payloads, db)
 	}
 	for _, ke := range entries {
 		b, err := json.Marshal(ke)
 		if err != nil {
-			return nil, fmt.Errorf("encode store entry: %w", err)
+			return fmt.Errorf("encode store entry: %w", err)
 		}
 		payloads = append(payloads, b)
 	}
-	return payloads, nil
+	return wal.WriteAtomicHook(filepath.Join(dir, snapshotFile), payloads, hook)
 }
 
-// writeSnapshotSet writes a full store+scheduler snapshot in the given
-// layout: the legacy single file for one shard, or per-shard files sealed
-// by the manifest for more. Ordering is the crash-safety story — every
-// shard file is durable before the manifest that vouches for the set, so
-// at any crash instant the newest *complete* manifest (or legacy
-// snapshot) names a watermark all its shard files have folded in.
-// The optional hook is the disk-fault seam, consulted once per file write.
-func writeSnapshotSet(dir string, epoch, seq int, sched admission.PersistState, dr []DriftRecord, ss storeState, hook func(op string) error) error {
-	write := func(name string, meta walMeta, sched *admission.PersistState, entries []KeyedEntry) error {
-		payloads, err := snapshotPayloads(meta, sched, dr, entries)
-		if err != nil {
-			return err
-		}
-		return wal.WriteAtomicHook(filepath.Join(dir, name), payloads, hook)
-	}
-	shardEntries := func(i int) []KeyedEntry {
-		if i < len(ss.perShard) {
-			return ss.perShard[i]
-		}
-		return nil
-	}
-	if ss.shards <= 1 {
-		return write(snapshotFile, walMeta{Wal: "snapshot", Epoch: epoch, Seq: seq}, &sched, shardEntries(0))
-	}
-	for i := 0; i < ss.shards; i++ {
-		meta := walMeta{Wal: "shard", Epoch: epoch, Seq: seq, Shard: i, Shards: ss.shards}
-		if err := write(shardFileName(i), meta, nil, shardEntries(i)); err != nil {
-			return err
-		}
-	}
-	return write(manifestFile, walMeta{Wal: "manifest", Epoch: epoch, Seq: seq, Shards: ss.shards}, &sched, nil)
-}
-
-// writeSnapshot atomically replaces the snapshot (file or shard set +
-// manifest) with the given state, covering journal events up to seq.
-// Callers serialize: the fleet holds its snapshot mutex across capture and
-// write, so two writes never share a temp file.
-func (p *persister) writeSnapshot(seq int, sched admission.PersistState, dr []DriftRecord, ss storeState) {
+// writeSnapshot writes a snapshot for the live epoch. Callers serialize:
+// the fleet holds its snapshot mutex across capture and write, so two
+// writes never share a temp file.
+func (p *persister) writeSnapshot(seq int, sched admission.PersistState, dr []DriftRecord, entries []KeyedEntry) {
 	p.mu.Lock()
 	if p.degraded || p.closed {
 		p.mu.Unlock()
@@ -499,7 +395,7 @@ func (p *persister) writeSnapshot(seq int, sched admission.PersistState, dr []Dr
 	}
 	epoch := p.epoch
 	p.mu.Unlock()
-	err := writeSnapshotSet(p.dir, epoch, seq, sched, dr, ss, p.faultHook("snapshot"))
+	err := writeSnapshotFile(p.dir, epoch, seq, sched, dr, entries, p.faultHook("snapshot"))
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err != nil {
@@ -592,16 +488,13 @@ func (p *persister) rearmFailed(err error) {
 // new snapshot out-epochs the old journal (readState's snapshot-ahead
 // branch); after it, watermark roll-forward. The caller holds snapMu and
 // must NOT hold the fleet lock.
-func (p *persister) rearm(j *Journal, sched admission.PersistState, dr []DriftRecord, ss storeState) error {
-	if ss.shards < 1 {
-		ss.shards = 1
-	}
+func (p *persister) rearm(j *Journal, sched admission.PersistState, dr []DriftRecord, entries []KeyedEntry) error {
 	// Watermark before capture is the standing snapshot discipline; here
 	// the journal's own tail is the freshest "known Seq" there is. The
 	// caller captured state after this point, so replaying a little extra
 	// on recovery stays idempotent.
 	w0 := j.LastSeq()
-	epoch, log, err := p.stageEpoch(w0, sched, dr, ss)
+	epoch, log, err := p.stageEpoch(w0, sched, dr, entries)
 	if err != nil {
 		p.rearmFailed(err)
 		return err
@@ -655,7 +548,6 @@ func (p *persister) rearm(j *Journal, sched admission.PersistState, dr []DriftRe
 		p.mu.Lock()
 		p.log = log
 		p.epoch = epoch
-		p.shards = ss.shards
 		p.lastSeq = lastSeq
 		p.commits = 0
 		p.snapshots++

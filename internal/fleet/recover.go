@@ -61,15 +61,6 @@ type Recovery struct {
 	Replayed int `json:"replayed"`
 	// StoreEntries is how many committed profile entries survived.
 	StoreEntries int `json:"store_entries"`
-	// SnapshotShards is the shard layout the recovered snapshot was
-	// written under (1 = the legacy single snapshot file, 0 = no snapshot
-	// found); StoreShards is the layout the recovered fleet runs.
-	// Resharded reports a mismatch: the entries were re-hashed into the
-	// configured layout on Import — recovery never errors on a
-	// shard-count change.
-	SnapshotShards int  `json:"snapshot_shards,omitempty"`
-	StoreShards    int  `json:"store_shards,omitempty"`
-	Resharded      bool `json:"resharded,omitempty"`
 	// Breakers is how many breaker postures were restored.
 	Breakers int `json:"breakers"`
 	// Sessions is the distinct session count in the crashed journal;
@@ -118,9 +109,6 @@ func (r *Recovery) Summary() string {
 	fmt.Fprintf(&b, "recovered epoch %d -> %d: %d sessions submitted pre-crash, %d terminal, %d requeued (%d waiting, %d in-flight), %d store entries, %d breakers",
 		r.PrevEpoch, r.Epoch, r.Sessions, r.Terminal, len(r.Requeued),
 		r.RequeuedWaiting, r.RequeuedInFlight, r.StoreEntries, r.Breakers)
-	if r.Resharded {
-		fmt.Fprintf(&b, "; re-sharded %d -> %d shard layout", r.SnapshotShards, r.StoreShards)
-	}
 	if r.RequeuedRetuning > 0 {
 		fmt.Fprintf(&b, "; %d in the re-tune lane", r.RequeuedRetuning)
 	}
@@ -162,15 +150,14 @@ type pendingSession struct {
 
 // recoveredState is everything readState distils from the state dir.
 type recoveredState struct {
-	prevEpoch  int
-	snapShards int // shard layout of the recovered snapshot (0 = none)
-	sched      *admission.PersistState
-	entries    map[Key]Entry
-	order      []Key // commit order for deterministic Import
-	breakers   []breakerEdge
-	pending    []pendingSession
-	maxID      int // highest pre-crash session ID (-1 when none)
-	rec        *Recovery
+	prevEpoch int
+	sched     *admission.PersistState
+	entries   map[Key]Entry
+	order     []Key // commit order for deterministic Import
+	breakers  []breakerEdge
+	pending   []pendingSession
+	maxID     int // highest pre-crash session ID (-1 when none)
+	rec       *Recovery
 }
 
 // Recover rebuilds a fleet from stateDir: profile store, scheduler
@@ -208,12 +195,7 @@ func Recover(stateDir string, cfg Config) (*Fleet, *Recovery, error) {
 				entries = append(entries, KeyedEntry{Key: k, Entry: e})
 			}
 		}
-		// Import hashes each entry into the configured shard layout: a
-		// snapshot written under a different shard count (or the legacy
-		// single file) re-shards transparently here.
 		f.store.Import(entries)
-		st.rec.StoreShards = f.store.Shards()
-		st.rec.Resharded = st.snapShards > 0 && st.snapShards != st.rec.StoreShards
 	}
 	if st.sched != nil {
 		f.sched.Import(*st.sched)
@@ -286,44 +268,53 @@ func Recover(stateDir string, cfg Config) (*Fleet, *Recovery, error) {
 
 // PendingSessions reports how many sessions in stateDir's journal never
 // reached a terminal record — the work Recover would re-admit and a fresh
-// epoch would discard. A missing, empty, or unreadable state dir reports
-// zero.
-func PendingSessions(stateDir string) int {
+// epoch would discard. A missing or empty state dir reports zero; one that
+// cannot be read (errShardedStateDir included) reports the error, because
+// "nothing pending" would license a fresh epoch on top of it.
+func PendingSessions(stateDir string) (int, error) {
 	st, err := readState(stateDir)
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	return len(st.pending)
+	return len(st.pending), nil
+}
+
+// errShardedStateDir refuses a state dir an older binary wrote in the
+// per-shard snapshot layout this one no longer reads: its store entries
+// live in files recovery would silently skip.
+var errShardedStateDir = errors.New("fleet: state dir holds the sharded snapshot layout, which this binary cannot read: " +
+	"run the previous binary once with -resume -store-shards 1 (it rewrites the dir as snapshot.wal), or pass -fresh to discard the state")
+
+// shardedLayoutFiles names the sharded snapshot layout's files present in
+// dir.
+func shardedLayoutFiles(dir string) []string {
+	var names []string
+	for _, pattern := range []string{"manifest.wal", "shard-*.wal"} {
+		paths, _ := filepath.Glob(filepath.Join(dir, pattern))
+		for _, p := range paths {
+			names = append(names, filepath.Base(p))
+		}
+	}
+	return names
 }
 
 // readState salvages the snapshot and journal and distils the recovered
-// state. Only unreadable directories are errors; damaged files salvage.
+// state. Only unreadable directories and the sharded layout are errors;
+// damaged files salvage.
 func readState(dir string) (*recoveredState, error) {
+	if stale := shardedLayoutFiles(dir); len(stale) > 0 {
+		return nil, fmt.Errorf("%w (%s: %s)", errShardedStateDir, dir, strings.Join(stale, ", "))
+	}
 	st := &recoveredState{
 		entries: make(map[Key]Entry),
 		rec:     &Recovery{StateDir: dir},
 	}
 
-	// Snapshot: the legacy single file and the sharded manifest+set are
-	// both read; after a shard-count change across restarts, stale files
-	// from the other layout may linger, and the higher epoch wins.
-	leg, err := readLegacySnap(dir)
+	snap, err := readSnap(dir)
 	if err != nil {
 		return nil, err
-	}
-	man, err := readShardedSnap(dir)
-	if err != nil {
-		return nil, err
-	}
-	snap := leg
-	if man.ok && (!leg.ok || man.epoch > leg.epoch) {
-		snap = man
 	}
 	st.rec.SnapshotSalvage = snap.sal
-	if snap.ok {
-		st.snapShards = snap.shards
-		st.rec.SnapshotShards = snap.shards
-	}
 	snapEpoch, snapSeq := snap.epoch, snap.seq
 	st.sched = snap.sched
 	for _, ke := range snap.entries {
@@ -333,10 +324,9 @@ func readState(dir string) (*recoveredState, error) {
 		st.entries[ke.Key] = ke.Entry
 	}
 	// A partial snapshot (torn mid-write should be impossible under the
-	// atomic rename, but disks lie — and a sharded set can lose a member)
-	// cannot vouch for its watermark: replay the whole journal over
-	// whatever survived.
-	if snap.dirty {
+	// atomic rename, but disks lie) cannot vouch for its watermark: replay
+	// the whole journal over whatever survived.
+	if !snap.sal.Clean() {
 		snapSeq = -1
 	}
 
@@ -548,56 +538,26 @@ func readState(dir string) (*recoveredState, error) {
 	return st, nil
 }
 
-// snapState is one decoded snapshot-layout candidate: the legacy single
-// file or the manifest-sealed shard set. dirty means the watermark cannot
-// be trusted (salvage damage, a missing or epoch-stale shard file) and the
-// whole journal must replay over whatever entries survived.
+// snapState is the decoded snapshot file; epoch 0 and seq -1 when there is
+// no usable snapshot.
 type snapState struct {
-	ok      bool
 	epoch   int
 	seq     int
-	shards  int
 	sched   *admission.PersistState
 	drift   []DriftRecord
 	entries []KeyedEntry
 	sal     wal.Salvage
-	dirty   bool
 }
 
-// mergeSalvage folds one member file's salvage into the set's aggregate
-// (records and dropped counts summed, first damage reason kept with the
-// file named).
-func (ss *snapState) mergeSalvage(name string, sal wal.Salvage) {
-	ss.sal.Records += sal.Records
-	ss.sal.DroppedBytes += sal.DroppedBytes
-	ss.sal.DroppedRecords += sal.DroppedRecords
-	if !sal.Clean() {
-		ss.dirty = true
-		if ss.sal.Reason == "" {
-			ss.sal.Reason = name + ": " + sal.Reason
-		}
-	}
-}
-
-// damage marks the set untrustworthy for reasons other than byte salvage
-// (a missing shard file, a stale-epoch member).
-func (ss *snapState) damage(reason string) {
-	ss.dirty = true
-	if ss.sal.Reason == "" {
-		ss.sal.Reason = reason
-	}
-}
-
-// readLegacySnap decodes the single-file snapshot layout: meta, scheduler
-// state, store entries.
-func readLegacySnap(dir string) (snapState, error) {
-	ss := snapState{seq: -1, shards: 1}
+// readSnap decodes snapshot.wal: meta, scheduler state, watchdog state,
+// store entries.
+func readSnap(dir string) (snapState, error) {
+	ss := snapState{seq: -1}
 	recs, sal, err := wal.ReadAll(filepath.Join(dir, snapshotFile))
 	if err != nil && !os.IsNotExist(err) {
 		return ss, err
 	}
 	ss.sal = sal
-	ss.dirty = !sal.Clean()
 	if len(recs) == 0 {
 		return ss, nil
 	}
@@ -605,16 +565,8 @@ func readLegacySnap(dir string) (snapState, error) {
 	if json.Unmarshal(recs[0], &meta) != nil || meta.Wal != "snapshot" {
 		return ss, nil
 	}
-	ss.ok, ss.epoch, ss.seq = true, meta.Epoch, meta.Seq
-	ss.absorb(recs[1:])
-	return ss, nil
-}
-
-// absorb decodes a snapshot-family file's records past its meta —
-// scheduler state, watchdog state, store entries — whichever of them the
-// file's role carries.
-func (ss *snapState) absorb(recs [][]byte) {
-	for _, rec := range recs {
+	ss.epoch, ss.seq = meta.Epoch, meta.Seq
+	for _, rec := range recs[1:] {
 		var sc walSched
 		if json.Unmarshal(rec, &sc) == nil && sc.Sched != nil {
 			ss.sched = sc.Sched
@@ -628,88 +580,6 @@ func (ss *snapState) absorb(recs [][]byte) {
 		var ke KeyedEntry
 		if json.Unmarshal(rec, &ke) == nil && ke.Key.Bench != "" {
 			ss.entries = append(ss.entries, ke)
-		}
-	}
-}
-
-// readShardedSnap decodes the sharded snapshot layout. The manifest is
-// the source of truth for epoch, watermark, shard count, and scheduler
-// state; every shard-*.wal present is then read, in shard-index order:
-//
-//   - an expected member (index < manifest shard count) at the manifest's
-//     epoch or newer contributes its entries; a *newer* epoch is an epoch
-//     start that died before its own manifest, and replaying the old
-//     journal over its (already fully rolled-forward) entries is
-//     convergent, so it is not damage;
-//   - an expected member that is missing or stamped *older* than the
-//     manifest cannot vouch for the manifest's watermark — its surviving
-//     entries are kept but the set goes dirty (full journal replay);
-//   - an extra member (index >= shard count) is read only when its epoch
-//     is newer than the manifest: an interrupted re-layout to a wider
-//     shard count parked entries there that no current-layout file holds.
-//     Older extras are stale garbage and are ignored.
-func readShardedSnap(dir string) (snapState, error) {
-	ss := snapState{seq: -1}
-	recs, sal, err := wal.ReadAll(filepath.Join(dir, manifestFile))
-	if err != nil && !os.IsNotExist(err) {
-		return ss, err
-	}
-	ss.sal = sal
-	ss.dirty = !sal.Clean()
-	if len(recs) == 0 {
-		return ss, nil
-	}
-	var meta walMeta
-	if json.Unmarshal(recs[0], &meta) != nil || meta.Wal != "manifest" || meta.Shards < 1 {
-		return ss, nil
-	}
-	ss.ok, ss.epoch, ss.seq, ss.shards = true, meta.Epoch, meta.Seq, meta.Shards
-	ss.absorb(recs[1:])
-	names, _ := filepath.Glob(filepath.Join(dir, "shard-*.wal"))
-	indexes := make([]int, 0, len(names))
-	for _, name := range names {
-		var i int
-		if _, err := fmt.Sscanf(filepath.Base(name), "shard-%d.wal", &i); err == nil && i >= 0 {
-			indexes = append(indexes, i)
-		}
-	}
-	sort.Ints(indexes)
-	seen := make(map[int]bool, len(indexes))
-	for _, i := range indexes {
-		if seen[i] {
-			continue
-		}
-		seen[i] = true
-		name := shardFileName(i)
-		srecs, sSal, err := wal.ReadAll(filepath.Join(dir, name))
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue // raced cleanup; the expected-member check below catches real gaps
-			}
-			return ss, err
-		}
-		ss.mergeSalvage(name, sSal)
-		var smeta walMeta
-		if len(srecs) == 0 || json.Unmarshal(srecs[0], &smeta) != nil || smeta.Wal != "shard" {
-			if i < ss.shards {
-				ss.damage(name + ": unreadable shard meta")
-			}
-			continue
-		}
-		switch {
-		case i < ss.shards && smeta.Epoch < ss.epoch:
-			ss.damage(fmt.Sprintf("%s: epoch %d behind manifest epoch %d", name, smeta.Epoch, ss.epoch))
-		case i >= ss.shards && smeta.Epoch <= ss.epoch:
-			continue // stale leftover from an older, wider layout
-		}
-		if i < ss.shards && smeta.Epoch == ss.epoch && smeta.Seq < ss.seq {
-			ss.seq = smeta.Seq // defensive: never claim past a member's own watermark
-		}
-		ss.absorb(srecs[1:])
-	}
-	for i := 0; i < ss.shards; i++ {
-		if !seen[i] {
-			ss.damage(shardFileName(i) + " missing")
 		}
 	}
 	return ss, nil

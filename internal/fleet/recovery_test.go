@@ -7,10 +7,10 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,11 +46,6 @@ func TestCrashHelperProcess(t *testing.T) {
 		// record being written; a huge SnapshotEvery pins recovery to the
 		// journal-replay path (the clean-close test covers snapshots).
 		Fsync: wal.SyncAlways, SnapshotEvery: 1 << 30,
-	}
-	if n, _ := strconv.Atoi(os.Getenv("FLEET_CRASH_SHARDS")); n > 1 {
-		// The sharded crash test wants the kill to land with a shard
-		// snapshot set on disk, so snapshot aggressively instead.
-		cfg.StoreShards, cfg.SnapshotEvery = n, 4
 	}
 	f := New(cfg)
 	for i := 0; i < 48; i++ {
@@ -229,183 +224,6 @@ func TestKillMidRunRecoverLosesNothing(t *testing.T) {
 	}
 }
 
-// TestKillMidRunShardedRecoverPartialSnapshotSet is the sharded-store crash
-// acceptance test: a fleet running StoreShards=4 with aggressive
-// snapshotting is kill -9'd once a manifest-sealed shard set is on disk,
-// then one shard member is deleted — a partial set. Recovery must notice
-// the gap via the manifest (the set goes dirty, the watermark is
-// distrusted, the whole journal replays) and still converge to exactly the
-// ledger's committed entries with no session lost.
-func TestKillMidRunShardedRecoverPartialSnapshotSet(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-execs the test binary")
-	}
-	dir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-test.run=TestCrashHelperProcess", "-test.v")
-	cmd.Env = append(os.Environ(), "FLEET_WANT_CRASH_HELPER=1",
-		"FLEET_CRASH_DIR="+dir, "FLEET_CRASH_SHARDS=4")
-	var out bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &out
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill once a shard snapshot set is sealed (the manifest is written
-	// last, so its presence vouches for every member) AND a later commit is
-	// in the journal, so recovery exercises snapshot + roll-forward.
-	journal := filepath.Join(dir, journalFile)
-	manifest := filepath.Join(dir, manifestFile)
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		_, merr := os.Stat(manifest)
-		data, jerr := os.ReadFile(journal)
-		if merr == nil && jerr == nil && bytes.Contains(data, []byte(`"store-commit"`)) {
-			break
-		}
-		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			cmd.Wait()
-			t.Fatalf("no sealed shard set appeared; child output:\n%s", out.String())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	cmd.Wait()
-
-	// Tear a hole in the set: drop one member the manifest vouches for.
-	removed := ""
-	for i := 0; i < 4; i++ {
-		p := filepath.Join(dir, shardFileName(i))
-		if _, err := os.Stat(p); err == nil {
-			if err := os.Remove(p); err != nil {
-				t.Fatal(err)
-			}
-			removed = shardFileName(i)
-			break
-		}
-	}
-	if removed == "" {
-		t.Fatal("sealed manifest but no shard member on disk")
-	}
-
-	wantKeys, sessions, terminal := journalLedger(t, dir)
-	if sessions == 0 {
-		t.Fatalf("ledger saw no sessions; child output:\n%s", out.String())
-	}
-
-	f, rec, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 2, StoreShards: 4})
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	defer f.Close()
-
-	if rec.SnapshotShards != 4 || rec.StoreShards != 4 || rec.Resharded {
-		t.Fatalf("shard accounting = snapshot %d / store %d / resharded %v, want 4 / 4 / false",
-			rec.SnapshotShards, rec.StoreShards, rec.Resharded)
-	}
-	if rec.SnapshotSalvage.Clean() {
-		t.Fatalf("deleted member %s went unreported", removed)
-	}
-	if !strings.Contains(rec.SnapshotSalvage.Reason, removed) {
-		t.Fatalf("salvage reason %q does not name the missing member %s", rec.SnapshotSalvage.Reason, removed)
-	}
-	if rec.Sessions != sessions || rec.Terminal != terminal {
-		t.Fatalf("accounting = %d sessions / %d terminal, ledger = %d / %d",
-			rec.Sessions, rec.Terminal, sessions, terminal)
-	}
-	if rec.Terminal+len(rec.Requeued) != rec.Sessions {
-		t.Fatalf("sessions lost: %d terminal + %d requeued != %d seen",
-			rec.Terminal, len(rec.Requeued), rec.Sessions)
-	}
-	if rec.StoreEntries != len(wantKeys) {
-		t.Fatalf("recovered %d store entries, ledger says %d survive", rec.StoreEntries, len(wantKeys))
-	}
-	if rec.Epoch != rec.PrevEpoch+1 {
-		t.Fatalf("epoch %d does not succeed %d", rec.Epoch, rec.PrevEpoch)
-	}
-	f.Drain()
-	for _, s := range rec.Requeued {
-		if !s.State().Terminal() {
-			t.Fatalf("requeued session %d never finished: %v", s.ID, s.State())
-		}
-	}
-}
-
-// TestRecoverReshardsDifferentLayout: a state dir snapshotted under one
-// shard count recovers into any other layout — entries re-hash on Import,
-// the mismatch is reported, nothing errors and nothing is lost.
-func TestRecoverReshardsDifferentLayout(t *testing.T) {
-	dir := t.TempDir()
-	f := New(Config{Machine: machine.CascadeLake(), Workers: 2, StateDir: dir, StoreShards: 4})
-	for i, spec := range crashPairs {
-		spec.Seed = int64(i + 1)
-		if _, err := f.Submit(spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.Drain()
-	want := f.Store().Export()
-	f.Close()
-	if _, err := os.Stat(filepath.Join(dir, manifestFile)); err != nil {
-		t.Fatalf("clean close of a 4-shard fleet left no manifest: %v", err)
-	}
-
-	checkExport := func(f2 *Fleet) {
-		t.Helper()
-		got := f2.Store().Export()
-		if len(got) != len(want) {
-			t.Fatalf("store entries = %d, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Key != want[i].Key || got[i].Entry.Distance != want[i].Entry.Distance {
-				t.Fatalf("entry %d mismatch: %+v vs %+v", i, got[i], want[i])
-			}
-		}
-	}
-
-	// 4-shard snapshot into an 8-shard store.
-	f2, rec, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 2, StoreShards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.SnapshotShards != 4 || rec.StoreShards != 8 || !rec.Resharded {
-		t.Fatalf("shard accounting = snapshot %d / store %d / resharded %v, want 4 / 8 / true",
-			rec.SnapshotShards, rec.StoreShards, rec.Resharded)
-	}
-	if !strings.Contains(rec.Summary(), "re-sharded 4 -> 8") {
-		t.Fatalf("Summary hides the re-shard: %s", rec.Summary())
-	}
-	checkExport(f2)
-	f2.Close()
-
-	// 8-shard snapshot back into the single-mutex store.
-	f3, rec3, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f3.Close()
-	if rec3.SnapshotShards != 8 || rec3.StoreShards != 1 || !rec3.Resharded {
-		t.Fatalf("shard accounting = snapshot %d / store %d / resharded %v, want 8 / 1 / true",
-			rec3.SnapshotShards, rec3.StoreShards, rec3.Resharded)
-	}
-	checkExport(f3)
-	// The re-shard must not cost the warm-start path: a session on a
-	// recovered key still warm-starts.
-	s, err := f3.Submit(SessionSpec{Bench: want[0].Key.Bench, Input: want[0].Key.Input, Seed: 9001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f3.Drain()
-	if !s.State().Terminal() || s.State() == Failed {
-		t.Fatalf("post-reshard session state = %v (err %v)", s.State(), s.Err())
-	}
-	if !s.Warm() {
-		t.Fatal("session on a re-sharded recovered key did not warm-start")
-	}
-}
-
 // TestCleanCloseRecover: a cleanly closed state dir resumes from its final
 // snapshot with nothing to requeue and the full store intact.
 func TestCleanCloseRecover(t *testing.T) {
@@ -494,6 +312,15 @@ func interruptedStateDir(t *testing.T, dir string) int {
 	return cancelled
 }
 
+func pendingSessions(t *testing.T, dir string) int {
+	t.Helper()
+	n, err := PendingSessions(dir)
+	if err != nil {
+		t.Fatalf("PendingSessions: %v", err)
+	}
+	return n
+}
+
 // TestNewRefusesToClobberInterruptedStateDir: New over a state dir whose
 // journal still holds unfinished sessions must not destroy them — the
 // fleet degrades (surfacing why), the files stay byte-identical, and the
@@ -501,7 +328,7 @@ func interruptedStateDir(t *testing.T, dir string) int {
 func TestNewRefusesToClobberInterruptedStateDir(t *testing.T) {
 	dir := t.TempDir()
 	cancelled := interruptedStateDir(t, dir)
-	if got := PendingSessions(dir); got != cancelled {
+	if got := pendingSessions(t, dir); got != cancelled {
 		t.Fatalf("PendingSessions = %d, want %d", got, cancelled)
 	}
 	before, err := os.ReadFile(filepath.Join(dir, journalFile))
@@ -531,7 +358,7 @@ func TestNewRefusesToClobberInterruptedStateDir(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Fatal("refusing New still modified the journal")
 	}
-	if got := PendingSessions(dir); got != cancelled {
+	if got := pendingSessions(t, dir); got != cancelled {
 		t.Fatalf("dir no longer recoverable: PendingSessions = %d, want %d", got, cancelled)
 	}
 
@@ -541,8 +368,138 @@ func TestNewRefusesToClobberInterruptedStateDir(t *testing.T) {
 		t.Fatalf("Overwrite fleet persistence = %q", snap.Persistence)
 	}
 	f2.Close()
-	if got := PendingSessions(dir); got != 0 {
+	if got := pendingSessions(t, dir); got != 0 {
 		t.Fatalf("overwritten dir still reports %d pending sessions", got)
+	}
+}
+
+// shardedStateDir builds what the previous binary left behind with a
+// two-shard store: a valid journal.wal beside a hand-written manifest.wal
+// sealing shard-0.wal and shard-1.wal, and no snapshot.wal. It returns
+// every file's bytes by name.
+func shardedStateDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	f := New(Config{Machine: machine.CascadeLake(), Workers: 1, StateDir: dir})
+	if _, err := f.Submit(SessionSpec{Bench: "is", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	f.Drain()
+	entries := f.Store().Export()
+	f.Close()
+	if len(entries) == 0 {
+		t.Fatal("fixture run committed nothing")
+	}
+	if err := os.Remove(filepath.Join(dir, snapshotFile)); err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string, recs ...any) {
+		t.Helper()
+		payloads := make([][]byte, len(recs))
+		for i, r := range recs {
+			payloads[i], _ = json.Marshal(r)
+		}
+		if err := wal.WriteAtomic(filepath.Join(dir, name), payloads); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type shardMeta struct {
+		Wal    string `json:"wal"`
+		Epoch  int    `json:"epoch"`
+		Seq    int    `json:"seq"`
+		Shard  int    `json:"shard,omitempty"`
+		Shards int    `json:"shards,omitempty"`
+	}
+	write("shard-0.wal", shardMeta{Wal: "shard", Epoch: 1, Seq: 99, Shards: 2}, entries[0])
+	write("shard-1.wal", shardMeta{Wal: "shard", Epoch: 1, Seq: 99, Shard: 1, Shards: 2})
+	write("manifest.wal", shardMeta{Wal: "manifest", Epoch: 1, Seq: 99, Shards: 2},
+		walSched{Sched: &admission.PersistState{}})
+	return readDir(t, dir)
+}
+
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(des))
+	for _, de := range des {
+		data, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[de.Name()] = data
+	}
+	return files
+}
+
+func sameFiles(a, b map[string][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name, data := range a {
+		if other, ok := b[name]; !ok || !bytes.Equal(data, other) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNewRefusesShardedStateDir: a state dir in the sharded snapshot layout
+// holds store entries this binary would silently skip, so New refuses it
+// like an interrupted run — degraded, naming both ways out, nothing on
+// disk touched — and Overwrite starts clean and drops the stale files.
+func TestNewRefusesShardedStateDir(t *testing.T) {
+	dir := t.TempDir()
+	before := shardedStateDir(t, dir)
+	if _, err := PendingSessions(dir); !errors.Is(err, errShardedStateDir) {
+		t.Fatalf("PendingSessions = %v, want errShardedStateDir", err)
+	}
+
+	f := New(Config{Machine: machine.CascadeLake(), Workers: 1, StateDir: dir})
+	snap := f.Snapshot()
+	f.Close()
+	if snap.Persistence != "degraded" {
+		t.Fatalf("persistence = %q, want degraded", snap.Persistence)
+	}
+	for _, want := range []string{"sharded snapshot layout", "previous binary once with -resume", "-fresh", "manifest.wal", "shard-0.wal", "shard-1.wal"} {
+		if !strings.Contains(snap.PersistenceError, want) {
+			t.Fatalf("refusal %q does not mention %q", snap.PersistenceError, want)
+		}
+	}
+	if !sameFiles(before, readDir(t, dir)) {
+		t.Fatal("refusing New modified the state dir")
+	}
+
+	f2 := New(Config{Machine: machine.CascadeLake(), Workers: 1, StateDir: dir, Overwrite: true})
+	snap = f2.Snapshot()
+	f2.Close()
+	if snap.Persistence != "active" || snap.StoreEntries != 0 {
+		t.Fatalf("Overwrite fleet = %q with %d store entries, want active and empty", snap.Persistence, snap.StoreEntries)
+	}
+	if left := shardedLayoutFiles(dir); len(left) > 0 {
+		t.Fatalf("Overwrite left %v behind", left)
+	}
+	if got := pendingSessions(t, dir); got != 0 {
+		t.Fatalf("overwritten dir reports %d pending sessions", got)
+	}
+}
+
+// TestRecoverRefusesShardedStateDir: Recover surfaces the same refusal
+// instead of recovering the journal without the shard files' entries.
+func TestRecoverRefusesShardedStateDir(t *testing.T) {
+	dir := t.TempDir()
+	before := shardedStateDir(t, dir)
+	f, _, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 1})
+	if err == nil {
+		f.Close()
+		t.Fatal("Recover accepted a sharded-layout state dir")
+	}
+	if !errors.Is(err, errShardedStateDir) || !strings.Contains(err.Error(), "previous binary once with -resume") || !strings.Contains(err.Error(), "-fresh") {
+		t.Fatalf("Recover error = %v", err)
+	}
+	if !sameFiles(before, readDir(t, dir)) {
+		t.Fatal("refusing Recover modified the state dir")
 	}
 }
 
@@ -582,7 +539,7 @@ func TestRecoverSurvivesInterruptedRecovery(t *testing.T) {
 	half.persist.log.Abort() // the crash: staged journal never commits
 
 	// The old journal still names the pending work.
-	if got := PendingSessions(dir); got != cancelled {
+	if got := pendingSessions(t, dir); got != cancelled {
 		t.Fatalf("after interrupted recovery PendingSessions = %d, want %d", got, cancelled)
 	}
 
@@ -612,7 +569,7 @@ func TestRecoverSurvivesInterruptedRecovery(t *testing.T) {
 // store-commit threshold get exactly one snapshot claim.
 func TestClaimSnapshotSingleWinner(t *testing.T) {
 	dir := t.TempDir()
-	p, err := openPersister(dir, Config{Fsync: wal.SyncOnClose, SnapshotEvery: 4}, admission.PersistState{}, nil, storeState{shards: 1})
+	p, err := openPersister(dir, Config{Fsync: wal.SyncOnClose, SnapshotEvery: 4}, admission.PersistState{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

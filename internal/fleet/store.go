@@ -23,18 +23,11 @@ type StoreConfig = store.Config
 type StoreCounters = store.Counters
 
 // Store is the profile-store interface the fleet runs against; see
-// internal/store for the contract and the Memory/Sharded implementations.
+// internal/store for the contract.
 type Store = store.Store
 
-// NewStore builds an empty single-shard (Memory) store; zero-value config
-// fields get defaults. Sharded stores come from store.New / the fleet's
-// StoreShards config knob.
+// NewStore builds an empty Memory store; zero-value config fields get
+// defaults.
 func NewStore(cfg StoreConfig) Store {
 	return store.NewMemory(cfg)
-}
-
-// newConfiguredStore picks the implementation for a fleet's config:
-// Memory for shards <= 1, Sharded otherwise.
-func newConfiguredStore(cfg StoreConfig, shards int) Store {
-	return store.New(cfg, shards)
 }

@@ -174,7 +174,7 @@ func TestNetworkedKillResumeThroughClient(t *testing.T) {
 	cmd.Wait() // the kill is the expected exit
 
 	wantKeys := committedKeys(t, dir)
-	if fleet.PendingSessions(dir) == 0 {
+	if n, err := fleet.PendingSessions(dir); err != nil || n == 0 {
 		t.Fatal("kill left nothing pending; the crash test never raced the fleet")
 	}
 

@@ -104,7 +104,14 @@ func New(cfg Config) (*Server, error) {
 	if s.retryCap <= 0 {
 		s.retryCap = 30
 	}
-	if cfg.Resume && cfg.Fleet.StateDir != "" && fleet.PendingSessions(cfg.Fleet.StateDir) > 0 {
+	pending := 0
+	if cfg.Resume && cfg.Fleet.StateDir != "" {
+		var err error
+		if pending, err = fleet.PendingSessions(cfg.Fleet.StateDir); err != nil {
+			return nil, err
+		}
+	}
+	if pending > 0 {
 		f, rec, err := fleet.Recover(cfg.Fleet.StateDir, cfg.Fleet)
 		if err != nil {
 			return nil, err
@@ -471,22 +478,15 @@ func (s *Server) storeKey(r *http.Request) fleet.Key {
 }
 
 // LookupResponse frames a store peek: the entry, and (for translated
-// lookups) the sibling key it would seed from. Against a sharded store it
-// also reports which shard the key routed to and the layout width —
-// translated lookups report the same shard as plain lookups for the same
-// (bench, input), because the shard key excludes the machine axis.
+// lookups) the sibling key it would seed from.
 type LookupResponse struct {
 	Key    fleet.Key   `json:"key"`
 	Entry  fleet.Entry `json:"entry"`
 	Source *fleet.Key  `json:"source,omitempty"`
-	Shard  *int        `json:"shard,omitempty"`
-	Shards int         `json:"shards,omitempty"`
 }
 
 // handlePeek serves both store peeks: the plain lookup, and (translated)
-// the sibling entry a cross-machine warm start would seed from. Against a
-// sharded store the response also names the routing shard; single-shard
-// responses stay byte-identical.
+// the sibling entry a cross-machine warm start would seed from.
 func (s *Server) handlePeek(translated bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		st := s.fleet.Store()
@@ -511,10 +511,6 @@ func (s *Server) handlePeek(translated bool) http.HandlerFunc {
 		} else if resp.Entry, ok = st.Peek(k); !ok {
 			daemon.WriteErr(w, http.StatusNotFound, "no entry for %+v", k)
 			return
-		}
-		if n := st.Shards(); n > 1 {
-			sh := st.ShardOf(k)
-			resp.Shard, resp.Shards = &sh, n
 		}
 		daemon.WriteJSON(w, http.StatusOK, resp)
 	}

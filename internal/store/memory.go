@@ -12,9 +12,8 @@ type storeEntry struct {
 }
 
 // Memory is the single-mutex, single-map Store: every lookup, commit, and
-// counter read serializes through one lock. It is the original fleet store
-// moved here verbatim — behavior is byte-identical — and doubles as the
-// shard unit Sharded is built from.
+// counter read serializes through one lock. It doubles as the shard unit
+// Sharded is built from.
 type Memory struct {
 	cfg Config
 
@@ -25,7 +24,7 @@ type Memory struct {
 	counters Counters
 }
 
-// NewMemory builds an empty single-shard store; zero-value config fields
+// NewMemory builds an empty store; zero-value config fields
 // get defaults.
 func NewMemory(cfg Config) *Memory {
 	if cfg.MaxReuse <= 0 {
@@ -241,25 +240,6 @@ func (s *Memory) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.counters
-}
-
-// Shards reports 1: Memory is a single shard.
-func (s *Memory) Shards() int { return 1 }
-
-// ShardOf reports 0: every key routes to the only shard.
-func (s *Memory) ShardOf(Key) int { return 0 }
-
-// ExportShard snapshots shard 0, which is the whole store.
-func (s *Memory) ExportShard(i int) []KeyedEntry {
-	if i != 0 {
-		return nil
-	}
-	return s.Export()
-}
-
-// ShardCounters returns the one-shard counter breakdown.
-func (s *Memory) ShardCounters() []Counters {
-	return []Counters{s.Counters()}
 }
 
 // SortEntries orders entries by (bench, input, machine) — the order every

@@ -1,7 +1,7 @@
 // Package remote is the client side of the out-of-process profile store:
 // a store.Store implementation that forwards every operation to an
 // rpg2-stored daemon over HTTP/JSON. A fleet configured with a store
-// address swaps this in where a Memory or Sharded store would sit, and
+// address swaps this in where a Memory store would sit, and
 // nothing above the interface can tell the difference — generations live
 // in the daemon, so two fleet processes racing a commit on the same key
 // resolve exactly like two in-process workers.
@@ -54,10 +54,9 @@ type Config struct {
 	// Seed drives the deterministic backoff jitter (default 1).
 	Seed int64
 	// Fallback is the process-local store the client degrades to. Nil
-	// builds one from FallbackConfig and FallbackShards.
+	// builds a Memory store from FallbackConfig.
 	Fallback       store.Store
 	FallbackConfig store.Config
-	FallbackShards int
 	// OnDegrade, when set, fires exactly once with the error that spent
 	// the retry budget.
 	OnDegrade func(error)
@@ -70,7 +69,6 @@ type Client struct {
 	retry    *retry.Retrier
 	degraded atomic.Bool
 	degOnce  sync.Once
-	shards   atomic.Int32 // daemon's shard count, 0 until first fetched
 }
 
 var _ store.Store = (*Client)(nil)
@@ -83,7 +81,7 @@ func New(cfg Config) *Client {
 		cfg.Timeout = 15 * time.Second
 	}
 	if cfg.Fallback == nil {
-		cfg.Fallback = store.New(cfg.FallbackConfig, cfg.FallbackShards)
+		cfg.Fallback = store.NewMemory(cfg.FallbackConfig)
 	}
 	return &Client{cfg: cfg, fb: cfg.Fallback, retry: retry.ForStoreClient(retry.Policy{
 		HTTP: cfg.HTTP, MaxRetries: cfg.MaxRetries, Base: cfg.RetryBase, Cap: cfg.RetryCap, Seed: cfg.Seed,
@@ -261,51 +259,10 @@ func (c *Client) Counters() store.Counters {
 	return st.Counters
 }
 
-// Shards reports the daemon's shard layout, cached after the first fetch
-// (the layout is fixed for a daemon's lifetime).
-func (c *Client) Shards() int {
-	if n := c.shards.Load(); n > 0 {
-		return int(n)
-	}
-	st, ok := c.stats()
-	if !ok {
-		return c.fb.Shards()
-	}
-	return st.Shards
-}
-
-// ShardOf routes locally: the daemon's layout uses the same ShardIndex
-// hash, so the answer matches without a round trip per key.
-func (c *Client) ShardOf(k store.Key) int {
-	if c.degraded.Load() {
-		return c.fb.ShardOf(k)
-	}
-	return store.ShardIndex(k, c.Shards())
-}
-
-func (c *Client) ExportShard(i int) []store.KeyedEntry {
-	var resp stored.EntriesMsg
-	if !c.op(fmt.Sprintf("/v1/store/shard/%d", i), nil, &resp) {
-		return c.fb.ExportShard(i)
-	}
-	return resp.Entries
-}
-
-func (c *Client) ShardCounters() []store.Counters {
-	st, ok := c.stats()
-	if !ok {
-		return c.fb.ShardCounters()
-	}
-	return st.ShardCounters
-}
-
 func (c *Client) stats() (stored.StatsResp, bool) {
 	var st stored.StatsResp
 	if !c.op("/v1/store/stats", nil, &st) {
 		return stored.StatsResp{}, false
-	}
-	if st.Shards > 0 {
-		c.shards.Store(int32(st.Shards))
 	}
 	return st, true
 }

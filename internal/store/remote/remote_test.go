@@ -19,9 +19,9 @@ import (
 
 // newDaemon serves a fresh store daemon over httptest and returns a
 // client factory bound to it.
-func newDaemon(t *testing.T, cfg store.Config, shards int) (*stored.Server, string) {
+func newDaemon(t *testing.T, cfg store.Config) (*stored.Server, string) {
 	t.Helper()
-	srv, err := stored.New(stored.Config{Store: cfg, Shards: shards})
+	srv, err := stored.New(stored.Config{Store: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,18 +37,11 @@ func newClient(url string) *remote.Client {
 	})
 }
 
-// The same table-driven semantics suite Memory and Sharded pass, run over
+// The same table-driven semantics suite Memory passes, run over
 // the wire: each subtest gets its own daemon so stores are never shared.
 func TestRemoteConformanceOverMemory(t *testing.T) {
 	storetest.Run(t, func(t *testing.T, cfg store.Config) store.Store {
-		_, url := newDaemon(t, cfg, 0)
-		return newClient(url)
-	})
-}
-
-func TestRemoteConformanceOverSharded(t *testing.T) {
-	storetest.Run(t, func(t *testing.T, cfg store.Config) store.Store {
-		_, url := newDaemon(t, cfg, 8)
+		_, url := newDaemon(t, cfg)
 		return newClient(url)
 	})
 }
@@ -58,7 +51,7 @@ func TestRemoteConformanceOverSharded(t *testing.T) {
 // loser's stale-generation Invalidate/Refund must no-op instead of
 // clobbering the winner's fresher entry.
 func TestCrossClientGenGuard(t *testing.T) {
-	srv, url := newDaemon(t, store.Config{}, 4)
+	srv, url := newDaemon(t, store.Config{})
 	c1, c2 := newClient(url), newClient(url)
 
 	k := store.Key{Bench: "pr", Input: "uni", Machine: "clx"}
@@ -92,7 +85,7 @@ func TestCrossClientGenGuard(t *testing.T) {
 // never delete a fresher commit, so the store stays coherent (run under
 // -race in CI).
 func TestCrossClientCommitRace(t *testing.T) {
-	srv, url := newDaemon(t, store.Config{}, 4)
+	srv, url := newDaemon(t, store.Config{})
 	clients := []*remote.Client{newClient(url), newClient(url)}
 
 	var wg sync.WaitGroup

@@ -1,6 +1,11 @@
 package store
 
-// Sharded is the contention-splitting Store: N Memory shards, each with its
+// Sharded is a sealed island: the product never constructs it (it measured
+// 2.3-2.4x slower than Memory under the parallel warm-start mix it was built
+// for, DESIGN.md §7) and its only non-test caller is the benchmark ladder's
+// store.sharded_* rows; it goes when they do.
+//
+// It is the contention-splitting Store: N Memory shards, each with its
 // own mutex, generation counter, and policy counters, routed by
 // ShardIndex — an FNV-1a hash of (bench, input) that deliberately excludes
 // Machine. The exclusion is the consistency story for translation: every
@@ -11,7 +16,7 @@ package store
 //
 // Per-key operations (Lookup, Commit, Invalidate, Refund, Peek) touch only
 // the key's shard. Whole-store operations that must be consistent
-// (Counters, ShardCounters, Export, Len) lock every shard in index order,
+// (Counters, Export, Len) lock every shard in index order,
 // read, then release — a single atomic snapshot, no torn reads between
 // shard counter loads. Generation guards remain sound with per-shard gen
 // counters because gens are only ever compared for the same key, and a key
@@ -20,9 +25,8 @@ type Sharded struct {
 	shards []*Memory
 }
 
-// NewSharded builds an empty store with n shards (n is clamped to >= 2;
-// use New to pick Memory for smaller counts). Zero-value config fields get
-// defaults.
+// NewSharded builds an empty store with n shards (n is clamped to >= 2).
+// Zero-value config fields get defaults.
 func NewSharded(cfg Config, n int) *Sharded {
 	if n < 2 {
 		n = 2
@@ -36,6 +40,36 @@ func NewSharded(cfg Config, n int) *Sharded {
 
 func (s *Sharded) shard(k Key) *Memory {
 	return s.shards[ShardIndex(k, len(s.shards))]
+}
+
+// ShardIndex routes a key to a shard by FNV-1a hash of (bench, input).
+// Machine is deliberately excluded, so every machine-axis sibling of a
+// (bench, input) pair shares a shard and a translated lookup never crosses
+// one. shards <= 1 always routes to 0. The hash is inlined
+// (equivalent to hash/fnv over bench, bench's length as 4 little-endian
+// bytes, then input) so the hot routing path never allocates. The length
+// frame, not a separator byte, marks the field boundary: a separator that
+// can also appear inside the strings (NUL did) makes pairs like
+// ("a\x00b", "c") and ("a", "b\x00c") alias, so routing would not be a
+// pure function of the pair.
+func ShardIndex(k Key, shards int) int {
+	if shards <= 1 {
+		return 0
+	}
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(k.Bench); i++ {
+		h = (h ^ uint32(k.Bench[i])) * prime32
+	}
+	n := uint32(len(k.Bench))
+	h = (h ^ (n & 0xff)) * prime32
+	h = (h ^ (n >> 8 & 0xff)) * prime32
+	h = (h ^ (n >> 16 & 0xff)) * prime32
+	h = (h ^ (n >> 24 & 0xff)) * prime32
+	for i := 0; i < len(k.Input); i++ {
+		h = (h ^ uint32(k.Input[i])) * prime32
+	}
+	return int(h % uint32(shards))
 }
 
 // lockAll acquires every shard lock in index order (the only order used
@@ -127,10 +161,7 @@ func (s *Sharded) Export() []KeyedEntry {
 	return out
 }
 
-// Import distributes recovered entries to their shards by the routing
-// hash. Entries snapshotted under a different shard count re-hash into
-// this layout transparently — the caller never needs to know how the
-// snapshot was laid out.
+// Import distributes entries to their shards by the routing hash.
 func (s *Sharded) Import(entries []KeyedEntry) {
 	for _, ke := range entries {
 		s.shard(ke.Key).Import([]KeyedEntry{ke})
@@ -162,30 +193,13 @@ func (s *Sharded) Counters() Counters {
 	return tot
 }
 
-// Shards reports the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
-// ShardOf reports the shard a key routes to.
-func (s *Sharded) ShardOf(k Key) int { return ShardIndex(k, len(s.shards)) }
-
-// ExportShard snapshots one shard's entries, sorted by key. Unlike Export
-// it holds only that shard's lock — the per-shard snapshot files are
-// reconciled by the manifest's journal watermark, not by a global freeze.
-func (s *Sharded) ExportShard(i int) []KeyedEntry {
-	if i < 0 || i >= len(s.shards) {
-		return nil
-	}
-	return s.shards[i].Export()
-}
-
-// ShardCounters returns the per-shard counter breakdown as one consistent
-// snapshot (same all-shard critical section as Counters).
-func (s *Sharded) ShardCounters() []Counters {
-	s.lockAll()
-	out := make([]Counters, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.counters
-	}
-	s.unlockAll()
-	return out
+// Add folds another counter snapshot into c.
+func (c *Counters) Add(o Counters) {
+	c.Hits += o.Hits
+	c.Misses += o.Misses
+	c.Stale += o.Stale
+	c.Invalidations += o.Invalidations
+	c.Commits += o.Commits
+	c.Translations += o.Translations
+	c.Refunds += o.Refunds
 }

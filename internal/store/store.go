@@ -9,18 +9,10 @@
 // falls back to fresh profiling instead of being pinned to a bad distance
 // forever.
 //
-// The package defines the Store interface and two implementations: Memory
-// (one mutex, one map — the original fleet store, byte-identical behavior)
-// and Sharded (N Memory shards routed by an FNV-1a hash of (bench, input),
-// each with its own mutex, counters, and snapshot file).
-//
-// # Shard-key invariant
-//
-// The shard key deliberately excludes Machine: every machine-axis sibling
-// of a (bench, input) pair lives on the same shard, so a translated lookup
-// (LookupTranslated / PeekTranslated — "find the profile some other
-// machine committed for this workload") is always a single-shard
-// operation. No lookup, translated or not, ever crosses a shard boundary.
+// The package defines the Store interface and Memory (one mutex, one map),
+// the only store the product constructs; store/remote is the same contract
+// over a store daemon. Sharded (sharded.go) lost to Memory on every
+// measurement (DESIGN.md §7) and survives only for the benchmark ladder.
 package store
 
 // Key identifies the workload context a profile was collected in. Profiles
@@ -81,18 +73,6 @@ type Counters struct {
 	Refunds uint64 `json:"refunds,omitempty"`
 }
 
-// Add folds another counter snapshot into c (used to aggregate a
-// per-shard breakdown into a fleet-wide total).
-func (c *Counters) Add(o Counters) {
-	c.Hits += o.Hits
-	c.Misses += o.Misses
-	c.Stale += o.Stale
-	c.Invalidations += o.Invalidations
-	c.Commits += o.Commits
-	c.Translations += o.Translations
-	c.Refunds += o.Refunds
-}
-
 // Store is a concurrency-safe profile cache shared by every session of a
 // fleet (and shareable across fleets on the same machine type).
 //
@@ -103,24 +83,20 @@ func (c *Counters) Add(o Counters) {
 //     counted (Stale and Misses), and reported as a miss.
 //   - LookupTranslated serves a machine-axis sibling of the same
 //     (bench, input) in deterministic machine-name order, consuming the
-//     sibling's budget and counting Translations, never Hits. Because the
-//     shard key excludes Machine, a translated lookup never crosses a
-//     shard: siblings are co-resident by construction.
+//     sibling's budget and counting Translations, never Hits.
 //   - Peek/PeekTranslated are their read-only counterparts: no counters
 //     move, no budget is consumed, nothing is evicted.
 //   - Commit/Invalidate/Refund are generation-guarded: the gen returned by
 //     Lookup/Commit must match or the call is a no-op, so a racing Commit
-//     from a concurrent session is never clobbered. Generation counters
-//     may be per-shard — gens are only ever compared for the same key, and
-//     a key maps to exactly one shard.
+//     from a concurrent session is never clobbered. Gens are only ever
+//     compared for the same key.
 //   - Freeze makes the store read-only (lookups serve without consuming
 //     budget; Commit/Invalidate/Refund are no-ops); Thaw reverses it.
 //   - Export returns every live entry in one consistent snapshot, sorted
 //     by (Bench, Input, Machine); Import installs recovered entries
 //     wholesale with fresh generations and full budgets, not touching the
 //     policy counters.
-//   - Counters returns one consistent snapshot of the aggregate policy
-//     counters: implementations must not tear reads across shards.
+//   - Counters returns one consistent snapshot of the policy counters.
 type Store interface {
 	Lookup(k Key) (Entry, uint64, bool)
 	LookupTranslated(k Key) (Entry, Key, uint64, bool)
@@ -135,51 +111,4 @@ type Store interface {
 	Import(entries []KeyedEntry)
 	Len() int
 	Counters() Counters
-
-	// Shards reports the shard count (1 for Memory); ShardOf reports which
-	// shard a key routes to (always 0 for Memory). ExportShard snapshots
-	// one shard's entries (sorted like Export); ShardCounters returns the
-	// per-shard counter breakdown as one consistent snapshot.
-	Shards() int
-	ShardOf(k Key) int
-	ExportShard(i int) []KeyedEntry
-	ShardCounters() []Counters
-}
-
-// New builds a store for the requested shard count: Memory for shards <= 1,
-// Sharded otherwise. Zero-value config fields get defaults.
-func New(cfg Config, shards int) Store {
-	if shards <= 1 {
-		return NewMemory(cfg)
-	}
-	return NewSharded(cfg, shards)
-}
-
-// ShardIndex routes a key to a shard by FNV-1a hash of (bench, input).
-// Machine is deliberately excluded — see the shard-key invariant in the
-// package comment. shards <= 1 always routes to 0. The hash is inlined
-// (equivalent to hash/fnv over bench, bench's length as 4 little-endian
-// bytes, then input) so the hot routing path never allocates. The length
-// frame, not a separator byte, marks the field boundary: a separator that
-// can also appear inside the strings (NUL did) makes pairs like
-// ("a\x00b", "c") and ("a", "b\x00c") alias, so routing would not be a
-// pure function of the pair.
-func ShardIndex(k Key, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
-	for i := 0; i < len(k.Bench); i++ {
-		h = (h ^ uint32(k.Bench[i])) * prime32
-	}
-	n := uint32(len(k.Bench))
-	h = (h ^ (n & 0xff)) * prime32
-	h = (h ^ (n >> 8 & 0xff)) * prime32
-	h = (h ^ (n >> 16 & 0xff)) * prime32
-	h = (h ^ (n >> 24 & 0xff)) * prime32
-	for i := 0; i < len(k.Input); i++ {
-		h = (h ^ uint32(k.Input[i])) * prime32
-	}
-	return int(h % uint32(shards))
 }

@@ -36,15 +36,12 @@ func TestShardedConformance(t *testing.T) {
 // machine-axis sibling of one (bench, input) pair is co-resident — the
 // invariant that keeps translation lookups single-shard.
 func TestShardRoutingInvariant(t *testing.T) {
-	s := store.NewSharded(Config{}, 8)
 	for i := 0; i < 50; i++ {
 		bench, input := fmt.Sprintf("bench%d", i), fmt.Sprintf("input%d", i*3)
-		home := -1
-		for m := 0; m < 6; m++ {
+		home := store.ShardIndex(Key{Bench: bench, Input: input, Machine: "machine0"}, 8)
+		for m := 1; m < 6; m++ {
 			k := Key{Bench: bench, Input: input, Machine: fmt.Sprintf("machine%d", m)}
-			if home == -1 {
-				home = s.ShardOf(k)
-			} else if got := s.ShardOf(k); got != home {
+			if got := store.ShardIndex(k, 8); got != home {
 				t.Fatalf("siblings split across shards: %+v on %d, machine0 on %d", k, got, home)
 			}
 		}
@@ -53,44 +50,35 @@ func TestShardRoutingInvariant(t *testing.T) {
 	// satisfy the invariant vacuously.
 	used := make(map[int]bool)
 	for i := 0; i < 64; i++ {
-		used[s.ShardOf(Key{Bench: fmt.Sprintf("b%d", i), Input: "x"})] = true
+		used[store.ShardIndex(Key{Bench: fmt.Sprintf("b%d", i), Input: "x"}, 8)] = true
 	}
 	if len(used) < 2 {
 		t.Fatalf("64 distinct pairs all routed to one shard")
 	}
 }
 
-// TestTranslationNeverCrossesShards: a translated lookup finds its sibling
-// inside the key's own shard, and the serve is charged to that same shard's
-// counters.
+// TestTranslationNeverCrossesShards: sibling keys route to one shard, so a
+// translated lookup finds its sibling there and the store counts exactly
+// that one serve.
 func TestTranslationNeverCrossesShards(t *testing.T) {
 	s := store.NewSharded(Config{}, 8)
 	src := Key{Bench: "pr", Input: "uni", Machine: "haswell"}
 	dst := Key{Bench: "pr", Input: "uni", Machine: "cascadelake"}
+	if a, b := store.ShardIndex(src, 8), store.ShardIndex(dst, 8); a != b {
+		t.Fatalf("sibling keys routed to shards %d and %d", a, b)
+	}
 	s.Commit(src, Entry{Distance: 16})
 	e, from, _, ok := s.LookupTranslated(dst)
 	if !ok || from != src || e.Distance != 16 {
 		t.Fatalf("translated lookup = %+v from %+v, ok %v", e, from, ok)
 	}
-	if s.ShardOf(src) != s.ShardOf(dst) {
-		t.Fatalf("sibling keys routed to shards %d and %d", s.ShardOf(src), s.ShardOf(dst))
-	}
-	per := s.ShardCounters()
-	for i, c := range per {
-		want := Counters{}
-		if i == s.ShardOf(dst) {
-			want = Counters{Commits: 1, Translations: 1}
-		}
-		if c != want {
-			t.Fatalf("shard %d counters = %+v, want %+v (translation must charge only the key's shard)", i, c, want)
-		}
+	if c, want := s.Counters(), (Counters{Commits: 1, Translations: 1}); c != want {
+		t.Fatalf("counters = %+v, want %+v", c, want)
 	}
 }
 
-// TestCountersConsistentAggregate: the per-shard breakdown and the
-// aggregate always agree, and concurrent readers never observe a torn
-// cross-shard sum where commits and hits disagree with what one writer
-// produced atomically... each writer does commit-then-lookup, so at any
+// TestCountersConsistentAggregate: concurrent readers never observe a torn
+// cross-shard sum. Each writer does commit-then-lookup, so at any
 // consistent instant Hits <= Commits across the whole store.
 func TestCountersConsistentAggregate(t *testing.T) {
 	s := store.NewSharded(Config{}, 8)
@@ -113,26 +101,14 @@ func TestCountersConsistentAggregate(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 200; i++ {
-		per := s.ShardCounters()
-		var sum Counters
-		for _, c := range per {
-			sum.Add(c)
-		}
 		// Every lookup follows its key's commit, so a consistent snapshot
 		// can never show more hits than commits; a torn one could.
-		if sum.Hits > sum.Commits {
-			t.Fatalf("torn counter snapshot: %d hits > %d commits", sum.Hits, sum.Commits)
+		if c := s.Counters(); c.Hits > c.Commits {
+			t.Fatalf("torn counter snapshot: %d hits > %d commits", c.Hits, c.Commits)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	var sum Counters
-	for _, c := range s.ShardCounters() {
-		sum.Add(c)
-	}
-	if tot := s.Counters(); tot != sum {
-		t.Fatalf("aggregate %+v != per-shard sum %+v on a quiesced store", tot, sum)
-	}
 }
 
 // TestShardedStress: 64 concurrent sessions interleaving commits, lookups,
@@ -188,9 +164,7 @@ func TestShardedStress(t *testing.T) {
 }
 
 func TestShardIndexStability(t *testing.T) {
-	// The routing hash is part of the on-disk contract (shard files are
-	// re-hashed on import, but journal shard annotations are audited
-	// against it): pin a few values so an accidental hash change shows up.
+	// Routing must be a pure, machine-blind function of (bench, input).
 	k := Key{Bench: "pr", Input: "uniform"}
 	if got := store.ShardIndex(k, 1); got != 0 {
 		t.Fatalf("ShardIndex(n=1) = %d, want 0", got)
@@ -225,9 +199,7 @@ func TestShardIndexNULInjective(t *testing.T) {
 				pair[0].Bench, pair[0].Input, pair[1].Bench, pair[1].Input, a)
 		}
 	}
-	// Routing is machine-blind and deterministic for NUL-bearing keys too,
-	// and re-shard recovery (Import re-hashes every key into the new
-	// layout) round-trips them losslessly.
+	// NUL-bearing keys round-trip losslessly through Export/Import.
 	s := store.NewSharded(Config{}, 8)
 	for i, pair := range aliases {
 		for _, k := range pair {
@@ -236,11 +208,10 @@ func TestShardIndexNULInjective(t *testing.T) {
 		}
 	}
 	exported := s.Export()
-	for _, n := range []int{1, 4, 13} {
-		dst := store.New(Config{}, n)
+	for _, dst := range []store.Store{store.NewMemory(Config{}), store.NewSharded(Config{}, 13)} {
 		dst.Import(exported)
 		if got := dst.Export(); !reflect.DeepEqual(got, exported) {
-			t.Fatalf("NUL-bearing keys did not survive re-shard to %d shards", n)
+			t.Fatalf("NUL-bearing keys did not survive import into %T", dst)
 		}
 	}
 }

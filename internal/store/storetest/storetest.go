@@ -1,10 +1,10 @@
 // Package storetest is the store.Store conformance suite: the table of
-// semantic tests every implementation — Memory, Sharded, and the remote
-// client over a store daemon — must pass identically. The contract under
-// test is the one internal/store documents: lookups consume bounded reuse
-// budget, staleness evicts, generation guards make Invalidate/Refund
-// no-ops against superseded entries, frozen stores serve without
-// consuming, and Export/Import round-trips across any shard layout.
+// semantic tests every implementation — Memory, the remote client over a
+// store daemon, and the ladder-only Sharded — must pass identically. The
+// contract under test is the one internal/store documents: lookups consume
+// bounded reuse budget, staleness evicts, generation guards make
+// Invalidate/Refund no-ops against superseded entries, frozen stores serve
+// without consuming, and Export/Import round-trips between implementations.
 //
 // Implementations import this package from their tests and call Run with
 // a factory; the suite stays in one place so a networked backend cannot
@@ -150,11 +150,10 @@ func Run(t *testing.T, newStore Factory) {
 			src.Commit(k, store.Entry{Distance: i + 1, Func: "f"})
 		}
 		exported := src.Export()
-		for _, shards := range []int{1, 2, 8, 13} {
-			dst := store.New(store.Config{}, shards)
+		for _, dst := range []store.Store{store.NewMemory(store.Config{}), store.NewSharded(store.Config{}, 8)} {
 			dst.Import(exported)
 			if got := dst.Export(); !reflect.DeepEqual(got, exported) {
-				t.Fatalf("round trip through %d shards changed the export", shards)
+				t.Fatalf("round trip through %T changed the export", dst)
 			}
 		}
 		// And back into a fresh store of the implementation under test.
@@ -165,25 +164,6 @@ func Run(t *testing.T, newStore Factory) {
 		}
 		if dst.Len() != len(exported) {
 			t.Fatalf("Len = %d after importing %d entries", dst.Len(), len(exported))
-		}
-	})
-
-	t.Run("ShardAccessors", func(t *testing.T) {
-		s := newStore(t, store.Config{})
-		n := s.Shards()
-		if n < 1 {
-			t.Fatalf("Shards() = %d", n)
-		}
-		if got := len(s.ShardCounters()); got != n {
-			t.Fatalf("ShardCounters has %d entries for %d shards", got, n)
-		}
-		k := store.Key{Bench: "pr", Input: "uni", Machine: "clx"}
-		if i := s.ShardOf(k); i < 0 || i >= n {
-			t.Fatalf("ShardOf = %d out of range [0, %d)", i, n)
-		}
-		s.Commit(k, store.Entry{Distance: 2})
-		if got := s.ExportShard(s.ShardOf(k)); len(got) != 1 {
-			t.Fatalf("ExportShard(home) = %d entries, want the committed one", len(got))
 		}
 	})
 }

@@ -1,5 +1,5 @@
 // Package stored is the out-of-process profile store: an HTTP/JSON daemon
-// wrapping any local store.Store (Memory or Sharded) so multiple fleet
+// wrapping a local store.Memory so multiple fleet
 // daemons on one machine type can share profiles across processes. It is
 // the backend the store.Store interface was extracted for — the remote
 // client (internal/store/remote) implements the same interface over these
@@ -26,8 +26,7 @@
 //	POST /v1/store/thaw                            -> {}
 //	POST /v1/store/import             {entries}    -> {}
 //	GET  /v1/store/export                          -> {entries}
-//	GET  /v1/store/shard/{i}                       -> {entries}
-//	GET  /v1/store/stats                           -> {len, shards, counters, shard_counters}
+//	GET  /v1/store/stats                           -> {len, counters}
 //	GET  /v1/healthz                               -> {status}
 //
 // With Config.StateDir set the daemon is crash-safe: every accepted
@@ -39,7 +38,6 @@
 package stored
 
 import (
-	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -54,8 +52,6 @@ import (
 type Config struct {
 	// Store is the wrapped store's reuse policy.
 	Store store.Config
-	// Shards is the wrapped store's shard count (0/1 = Memory).
-	Shards int
 	// StateDir persists the op journal and snapshots here (empty =
 	// in-memory only). A state dir with prior state is recovered
 	// automatically — durability is the daemon's whole point — unless
@@ -104,7 +100,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = 256
 	}
-	s := &Server{cfg: cfg, store: store.New(cfg.Store, cfg.Shards)}
+	s := &Server{cfg: cfg, store: store.NewMemory(cfg.Store)}
 	if cfg.StateDir != "" {
 		p, recovered, err := openPersister(cfg)
 		if err != nil {
@@ -198,7 +194,6 @@ func (s *Server) routes() http.Handler {
 	mux.Handle("POST /v1/store/freeze", s.answer(func() any { s.store.Freeze(); return OKResp{OK: true} }))
 	mux.Handle("POST /v1/store/thaw", s.answer(func() any { s.store.Thaw(); return OKResp{OK: true} }))
 	mux.Handle("GET /v1/store/export", s.answer(func() any { return EntriesMsg{Entries: s.store.Export()} }))
-	mux.Handle("GET /v1/store/shard/{i}", s.sealed(s.handleExportShard))
 	mux.Handle("GET /v1/store/stats", s.answer(s.stats))
 	return mux
 }
@@ -293,31 +288,8 @@ func (s *Server) importEntries(req EntriesMsg) any {
 	return OKResp{OK: true}
 }
 
-func (s *Server) handleExportShard(w http.ResponseWriter, r *http.Request) {
-	var i int
-	if _, err := fmt.Sscanf(r.PathValue("i"), "%d", &i); err != nil {
-		daemon.WriteErr(w, http.StatusBadRequest, "bad shard index %q", r.PathValue("i"))
-		return
-	}
-	if i < 0 || i >= s.store.Shards() {
-		daemon.WriteErr(w, http.StatusNotFound, "no shard %d (store has %d)", i, s.store.Shards())
-		return
-	}
-	daemon.WriteJSON(w, http.StatusOK, EntriesMsg{Entries: s.store.ExportShard(i)})
-}
-
 func (s *Server) stats() any {
-	per := s.store.ShardCounters()
-	var tot store.Counters
-	for _, c := range per {
-		tot.Add(c)
-	}
-	resp := StatsResp{
-		Len:           s.store.Len(),
-		Shards:        s.store.Shards(),
-		Counters:      tot,
-		ShardCounters: per,
-	}
+	resp := StatsResp{Len: s.store.Len(), Counters: s.store.Counters()}
 	if s.persist != nil {
 		resp.Persistence = "active"
 		if msg, bad := s.Degraded(); bad {

@@ -60,10 +60,10 @@ func invalidate(t *testing.T, url string, k store.Key, gen uint64) {
 
 // TestPersistenceCleanRestart: commits and a guard-passing invalidate
 // journal durably; a drained daemon's state dir rebuilds the exact store
-// in a fresh process, across a different shard layout.
+// in a fresh process.
 func TestPersistenceCleanRestart(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := stored.New(stored.Config{StateDir: dir, Shards: 4, Fsync: wal.SyncAlways})
+	srv, err := stored.New(stored.Config{StateDir: dir, Fsync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +80,7 @@ func TestPersistenceCleanRestart(t *testing.T) {
 	srv.Drain()
 	ts.Close()
 
-	// Re-shard on recovery: Import hashes into the new layout.
-	srv2, err := stored.New(stored.Config{StateDir: dir, Shards: 13})
+	srv2, err := stored.New(stored.Config{StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,15 +49,10 @@ type EntriesMsg struct {
 	Entries []store.KeyedEntry `json:"entries"`
 }
 
-// StatsResp answers Len/Shards/Counters/ShardCounters in one round trip;
-// the counters come from one consistent instant (the store's all-shard
-// critical section), so the remote client's snapshot is as torn-free as a
-// local store's.
+// StatsResp answers Len and Counters in one round trip.
 type StatsResp struct {
-	Len           int              `json:"len"`
-	Shards        int              `json:"shards"`
-	Counters      store.Counters   `json:"counters"`
-	ShardCounters []store.Counters `json:"shard_counters"`
+	Len      int            `json:"len"`
+	Counters store.Counters `json:"counters"`
 	// Persistence is "active" or "degraded" when a state dir is configured,
 	// empty for an in-memory daemon.
 	Persistence      string `json:"persistence,omitempty"`

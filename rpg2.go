@@ -232,30 +232,20 @@ type FleetEvent = fleet.Event
 
 // ProfileStore caches candidate sites and tuned distances per (benchmark,
 // input, machine), with bounded reuse and regression-driven invalidation.
-// It is an interface (internal/store.Store) with two implementations: a
-// single-mutex in-memory map and an N-way sharded variant that splits
-// lookup/commit contention by an FNV hash of (bench, input).
+// It is an interface (internal/store.Store): a single-mutex in-memory map
+// in process, or a client for a shared store daemon.
 type ProfileStore = fleet.Store
 
-// NewProfileStore builds an empty single-shard profile store with the
-// default reuse policy, shareable across fleets via FleetConfig.Store.
+// NewProfileStore builds an empty profile store with the default reuse
+// policy, shareable across fleets via FleetConfig.Store.
 func NewProfileStore() ProfileStore { return fleet.NewStore(fleet.StoreConfig{}) }
-
-// NewShardedProfileStore builds a profile store sharded across n
-// independently locked shards (n <= 1 falls back to the single-shard
-// store). The shard key excludes the machine axis, so cross-machine
-// translation lookups never cross shards. Equivalent to setting
-// FleetConfig.StoreShards when the fleet owns its store.
-func NewShardedProfileStore(n int) ProfileStore {
-	return store.New(store.Config{}, n)
-}
 
 // StoreConfig tunes a profile store's reuse policy (MaxReuse serves per
 // committed entry before it goes stale; 0 = default 16).
 type StoreConfig = store.Config
 
 // StoreDaemonConfig tunes a shared store daemon: the wrapped store's
-// policy and shard layout, plus optional WAL persistence under StateDir.
+// policy, plus optional WAL persistence under StateDir.
 type StoreDaemonConfig = stored.Config
 
 // StoreDaemon is the out-of-process profile store (rpg2-stored): any
@@ -370,8 +360,10 @@ func RecoverFleet(stateDir string, cfg FleetConfig) (*Fleet, *FleetRecovery, err
 // FleetPendingSessions reports how many sessions a fleet state dir's
 // journal left unfinished — the work RecoverFleet would re-admit, and
 // what NewFleet refuses to discard unless FleetConfig.Overwrite is set.
-// A missing or empty state dir reports zero.
-func FleetPendingSessions(stateDir string) int { return fleet.PendingSessions(stateDir) }
+// A missing or empty state dir reports zero; one that cannot be read —
+// including one an older binary wrote in the sharded snapshot layout —
+// reports the error.
+func FleetPendingSessions(stateDir string) (int, error) { return fleet.PendingSessions(stateDir) }
 
 // ErrFleetOverloaded matches (via errors.Is) Fleet.Submit's backpressure
 // rejections when FleetConfig.MaxQueue or MaxTenantQueue is hit; the
