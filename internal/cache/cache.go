@@ -170,6 +170,12 @@ func (l *level) lookup(line Line) (hit, wasPF bool) {
 	return false, false
 }
 
+// front reports whether the line is its set's most recently used way with
+// the mark clear: the hit a lookup would leave the set unchanged on.
+func (l *level) front(line Line) bool {
+	return l.ways[int(line&l.setMask)*l.cfg.Assoc] == (line+1)<<1
+}
+
 // clearPF clears the unused-prefetch mark if the line is present, so a line
 // consumed at an upper level is not later miscounted as a useless prefetch.
 func (l *level) clearPF(line Line) {
@@ -209,15 +215,6 @@ func (l *level) fill(line Line, isPF bool) (victim Line, victimValid, victimPF b
 	return tail>>1 - 1, true, tail&1 != 0
 }
 
-// install fills a line that may already be present; if it is, it is consumed
-// in place exactly as a lookup hit consumes it.
-func (l *level) install(line Line, isPF bool) (victim Line, victimValid, victimPF bool) {
-	if hit, _ := l.lookup(line); hit {
-		return 0, false, false
-	}
-	return l.fill(line, isPF)
-}
-
 func (l *level) reset() { clear(l.ways) }
 
 type strideEntry struct {
@@ -242,8 +239,9 @@ type Hierarchy struct {
 	cfg         Config
 	l1, l2      *level
 	l3          *level
-	dramFree    uint64 // next cycle the DRAM controller is free
-	maxComplete uint64 // latest in-flight completion, for a fast skip
+	where       []uint8 // line directory: bit k is set while level k+1 holds the line
+	dramFree    uint64  // next cycle the DRAM controller is free
+	maxComplete uint64  // latest in-flight completion, for a fast skip
 	inflight    []mshr
 	inflightSig uint64 // bit line&63 is set for every unconsumed entry's line
 	stride      []strideEntry
@@ -279,6 +277,7 @@ func (h *Hierarchy) Reset() {
 	h.l1.reset()
 	h.l2.reset()
 	h.l3.reset()
+	clear(h.where)
 	h.stats = Stats{}
 	h.dramFree = 0
 	h.maxComplete = 0
@@ -328,14 +327,88 @@ func (h *Hierarchy) setInflight(slot int, e mshr) {
 	}
 }
 
+// The line directory's level bits, and its cap: lines at or past dirCap
+// (1 GiB of simulated data; the directory is 16 MiB there) are not tracked
+// and held scans for them.
+const (
+	inL1 = 1 << iota
+	inL2
+	inL3
+
+	dirCap = 1 << 24
+)
+
+// held returns the levels that hold the line, as directory bits. The
+// directory reaches the highest line ever filled, so a line past its end
+// but below the cap is in no level.
+func (h *Hierarchy) held(line Line) uint8 {
+	if line < Line(len(h.where)) {
+		return h.where[line]
+	}
+	return h.heldUntracked(line)
+}
+
+// heldUntracked answers held for a line the directory has no byte for.
+func (h *Hierarchy) heldUntracked(line Line) uint8 {
+	if line < dirCap {
+		return 0
+	}
+	var m uint8
+	if h.l1.present(line) {
+		m |= inL1
+	}
+	if h.l2.present(line) {
+		m |= inL2
+	}
+	if h.l3.present(line) {
+		m |= inL3
+	}
+	return m
+}
+
+// fill installs a line that level l (directory bit) does not hold, and moves
+// the bit from the victim the level reports to the line: the only place
+// residency changes, so the directory is exact.
+func (h *Hierarchy) fill(l *level, bit uint8, line Line, isPF bool) (victimPF bool) {
+	victim, vValid, vPF := l.fill(line, isPF)
+	if vValid && victim < Line(len(h.where)) {
+		h.where[victim] &^= bit
+	}
+	if line < dirCap {
+		if line >= Line(len(h.where)) {
+			h.growDir(line)
+		}
+		h.where[line] |= bit
+	}
+	return vValid && vPF
+}
+
+// growDir extends the directory to cover the line, at least doubling it.
+func (h *Hierarchy) growDir(line Line) {
+	n := min(max(int(line)+1, 2*len(h.where)), dirCap)
+	where := make([]uint8, n)
+	copy(where, h.where)
+	h.where = where
+}
+
 // fillAll fills a line absent from every level into every level (an
 // inclusive hierarchy), and tracks useless-prefetch victims.
 func (h *Hierarchy) fillAll(line Line, isPF bool) {
-	h.l1.fill(line, isPF)
-	h.l2.fill(line, isPF)
-	if _, vValid, vPF := h.l3.fill(line, isPF); vValid && vPF {
+	h.fill(h.l1, inL1, line, isPF)
+	h.fill(h.l2, inL2, line, isPF)
+	if h.fill(h.l3, inL3, line, isPF) {
 		h.stats.UselessPF++
 	}
+}
+
+// install fills a line that may already be in the level; if it is, it is
+// consumed in place exactly as a lookup hit consumes it.
+func (h *Hierarchy) install(l *level, bit, held uint8, line Line) (victimPF bool) {
+	if held&bit != 0 {
+		l.lookup(line)
+		return false
+	}
+	return h.fill(l, bit, line, false)
 }
 
 // Access performs a demand load or store at word address addr, issued by the
@@ -368,39 +441,55 @@ func (h *Hierarchy) demandLookup(line Line, now uint64) Result {
 			// Installed at issue time, the line may have been evicted
 			// since from any level. Where it is still present this use
 			// consumes its mark: late is not also timely, or useless.
-			h.l1.install(line, false)
-			h.l2.install(line, false)
-			if _, vValid, vPF := h.l3.install(line, false); vValid && vPF {
+			held := h.held(line)
+			h.install(h.l1, inL1, held, line)
+			h.install(h.l2, inL2, held, line)
+			if h.install(h.l3, inL3, held, line) {
 				h.stats.UselessPF++
 			}
 			return Result{Cycles: (c - now) + h.cfg.L1.Latency, LLCMiss: true, Level: 0}
 		}
 	}
-	if hit, wasPF := h.l1.lookup(line); hit {
+	// The commonest access of all, a consumed line still most recently used
+	// in its L1 set, changes nothing and needs no directory read.
+	if h.l1.front(line) {
+		h.stats.L1Hits++
+		return Result{Cycles: h.cfg.L1.Latency, Level: 1}
+	}
+	held := h.held(line)
+	switch {
+	case held&inL1 != 0:
+		_, wasPF := h.l1.lookup(line)
 		h.stats.L1Hits++
 		if wasPF {
 			h.stats.TimelyPF++
-			h.l2.clearPF(line)
-			h.l3.clearPF(line)
+			if held&inL2 != 0 {
+				h.l2.clearPF(line)
+			}
+			if held&inL3 != 0 {
+				h.l3.clearPF(line)
+			}
 		}
 		return Result{Cycles: h.cfg.L1.Latency, Level: 1}
-	}
-	if hit, wasPF := h.l2.lookup(line); hit {
+	case held&inL2 != 0:
+		_, wasPF := h.l2.lookup(line)
 		h.stats.L2Hits++
 		if wasPF {
 			h.stats.TimelyPF++
-			h.l3.clearPF(line)
+			if held&inL3 != 0 {
+				h.l3.clearPF(line)
+			}
 		}
-		h.l1.fill(line, false)
+		h.fill(h.l1, inL1, line, false)
 		return Result{Cycles: h.cfg.L2.Latency, Level: 2}
-	}
-	if hit, wasPF := h.l3.lookup(line); hit {
+	case held&inL3 != 0:
+		_, wasPF := h.l3.lookup(line)
 		h.stats.L3Hits++
 		if wasPF {
 			h.stats.TimelyPF++
 		}
-		h.l1.fill(line, false)
-		h.l2.fill(line, false)
+		h.fill(h.l1, inL1, line, false)
+		h.fill(h.l2, inL2, line, false)
 		return Result{Cycles: h.cfg.L3.Latency, Level: 3}
 	}
 	// Full miss: occupy a DRAM service slot.
@@ -424,7 +513,7 @@ func (h *Hierarchy) Prefetch(addr mem.Addr, now uint64, kind AccessKind) bool {
 	case HardwarePrefetch:
 		h.stats.HWPrefetches++
 	}
-	if h.l1.present(line) || h.l2.present(line) || h.l3.present(line) {
+	if h.held(line) != 0 {
 		return false
 	}
 	if h.findInflight(line, now) >= 0 {
@@ -491,8 +580,9 @@ func (h *Hierarchy) strideObserve(pc uint64, line Line, now uint64) {
 	}
 }
 
-// Present reports whether the line holding addr is in any cache level; used
-// by tests and by the useless-prefetch accounting.
+// Present reports whether the line holding addr is in any cache level. It
+// scans the levels rather than reading the line directory: only tests call
+// it, and it is the directory's independent witness.
 func (h *Hierarchy) Present(addr mem.Addr) bool {
 	line := LineOf(addr)
 	return h.l1.present(line) || h.l2.present(line) || h.l3.present(line)

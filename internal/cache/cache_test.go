@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -426,7 +427,7 @@ func levelOps(t *testing.T, assoc, sets int, ops []byte) {
 			// The reference's install left a present line's mark set,
 			// which counted a late prefetch a second time as timely;
 			// the level clears it, so the reference is made to.
-			g.victim, g.valid, g.pf = got.install(line, isPF)
+			g.victim, g.valid, g.pf = refInstall(got, line, isPF)
 			if ref.present(line) {
 				ref.clearPF(line)
 			}
@@ -485,5 +486,378 @@ func FuzzLevelMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, geom byte, ops []byte) {
 		assoc, sets := levelGeometry(geom)
 		levelOps(t, assoc, sets, ops)
+	})
+}
+
+// refHierarchy is the hierarchy as it was before the line directory, kept
+// verbatim as the reference the directory-driven one must equal: every
+// lookup scans, absence is learned by scanning 8 + 16 + 16 ways, Prefetch
+// probes three levels. Only what the directory touched is copied (Access,
+// demandLookup, Prefetch, strideObserve, the MSHR table, Reset); the levels
+// are the real ones, which refLevel above answers for.
+type refHierarchy struct {
+	cfg         Config
+	l1, l2, l3  *level
+	dramFree    uint64
+	maxComplete uint64
+	inflight    []mshr
+	inflightSig uint64
+	stride      []strideEntry
+	stats       Stats
+}
+
+func newRefHierarchy(cfg Config) *refHierarchy {
+	h := &refHierarchy{cfg: cfg, l1: newLevel(cfg.L1), l2: newLevel(cfg.L2), l3: newLevel(cfg.L3),
+		inflight: make([]mshr, cfg.DRAM.MSHRs)}
+	if cfg.Stride.Enabled {
+		h.stride = make([]strideEntry, cfg.Stride.TableSize)
+	}
+	return h
+}
+
+func (h *refHierarchy) reset() {
+	h.l1.reset()
+	h.l2.reset()
+	h.l3.reset()
+	h.stats = Stats{}
+	h.dramFree = 0
+	h.maxComplete = 0
+	clear(h.inflight)
+	h.inflightSig = 0
+	if h.stride != nil {
+		clear(h.stride)
+	}
+}
+
+func (h *refHierarchy) findInflight(line Line, now uint64) int {
+	if h.inflightSig>>(line&63)&1 == 0 {
+		return -1
+	}
+	for i := range h.inflight {
+		e := &h.inflight[i]
+		if e.line == line && e.complete > now {
+			return i
+		}
+	}
+	return -1
+}
+
+func (h *refHierarchy) allocInflight(now uint64) int {
+	for i := range h.inflight {
+		if h.inflight[i].complete <= now {
+			return i
+		}
+	}
+	return -1
+}
+
+func (h *refHierarchy) setInflight(slot int, e mshr) {
+	h.inflight[slot] = e
+	h.inflightSig = 0
+	for _, e := range h.inflight {
+		if e.complete != 0 {
+			h.inflightSig |= 1 << (e.line & 63)
+		}
+	}
+}
+
+// refInstall is the level's old install: fill a line that may be present,
+// consuming it in place if it is.
+func refInstall(l *level, line Line, isPF bool) (victim Line, victimValid, victimPF bool) {
+	if hit, _ := l.lookup(line); hit {
+		return 0, false, false
+	}
+	return l.fill(line, isPF)
+}
+
+func (h *refHierarchy) fillAll(line Line, isPF bool) {
+	h.l1.fill(line, isPF)
+	h.l2.fill(line, isPF)
+	if _, vValid, vPF := h.l3.fill(line, isPF); vValid && vPF {
+		h.stats.UselessPF++
+	}
+}
+
+func (h *refHierarchy) access(pc uint64, a mem.Addr, now uint64) Result {
+	h.stats.DemandAccesses++
+	line := LineOf(a)
+	res := h.demandLookup(line, now)
+	if h.stride != nil {
+		h.strideObserve(pc, line, now+res.Cycles)
+	}
+	return res
+}
+
+func (h *refHierarchy) demandLookup(line Line, now uint64) Result {
+	if h.maxComplete > now {
+		if i := h.findInflight(line, now); i >= 0 {
+			c := h.inflight[i].complete
+			h.setInflight(i, mshr{})
+			h.stats.MSHRHits++
+			h.stats.LatePF++
+			h.stats.LLCMisses++
+			refInstall(h.l1, line, false)
+			refInstall(h.l2, line, false)
+			if _, vValid, vPF := refInstall(h.l3, line, false); vValid && vPF {
+				h.stats.UselessPF++
+			}
+			return Result{Cycles: (c - now) + h.cfg.L1.Latency, LLCMiss: true, Level: 0}
+		}
+	}
+	if hit, wasPF := h.l1.lookup(line); hit {
+		h.stats.L1Hits++
+		if wasPF {
+			h.stats.TimelyPF++
+			h.l2.clearPF(line)
+			h.l3.clearPF(line)
+		}
+		return Result{Cycles: h.cfg.L1.Latency, Level: 1}
+	}
+	if hit, wasPF := h.l2.lookup(line); hit {
+		h.stats.L2Hits++
+		if wasPF {
+			h.stats.TimelyPF++
+			h.l3.clearPF(line)
+		}
+		h.l1.fill(line, false)
+		return Result{Cycles: h.cfg.L2.Latency, Level: 2}
+	}
+	if hit, wasPF := h.l3.lookup(line); hit {
+		h.stats.L3Hits++
+		if wasPF {
+			h.stats.TimelyPF++
+		}
+		h.l1.fill(line, false)
+		h.l2.fill(line, false)
+		return Result{Cycles: h.cfg.L3.Latency, Level: 3}
+	}
+	h.stats.DRAMFills++
+	h.stats.LLCMisses++
+	start := max(now, h.dramFree)
+	h.dramFree = start + h.cfg.DRAM.ServiceCycles
+	complete := start + h.cfg.DRAM.Latency
+	h.fillAll(line, false)
+	return Result{Cycles: complete - now, LLCMiss: true, Level: 4}
+}
+
+func (h *refHierarchy) prefetch(a mem.Addr, now uint64, kind AccessKind) bool {
+	line := LineOf(a)
+	switch kind {
+	case SoftwarePrefetch:
+		h.stats.SWPrefetches++
+	case HardwarePrefetch:
+		h.stats.HWPrefetches++
+	}
+	if h.l1.present(line) || h.l2.present(line) || h.l3.present(line) {
+		return false
+	}
+	if h.findInflight(line, now) >= 0 {
+		return false
+	}
+	slot := h.allocInflight(now)
+	if slot < 0 {
+		h.stats.DroppedPF++
+		return false
+	}
+	start := max(now, h.dramFree)
+	h.dramFree = start + h.cfg.DRAM.ServiceCycles
+	complete := start + h.cfg.DRAM.Latency
+	if complete > h.maxComplete {
+		h.maxComplete = complete
+	}
+	h.setInflight(slot, mshr{line: line, complete: complete})
+	h.fillAll(line, true)
+	return true
+}
+
+func (h *refHierarchy) strideObserve(pc uint64, line Line, now uint64) {
+	e := &h.stride[pc%uint64(len(h.stride))]
+	if e.pc != pc {
+		*e = strideEntry{pc: pc, last: line}
+		return
+	}
+	d := int64(line) - int64(e.last)
+	if d == 0 {
+		return
+	}
+	if d == e.stride {
+		e.conf++
+	} else {
+		e.stride = d
+		e.conf = 0
+	}
+	e.last = line
+	if e.conf >= h.cfg.Stride.Confidence {
+		for i := 1; i <= h.cfg.Stride.Degree; i++ {
+			next := int64(line) + e.stride*int64(i)
+			if next < 0 {
+				break
+			}
+			h.prefetch(mem.Addr(next)<<lineShift, now, HardwarePrefetch)
+		}
+	}
+}
+
+func (h *refHierarchy) residency(line Line) (m uint8) {
+	if h.l1.present(line) {
+		m |= inL1
+	}
+	if h.l2.present(line) {
+		m |= inL2
+	}
+	if h.l3.present(line) {
+		m |= inL3
+	}
+	return m
+}
+
+// hierarchyConfig builds a tiny hierarchy from five bytes: a levelGeometry
+// per level (sets overflow within a few lines), the stride engine off or
+// with 48 or 64 entries (Haswell's and Cascade Lake's), and 1-16 MSHRs.
+func hierarchyConfig(g1, g2, g3, stride, mshrs byte) Config {
+	lv := func(name string, g byte, lat uint64) LevelConfig {
+		assoc, sets := levelGeometry(g)
+		return LevelConfig{Name: name, Lines: assoc * sets, Assoc: assoc, Latency: lat}
+	}
+	cfg := Config{L1: lv("L1d", g1, 1), L2: lv("L2", g2, 10), L3: lv("L3", g3, 30),
+		DRAM: DRAMConfig{Latency: 100, ServiceCycles: 4, MSHRs: 1 + int(mshrs%16)}}
+	if n := []int{0, 48, 64}[stride%3]; n != 0 {
+		cfg.Stride = StrideConfig{Enabled: true, TableSize: n, Confidence: 1 + int(stride/3%2), Degree: 1 + int(stride/6%4)}
+	}
+	return cfg
+}
+
+// hierarchyOps drives a hierarchy and the reference through one operation
+// per four bytes of ops (kind, line, pc, time step) and fails at the first
+// difference in a Result, a Prefetch answer or any of the 13 Stats fields;
+// at the end Present must agree for every line that could have been touched
+// and the directory must equal the scanned residency.
+//
+// Lines come from a range small enough to evict constantly, from both sides
+// of the directory cap, from the top of the address space, and from per-PC
+// streams that train the stride engine (and run it off either end). The
+// clock steps backwards as well as forwards: the stride engine issues at
+// now+latency and a second core replays its quantum, so it does in
+// production too. Lines just below the cap make the directory 16 MiB, which
+// costs a run ~10 ms, so only runs with nearCap set draw them.
+func hierarchyOps(t *testing.T, cfg Config, nearCap bool, ops []byte) {
+	t.Helper()
+	got, ref := New(cfg), newRefHierarchy(cfg)
+	small := Line(2*cfg.L3.Lines + 3)
+	pcs := []uint64{1, 2, 1 + 48, 1 + 64, 2 + 48*64}
+	stream := make([]Line, len(pcs))
+	touched := map[Line]bool{}
+	now := uint64(1000)
+	sameStats := func(i int, what string) {
+		if g, r := got.Stats(), ref.stats; g != r {
+			t.Fatalf("op %d: after %s stats %+v, reference %+v", i, what, g, r)
+		}
+	}
+	for i := 0; i+3 < len(ops); i += 4 {
+		kind, sel, p, step := ops[i]%32, ops[i+1], int(ops[i+2])%len(pcs), ops[i+3]
+		if step < 64 { // a quarter of the steps go back, never past zero
+			now -= min(now, uint64(step))
+		} else {
+			now += uint64(step-64) / 4 // 24 cycles a step: a fill (100) spans several operations
+		}
+		var line Line
+		switch {
+		case sel < 176:
+			line = Line(sel) % small
+		case sel < 208: // this PC's stream: the previous line plus a small signed stride
+			line = stream[p] + Line(int64(sel%8)-2)
+			if line >= 1<<61 {
+				line = 0
+			}
+		case sel < 232 && nearCap:
+			line = dirCap - 4 + Line(sel%8)
+		case sel < 232:
+			line = small + Line(sel%8)
+		default:
+			line = 1<<59 - 4 + Line(sel%8) // address 2^62
+		}
+		stream[p] = line
+		for d := -16; d <= 16; d++ { // what the stride engine can reach from here
+			touched[line+Line(int64(d))] = true
+		}
+		switch {
+		case kind < 20:
+			g, r := got.Access(pcs[p], addr(line)+mem.Addr(sel%8), now), ref.access(pcs[p], addr(line)+mem.Addr(sel%8), now)
+			if g != r {
+				t.Fatalf("op %d: Access(pc %d, line %d, now %d) = %+v, reference %+v", i/4, pcs[p], line, now, g, r)
+			}
+		case kind < 30:
+			k := SoftwarePrefetch
+			if kind >= 27 {
+				k = HardwarePrefetch
+			}
+			if g, r := got.Prefetch(addr(line), now, k), ref.prefetch(addr(line), now, k); g != r {
+				t.Fatalf("op %d: Prefetch(line %d, now %d, %d) = %v, reference %v", i/4, line, now, k, g, r)
+			}
+		case kind < 31:
+			got.ResetStats()
+			ref.stats = Stats{}
+		default:
+			if sel%4 == 0 { // rarely, or nothing ever ages
+				got.Reset()
+				ref.reset()
+			}
+		}
+		sameStats(i/4, "the operation")
+	}
+	if len(got.where) > dirCap {
+		t.Fatalf("directory grew to %d lines, cap %d", len(got.where), dirCap)
+	}
+	for line := Line(0); line < small; line++ {
+		touched[line] = true
+	}
+	for line := range touched {
+		if line >= 1<<61 {
+			continue
+		}
+		want := ref.residency(line)
+		if g := got.Present(addr(line)); g != (want != 0) {
+			t.Fatalf("final Present(line %d) = %v, reference residency %03b", line, g, want)
+		}
+		if g := got.held(line); g != want {
+			t.Fatalf("final held(line %d) = %03b, scanned residency %03b", line, g, want)
+		}
+		if line < Line(len(got.where)) {
+			delete(touched, line)
+		}
+	}
+	// No stray bit anywhere else in the directory, a page at a time: near
+	// the cap it is 16 MiB of zeroes.
+	var zeroes [4096]uint8
+	for base := 0; base < len(got.where); base += len(zeroes) {
+		page := got.where[base:min(base+len(zeroes), len(got.where))]
+		if bytes.Equal(page, zeroes[:len(page)]) {
+			continue
+		}
+		for i, bits := range page {
+			if line := Line(base + i); bits != ref.residency(line) {
+				t.Fatalf("directory holds %03b for line %d, scanned residency %03b", bits, line, ref.residency(line))
+			}
+		}
+	}
+}
+
+func TestHierarchyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for round := 0; round < 300; round++ {
+		var g [5]byte
+		rng.Read(g[:])
+		ops := make([]byte, 4*(1+rng.Intn(1500)))
+		rng.Read(ops)
+		hierarchyOps(t, hierarchyConfig(g[0], g[1], g[2], g[3], g[4]), round%8 == 0, ops)
+	}
+}
+
+func FuzzHierarchyMatchesReference(f *testing.F) {
+	f.Add(byte(0), byte(1), byte(2), byte(0), byte(3), []byte{0, 5, 0, 100, 0, 5, 0, 100, 20, 7, 0, 64, 0, 7, 0, 70})
+	f.Add(byte(5), byte(6), byte(11), byte(1), byte(128), []byte{0, 210, 1, 200, 0, 215, 1, 10, 21, 211, 2, 64, 31, 0, 0, 64})
+	f.Add(byte(2), byte(2), byte(3), byte(8), byte(15), []byte{0, 240, 3, 90, 0, 180, 3, 90, 0, 180, 3, 90, 0, 180, 3, 20})
+	f.Fuzz(func(t *testing.T, g1, g2, g3, stride, mshrs byte, ops []byte) {
+		hierarchyOps(t, hierarchyConfig(g1, g2, g3, stride, mshrs), mshrs >= 128, ops)
 	})
 }

@@ -128,9 +128,9 @@ func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }
 // been stopped and resumed by the tracer.
 func (c *Core) ResetWindow() { c.outstanding = c.outstanding[:0] }
 
-// chargeMiss applies the MLP model to a demand miss that completes at the
-// given absolute cycle and returns the stall charged now.
-func (c *Core) chargeMiss(completion uint64) uint64 {
+// chargeMiss applies the MLP model to a demand miss that is issued at now and
+// completes at the given absolute cycle, and returns the stall charged now.
+func (c *Core) chargeMiss(now, completion uint64) uint64 {
 	if len(c.outstanding) < c.cfg.MLP {
 		c.outstanding = append(c.outstanding, completion)
 		return 0
@@ -139,8 +139,8 @@ func (c *Core) chargeMiss(completion uint64) uint64 {
 	oldest := c.outstanding[0]
 	copy(c.outstanding, c.outstanding[1:])
 	c.outstanding[len(c.outstanding)-1] = completion
-	if oldest > c.Now {
-		return oldest - c.Now
+	if oldest > now {
+		return oldest - now
 	}
 	return 0
 }
@@ -166,22 +166,34 @@ func (c *Core) Step(t *Thread, text []isa.Instr, as *mem.AddrSpace) error {
 // watches: RunUntil returns after the instruction that fired one and the
 // caller, re-reading what it passes, calls again. A thread that is not
 // runnable or already at bound returns nil.
+//
+// The clock, the retired count and the PC live in locals while the loop
+// runs. They are written back to c.Now, c.Instructions and t.PC before every
+// hook call, so a hook sees the state Step would show at that instruction,
+// and on every exit; nothing after a hook writes them, so what a hook sets
+// stands.
 func (c *Core) RunUntil(t *Thread, text []isa.Instr, as *mem.AddrSpace, bound uint64) error {
 	if !t.Runnable() {
 		return nil
 	}
+	var err error
 	r := &t.Regs
 	watches := c.Watches
-	for c.Now < bound {
-		pc := t.PC
+	hier := c.hier
+	branchCost := c.cfg.BranchCost
+	now, retired, next := c.Now, c.Instructions, t.PC
+loop:
+	for now < bound {
+		pc := next
 		if uint(pc) >= uint(len(text)) {
 			t.Fault = &mem.Fault{Addr: uint64(pc)}
-			return fmt.Errorf("cpu: pc %d outside text segment", pc)
+			err = fmt.Errorf("cpu: pc %d outside text segment", pc)
+			break loop
 		}
 		in := &text[pc]
-		t.PC++
-		c.Now++
-		c.Instructions++
+		next++
+		now++
+		retired++
 		for _, w := range watches {
 			if w.has(pc) {
 				w.Count++
@@ -192,6 +204,7 @@ func (c *Core) RunUntil(t *Thread, text []isa.Instr, as *mem.AddrSpace, bound ui
 		case isa.Nop:
 		case isa.InitDone:
 			if c.OnInitDone != nil {
+				c.Now, c.Instructions, t.PC = now, retired, next
 				c.OnInitDone()
 				return nil
 			}
@@ -231,13 +244,23 @@ func (c *Core) RunUntil(t *Thread, text []isa.Instr, as *mem.AddrSpace, bound ui
 			v, ok := as.Read(addr)
 			if !ok {
 				t.Fault = &mem.Fault{Addr: addr}
-				return nil
+				break loop
 			}
-			hooked := c.chargeLoad(pc, addr, c.hier.Access(uint64(pc), addr, c.Now))
+			// Cache hits pay their level latency directly; LLC misses
+			// enter the MLP window and fire the hook, which still runs
+			// before the load's write-back.
+			if res := hier.Access(uint64(pc), addr, now); !res.LLCMiss {
+				now += res.Cycles
+			} else {
+				now += c.chargeMiss(now, now+res.Cycles)
+				if c.OnLLCMiss != nil {
+					c.Now, c.Instructions, t.PC = now, retired, next
+					c.OnLLCMiss(pc, addr)
+					r[in.Rd] = v
+					return nil
+				}
+			}
 			r[in.Rd] = v
-			if hooked {
-				return nil
-			}
 		case isa.Store:
 			addr := r[in.Rs1] + uint64(in.Imm)
 			if in.Rs2 != isa.NoReg {
@@ -245,11 +268,11 @@ func (c *Core) RunUntil(t *Thread, text []isa.Instr, as *mem.AddrSpace, bound ui
 			}
 			if !as.Write(addr, r[in.Rd]) {
 				t.Fault = &mem.Fault{Addr: addr, Write: true}
-				return nil
+				break loop
 			}
 			// Stores occupy the fill path (write-allocate) but do not stall
 			// the core: store-miss latency hides behind the store buffer.
-			c.hier.Access(uint64(pc), addr, c.Now)
+			hier.Access(uint64(pc), addr, now)
 		case isa.Prefetch:
 			addr := r[in.Rs1] + uint64(in.Imm)
 			if in.Rs2 != isa.NoReg {
@@ -257,77 +280,64 @@ func (c *Core) RunUntil(t *Thread, text []isa.Instr, as *mem.AddrSpace, bound ui
 			}
 			// Prefetch never faults: unmapped addresses are dropped.
 			if as.Mapped(addr) {
-				c.hier.Prefetch(addr, c.Now, cache.SoftwarePrefetch)
+				hier.Prefetch(addr, now, cache.SoftwarePrefetch)
 			}
 		case isa.Br:
 			if in.Cond.Holds(r[in.Rs1], r[in.Rs2]) {
-				t.PC = in.Target
-				c.Now += c.cfg.BranchCost
+				next = in.Target
+				now += branchCost
 			}
 		case isa.BrImm:
 			if in.Cond.Holds(r[in.Rs1], uint64(in.Imm)) {
-				t.PC = in.Target
-				c.Now += c.cfg.BranchCost
+				next = in.Target
+				now += branchCost
 			}
 		case isa.Jmp:
-			t.PC = in.Target
-			c.Now += c.cfg.BranchCost
+			next = in.Target
+			now += branchCost
 		case isa.Call:
 			r[isa.SP]--
-			if !as.Write(r[isa.SP], uint64(t.PC)) {
+			if !as.Write(r[isa.SP], uint64(next)) {
 				t.Fault = &mem.Fault{Addr: r[isa.SP], Write: true}
-				return nil
+				break loop
 			}
-			t.PC = in.Target
-			c.Now += c.cfg.BranchCost
+			next = in.Target
+			now += branchCost
 		case isa.Ret:
 			v, ok := as.Read(r[isa.SP])
 			if !ok {
 				t.Fault = &mem.Fault{Addr: r[isa.SP]}
-				return nil
+				break loop
 			}
 			r[isa.SP]++
-			t.PC = int(v)
-			c.Now += c.cfg.BranchCost
+			next = int(v)
+			now += branchCost
 		case isa.Push:
 			r[isa.SP]--
 			if !as.Write(r[isa.SP], r[in.Rs1]) {
 				t.Fault = &mem.Fault{Addr: r[isa.SP], Write: true}
-				return nil
+				break loop
 			}
 		case isa.Pop:
 			v, ok := as.Read(r[isa.SP])
 			if !ok {
 				t.Fault = &mem.Fault{Addr: r[isa.SP]}
-				return nil
+				break loop
 			}
 			r[isa.SP]++
 			r[in.Rd] = v
 		case isa.Halt:
 			t.Halted = true
-			return nil
+			break loop
 		default:
 			// Code a tracer poked wrong: a crash, not a clean exit.
 			t.Fault = &mem.Fault{Addr: uint64(pc)}
-			return fmt.Errorf("cpu: pc %d: unknown opcode %v", pc, in.Op)
+			err = fmt.Errorf("cpu: pc %d: unknown opcode %v", pc, in.Op)
+			break loop
 		}
 	}
-	return nil
-}
-
-// chargeLoad applies load latency: cache hits pay their level latency
-// directly; LLC misses enter the MLP window. It reports whether it called
-// the OnLLCMiss hook.
-func (c *Core) chargeLoad(pc int, addr mem.Addr, res cache.Result) (hooked bool) {
-	if !res.LLCMiss {
-		c.Now += res.Cycles
-		return false
-	}
-	c.Now += c.chargeMiss(c.Now + res.Cycles)
-	if hooked = c.OnLLCMiss != nil; hooked {
-		c.OnLLCMiss(pc, addr)
-	}
-	return hooked
+	c.Now, c.Instructions, t.PC = now, retired, next
+	return err
 }
 
 // IPC returns instructions-per-cycle over the core's lifetime. Callers that

@@ -301,33 +301,213 @@ func missLoop(t *testing.T) (*isa.Binary, func() (*Core, *Thread, *mem.AddrSpace
 	}
 }
 
-// RunUntil is the same interpreter as Step: at every bound the two reach
-// the same registers, clock, retirement count, watch count and cache stats.
-func TestRunUntilMatchesReferenceStep(t *testing.T) {
-	bin, fresh := missLoop(t)
-	for _, bound := range []uint64{1, 2, 7, 100, 1001, 5000, 1 << 40} {
-		stepCore, stepTh, stepAS := fresh()
-		runCore, runTh, runAS := fresh()
-		stepW, runW := NewWatch([]int{3, 5}), NewWatch([]int{3, 5})
-		stepCore.Watches, runCore.Watches = []*Watch{stepW}, []*Watch{runW}
-		for stepTh.Runnable() && stepCore.Now < bound {
-			if err := stepCore.Step(stepTh, bin.Text, stepAS); err != nil {
-				t.Fatal(err)
+// clock is what RunUntil holds in locals while it runs.
+type clock struct {
+	now, instructions uint64
+	pc                int
+}
+
+func clockOf(c *Core, t *Thread) clock { return clock{c.Now, c.Instructions, t.PC} }
+
+// exitProgram is a short program that leaves RunUntil by one of its exits,
+// and the clock that exit must write back. Each starts with a taken jump
+// (one cycle of BranchCost, so the clock and the retired count differ) and a
+// MovImm: clock{3, 2, 2} on the way into its third instruction.
+type exitProgram struct {
+	name    string
+	text    []isa.Instr
+	want    clock
+	fault   *mem.Fault // nil for a clean Halt
+	wantErr bool
+}
+
+func exitPrograms(t *testing.T) []exitProgram {
+	t.Helper()
+	link := func(tail func(a *isa.Asm)) []isa.Instr {
+		a := isa.NewAsm("main")
+		a.Jmp("next")
+		a.Label("next")
+		a.MovImm(0, 0) // address 0 is never mapped
+		tail(a)
+		bin, err := isa.NewProgram("main").Add(a).Link()
+		if err != nil {
+			t.Fatalf("link: %v", err)
+		}
+		return bin.Text
+	}
+	prefix := link(func(*isa.Asm) {})
+	return []exitProgram{
+		// The first four have retired the instruction that ends them: the
+		// PC is already past it.
+		{name: "load fault", text: link(func(a *isa.Asm) { a.Load(1, 0, 0).Halt() }),
+			want: clock{4, 3, 3}, fault: &mem.Fault{Addr: 0}},
+		{name: "store fault", text: link(func(a *isa.Asm) { a.Store(0, 0, 1).Halt() }),
+			want: clock{4, 3, 3}, fault: &mem.Fault{Addr: 0, Write: true}},
+		{name: "halt", text: link(func(a *isa.Asm) { a.Halt() }), want: clock{4, 3, 3}},
+		{name: "unknown opcode", text: append(prefix[:2:2], isa.Instr{Op: isa.Op(250)}, isa.MakeNop()),
+			want: clock{4, 3, 3}, fault: &mem.Fault{Addr: 2}, wantErr: true},
+		// A PC outside the text retires nothing and stays where it is.
+		{name: "pc outside text", text: prefix,
+			want: clock{3, 2, 2}, fault: &mem.Fault{Addr: 2}, wantErr: true},
+	}
+}
+
+// Every exit of RunUntil writes the clock back, to the values the
+// interpreter left there when c.Now, c.Instructions and t.PC were updated in
+// place, whether it is entered once or once per instruction.
+func TestRunUntilWritesBackOnEveryExit(t *testing.T) {
+	for _, p := range exitPrograms(t) {
+		for name, exec := range map[string]func(*Core, *Thread) error{
+			"RunUntil": func(c *Core, th *Thread) error { return c.RunUntil(th, p.text, mem.NewAddrSpace(), 1<<40) },
+			"Step": func(c *Core, th *Thread) (err error) {
+				for err == nil && th.Runnable() {
+					err = c.Step(th, p.text, mem.NewAddrSpace())
+				}
+				return err
+			},
+		} {
+			core, th := New(Config{MLP: 2, BranchCost: 1}, testHier()), &Thread{}
+			err := exec(core, th)
+			if (err != nil) != p.wantErr {
+				t.Errorf("%s by %s: error %v, want one: %v", p.name, name, err, p.wantErr)
+			}
+			if got := clockOf(core, th); got != p.want {
+				t.Errorf("%s by %s: left %+v, want %+v", p.name, name, got, p.want)
+			}
+			if th.Runnable() || th.Halted != (p.fault == nil) || (p.fault != nil && (th.Fault == nil || *th.Fault != *p.fault)) {
+				t.Errorf("%s by %s: thread %+v (fault %+v), want fault %+v", p.name, name, th, th.Fault, p.fault)
 			}
 		}
-		if err := runCore.RunUntil(runTh, bin.Text, runAS, bound); err != nil {
-			t.Fatal(err)
+	}
+}
+
+// A hook runs with the clock written back: inside OnInitDone and OnLLCMiss
+// the core and the thread show what they show when the instruction has
+// retired, which Step exposes by returning there. A watch over every PC is
+// the retired count's independent witness.
+func TestHooksObserveWrittenBackClock(t *testing.T) {
+	bin, fresh := missLoop(t)
+	everyPC := make([]int, len(bin.Text))
+	for pc := range everyPC {
+		everyPC[pc] = pc
+	}
+	// run executes the loop to Halt by the given driver and returns the
+	// clock each hook saw.
+	run := func(step bool) (seen []clock) {
+		core, th, as := fresh()
+		w := NewWatch(everyPC)
+		core.Watches = []*Watch{w}
+		hook := func(pc int) {
+			got := clockOf(core, th)
+			if got.pc != pc+1 || got.instructions != w.Count {
+				t.Fatalf("hook at pc %d, %d retired: sees %+v", pc, w.Count, got)
+			}
+			seen = append(seen, got)
 		}
-		if runTh.Fault != nil || stepTh.Fault != nil {
-			t.Fatalf("bound %d: the loop faulted: %v, %v", bound, runTh.Fault, stepTh.Fault)
+		core.OnInitDone = func() { hook(1) }
+		core.OnLLCMiss = func(pc int, _ mem.Addr) { hook(pc) }
+		for th.Runnable() {
+			before := len(seen)
+			var err error
+			if step {
+				err = core.Step(th, bin.Text, as)
+			} else {
+				err = core.RunUntil(th, bin.Text, as, 1<<40)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Nothing runs between a hook and the return after it.
+			if len(seen) > before && seen[len(seen)-1] != clockOf(core, th) {
+				t.Fatalf("hook saw %+v, the call returned at %+v", seen[len(seen)-1], clockOf(core, th))
+			}
 		}
-		if *runTh != *stepTh || runCore.Now != stepCore.Now || runCore.Instructions != stepCore.Instructions ||
-			runW.Count != stepW.Count || runCore.Hierarchy().Stats() != stepCore.Hierarchy().Stats() {
-			t.Fatalf("bound %d: RunUntil reached %+v at %d/%d, Step %+v at %d/%d", bound,
-				*runTh, runCore.Now, runCore.Instructions, *stepTh, stepCore.Now, stepCore.Instructions)
+		return seen
+	}
+	byStep, byRun := run(true), run(false)
+	if len(byStep) < 100 || byStep[0] != (clock{2, 2, 2}) {
+		t.Fatalf("%d hooks, the first (InitDone at pc 1) at %+v", len(byStep), byStep[0])
+	}
+	if len(byRun) != len(byStep) {
+		t.Fatalf("%d hooks by RunUntil, %d by Step", len(byRun), len(byStep))
+	}
+	for i := range byStep {
+		if byRun[i] != byStep[i] {
+			t.Fatalf("hook %d: RunUntil shows %+v, Step %+v", i, byRun[i], byStep[i])
 		}
-		if bound == 1<<40 && !runTh.Halted {
-			t.Fatal("an unbounded RunUntil must run to Halt")
+	}
+}
+
+// RunUntil is the same interpreter as Step: at every bound the two reach
+// the same registers, clock, retirement count, watch count and cache stats,
+// on the miss loop, on every program that leaves by a fault or a Halt, and
+// when a hook stops the run in the middle of a quantum.
+func TestRunUntilMatchesReferenceStep(t *testing.T) {
+	type program struct {
+		name  string
+		text  []isa.Instr
+		fresh func() (*Core, *Thread, *mem.AddrSpace)
+		// stopAt, if not zero, installs an OnLLCMiss hook on which the
+		// driver stops for good at that miss, as a tracer's stop does.
+		stopAt int
+	}
+	bin, fresh := missLoop(t)
+	programs := []program{{name: "miss loop", text: bin.Text, fresh: fresh},
+		{name: "miss loop, hooked", text: bin.Text, fresh: fresh, stopAt: 1 << 30},
+		{name: "miss loop, stopped at the 37th miss", text: bin.Text, fresh: fresh, stopAt: 37}}
+	for _, p := range exitPrograms(t) {
+		programs = append(programs, program{name: p.name, text: p.text, fresh: func() (*Core, *Thread, *mem.AddrSpace) {
+			return New(Config{MLP: 2, BranchCost: 1}, testHier()), &Thread{}, mem.NewAddrSpace()
+		}})
+	}
+	for _, p := range programs {
+		for _, bound := range []uint64{1, 2, 3, 4, 7, 100, 1001, 5000, 1 << 40} {
+			stepCore, stepTh, stepAS := p.fresh()
+			runCore, runTh, runAS := p.fresh()
+			stepW, runW := NewWatch([]int{3, 5}), NewWatch([]int{3, 5})
+			stepCore.Watches, runCore.Watches = []*Watch{stepW}, []*Watch{runW}
+			stepMisses, runMisses := 0, 0
+			if p.stopAt != 0 {
+				stepCore.OnLLCMiss = func(int, mem.Addr) { stepMisses++ }
+				runCore.OnLLCMiss = func(int, mem.Addr) { runMisses++ }
+			}
+			var stepErr, runErr error
+			for stepErr == nil && stepTh.Runnable() && stepCore.Now < bound && (p.stopAt == 0 || stepMisses != p.stopAt) {
+				stepErr = stepCore.Step(stepTh, p.text, stepAS)
+			}
+			// The caller's loop of proc.Run: RunUntil comes back after a hook.
+			for runErr == nil && runTh.Runnable() && runCore.Now < bound && (p.stopAt == 0 || runMisses != p.stopAt) {
+				runErr = runCore.RunUntil(runTh, p.text, runAS, bound)
+			}
+			if (runErr == nil) != (stepErr == nil) {
+				t.Fatalf("%s, bound %d: RunUntil error %v, Step error %v", p.name, bound, runErr, stepErr)
+			}
+			// Everything either driver can have left behind, comparable.
+			type state struct {
+				regs    [isa.NumRegs]uint64
+				clock   clock
+				halted  bool
+				fault   mem.Fault
+				watched uint64
+				misses  int
+				stats   cache.Stats
+			}
+			snapshot := func(c *Core, th *Thread, w *Watch, misses int) state {
+				st := state{regs: th.Regs, clock: clockOf(c, th), halted: th.Halted, watched: w.Count, misses: misses, stats: c.Hierarchy().Stats()}
+				if th.Fault != nil {
+					st.fault = *th.Fault
+				}
+				return st
+			}
+			if run, step := snapshot(runCore, runTh, runW, runMisses), snapshot(stepCore, stepTh, stepW, stepMisses); run != step || (runTh.Fault == nil) != (stepTh.Fault == nil) {
+				t.Fatalf("%s, bound %d: RunUntil reached %+v, Step %+v", p.name, bound, run, step)
+			}
+			if bound == 1<<40 && p.stopAt == 37 && (runMisses != 37 || runTh.Halted) {
+				t.Fatalf("%s: stopped after %d misses, halted %v", p.name, runMisses, runTh.Halted)
+			}
+			if bound == 1<<40 && p.stopAt != 37 && runTh.Runnable() {
+				t.Fatalf("%s: an unbounded RunUntil must run to the program's end", p.name)
+			}
 		}
 	}
 }

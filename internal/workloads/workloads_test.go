@@ -2,9 +2,12 @@ package workloads_test
 
 import (
 	. "rpg2/internal/workloads"
+	"strings"
 	"testing"
 
+	"rpg2/internal/baselines"
 	"rpg2/internal/machine"
+	"rpg2/internal/proc"
 )
 
 // launchAndRun starts a workload on the given machine and runs it for the
@@ -101,22 +104,45 @@ func TestSmallInputStaysCacheResident(t *testing.T) {
 	}
 }
 
+// BenchmarkInterpreterThroughput is the interpreter campaign's profile
+// harness (EXPERIMENTS.md "Interpreter campaign"): the nine kernels of the
+// repo benchmark's interp-miss and interp-hit workloads, each launched, run
+// past init and warmed for 10 simulated seconds the way bench/ does, then
+// timed over 2.5 sim-s slices of proc.Run.
+//
+//	go test -run '^$' -bench 'InterpreterThroughput/miss' -cpuprofile cpu.prof ./internal/workloads
 func BenchmarkInterpreterThroughput(b *testing.B) {
 	m := machine.CascadeLake()
-	w, err := Build("pr", "soc-alpha", 1<<30)
-	if err != nil {
-		b.Fatalf("Build: %v", err)
+	for _, k := range []struct{ class, bench, input string }{
+		{"miss", "is", ""}, {"miss", "randacc", ""}, {"miss", "cg", ""},
+		{"miss", "bfs", "soc-gamma"}, {"miss", "sssp", "gowalla-like"},
+		{"hit", "pr", "as20000102-like"}, {"hit", "pr", "ring-small"},
+		{"hit", "sssp", "as20000102-like"}, {"hit", "pr", "synth-small"},
+	} {
+		b.Run(strings.TrimSuffix(k.class+"/"+k.bench+"-"+k.input, "-"), func(b *testing.B) {
+			w, err := Build(k.bench, k.input, 1<<30)
+			if err != nil {
+				b.Fatalf("Build: %v", err)
+			}
+			p, err := m.Launch(w.Bin, w.Setup)
+			if err != nil {
+				b.Fatalf("Launch: %v", err)
+			}
+			if err := baselines.RunUntilInit(p, m); err != nil {
+				b.Fatal(err)
+			}
+			p.Run(m.Seconds(10))
+			before := p.Counters()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Run(m.Seconds(2.5))
+			}
+			b.StopTimer()
+			if p.State() != proc.Running {
+				b.Fatalf("process is %v after the timed slices", p.State())
+			}
+			instr := p.Counters().Instructions - before.Instructions
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instr), "ns/instr")
+		})
 	}
-	p, err := m.Launch(w.Bin, w.Setup)
-	if err != nil {
-		b.Fatalf("Launch: %v", err)
-	}
-	before := p.Counters()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Run(1_000_000)
-	}
-	b.StopTimer()
-	after := p.Counters()
-	b.ReportMetric(float64(after.Instructions-before.Instructions)/b.Elapsed().Seconds(), "instr/s")
 }
