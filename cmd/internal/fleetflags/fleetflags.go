@@ -7,19 +7,22 @@ import (
 	"flag"
 	"fmt"
 
-	"rpg2"
+	"rpg2/internal/faults"
+	"rpg2/internal/fleet"
+	"rpg2/internal/machine"
+	"rpg2/internal/wal"
 )
 
 // Flags is the parsed fleet-shaping flag set. Most flags bind straight
 // into Fleet's fields, so a binary can bind its own extra fleet flags there
 // too; Resolve fills in what needs parsing or checking.
 type Flags struct {
-	Fleet  rpg2.FleetConfig
+	Fleet  fleet.Config
 	Resume bool
 
 	machine string
 	fsync   string
-	disk    rpg2.DiskFaultConfig
+	disk    faults.DiskConfig
 }
 
 // Bind registers the shared flags on fs.
@@ -36,11 +39,8 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&c.MaxRetries, "retries", 0, "retry budget for failed/rolled-back sessions (0 = no retry lane)")
 	fs.IntVar(&c.BreakerThreshold, "breaker", 0, "consecutive rollbacks that trip a pair's circuit breaker (0 = off)")
 	fs.Float64Var(&c.WatchdogInterval, "watchdog-interval", 0, "sample tuned sessions every this many simulated seconds for phase drift (0 = watchdog off, byte-identical fleet)")
-	fs.Float64Var(&c.WatchdogWindow, "watchdog-window", 0, "measured window length per watchdog sample in simulated seconds (0 = default 0.2)")
-	fs.Float64Var(&c.WatchdogThreshold, "watchdog-threshold", 0, "relative rate degradation that counts as drifted (0 = default 0.25)")
 	fs.IntVar(&c.WatchdogHysteresis, "watchdog-hysteresis", 0, "consecutive degraded samples before the watchdog fires (0 = default 3)")
 	fs.IntVar(&c.MaxRetunes, "max-retunes", 0, "re-tune lane budget per session (0 = default 1 when the watchdog is armed)")
-	fs.Float64Var(&c.RetuneDelay, "retune-delay", 0, "fixed virtual delay before a re-tune dispatch (0 = default 0.5)")
 	fs.BoolVar(&c.RetuneCold, "retune-cold", false, "ablation: re-tune searches start cold instead of seeded from the installed distance")
 	fs.StringVar(&c.StateDir, "state-dir", "", "persist the journal WAL and profile-store snapshots here (empty = in-memory only)")
 	fs.BoolVar(&f.Resume, "resume", false, "recover the state dir's interrupted run instead of starting a fresh epoch")
@@ -59,21 +59,21 @@ func Bind(fs *flag.FlagSet) *Flags {
 // recoverable work, not scratch space: without -resume or -fresh it is
 // refused here, before anything opens it — and so is one that cannot be
 // read (with -resume, recovery itself reports that).
-func (f *Flags) Resolve(diskSeed int64) (rpg2.FleetConfig, error) {
+func (f *Flags) Resolve(diskSeed int64) (fleet.Config, error) {
 	cfg := f.Fleet
 	var ok bool
-	if cfg.Machine, ok = rpg2.MachineByName(f.machine); !ok {
+	if cfg.Machine, ok = machine.ByName(f.machine); !ok {
 		return cfg, fmt.Errorf("unknown machine %q", f.machine)
 	}
 	var err error
-	if cfg.Fsync, err = rpg2.ParseFsyncPolicy(f.fsync); err != nil {
+	if cfg.Fsync, err = wal.ParseSyncMode(f.fsync); err != nil {
 		return cfg, err
 	}
 	if f.Resume && cfg.StateDir == "" {
 		return cfg, fmt.Errorf("-resume needs -state-dir")
 	}
 	if cfg.StateDir != "" && !f.Resume && !cfg.Overwrite {
-		n, err := rpg2.FleetPendingSessions(cfg.StateDir)
+		n, err := fleet.PendingSessions(cfg.StateDir)
 		if err != nil {
 			return cfg, err
 		}
@@ -83,7 +83,7 @@ func (f *Flags) Resolve(diskSeed int64) (rpg2.FleetConfig, error) {
 	}
 	if f.disk.WriteRate > 0 || f.disk.SyncRate > 0 || f.disk.SnapshotRate > 0 {
 		f.disk.Seed = diskSeed
-		cfg.DiskFaults = rpg2.NewDiskFaultInjector(f.disk)
+		cfg.DiskFaults = faults.NewDisk(f.disk)
 	}
 	return cfg, nil
 }

@@ -32,7 +32,8 @@ import (
 	"strings"
 	"time"
 
-	"rpg2"
+	"rpg2/internal/fleet"
+	"rpg2/internal/fleetclient"
 )
 
 func main() {
@@ -47,7 +48,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cli := rpg2.NewFleetClient(rpg2.FleetClientConfig{
+	cli := fleetclient.New(fleetclient.Config{
 		BaseURL:         *addr,
 		OverloadRetries: *overloadRetries,
 		Seed:            *jitterSeed,
@@ -90,12 +91,12 @@ func main() {
 // printed Retry-After), 4 = unknown session or empty store lookup, 1 =
 // everything else.
 func exitErr(err error) {
-	var over *rpg2.FleetClientOverloaded
+	var over *fleetclient.Overloaded
 	switch {
 	case errors.As(err, &over):
 		fmt.Fprintf(os.Stderr, "rpg2-fleetctl: daemon overloaded, retry after %s: %v\n", over.RetryAfter, err)
 		os.Exit(3)
-	case errors.Is(err, rpg2.ErrFleetNotFound):
+	case errors.Is(err, fleetclient.ErrNotFound):
 		fmt.Fprintln(os.Stderr, "rpg2-fleetctl: not found:", err)
 		os.Exit(4)
 	default:
@@ -116,7 +117,7 @@ func specFlags(fs *flag.FlagSet) (bench, input, tenant *string, seed *int64, pri
 	return
 }
 
-func runSubmit(ctx context.Context, cli *rpg2.FleetClient, args []string) error {
+func runSubmit(ctx context.Context, cli *fleetclient.Client, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	bench, input, tenant, seed, priority, cold, seconds := specFlags(fs)
 	wait := fs.Bool("wait", false, "block until the session is terminal and print its outcome")
@@ -124,13 +125,13 @@ func runSubmit(ctx context.Context, cli *rpg2.FleetClient, args []string) error 
 	if *bench == "" {
 		return errors.New("submit: -bench is required")
 	}
-	spec := rpg2.SessionRecord{
+	spec := fleet.SpecRecord{
 		Bench: *bench, Input: *input, Tenant: *tenant, Seed: *seed,
 		Priority: *priority, Cold: *cold, RunSeconds: *seconds,
 	}
 	id, err := cli.Submit(ctx, spec)
 	if err != nil {
-		var over *rpg2.FleetClientOverloaded
+		var over *fleetclient.Overloaded
 		if errors.As(err, &over) {
 			fmt.Printf("rejected retry-after=%s\n", over.RetryAfter)
 			os.Exit(3)
@@ -155,7 +156,7 @@ func parseID(args []string) (int, error) {
 	return strconv.Atoi(args[0])
 }
 
-func runStatus(ctx context.Context, cli *rpg2.FleetClient, args []string) error {
+func runStatus(ctx context.Context, cli *fleetclient.Client, args []string) error {
 	id, err := parseID(args)
 	if err != nil {
 		return err
@@ -167,7 +168,7 @@ func runStatus(ctx context.Context, cli *rpg2.FleetClient, args []string) error 
 	return printJSON(st)
 }
 
-func runWait(ctx context.Context, cli *rpg2.FleetClient, args []string) error {
+func runWait(ctx context.Context, cli *fleetclient.Client, args []string) error {
 	id, err := parseID(args)
 	if err != nil {
 		return err
@@ -179,7 +180,7 @@ func runWait(ctx context.Context, cli *rpg2.FleetClient, args []string) error {
 	return printJSON(out)
 }
 
-func runResult(ctx context.Context, cli *rpg2.FleetClient, args []string) error {
+func runResult(ctx context.Context, cli *fleetclient.Client, args []string) error {
 	id, err := parseID(args)
 	if err != nil {
 		return err
@@ -194,7 +195,7 @@ func runResult(ctx context.Context, cli *rpg2.FleetClient, args []string) error 
 	return printJSON(out)
 }
 
-func runMetrics(ctx context.Context, cli *rpg2.FleetClient) error {
+func runMetrics(ctx context.Context, cli *fleetclient.Client) error {
 	snap, err := cli.Metrics(ctx)
 	if err != nil {
 		return err
@@ -203,12 +204,12 @@ func runMetrics(ctx context.Context, cli *rpg2.FleetClient) error {
 	return nil
 }
 
-func runEvents(ctx context.Context, cli *rpg2.FleetClient, args []string) error {
+func runEvents(ctx context.Context, cli *fleetclient.Client, args []string) error {
 	fs := flag.NewFlagSet("events", flag.ExitOnError)
 	since := fs.Int("since", -1, "replay events with sequence > since before following (-1 = everything)")
 	fs.Parse(args)
 	enc := json.NewEncoder(os.Stdout)
-	return cli.Stream(ctx, *since, func(e rpg2.FleetEvent) error {
+	return cli.Stream(ctx, *since, func(e fleet.Event) error {
 		return enc.Encode(e)
 	})
 }
@@ -217,11 +218,11 @@ func runEvents(ctx context.Context, cli *rpg2.FleetClient, args []string) error 
 // watchdog lane — drift-detected, retune-scheduled, retune-complete — as
 // one grep-able line each, so an operator can watch re-tunes fire without
 // wading through the full journal.
-func runDrift(ctx context.Context, cli *rpg2.FleetClient, args []string) error {
+func runDrift(ctx context.Context, cli *fleetclient.Client, args []string) error {
 	fs := flag.NewFlagSet("drift", flag.ExitOnError)
 	since := fs.Int("since", -1, "replay events with sequence > since before following (-1 = everything)")
 	fs.Parse(args)
-	return cli.Stream(ctx, *since, func(e rpg2.FleetEvent) error {
+	return cli.Stream(ctx, *since, func(e fleet.Event) error {
 		switch e.Type {
 		case "drift-detected":
 			fmt.Printf("drift-detected session=%d bench=%s/%s retune=%d rate=%.4f ref=%.4f windows=%d\n",
@@ -237,7 +238,7 @@ func runDrift(ctx context.Context, cli *rpg2.FleetClient, args []string) error {
 	})
 }
 
-func runLookup(ctx context.Context, cli *rpg2.FleetClient, args []string) error {
+func runLookup(ctx context.Context, cli *fleetclient.Client, args []string) error {
 	fs := flag.NewFlagSet("lookup", flag.ExitOnError)
 	bench := fs.String("bench", "", "benchmark name (required)")
 	input := fs.String("input", "", "graph/synthetic input")
@@ -247,9 +248,9 @@ func runLookup(ctx context.Context, cli *rpg2.FleetClient, args []string) error 
 	if *bench == "" {
 		return errors.New("lookup: -bench is required")
 	}
-	k := rpg2.FleetKey{Bench: *bench, Input: *input, Machine: *machine}
+	k := fleet.Key{Bench: *bench, Input: *input, Machine: *machine}
 	var (
-		res rpg2.FleetLookupResult
+		res fleetclient.LookupResult
 		err error
 	)
 	if *translated {
@@ -258,7 +259,7 @@ func runLookup(ctx context.Context, cli *rpg2.FleetClient, args []string) error 
 		res, err = cli.Lookup(ctx, k)
 	}
 	if err != nil {
-		if errors.Is(err, rpg2.ErrFleetNotFound) {
+		if errors.Is(err, fleetclient.ErrNotFound) {
 			// %w keeps the ErrFleetNotFound chain intact so exitErr maps
 			// this to its distinct exit code.
 			return fmt.Errorf("no profile for %s/%s: %w", *bench, *input, err)
@@ -268,7 +269,7 @@ func runLookup(ctx context.Context, cli *rpg2.FleetClient, args []string) error 
 	return printJSON(res)
 }
 
-func runBatch(ctx context.Context, cli *rpg2.FleetClient, args []string) error {
+func runBatch(ctx context.Context, cli *fleetclient.Client, args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ExitOnError)
 	benches := fs.String("bench", "is,cg,mg", "comma-separated benchmark names")
 	tenant := fs.String("tenant", "", "tenant all sessions are accounted to")
@@ -286,9 +287,9 @@ func runBatch(ctx context.Context, cli *rpg2.FleetClient, args []string) error {
 			continue
 		}
 		for i := 0; i < *count; i++ {
-			id, err := cli.Submit(ctx, rpg2.SessionRecord{Bench: b, Tenant: *tenant, Seed: s})
+			id, err := cli.Submit(ctx, fleet.SpecRecord{Bench: b, Tenant: *tenant, Seed: s})
 			s++
-			var over *rpg2.FleetClientOverloaded
+			var over *fleetclient.Overloaded
 			switch {
 			case err == nil:
 				accepted = append(accepted, id)
@@ -325,7 +326,7 @@ func runBatch(ctx context.Context, cli *rpg2.FleetClient, args []string) error {
 	return nil
 }
 
-func runHealth(ctx context.Context, cli *rpg2.FleetClient) error {
+func runHealth(ctx context.Context, cli *fleetclient.Client) error {
 	st, err := cli.Health(ctx)
 	if err != nil {
 		return err

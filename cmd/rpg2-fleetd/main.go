@@ -28,15 +28,16 @@ import (
 	"net"
 	"os"
 
-	"rpg2"
 	"rpg2/cmd/internal/fleetflags"
 	"rpg2/internal/daemon"
+	"rpg2/internal/faults"
+	"rpg2/internal/fleetd"
 )
 
 func main() {
 	fleet := fleetflags.Bind(flag.CommandLine)
-	var cfg rpg2.FleetDaemonConfig
-	var chaos rpg2.NetFaultConfig
+	var cfg fleetd.Config
+	var chaos faults.NetConfig
 	listen := flag.String("listen", "127.0.0.1:8047", "address to serve the HTTP API on")
 	flag.IntVar(&fleet.Fleet.TenantQuota, "tenant-quota", 0, "max in-flight sessions per tenant (0 = unlimited)")
 	flag.IntVar(&fleet.Fleet.MaxQueue, "max-queue", 0, "max waiting sessions before submissions get 429 (0 = unbounded)")
@@ -58,16 +59,16 @@ func main() {
 	}
 }
 
-func run(fleet *fleetflags.Flags, cfg rpg2.FleetDaemonConfig, chaos rpg2.NetFaultConfig, listen, addrFile string) error {
+func run(fleet *fleetflags.Flags, cfg fleetd.Config, chaos faults.NetConfig, listen, addrFile string) error {
 	var err error
 	if cfg.Fleet, err = fleet.Resolve(chaos.Seed); err != nil {
 		return err
 	}
 	cfg.Resume = fleet.Resume
 	if chaos.DelayRate > 0 || chaos.ErrorRate > 0 || chaos.SeverRate > 0 || chaos.PanicRate > 0 {
-		cfg.NetFaults = rpg2.NewNetFaultInjector(chaos)
+		cfg.NetFaults = faults.NewNet(chaos)
 	}
-	srv, err := rpg2.NewFleetDaemon(cfg)
+	srv, err := fleetd.New(cfg)
 	if err != nil {
 		return err
 	}

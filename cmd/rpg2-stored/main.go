@@ -26,12 +26,13 @@ import (
 	"net"
 	"os"
 
-	"rpg2"
 	"rpg2/internal/daemon"
+	"rpg2/internal/stored"
+	"rpg2/internal/wal"
 )
 
 func main() {
-	var cfg rpg2.StoreDaemonConfig
+	var cfg stored.Config
 	listen := flag.String("listen", "127.0.0.1:8049", "address to serve the store API on")
 	flag.IntVar(&cfg.Store.MaxReuse, "max-reuse", 0, "serves per committed entry before it goes stale (0 = default 16)")
 	flag.StringVar(&cfg.StateDir, "state-dir", "", "persist the op journal and snapshots here (empty = in-memory only)")
@@ -49,12 +50,12 @@ func main() {
 	}
 }
 
-func run(cfg rpg2.StoreDaemonConfig, listen, fsync, addrFile string) error {
+func run(cfg stored.Config, listen, fsync, addrFile string) error {
 	var err error
-	if cfg.Fsync, err = rpg2.ParseFsyncPolicy(fsync); err != nil {
+	if cfg.Fsync, err = wal.ParseSyncMode(fsync); err != nil {
 		return err
 	}
-	srv, err := rpg2.NewStoreDaemon(cfg)
+	srv, err := stored.New(cfg)
 	if err != nil {
 		return err
 	}

@@ -267,11 +267,7 @@ func RunSweepWorkload(w *workloads.Workload, m machine.Machine, cfg SweepConfig)
 	return out, nil
 }
 
-// ManualDistanceFor returns the developer's manual prefetch distance for a
-// workload, or 0 when none exists.
-func ManualDistanceFor(w *workloads.Workload) int { return w.ManualDistance }
-
-// APTGETDistance derives a static prefetch distance the way the APT-GET
+// APTGETDistanceWorkload derives a static prefetch distance the way the APT-GET
 // compiler does (§2, §4.1.1): profile one input, measure the hot loop's
 // iteration latency, and pick the distance that spaces a prefetch one full
 // memory latency ahead of its consumer:
@@ -282,15 +278,6 @@ func ManualDistanceFor(w *workloads.Workload) int { return w.ManualDistance }
 // shortens iterations, so the derived distance systematically undershoots
 // the true optimum; that, plus the single profiled input, is exactly the
 // fragility RPG² exists to fix.
-func APTGETDistance(bench, input string, m machine.Machine) (int, error) {
-	w, err := workloads.Build(bench, input, 1<<30)
-	if err != nil {
-		return 0, err
-	}
-	return APTGETDistanceWorkload(w, m)
-}
-
-// APTGETDistanceWorkload is APTGETDistance over a pre-built workload.
 func APTGETDistanceWorkload(w *workloads.Workload, m machine.Machine) (int, error) {
 	bench, input := w.Name, w.InputName
 	candidates, err := ProfileCandidates(w, m, 2.0)

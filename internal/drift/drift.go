@@ -17,14 +17,6 @@ package drift
 // Config tunes a Detector. The zero value is not useful on its own —
 // call Defaults (or let the fleet fill it) before use.
 type Config struct {
-	// Interval is the simulated seconds between watchdog samples. It is
-	// carried here because the fleet's sampling loop and the detector are
-	// configured as one unit; the detector itself only sees the rates.
-	Interval float64 `json:"interval,omitempty"`
-	// Window is the measured window length per sample in simulated
-	// seconds (default 0.2). Shorter windows cost less overhead per
-	// sample; the EWMA absorbs their extra variance.
-	Window float64 `json:"window,omitempty"`
 	// Alpha is the EWMA smoothing factor in (0, 1] (default 0.4): the
 	// weight of the newest sample. Higher alpha reacts faster and trusts
 	// single windows more.
@@ -41,9 +33,6 @@ type Config struct {
 
 // Defaults fills unset fields with the package defaults.
 func (c Config) Defaults() Config {
-	if c.Window <= 0 {
-		c.Window = 0.2
-	}
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		c.Alpha = 0.4
 	}

@@ -4,12 +4,12 @@ import "testing"
 
 func TestDefaults(t *testing.T) {
 	c := Config{}.Defaults()
-	if c.Window != 0.2 || c.Alpha != 0.4 || c.Threshold != 0.25 || c.Hysteresis != 3 {
+	if c.Alpha != 0.4 || c.Threshold != 0.25 || c.Hysteresis != 3 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	// Explicit values survive.
-	c = Config{Window: 0.5, Alpha: 0.9, Threshold: 0.1, Hysteresis: 5}.Defaults()
-	if c.Window != 0.5 || c.Alpha != 0.9 || c.Threshold != 0.1 || c.Hysteresis != 5 {
+	c = Config{Alpha: 0.9, Threshold: 0.1, Hysteresis: 5}.Defaults()
+	if c.Alpha != 0.9 || c.Threshold != 0.1 || c.Hysteresis != 5 {
 		t.Fatalf("explicit config clobbered: %+v", c)
 	}
 }

@@ -92,7 +92,6 @@ type NetInjector struct {
 
 	mu       sync.Mutex
 	ordinals map[string]int
-	injected map[NetFaultKind]int
 	total    int
 }
 
@@ -101,7 +100,6 @@ func NewNet(cfg NetConfig) *NetInjector {
 	return &NetInjector{
 		cfg:      cfg,
 		ordinals: make(map[string]int),
-		injected: make(map[NetFaultKind]int),
 	}
 }
 
@@ -141,7 +139,6 @@ func (n *NetInjector) Decide(route string) NetFault {
 	if f.SeverAfter <= 0 {
 		f.SeverAfter = 64
 	}
-	n.injected[f.Kind]++
 	n.total++
 	return f
 }
@@ -154,17 +151,6 @@ func (n *NetInjector) Injected() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.total
-}
-
-// ByKind returns a copy of the per-kind injection counts.
-func (n *NetInjector) ByKind() map[NetFaultKind]int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[NetFaultKind]int, len(n.injected))
-	for k, c := range n.injected {
-		out[k] = c
-	}
-	return out
 }
 
 // Transport wraps base (nil = http.DefaultTransport) with client-side

@@ -24,13 +24,10 @@ import (
 )
 
 // driftConfig assembles the detector configuration from the fleet knobs.
+// The sampling cadence (WatchdogInterval, watchdogWindow) is the fleet's
+// own: the detector only sees the rates.
 func (f *Fleet) driftConfig() drift.Config {
-	return drift.Config{
-		Interval:   f.cfg.WatchdogInterval,
-		Window:     f.cfg.WatchdogWindow,
-		Threshold:  f.cfg.WatchdogThreshold,
-		Hysteresis: f.cfg.WatchdogHysteresis,
-	}.Defaults()
+	return drift.Config{Hysteresis: f.cfg.WatchdogHysteresis}.Defaults()
 }
 
 // finishWatched is the terminal half of a watched optimize (or re-tune)
@@ -39,7 +36,7 @@ func (f *Fleet) driftConfig() drift.Config {
 // the watchdog re-admits the session into the re-tune lane, the session
 // stays open and a later dispatch finishes it; otherwise the terminal
 // bookkeeping lands here.
-func (f *Fleet) finishWatched(s *Session, live *rpgcore.Session, rep *rpgcore.Report, started time.Time, m machine.Machine, deadline float64, tier seedTier) {
+func (f *Fleet) finishWatched(s *Session, live *rpgcore.Session, rep *rpgcore.Report, started time.Time, deadline float64, tier seedTier) {
 	f.settle(s, Done, rep.Costs.ExecSeconds, func() {
 		s.report = rep
 		s.wall = time.Since(started)
@@ -71,7 +68,7 @@ func (f *Fleet) finishWatched(s *Session, live *rpgcore.Session, rep *rpgcore.Re
 	}
 	f.mu.Unlock()
 
-	if f.runWatchdog(s, m, deadline) {
+	if f.runWatchdog(s, deadline) {
 		return // re-admitted into the re-tune lane; not terminal yet
 	}
 
@@ -79,13 +76,10 @@ func (f *Fleet) finishWatched(s *Session, live *rpgcore.Session, rep *rpgcore.Re
 	s.wall = time.Since(started)
 	s.mu.Unlock()
 	f.metrics.finish(rep.Outcome.String(), tier, rep.Costs.PDEdits, s.Wall())
-	f.journal.add(Event{
-		Session: s.ID, Type: "session-done", State: Done.String(),
-		Kind:  s.Spec.Kind.String(),
-		Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: m.Name,
-		Warm: tier == tierWarm, Translated: tier == tierTranslated,
-		Report: rep, Attempt: s.Attempt(), Retune: s.Retunes(),
-	})
+	ev := s.event("session-done")
+	ev.State, ev.Warm, ev.Translated, ev.Report = Done.String(), tier == tierWarm, tier == tierTranslated, rep
+	ev.Attempt, ev.Retune = s.Attempt(), s.Retunes()
+	f.journal.add(ev)
 }
 
 // runWatchdog samples the live target until the run budget ends, the
@@ -94,11 +88,11 @@ func (f *Fleet) finishWatched(s *Session, live *rpgcore.Session, rep *rpgcore.Re
 // fires. Returns true when the session was re-admitted (the caller must
 // leave it open). Whatever budget the sampling did not consume is run
 // out plain, so a watched session still honors its RunSeconds deadline.
-func (f *Fleet) runWatchdog(s *Session, m machine.Machine, deadline float64) bool {
+func (f *Fleet) runWatchdog(s *Session, deadline float64) bool {
 	s.mu.Lock()
 	live, det := s.live, s.det
 	s.mu.Unlock()
-	interval, window := f.cfg.WatchdogInterval, f.cfg.WatchdogWindow
+	interval, window := f.cfg.WatchdogInterval, watchdogWindow
 	for !live.Exited() {
 		f.mu.Lock()
 		armed := f.sched.CanRetune(s.item)
@@ -117,7 +111,7 @@ func (f *Fleet) runWatchdog(s *Session, m machine.Machine, deadline float64) boo
 		fired := det.Observe(w.Rate)
 		windows := det.Samples() - s.windowMark
 		s.mu.Unlock()
-		if fired && f.scheduleRetune(s, m, windows) {
+		if fired && f.scheduleRetune(s, windows) {
 			return true
 		}
 	}
@@ -132,7 +126,7 @@ func (f *Fleet) runWatchdog(s *Session, m machine.Machine, deadline float64) boo
 // fleet lock, together with the Done -> Queued edge, so no worker ever
 // sees the re-admitted item against a stale session state. Returns false
 // when the lane's budget is gone (the watchdog then disarms).
-func (f *Fleet) scheduleRetune(s *Session, m machine.Machine, windows int) bool {
+func (f *Fleet) scheduleRetune(s *Session, windows int) bool {
 	s.mu.Lock()
 	seedD := 0
 	if !f.cfg.RetuneCold && s.report != nil {
@@ -148,18 +142,14 @@ func (f *Fleet) scheduleRetune(s *Session, m machine.Machine, windows int) bool 
 		return false
 	}
 	granted := s.item.Retune
-	f.journal.add(Event{
-		Session: s.ID, Type: "drift-detected", Kind: s.Spec.Kind.String(),
-		Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: m.Name,
-		Attempt: s.Attempt(), Retune: granted,
-		Rate: ewma, Ref: ref, Windows: windows,
-	})
-	f.journal.add(Event{
-		Session: s.ID, Type: "retune-scheduled", Kind: s.Spec.Kind.String(),
-		Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: m.Name,
-		Attempt: s.Attempt(), Retune: granted, Distance: seedD,
-		Backoff: delay, Due: due,
-	})
+	ev := s.event("drift-detected")
+	ev.Attempt, ev.Retune = s.Attempt(), granted
+	ev.Rate, ev.Ref, ev.Windows = ewma, ref, windows
+	f.journal.add(ev)
+	ev = s.event("retune-scheduled")
+	ev.Attempt, ev.Retune, ev.Distance = s.Attempt(), granted, seedD
+	ev.Backoff, ev.Due = delay, due
+	f.journal.add(ev)
 	f.transition(s, Queued, 0)
 	s.mu.Lock()
 	s.retuning = true
@@ -225,16 +215,16 @@ func (f *Fleet) runRetune(s *Session, started time.Time, m machine.Machine) {
 		f.failSession(s, started, err)
 		return
 	}
-	f.finishRetune(s, re, m)
+	f.finishRetune(s, re)
 	run, _ := f.runSeconds(s)
-	f.finishWatched(s, live, re, started, m, run, tier)
+	f.finishWatched(s, live, re, started, run, tier)
 }
 
 // finishRetune closes one re-tune lane pass: counts it and journals
 // retune-complete when the pass re-activated (a Tuned outcome). A pass
 // that found the target already exited ends with the session's terminal
 // event instead.
-func (f *Fleet) finishRetune(s *Session, rep *rpgcore.Report, m machine.Machine) {
+func (f *Fleet) finishRetune(s *Session, rep *rpgcore.Report) {
 	s.mu.Lock()
 	s.retuning = false
 	if rep.Outcome == rpgcore.Tuned {
@@ -246,12 +236,10 @@ func (f *Fleet) finishRetune(s *Session, rep *rpgcore.Report, m machine.Machine)
 		return
 	}
 	f.metrics.retuneComplete()
-	f.journal.add(Event{
-		Session: s.ID, Type: "retune-complete", Kind: s.Spec.Kind.String(),
-		Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: m.Name,
-		Attempt: s.Attempt(), Retune: n,
-		Distance: rep.FinalDistance, Rate: rep.BestRate,
-	})
+	ev := s.event("retune-complete")
+	ev.Attempt, ev.Retune = s.Attempt(), n
+	ev.Distance, ev.Rate = rep.FinalDistance, rep.BestRate
+	f.journal.add(ev)
 }
 
 // captureDrift snapshots every session's watchdog posture for a WAL

@@ -147,8 +147,8 @@ type SessionSpec struct {
 	Kind Kind
 	// Priority orders admission: higher-priority sessions dispatch first.
 	// Equal priorities dispatch in submission order, and waiting sessions
-	// age (Config.AgingStep) so low priority delays work but cannot
-	// starve it.
+	// age (every 8 dispatches raise a waiting session's effective priority
+	// by one) so low priority delays work but cannot starve it.
 	Priority int
 	// Machine, when non-nil, overrides the fleet's machine for this
 	// session. The profile store is keyed on the effective machine, so
@@ -327,6 +327,16 @@ func (s *Session) MachineName() string {
 	return s.machineName
 }
 
+// event starts a journal record about the session itself — admission,
+// lane scheduling, terminal records — with the fields every such record
+// carries; callers add the rest.
+func (s *Session) event(typ string) Event {
+	return Event{
+		Session: s.ID, Type: typ, Kind: s.Spec.Kind.String(),
+		Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: s.MachineName(),
+	}
+}
+
 // Measurement returns the end-of-run measurement (nil unless the spec
 // requested a trailing window via TailSeconds, or for baseline/static
 // jobs, which always measure).
@@ -383,8 +393,6 @@ type Config struct {
 	// Builds is the workload build cache sessions construct targets
 	// from; nil uses the process-wide shared cache.
 	Builds *workloads.BuildCache
-	// StoreConfig configures the private store when Store is nil.
-	StoreConfig StoreConfig
 	// DisableStore turns off profile reuse: every session runs cold.
 	DisableStore bool
 	// StoreAddr, when set, replaces the in-process store with a client for
@@ -400,13 +408,6 @@ type Config struct {
 	// Ignored when Store is set or DisableStore is on; empty (the zero
 	// value) keeps the in-process store byte-identical to before.
 	StoreAddr string
-	// WarmProfileSeconds is the shortened PEBS window for store-seeded
-	// sessions (default 0.5; the cold default is the paper's 2 s).
-	WarmProfileSeconds float64
-	// RegressTolerance is the relative miss-site retirement-rate
-	// regression, versus the rate the store entry promised, beyond which
-	// a warm session invalidates the entry (default 0.25).
-	RegressTolerance float64
 	// Translate enables the cross-machine seeding tier: a session whose
 	// store lookup misses may warm-start from a sibling entry for the same
 	// (bench, input) on another machine, reusing the sibling's candidate
@@ -439,26 +440,17 @@ type Config struct {
 	// MaxRetries re-admits Failed and RolledBack sessions as cold
 	// re-profile attempts, up to this many times per session (0 = retry
 	// lane disabled). Retried attempts derive a fresh deterministic seed
-	// from (Spec.Seed, attempt) and bypass the profile store.
+	// from (Spec.Seed, attempt) and bypass the profile store. Attempt n
+	// waits 0.5·2^(n-1) virtual seconds, capped at 8 (admission's
+	// defaults): backoff consumes the scheduler's deterministic virtual
+	// clock, never wall time.
 	MaxRetries int
-	// RetryBackoff is the first retry's backoff in virtual seconds
-	// (default 0.5); attempt n waits RetryBackoff·2^(n-1), capped at
-	// RetryBackoffCap (default 8). Backoff consumes the scheduler's
-	// deterministic virtual clock, never wall time.
-	RetryBackoff    float64
-	RetryBackoffCap float64
-	// AgingStep is how many dispatches raise a waiting session's
-	// effective priority by one (default 8; negative disables aging).
-	AgingStep int
 	// BreakerThreshold trips a per-(bench, input) circuit breaker after
 	// this many consecutive rollbacks; further optimize sessions on that
 	// key are parked in the Degraded outcome instead of burning probes
-	// (0 = breaker disabled).
+	// (0 = breaker disabled). A tripped breaker stays open 16 virtual
+	// seconds before admitting one half-open recovery trial.
 	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open in
-	// virtual seconds before admitting one half-open recovery trial
-	// (default 16).
-	BreakerCooldown float64
 	// Faults, when non-nil, injects deterministic failures at the
 	// controller's profile/rewrite/OSR boundaries — the test harness for
 	// the retry and breaker machinery.
@@ -472,16 +464,11 @@ type Config struct {
 	// WatchdogInterval arms the phase-drift watchdog: after a tuned
 	// optimize session activates, the fleet keeps the target attached
 	// through its run budget and samples the miss-site retirement rate
-	// every this many simulated seconds. A session whose smoothed rate
-	// sustains a drop past WatchdogThreshold versus the rate recorded at
+	// every this many simulated seconds, over a measured window of 0.2 s
+	// (the sampler's whole overhead). A session whose smoothed rate
+	// sustains a drop of more than 25 % versus the rate recorded at
 	// activation is re-admitted into the admission queue's re-tune lane.
 	WatchdogInterval float64
-	// WatchdogWindow is the measured window per watchdog sample in
-	// simulated seconds (default 0.2) — the sampler's whole overhead.
-	WatchdogWindow float64
-	// WatchdogThreshold is the relative degradation versus the activation
-	// rate beyond which a sample counts as degraded (default 0.25).
-	WatchdogThreshold float64
 	// WatchdogHysteresis is how many consecutive degraded samples fire the
 	// watchdog (default 3); one good sample resets the count.
 	WatchdogHysteresis int
@@ -489,13 +476,11 @@ type Config struct {
 	// when the watchdog is armed). The lane is distinct from MaxRetries:
 	// it re-admits *successful* sessions whose tuned distance went stale,
 	// seeds the next search from the current distance instead of cold, and
-	// never consumes (or is consumed by) the retry budget.
+	// never consumes (or is consumed by) the retry budget. A scheduled
+	// re-tune dispatches after a fixed 0.5 virtual seconds; unlike retry
+	// backoff the delay does not grow: a re-tune is expected maintenance,
+	// not a suspect failure.
 	MaxRetunes int
-	// RetuneDelay is the fixed virtual-seconds delay before a scheduled
-	// re-tune dispatches (default 0.5). Unlike retry backoff it does not
-	// grow exponentially: a re-tune is expected maintenance, not a
-	// suspect failure.
-	RetuneDelay float64
 	// RetuneCold makes re-tunes restart the distance search from a random
 	// initial distance instead of warm-seeding from the drifted session's
 	// installed distance — the ablation baseline TableDrift compares the
@@ -513,11 +498,8 @@ type Config struct {
 	// degrades the fleet to in-memory mode instead of failing it.
 	StateDir string
 	// Fsync is the WAL durability policy (default wal.SyncInterval: fsync
-	// every FsyncInterval appends and on close).
+	// every 64 appends and on close).
 	Fsync wal.SyncMode
-	// FsyncInterval is the append count between fsyncs under
-	// wal.SyncInterval (default 64).
-	FsyncInterval int
 	// SnapshotEvery is how many store commits trigger a fresh snapshot
 	// (default 8).
 	SnapshotEvery int
@@ -540,11 +522,23 @@ type Config struct {
 	// re-arming, restoring the old "first disk error degrades forever"
 	// behavior. The clock is journal events, not wall time: deterministic
 	// in tests, and an idle fleet never churns a disk it just failed on.
+	// Each failed attempt doubles the wait, up to 8x RearmBackoff.
 	RearmBackoff int
-	// RearmBackoffCap bounds the per-failure doubling of the re-arm
-	// backoff (default 8x RearmBackoff).
-	RearmBackoffCap int
 }
+
+// Fixed policy values (RPG²'s pitch is that the operator tunes nothing).
+const (
+	// warmProfileSeconds is the shortened PEBS window for store-seeded
+	// sessions (the cold default is the paper's 2 s).
+	warmProfileSeconds = 0.5
+	// regressTolerance is the relative miss-site retirement-rate
+	// regression, versus the rate the store entry promised, beyond which a
+	// warm session invalidates the entry.
+	regressTolerance = 0.25
+	// watchdogWindow is the measured window per watchdog sample in
+	// simulated seconds — the sampler's whole overhead.
+	watchdogWindow = 0.2
+)
 
 func (c Config) defaults() Config {
 	if c.Workers <= 0 {
@@ -553,22 +547,11 @@ func (c Config) defaults() Config {
 	if c.RunSeconds == 0 {
 		c.RunSeconds = 2
 	}
-	if c.WarmProfileSeconds == 0 {
-		c.WarmProfileSeconds = 0.5
-	}
-	if c.RegressTolerance == 0 {
-		c.RegressTolerance = 0.25
-	}
 	if c.Builds == nil {
 		c.Builds = workloads.SharedCache()
 	}
-	if c.WatchdogInterval > 0 {
-		if c.WatchdogWindow == 0 {
-			c.WatchdogWindow = 0.2
-		}
-		if c.MaxRetunes == 0 {
-			c.MaxRetunes = 1
-		}
+	if c.WatchdogInterval > 0 && c.MaxRetunes == 0 {
+		c.MaxRetunes = 1
 	}
 	return c
 }
@@ -662,22 +645,17 @@ func newFleet(cfg Config) *Fleet {
 			TenantQuota:      cfg.TenantQuota,
 			MaxRetries:       cfg.MaxRetries,
 			MaxRetunes:       cfg.MaxRetunes,
-			RetuneDelay:      cfg.RetuneDelay,
-			BackoffBase:      cfg.RetryBackoff,
-			BackoffCap:       cfg.RetryBackoffCap,
-			AgingStep:        cfg.AgingStep,
 			BreakerThreshold: cfg.BreakerThreshold,
-			BreakerCooldown:  cfg.BreakerCooldown,
 		}),
 	}
 	if f.store == nil && !cfg.DisableStore {
 		if cfg.StoreAddr != "" {
-			// Shared out-of-process store. The fallback mirrors the
-			// in-process configuration, so a degraded fleet behaves exactly
-			// like one that was never pointed at a daemon — just cold.
+			// Shared out-of-process store. The client's fallback is the same
+			// default Memory store as the in-process arm below, so a degraded
+			// fleet behaves exactly like one that was never pointed at a
+			// daemon — just cold.
 			f.store = remote.New(remote.Config{
-				BaseURL:        cfg.StoreAddr,
-				FallbackConfig: cfg.StoreConfig,
+				BaseURL: cfg.StoreAddr,
 				OnDegrade: func(err error) {
 					msg := err.Error()
 					f.storeErr.Store(&msg)
@@ -686,7 +664,7 @@ func newFleet(cfg Config) *Fleet {
 				},
 			})
 		} else {
-			f.store = NewStore(cfg.StoreConfig)
+			f.store = NewStore(StoreConfig{})
 		}
 	}
 	f.cond = sync.NewCond(&f.mu)
@@ -951,12 +929,9 @@ func (f *Fleet) CancelQueued() int {
 		s := it.Payload.(*Session)
 		f.settle(s, Failed, 0, func() { s.err = ErrCanceled })
 		f.metrics.fail(0)
-		f.journal.add(Event{
-			Session: s.ID, Type: "session-failed", State: Failed.String(),
-			Kind:  s.Spec.Kind.String(),
-			Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: s.MachineName(),
-			Attempt: it.Attempt, Err: ErrCanceled.Error(),
-		})
+		ev := s.event("session-failed")
+		ev.State, ev.Attempt, ev.Err = Failed.String(), it.Attempt, ErrCanceled.Error()
+		f.journal.add(ev)
 		n++
 	}
 	f.cond.Broadcast()
@@ -985,12 +960,9 @@ func (f *Fleet) DegradeQueued(id int) bool {
 	s := it.Payload.(*Session)
 	f.transition(s, Degraded, 0)
 	f.metrics.degrade(0)
-	f.journal.add(Event{
-		Session: s.ID, Type: "session-degraded", State: Degraded.String(),
-		Kind:  s.Spec.Kind.String(),
-		Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: s.MachineName(),
-		Attempt: it.Attempt,
-	})
+	ev := s.event("session-degraded")
+	ev.State, ev.Attempt = Degraded.String(), it.Attempt
+	f.journal.add(ev)
 	f.cond.Broadcast()
 	return true
 }
@@ -1080,12 +1052,9 @@ func (f *Fleet) worker() {
 		f.mu.Unlock()
 
 		s := dec.Item.Payload.(*Session)
-		f.journal.add(Event{
-			Session: s.ID, Type: "admitted", Kind: s.Spec.Kind.String(),
-			Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: s.MachineName(),
-			Attempt: dec.Item.Attempt, Priority: s.Spec.Priority,
-			Wait: dec.Waited,
-		})
+		ev := s.event("admitted")
+		ev.Attempt, ev.Priority, ev.Wait = dec.Item.Attempt, s.Spec.Priority, dec.Waited
+		f.journal.add(ev)
 		if dec.Parked {
 			f.parkSession(s)
 		} else {
@@ -1112,12 +1081,9 @@ func (f *Fleet) worker() {
 func (f *Fleet) parkSession(s *Session) {
 	f.settle(s, Degraded, 0, func() { s.wall = 0 })
 	f.metrics.degrade(s.Wall())
-	f.journal.add(Event{
-		Session: s.ID, Type: "session-degraded", State: Degraded.String(),
-		Kind:  s.Spec.Kind.String(),
-		Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: s.MachineName(),
-		Attempt: s.Attempt(),
-	})
+	ev := s.event("session-degraded")
+	ev.State, ev.Attempt = Degraded.String(), s.Attempt()
+	f.journal.add(ev)
 }
 
 // tryRetryLocked re-admits a Failed or RolledBack session through the
@@ -1129,11 +1095,9 @@ func (f *Fleet) tryRetryLocked(s *Session) bool {
 	if !ok {
 		return false
 	}
-	f.journal.add(Event{
-		Session: s.ID, Type: "retry-scheduled", Kind: s.Spec.Kind.String(),
-		Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: s.MachineName(),
-		Attempt: s.item.Attempt, Backoff: backoff, Due: due,
-	})
+	ev := s.event("retry-scheduled")
+	ev.Attempt, ev.Backoff, ev.Due = s.item.Attempt, backoff, due
+	f.journal.add(ev)
 	f.transition(s, Queued, 0)
 	s.mu.Lock()
 	s.attempt = s.item.Attempt
@@ -1211,12 +1175,9 @@ func (f *Fleet) failSession(s *Session, started time.Time, err error) {
 		s.err = err
 		s.wall = time.Since(started)
 	})
-	f.journal.add(Event{
-		Session: s.ID, Type: "session-failed", State: Failed.String(),
-		Kind:  s.Spec.Kind.String(),
-		Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: s.MachineName(),
-		Attempt: s.Attempt(), Err: err.Error(),
-	})
+	ev := s.event("session-failed")
+	ev.State, ev.Attempt, ev.Err = Failed.String(), s.Attempt(), err.Error()
+	f.journal.add(ev)
 	f.mu.Lock()
 	if s.item.Breakable {
 		f.reportBreakerLocked(s, admission.Failure)
@@ -1246,18 +1207,6 @@ func (f *Fleet) runSeconds(s *Session) (float64, bool) {
 	return run, run > 0
 }
 
-// finishAux completes a non-optimize session with its terminal
-// bookkeeping.
-func (f *Fleet) finishAux(s *Session, started time.Time) {
-	f.settle(s, Done, 0, func() { s.wall = time.Since(started) })
-	f.metrics.finishAux(s.Spec.Kind.String(), s.Wall())
-	f.journal.add(Event{
-		Session: s.ID, Type: "session-done", State: Done.String(),
-		Kind:  s.Spec.Kind.String(),
-		Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: s.MachineName(),
-	})
-}
-
 // retrySeedStride separates consecutive attempts' controller seeds; any
 // large odd constant works, it only has to be deterministic.
 const retrySeedStride = 1_000_003
@@ -1275,15 +1224,15 @@ func (f *Fleet) runSession(s *Session) {
 	m := f.machineFor(s)
 	switch s.Spec.Kind {
 	case BaselineJob:
-		f.runBaseline(s, started, m)
+		f.runAux(s, started, m, f.baselineJob)
 	case StaticJob:
-		f.runStatic(s, started, m)
+		f.runAux(s, started, m, f.staticJob)
 	case SweepJob:
-		f.runSweep(s, started, m)
+		f.runAux(s, started, m, sweepJob)
 	case ProfileJob:
-		f.runProfile(s, started, m)
+		f.runAux(s, started, m, profileJob)
 	case APTGETJob:
-		f.runAPTGET(s, started, m)
+		f.runAux(s, started, m, aptgetJob)
 	default:
 		if s.Retuning() {
 			f.runRetune(s, started, m)
@@ -1370,7 +1319,7 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 			cfg.SeedFunc = e.Func
 			cfg.SeedCandidates = e.Candidates
 			cfg.SeedDistance = e.Distance
-			cfg.ProfileSeconds = f.cfg.WarmProfileSeconds
+			cfg.ProfileSeconds = warmProfileSeconds
 		} else if f.cfg.Translate {
 			// Third tier: no profile for this machine, but a sibling
 			// machine's profile for the same workload can seed a
@@ -1391,7 +1340,7 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 					cfg.SeedDistance = TranslateDistance(sm, m, e.Distance,
 						cfg.Defaults().MaxDistance)
 					cfg.SeedTranslated = true
-					cfg.ProfileSeconds = f.cfg.WarmProfileSeconds
+					cfg.ProfileSeconds = warmProfileSeconds
 				}
 			}
 		}
@@ -1474,7 +1423,7 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 	if retuning {
 		// The fallback re-optimize closes the crash-recovered re-tune
 		// lane pass (journaling retune-complete when it re-activated).
-		f.finishRetune(s, rep, m)
+		f.finishRetune(s, rep)
 	}
 	tier := tierCold
 	switch {
@@ -1518,7 +1467,7 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 			if !cold {
 				f.applyStorePolicy(s, key, rep, warm, seed, seedGen)
 			}
-			f.finishWatched(s, sess, rep, started, m, run, tier)
+			f.finishWatched(s, sess, rep, started, run, tier)
 			return
 		}
 		sess.RunOut(run)
@@ -1556,67 +1505,83 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 	}
 
 	f.metrics.finish(rep.Outcome.String(), tier, rep.Costs.PDEdits, s.Wall())
-	f.journal.add(Event{
-		Session: s.ID, Type: "session-done", State: final.String(),
-		Kind:  s.Spec.Kind.String(),
-		Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: m.Name,
-		Warm: warm, Translated: translated, Report: rep, Attempt: s.Attempt(),
-		Retune: s.Retunes(),
-	})
+	ev := s.event("session-done")
+	ev.State, ev.Warm, ev.Translated, ev.Report = final.String(), warm, translated, rep
+	ev.Attempt, ev.Retune = s.Attempt(), s.Retunes()
+	f.journal.add(ev)
 }
 
-// measuredTail resolves the trailing-window length for measured jobs.
-func (s *Session) measuredTail() float64 {
-	if s.Spec.TailSeconds > 0 {
-		return s.Spec.TailSeconds
-	}
-	return 1.0
+// auxResult is what a non-optimize session computes: each kind fills the
+// one field its accessor (Measurement, SweepResult, Candidates, Distance)
+// serves.
+type auxResult struct {
+	meas     *rpgcore.Measurement
+	sweep    *baselines.Sweep
+	cands    []int
+	distance int
 }
 
-// runBaseline measures the unmodified binary to the run budget.
-func (f *Fleet) runBaseline(s *Session, started time.Time, m machine.Machine) {
+// auxJob is the per-kind part of a non-optimize session: the kind's result
+// over the built workload.
+type auxJob func(s *Session, m machine.Machine, w *workloads.Workload) (auxResult, error)
+
+// runAux runs one non-optimize session: build the workload from the cache,
+// run the kind's job, then fail the session or store the result with the
+// terminal bookkeeping.
+func (f *Fleet) runAux(s *Session, started time.Time, m machine.Machine, job auxJob) {
 	w, err := f.cfg.Builds.Build(s.Spec.Bench, s.Spec.Input, 1<<30)
+	var r auxResult
+	if err == nil {
+		r, err = job(s, m, w)
+	}
 	if err != nil {
 		f.failSession(s, started, err)
 		return
 	}
+	f.settle(s, Done, 0, func() {
+		s.meas, s.sweep, s.cands, s.distance = r.meas, r.sweep, r.cands, r.distance
+		s.wall = time.Since(started)
+	})
+	f.metrics.finishAux(s.Spec.Kind.String(), s.Wall())
+	ev := s.event("session-done")
+	ev.State = Done.String()
+	f.journal.add(ev)
+}
+
+// measure runs sess to the session's run budget and measures the trailing
+// window (Spec.TailSeconds, default 1 s).
+func (f *Fleet) measure(s *Session, sess *rpgcore.Session) (auxResult, error) {
+	run, _ := f.runSeconds(s)
+	tail := s.Spec.TailSeconds
+	if tail <= 0 {
+		tail = 1.0
+	}
+	meas, err := sess.MeasureToBudget(run, tail)
+	return auxResult{meas: &meas}, err
+}
+
+// baselineJob measures the unmodified binary to the run budget.
+func (f *Fleet) baselineJob(s *Session, m machine.Machine, w *workloads.Workload) (auxResult, error) {
 	sess, err := rpgcore.NewSession(m, w)
 	if err != nil {
-		f.failSession(s, started, err)
-		return
+		return auxResult{}, err
 	}
-	run, _ := f.runSeconds(s)
-	meas, err := sess.MeasureToBudget(run, s.measuredTail())
-	if err != nil {
-		f.failSession(s, started, err)
-		return
-	}
-	s.mu.Lock()
-	s.meas = &meas
-	s.mu.Unlock()
-	f.finishAux(s, started)
+	return f.measure(s, sess)
 }
 
-// runStatic measures a statically prefetched build at Spec.Distance,
+// staticJob measures a statically prefetched build at Spec.Distance,
 // profiling candidates first when the spec does not carry them.
-func (f *Fleet) runStatic(s *Session, started time.Time, m machine.Machine) {
-	w, err := f.cfg.Builds.Build(s.Spec.Bench, s.Spec.Input, 1<<30)
-	if err != nil {
-		f.failSession(s, started, err)
-		return
-	}
+func (f *Fleet) staticJob(s *Session, m machine.Machine, w *workloads.Workload) (auxResult, error) {
 	cands := s.Spec.Candidates
 	if len(cands) == 0 {
-		cands, err = baselines.ProfileCandidates(w, m, 2.0)
-		if err != nil {
-			f.failSession(s, started, err)
-			return
+		var err error
+		if cands, err = baselines.ProfileCandidates(w, m, 2.0); err != nil {
+			return auxResult{}, err
 		}
 	}
 	pf, err := baselines.BuildPrefetched(w, cands, s.Spec.Distance)
 	if err != nil {
-		f.failSession(s, started, err)
-		return
+		return auxResult{}, err
 	}
 	pcs := []int{w.WorkPC}
 	if off, ok := pf.RW.BAT.Translate(w.WorkPC); ok {
@@ -1624,81 +1589,35 @@ func (f *Fleet) runStatic(s *Session, started time.Time, m machine.Machine) {
 	}
 	sess, err := rpgcore.NewSessionBin(m, pf.Bin, w.Setup, pcs)
 	if err != nil {
-		f.failSession(s, started, err)
-		return
+		return auxResult{}, err
 	}
-	run, _ := f.runSeconds(s)
-	meas, err := sess.MeasureToBudget(run, s.measuredTail())
-	if err != nil {
-		f.failSession(s, started, err)
-		return
-	}
-	s.mu.Lock()
-	s.meas = &meas
-	s.mu.Unlock()
-	f.finishAux(s, started)
+	return f.measure(s, sess)
 }
 
-// runSweep runs an offline distance sweep over the cached workload.
-func (f *Fleet) runSweep(s *Session, started time.Time, m machine.Machine) {
-	w, err := f.cfg.Builds.Build(s.Spec.Bench, s.Spec.Input, 1<<30)
-	if err != nil {
-		f.failSession(s, started, err)
-		return
-	}
+// sweepJob runs an offline distance sweep over the cached workload.
+func sweepJob(s *Session, m machine.Machine, w *workloads.Workload) (auxResult, error) {
 	cfg := baselines.DefaultSweep()
 	if s.Spec.Sweep != nil {
 		cfg = *s.Spec.Sweep
 	}
 	sw, err := baselines.RunSweepWorkload(w, m, cfg)
-	if err != nil {
-		f.failSession(s, started, err)
-		return
-	}
-	s.mu.Lock()
-	s.sweep = sw
-	s.mu.Unlock()
-	f.finishAux(s, started)
+	return auxResult{sweep: sw}, err
 }
 
-// runProfile collects PEBS candidate sites without optimizing.
-func (f *Fleet) runProfile(s *Session, started time.Time, m machine.Machine) {
-	w, err := f.cfg.Builds.Build(s.Spec.Bench, s.Spec.Input, 1<<30)
-	if err != nil {
-		f.failSession(s, started, err)
-		return
-	}
+// profileJob collects PEBS candidate sites without optimizing.
+func profileJob(s *Session, m machine.Machine, w *workloads.Workload) (auxResult, error) {
 	secs := s.Spec.ProfileSeconds
 	if secs == 0 {
 		secs = 2.0
 	}
 	cands, err := baselines.ProfileCandidates(w, m, secs)
-	if err != nil {
-		f.failSession(s, started, err)
-		return
-	}
-	s.mu.Lock()
-	s.cands = cands
-	s.mu.Unlock()
-	f.finishAux(s, started)
+	return auxResult{cands: cands}, err
 }
 
-// runAPTGET derives the APT-GET scheme's analytic distance.
-func (f *Fleet) runAPTGET(s *Session, started time.Time, m machine.Machine) {
-	w, err := f.cfg.Builds.Build(s.Spec.Bench, s.Spec.Input, 1<<30)
-	if err != nil {
-		f.failSession(s, started, err)
-		return
-	}
+// aptgetJob derives the APT-GET scheme's analytic distance.
+func aptgetJob(_ *Session, m machine.Machine, w *workloads.Workload) (auxResult, error) {
 	d, err := baselines.APTGETDistanceWorkload(w, m)
-	if err != nil {
-		f.failSession(s, started, err)
-		return
-	}
-	s.mu.Lock()
-	s.distance = d
-	s.mu.Unlock()
-	f.finishAux(s, started)
+	return auxResult{distance: d}, err
 }
 
 // applyStorePolicy decides what a finished session teaches the store: a
@@ -1712,7 +1631,7 @@ func (f *Fleet) applyStorePolicy(s *Session, key Key, rep *rpgcore.Report, warm 
 	}
 	switch {
 	case rep.Outcome == rpgcore.Tuned && warm:
-		if seed.TunedRate > 0 && rep.BestRate < seed.TunedRate*(1-f.cfg.RegressTolerance) {
+		if seed.TunedRate > 0 && rep.BestRate < seed.TunedRate*(1-regressTolerance) {
 			if f.store.Invalidate(key, seedGen) {
 				f.journal.add(f.invalidateEvent(s, key, true))
 			}

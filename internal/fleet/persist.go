@@ -149,7 +149,6 @@ type persister struct {
 	dir       string
 	snapEvery int
 	fsync     wal.SyncMode
-	interval  int
 	disk      *faults.DiskInjector // nil: no injected disk faults
 	rearmBase int                  // events between degradation and re-arm (<= 0: never)
 	rearmCap  int
@@ -201,7 +200,7 @@ func (p *persister) roll() wal.Roll {
 	return wal.Roll{
 		Live:   filepath.Join(p.dir, journalFile),
 		Stage:  filepath.Join(p.dir, journalStageFile),
-		Config: wal.Config{Sync: p.fsync, Interval: p.interval, FaultHook: p.faultHook(journalFile)},
+		Config: wal.Config{Sync: p.fsync, FaultHook: p.faultHook(journalFile)},
 	}
 }
 
@@ -237,16 +236,13 @@ func openPersister(dir string, cfg Config, sched admission.PersistState, dr []Dr
 	if snapEvery <= 0 {
 		snapEvery = 8
 	}
-	rearmBase, rearmCap := cfg.RearmBackoff, cfg.RearmBackoffCap
+	rearmBase := cfg.RearmBackoff
 	if rearmBase == 0 {
 		rearmBase = 64
 	}
-	if rearmCap <= 0 {
-		rearmCap = 8 * rearmBase
-	}
 	p := &persister{
-		dir: dir, snapEvery: snapEvery, fsync: cfg.Fsync, interval: cfg.FsyncInterval,
-		disk: cfg.DiskFaults, rearmBase: rearmBase, rearmCap: rearmCap,
+		dir: dir, snapEvery: snapEvery, fsync: cfg.Fsync,
+		disk: cfg.DiskFaults, rearmBase: rearmBase, rearmCap: 8 * rearmBase,
 		lastSeq: -1,
 	}
 	epoch, log, err := p.stageEpoch(-1, sched, dr, entries)
@@ -501,21 +497,11 @@ func (p *persister) rearm(j *Journal, sched admission.PersistState, dr []DriftRe
 	}
 	var seedErr error
 	j.withLock(func(events []Event) {
-		// Pass 1 mirrors readState's terminality rules, last writer wins:
-		// done/degraded end a session, a failure ends it unless cancelled
-		// (resume re-admits drains), a retry or re-tune re-opens it.
+		// Pass 1 finds the sessions still open, by readState's own rule.
 		terminal := make(map[int]bool)
 		for _, e := range events {
-			if e.Session < 0 {
-				continue
-			}
-			switch e.Type {
-			case "session-done", "session-degraded":
-				terminal[e.Session] = true
-			case "session-failed":
-				terminal[e.Session] = e.Err != ErrCanceled.Error()
-			case "retry-scheduled", "retune-scheduled":
-				terminal[e.Session] = false
+			if e.Session >= 0 {
+				terminal[e.Session] = terminalAfter(e, terminal[e.Session])
 			}
 		}
 		lastSeq := w0

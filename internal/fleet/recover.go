@@ -279,6 +279,25 @@ func PendingSessions(stateDir string) (int, error) {
 	return len(st.pending), nil
 }
 
+// terminalAfter folds one journal event into whether its session is
+// finished — the one rule for "who is still pending" that both readState's
+// tracker and a re-arm's re-seeded journal (persister.rearm) apply, so a
+// re-armed journal and a recovered one can never disagree. Last writer
+// wins: done and degraded close a session; a failure closes it unless it
+// is a drain's cancellation (the session never ran, resume re-admits it);
+// a scheduled retry or re-tune re-opens it; any other event leaves it be.
+func terminalAfter(e Event, terminal bool) bool {
+	switch e.Type {
+	case "session-done", "session-degraded":
+		return true
+	case "session-failed":
+		return e.Err != ErrCanceled.Error()
+	case "retry-scheduled", "retune-scheduled":
+		return false
+	}
+	return terminal
+}
+
 // errShardedStateDir refuses a state dir an older binary wrote in the
 // per-shard snapshot layout this one no longer reads: its store entries
 // live in files recovery would silently skip.
@@ -401,6 +420,7 @@ func readState(dir string) (*recoveredState, error) {
 				sessions[e.Session] = tr
 				order = append(order, e.Session)
 			}
+			tr.terminal = terminalAfter(e, tr.terminal)
 			switch e.Type {
 			case "queued":
 				tr.spec, tr.known = e.Spec, true
@@ -408,12 +428,12 @@ func readState(dir string) (*recoveredState, error) {
 			case "admitted":
 				tr.inFlight, tr.attempt = true, e.Attempt
 			case "retry-scheduled":
-				tr.inFlight, tr.terminal, tr.attempt = false, false, e.Attempt
+				tr.inFlight, tr.attempt = false, e.Attempt
 			case "retune-scheduled":
 				// The re-tune lane re-admitted a watched session (or a
-				// previous recovery restated the lane). Never terminal, and
-				// never the retry lane: the attempt is untouched.
-				tr.inFlight, tr.terminal = false, false
+				// previous recovery restated the lane). Never the retry
+				// lane: the attempt is untouched.
+				tr.inFlight = false
 				tr.retuning = true
 				if e.Retune > tr.granted {
 					tr.granted = e.Retune
@@ -425,7 +445,7 @@ func readState(dir string) (*recoveredState, error) {
 					tr.retunes = e.Retune
 				}
 			case "session-done", "session-degraded":
-				tr.inFlight, tr.terminal = false, true
+				tr.inFlight = false
 				tr.state = e.State
 				tr.warm, tr.translated = e.Warm, e.Translated
 				if e.Report != nil {
@@ -438,7 +458,6 @@ func readState(dir string) (*recoveredState, error) {
 				// A SIGINT drain's cancellations never ran: they are
 				// interrupted, not finished, and resume re-admits them.
 				tr.inFlight = false
-				tr.terminal = e.Err != ErrCanceled.Error()
 				if tr.terminal {
 					tr.state, tr.errText = e.State, e.Err
 				}

@@ -345,15 +345,22 @@ func TestDrainAndCloseIdempotent(t *testing.T) {
 // per-session event sequence is legal and attempt-aware.
 func TestJournalEventOrdering(t *testing.T) {
 	const sessions = 64
-	f := New(Config{
+	// Submit behind the start gate: under a live pool a worker can pop a
+	// session before its submitter has journaled "queued" (DESIGN.md §11.4),
+	// and this audit asserts every session's journal opens with it.
+	f, start := newGated(Config{
 		Machine: machine.CascadeLake(), Workers: 8,
 		Faults:     faults.New(faults.Config{Seed: 11, Rate: 0.2}),
 		MaxRetries: 2, Quota: 3, BreakerThreshold: 4,
 	})
 	defer f.Close()
-	if _, err := f.Run(stressSpecs(sessions, 100)); err != nil {
-		t.Fatal(err)
+	for _, spec := range stressSpecs(sessions, 100) {
+		if _, err := f.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
+	start()
+	f.Drain()
 
 	stateByName := map[string]State{}
 	for st := Queued; st <= Degraded; st++ {

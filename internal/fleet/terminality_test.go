@@ -1,0 +1,224 @@
+// "Which journal events leave a session open" has one owner
+// (terminalAfter) and two readers: readState, which decides who Recover
+// re-admits, and persister.rearm, which decides whose history a re-armed
+// WAL is re-seeded with. These tests hold the two to the same answer.
+package fleet
+
+import (
+	"encoding/json"
+	"errors"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+
+	"rpg2/internal/admission"
+	"rpg2/internal/faults"
+	"rpg2/internal/machine"
+	"rpg2/internal/wal"
+)
+
+// writeJournalFile lays events down as a never-degraded persister would
+// have: the epoch record, then every event in order.
+func writeJournalFile(t *testing.T, dir string, events []Event) {
+	t.Helper()
+	meta, _ := json.Marshal(walMeta{Wal: "journal", Epoch: 1})
+	payloads := [][]byte{meta}
+	for _, e := range events {
+		b, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, b)
+	}
+	if err := wal.WriteAtomic(filepath.Join(dir, journalFile), payloads); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pendingIDs is who readState would have Recover re-admit from dir, as
+// sorted pre-crash session IDs.
+func pendingIDs(t *testing.T, dir string) []int {
+	t.Helper()
+	st, err := readState(dir)
+	if err != nil {
+		t.Fatalf("readState(%s): %v", dir, err)
+	}
+	ids := make([]int, 0, len(st.pending))
+	for _, ps := range st.pending {
+		ids = append(ids, ps.oldID)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// rearmedDir re-seeds a fresh state dir from j the way a healed persister
+// does: open an epoch, degrade it, re-arm from the in-memory journal.
+func rearmedDir(t *testing.T, j *Journal) string {
+	t.Helper()
+	dir := t.TempDir()
+	p, err := openPersister(dir, Config{Fsync: wal.SyncAlways}, admission.PersistState{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.commitJournal()
+	p.fail(errors.New("disk gone"))
+	if err := p.rearm(j, admission.PersistState{}, nil, nil); err != nil {
+		t.Fatalf("rearm: %v", err)
+	}
+	p.close()
+	return dir
+}
+
+func TestTerminalityRuleSharedByRearmAndRecover(t *testing.T) {
+	canceled := ErrCanceled.Error()
+	ev := func(typ string) Event { return Event{Type: typ} }
+	failed := func(msg string) Event { return Event{Type: "session-failed", State: Failed.String(), Err: msg} }
+	cases := []struct {
+		name    string
+		events  []Event // after the session's "queued" record
+		pending bool
+	}{
+		{"queued", nil, true},
+		{"in-flight", []Event{ev("admitted")}, true},
+		{"done", []Event{ev("admitted"), ev("session-done")}, false},
+		{"degraded", []Event{ev("admitted"), ev("session-degraded")}, false},
+		{"failed", []Event{ev("admitted"), failed("boom")}, false},
+		{"cancelled-resumes", []Event{failed(canceled)}, true},
+		{"fail-retry", []Event{ev("admitted"), failed("boom"), ev("retry-scheduled")}, true},
+		{"fail-retry-done", []Event{ev("admitted"), failed("boom"), ev("retry-scheduled"),
+			ev("admitted"), ev("session-done")}, false},
+		{"fail-retry-cancelled", []Event{ev("admitted"), failed("boom"), ev("retry-scheduled"),
+			failed(canceled)}, true},
+		{"done-retune-scheduled", []Event{ev("admitted"), ev("session-done"), ev("retune-scheduled")}, true},
+		{"done-retune-done", []Event{ev("admitted"), ev("session-done"), ev("retune-scheduled"),
+			ev("admitted"), ev("retune-complete"), ev("session-done")}, false},
+	}
+
+	// One journal, one session per case, the cases' events interleaved so
+	// no reader can lean on a session's events being contiguous.
+	j := NewJournal()
+	var want []int
+	for id, c := range cases {
+		spec := SessionSpec{Bench: "is", Seed: int64(id + 1)}
+		j.add(Event{Session: id, Type: "queued", Bench: "is", Spec: RecordSpec(spec)})
+		if c.pending {
+			want = append(want, id)
+		}
+	}
+	for step := 0; ; step++ {
+		more := false
+		for id, c := range cases {
+			if step < len(c.events) {
+				e := c.events[step]
+				e.Session, e.Bench = id, "is"
+				j.add(e)
+				more = true
+			}
+		}
+		if !more {
+			break
+		}
+	}
+
+	for id, c := range cases {
+		terminal := false
+		for _, e := range j.SessionEvents(id) {
+			terminal = terminalAfter(e, terminal)
+		}
+		if terminal == c.pending {
+			t.Errorf("%s: terminalAfter folds to terminal=%v, want pending=%v", c.name, terminal, c.pending)
+		}
+	}
+
+	plain := t.TempDir()
+	writeJournalFile(t, plain, j.Events())
+	if got := pendingIDs(t, plain); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered journal: pending %v, want %v", got, want)
+	}
+	if got := pendingIDs(t, rearmedDir(t, j)); !reflect.DeepEqual(got, want) {
+		t.Errorf("re-armed journal: pending %v, want %v", got, want)
+	}
+}
+
+// TestRearmedJournalRecoversLikeNeverDegraded is the end-to-end case: a
+// persisted fleet degrades on an injected fsync fault, re-arms with most of
+// its sessions still open, has the rest of its queue cancelled, and dies
+// without closing. Recover over that state dir must re-admit exactly the
+// sessions a fleet that never degraded — one whose WAL simply holds every
+// event the in-memory journal does — would re-admit, as the same attempts.
+func TestRearmedJournalRecoversLikeNeverDegraded(t *testing.T) {
+	const sessions = 12
+	dir := t.TempDir()
+	f, start := newGated(Config{
+		Machine: machine.CascadeLake(), Workers: 1,
+		StateDir: dir, Fsync: wal.SyncAlways, SnapshotEvery: 1 << 30,
+		DiskFaults:   faults.NewDisk(faults.DiskConfig{Seed: 3, SyncRate: 1, MaxFaults: 1}),
+		RearmBackoff: 4,
+		MaxRetries:   1, Faults: faults.New(faults.Config{Seed: 7, Rate: 0.2}),
+	})
+	chaosSubmit(t, f, sessions)
+	wake := f.Journal().Watch()
+	defer f.Journal().Unwatch(wake)
+	start()
+	rearmed := func() bool {
+		for _, e := range f.Journal().Events() {
+			if e.Type == "persist-rearmed" {
+				return true
+			}
+		}
+		return false
+	}
+	for !rearmed() {
+		<-wake
+	}
+	cancelled := f.CancelQueued()
+	f.Drain()
+	// The crash: no Close, so no final snapshot and no clean WAL close.
+	// Under fsync-always every journaled event is already on disk.
+	defer f.Close()
+
+	if snap := f.Snapshot(); snap.Persistence != "active" || snap.PersistRearms != 1 {
+		t.Fatalf("persistence %q after %d re-arms; the arc never healed", snap.Persistence, snap.PersistRearms)
+	}
+	if cancelled == 0 {
+		t.Fatal("nothing was still queued when the WAL re-armed; the case is vacuous")
+	}
+
+	reference := t.TempDir()
+	writeJournalFile(t, reference, f.Journal().Events())
+	type readmit struct{ id, attempt int }
+	readmits := func(d string) []readmit {
+		st, err := readState(d)
+		if err != nil {
+			t.Fatalf("readState(%s): %v", d, err)
+		}
+		out := make([]readmit, 0, len(st.pending))
+		for _, ps := range st.pending {
+			out = append(out, readmit{ps.oldID, ps.attempt})
+		}
+		return out
+	}
+	want, got := readmits(reference), readmits(dir)
+	if len(want) < cancelled {
+		t.Fatalf("reference journal re-admits %d sessions, fewer than the %d cancelled", len(want), cancelled)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-armed state dir re-admits %v, a never-degraded journal of the same events %v", got, want)
+	}
+
+	f2, rec, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 1})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	defer f2.Close()
+	if len(rec.Requeued) != len(want) {
+		t.Fatalf("Recover re-admitted %d sessions, want %d", len(rec.Requeued), len(want))
+	}
+	f2.Drain()
+	for _, s := range rec.Requeued {
+		if !s.State().Terminal() {
+			t.Fatalf("re-admitted session %d never finished", s.ID)
+		}
+	}
+}

@@ -262,13 +262,6 @@ func (in Instr) Uses(dst []Reg) []Reg {
 	return dst
 }
 
-// IsMemRead reports whether the instruction reads data memory as a demand
-// access (loads and pops, not prefetches).
-func (in Instr) IsMemRead() bool { return in.Op == Load || in.Op == Pop || in.Op == Ret }
-
-// IsMemWrite reports whether the instruction writes data memory.
-func (in Instr) IsMemWrite() bool { return in.Op == Store || in.Op == Push || in.Op == Call }
-
 // IsBranch reports whether the instruction may transfer control to Target.
 func (in Instr) IsBranch() bool {
 	switch in.Op {

@@ -245,11 +245,6 @@ func (a *Asm) Prefetch(base Reg, imm int64) *Asm {
 	return a.Emit(Instr{Op: Prefetch, Rd: NoReg, Rs1: base, Rs2: NoReg, Imm: imm})
 }
 
-// PrefetchIdx emits a software prefetch of mem[base + index + imm].
-func (a *Asm) PrefetchIdx(base, index Reg, imm int64) *Asm {
-	return a.Emit(Instr{Op: Prefetch, Rd: NoReg, Rs1: base, Rs2: index, Imm: imm})
-}
-
 // Br emits a conditional branch comparing two registers.
 func (a *Asm) Br(c Cond, rs1, rs2 Reg, label string) *Asm {
 	a.branchFix[len(a.code)] = label
@@ -348,14 +343,4 @@ func (p *Program) Link() (*Binary, error) {
 		return nil, err
 	}
 	return b, nil
-}
-
-// MustLink links and panics on error; intended for statically known-good
-// programs such as the bundled workloads.
-func (p *Program) MustLink() *Binary {
-	b, err := p.Link()
-	if err != nil {
-		panic(err)
-	}
-	return b
 }

@@ -113,16 +113,6 @@ func (tr *Tracer) SetRegs(tid int, t cpu.Thread) error {
 	return nil
 }
 
-// SetPC is a convenience wrapper that rewrites only a thread's PC.
-func (tr *Tracer) SetPC(tid, pc int) error {
-	t, err := tr.GetRegs(tid)
-	if err != nil {
-		return err
-	}
-	t.PC = pc
-	return tr.SetRegs(tid, t)
-}
-
 // SingleStep executes exactly one instruction of the given thread while the
 // rest of the process stays stopped. RPG² single-steps a thread out of a
 // prefetch kernel during rollback when its PC has no BAT entry (§3.4.1).

@@ -53,10 +53,6 @@ type Config struct {
 	Timeout time.Duration
 	// Seed drives the deterministic backoff jitter (default 1).
 	Seed int64
-	// Fallback is the process-local store the client degrades to. Nil
-	// builds a Memory store from FallbackConfig.
-	Fallback       store.Store
-	FallbackConfig store.Config
 	// OnDegrade, when set, fires exactly once with the error that spent
 	// the retry budget.
 	OnDegrade func(error)
@@ -64,7 +60,10 @@ type Config struct {
 
 // Client is a store.Store over a store daemon. Safe for concurrent use.
 type Client struct {
-	cfg      Config
+	cfg Config
+	// fb is the process-local store the client degrades to: always a
+	// default Memory store (a caller who wants a tuned store passes it to
+	// the fleet as Config.Store instead of a store address).
 	fb       store.Store
 	retry    *retry.Retrier
 	degraded atomic.Bool
@@ -80,10 +79,7 @@ func New(cfg Config) *Client {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 15 * time.Second
 	}
-	if cfg.Fallback == nil {
-		cfg.Fallback = store.NewMemory(cfg.FallbackConfig)
-	}
-	return &Client{cfg: cfg, fb: cfg.Fallback, retry: retry.ForStoreClient(retry.Policy{
+	return &Client{cfg: cfg, fb: store.NewMemory(store.Config{}), retry: retry.ForStoreClient(retry.Policy{
 		HTTP: cfg.HTTP, MaxRetries: cfg.MaxRetries, Base: cfg.RetryBase, Cap: cfg.RetryCap, Seed: cfg.Seed,
 	})}
 }

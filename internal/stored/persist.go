@@ -87,7 +87,7 @@ func openPersister(cfg Config) (*persister, []store.KeyedEntry, error) {
 		roll: wal.Roll{
 			Live:   jrnlPath,
 			Stage:  filepath.Join(cfg.StateDir, journalStageFile),
-			Config: wal.Config{Sync: cfg.Fsync, Interval: cfg.FsyncInterval},
+			Config: wal.Config{Sync: cfg.Fsync},
 		},
 		every: cfg.SnapshotEvery,
 	}

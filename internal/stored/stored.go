@@ -59,11 +59,9 @@ type Config struct {
 	StateDir string
 	// Fresh discards any prior state in StateDir instead of recovering it.
 	Fresh bool
-	// Fsync is the WAL durability policy (default interval).
+	// Fsync is the WAL durability policy (default interval: fsync every 64
+	// appends and on close).
 	Fsync wal.SyncMode
-	// FsyncInterval is the append count between fsyncs under interval
-	// fsync (default 64).
-	FsyncInterval int
 	// SnapshotEvery rewrites the snapshot after this many journaled
 	// mutations (default 256; negative = never, journal only).
 	SnapshotEvery int

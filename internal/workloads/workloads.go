@@ -100,11 +100,6 @@ func shard(m, tid, n int) (uint64, uint64) {
 // baseline runs last the target simulated duration.
 type Builder func(repeats int) (*Workload, error)
 
-// Registry maps benchmark names to their input-specialised builders.
-// CRONO benchmarks take a graph input name from the graphs catalogue; AJ
-// benchmarks use their fixed single inputs (§4.1) and accept "" only.
-type Registry struct{}
-
 // CRONONames lists the CRONO benchmarks.
 func CRONONames() []string { return []string{"pr", "bfs", "sssp", "bc"} }
 

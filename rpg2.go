@@ -17,6 +17,14 @@
 //     offline/APT-GET/manual baselines, and one runner per table and figure
 //     of the paper's evaluation section.
 //
+// The facade is the single-process library: machines, workloads, the
+// controller, sweeps, the experiments harness, and the in-process fleet
+// (NewFleet, RecoverFleet and the types they hand back). It is not a
+// mirror of the service stack: the daemons, their clients, the remote
+// profile store and the disk and network fault injectors are built by the
+// binaries under cmd/, which live in this module and import those internal
+// packages directly.
+//
 // Quickstart:
 //
 //	m := rpg2.CascadeLake()
@@ -32,16 +40,11 @@ import (
 	"rpg2/internal/experiments"
 	"rpg2/internal/faults"
 	"rpg2/internal/fleet"
-	"rpg2/internal/fleetclient"
-	"rpg2/internal/fleetd"
 	"rpg2/internal/graphs"
 	"rpg2/internal/machine"
 	"rpg2/internal/perf"
 	"rpg2/internal/proc"
 	rpgcore "rpg2/internal/rpg2"
-	"rpg2/internal/store"
-	"rpg2/internal/store/remote"
-	"rpg2/internal/stored"
 	"rpg2/internal/wal"
 	"rpg2/internal/workloads"
 )
@@ -90,40 +93,12 @@ func BuildWorkload(bench, input string) (*Workload, error) {
 	return workloads.Build(bench, input, 1<<30)
 }
 
-// WorkloadCache is a concurrency-safe build cache for workloads, keyed on
-// (benchmark, input, repeats). Fleets and the experiments harness layer on
-// it so the same graph is constructed once per process and shared immutably
-// across sessions.
-type WorkloadCache = workloads.BuildCache
-
-// NewWorkloadCache builds an empty, private workload build cache.
-func NewWorkloadCache() *WorkloadCache { return workloads.NewBuildCache() }
-
-// SharedWorkloadCache returns the process-wide workload build cache that
-// fleets use by default.
-func SharedWorkloadCache() *WorkloadCache { return workloads.SharedCache() }
-
 // Process is a running simulated program.
 type Process = proc.Process
 
 // Launch starts a workload on a fresh instance of the machine.
 func Launch(m Machine, w *Workload) (*Process, error) {
 	return m.Launch(w.Bin, w.Setup)
-}
-
-// LaunchParallel starts a data-parallel workload with the given number of
-// threads, each owning a shard of the iteration space and all contending
-// for the socket's shared LLC and DRAM bandwidth. Only the flat-loop
-// benchmarks (pr, sssp, is, cg, randacc) support this.
-func LaunchParallel(m Machine, w *Workload, threads int) (*Process, error) {
-	p, err := m.Launch(w.Bin, w.Setup)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.SpawnWorkers(p, threads); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // WorkCounter counts retirements of a set of instructions; see WatchWork.
@@ -230,58 +205,6 @@ type FleetSnapshot = fleet.Snapshot
 // FleetEvent is one record on a fleet's journal.
 type FleetEvent = fleet.Event
 
-// ProfileStore caches candidate sites and tuned distances per (benchmark,
-// input, machine), with bounded reuse and regression-driven invalidation.
-// It is an interface (internal/store.Store): a single-mutex in-memory map
-// in process, or a client for a shared store daemon.
-type ProfileStore = fleet.Store
-
-// NewProfileStore builds an empty profile store with the default reuse
-// policy, shareable across fleets via FleetConfig.Store.
-func NewProfileStore() ProfileStore { return fleet.NewStore(fleet.StoreConfig{}) }
-
-// StoreConfig tunes a profile store's reuse policy (MaxReuse serves per
-// committed entry before it goes stale; 0 = default 16).
-type StoreConfig = store.Config
-
-// StoreDaemonConfig tunes a shared store daemon: the wrapped store's
-// policy, plus optional WAL persistence under StateDir.
-type StoreDaemonConfig = stored.Config
-
-// StoreDaemon is the out-of-process profile store (rpg2-stored): any
-// ProfileStore behind an HTTP/JSON API, one endpoint per Store method,
-// shareable by several fleet processes via FleetConfig.StoreAddr.
-// Generations live in the daemon, so cross-process commit races resolve
-// exactly like in-process ones. Serve its Handler and stop with Drain.
-type StoreDaemon = stored.Server
-
-// NewStoreDaemon builds a store daemon — over recovered contents when
-// cfg.StateDir holds prior state.
-func NewStoreDaemon(cfg StoreDaemonConfig) (*StoreDaemon, error) { return stored.New(cfg) }
-
-// RemoteStoreConfig points a remote profile store at a store daemon.
-type RemoteStoreConfig = remote.Config
-
-// RemoteProfileStore is a ProfileStore that forwards every operation to
-// an rpg2-stored daemon, retrying transient failures and degrading
-// permanently to a process-local fallback when the daemon is gone.
-// FleetConfig.StoreAddr builds one implicitly; construct explicitly to
-// tune retries or share a fallback.
-type RemoteProfileStore = remote.Client
-
-// NewRemoteStore builds a remote profile store client. The daemon is not
-// contacted until first use.
-func NewRemoteStore(cfg RemoteStoreConfig) *RemoteProfileStore { return remote.New(cfg) }
-
-// TranslateDistance scales a prefetch distance tuned on machine src into a
-// starting hypothesis for machine dst, by the ratio of the machines'
-// effective memory latencies, rounded and clamped to [1, maxDistance] —
-// the scaling the fleet's FleetConfig.Translate seeding tier applies to
-// cross-machine profile transplants.
-func TranslateDistance(src, dst Machine, d, maxDistance int) int {
-	return fleet.TranslateDistance(src, dst, d, maxDistance)
-}
-
 // NewFleet starts a fleet service; its worker pool is live immediately.
 // Submit sessions (or batch them with Run), Drain, read Snapshot, Close.
 func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
@@ -326,8 +249,7 @@ type FsyncPolicy = wal.SyncMode
 
 // WAL durability policies.
 const (
-	// FsyncInterval (the default) fsyncs every FleetConfig.FsyncInterval
-	// appends and on close.
+	// FsyncInterval (the default) fsyncs every 64 appends and on close.
 	FsyncInterval = wal.SyncInterval
 	// FsyncAlways fsyncs every append: maximum durability, one disk round
 	// trip per journal event.
@@ -335,13 +257,6 @@ const (
 	// FsyncOnClose fsyncs only on close: the OS decides what a crash keeps.
 	FsyncOnClose = wal.SyncOnClose
 )
-
-// ParseFsyncPolicy resolves "interval", "always", or "never"/"onclose".
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return wal.ParseSyncMode(s) }
-
-// WALSalvage reports what WAL recovery kept and dropped from a damaged
-// state file.
-type WALSalvage = wal.Salvage
 
 // FleetRecovery is Fleet recovery's account of what it rebuilt: salvage
 // reports, session accounting, and the re-admitted session handles.
@@ -356,84 +271,6 @@ type FleetRecovery = fleet.Recovery
 func RecoverFleet(stateDir string, cfg FleetConfig) (*Fleet, *FleetRecovery, error) {
 	return fleet.Recover(stateDir, cfg)
 }
-
-// FleetPendingSessions reports how many sessions a fleet state dir's
-// journal left unfinished — the work RecoverFleet would re-admit, and
-// what NewFleet refuses to discard unless FleetConfig.Overwrite is set.
-// A missing or empty state dir reports zero; one that cannot be read —
-// including one an older binary wrote in the sharded snapshot layout —
-// reports the error.
-func FleetPendingSessions(stateDir string) (int, error) { return fleet.PendingSessions(stateDir) }
-
-// ErrFleetOverloaded matches (via errors.Is) Fleet.Submit's backpressure
-// rejections when FleetConfig.MaxQueue or MaxTenantQueue is hit; the
-// concrete error is a *FleetOverloadError naming the tripped cap. The
-// daemon maps it to HTTP 429 with a Retry-After header.
-var ErrFleetOverloaded = fleet.ErrOverloaded
-
-// FleetOverloadError details a backpressure rejection: which scope
-// ("global" or "tenant") tripped, at what depth, against which cap.
-type FleetOverloadError = fleet.OverloadError
-
-// SessionRecord is the JSON-safe wire/WAL projection of a SessionSpec —
-// what the daemon's submit endpoint accepts and crash recovery replays.
-// Convert with RecordSpec and SessionRecord.Spec.
-type SessionRecord = fleet.SpecRecord
-
-// RecordSpec projects a SessionSpec into its wire/WAL form.
-func RecordSpec(spec SessionSpec) *SessionRecord { return fleet.RecordSpec(spec) }
-
-// FleetDaemonConfig tunes a fleet daemon: the wrapped fleet's config plus
-// resume and Retry-After policy.
-type FleetDaemonConfig = fleetd.Config
-
-// FleetDaemon is the networked fleet: one Fleet behind an HTTP/JSON API —
-// session submission with per-tenant backpressure, polling, result fetch,
-// read-only store lookups, a metrics snapshot, and a resumable NDJSON
-// journal stream. Serve its Handler and stop with Drain.
-type FleetDaemon = fleetd.Server
-
-// NewFleetDaemon starts a daemon over a fresh fleet — or, with
-// cfg.Resume, over a fleet recovered from cfg.Fleet.StateDir.
-func NewFleetDaemon(cfg FleetDaemonConfig) (*FleetDaemon, error) { return fleetd.New(cfg) }
-
-// SessionStatus is the daemon's poll view of one session.
-type SessionStatus = fleetd.Status
-
-// SessionOutcome is a terminal session's wire result — free of wall-clock
-// times and IDs, so the same spec and seed yield byte-identical JSON
-// in-process and through the daemon.
-type SessionOutcome = fleetd.Outcome
-
-// SessionOutcomeOf distils a fleet session's terminal result into the
-// wire form the daemon serves.
-func SessionOutcomeOf(s *FleetSession) SessionOutcome { return fleetd.OutcomeOf(s) }
-
-// FleetClientConfig points a client at a daemon (BaseURL required).
-type FleetClientConfig = fleetclient.Config
-
-// FleetClient is the thin consumer of a fleet daemon: submit, poll, wait,
-// fetch, store lookups, and the resumable event stream, with capped
-// exponential retry on transient failures.
-type FleetClient = fleetclient.Client
-
-// NewFleetClient builds a client; zero-value config fields get defaults.
-func NewFleetClient(cfg FleetClientConfig) *FleetClient { return fleetclient.New(cfg) }
-
-// FleetKey addresses one profile-store entry: (benchmark, input, machine).
-type FleetKey = fleet.Key
-
-// FleetLookupResult is a remote store lookup's answer; Source names the
-// sibling machine a translated hit was seeded from.
-type FleetLookupResult = fleetclient.LookupResult
-
-// FleetClientOverloaded is the client-side face of a 429 backpressure
-// rejection, carrying the daemon's Retry-After hint.
-type FleetClientOverloaded = fleetclient.Overloaded
-
-// ErrFleetNotFound matches (via errors.Is) a daemon 404 — unknown session
-// ID or a store lookup with no entry.
-var ErrFleetNotFound = fleetclient.ErrNotFound
 
 // FaultStage names an injection boundary inside the controller:
 // "profile" (sample collection), "rewrite" (the BOLT pass), or "osr"
@@ -461,38 +298,3 @@ func NewFaultInjector(cfg FaultConfig) *FaultInjector { return faults.New(cfg) }
 // IsInjectedFault reports whether an error (e.g. FleetSession.Err) was
 // manufactured by a fault injector rather than arising organically.
 func IsInjectedFault(err error) bool { return faults.Injected(err) }
-
-// DiskFaultConfig seeds a deterministic disk fault injector: per-op
-// failure rates for WAL writes, fsyncs, and snapshot rewrites, plus a
-// torn-tail byte budget for simulated crashes.
-type DiskFaultConfig = faults.DiskConfig
-
-// DiskFaultInjector decides, purely from (seed, file key, op ordinal),
-// whether a persistence operation fails. Plug one into
-// FleetConfig.DiskFaults to exercise degradation and self-healing re-arm
-// reproducibly.
-type DiskFaultInjector = faults.DiskInjector
-
-// NewDiskFaultInjector builds a disk fault injector from a seeded config.
-func NewDiskFaultInjector(cfg DiskFaultConfig) *DiskFaultInjector { return faults.NewDisk(cfg) }
-
-// IsInjectedDiskFault reports whether an error was manufactured by a disk
-// fault injector rather than arising from the real filesystem.
-func IsInjectedDiskFault(err error) bool { return faults.InjectedDisk(err) }
-
-// NetFaultConfig seeds a deterministic network fault injector: rates for
-// delays, injected errors/500s, responses severed mid-body, and handler
-// panics, keyed by (seed, route, request ordinal).
-type NetFaultConfig = faults.NetConfig
-
-// NetFaultInjector draws at most one network fault per request. Plug one
-// into FleetDaemonConfig.NetFaults for daemon-side injection, or wrap a
-// client transport with its Transport method for client-side injection.
-type NetFaultInjector = faults.NetInjector
-
-// NewNetFaultInjector builds a network fault injector from a seeded config.
-func NewNetFaultInjector(cfg NetFaultConfig) *NetFaultInjector { return faults.NewNet(cfg) }
-
-// IsInjectedNetFault reports whether an error was manufactured by a
-// network fault injector rather than arising from the real network.
-func IsInjectedNetFault(err error) bool { return faults.InjectedNet(err) }
