@@ -75,11 +75,7 @@ func (f *Fleet) finishWatched(s *Session, live *rpgcore.Session, rep *rpgcore.Re
 	s.mu.Lock()
 	s.wall = time.Since(started)
 	s.mu.Unlock()
-	f.metrics.finish(rep.Outcome.String(), tier, rep.Costs.PDEdits, s.Wall())
-	ev := s.event("session-done")
-	ev.State, ev.Warm, ev.Translated, ev.Report = Done.String(), tier == tierWarm, tier == tierTranslated, rep
-	ev.Attempt, ev.Retune = s.Attempt(), s.Retunes()
-	f.journal.add(ev)
+	f.finishOptimize(s, rep, Done, tier)
 }
 
 // runWatchdog samples the live target until the run budget ends, the

@@ -19,14 +19,11 @@ type auxResult struct {
 	distance int
 }
 
-// auxJob is the per-kind part of a non-optimize session: the kind's result
-// over the built workload.
-type auxJob func(s *Session, m machine.Machine, w *workloads.Workload) (auxResult, error)
-
 // runAux runs one non-optimize session: build the workload from the cache,
-// run the kind's job, then fail the session or store the result with the
-// terminal bookkeeping.
-func (f *Fleet) runAux(s *Session, started time.Time, m machine.Machine, job auxJob) {
+// run job (the per-kind part: the kind's result over the built workload),
+// then fail the session or store the result with the terminal bookkeeping.
+func (f *Fleet) runAux(s *Session, started time.Time, m machine.Machine,
+	job func(*Session, machine.Machine, *workloads.Workload) (auxResult, error)) {
 	w, err := f.cfg.Builds.Build(s.Spec.Bench, s.Spec.Input, 1<<30)
 	var r auxResult
 	if err == nil {

@@ -443,9 +443,15 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 		return
 	}
 
+	f.finishOptimize(s, rep, final, tier)
+}
+
+// finishOptimize counts and journals an optimize session's terminal record.
+func (f *Fleet) finishOptimize(s *Session, rep *rpgcore.Report, final State, tier seedTier) {
 	f.metrics.finish(rep.Outcome.String(), tier, rep.Costs.PDEdits, s.Wall())
 	ev := s.event("session-done")
-	ev.State, ev.Warm, ev.Translated, ev.Report = final.String(), warm, translated, rep
+	ev.State, ev.Report = final.String(), rep
+	ev.Warm, ev.Translated = tier == tierWarm, tier == tierTranslated
 	ev.Attempt, ev.Retune = s.Attempt(), s.Retunes()
 	f.journal.add(ev)
 }

@@ -151,7 +151,6 @@ type persister struct {
 	fsync     wal.SyncMode
 	disk      *faults.DiskInjector // nil: no injected disk faults
 	rearmBase int                  // events between degradation and re-arm (<= 0: never)
-	rearmCap  int
 
 	// hookArmed gates the disk-fault hook: injection starts only after the
 	// epoch is open, so a chaos run always gets past birth and exercises
@@ -242,7 +241,7 @@ func openPersister(dir string, cfg Config, sched admission.PersistState, dr []Dr
 	}
 	p := &persister{
 		dir: dir, snapEvery: snapEvery, fsync: cfg.Fsync,
-		disk: cfg.DiskFaults, rearmBase: rearmBase, rearmCap: 8 * rearmBase,
+		disk: cfg.DiskFaults, rearmBase: rearmBase,
 		lastSeq: -1,
 	}
 	epoch, log, err := p.stageEpoch(-1, sched, dr, entries)
@@ -456,15 +455,15 @@ func (p *persister) claimRearm() (int, bool) {
 }
 
 // rearmFailed records a failed re-arm attempt: stay degraded, double the
-// backoff up to the cap, and wind the virtual clock back up.
+// backoff up to 8x the base, and wind the virtual clock back up.
 func (p *persister) rearmFailed(err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.rearming = false
 	p.err = err
 	b := p.rearmBackoff * 2
-	if b > p.rearmCap {
-		b = p.rearmCap
+	if b > 8*p.rearmBase {
+		b = 8 * p.rearmBase
 	}
 	if b < p.rearmBase {
 		b = p.rearmBase

@@ -36,17 +36,27 @@ func writeJournalFile(t *testing.T, dir string, events []Event) {
 	}
 }
 
-// pendingIDs is who readState would have Recover re-admit from dir, as
-// sorted pre-crash session IDs.
-func pendingIDs(t *testing.T, dir string) []int {
+// readmissions is who readState would have Recover re-admit from dir:
+// pre-crash session ID -> the attempt it would re-run as.
+func readmissions(t *testing.T, dir string) map[int]int {
 	t.Helper()
 	st, err := readState(dir)
 	if err != nil {
 		t.Fatalf("readState(%s): %v", dir, err)
 	}
-	ids := make([]int, 0, len(st.pending))
+	out := make(map[int]int, len(st.pending))
 	for _, ps := range st.pending {
-		ids = append(ids, ps.oldID)
+		out[ps.oldID] = ps.attempt
+	}
+	return out
+}
+
+// pendingIDs is readmissions' sorted session IDs.
+func pendingIDs(t *testing.T, dir string) []int {
+	t.Helper()
+	var ids []int
+	for id := range readmissions(t, dir) {
+		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	return ids
@@ -187,19 +197,7 @@ func TestRearmedJournalRecoversLikeNeverDegraded(t *testing.T) {
 
 	reference := t.TempDir()
 	writeJournalFile(t, reference, f.Journal().Events())
-	type readmit struct{ id, attempt int }
-	readmits := func(d string) []readmit {
-		st, err := readState(d)
-		if err != nil {
-			t.Fatalf("readState(%s): %v", d, err)
-		}
-		out := make([]readmit, 0, len(st.pending))
-		for _, ps := range st.pending {
-			out = append(out, readmit{ps.oldID, ps.attempt})
-		}
-		return out
-	}
-	want, got := readmits(reference), readmits(dir)
+	want, got := readmissions(t, reference), readmissions(t, dir)
 	if len(want) < cancelled {
 		t.Fatalf("reference journal re-admits %d sessions, fewer than the %d cancelled", len(want), cancelled)
 	}
