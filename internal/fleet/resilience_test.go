@@ -345,22 +345,15 @@ func TestDrainAndCloseIdempotent(t *testing.T) {
 // per-session event sequence is legal and attempt-aware.
 func TestJournalEventOrdering(t *testing.T) {
 	const sessions = 64
-	// Submit behind the start gate: under a live pool a worker can pop a
-	// session before its submitter has journaled "queued" (DESIGN.md §11.4),
-	// and this audit asserts every session's journal opens with it.
-	f, start := newGated(Config{
+	f := New(Config{
 		Machine: machine.CascadeLake(), Workers: 8,
 		Faults:     faults.New(faults.Config{Seed: 11, Rate: 0.2}),
 		MaxRetries: 2, Quota: 3, BreakerThreshold: 4,
 	})
 	defer f.Close()
-	for _, spec := range stressSpecs(sessions, 100) {
-		if _, err := f.Submit(spec); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := f.Run(stressSpecs(sessions, 100)); err != nil {
+		t.Fatal(err)
 	}
-	start()
-	f.Drain()
 
 	stateByName := map[string]State{}
 	for st := Queued; st <= Degraded; st++ {
