@@ -75,9 +75,11 @@ type DiskConfig struct {
 
 // DiskInjector makes deterministic per-(key, op, ordinal) disk failure
 // decisions. The ordinal is the injector's own count of operations seen for
-// that key+op, so determinism holds whenever the caller serialises
-// operations on one key (the WAL does: every append and sync happens under
-// the log's mutex). It is safe for concurrent use.
+// that key+op, so determinism holds whenever the caller serialises each
+// operation kind on one key (the WAL does: writes happen under the log's
+// mutex, fsyncs one at a time under its sync lock — and only physical
+// fsyncs are counted, a Commit that finds its records already covered
+// consults nothing). It is safe for concurrent use.
 type DiskInjector struct {
 	cfg DiskConfig
 

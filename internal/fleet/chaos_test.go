@@ -126,9 +126,10 @@ func TestChaosCombinedFaultsInvariants(t *testing.T) {
 
 // TestChaosDeterministicSameSeed pins the reproducibility contract at the
 // fleet level: two runs with identical seeds and a serialized submission
-// schedule (drain between submits, so worker/submitter interleaving
-// cannot reorder the journal) produce identical journals (modulo
-// wall-clock stamps) and identical injected fault schedules.
+// schedule (drain between submits, so the only interleaving left is a
+// session's own "queued" against its "admitted") produce identical
+// per-session and fleet-level event sequences (modulo wall-clock stamps)
+// and identical injected fault schedules.
 func TestChaosDeterministicSameSeed(t *testing.T) {
 	run := func() ([]Event, map[string]int) {
 		dir := t.TempDir()
@@ -159,13 +160,39 @@ func TestChaosDeterministicSameSeed(t *testing.T) {
 	if len(evA) != len(evB) {
 		t.Fatalf("journal lengths differ across identical runs: %d vs %d", len(evA), len(evB))
 	}
-	for i := range evA {
-		a, b := evA[i], evB[i]
-		a.Wall, b.Wall = 0, 0
-		ja, _ := json.Marshal(a)
-		jb, _ := json.Marshal(b)
-		if string(ja) != string(jb) {
-			t.Fatalf("event %d differs across identical runs:\n%s\n%s", i, ja, jb)
+	// Submit races the one worker for the journal lock, so a session's
+	// "queued" record may land after its own "admitted" (DESIGN.md §11.4) in
+	// one run and before it in the other, shifting Seq numbers with it.
+	// Everything else is pinned: each session's events in order behind its
+	// queued record, and the fleet-level events in order.
+	project := func(events []Event) map[int][]Event {
+		by := make(map[int][]Event)
+		for _, e := range events {
+			e.Wall, e.Seq = 0, 0
+			by[e.Session] = append(by[e.Session], e)
+		}
+		for id, evs := range by {
+			if id >= 0 {
+				by[id] = queuedFirst(t, id, evs)
+			}
+		}
+		return by
+	}
+	byA, byB := project(evA), project(evB)
+	if len(byA) != len(byB) {
+		t.Fatalf("session counts differ across identical runs: %d vs %d", len(byA), len(byB))
+	}
+	for id, a := range byA {
+		b := byB[id]
+		if len(a) != len(b) {
+			t.Fatalf("session %d: %d events in one run, %d in the other", id, len(a), len(b))
+		}
+		for i := range a {
+			ja, _ := json.Marshal(a[i])
+			jb, _ := json.Marshal(b[i])
+			if string(ja) != string(jb) {
+				t.Fatalf("session %d event %d differs across identical runs:\n%s\n%s", id, i, ja, jb)
+			}
 		}
 	}
 	for op, n := range opsA {

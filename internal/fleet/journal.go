@@ -106,6 +106,7 @@ type Journal struct {
 	start   time.Time
 	events  []Event
 	sink    func(Event)
+	commit  func()
 	watches map[chan struct{}]struct{}
 }
 
@@ -123,14 +124,45 @@ func (j *Journal) SetSink(fn func(Event)) {
 	j.sink = fn
 }
 
-func (j *Journal) add(e Event) {
+// setCommit installs the sink's durability barrier: add runs fn after a
+// commit-point event, outside the journal lock, and fn returns once
+// everything the sink was handed so far is on stable storage. Without one
+// the sink is taken to be durable on its own.
+func (j *Journal) setCommit(fn func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.commit = fn
+}
+
+// commitPoint reports whether someone outside the process is told about e
+// — so e, and with it every record before it, must be durable first: a
+// "queued" record (Submit hands back its session ID), a terminal record
+// (the outcome a client fetches) and every fleet-level event (operator
+// incidents). Everything else is the fleet's own bookkeeping between two
+// such points; recovery is defined on any prefix of it (DESIGN.md §11).
+func commitPoint(e Event) bool {
+	switch e.Type {
+	case "queued", "session-done", "session-failed", "session-degraded":
+		return true
+	}
+	return e.Session == -1
+}
+
+func (j *Journal) add(e Event) {
+	j.mu.Lock()
 	e.Seq = len(j.events)
 	e.Wall = time.Since(j.start).Seconds()
 	j.events = append(j.events, e)
 	if j.sink != nil {
 		j.sink(e)
+	}
+	if commit := j.commit; commit != nil && commitPoint(e) {
+		// Durable before anyone is told: the fsync runs outside the lock, so
+		// other sessions' events keep landing (and share it), and whoever
+		// this record wakes finds it on disk.
+		j.mu.Unlock()
+		commit()
+		j.mu.Lock()
 	}
 	for ch := range j.watches {
 		select {
@@ -138,6 +170,7 @@ func (j *Journal) add(e Event) {
 		default: // watcher already has a pending wake; it will re-scan
 		}
 	}
+	j.mu.Unlock()
 }
 
 // LastSeq is the Seq of the most recent event (-1 when the journal is

@@ -294,7 +294,10 @@ func prevEpoch(dir string) int {
 }
 
 // appendEvent is the journal sink: it runs under the journal lock, so WAL
-// records land in Seq order. Failures degrade instead of propagating.
+// records land in Seq order. Under fsync-always it only writes — durability
+// is owed at the journal's commit points (commit), not per record; the
+// other policies keep their per-append sync schedule. Failures degrade
+// instead of propagating.
 func (p *persister) appendEvent(e Event) {
 	payload, err := json.Marshal(e)
 	if err != nil {
@@ -312,13 +315,41 @@ func (p *persister) appendEvent(e Event) {
 		}
 		return
 	}
-	if err := p.log.Append(payload); err != nil {
+	appendRecord := p.log.Append
+	if p.fsync == wal.SyncAlways {
+		appendRecord = p.log.Write
+	}
+	if err := appendRecord(payload); err != nil {
 		p.failLocked(err)
 		return
 	}
 	p.lastSeq = e.Seq
 	if e.Type == "store-commit" {
 		p.commits++
+	}
+}
+
+// commit is the journal's durability barrier under fsync-always: it returns
+// once every record appendEvent wrote before the call is on stable storage
+// (or the persister has degraded trying). It runs outside the journal lock
+// and outside p.mu, so concurrent commit points share one fsync and events
+// keep landing meanwhile.
+func (p *persister) commit() {
+	p.mu.Lock()
+	log := p.log
+	skip := p.degraded || p.closed || p.fsync != wal.SyncAlways
+	p.mu.Unlock()
+	if skip {
+		return
+	}
+	if err := log.Commit(); err != nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		// A log swapped out (re-arm) or closed since is not this failure's
+		// to degrade.
+		if p.log == log && !p.closed {
+			p.failLocked(err)
+		}
 	}
 }
 
@@ -520,7 +551,8 @@ func (p *persister) rearm(j *Journal, sched admission.PersistState, dr []DriftRe
 				seedErr = err
 				return
 			}
-			if err := log.Append(payload); err != nil {
+			// Write, not Append: Publish's Sync below covers the whole seed.
+			if err := log.Write(payload); err != nil {
 				seedErr = err
 				return
 			}

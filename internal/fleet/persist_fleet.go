@@ -32,6 +32,7 @@ func (f *Fleet) initPersist() {
 	}
 	f.persist = p
 	f.journal.SetSink(p.appendEvent)
+	f.journal.setCommit(p.commit)
 }
 
 // commitPersist publishes the staged journal over the previous epoch's.
@@ -89,11 +90,14 @@ func (f *Fleet) rearmPersist(attempt int) {
 // rename a torn snapshot into place. The watermark is read BEFORE the
 // store export: store mutations precede their journal events, so the
 // export folds in every event up to the watermark and replaying anything
-// newer on top of it is idempotent.
+// newer on top of it is idempotent. The journal is committed up to the
+// watermark before the snapshot is written: a snapshot must never vouch for
+// records a power cut could still take.
 func (f *Fleet) persistSnapshot() {
 	f.snapMu.Lock()
 	defer f.snapMu.Unlock()
 	w := f.persist.watermark()
+	f.persist.commit()
 	f.mu.Lock()
 	sched := f.sched.Export()
 	dr := f.captureDriftLocked()

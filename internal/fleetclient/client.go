@@ -38,7 +38,8 @@ type Config struct {
 	// (defaults 50ms and 1s).
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// PollInterval is Wait's sleep between status polls (default 25ms).
+	// PollInterval is Wait's pause before asking again after a held result
+	// request came back unfinished (202) or failed (default 25ms).
 	PollInterval time.Duration
 	// Seed drives the deterministic jitter spread over retry backoff and
 	// Retry-After waits (default 1). The jitter is hash-derived from
@@ -182,7 +183,12 @@ func (c *Client) Status(ctx context.Context, id int) (fleetd.Status, error) {
 // Result fetches a session's result. ready is false (with an empty
 // Outcome) while the session is still running.
 func (c *Client) Result(ctx context.Context, id int) (out fleetd.Outcome, ready bool, err error) {
-	path := "/v1/sessions/" + strconv.Itoa(id) + "/result"
+	return c.result(ctx, id, "")
+}
+
+// result is Result with the request's query string ("" or "?wait=...").
+func (c *Client) result(ctx context.Context, id int, query string) (out fleetd.Outcome, ready bool, err error) {
+	path := "/v1/sessions/" + strconv.Itoa(id) + "/result" + query
 	var raw json.RawMessage
 	code, err := c.do(ctx, http.MethodGet, path, nil, &raw, true)
 	if err != nil {
@@ -197,35 +203,35 @@ func (c *Client) Result(ctx context.Context, id int) (out fleetd.Outcome, ready 
 	return out, true, nil
 }
 
-// Wait polls until the session reaches a terminal state, then fetches its
-// result. It is restart-tolerant by design: poll errors (the daemon dying
-// and coming back with -resume) are absorbed and polling continues until
-// ctx expires — the crash-recovery test drives a kill -9 straight through
-// this loop.
+// heldResult asks the daemon to hold a result request until the session is
+// terminal. The daemon caps the hold below its own request deadline; asking
+// for more than any cap just means "as long as you will".
+const heldResult = "?wait=1m"
+
+// Wait returns the session's result once it reaches a terminal state. It is
+// one loop over one held request: the daemon answers the moment the session
+// finishes, or with 202 when its hold runs out, it drains, or it is a
+// daemon that ignores wait — then, and after an error, Wait pauses
+// PollInterval and asks again, so against an older daemon it degrades to a
+// poll. It is restart-tolerant by design: errors (the daemon dying and
+// coming back with -resume) are absorbed until ctx expires — the
+// crash-recovery test drives a kill -9 straight through this loop.
 func (c *Client) Wait(ctx context.Context, id int) (fleetd.Outcome, error) {
-	t := time.NewTicker(c.cfg.PollInterval)
-	defer t.Stop()
 	for {
-		st, err := c.Status(ctx, id)
-		if err == nil && st.Terminal {
-			out, ready, rerr := c.Result(ctx, id)
-			if rerr == nil && ready {
-				return out, nil
-			}
-			// Terminal a moment ago but unfetchable now (daemon mid-
-			// restart): fall through and poll again.
-		} else if err != nil {
-			// A session the daemon no longer knows will never resolve;
-			// everything else (including connection errors while it
-			// restarts) is worth out-waiting.
-			if errors.Is(err, ErrNotFound) || ctx.Err() != nil {
-				return fleetd.Outcome{}, err
-			}
+		out, ready, err := c.result(ctx, id, heldResult)
+		if err == nil && ready {
+			return out, nil
+		}
+		// A session the daemon no longer knows will never resolve;
+		// everything else (including connection errors while it restarts)
+		// is worth out-waiting.
+		if err != nil && (errors.Is(err, ErrNotFound) || ctx.Err() != nil) {
+			return fleetd.Outcome{}, err
 		}
 		select {
 		case <-ctx.Done():
 			return fleetd.Outcome{}, ctx.Err()
-		case <-t.C:
+		case <-time.After(c.cfg.PollInterval):
 		}
 	}
 }

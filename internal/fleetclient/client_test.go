@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rpg2/internal/faults"
 	"rpg2/internal/fleet"
 )
 
@@ -159,5 +160,87 @@ func TestWaitAbsorbsOutages(t *testing.T) {
 	}
 	if out.State != "done" || !out.Warm {
 		t.Fatalf("outcome = %+v", out)
+	}
+}
+
+// TestWaitIsOneHeldRequest: against a daemon that honours wait, Wait sends
+// one result request, asks it to be held, and never polls status.
+func TestWaitIsOneHeldRequest(t *testing.T) {
+	var calls atomic.Int32
+	finish := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		if r.URL.Path != "/v1/sessions/4/result" || r.URL.Query().Get("wait") == "" {
+			t.Errorf("Wait sent %s, want a held result request", r.URL)
+		}
+		<-finish // held until the session is terminal
+		w.Write([]byte(`{"state":"done","warm":true}`))
+	}))
+	defer ts.Close()
+
+	cli := New(Config{BaseURL: ts.URL, MaxRetries: -1, PollInterval: time.Minute})
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		close(finish)
+	}()
+	out, err := cli.Wait(context.Background(), 4)
+	if err != nil || out.State != "done" || !out.Warm {
+		t.Fatalf("Wait = %+v, %v", out, err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("Wait made %d requests, want 1", calls.Load())
+	}
+}
+
+// TestWaitFallsBackToPollingWhenWaitIsIgnored: a daemon that predates wait
+// answers every result request at once; Wait then paces itself by
+// PollInterval — the cadence it had before — and still returns.
+func TestWaitFallsBackToPollingWhenWaitIsIgnored(t *testing.T) {
+	const interval, unfinished = 10 * time.Millisecond, 4
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) <= unfinished {
+			w.WriteHeader(http.StatusAccepted)
+			w.Write([]byte(`{"id":4,"state":"tuning","terminal":false}`))
+			return
+		}
+		w.Write([]byte(`{"state":"done"}`))
+	}))
+	defer ts.Close()
+
+	cli := New(Config{BaseURL: ts.URL, MaxRetries: -1, PollInterval: interval})
+	start := time.Now()
+	out, err := cli.Wait(context.Background(), 4)
+	if err != nil || out.State != "done" {
+		t.Fatalf("Wait = %+v, %v", out, err)
+	}
+	if calls.Load() != unfinished+1 {
+		t.Fatalf("Wait made %d requests, want %d", calls.Load(), unfinished+1)
+	}
+	if took := time.Since(start); took < unfinished*interval {
+		t.Fatalf("%d unfinished answers cost %v; Wait did not pause PollInterval (%v) between them", unfinished, took, interval)
+	}
+}
+
+// TestWaitRetriesSeveredHeldResponse: a held response cut mid-body is one
+// more transient — Wait asks again and returns the outcome.
+func TestWaitRetriesSeveredHeldResponse(t *testing.T) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Write([]byte(`{"state":"done","warm":true}`))
+	}))
+	defer ts.Close()
+
+	cli := New(Config{
+		BaseURL: ts.URL, MaxRetries: -1, PollInterval: time.Millisecond,
+		NetFaults: faults.NewNet(faults.NetConfig{Seed: 1, SeverRate: 1, SeverAfter: 8, MaxFaults: 1}),
+	})
+	out, err := cli.Wait(context.Background(), 4)
+	if err != nil || out.State != "done" || !out.Warm {
+		t.Fatalf("Wait across a severed response = %+v, %v", out, err)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("Wait made %d requests, want 2 (the severed one and its retry)", calls.Load())
 	}
 }

@@ -439,12 +439,48 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxResultWait caps how long a result request is held (?wait=): far enough
+// inside the kit's 30 s request deadline that a hold which runs out is
+// answered with the 202 poll view, not cut off.
+const maxResultWait = 20 * time.Second
+
+// awaitTerminal holds a result request that asked to wait
+// (?wait=<duration>, capped at maxResultWait) until the session is
+// terminal, woken by the journal rather than a poll: the hold ends within
+// one wake of the terminal state edge. It also ends when the wait runs out,
+// the request's context ends or the daemon drains; the caller then answers
+// from the session's state exactly as for an unheld request. A missing or
+// malformed wait holds nothing.
+func (s *Server) awaitTerminal(r *http.Request, sess *fleet.Session) {
+	wait, err := time.ParseDuration(r.URL.Query().Get("wait"))
+	if err != nil || wait <= 0 || sess.State().Terminal() {
+		return
+	}
+	journal := s.fleet.Journal()
+	wake := journal.Watch()
+	defer journal.Unwatch(wake)
+	timer := time.NewTimer(min(wait, maxResultWait))
+	defer timer.Stop()
+	for !sess.State().Terminal() {
+		select {
+		case <-wake:
+		case <-timer.C:
+			return
+		case <-r.Context().Done():
+			return
+		case <-s.drainDone:
+			return
+		}
+	}
+}
+
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id, reg, ok := s.session(w, r)
 	if !ok {
 		return
 	}
 	if reg.live != nil {
+		s.awaitTerminal(r, reg.live)
 		if !reg.live.State().Terminal() {
 			// Not done yet: hand back the poll view instead of a result,
 			// with 202 so clients can tell "keep waiting" from an error.

@@ -8,13 +8,23 @@
 // first corruption, because an append-only log's meaning is its order.
 //
 // Payloads are opaque to the log except for one rule: they must not
-// contain a raw newline (JSON-encoded payloads never do). Durability is a
-// policy knob: fsync on every append, every Interval appends, or only at
-// Close.
+// contain a raw newline (JSON-encoded payloads never do).
+//
+// Writing and making durable are two calls. Write frames a record and hands
+// it to the OS, never syncing: the record survives the process dying, not a
+// power cut. Commit is the group-commit barrier: it returns once every
+// record written before the call is on stable storage, one fsync covering
+// however many records and callers were waiting. Append is Write followed
+// by the log's policy — a Commit per append (SyncAlways), a Sync every
+// Interval appends, or nothing until Close — for callers whose every record
+// is an acknowledgement. A caller that acknowledges less often than it
+// writes (the fleet's journal) uses Write and commits where it is about to
+// tell someone.
 package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -34,7 +44,9 @@ const (
 	// SyncInterval (the default) fsyncs every Config.Interval appends and
 	// on Close — bounded loss, amortised cost.
 	SyncInterval SyncMode = iota
-	// SyncAlways fsyncs every append: nothing acknowledged is ever lost.
+	// SyncAlways makes Append durable on return: each Append ends in a
+	// Commit, so nothing acknowledged is ever lost. Appends racing each
+	// other share fsyncs; serial ones pay one each.
 	SyncAlways
 	// SyncOnClose leaves flushing to the OS until Close: fastest, loses
 	// the tail of a crashed process's unflushed writes.
@@ -196,14 +208,31 @@ func frame(payload []byte) []byte {
 
 // Log is an open write-ahead log positioned for appending.
 type Log struct {
+	// syncMu serialises fsyncs and is what Close, Abort and AbortTorn take to
+	// wait one out. It is acquired before mu, never while holding it, and an
+	// fsync runs under syncMu alone — writes continue meanwhile.
+	syncMu sync.Mutex
+
 	mu      sync.Mutex
 	f       *os.File
 	path    string
 	cfg     Config
-	records int // valid records in the file (salvaged + appended)
-	unsynct int // appends since the last fsync
+	records int // valid records in the file (salvaged + written)
+	unsynct int // writes since the last fsync began
 	closed  bool
+
+	// Group-commit bookkeeping (under mu). synced is how many records the
+	// last successful fsync covered; syncs counts finished fsync attempts,
+	// and the last failed one is remembered with its ordinal and coverage so
+	// every Commit that was waiting on it gets its error.
+	synced      int
+	syncs       int
+	failedSync  int
+	failedCover int
+	failedErr   error
 }
+
+var errClosed = errors.New("wal: log is closed")
 
 // Open opens (or creates) the log at path, salvages any damaged tail by
 // truncating the file to its longest valid prefix, and positions for
@@ -239,74 +268,156 @@ func Open(path string, cfg Config) (*Log, Salvage, error) {
 			return nil, sal, err
 		}
 	}
-	return &Log{f: f, path: path, cfg: cfg, records: sal.Records}, sal, nil
+	return &Log{f: f, path: path, cfg: cfg, records: sal.Records, synced: sal.Records}, sal, nil
 }
 
-// Append writes one record. The payload must not contain a raw newline.
-// Whether the record is durable immediately depends on the sync policy;
-// whether it is written at all does not.
-func (l *Log) Append(payload []byte) error {
+// Write frames one record and hands it to the OS; it never syncs. The
+// record survives the process dying (the page cache keeps it) but not a
+// power cut until a Commit, Sync or Close covers it. The payload must not
+// contain a raw newline.
+func (l *Log) Write(payload []byte) error {
+	_, err := l.write(payload)
+	return err
+}
+
+// write is Write, also reporting how many writes now await an fsync.
+func (l *Log) write(payload []byte) (unsynct int, err error) {
 	if bytes.IndexByte(payload, '\n') >= 0 {
-		return fmt.Errorf("wal: payload contains a raw newline")
+		return 0, fmt.Errorf("wal: payload contains a raw newline")
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return fmt.Errorf("wal: log is closed")
+		return 0, errClosed
 	}
 	if h := l.cfg.FaultHook; h != nil {
 		if err := h("write"); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if _, err := l.f.Write(frame(payload)); err != nil {
-		return err
+		return 0, err
 	}
 	l.records++
 	l.unsynct++
+	return l.unsynct, nil
+}
+
+// Append is Write followed by the policy's sync: under SyncAlways a Commit,
+// so the record is on stable storage when Append returns; under
+// SyncInterval a Sync every Config.Interval writes; under SyncOnClose
+// nothing. Whether the record is written at all does not depend on the
+// policy.
+func (l *Log) Append(payload []byte) error {
+	unsynct, err := l.write(payload)
+	if err != nil {
+		return err
+	}
 	switch l.cfg.Sync {
 	case SyncAlways:
-		l.unsynct = 0
-		return l.syncLocked()
+		return l.Commit()
 	case SyncInterval:
-		if l.unsynct >= l.cfg.Interval {
-			l.unsynct = 0
-			return l.syncLocked()
+		if unsynct >= l.cfg.Interval {
+			return l.Sync()
 		}
 	}
 	return nil
 }
 
-// syncLocked runs the fault hook, then fsyncs. Callers hold l.mu.
-func (l *Log) syncLocked() error {
-	if h := l.cfg.FaultHook; h != nil {
-		if err := h("sync"); err != nil {
-			return err
-		}
-	}
-	return l.f.Sync()
+// Commit is the group-commit barrier: it returns once every record written
+// before the call is on stable storage. One fsync covers everything written
+// when it begins, so concurrent committers share fsyncs, and a caller whose
+// records an earlier fsync already covered touches no disk and consults no
+// FaultHook. A failed fsync is returned to every Commit it was covering; a
+// later Commit tries again.
+func (l *Log) Commit() error {
+	l.mu.Lock()
+	target, seen := l.records, l.syncs
+	l.mu.Unlock()
+	return l.fsync(target, seen)
 }
 
-// Sync forces everything appended so far to stable storage.
+// Sync forces an fsync of everything written so far, covered or not.
 func (l *Log) Sync() error {
+	return l.fsync(-1, 0)
+}
+
+// fsync is the log's one path to stable storage. target < 0 forces a
+// physical fsync; otherwise the call is satisfied by any fsync covering the
+// first target records — one that finished successfully at any time, or one
+// that failed after the caller had seen `seen` attempts finish (the caller
+// was waiting on it). The "sync" FaultHook is consulted once per physical
+// fsync, outside mu.
+func (l *Log) fsync(target, seen int) error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	switch {
+	case target >= 0 && l.synced >= target:
+		l.mu.Unlock()
+		return nil
+	case target >= 0 && l.failedSync > seen && l.failedCover >= target:
+		err := l.failedErr
+		l.mu.Unlock()
+		return err
+	case l.closed:
+		l.mu.Unlock()
+		if target < 0 {
+			return nil
+		}
+		return errClosed
+	}
+	cover := l.records
+	l.unsynct = 0
+	l.mu.Unlock()
+
+	var err error
+	if h := l.cfg.FaultHook; h != nil {
+		err = h("sync")
+	}
+	if err == nil {
+		err = l.f.Sync()
+	}
+
+	l.mu.Lock()
+	l.syncs++
+	if err == nil {
+		l.synced = cover
+	} else {
+		l.failedSync, l.failedCover, l.failedErr = l.syncs, cover, err
+	}
+	l.mu.Unlock()
+	return err
+}
+
+// shut marks the log closed and reports whether this call did it. Callers
+// hold syncMu — so any fsync in flight has finished, and none starts until
+// they are done with the file — and own the file from here: no Write
+// touches it again.
+func (l *Log) shut() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return nil
+		return false
 	}
-	l.unsynct = 0
-	return l.syncLocked()
+	l.closed = true
+	return true
 }
 
 // Close syncs and closes the log.
 func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	if !l.shut() {
 		return nil
 	}
-	l.closed = true
 	serr := l.f.Sync()
+	if serr == nil {
+		// A Commit that was waiting on this Close finds its records covered.
+		l.mu.Lock()
+		l.synced = l.records
+		l.mu.Unlock()
+	}
 	cerr := l.f.Close()
 	if serr != nil {
 		return serr
@@ -315,16 +426,14 @@ func (l *Log) Close() error {
 }
 
 // Abort closes the log without syncing — the file keeps whatever the OS
-// has; subsequent Appends fail. It simulates the process dying (or the
+// has; subsequent Writes fail. It simulates the process dying (or the
 // disk vanishing) underneath the writer, for crash and degradation tests.
 func (l *Log) Abort() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	if l.shut() {
+		l.f.Close()
 	}
-	l.closed = true
-	l.f.Close()
 }
 
 // AbortTorn is Abort with a torn tail: it flushes what the log has, tears
@@ -335,12 +444,11 @@ func (l *Log) Abort() {
 // demand instead of hoping for an unlucky kill. It returns how many bytes
 // were actually torn.
 func (l *Log) AbortTorn(tear int) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	if !l.shut() {
 		return 0
 	}
-	l.closed = true
 	defer l.f.Close()
 	// Make sure the bytes being torn are on disk in the first place;
 	// otherwise the OS may have less than we think and the tear is moot.
