@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,8 +129,8 @@ func TestChaosCombinedFaultsInvariants(t *testing.T) {
 // fleet level: two runs with identical seeds and a serialized submission
 // schedule (drain between submits, so the only interleaving left is a
 // session's own "queued" against its "admitted") produce identical
-// per-session and fleet-level event sequences (modulo wall-clock stamps)
-// and identical injected fault schedules.
+// journals (modulo wall-clock stamps and that one race) and identical
+// injected fault schedules.
 func TestChaosDeterministicSameSeed(t *testing.T) {
 	run := func() ([]Event, map[string]int) {
 		dir := t.TempDir()
@@ -161,38 +162,42 @@ func TestChaosDeterministicSameSeed(t *testing.T) {
 		t.Fatalf("journal lengths differ across identical runs: %d vs %d", len(evA), len(evB))
 	}
 	// Submit races the one worker for the journal lock, so a session's
-	// "queued" record may land after its own "admitted" (DESIGN.md §11.4) in
-	// one run and before it in the other, shifting Seq numbers with it.
-	// Everything else is pinned: each session's events in order behind its
-	// queued record, and the fleet-level events in order.
-	project := func(events []Event) map[int][]Event {
-		by := make(map[int][]Event)
+	// "queued" record may land behind its own "admitted" (DESIGN.md §11.4) in
+	// one run and in front of it in the other. That one race is normalised
+	// away — a late queued record moves in front of its session's first
+	// event and Seq is renumbered — and the whole journal is compared, so
+	// cross-session order and the place of every fleet-level event stay
+	// pinned.
+	normalise := func(events []Event) []Event {
+		out := make([]Event, 0, len(events))
+		first := make(map[int]int) // session -> index in out of its first event
 		for _, e := range events {
-			e.Wall, e.Seq = 0, 0
-			by[e.Session] = append(by[e.Session], e)
-		}
-		for id, evs := range by {
-			if id >= 0 {
-				by[id] = queuedFirst(t, id, evs)
+			at, started := first[e.Session]
+			if e.Type != "queued" || !started {
+				if !started && e.Session >= 0 {
+					first[e.Session] = len(out)
+				}
+				out = append(out, e)
+				continue
+			}
+			out = slices.Insert(out, at, e)
+			for id, i := range first {
+				if i >= at && id != e.Session {
+					first[id] = i + 1
+				}
 			}
 		}
-		return by
-	}
-	byA, byB := project(evA), project(evB)
-	if len(byA) != len(byB) {
-		t.Fatalf("session counts differ across identical runs: %d vs %d", len(byA), len(byB))
-	}
-	for id, a := range byA {
-		b := byB[id]
-		if len(a) != len(b) {
-			t.Fatalf("session %d: %d events in one run, %d in the other", id, len(a), len(b))
+		for i := range out {
+			out[i].Seq, out[i].Wall = i, 0
 		}
-		for i := range a {
-			ja, _ := json.Marshal(a[i])
-			jb, _ := json.Marshal(b[i])
-			if string(ja) != string(jb) {
-				t.Fatalf("session %d event %d differs across identical runs:\n%s\n%s", id, i, ja, jb)
-			}
+		return out
+	}
+	evA, evB = normalise(evA), normalise(evB)
+	for i := range evA {
+		ja, _ := json.Marshal(evA[i])
+		jb, _ := json.Marshal(evB[i])
+		if string(ja) != string(jb) {
+			t.Fatalf("event %d differs across identical runs:\n%s\n%s", i, ja, jb)
 		}
 	}
 	for op, n := range opsA {

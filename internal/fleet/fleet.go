@@ -163,7 +163,7 @@ func (f *Fleet) submit(spec SessionSpec, attempt int, enforceCaps bool) (*Sessio
 			}
 		}
 	}
-	s := &Session{ID: f.nextID, Spec: spec, state: Queued, attempt: attempt}
+	s := &Session{ID: f.nextID, Spec: spec, state: Queued, attempt: attempt, finished: make(chan struct{})}
 	s.machineName = f.cfg.Machine.Name
 	if spec.Machine != nil {
 		s.machineName = spec.Machine.Name
@@ -249,7 +249,7 @@ func (f *Fleet) CancelQueued() int {
 		f.metrics.fail(0)
 		ev := s.event("session-failed")
 		ev.State, ev.Attempt, ev.Err = Failed.String(), it.Attempt, ErrCanceled.Error()
-		f.journal.add(ev)
+		f.finish(s, ev)
 		n++
 	}
 	f.cond.Broadcast()
@@ -280,7 +280,7 @@ func (f *Fleet) DegradeQueued(id int) bool {
 	f.metrics.degrade(0)
 	ev := s.event("session-degraded")
 	ev.State, ev.Attempt = Degraded.String(), it.Attempt
-	f.journal.add(ev)
+	f.finish(s, ev)
 	f.cond.Broadcast()
 	return true
 }

@@ -40,7 +40,7 @@ func (f *Fleet) runAux(s *Session, started time.Time, m machine.Machine,
 	f.metrics.finishAux(s.Spec.Kind.String(), s.Wall())
 	ev := s.event("session-done")
 	ev.State = Done.String()
-	f.journal.add(ev)
+	f.finish(s, ev)
 }
 
 // measure runs sess to the session's run budget and measures the trailing

@@ -22,7 +22,15 @@ func (f *Fleet) parkSession(s *Session) {
 	f.metrics.degrade(s.Wall())
 	ev := s.event("session-degraded")
 	ev.State, ev.Attempt = Degraded.String(), s.Attempt()
+	f.finish(s, ev)
+}
+
+// finish journals ev, the terminal record of an attempt nothing re-admits,
+// and then releases Session.Finished: add returns after the record's commit,
+// so whoever Finished releases finds the outcome on disk.
+func (f *Fleet) finish(s *Session, ev Event) {
 	f.journal.add(ev)
+	close(s.finished)
 }
 
 // tryRetryLocked re-admits a Failed or RolledBack session through the
@@ -125,6 +133,7 @@ func (f *Fleet) failSession(s *Session, started time.Time, err error) {
 	f.mu.Unlock()
 	if !retried {
 		f.metrics.fail(s.Wall())
+		close(s.finished) // session-failed above was this session's last record
 	}
 }
 
@@ -453,7 +462,7 @@ func (f *Fleet) finishOptimize(s *Session, rep *rpgcore.Report, final State, tie
 	ev.State, ev.Report = final.String(), rep
 	ev.Warm, ev.Translated = tier == tierWarm, tier == tierTranslated
 	ev.Attempt, ev.Retune = s.Attempt(), s.Retunes()
-	f.journal.add(ev)
+	f.finish(s, ev)
 }
 
 // applyStorePolicy decides what a finished session teaches the store: a

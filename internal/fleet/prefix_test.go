@@ -342,8 +342,9 @@ func sweepPrefixes(t *testing.T, snapEvery int) {
 // TestCommitPointDurableBeforeTold pins the ordering the prefix argument
 // rests on, with a counting sync hook on the live journal: Submit returns
 // only after an fsync covering the session's queued record, and a Watcher
-// is woken for a terminal record only after an fsync covering that record
-// has finished — while records between commit points cost no fsync at all.
+// is woken for a terminal record, and the session's Finished released, only
+// after an fsync covering that record has finished — while records between
+// commit points cost no fsync at all.
 func TestCommitPointDurableBeforeTold(t *testing.T) {
 	f, start := newGated(Config{
 		Machine: machine.CascadeLake(), Workers: 1,
@@ -354,6 +355,7 @@ func TestCommitPointDurableBeforeTold(t *testing.T) {
 
 	var (
 		log     atomic.Pointer[wal.Log]
+		sess    atomic.Pointer[Session]
 		mu      sync.Mutex
 		syncs   int   // physical fsyncs
 		covered int   // records the fsyncs so far covered, at least
@@ -375,12 +377,20 @@ func TestCommitPointDurableBeforeTold(t *testing.T) {
 		mu.Unlock()
 		if check {
 			// The fsync is "in flight" for as long as this hook holds it.
-			// The commit-point record's wake must not arrive before it ends.
+			// The commit-point record's wake must not arrive before it ends,
+			// and nobody may be handed the outcome.
 			time.Sleep(5 * time.Millisecond)
 			select {
 			case <-wake:
 				t.Error("a watcher was woken for a commit-point record before its fsync finished")
 			default:
+			}
+			if s := sess.Load(); s != nil {
+				select {
+				case <-s.Finished():
+					t.Error("Finished was released before the terminal record's fsync finished")
+				default:
+				}
 			}
 		}
 		return nil
@@ -421,11 +431,14 @@ func TestCommitPointDurableBeforeTold(t *testing.T) {
 		t.Fatal(err)
 	}
 	told("Submit returned")
+	sess.Store(s)
 
 	start()
 	f.Drain()
-	if !s.State().Terminal() {
-		t.Fatalf("session ended %v", s.State())
+	select {
+	case <-s.Finished():
+	default:
+		t.Fatalf("the fleet drained with the session (%v) not Finished", s.State())
 	}
 	told("the session's terminal record was journaled")
 	mu.Lock()

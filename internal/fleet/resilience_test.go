@@ -469,6 +469,76 @@ func TestJournalEventOrdering(t *testing.T) {
 	}
 }
 
+// TestFinishedFollowsTheLastTerminalRecord: Session.Finished is what an
+// outcome is reported on, so with faults, retries and a breaker in play it
+// must release exactly once per session and only behind the record that
+// really is the session's last — never behind a failed or rolled-back
+// attempt the retry lane takes back, whose state reads terminal meanwhile.
+func TestFinishedFollowsTheLastTerminalRecord(t *testing.T) {
+	f := New(Config{
+		Machine: machine.CascadeLake(), Workers: 4,
+		Faults:     faults.New(faults.Config{Seed: 11, Rate: 0.3}),
+		MaxRetries: 2, BreakerThreshold: 4,
+	})
+	defer f.Close()
+	lastTerminal := func(evs []Event) (Event, bool) {
+		for i := len(evs) - 1; i >= 0; i-- {
+			switch evs[i].Type {
+			case "session-done", "session-failed", "session-degraded":
+				return evs[i], true
+			case "retry-scheduled", "admitted":
+				return Event{}, false
+			}
+		}
+		return Event{}, false
+	}
+	type seen struct {
+		rec     Event
+		ok      bool
+		state   State
+		attempt int
+	}
+	var wg sync.WaitGroup
+	var sessions []*Session
+	atFinish := make([]seen, 16)
+	for i, spec := range stressSpecs(len(atFinish), 300) {
+		s, err := f.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-s.Finished()
+			rec, ok := lastTerminal(f.Journal().SessionEvents(s.ID))
+			atFinish[i] = seen{rec, ok, s.State(), s.Attempt()}
+		}()
+	}
+	f.Drain()
+	wg.Wait()
+	retried := 0
+	for i, s := range sessions {
+		got := atFinish[i]
+		if !got.ok {
+			t.Fatalf("session %d: Finished released with no terminal record closing its journal", s.ID)
+		}
+		if got.rec.State != got.state.String() || got.rec.Attempt != got.attempt {
+			t.Fatalf("session %d: Finished released in %v attempt %d behind record %+v", s.ID, got.state, got.attempt, got.rec)
+		}
+		final, ok := lastTerminal(f.Journal().SessionEvents(s.ID))
+		if !ok || final.Seq != got.rec.Seq {
+			t.Fatalf("session %d: Finished released behind seq %d, but the session's last record is %+v", s.ID, got.rec.Seq, final)
+		}
+		if s.Attempt() > 0 {
+			retried++
+		}
+	}
+	if retried == 0 {
+		t.Fatal("no session was retried; the batch does not exercise the retry window")
+	}
+}
+
 // TestZeroKnobRunsMatchLegacyFIFO: with every admission knob at its zero
 // value the scheduler must be indistinguishable from the original FIFO
 // fleet — same dispatch order on one worker, no policy counters, no new

@@ -190,6 +190,9 @@ type Session struct {
 	// item is the session's admission-queue handle; its scheduler-owned
 	// fields are only touched under the fleet's mutex.
 	item *admission.Item
+	// finished is closed once the session's last terminal record is
+	// journaled (see Finished).
+	finished chan struct{}
 
 	mu          sync.Mutex
 	machineName string
@@ -233,6 +236,15 @@ func (s *Session) State() State {
 	defer s.mu.Unlock()
 	return s.state
 }
+
+// Finished is closed once the session's last record — the session-done,
+// session-failed or session-degraded of the attempt nothing re-admits — has
+// been journaled, and under fsync-always committed. State().Terminal() says
+// an attempt ended; it is true a moment before that attempt's record is
+// written, and also for a failed or rolled-back attempt the retry lane is
+// about to take back. Whoever reports an outcome outside the process waits
+// for Finished.
+func (s *Session) Finished() <-chan struct{} { return s.finished }
 
 // Attempt returns the session's current attempt index: 0 for the first
 // admission, incremented by each retry-lane re-admission.

@@ -444,33 +444,28 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // answered with the 202 poll view, not cut off.
 const maxResultWait = 20 * time.Second
 
-// awaitTerminal holds a result request that asked to wait
-// (?wait=<duration>, capped at maxResultWait) until the session is
-// terminal, woken by the journal rather than a poll: the hold ends within
-// one wake of the terminal state edge. It also ends when the wait runs out,
-// the request's context ends or the daemon drains; the caller then answers
-// from the session's state exactly as for an unheld request. A missing or
-// malformed wait holds nothing.
-func (s *Server) awaitTerminal(r *http.Request, sess *fleet.Session) {
-	wait, err := time.ParseDuration(r.URL.Query().Get("wait"))
-	if err != nil || wait <= 0 || sess.State().Terminal() {
-		return
-	}
-	journal := s.fleet.Journal()
-	wake := journal.Watch()
-	defer journal.Unwatch(wake)
-	timer := time.NewTimer(min(wait, maxResultWait))
-	defer timer.Stop()
-	for !sess.State().Terminal() {
+// finished reports whether the session's terminal record has been journaled
+// (fleet.Session.Finished) — the one condition a result is served on, so an
+// outcome a client was told is on disk, and is the last attempt's. A request
+// that asked to wait (?wait=<duration>, capped at maxResultWait) is held for
+// it first; the hold also ends when the wait runs out, the request's context
+// ends or the daemon drains. A missing or malformed wait holds nothing.
+func (s *Server) finished(r *http.Request, sess *fleet.Session) bool {
+	if wait, err := time.ParseDuration(r.URL.Query().Get("wait")); err == nil && wait > 0 {
+		timer := time.NewTimer(min(wait, maxResultWait))
+		defer timer.Stop()
 		select {
-		case <-wake:
+		case <-sess.Finished():
 		case <-timer.C:
-			return
 		case <-r.Context().Done():
-			return
 		case <-s.drainDone:
-			return
 		}
+	}
+	select {
+	case <-sess.Finished():
+		return true
+	default:
+		return false
 	}
 }
 
@@ -480,8 +475,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if reg.live != nil {
-		s.awaitTerminal(r, reg.live)
-		if !reg.live.State().Terminal() {
+		if !s.finished(r, reg.live) {
 			// Not done yet: hand back the poll view instead of a result,
 			// with 202 so clients can tell "keep waiting" from an error.
 			daemon.WriteJSON(w, http.StatusAccepted, statusOf(id, reg))

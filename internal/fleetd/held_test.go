@@ -6,6 +6,7 @@ package fleetd_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -19,23 +20,28 @@ import (
 	"rpg2/internal/fleetd"
 	"rpg2/internal/machine"
 	rpgcore "rpg2/internal/rpg2"
+	"rpg2/internal/wal"
 )
 
 // parkedDaemon is a one-worker daemon whose sessions stop inside the
 // controller (at the profile stage) until release is called — so a test can
-// put a request in flight against a session it knows is unfinished.
+// put a request in flight against a session it knows is unfinished. A send
+// on step lets one parked attempt go on alone, and the first failFirst
+// attempts fail when they do.
 type parkedDaemon struct {
-	srv      *fleetd.Server
-	ts       *httptest.Server
-	cli      *fleetclient.Client
-	entered  chan struct{}
-	release  func()
-	inFlight atomic.Int32 // requests inside the daemon's handler
+	srv       *fleetd.Server
+	ts        *httptest.Server
+	cli       *fleetclient.Client
+	entered   chan struct{}
+	release   func()
+	step      chan struct{}
+	failFirst atomic.Int32
+	inFlight  atomic.Int32 // requests inside the daemon's handler
 }
 
 func newParkedDaemon(t *testing.T, cfg fleetd.Config) *parkedDaemon {
 	t.Helper()
-	d := &parkedDaemon{entered: make(chan struct{}, 16)}
+	d := &parkedDaemon{entered: make(chan struct{}, 16), step: make(chan struct{})}
 	gate := make(chan struct{})
 	var once sync.Once
 	d.release = func() { once.Do(func() { close(gate) }) }
@@ -43,7 +49,13 @@ func newParkedDaemon(t *testing.T, cfg fleetd.Config) *parkedDaemon {
 	cfg.Fleet.Session = rpgcore.Config{FaultHook: func(stage string) error {
 		if stage == "profile" {
 			d.entered <- struct{}{}
-			<-gate
+			select {
+			case <-gate:
+			case <-d.step:
+			}
+			if d.failFirst.Add(-1) >= 0 {
+				return errors.New("injected profile failure")
+			}
 		}
 		return nil
 	}}
@@ -97,7 +109,7 @@ func (d *parkedDaemon) result(ctx context.Context, t *testing.T, id int, query s
 }
 
 // terminalAt watches the daemon's journal and reports when the session's
-// terminal state edge was journaled.
+// terminal record was journaled.
 func terminalAt(srv *fleetd.Server, id int) <-chan time.Time {
 	at := make(chan time.Time, 1)
 	j := srv.Fleet().Journal()
@@ -108,7 +120,7 @@ func terminalAt(srv *fleetd.Server, id int) <-chan time.Time {
 		for range wake {
 			for _, e := range j.EventsSince(cursor) {
 				cursor = e.Seq
-				if e.Session == id && e.Type == "state" && (e.State == "done" || e.State == "rolled-back") {
+				if e.Session == id && e.Type == "session-done" {
 					at <- time.Now()
 					return
 				}
@@ -174,6 +186,71 @@ func TestHeldResultAnswersAtTheTerminalRecord(t *testing.T) {
 	}
 	if lag := w.at.Sub(done); lag > prompt {
 		t.Fatalf("Wait returned %v after the terminal record", lag)
+	}
+}
+
+// TestHeldResultWaitsOutARetry: a failed attempt the retry lane takes back is
+// not an outcome. The session's state reads failed (terminal) until the lane
+// re-queues it, and its session-failed record is journaled, yet the held
+// request and Wait stay held through the second attempt and answer with that
+// attempt's result.
+func TestHeldResultWaitsOutARetry(t *testing.T) {
+	// Durable, so the first attempt's session-failed is an fsync: time for a
+	// hold released by state to see "failed" before the lane re-queues.
+	d := newParkedDaemon(t, fleetd.Config{Fleet: fleet.Config{
+		MaxRetries: 1, StateDir: t.TempDir(), Fsync: wal.SyncAlways,
+	}})
+	d.failFirst.Store(1)
+	id := d.submit(t, 1)
+	<-d.entered // attempt 0 is parked, about to fail
+
+	raw := make(chan map[string]any, 1)
+	go func() {
+		code, body, _ := d.result(context.Background(), t, id, "?wait=1m")
+		body["code"] = float64(code)
+		raw <- body
+	}()
+	viaClient := make(chan fleetd.Outcome, 1)
+	go func() {
+		out, err := d.cli.Wait(context.Background(), id)
+		if err != nil {
+			t.Errorf("Wait: %v", err)
+		}
+		viaClient <- out
+	}()
+	for d.inFlight.Load() < 2 { // both requests are held
+		time.Sleep(time.Millisecond)
+	}
+	d.step <- struct{}{}
+	<-d.entered // attempt 0 has failed and been retried; attempt 1 is parked
+
+	failed := false
+	for _, e := range d.srv.Fleet().Journal().SessionEvents(id) {
+		failed = failed || e.Type == "session-failed"
+	}
+	if !failed {
+		t.Fatal("the second attempt is running but no session-failed was journaled for the first")
+	}
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case body := <-raw:
+		t.Fatalf("held request answered %v with a retry still running", body)
+	case out := <-viaClient:
+		t.Fatalf("Wait returned %+v with a retry still running", out)
+	default:
+	}
+	// An unheld fetch is no different: nothing to serve until the last record.
+	if code, body, _ := d.result(context.Background(), t, id, ""); code != http.StatusAccepted {
+		t.Fatalf("result with a retry still running = %d %v, want 202", code, body)
+	}
+	d.release()
+
+	body := <-raw
+	if body["code"] != float64(http.StatusOK) || body["state"] != fleet.Done.String() || body["attempt"] != float64(1) || body["report"] == nil {
+		t.Fatalf("held result = %v, want 200 with the second attempt's done outcome", body)
+	}
+	if out := <-viaClient; out.State != fleet.Done.String() || out.Attempt != 1 || out.Err != "" || out.Report == nil {
+		t.Fatalf("Wait = %+v, want the second attempt's done outcome", out)
 	}
 }
 
