@@ -19,34 +19,53 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"rpg2"
 )
 
+// request is what the flags ask for, before any of it is checked.
+type request struct {
+	fig, table                          int
+	all, quick, smoke, translate, drift bool
+	benches                             []string
+}
+
 func main() {
-	fig := flag.Int("fig", 0, "regenerate one figure (1,2,3,7,8,9,10,11,12,13)")
-	table := flag.Int("table", 0, "regenerate one table (1,2,3)")
-	all := flag.Bool("all", false, "regenerate every table and figure")
-	quick := flag.Bool("quick", false, "reduced scale: fewer inputs, shorter runs")
-	smoke := flag.Bool("smoke", false, "smallest scale: two inputs, one trial (CI smoke)")
+	var q request
+	flag.IntVar(&q.fig, "fig", 0, "regenerate one figure (1,2,3,7,8,9,10,11,12,13)")
+	flag.IntVar(&q.table, "table", 0, "regenerate one table (1,2,3)")
+	flag.BoolVar(&q.all, "all", false, "regenerate every table and figure")
+	flag.BoolVar(&q.quick, "quick", false, "reduced scale: fewer inputs, shorter runs")
+	flag.BoolVar(&q.smoke, "smoke", false, "smallest scale: two inputs, one trial (CI smoke)")
 	trials := flag.Int("trials", 0, "override RPG² trials per input")
 	parallel := flag.Int("parallel", 0, "fleet worker pool size (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 0, "override the root seed (default per configuration)")
 	warm := flag.Bool("warm", false, "let Figure 7's RPG² trials warm-start from the profile store")
 	storeAddr := flag.String("store-addr", "", "share an rpg2-stored daemon's profile store at this base URL instead of an in-process store")
-	translate := flag.Bool("translate", false, "run the cross-machine transplant study (cold vs warm vs translated seeding)")
-	drift := flag.Bool("drift", false, "run the phase-drift study (no-watchdog baseline vs warm re-tune vs cold-re-tune ablation)")
+	flag.BoolVar(&q.translate, "translate", false, "run the cross-machine transplant study (cold vs warm vs translated seeding)")
+	flag.BoolVar(&q.drift, "drift", false, "run the phase-drift study (no-watchdog baseline vs warm re-tune vs cold-re-tune ablation)")
 	benches := flag.String("bench", "", "comma-separated benchmark subset for figures 7/8 and table 3")
 	journal := flag.String("journal", "", "write the fleet event journal as JSON lines to this file (- for stdout)")
 	metrics := flag.String("metrics", "", "write the fleet metrics snapshot as JSON to this file (- for stdout)")
 	flag.Parse()
 
+	for _, b := range strings.Split(*benches, ",") {
+		if b = strings.TrimSpace(b); b != "" {
+			q.benches = append(q.benches, b)
+		}
+	}
+	selected, err := selection(q)
+	if err != nil {
+		fatal(err)
+	}
+
 	opts := rpg2.DefaultExperiments()
-	if *quick {
+	if q.quick {
 		opts = rpg2.QuickExperiments()
 	}
-	if *smoke {
+	if q.smoke {
 		opts = rpg2.SmokeExperiments()
 	}
 	if *trials > 0 {
@@ -61,26 +80,24 @@ func main() {
 	opts.WarmStart = *warm
 	opts.StoreAddr = *storeAddr
 
-	var benchList []string
-	if *benches != "" {
-		for _, b := range strings.Split(*benches, ",") {
-			if b = strings.TrimSpace(b); b != "" {
-				benchList = append(benchList, b)
-			}
-		}
-	}
-
 	r := rpg2.NewExperiments(opts)
 	defer r.Close()
 
-	err := run(r, *fig, *table, *all, *translate, *drift, benchList)
-	if err == nil {
-		err = dump(r, *journal, *metrics)
+	for _, a := range selected {
+		res, err := a.Run(r, q.benches)
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", a.Name, err))
+		}
+		res.Render(os.Stdout)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rpg2-experiments:", err)
-		os.Exit(1)
+	if err := dump(r, *journal, *metrics); err != nil {
+		fatal(err)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "rpg2-experiments:", err)
+	os.Exit(1)
 }
 
 // dump writes the fleet observability outputs requested by -journal and
@@ -118,172 +135,54 @@ func dump(r *rpg2.Experiments, journal, metrics string) error {
 	return nil
 }
 
-func run(r *rpg2.Experiments, fig, table int, all, translate, drift bool, benches []string) error {
-	out := os.Stdout
-	did := false
-	runTransplant := func() error {
-		did = true
-		res, err := r.TableTransplant(benches)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-		return nil
+// selection checks the request and resolves it to the artefacts to run, in
+// the order they print: everything for -all, else the figure, the table, the
+// transplant study, the drift study.
+func selection(q request) ([]rpg2.Artefact, error) {
+	if q.quick && q.smoke {
+		return nil, fmt.Errorf("-quick and -smoke are two scales: pass one")
 	}
-	runDrift := func() error {
-		did = true
-		// The drift study takes the drifting benchmark catalogue, not the
-		// stock one; -bench only applies when it names drifting benches.
-		var driftBenches []string
-		known := make(map[string]bool)
-		for _, b := range rpg2.DriftBenchmarks() {
-			known[b] = true
+	driftBenches := 0
+	for _, b := range q.benches {
+		switch {
+		case slices.Contains(rpg2.DriftBenchmarks(), b):
+			driftBenches++
+		case !slices.Contains(rpg2.Benchmarks(), b):
+			return nil, fmt.Errorf("unknown benchmark %q (have %v plus drift %v)",
+				b, rpg2.Benchmarks(), rpg2.DriftBenchmarks())
 		}
-		for _, b := range benches {
-			if known[b] {
-				driftBenches = append(driftBenches, b)
-			}
-		}
-		res, err := r.TableDrift(driftBenches)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-		return nil
 	}
-	runFig := func(n int) error {
-		did = true
-		switch n {
-		case 1:
-			res, err := r.Fig1()
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		case 2:
-			res, err := r.Fig2()
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		case 3:
-			res, err := r.Fig3()
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		case 7:
-			res, err := r.Fig7(benches)
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		case 8:
-			res, err := r.Fig8(benches)
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		case 9:
-			res, err := r.Fig9()
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		case 10:
-			res, err := r.Fig10("", "")
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		case 11:
-			res, err := r.Fig11()
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		case 12:
-			res, err := r.Fig12()
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		case 13:
-			res, err := r.Fig13("")
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		default:
-			return fmt.Errorf("no figure %d (figures 4-6 are design diagrams, not results)", n)
-		}
-		return nil
-	}
-	runTable := func(n int) error {
-		did = true
-		switch n {
-		case 1:
-			res, err := r.Table1()
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		case 2:
-			res, err := r.Table2()
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		case 3:
-			res, err := r.Table3(benches)
-			if err != nil {
-				return err
-			}
-			res.Render(out)
-		default:
-			return fmt.Errorf("no table %d", n)
-		}
-		return nil
+	if q.drift && len(q.benches) > 0 && driftBenches == 0 {
+		return nil, fmt.Errorf("-drift runs the drifting benchmarks: -bench %s names none of %v",
+			strings.Join(q.benches, ","), rpg2.DriftBenchmarks())
 	}
 
-	if all {
-		for _, n := range []int{1, 2, 3} {
-			if err := runTable(n); err != nil {
-				return fmt.Errorf("table %d: %w", n, err)
-			}
-		}
-		for _, n := range []int{1, 2, 3, 7, 8, 9, 10, 11, 12, 13} {
-			if err := runFig(n); err != nil {
-				return fmt.Errorf("figure %d: %w", n, err)
-			}
-		}
-		if err := runTransplant(); err != nil {
-			return err
-		}
-		return runDrift()
+	catalogue := rpg2.Artefacts()
+	if q.all {
+		return catalogue, nil
 	}
-	if fig != 0 {
-		if err := runFig(fig); err != nil {
-			return err
+	var selected []rpg2.Artefact
+	pick := func(want func(rpg2.Artefact) bool) bool {
+		i := slices.IndexFunc(catalogue, want)
+		if i >= 0 {
+			selected = append(selected, catalogue[i])
 		}
+		return i >= 0
 	}
-	if table != 0 {
-		if err := runTable(table); err != nil {
-			return err
-		}
+	if q.fig != 0 && !pick(func(a rpg2.Artefact) bool { return a.Fig == q.fig }) {
+		return nil, fmt.Errorf("no figure %d (figures 4-6 are design diagrams, not results)", q.fig)
 	}
-	if translate {
-		if err := runTransplant(); err != nil {
-			return err
-		}
+	if q.table != 0 && !pick(func(a rpg2.Artefact) bool { return a.Table == q.table }) {
+		return nil, fmt.Errorf("no table %d", q.table)
 	}
-	if drift {
-		if err := runDrift(); err != nil {
-			return err
-		}
+	if q.translate {
+		pick(func(a rpg2.Artefact) bool { return a.Name == "transplant" })
 	}
-	if !did {
-		return fmt.Errorf("nothing to do: pass -all, -fig N, or -table N")
+	if q.drift {
+		pick(func(a rpg2.Artefact) bool { return a.Name == "drift" })
 	}
-	return nil
+	if len(selected) == 0 {
+		return nil, fmt.Errorf("nothing to do: pass -all, -fig N, or -table N")
+	}
+	return selected, nil
 }

@@ -183,12 +183,12 @@ func (r *Runner) TableDrift(benches []string) (*DriftResult, error) {
 	for _, b := range benches {
 		refs = append(refs, cellRef{b, "", m})
 	}
-	r.prefetchCandidates(refs)
+	r.cands.fill(refs)
 	var statSpecs []fleet.SessionSpec
 	var statIdx []int // 2*row for warm, 2*row+1 for cold
 	for i := range out.Rows {
 		row := &out.Rows[i]
-		cand, err := r.candidates(row.Bench, "", m)
+		cand, err := r.cands.get(cellRef{row.Bench, "", m})
 		if err != nil {
 			continue
 		}

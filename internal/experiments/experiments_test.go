@@ -107,7 +107,7 @@ func TestFig13AsymmetricGrid(t *testing.T) {
 	o.Machines = []machine.Machine{machine.CascadeLake()}
 	r := experiments.NewRunner(o)
 	defer r.Close()
-	res, err := r.Fig13("soc-alpha")
+	res, err := r.Fig13()
 	if err != nil {
 		t.Fatalf("Fig13: %v", err)
 	}

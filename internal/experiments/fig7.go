@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"rpg2/internal/fleet"
-	"rpg2/internal/machine"
 	"rpg2/internal/rpg2"
 	"rpg2/internal/stats"
 )
@@ -52,28 +51,13 @@ func (r *Runner) Fig7(benches []string) (*Fig7Result, error) {
 	if len(benches) == 0 {
 		benches = []string{"pr", "bfs", "sssp", "bc", "is", "cg", "randacc"}
 	}
-	type job struct {
-		bench, input string
-		m            machine.Machine
-	}
-	var jobs []job
-	for _, m := range r.opts.Machines {
-		for _, b := range benches {
-			for _, in := range r.inputsFor(b) {
-				jobs = append(jobs, job{bench: b, input: in, m: m})
-			}
-		}
-	}
+	jobs := r.cells(benches)
 	res := &Fig7Result{Pairs: make([]*PairResult, len(jobs))}
 
-	cells := make([]cellRef, len(jobs))
-	for i, j := range jobs {
-		cells[i] = cellRef{j.bench, j.input, j.m}
-	}
-	r.prefetchAPTGET(benches, r.opts.Machines)
-	r.prefetchSweeps(cells)
-	r.prefetchCandidates(cells)
-	thaw := r.warmStart(cells)
+	r.aptget.fill(jobs)
+	r.sweeps.fill(jobs)
+	r.cands.fill(jobs)
+	thaw := r.warmStart(jobs)
 	defer thaw()
 
 	// The measured batch: a plan per cell indexes into one spec list so
@@ -105,7 +89,7 @@ func (r *Runner) Fig7(benches []string) (*Fig7Result, error) {
 				Cold: !r.opts.WarmStart,
 			}))
 		}
-		cand, candErr := r.candidates(j.bench, j.input, j.m)
+		cand, candErr := r.cands.get(j)
 		static := func(d int) int {
 			if candErr != nil {
 				return -1
@@ -116,12 +100,12 @@ func (r *Runner) Fig7(benches []string) (*Fig7Result, error) {
 			})
 		}
 		// Offline: this input's own best distance.
-		if sw, err := r.sweep(j.bench, j.input, j.m); err == nil {
+		if sw, err := r.sweeps.get(j); err == nil {
 			d, _ := sw.Best()
 			p.off = static(d)
 		}
 		// APT-GET: one distance per benchmark/machine.
-		if d, err := r.aptgetDistance(j.bench, j.m); err == nil {
+		if d, err := r.aptget.get(j); err == nil {
 			p.apt = static(d)
 		}
 		// Manual (AJ benchmarks only).

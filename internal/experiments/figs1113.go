@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"rpg2/internal/baselines"
 	"rpg2/internal/fleet"
@@ -112,19 +113,7 @@ func correlation(xs, ys []float64) float64 {
 	if sxx == 0 || syy == 0 {
 		return 0
 	}
-	return sxy / (sqrt(sxx) * sqrt(syy))
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton's method suffices here and avoids importing math for one call.
-	z := x
-	for i := 0; i < 32; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
+	return sxy / (math.Sqrt(sxx) * math.Sqrt(syy))
 }
 
 // Fig12Result is the dynamic instruction-overhead histogram for pr.
@@ -203,21 +192,19 @@ type Fig13Result struct {
 }
 
 // Fig13 reproduces Figure 13: sweep sssp's two prefetch distances
-// independently on one input and report the speedup surface. RPG² itself
+// independently on one input (soc-alpha) and report the speedup surface. RPG² itself
 // keeps distances symmetric; this shows what asymmetry is worth (§4.5).
 // The grid mutates one process's patch points in place, so it stays a
 // sequential procedure; the workload and candidates still come from the
 // fleet's build cache and profile jobs.
-func (r *Runner) Fig13(input string) (*Fig13Result, error) {
+func (r *Runner) Fig13() (*Fig13Result, error) {
+	const input = "soc-alpha"
 	m := r.opts.Machines[0]
-	if input == "" {
-		input = r.inputsFor("sssp")[0]
-	}
 	w, err := r.fleet.Builds().Build("sssp", input, 1<<30)
 	if err != nil {
 		return nil, err
 	}
-	cand, err := r.candidates("sssp", input, m)
+	cand, err := r.cands.get(cellRef{"sssp", input, m})
 	if err != nil {
 		return nil, err
 	}

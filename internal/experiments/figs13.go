@@ -32,10 +32,10 @@ func curveFrom(s *baselines.Sweep) Curve {
 // sweepCurves runs every cell's distance sweep through the fleet at once,
 // then assembles the curves in cell order.
 func (r *Runner) sweepCurves(cells []cellRef, errf func(c cellRef, err error) error) ([]Curve, error) {
-	r.prefetchSweeps(cells)
+	r.sweeps.fill(cells)
 	curves := make([]Curve, len(cells))
 	for i, c := range cells {
-		sw, err := r.sweep(c.bench, c.input, c.m)
+		sw, err := r.sweeps.get(c)
 		if err != nil {
 			return nil, errf(c, err)
 		}

@@ -29,24 +29,16 @@ func (r *Runner) Fig8(benches []string) (*Fig8Result, error) {
 	if len(benches) == 0 {
 		benches = []string{"pr", "bfs", "sssp", "bc", "is", "cg", "randacc"}
 	}
-	var all []cellRef
-	for _, m := range r.opts.Machines {
-		for _, b := range benches {
-			for _, in := range r.inputsFor(b) {
-				all = append(all, cellRef{b, in, m})
-			}
-		}
-	}
-	r.prefetchSweeps(all)
+	all := r.cells(benches)
+	r.sweeps.fill(all)
 
 	type cell struct {
-		bench, input string
-		m            machine.Machine
-		optimal      int
+		cellRef
+		optimal int
 	}
 	var cells []cell
 	for _, c := range all {
-		sw, err := r.sweep(c.bench, c.input, c.m)
+		sw, err := r.sweeps.get(c)
 		if err != nil {
 			continue
 		}
@@ -54,13 +46,13 @@ func (r *Runner) Fig8(benches []string) (*Fig8Result, error) {
 			continue
 		}
 		d, _ := sw.Best()
-		cells = append(cells, cell{c.bench, c.input, c.m, d})
+		cells = append(cells, cell{c, d})
 	}
 	out := &Fig8Result{Inputs: len(cells)}
 
 	refs := make([]cellRef, len(cells))
 	for i, c := range cells {
-		refs[i] = cellRef{c.bench, c.input, c.m}
+		refs[i] = c.cellRef
 	}
 	thaw := r.warmStart(refs)
 	defer thaw()
@@ -203,17 +195,13 @@ type SessionTimeline struct {
 	Points                []rpg2.TimelinePoint
 }
 
-// Fig10 reproduces Figure 10: run RPG² on a prefetch-friendly pr input and
-// on a prefetch-hostile one, recording the performance timeline through
+// Fig10 reproduces Figure 10: run RPG² on a prefetch-friendly pr input
+// (soc-alpha) and on a prefetch-hostile one (bitcoinalpha-like, the paper's
+// own rollback example), recording the performance timeline through
 // profiling, insertion, tuning, and (for the hostile case) rollback.
-func (r *Runner) Fig10(friendly, hostile string) (*Fig10Result, error) {
+func (r *Runner) Fig10() (*Fig10Result, error) {
+	const friendly, hostile = "soc-alpha", "bitcoinalpha-like"
 	m := r.opts.Machines[0]
-	if friendly == "" {
-		friendly = r.inputsFor("pr")[0]
-	}
-	if hostile == "" {
-		hostile = "as20000102-like"
-	}
 	var out Fig10Result
 	var err error
 	if out.Speedup, err = r.timelineRun("pr", friendly, m); err != nil {

@@ -23,6 +23,7 @@ package experiments
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 
 	"rpg2/internal/baselines"
@@ -78,16 +79,17 @@ func DefaultOptions() Options {
 	}
 }
 
-// QuickOptions returns a reduced configuration for smoke runs and -short
-// tests: fewer inputs, shorter runs, a coarser sweep.
+// QuickOptions returns the scale EXPERIMENTS.md quotes its numbers at, and
+// what `rpg2-experiments -quick` runs: the first 8 CRONO inputs and 3
+// synthetic ones, 30 s runs, 2 trials, sweep distances 1..99 in steps of 2.
 func QuickOptions() Options {
 	o := DefaultOptions()
-	o.CRONOInputs = o.CRONOInputs[:6]
-	o.SynthInputs = o.SynthInputs[:2]
-	o.RunSeconds = 20
-	o.Trials = 1
-	ds := make([]int, 0, 25)
-	for d := 1; d <= 100; d += 4 {
+	o.CRONOInputs = o.CRONOInputs[:8]
+	o.SynthInputs = o.SynthInputs[:3]
+	o.RunSeconds = 30
+	o.Trials = 2
+	ds := make([]int, 0, 50)
+	for d := 1; d <= 100; d += 2 {
 		ds = append(ds, d)
 	}
 	o.Sweep.Distances = ds
@@ -131,13 +133,9 @@ type Runner struct {
 	opts  Options
 	fleet *fleet.Fleet
 
-	mu      sync.Mutex
-	sweeps  map[string]*baselines.Sweep
-	swErr   map[string]error
-	cands   map[string][]int
-	candErr map[string]error
-	aptget  map[string]int
-	aptErr  map[string]error
+	sweeps *memo[*baselines.Sweep]
+	cands  *memo[[]int]
+	aptget *memo[int]
 }
 
 // NewRunner builds a runner and starts its fleet; call Close when done.
@@ -158,16 +156,12 @@ func NewRunner(opts Options) *Runner {
 		RunSeconds: opts.RunSeconds,
 		StoreAddr:  opts.StoreAddr,
 	})
-	return &Runner{
-		opts:    opts,
-		fleet:   f,
-		sweeps:  make(map[string]*baselines.Sweep),
-		swErr:   make(map[string]error),
-		cands:   make(map[string][]int),
-		candErr: make(map[string]error),
-		aptget:  make(map[string]int),
-		aptErr:  make(map[string]error),
-	}
+	r := &Runner{opts: opts, fleet: f}
+	r.sweeps = newMemo(f, cellRef.key, r.sweepSpec, (*fleet.Session).SweepResult)
+	r.cands = newMemo(f, cellRef.key, r.profileSpec, (*fleet.Session).Candidates)
+	r.aptget = newMemo(f, func(c cellRef) string { return c.bench + "|" + c.m.Name },
+		r.aptgetSpec, (*fleet.Session).Distance)
+	return r
 }
 
 // Options returns the runner's configuration.
@@ -186,9 +180,6 @@ func (r *Runner) Snapshot() fleet.Snapshot { return r.fleet.Snapshot() }
 
 // Close stops the fleet's workers. The runner is not usable afterwards.
 func (r *Runner) Close() { r.fleet.Close() }
-
-// pairKey identifies a (benchmark, input, machine) combination.
-func pairKey(bench, input, mach string) string { return bench + "|" + input + "|" + mach }
 
 // mptr copies a machine for a per-session override.
 func (r *Runner) mptr(m machine.Machine) *machine.Machine { mp := m; return &mp }
@@ -224,209 +215,115 @@ type cellRef struct {
 	m            machine.Machine
 }
 
-// prefetchSweeps submits one SweepJob per not-yet-memoized cell and waits,
-// so later sweep() getters are pure memo reads.
-func (r *Runner) prefetchSweeps(cells []cellRef) {
+func (c cellRef) key() string { return c.bench + "|" + c.input + "|" + c.m.Name }
+
+// cells enumerates every (benchmark, input) combination of benches on every
+// machine, machines outermost — the order Figures 7 and 8 index seeds by.
+func (r *Runner) cells(benches []string) []cellRef {
+	var out []cellRef
+	for _, m := range r.opts.Machines {
+		for _, b := range benches {
+			for _, in := range r.inputsFor(b) {
+				out = append(out, cellRef{b, in, m})
+			}
+		}
+	}
+	return out
+}
+
+// memo caches one product of a fleet session per cell — an offline sweep, a
+// profile's candidate PCs, an APT-GET distance — errors cached like values.
+type memo[T any] struct {
+	fleet   *fleet.Fleet
+	key     func(cellRef) string            // cells with equal keys share one session
+	spec    func(cellRef) fleet.SessionSpec // the session computing a cell's product
+	product func(*fleet.Session) T
+
+	mu   sync.Mutex
+	done map[string]memoEntry[T]
+}
+
+type memoEntry[T any] struct {
+	v   T
+	err error
+}
+
+func newMemo[T any](f *fleet.Fleet, key func(cellRef) string, spec func(cellRef) fleet.SessionSpec, product func(*fleet.Session) T) *memo[T] {
+	return &memo[T]{fleet: f, key: key, spec: spec, product: product, done: make(map[string]memoEntry[T])}
+}
+
+// fill submits one session per key that is neither memoized nor already in
+// this batch, in first-seen order (submission order is session-ID order), as
+// one batch, and waits, so later gets are pure memo reads.
+func (m *memo[T]) fill(cells []cellRef) {
 	var specs []fleet.SessionSpec
 	var keys []string
-	seen := make(map[string]bool)
-	r.mu.Lock()
+	m.mu.Lock()
 	for _, c := range cells {
-		key := pairKey(c.bench, c.input, c.m.Name)
-		if seen[key] {
+		key := m.key(c)
+		if _, ok := m.done[key]; ok || slices.Contains(keys, key) {
 			continue
 		}
-		if _, ok := r.sweeps[key]; ok {
-			continue
-		}
-		seen[key] = true
-		cfg := r.opts.Sweep
-		specs = append(specs, fleet.SessionSpec{
-			Bench: c.bench, Input: c.input, Kind: fleet.SweepJob,
-			Machine: r.mptr(c.m), Sweep: &cfg,
-		})
+		specs = append(specs, m.spec(c))
 		keys = append(keys, key)
 	}
-	r.mu.Unlock()
+	m.mu.Unlock()
 	if len(specs) == 0 {
 		return
 	}
-	got, err := r.runBatch(specs)
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	got, err := m.fleet.Run(specs)
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for i, key := range keys {
-		if i >= len(got) {
-			r.sweeps[key], r.swErr[key] = nil, err
-			continue
+		switch {
+		case i >= len(got):
+			m.done[key] = memoEntry[T]{err: err}
+		case got[i].State() == fleet.Failed:
+			m.done[key] = memoEntry[T]{err: got[i].Err()}
+		default:
+			m.done[key] = memoEntry[T]{v: m.product(got[i])}
 		}
-		s := got[i]
-		if s.State() == fleet.Failed {
-			r.sweeps[key], r.swErr[key] = nil, s.Err()
-			continue
-		}
-		r.sweeps[key] = s.SweepResult()
 	}
 }
 
-// sweep returns the memoized offline distance sweep for a combination,
-// running it through the fleet on first use.
-func (r *Runner) sweep(bench, input string, m machine.Machine) (*baselines.Sweep, error) {
-	key := pairKey(bench, input, m.Name)
-	r.mu.Lock()
-	if s, ok := r.sweeps[key]; ok {
-		err := r.swErr[key]
-		r.mu.Unlock()
-		return s, err
-	}
-	r.mu.Unlock()
-	r.prefetchSweeps([]cellRef{{bench, input, m}})
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sweeps[key], r.swErr[key]
+// get returns a cell's product, running its session on first use.
+func (m *memo[T]) get(c cellRef) (T, error) {
+	m.fill([]cellRef{c})
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.done[m.key(c)]
+	return e.v, e.err
 }
 
-// prefetchCandidates submits one ProfileJob per not-yet-memoized cell.
-func (r *Runner) prefetchCandidates(cells []cellRef) {
-	var specs []fleet.SessionSpec
-	var keys []string
-	seen := make(map[string]bool)
-	r.mu.Lock()
-	for _, c := range cells {
-		key := pairKey(c.bench, c.input, c.m.Name)
-		if seen[key] {
-			continue
-		}
-		if _, ok := r.cands[key]; ok {
-			continue
-		}
-		if _, ok := r.candErr[key]; ok {
-			continue
-		}
-		seen[key] = true
-		specs = append(specs, fleet.SessionSpec{
-			Bench: c.bench, Input: c.input, Kind: fleet.ProfileJob,
-			Machine: r.mptr(c.m),
-		})
-		keys = append(keys, key)
-	}
-	r.mu.Unlock()
-	if len(specs) == 0 {
-		return
-	}
-	got, err := r.runBatch(specs)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, key := range keys {
-		if i >= len(got) {
-			r.candErr[key] = err
-			continue
-		}
-		s := got[i]
-		if s.State() == fleet.Failed {
-			r.candErr[key] = s.Err()
-			continue
-		}
-		r.cands[key] = s.Candidates()
+// sweepSpec is the offline distance sweep of one cell.
+func (r *Runner) sweepSpec(c cellRef) fleet.SessionSpec {
+	cfg := r.opts.Sweep
+	return fleet.SessionSpec{
+		Bench: c.bench, Input: c.input, Kind: fleet.SweepJob,
+		Machine: r.mptr(c.m), Sweep: &cfg,
 	}
 }
 
-// candidates returns the memoized profiled candidate PCs for a combination.
-func (r *Runner) candidates(bench, input string, m machine.Machine) ([]int, error) {
-	key := pairKey(bench, input, m.Name)
-	r.mu.Lock()
-	if c, ok := r.cands[key]; ok {
-		r.mu.Unlock()
-		return c, nil
+// profileSpec is the PEBS profile yielding one cell's candidate PCs.
+func (r *Runner) profileSpec(c cellRef) fleet.SessionSpec {
+	return fleet.SessionSpec{
+		Bench: c.bench, Input: c.input, Kind: fleet.ProfileJob,
+		Machine: r.mptr(c.m),
 	}
-	if err, ok := r.candErr[key]; ok {
-		r.mu.Unlock()
-		return nil, err
-	}
-	r.mu.Unlock()
-	r.prefetchCandidates([]cellRef{{bench, input, m}})
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err, ok := r.candErr[key]; ok {
-		return nil, err
-	}
-	return r.cands[key], nil
 }
 
-// prefetchAPTGET submits one APTGETJob per not-yet-memoized (bench,
-// machine) pair. The scheme's distance is derived from one randomly chosen
-// input and baked into the binary run on all inputs (§4.1.1); the paper
+// aptgetSpec derives APT-GET's distance for a (benchmark, machine) pair,
+// whatever the cell's input: the scheme derives it from one randomly chosen
+// input and bakes it into the binary run on all inputs (§4.1.1). The paper
 // notes APT-GET data is missing for sssp, bfs, and randacc, but this
 // reproduction can generate it, so it does.
-func (r *Runner) prefetchAPTGET(benches []string, machines []machine.Machine) {
-	var specs []fleet.SessionSpec
-	var keys []string
-	seen := make(map[string]bool)
-	r.mu.Lock()
-	for _, m := range machines {
-		for _, b := range benches {
-			key := b + "|" + m.Name
-			if seen[key] {
-				continue
-			}
-			if _, ok := r.aptget[key]; ok {
-				continue
-			}
-			if _, ok := r.aptErr[key]; ok {
-				continue
-			}
-			seen[key] = true
-			inputs := r.inputsFor(b)
-			rng := rand.New(rand.NewSource(r.opts.Seed + int64(len(b))))
-			in := inputs[rng.Intn(len(inputs))]
-			specs = append(specs, fleet.SessionSpec{
-				Bench: b, Input: in, Kind: fleet.APTGETJob,
-				Machine: r.mptr(m),
-			})
-			keys = append(keys, key)
-		}
+func (r *Runner) aptgetSpec(c cellRef) fleet.SessionSpec {
+	inputs := r.inputsFor(c.bench)
+	rng := rand.New(rand.NewSource(r.opts.Seed + int64(len(c.bench))))
+	return fleet.SessionSpec{
+		Bench: c.bench, Input: inputs[rng.Intn(len(inputs))], Kind: fleet.APTGETJob,
+		Machine: r.mptr(c.m),
 	}
-	r.mu.Unlock()
-	if len(specs) == 0 {
-		return
-	}
-	got, err := r.runBatch(specs)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, key := range keys {
-		if i >= len(got) {
-			r.aptErr[key] = err
-			continue
-		}
-		s := got[i]
-		if s.State() == fleet.Failed {
-			r.aptErr[key] = s.Err()
-			continue
-		}
-		r.aptget[key] = s.Distance()
-	}
-}
-
-// aptgetDistance returns the memoized APT-GET distance for a benchmark on
-// a machine.
-func (r *Runner) aptgetDistance(bench string, m machine.Machine) (int, error) {
-	key := bench + "|" + m.Name
-	r.mu.Lock()
-	if d, ok := r.aptget[key]; ok {
-		r.mu.Unlock()
-		return d, nil
-	}
-	if err, ok := r.aptErr[key]; ok {
-		r.mu.Unlock()
-		return 0, err
-	}
-	r.mu.Unlock()
-	r.prefetchAPTGET([]string{bench}, []machine.Machine{m})
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err, ok := r.aptErr[key]; ok {
-		return 0, err
-	}
-	return r.aptget[key], nil
 }
 
 // warmStart optionally pre-warms the profile store with one non-cold
@@ -440,7 +337,7 @@ func (r *Runner) warmStart(cells []cellRef) func() {
 	var specs []fleet.SessionSpec
 	seen := make(map[string]bool)
 	for i, c := range cells {
-		key := pairKey(c.bench, c.input, c.m.Name)
+		key := c.key()
 		if seen[key] {
 			continue
 		}

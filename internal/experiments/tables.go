@@ -63,7 +63,7 @@ func (r *Runner) Table1() (*Table1Result, error) {
 		if err != nil {
 			return err
 		}
-		cand, err := r.candidates(bench, input, r.opts.Machines[0])
+		cand, err := r.cands.get(cellRef{bench, input, r.opts.Machines[0]})
 		if err != nil {
 			return err
 		}
@@ -223,13 +223,13 @@ func (r *Runner) Table3(benches []string) (*Table3Result, error) {
 			refs = append(refs, cellRef{b, in, cl}, cellRef{b, in, hw})
 		}
 	}
-	r.prefetchSweeps(refs)
+	r.sweeps.fill(refs)
 	for _, c := range cells {
-		swCL, err := r.sweep(benches[c.bi], c.input, cl)
+		swCL, err := r.sweeps.get(cellRef{benches[c.bi], c.input, cl})
 		if err != nil {
 			continue
 		}
-		swHW, err := r.sweep(benches[c.bi], c.input, hw)
+		swHW, err := r.sweeps.get(cellRef{benches[c.bi], c.input, hw})
 		if err != nil {
 			continue
 		}

@@ -172,7 +172,9 @@ type Experiments = experiments.Runner
 // DefaultExperiments returns the full-scale harness configuration.
 func DefaultExperiments() ExperimentOptions { return experiments.DefaultOptions() }
 
-// QuickExperiments returns a reduced configuration for smoke runs.
+// QuickExperiments returns the scale EXPERIMENTS.md quotes its numbers at
+// (`rpg2-experiments -quick`): 8 CRONO and 3 synthetic inputs, 30 s runs, 2
+// trials, sweep distances 1..99 in steps of 2.
 func QuickExperiments() ExperimentOptions { return experiments.QuickOptions() }
 
 // SmokeExperiments returns the smallest useful configuration: two tiny
@@ -182,6 +184,12 @@ func SmokeExperiments() ExperimentOptions { return experiments.SmokeOptions() }
 
 // NewExperiments builds the harness.
 func NewExperiments(opts ExperimentOptions) *Experiments { return experiments.NewRunner(opts) }
+
+// Artefact is one table, figure or study the harness regenerates.
+type Artefact = experiments.Artefact
+
+// Artefacts lists every table, figure and study, in `-all` order.
+func Artefacts() []Artefact { return experiments.Artefacts() }
 
 // FleetConfig tunes a Fleet; Machine is required, everything else has
 // defaults (Workers: GOMAXPROCS).
