@@ -4,7 +4,7 @@
 // mechanisms:
 //
 //   - a priority scheduler: items carry an explicit priority, and waiting
-//     items age (one effective priority point per AgingStep dispatches), so
+//     items age (one effective priority point per agingStep dispatches), so
 //     low-priority work is delayed, never starved;
 //   - per-key admission quotas: at most Quota sessions per (bench, input)
 //     key in flight at once, so one workload cannot monopolise the pool;
@@ -45,20 +45,9 @@ type Config struct {
 	TenantQuota int
 	// MaxRetries is the per-item retry budget (0 = no retry lane).
 	MaxRetries int
-	// BackoffBase is the first retry's backoff in virtual seconds
-	// (default 0.5); attempt n waits BackoffBase·2^(n-1), capped.
-	BackoffBase float64
-	// BackoffCap caps one backoff wait (default 8).
-	BackoffCap float64
-	// AgingStep is how many dispatches raise a waiting item's effective
-	// priority by one (default 8; negative disables aging).
-	AgingStep int
 	// BreakerThreshold is the consecutive-rollback count that trips a
 	// key's breaker (0 = breaker disabled).
 	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open in
-	// virtual seconds before admitting a half-open trial (default 16).
-	BreakerCooldown float64
 	// MaxRetunes is the per-item re-tune budget (0 = no re-tune lane).
 	// The re-tune lane is distinct from the retry lane: retries re-run
 	// *failed* attempts with exponential backoff and a derived cold seed,
@@ -67,31 +56,25 @@ type Config struct {
 	// search warm. A re-tune does not consume retry budget or touch
 	// Attempt.
 	MaxRetunes int
-	// RetuneDelay is the fixed wait before a re-admitted drifted session
-	// re-dispatches, in virtual seconds (default 0.5). No exponential
-	// growth: repeated re-tunes of a phasey workload are the intended
-	// steady state, not an escalating failure.
-	RetuneDelay float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 0.5
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = 8
-	}
-	if c.AgingStep == 0 {
-		c.AgingStep = 8
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 16
-	}
-	if c.RetuneDelay == 0 {
-		c.RetuneDelay = 0.5
-	}
-	return c
-}
+// The scheduler's fixed policy, times in virtual seconds.
+const (
+	// backoffBase is the first retry's backoff; attempt n waits
+	// backoffBase·2^(n-1), capped at backoffCap.
+	backoffBase = 0.5
+	backoffCap  = 8.0
+	// agingStep is how many dispatches raise a waiting item's effective
+	// priority by one.
+	agingStep = 8
+	// breakerCooldown is how long a tripped breaker stays open before
+	// admitting a half-open trial.
+	breakerCooldown = 16.0
+	// retuneDelay is the fixed wait before a re-admitted drifted session
+	// re-dispatches. No exponential growth: repeated re-tunes of a phasey
+	// workload are the intended steady state, not an escalating failure.
+	retuneDelay = 0.5
+)
 
 // Item is one schedulable unit. The fleet stores its *Session in Payload;
 // the queue never inspects it.
@@ -192,7 +175,7 @@ type Queue struct {
 // NewQueue builds an empty scheduler.
 func NewQueue(cfg Config) *Queue {
 	return &Queue{
-		cfg:            cfg.withDefaults(),
+		cfg:            cfg,
 		inflight:       make(map[Key]int),
 		breakers:       make(map[Key]*breaker),
 		tenantInflight: make(map[string]int),
@@ -338,7 +321,7 @@ func (q *Queue) Import(st PersistState) {
 		b := &breaker{consecutive: bs.Consecutive, open: bs.Open, reopenAt: bs.ReopenAt}
 		if bs.HalfOpen {
 			b.open = true
-			b.reopenAt = q.clock + q.cfg.BreakerCooldown
+			b.reopenAt = q.clock + breakerCooldown
 		}
 		q.breakers[bs.Key] = b
 	}
@@ -358,7 +341,7 @@ func (q *Queue) ReplayBreaker(k Key, open bool) {
 		if b.consecutive < q.cfg.BreakerThreshold {
 			b.consecutive = q.cfg.BreakerThreshold
 		}
-		b.reopenAt = q.clock + q.cfg.BreakerCooldown
+		b.reopenAt = q.clock + breakerCooldown
 	} else {
 		b.open, b.halfOpen, b.consecutive = false, false, 0
 	}
@@ -382,12 +365,9 @@ func (q *Queue) blocked(it *Item) bool {
 }
 
 // effective is an item's aged priority: explicit priority plus one point
-// per AgingStep dispatches spent waiting.
+// per agingStep dispatches spent waiting.
 func (q *Queue) effective(it *Item) int {
-	if q.cfg.AgingStep < 0 {
-		return it.Priority
-	}
-	return it.Priority + (q.dispatches-it.waitedAt)/q.cfg.AgingStep
+	return it.Priority + (q.dispatches-it.waitedAt)/agingStep
 }
 
 // promoteDue moves retry-lane items whose due time has arrived into the
@@ -504,31 +484,11 @@ func (q *Queue) blockedRetries() bool {
 	return false
 }
 
-// Evict removes and returns one waiting item — ready queue first in
-// submission order, then the retry lane — without dispatching it. It is
-// the cancellation path for graceful shutdown. ok=false when nothing is
-// waiting.
-func (q *Queue) Evict() (*Item, bool) {
-	if len(q.ready) > 0 {
-		it := q.ready[0]
-		q.ready = q.ready[1:]
-		q.depthAdd(it.Tenant, -1)
-		return it, true
-	}
-	if len(q.retries) > 0 {
-		it := q.retries[0]
-		q.retries = q.retries[1:]
-		q.depthAdd(it.Tenant, -1)
-		return it, true
-	}
-	return nil, false
-}
-
 // EvictWhere removes and returns the first waiting item whose payload
-// matches pred — ready queue first, then the retry lane — without
-// dispatching it. It is the targeted flavour of Evict, for callers that
-// must cancel one specific session (the daemon's panic recovery) rather
-// than drain whatever is next.
+// matches pred — ready queue first in submission order, then the retry
+// lane — without dispatching it. It is the cancellation path: graceful
+// shutdown drains with an always-true pred, the daemon's panic recovery
+// picks one session. ok=false when nothing waiting matches.
 func (q *Queue) EvictWhere(pred func(payload any) bool) (*Item, bool) {
 	for i, it := range q.ready {
 		if pred(it.Payload) {
@@ -547,18 +507,12 @@ func (q *Queue) EvictWhere(pred func(payload any) bool) (*Item, bool) {
 	return nil, false
 }
 
-// Release returns an item's quota slot; call once per Pop'd item after it
-// finishes (or is parked).
-func (q *Queue) Release(k Key) {
-	if q.inflight[k] > 0 {
-		q.inflight[k]--
-	}
-}
-
-// ReleaseItem returns both the key quota slot and the tenant quota slot an
-// item occupied. Prefer this over Release when items carry tenants.
+// ReleaseItem returns the key quota slot and the tenant quota slot an item
+// occupied; call once per Pop'd item after it finishes (or is parked).
 func (q *Queue) ReleaseItem(it *Item) {
-	q.Release(it.Key)
+	if q.inflight[it.Key] > 0 {
+		q.inflight[it.Key]--
+	}
 	if it.Tenant != "" && q.tenantInflight[it.Tenant] > 0 {
 		q.tenantInflight[it.Tenant]--
 		if q.tenantInflight[it.Tenant] == 0 {
@@ -569,17 +523,26 @@ func (q *Queue) ReleaseItem(it *Item) {
 
 // Backoff returns the wait attempt n (1-based) would be scheduled with.
 func (q *Queue) Backoff(attempt int) float64 {
-	b := q.cfg.BackoffBase
+	b := backoffBase
 	for i := 1; i < attempt; i++ {
 		b *= 2
-		if b >= q.cfg.BackoffCap {
-			return q.cfg.BackoffCap
+		if b >= backoffCap {
+			return backoffCap
 		}
 	}
-	if b > q.cfg.BackoffCap {
-		b = q.cfg.BackoffCap
-	}
 	return b
+}
+
+// park puts an item in the due-sorted waiting lane Retry and Retune share,
+// due wait virtual seconds from now, and returns its due time.
+func (q *Queue) park(it *Item, wait float64) float64 {
+	it.due = q.clock + wait
+	q.retries = append(q.retries, it)
+	q.depthAdd(it.Tenant, 1)
+	sort.SliceStable(q.retries, func(i, j int) bool {
+		return q.retries[i].due < q.retries[j].due
+	})
+	return it.due
 }
 
 // Retry re-admits a finished item through the backoff lane. It reports
@@ -591,14 +554,8 @@ func (q *Queue) Retry(it *Item) (backoff, due float64, ok bool) {
 	}
 	it.Attempt++
 	backoff = q.Backoff(it.Attempt)
-	it.due = q.clock + backoff
-	q.retries = append(q.retries, it)
-	q.depthAdd(it.Tenant, 1)
-	sort.SliceStable(q.retries, func(i, j int) bool {
-		return q.retries[i].due < q.retries[j].due
-	})
 	q.stats.Retries++
-	return backoff, it.due, true
+	return backoff, q.park(it, backoff), true
 }
 
 // Retune re-admits a drifted-but-successful item through the re-tune
@@ -612,15 +569,8 @@ func (q *Queue) Retune(it *Item) (delay, due float64, ok bool) {
 		return 0, 0, false
 	}
 	it.Retune++
-	delay = q.cfg.RetuneDelay
-	it.due = q.clock + delay
-	q.retries = append(q.retries, it)
-	q.depthAdd(it.Tenant, 1)
-	sort.SliceStable(q.retries, func(i, j int) bool {
-		return q.retries[i].due < q.retries[j].due
-	})
 	q.stats.Retunes++
-	return delay, it.due, true
+	return retuneDelay, q.park(it, retuneDelay), true
 }
 
 // CanRetune reports whether the re-tune lane still has budget for this
@@ -656,12 +606,12 @@ func (q *Queue) Report(k Key, o Outcome) (opened, closed bool) {
 		case b.open && b.halfOpen:
 			// The recovery trial rolled back: stay open, restart cooldown.
 			b.halfOpen = false
-			b.reopenAt = q.clock + q.cfg.BreakerCooldown
+			b.reopenAt = q.clock + breakerCooldown
 			q.stats.BreakerTrips++
 			opened = true
 		case !b.open && b.consecutive >= q.cfg.BreakerThreshold:
 			b.open = true
-			b.reopenAt = q.clock + q.cfg.BreakerCooldown
+			b.reopenAt = q.clock + breakerCooldown
 			q.stats.BreakerTrips++
 			opened = true
 		}
@@ -669,7 +619,7 @@ func (q *Queue) Report(k Key, o Outcome) (opened, closed bool) {
 		if b.open && b.halfOpen {
 			// A failed trial proves nothing good: re-arm the cooldown.
 			b.halfOpen = false
-			b.reopenAt = q.clock + q.cfg.BreakerCooldown
+			b.reopenAt = q.clock + breakerCooldown
 			q.stats.BreakerTrips++
 			opened = true
 		}

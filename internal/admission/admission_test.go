@@ -6,16 +6,25 @@ func item(id int, k Key, prio int) *Item {
 	return &Item{ID: id, Key: k, Priority: prio, Breakable: true}
 }
 
-// popID pops and returns the dispatched item's ID, failing if the queue had
+// pop pops and returns the dispatched item, failing if the queue had
 // nothing to give.
-func popID(t *testing.T, q *Queue) int {
+func pop(t *testing.T, q *Queue) *Item {
 	t.Helper()
 	d, ok := q.Pop()
 	if !ok {
 		t.Fatalf("Pop: queue unexpectedly empty (len=%d)", q.Len())
 	}
-	return d.Item.ID
+	return d.Item
 }
+
+// popID pops and returns the dispatched item's ID.
+func popID(t *testing.T, q *Queue) int {
+	t.Helper()
+	return pop(t, q).ID
+}
+
+// evictAll is the always-true EvictWhere graceful shutdown drains with.
+func evictAll(q *Queue) (*Item, bool) { return q.EvictWhere(func(any) bool { return true }) }
 
 func TestZeroConfigIsFIFO(t *testing.T) {
 	q := NewQueue(Config{})
@@ -23,10 +32,11 @@ func TestZeroConfigIsFIFO(t *testing.T) {
 		q.Push(item(i, Key{Bench: "pr"}, 0))
 	}
 	for i := 0; i < 8; i++ {
-		if got := popID(t, q); got != i {
-			t.Fatalf("dispatch %d: got item %d, want FIFO order", i, got)
+		it := pop(t, q)
+		if it.ID != i {
+			t.Fatalf("dispatch %d: got item %d, want FIFO order", i, it.ID)
 		}
-		q.Release(Key{Bench: "pr"})
+		q.ReleaseItem(it)
 	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop succeeded on an empty queue")
@@ -38,7 +48,7 @@ func TestZeroConfigIsFIFO(t *testing.T) {
 }
 
 func TestPriorityOrderWithFIFOTiebreak(t *testing.T) {
-	q := NewQueue(Config{AgingStep: -1}) // isolate explicit priority
+	q := NewQueue(Config{}) // four dispatches < agingStep: explicit priority alone
 	q.Push(item(0, Key{Bench: "a"}, 0))
 	q.Push(item(1, Key{Bench: "b"}, 5))
 	q.Push(item(2, Key{Bench: "c"}, 5))
@@ -51,35 +61,34 @@ func TestPriorityOrderWithFIFOTiebreak(t *testing.T) {
 	}
 }
 
-func TestAgingPreventsStarvation(t *testing.T) {
-	// A priority-0 item waits while priority-10 items keep arriving; with
-	// AgingStep=2 its effective priority gains a point every 2 dispatches,
-	// so it must win within a bounded number of rounds.
-	q := NewQueue(Config{AgingStep: 2})
-	low := item(999, Key{Bench: "low"}, 0)
-	q.Push(low)
-	next := 0
-	for round := 0; round < 40; round++ {
-		q.Push(item(next, Key{Bench: "hi"}, 10))
-		next++
+// starveRound pushes a priority-0 item, then one fresh priority-10 item and
+// one dispatch per round, and returns the round the low item dispatched in
+// (-1 if it did not within rounds).
+func starveRound(t *testing.T, rounds int) int {
+	q := NewQueue(Config{})
+	q.Push(item(999, Key{Bench: "low"}, 0))
+	for round := 0; round < rounds; round++ {
+		q.Push(item(round, Key{Bench: "hi"}, 10))
 		if popID(t, q) == 999 {
-			return // the starved item finally dispatched
+			return round
 		}
 	}
-	t.Fatal("low-priority item starved for 40 rounds despite aging")
+	return -1
 }
 
-func TestAgingDisabled(t *testing.T) {
-	q := NewQueue(Config{AgingStep: -1})
-	low := item(999, Key{Bench: "low"}, 0)
-	q.Push(low)
-	next := 0
-	for round := 0; round < 40; round++ {
-		q.Push(item(next, Key{Bench: "hi"}, 10))
-		next++
-		if popID(t, q) == 999 {
-			t.Fatalf("round %d: aged item dispatched with aging disabled", round)
-		}
+func TestAgingPreventsStarvation(t *testing.T) {
+	// A priority-0 item waits while priority-10 items keep arriving; its
+	// effective priority gains a point every agingStep dispatches, so after
+	// 10·agingStep dispatches it ties the fresh item and wins on seq.
+	if got := starveRound(t, 10*agingStep+1); got < 0 {
+		t.Fatalf("low-priority item starved for %d rounds despite aging", 10*agingStep+1)
+	}
+}
+
+func TestAgingNeverPromotesEarly(t *testing.T) {
+	// Before 10·agingStep dispatches the low item must still wait.
+	if got := starveRound(t, 10*agingStep); got != -1 {
+		t.Fatalf("round %d: aged item dispatched before its priority caught up", got)
 	}
 }
 
@@ -92,8 +101,9 @@ func TestQuotaBoundsInflightPerKey(t *testing.T) {
 	}
 	q.Push(item(10, other, 0))
 
-	if got := popID(t, q); got != 0 {
-		t.Fatalf("first dispatch: got %d", got)
+	first := pop(t, q)
+	if first.ID != 0 {
+		t.Fatalf("first dispatch: got %d", first.ID)
 	}
 	if got := popID(t, q); got != 1 {
 		t.Fatalf("second dispatch: got %d", got)
@@ -110,22 +120,22 @@ func TestQuotaBoundsInflightPerKey(t *testing.T) {
 		t.Fatalf("QuotaStalls = %d, want 1", s.QuotaStalls)
 	}
 	// Releasing one slot frees the next item.
-	q.Release(k)
+	q.ReleaseItem(first)
 	if got := popID(t, q); got != 2 {
 		t.Fatalf("post-release dispatch: got %d, want 2", got)
 	}
 }
 
 func TestRetryBackoffAndVirtualClock(t *testing.T) {
-	q := NewQueue(Config{MaxRetries: 3, BackoffBase: 0.5, BackoffCap: 8})
+	q := NewQueue(Config{MaxRetries: 3})
 	it := item(1, Key{Bench: "pr"}, 0)
 	q.Push(it)
 	d, _ := q.Pop()
-	q.Release(d.Item.Key)
+	q.ReleaseItem(d.Item)
 
-	// First retry: 0.5 s backoff from clock 0.
+	// First retry: backoffBase (0.5 s) from clock 0.
 	backoff, due, ok := q.Retry(it)
-	if !ok || backoff != 0.5 || due != 0.5 {
+	if !ok || backoff != backoffBase || due != backoffBase {
 		t.Fatalf("retry 1: backoff=%v due=%v ok=%v, want 0.5/0.5/true", backoff, due, ok)
 	}
 	if it.Attempt != 1 {
@@ -139,20 +149,20 @@ func TestRetryBackoffAndVirtualClock(t *testing.T) {
 	if d.Waited != 0.5 || q.Clock() != 0.5 {
 		t.Fatalf("waited=%v clock=%v, want 0.5/0.5", d.Waited, q.Clock())
 	}
-	q.Release(d.Item.Key)
+	q.ReleaseItem(d.Item)
 
 	// Exponential doubling: attempt 2 waits 1.0 s.
 	if backoff, due, _ = q.Retry(it); backoff != 1.0 || due != 1.5 {
 		t.Fatalf("retry 2: backoff=%v due=%v, want 1.0/1.5", backoff, due)
 	}
 	d, _ = q.Pop()
-	q.Release(d.Item.Key)
+	q.ReleaseItem(d.Item)
 	// Attempt 3 waits 2.0 s and exhausts the budget.
 	if backoff, _, _ = q.Retry(it); backoff != 2.0 {
 		t.Fatalf("retry 3: backoff=%v, want 2.0", backoff)
 	}
 	d, _ = q.Pop()
-	q.Release(d.Item.Key)
+	q.ReleaseItem(d.Item)
 	if _, _, ok = q.Retry(it); ok {
 		t.Fatal("retry 4 admitted past MaxRetries=3")
 	}
@@ -170,8 +180,8 @@ func TestRetryBackoffAndVirtualClock(t *testing.T) {
 }
 
 func TestBackoffCap(t *testing.T) {
-	q := NewQueue(Config{MaxRetries: 10, BackoffBase: 1, BackoffCap: 4})
-	waits := []float64{1, 2, 4, 4, 4}
+	q := NewQueue(Config{MaxRetries: 10})
+	waits := []float64{backoffBase, 1, 2, 4, backoffCap, backoffCap, backoffCap}
 	for i, want := range waits {
 		if got := q.Backoff(i + 1); got != want {
 			t.Fatalf("Backoff(%d) = %v, want %v", i+1, got, want)
@@ -190,7 +200,7 @@ func TestRetryDisabledByDefault(t *testing.T) {
 }
 
 func TestBreakerTripParkHalfOpenClose(t *testing.T) {
-	q := NewQueue(Config{BreakerThreshold: 2, BreakerCooldown: 4, MaxRetries: 1})
+	q := NewQueue(Config{BreakerThreshold: 2, MaxRetries: 1})
 	k := Key{Bench: "pr", Input: "soc"}
 
 	// Two consecutive rollbacks trip the breaker.
@@ -211,25 +221,25 @@ func TestBreakerTripParkHalfOpenClose(t *testing.T) {
 	if !ok || !d.Parked {
 		t.Fatalf("expected a parked dispatch, got %+v ok=%v", d, ok)
 	}
-	q.Release(k)
+	q.ReleaseItem(d.Item)
 	if s := q.Stats(); s.Parked != 1 || s.BreakerTrips != 1 {
 		t.Fatalf("stats after park: %+v", s)
 	}
 
-	// Push the clock past reopenAt via a retry wait, then the next
-	// dispatch is the single half-open trial.
+	// Put the probe in the retry lane and move the clock to reopenAt:
+	// the cooldown has expired, and the next dispatch is the single
+	// half-open trial.
 	probe := item(2, k, 0)
 	q.Push(probe)
 	d, _ = q.Pop()
-	q.Release(k)
-	if !d.Parked { // clock still 0 < reopenAt 4
+	q.ReleaseItem(d.Item)
+	if !d.Parked { // clock still 0 < reopenAt = breakerCooldown
 		t.Fatal("pre-cooldown dispatch was not parked")
 	}
 	if _, _, ok := q.Retry(probe); !ok {
 		t.Fatal("retry refused")
 	}
-	q.cfg.BackoffBase = 0 // keep the test's arithmetic simple below
-	q.clock = 5           // cooldown (reopenAt=4) has expired
+	q.clock = breakerCooldown
 	d, ok = q.Pop()
 	if !ok || d.Parked || !d.HalfOpen {
 		t.Fatalf("expected the half-open trial, got %+v ok=%v", d, ok)
@@ -240,8 +250,8 @@ func TestBreakerTripParkHalfOpenClose(t *testing.T) {
 	if !d2.Parked {
 		t.Fatal("second dispatch during half-open trial was not parked")
 	}
-	q.Release(k)
-	q.Release(k)
+	q.ReleaseItem(d.Item)
+	q.ReleaseItem(d2.Item)
 
 	// The trial succeeds: breaker closes.
 	if _, closed := q.Report(k, Success); !closed {
@@ -257,18 +267,18 @@ func TestBreakerTripParkHalfOpenClose(t *testing.T) {
 }
 
 func TestBreakerHalfOpenRollbackReopens(t *testing.T) {
-	q := NewQueue(Config{BreakerThreshold: 1, BreakerCooldown: 4})
+	q := NewQueue(Config{BreakerThreshold: 1})
 	k := Key{Bench: "bc"}
 	if opened, _ := q.Report(k, Rollback); !opened {
 		t.Fatal("threshold-1 breaker did not trip")
 	}
-	q.clock = 10
+	q.clock = breakerCooldown + 1
 	q.Push(item(1, k, 0))
 	d, _ := q.Pop()
 	if !d.HalfOpen {
 		t.Fatal("post-cooldown dispatch was not the half-open trial")
 	}
-	q.Release(k)
+	q.ReleaseItem(d.Item)
 	opened, _ := q.Report(k, Rollback)
 	if !opened {
 		t.Fatal("rolled-back trial did not re-open the breaker")
@@ -302,16 +312,16 @@ func TestEvictDrainsReadyThenRetries(t *testing.T) {
 	q.Push(a)
 	q.Push(b)
 	d, _ := q.Pop() // dispatch a
-	q.Release(d.Item.Key)
+	q.ReleaseItem(d.Item)
 	q.Retry(a) // a now sits in the retry lane
 
-	if it, ok := q.Evict(); !ok || it != b {
+	if it, ok := evictAll(q); !ok || it != b {
 		t.Fatalf("first evict: got %v ok=%v, want the ready item", it, ok)
 	}
-	if it, ok := q.Evict(); !ok || it != a {
+	if it, ok := evictAll(q); !ok || it != a {
 		t.Fatalf("second evict: got %v ok=%v, want the retry-lane item", it, ok)
 	}
-	if _, ok := q.Evict(); ok {
+	if _, ok := evictAll(q); ok {
 		t.Fatal("evict succeeded on an empty queue")
 	}
 	if !q.Empty() {
@@ -325,11 +335,10 @@ func TestQuotaBlockedRetryDoesNotAdvanceClock(t *testing.T) {
 	a := item(1, k, 0)
 	b := item(2, k, 0)
 	q.Push(b)
-	q.Pop() // b runs once...
-	q.Release(k)
-	q.Retry(b) // ...and lands in the retry lane
+	q.ReleaseItem(pop(t, q)) // b runs once...
+	q.Retry(b)               // ...and lands in the retry lane
 	q.Push(a)
-	q.Pop() // a in flight, holding k's only slot
+	pop(t, q) // a in flight, holding k's only slot
 	// b waits in the retry lane but its key is at quota: the clock must
 	// not jump, and Pop must report a stall.
 	if _, ok := q.Pop(); ok {
@@ -338,7 +347,7 @@ func TestQuotaBlockedRetryDoesNotAdvanceClock(t *testing.T) {
 	if q.Clock() != 0 {
 		t.Fatalf("clock advanced to %v for a quota-blocked retry", q.Clock())
 	}
-	q.Release(k)
+	q.ReleaseItem(a)
 	d, ok := q.Pop()
 	if !ok || d.Item != b {
 		t.Fatal("released slot did not admit the retry")
@@ -352,14 +361,13 @@ func TestQuotaBlockedRetryDoesNotAdvanceClock(t *testing.T) {
 // round trip into a fresh queue, and an imported open breaker still parks
 // work exactly like the one that was exported.
 func TestExportImportRoundTrip(t *testing.T) {
-	cfg := Config{MaxRetries: 3, BreakerThreshold: 2, BreakerCooldown: 4}
+	cfg := Config{MaxRetries: 3, BreakerThreshold: 2}
 	q := NewQueue(cfg)
 	k := Key{Bench: "pr", Input: "kron"}
 	for i := 0; i < 2; i++ {
 		it := item(i+1, k, 0)
 		q.Push(it)
-		popID(t, q)
-		q.Release(k)
+		q.ReleaseItem(pop(t, q))
 		q.Report(k, Rollback)
 	}
 	st := q.Export()
@@ -384,12 +392,12 @@ func TestExportImportRoundTrip(t *testing.T) {
 // trial with the process; it must come back as plain open with a fresh
 // cooldown, not stuck half-open forever.
 func TestImportHalfOpenRearmsAsOpen(t *testing.T) {
-	q := NewQueue(Config{BreakerThreshold: 2, BreakerCooldown: 4})
+	q := NewQueue(Config{BreakerThreshold: 2})
 	q.Import(PersistState{Clock: 10, Breakers: []BreakerState{
 		{Key: Key{Bench: "pr"}, Consecutive: 2, HalfOpen: true},
 	}})
 	bs := q.Breakers()
-	if len(bs) != 1 || !bs[0].Open || bs[0].HalfOpen || bs[0].ReopenAt != 14 {
+	if len(bs) != 1 || !bs[0].Open || bs[0].HalfOpen || bs[0].ReopenAt != 10+breakerCooldown {
 		t.Fatalf("half-open import = %+v", bs)
 	}
 	if bs[0].State() != "open" {
@@ -400,7 +408,7 @@ func TestImportHalfOpenRearmsAsOpen(t *testing.T) {
 // TestReplayBreakerEdges: recovery's coarse roll-forward of journaled
 // breaker transitions lands the breaker in the right posture.
 func TestReplayBreakerEdges(t *testing.T) {
-	q := NewQueue(Config{BreakerThreshold: 3, BreakerCooldown: 4})
+	q := NewQueue(Config{BreakerThreshold: 3})
 	k := Key{Bench: "bfs", Input: "soc-gamma"}
 	q.ReplayBreaker(k, true)
 	bs := q.Breakers()
@@ -417,7 +425,7 @@ func TestReplayBreakerEdges(t *testing.T) {
 // waiting items across three distinct keys dispatches only two, while an
 // untenanted item (and another tenant's item) still flow.
 func TestTenantQuotaCapsDispatch(t *testing.T) {
-	q := NewQueue(Config{TenantQuota: 2, AgingStep: -1})
+	q := NewQueue(Config{TenantQuota: 2})
 	for i := 0; i < 3; i++ {
 		it := item(i, Key{Bench: "a", Input: string(rune('x' + i))}, 5)
 		it.Tenant = "alice"
@@ -456,10 +464,10 @@ func TestTenantQuotaCapsDispatch(t *testing.T) {
 	}
 }
 
-// TestTenantDepthAccounting: depth follows Push/dispatch/Retry/Evict, and
+// TestTenantDepthAccounting: depth follows Push/dispatch/Retry/EvictWhere, and
 // zeroed tenants are dropped from the map.
 func TestTenantDepthAccounting(t *testing.T) {
-	q := NewQueue(Config{MaxRetries: 2, BackoffBase: 1, BackoffCap: 8})
+	q := NewQueue(Config{MaxRetries: 2})
 	a := item(1, Key{Bench: "a"}, 0)
 	a.Tenant = "alice"
 	b := item(2, Key{Bench: "b"}, 0)
@@ -489,9 +497,9 @@ func TestTenantDepthAccounting(t *testing.T) {
 		t.Fatalf("alice depth after retry = %d, want 1", d)
 	}
 
-	// Evict drains both the ready queue and the retry lane.
+	// Eviction drains both the ready queue and the retry lane.
 	for {
-		if _, ok := q.Evict(); !ok {
+		if _, ok := evictAll(q); !ok {
 			break
 		}
 	}
@@ -518,15 +526,15 @@ func TestUntenantedExemptFromTenantQuota(t *testing.T) {
 }
 
 func TestRetuneLaneFixedDelayAndBudget(t *testing.T) {
-	q := NewQueue(Config{MaxRetunes: 2, RetuneDelay: 0.5})
+	q := NewQueue(Config{MaxRetunes: 2})
 	it := item(1, Key{Bench: "bc-drift"}, 0)
 	q.Push(it)
 	d, _ := q.Pop()
-	q.Release(d.Item.Key)
+	q.ReleaseItem(d.Item)
 
-	// First re-tune: fixed 0.5 s delay from clock 0.
+	// First re-tune: fixed retuneDelay (0.5 s) from clock 0.
 	delay, due, ok := q.Retune(it)
-	if !ok || delay != 0.5 || due != 0.5 {
+	if !ok || delay != retuneDelay || due != retuneDelay {
 		t.Fatalf("retune 1: delay=%v due=%v ok=%v, want 0.5/0.5/true", delay, due, ok)
 	}
 	if it.Retune != 1 || it.Attempt != 0 {
@@ -537,14 +545,14 @@ func TestRetuneLaneFixedDelayAndBudget(t *testing.T) {
 	if !ok || d.Item != it {
 		t.Fatal("re-tuned item did not dispatch")
 	}
-	q.Release(d.Item.Key)
+	q.ReleaseItem(d.Item)
 
 	// Second re-tune: same fixed delay, no exponential growth.
-	if delay, _, _ = q.Retune(it); delay != 0.5 {
+	if delay, _, _ = q.Retune(it); delay != retuneDelay {
 		t.Fatalf("retune 2: delay=%v, want fixed 0.5", delay)
 	}
 	d, _ = q.Pop()
-	q.Release(d.Item.Key)
+	q.ReleaseItem(d.Item)
 	if _, _, ok = q.Retune(it); ok {
 		t.Fatal("retune 3 admitted past MaxRetunes=2")
 	}
@@ -574,13 +582,13 @@ func TestRetuneIndependentOfRetryBudget(t *testing.T) {
 	it := item(1, Key{Bench: "pr"}, 0)
 	q.Push(it)
 	d, _ := q.Pop()
-	q.Release(d.Item.Key)
+	q.ReleaseItem(d.Item)
 
 	if _, _, ok := q.Retry(it); !ok {
 		t.Fatal("retry 1 refused")
 	}
 	d, _ = q.Pop()
-	q.Release(d.Item.Key)
+	q.ReleaseItem(d.Item)
 	if _, _, ok := q.Retry(it); ok {
 		t.Fatal("retry 2 admitted past budget")
 	}
@@ -588,7 +596,7 @@ func TestRetuneIndependentOfRetryBudget(t *testing.T) {
 		t.Fatal("re-tune refused after retries were spent")
 	}
 	d, _ = q.Pop()
-	q.Release(d.Item.Key)
+	q.ReleaseItem(d.Item)
 	if it.Attempt != 1 || it.Retune != 1 {
 		t.Fatalf("Attempt=%d Retune=%d, want 1/1", it.Attempt, it.Retune)
 	}

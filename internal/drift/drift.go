@@ -14,17 +14,20 @@
 // directly.
 package drift
 
+// The detector's fixed smoothing and trip level.
+const (
+	// alpha is the EWMA smoothing factor: the weight of the newest sample.
+	// Higher alpha reacts faster and trusts single windows more.
+	alpha = 0.4
+	// threshold is the relative degradation versus the reference rate
+	// beyond which a sample counts as degraded: fire when the smoothed
+	// rate falls below 75% of the activation rate.
+	threshold = 0.25
+)
+
 // Config tunes a Detector. The zero value is not useful on its own —
 // call Defaults (or let the fleet fill it) before use.
 type Config struct {
-	// Alpha is the EWMA smoothing factor in (0, 1] (default 0.4): the
-	// weight of the newest sample. Higher alpha reacts faster and trusts
-	// single windows more.
-	Alpha float64 `json:"alpha,omitempty"`
-	// Threshold is the relative degradation versus the reference rate
-	// beyond which a sample counts as degraded (default 0.25: fire when
-	// the smoothed rate falls below 75% of the activation rate).
-	Threshold float64 `json:"threshold,omitempty"`
 	// Hysteresis is how many consecutive degraded samples arm a firing
 	// (default 3). One good sample resets the count: sustained
 	// degradation fires, a transient dip never does.
@@ -33,12 +36,6 @@ type Config struct {
 
 // Defaults fills unset fields with the package defaults.
 func (c Config) Defaults() Config {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.4
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 0.25
-	}
 	if c.Hysteresis <= 0 {
 		c.Hysteresis = 3
 	}
@@ -68,8 +65,8 @@ func New(cfg Config, refRate float64) *Detector {
 // the caller is expected to act (re-tune) and Rebase.
 func (d *Detector) Observe(rate float64) bool {
 	d.samples++
-	d.ewma = d.cfg.Alpha*rate + (1-d.cfg.Alpha)*d.ewma
-	if d.ewma < d.ref*(1-d.cfg.Threshold) {
+	d.ewma = alpha*rate + (1-alpha)*d.ewma
+	if d.ewma < d.ref*(1-threshold) {
 		d.degraded++
 		if d.degraded >= d.cfg.Hysteresis {
 			d.degraded = 0

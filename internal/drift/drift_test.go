@@ -4,12 +4,12 @@ import "testing"
 
 func TestDefaults(t *testing.T) {
 	c := Config{}.Defaults()
-	if c.Alpha != 0.4 || c.Threshold != 0.25 || c.Hysteresis != 3 {
+	if c.Hysteresis != 3 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	// Explicit values survive.
-	c = Config{Alpha: 0.9, Threshold: 0.1, Hysteresis: 5}.Defaults()
-	if c.Alpha != 0.9 || c.Threshold != 0.1 || c.Hysteresis != 5 {
+	c = Config{Hysteresis: 5}.Defaults()
+	if c.Hysteresis != 5 {
 		t.Fatalf("explicit config clobbered: %+v", c)
 	}
 }
@@ -28,7 +28,7 @@ func TestSteadyRateNeverFires(t *testing.T) {
 
 func TestMildDegradationWithinThresholdNeverFires(t *testing.T) {
 	// 20% below reference with a 25% threshold: degraded never arms.
-	d := New(Config{Threshold: 0.25}, 0.10)
+	d := New(Config{}, 0.10)
 	for i := 0; i < 1000; i++ {
 		if d.Observe(0.08) {
 			t.Fatalf("fired within threshold, sample %d", i)
@@ -37,7 +37,7 @@ func TestMildDegradationWithinThresholdNeverFires(t *testing.T) {
 }
 
 func TestSustainedDegradationFires(t *testing.T) {
-	d := New(Config{Alpha: 0.5, Threshold: 0.25, Hysteresis: 3}, 0.10)
+	d := New(Config{Hysteresis: 3}, 0.10)
 	fired := -1
 	for i := 0; i < 20; i++ {
 		if d.Observe(0.02) {
@@ -48,31 +48,35 @@ func TestSustainedDegradationFires(t *testing.T) {
 	if fired < 0 {
 		t.Fatal("sustained 80% degradation never fired")
 	}
-	// The EWMA needs a couple of samples to cross, then hysteresis holds
-	// it for 3 consecutive degraded readings.
-	if fired < 2 {
+	// The EWMA crosses on the first sample (0.068 < 0.075); hysteresis then
+	// holds the firing to the third consecutive degraded reading.
+	if fired != 2 {
 		t.Fatalf("fired too eagerly at sample %d: hysteresis should delay it", fired)
 	}
 }
 
 func TestTransientDipResetsHysteresis(t *testing.T) {
-	// Alpha 1 makes the EWMA track the raw samples, isolating the
-	// hysteresis logic: two degraded samples, one good one, repeated —
-	// the consecutive count must never reach 3.
-	d := New(Config{Alpha: 1, Threshold: 0.25, Hysteresis: 3}, 0.10)
+	// Two deep dips, one rebound, repeated: each dip pulls the EWMA
+	// (α 0.4) to at most 0.064, under the 0.075 trip level, and each
+	// rebound lifts it back to at least 0.086 — so the consecutive count
+	// keeps reaching 2 and must never reach 3.
+	d := New(Config{Hysteresis: 3}, 0.10)
 	for i := 0; i < 50; i++ {
-		r := 0.02
+		r := 0.01
 		if i%3 == 2 {
-			r = 0.10
+			r = 0.16
 		}
 		if d.Observe(r) {
 			t.Fatalf("fired across transient dips at sample %d", i)
+		}
+		if dip := i%3 != 2; dip != (d.degraded > 0) {
+			t.Fatalf("sample %d (rate %v): degraded count %d", i, r, d.degraded)
 		}
 	}
 }
 
 func TestRebaseStopsRefire(t *testing.T) {
-	d := New(Config{Alpha: 1, Threshold: 0.25, Hysteresis: 2}, 0.10)
+	d := New(Config{Hysteresis: 2}, 0.10)
 	fired := false
 	for i := 0; i < 10 && !fired; i++ {
 		fired = d.Observe(0.05)
@@ -91,7 +95,7 @@ func TestRebaseStopsRefire(t *testing.T) {
 }
 
 func TestFiringResetsConsecutiveCount(t *testing.T) {
-	d := New(Config{Alpha: 1, Threshold: 0.25, Hysteresis: 3}, 0.10)
+	d := New(Config{Hysteresis: 3}, 0.10)
 	count := 0
 	for i := 0; i < 9; i++ {
 		if d.Observe(0.01) {
@@ -106,7 +110,7 @@ func TestFiringResetsConsecutiveCount(t *testing.T) {
 }
 
 func TestExportResumeRoundTrip(t *testing.T) {
-	cfg := Config{Alpha: 0.5, Threshold: 0.25, Hysteresis: 4}
+	cfg := Config{Hysteresis: 4}
 	a := New(cfg, 0.10)
 	for i := 0; i < 3; i++ {
 		a.Observe(0.03)

@@ -12,7 +12,7 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 )
 
 // Stage names one controller boundary the injector can fail.
@@ -67,35 +67,22 @@ func Injected(err error) bool {
 // Config tunes an Injector.
 type Config struct {
 	// Seed drives every injection decision; two injectors with the same
-	// Seed and rates make identical decisions.
+	// Seed and Rate make identical decisions.
 	Seed int64
-	// Rate is the per-stage failure probability applied to every stage
-	// without an explicit override (0 = never, 1 = always).
+	// Rate is the failure probability applied to every stage (0 = never,
+	// 1 = always).
 	Rate float64
-	// Rates overrides Rate per stage.
-	Rates map[Stage]float64
 }
 
 // Injector makes deterministic per-(session, attempt, stage) failure
 // decisions and counts what it injected. It is safe for concurrent use.
 type Injector struct {
-	cfg Config
-
-	mu       sync.Mutex
-	injected map[Stage]int
+	cfg      Config
+	injected atomic.Int64
 }
 
 // New builds an injector.
-func New(cfg Config) *Injector {
-	return &Injector{cfg: cfg, injected: make(map[Stage]int)}
-}
-
-func (i *Injector) rate(stage Stage) float64 {
-	if r, ok := i.cfg.Rates[stage]; ok {
-		return r
-	}
-	return i.cfg.Rate
-}
+func New(cfg Config) *Injector { return &Injector{cfg: cfg} }
 
 // splitmix64's finalizer: a cheap, well-mixed avalanche step.
 func mix(x uint64) uint64 {
@@ -134,18 +121,16 @@ func KeyHash(s string) uint64 {
 
 // Check decides whether the given stage fails for one session attempt,
 // returning the injected *Error or nil. The decision depends only on the
-// injector seed, the rates, and the arguments.
+// injector seed, the rate, and the arguments.
 func (i *Injector) Check(stage Stage, sessionSeed int64, attempt int) error {
-	r := i.rate(stage)
+	r := i.cfg.Rate
 	if r <= 0 {
 		return nil
 	}
 	if r < 1 && hash01(uint64(i.cfg.Seed), uint64(sessionSeed), uint64(attempt), stageIndex(stage)) >= r {
 		return nil
 	}
-	i.mu.Lock()
-	i.injected[stage]++
-	i.mu.Unlock()
+	i.injected.Add(1)
 	return &Error{Stage: stage, Seed: sessionSeed, Attempt: attempt}
 }
 
@@ -158,23 +143,4 @@ func (i *Injector) Hook(sessionSeed int64, attempt int) func(stage string) error
 }
 
 // Injected returns the total number of faults injected so far.
-func (i *Injector) Injected() int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	n := 0
-	for _, c := range i.injected {
-		n += c
-	}
-	return n
-}
-
-// ByStage returns a copy of the per-stage injection counts.
-func (i *Injector) ByStage() map[Stage]int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	out := make(map[Stage]int, len(i.injected))
-	for s, c := range i.injected {
-		out[s] = c
-	}
-	return out
-}
+func (i *Injector) Injected() int { return int(i.injected.Load()) }

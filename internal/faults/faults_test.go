@@ -82,17 +82,20 @@ func TestRateFrequency(t *testing.T) {
 	}
 }
 
+// TestPerStageRateOverride: there is no per-stage override — the one Rate
+// governs every stage in Stages().
 func TestPerStageRateOverride(t *testing.T) {
-	i := New(Config{Seed: 3, Rate: 1, Rates: map[Stage]float64{StageOSR: 0}})
-	if i.Check(StageProfile, 1, 0) == nil {
-		t.Fatal("default rate 1 did not fire")
+	always, never := New(Config{Seed: 3, Rate: 1}), New(Config{Seed: 3, Rate: 0})
+	for _, st := range Stages() {
+		if always.Check(st, 1, 0) == nil {
+			t.Fatalf("rate 1 let stage %s pass", st)
+		}
+		if err := never.Check(st, 1, 0); err != nil {
+			t.Fatalf("rate 0 fired at stage %s: %v", st, err)
+		}
 	}
-	if err := i.Check(StageOSR, 1, 0); err != nil {
-		t.Fatalf("per-stage rate 0 fired: %v", err)
-	}
-	by := i.ByStage()
-	if by[StageProfile] != 1 || by[StageOSR] != 0 {
-		t.Fatalf("ByStage: %v", by)
+	if always.Injected() != len(Stages()) || never.Injected() != 0 {
+		t.Fatalf("counts: always=%d never=%d, want %d/0", always.Injected(), never.Injected(), len(Stages()))
 	}
 }
 

@@ -239,7 +239,7 @@ func (f *Fleet) CancelQueued() int {
 	n := 0
 	for {
 		f.mu.Lock()
-		it, ok := f.sched.Evict()
+		it, ok := f.sched.EvictWhere(func(any) bool { return true })
 		f.mu.Unlock()
 		if !ok {
 			break

@@ -124,8 +124,10 @@ func TestFleetStress(t *testing.T) {
 	}
 }
 
-// TestJournalLifecycle checks each session's journal: admission first, a
-// terminal record last, states never moving backwards.
+// TestJournalLifecycle checks each session's journal on a live pool: one
+// queued record, a terminal record last, states never moving backwards, and
+// a report on session-done. The session is read through queuedFirst: its
+// queued record can follow its own first events (DESIGN.md §11.4).
 func TestJournalLifecycle(t *testing.T) {
 	f := New(Config{Machine: machine.Haswell(), Workers: 2})
 	defer f.Close()
@@ -141,12 +143,9 @@ func TestJournalLifecycle(t *testing.T) {
 		Tuning.String(): 3, Done.String(): 4, RolledBack.String(): 4, Failed.String(): 4,
 	}
 	for _, s := range f.Sessions() {
-		evs := f.Journal().SessionEvents(s.ID)
+		evs := queuedFirst(t, s.ID, f.Journal().SessionEvents(s.ID))
 		if len(evs) < 3 {
 			t.Fatalf("session %d journal too short: %+v", s.ID, evs)
-		}
-		if evs[0].Type != "queued" {
-			t.Fatalf("session %d first event %q", s.ID, evs[0].Type)
 		}
 		last := evs[len(evs)-1]
 		if last.Type != "session-done" && last.Type != "session-failed" {

@@ -49,7 +49,6 @@ func (f *Fleet) tryRetryLocked(s *Session) bool {
 	s.mu.Lock()
 	s.attempt = s.item.Attempt
 	s.mu.Unlock()
-	f.metrics.retry()
 	if n := f.sched.Len(); n > f.queuePeak {
 		f.queuePeak = n
 	}
@@ -285,8 +284,7 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 					seed, seedGen, seedKey = e, gen, src
 					cfg.SeedFunc = e.Func
 					cfg.SeedCandidates = e.Candidates
-					cfg.SeedDistance = TranslateDistance(sm, m, e.Distance,
-						cfg.Defaults().MaxDistance)
+					cfg.SeedDistance = TranslateDistance(sm, m, e.Distance)
 					cfg.SeedTranslated = true
 					cfg.ProfileSeconds = warmProfileSeconds
 				}

@@ -30,7 +30,6 @@ type metrics struct {
 	completed  int
 	failed     int
 	degraded   int
-	retries    int
 	outcomes   map[string]int // terminal rpg2 outcome name -> count (optimize jobs)
 	kinds      map[string]int // completed sessions per job kind
 	wallSecs   []float64      // per completed session
@@ -120,14 +119,6 @@ func (m *metrics) degrade(wall time.Duration) {
 	m.completed++
 	m.degraded++
 	m.wallSecs = append(m.wallSecs, wall.Seconds())
-}
-
-// retry records a re-admission; the attempt is not terminal, so nothing
-// else moves.
-func (m *metrics) retry() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.retries++
 }
 
 // retuneScheduled records one acted-on watchdog firing and the sample

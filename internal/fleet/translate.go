@@ -16,15 +16,16 @@ import (
 	"math"
 
 	"rpg2/internal/machine"
+	"rpg2/internal/rpg2"
 )
 
 // TranslateDistance scales a prefetch distance tuned on machine src into a
 // starting hypothesis for machine dst: the distance grows with the target's
 // effective memory latency (machine.MemLatency — DRAM fill plus the L3
 // lookup preceding it), is rounded to the nearest integer, and is clamped
-// to the search range [1, maxDistance]. A non-positive input distance or
-// latency falls back to clamping alone.
-func TranslateDistance(src, dst machine.Machine, d, maxDistance int) int {
+// to the controller's search range [1, rpg2.MaxDistance]. A non-positive
+// input distance or latency falls back to clamping alone.
+func TranslateDistance(src, dst machine.Machine, d int) int {
 	srcLat, dstLat := src.MemLatency(), dst.MemLatency()
 	if d > 0 && srcLat > 0 && dstLat > 0 {
 		d = int(math.Round(float64(d) * float64(dstLat) / float64(srcLat)))
@@ -32,8 +33,8 @@ func TranslateDistance(src, dst machine.Machine, d, maxDistance int) int {
 	if d < 1 {
 		d = 1
 	}
-	if maxDistance > 0 && d > maxDistance {
-		d = maxDistance
+	if d > rpg2.MaxDistance {
+		d = rpg2.MaxDistance
 	}
 	return d
 }

@@ -6,28 +6,29 @@ import (
 
 	"rpg2/internal/faults"
 	"rpg2/internal/machine"
+	"rpg2/internal/rpg2"
 )
 
 // TestTranslateDistanceScaling pins the latency-ratio arithmetic: the
 // distance grows with the target's effective memory latency (CascadeLake
 // 228 cycles, Haswell 259), rounds to the nearest integer, and clamps to
-// the search range.
+// the search range [1, rpg2.MaxDistance].
 func TestTranslateDistanceScaling(t *testing.T) {
 	cl, hw := machine.CascadeLake(), machine.Haswell()
 	cases := []struct {
 		src, dst machine.Machine
-		d, max   int
+		d        int
 		want     int
 	}{
-		{cl, hw, 40, 200, 45}, // 40·259/228 = 45.4
-		{hw, cl, 40, 200, 35}, // 40·228/259 = 35.2
-		{cl, cl, 40, 200, 40}, // same machine: identity
-		{cl, hw, 190, 200, 200},
-		{hw, cl, 1, 200, 1}, // 0.88 rounds up to the floor
-		{cl, hw, 0, 200, 1}, // non-positive input: clamp only
+		{cl, hw, 40, 45}, // 40·259/228 = 45.4
+		{hw, cl, 40, 35}, // 40·228/259 = 35.2
+		{cl, cl, 40, 40}, // same machine: identity
+		{cl, hw, 190, rpg2.MaxDistance},
+		{hw, cl, 1, 1}, // 0.88 rounds up to the floor
+		{cl, hw, 0, 1}, // non-positive input: clamp only
 	}
 	for _, c := range cases {
-		if got := TranslateDistance(c.src, c.dst, c.d, c.max); got != c.want {
+		if got := TranslateDistance(c.src, c.dst, c.d); got != c.want {
 			t.Errorf("TranslateDistance(%s->%s, %d) = %d, want %d",
 				c.src.Name, c.dst.Name, c.d, got, c.want)
 		}
@@ -144,7 +145,7 @@ func TestTranslatedSessionEndToEnd(t *testing.T) {
 		t.Fatalf("seeding tier: translated=%v warm=%v", s.Translated(), s.Warm())
 	}
 
-	wantSeed := TranslateDistance(hw, cl, src.Distance, 200)
+	wantSeed := TranslateDistance(hw, cl, src.Distance)
 	var ev *Event
 	for _, e := range f.Journal().SessionEvents(s.ID) {
 		if e.Type == "store-translated" {

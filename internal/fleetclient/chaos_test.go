@@ -105,9 +105,9 @@ func TestOverloadBudgetExhaustedSurfaces(t *testing.T) {
 	}
 }
 
-// TestNetFaultTransportWired: Config.NetFaults must actually intercept
-// the client's requests — an ErrorRate-1 injector fails every round trip
-// with a recognizably injected error.
+// TestNetFaultTransportWired: an injector's transport in Config.HTTP must
+// actually intercept the client's requests — an ErrorRate-1 injector fails
+// every round trip with a recognizably injected error.
 func TestNetFaultTransportWired(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"status":"ok"}`))
@@ -117,7 +117,7 @@ func TestNetFaultTransportWired(t *testing.T) {
 	cli := New(Config{
 		BaseURL:    ts.URL,
 		MaxRetries: -1, // surface the first failure
-		NetFaults:  faults.NewNet(faults.NetConfig{Seed: 1, ErrorRate: 1}),
+		HTTP:       &http.Client{Transport: faults.NewNet(faults.NetConfig{Seed: 1, ErrorRate: 1}).Transport(nil)},
 	})
 	_, err := cli.Health(context.Background())
 	if err == nil {

@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"time"
 
-	"rpg2/internal/faults"
 	"rpg2/internal/fleet"
 	"rpg2/internal/fleetd"
 	"rpg2/internal/retry"
@@ -53,10 +52,6 @@ type Config struct {
 	// contract — backpressure surfaces immediately as the caller's policy
 	// decision.
 	OverloadRetries int
-	// NetFaults wraps the transport in a deterministic client-side fault
-	// injector (delays, injected connection errors, responses severed
-	// mid-body). Nil leaves the transport untouched.
-	NetFaults *faults.NetInjector
 }
 
 // Client calls one daemon. Safe for concurrent use.
@@ -72,16 +67,6 @@ func New(cfg Config) *Client {
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 25 * time.Millisecond
-	}
-	if cfg.NetFaults != nil {
-		// Clone the http.Client so the caller's copy stays fault-free.
-		hc := *cfg.HTTP
-		base := hc.Transport
-		if base == nil {
-			base = http.DefaultTransport
-		}
-		hc.Transport = cfg.NetFaults.Transport(base)
-		cfg.HTTP = &hc
 	}
 	return &Client{cfg: cfg, retry: retry.ForFleetClient(retry.Policy{
 		HTTP: cfg.HTTP, MaxRetries: cfg.MaxRetries, Base: cfg.RetryBase, Cap: cfg.RetryCap,

@@ -234,7 +234,8 @@ func TestWaitRetriesSeveredHeldResponse(t *testing.T) {
 
 	cli := New(Config{
 		BaseURL: ts.URL, MaxRetries: -1, PollInterval: time.Millisecond,
-		NetFaults: faults.NewNet(faults.NetConfig{Seed: 1, SeverRate: 1, SeverAfter: 8, MaxFaults: 1}),
+		HTTP: &http.Client{Transport: faults.NewNet(faults.NetConfig{
+			Seed: 1, SeverRate: 1, SeverAfter: 8, MaxFaults: 1}).Transport(nil)},
 	})
 	out, err := cli.Wait(context.Background(), 4)
 	if err != nil || out.State != "done" || !out.Warm {

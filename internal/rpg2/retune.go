@@ -104,7 +104,7 @@ func (c *Controller) Retune(p *proc.Process, prev *Report) (*Report, error) {
 	if c.cfg.SeedDistance > 0 {
 		r.InitialDistance = c.clampDistance(c.cfg.SeedDistance)
 	} else {
-		r.InitialDistance = 1 + c.rng.Intn(c.cfg.MaxInitialDistance)
+		r.InitialDistance = 1 + c.rng.Intn(maxInitialDistance)
 	}
 	best, err := c.tune(tr, agent, ins, r, record)
 	r.BestIPC = best.ipc

@@ -34,6 +34,22 @@ import (
 	"rpg2/internal/proc"
 )
 
+// The paper's fixed controller parameters (§3).
+const (
+	// candidateShare keeps only loads causing at least this fraction of
+	// their function's sampled misses (paper: 10%).
+	candidateShare = 0.10
+	// windowSeconds is one IPC measurement window (paper: 0.3 s).
+	windowSeconds = 0.3
+	// warmupSeconds runs after each distance edit before measuring, so
+	// in-flight prefetches at the old distance drain.
+	warmupSeconds = 0.05
+	// maxInitialDistance bounds the random starting distance (paper: 100).
+	maxInitialDistance = 100
+	// MaxDistance caps the search range (paper: 200).
+	MaxDistance = 200
+)
+
 // Config tunes the controller. The zero value is completed by Defaults.
 type Config struct {
 	// ProfileSeconds is the PEBS sampling period (paper default: 2 s).
@@ -42,18 +58,6 @@ type Config struct {
 	// controller does not optimize (the paper's "not enough profiling
 	// data" runs).
 	MinSamples int
-	// CandidateShare keeps only loads causing at least this fraction of
-	// their function's sampled misses (paper: 10%).
-	CandidateShare float64
-	// WindowSeconds is one IPC measurement window (paper: 0.3 s).
-	WindowSeconds float64
-	// WarmupSeconds runs after each distance edit before measuring, so
-	// in-flight prefetches at the old distance drain.
-	WarmupSeconds float64
-	// MaxInitialDistance bounds the random starting distance (paper: 100).
-	MaxInitialDistance int
-	// MaxDistance caps the search range (paper: 200).
-	MaxDistance int
 	// MinImprovement is the relative IPC gain over baseline required to
 	// keep prefetching instead of rolling back.
 	MinImprovement float64
@@ -119,8 +123,6 @@ type Config struct {
 	// completion and names phase detection as the automatic alternative
 	// (§4.1); this implements that alternative.
 	AutoPhaseDetect bool
-	// PhaseDetectTimeout caps the wait for a stable phase (default 8 s).
-	PhaseDetectTimeout float64
 }
 
 // Defaults fills unset fields with the paper's values.
@@ -131,26 +133,8 @@ func (c Config) Defaults() Config {
 	if c.MinSamples == 0 {
 		c.MinSamples = 100
 	}
-	if c.CandidateShare == 0 {
-		c.CandidateShare = 0.10
-	}
-	if c.WindowSeconds == 0 {
-		c.WindowSeconds = 0.3
-	}
-	if c.WarmupSeconds == 0 {
-		c.WarmupSeconds = 0.05
-	}
-	if c.MaxInitialDistance == 0 {
-		c.MaxInitialDistance = 100
-	}
-	if c.MaxDistance == 0 {
-		c.MaxDistance = 200
-	}
 	if c.MinImprovement == 0 {
 		c.MinImprovement = 0.01
-	}
-	if c.PhaseDetectTimeout == 0 {
-		c.PhaseDetectTimeout = 8.0
 	}
 	return c
 }
@@ -339,7 +323,7 @@ func (c *Controller) Optimize(p *proc.Process) (*Report, error) {
 	phase("profile")
 	sampler := perf.NewSampler(c.mach.PEBSPeriod, 1<<16)
 	sampler.Attach(p)
-	profWindows := int(c.cfg.ProfileSeconds/c.cfg.WindowSeconds + 0.5)
+	profWindows := int(c.cfg.ProfileSeconds/windowSeconds + 0.5)
 	if profWindows < 1 {
 		profWindows = 1
 	}
@@ -387,7 +371,7 @@ func (c *Controller) Optimize(p *proc.Process) (*Report, error) {
 	// observer-installed watches keep counting their own instruction
 	// sets undisturbed.
 	c.watch = perf.AttachWatch(p, candidates)
-	w := perf.MeasureWatch(p, c.watch, c.mach.Seconds(c.cfg.WindowSeconds), c.rng, c.mach.IPCNoise)
+	w := perf.MeasureWatch(p, c.watch, c.mach.Seconds(windowSeconds), c.rng, c.mach.IPCNoise)
 	r.BaselineRate = w.Rate
 	record("profile", w.IPC, w.Rate)
 
@@ -396,7 +380,7 @@ func (c *Controller) Optimize(p *proc.Process) (*Report, error) {
 	if c.cfg.SeedDistance > 0 {
 		r.InitialDistance = c.clampDistance(c.cfg.SeedDistance)
 	} else {
-		r.InitialDistance = 1 + c.rng.Intn(c.cfg.MaxInitialDistance)
+		r.InitialDistance = 1 + c.rng.Intn(maxInitialDistance)
 	}
 	bin := c.snapshotBinary(p)
 	p.Run(uint64(c.mach.BOLTCycles)) // the target runs while BOLT works
@@ -489,8 +473,9 @@ func (c *Controller) awaitStablePhase(p *proc.Process) {
 		window    = 0.1  // seconds per reading
 		need      = 4    // consecutive agreeing readings
 		tolerance = 0.12 // relative IPC agreement
+		timeout   = 8.0  // seconds before profiling starts regardless
 	)
-	deadline := p.Clock() + c.mach.Seconds(c.cfg.PhaseDetectTimeout)
+	deadline := p.Clock() + c.mach.Seconds(timeout)
 	prev := -1.0
 	streak := 0
 	for p.State() == proc.Running && p.Clock() < deadline {
@@ -555,7 +540,7 @@ func (c *Controller) pickCandidates(sites []perf.MissSite) (string, []int) {
 	}
 	var pcs []int
 	for _, s := range sites {
-		if s.FuncName == bestFn && s.Share >= c.cfg.CandidateShare {
+		if s.FuncName == bestFn && s.Share >= candidateShare {
 			pcs = append(pcs, s.PC)
 		}
 	}

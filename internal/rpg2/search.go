@@ -70,8 +70,8 @@ func (c *Controller) measureAt(tr *proc.Tracer, agent *proc.LibPG2, ins *inserti
 	r.Costs.PDEditSeconds += c.mach.ToSeconds(editCost) // averaged later
 	r.Costs.PDEdits++
 
-	p.Run(c.mach.Seconds(c.cfg.WarmupSeconds))
-	w := perf.MeasureWatch(p, c.watch, c.mach.Seconds(c.cfg.WindowSeconds), c.rng, c.mach.IPCNoise)
+	p.Run(c.mach.Seconds(warmupSeconds))
+	w := perf.MeasureWatch(p, c.watch, c.mach.Seconds(windowSeconds), c.rng, c.mach.IPCNoise)
 	record("tune", w.IPC, w.Rate)
 	m := measurement{d: d, ipc: w.IPC, rate: w.Rate}
 	switch {
@@ -92,8 +92,8 @@ func (c *Controller) clampDistance(d int) int {
 	if d < 1 {
 		return 1
 	}
-	if d > c.cfg.MaxDistance {
-		return c.cfg.MaxDistance
+	if d > MaxDistance {
+		return MaxDistance
 	}
 	return d
 }
@@ -142,7 +142,7 @@ func (c *Controller) tune(tr *proc.Tracer, agent *proc.LibPG2, ins *insertion, r
 	alive := func() bool { return tr.Process().State() == proc.Running }
 
 	if c.cfg.LinearSearch {
-		for d := 1; d <= c.cfg.MaxInitialDistance && alive(); d += 7 {
+		for d := 1; d <= maxInitialDistance && alive(); d += 7 {
 			if _, err := measure(d); err != nil {
 				return best, err
 			}
@@ -214,7 +214,7 @@ func (c *Controller) tune(tr *proc.Tracer, agent *proc.LibPG2, ins *insertion, r
 	bracketLo, bracketHi := -1, -1
 	for alive() {
 		next := prev.d + dir*jump
-		if next < 1 || next > c.cfg.MaxDistance {
+		if next < 1 || next > MaxDistance {
 			// Out of range: terminate with the best so far (§3.4).
 			c.finishCosts(r)
 			return best, nil

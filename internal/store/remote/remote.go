@@ -47,16 +47,15 @@ type Config struct {
 	// retries (defaults 50ms and 1s).
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// Timeout bounds each operation end to end, retries included
-	// (default 15s). The ceiling is what turns a hung daemon into a
-	// degrade instead of a wedged worker.
-	Timeout time.Duration
-	// Seed drives the deterministic backoff jitter (default 1).
-	Seed int64
 	// OnDegrade, when set, fires exactly once with the error that spent
 	// the retry budget.
 	OnDegrade func(error)
 }
+
+// opTimeout bounds each operation end to end, retries included. The
+// ceiling is what turns a hung daemon into a degrade instead of a wedged
+// worker.
+const opTimeout = 15 * time.Second
 
 // Client is a store.Store over a store daemon. Safe for concurrent use.
 type Client struct {
@@ -72,15 +71,13 @@ type Client struct {
 
 var _ store.Store = (*Client)(nil)
 
-// New builds a client; zero-value config fields get defaults. The daemon
-// is not contacted here — an unreachable address degrades on first use,
-// not at construction, so a fleet can start before its store does.
+// New builds a client; zero-value config fields get defaults, and the
+// backoff jitter runs on the retry kit's default seed. The daemon is not
+// contacted here — an unreachable address degrades on first use, not at
+// construction, so a fleet can start before its store does.
 func New(cfg Config) *Client {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 15 * time.Second
-	}
 	return &Client{cfg: cfg, fb: store.NewMemory(store.Config{}), retry: retry.ForStoreClient(retry.Policy{
-		HTTP: cfg.HTTP, MaxRetries: cfg.MaxRetries, Base: cfg.RetryBase, Cap: cfg.RetryCap, Seed: cfg.Seed,
+		HTTP: cfg.HTTP, MaxRetries: cfg.MaxRetries, Base: cfg.RetryBase, Cap: cfg.RetryCap,
 	})}
 }
 
@@ -103,7 +100,7 @@ func (c *Client) degrade(err error) {
 // reports its last real failure rather than the context's, so OnDegrade
 // names what was wrong with the daemon.
 func (c *Client) call(path string, in, out any) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
 	var body []byte
 	method := http.MethodGet

@@ -16,7 +16,7 @@
 // record written before the call is on stable storage, one fsync covering
 // however many records and callers were waiting. Append is Write followed
 // by the log's policy — a Commit per append (SyncAlways), a Sync every
-// Interval appends, or nothing until Close — for callers whose every record
+// syncInterval appends, or nothing until Close — for callers whose every record
 // is an acknowledgement. A caller that acknowledges less often than it
 // writes (the fleet's journal) uses Write and commits where it is about to
 // tell someone.
@@ -37,11 +37,14 @@ import (
 // with it is not a WAL and salvages to empty.
 const header = "rpg2-wal 1\n"
 
+// syncInterval is the append count between fsyncs under SyncInterval.
+const syncInterval = 64
+
 // SyncMode selects when appends reach stable storage.
 type SyncMode uint8
 
 const (
-	// SyncInterval (the default) fsyncs every Config.Interval appends and
+	// SyncInterval (the default) fsyncs every syncInterval appends and
 	// on Close — bounded loss, amortised cost.
 	SyncInterval SyncMode = iota
 	// SyncAlways makes Append durable on return: each Append ends in a
@@ -83,22 +86,12 @@ func ParseSyncMode(s string) (SyncMode, error) {
 type Config struct {
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncMode
-	// Interval is the append count between fsyncs under SyncInterval
-	// (default 64).
-	Interval int
 	// FaultHook, when set, is consulted before each physical operation
 	// ("write" before a record reaches the file, "sync" before an fsync)
 	// and its non-nil error is returned in place of performing it. It is
 	// the chaos layer's seam: a deterministic injector failing exactly the
 	// operations a flaky disk would, without touching the filesystem.
 	FaultHook func(op string) error
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 64
-	}
-	return c
 }
 
 // Salvage reports what opening (or reading) an existing log recovered and
@@ -238,7 +231,6 @@ var errClosed = errors.New("wal: log is closed")
 // truncating the file to its longest valid prefix, and positions for
 // appending. The salvage report says what, if anything, was dropped.
 func Open(path string, cfg Config) (*Log, Salvage, error) {
-	cfg = cfg.withDefaults()
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, Salvage{}, err
@@ -305,7 +297,7 @@ func (l *Log) write(payload []byte) (unsynct int, err error) {
 
 // Append is Write followed by the policy's sync: under SyncAlways a Commit,
 // so the record is on stable storage when Append returns; under
-// SyncInterval a Sync every Config.Interval writes; under SyncOnClose
+// SyncInterval a Sync every syncInterval writes; under SyncOnClose
 // nothing. Whether the record is written at all does not depend on the
 // policy.
 func (l *Log) Append(payload []byte) error {
@@ -317,7 +309,7 @@ func (l *Log) Append(payload []byte) error {
 	case SyncAlways:
 		return l.Commit()
 	case SyncInterval:
-		if unsynct >= l.cfg.Interval {
+		if unsynct >= syncInterval {
 			return l.Sync()
 		}
 	}

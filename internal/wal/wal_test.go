@@ -250,21 +250,34 @@ func TestWriteAtomicRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSyncModes: each policy's fsync cadence over 2·syncInterval+1 serial
+// appends — none before Close, one per syncInterval appends, one per append
+// — and every record is in the file after Close.
 func TestSyncModes(t *testing.T) {
-	for _, mode := range []SyncMode{SyncOnClose, SyncInterval, SyncAlways} {
+	const n = 2*syncInterval + 1
+	for mode, want := range map[SyncMode]int{SyncOnClose: 0, SyncInterval: 2, SyncAlways: n} {
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("%s.wal", mode))
-		l, _, err := Open(path, Config{Sync: mode, Interval: 2})
+		syncs := 0
+		l, _, err := Open(path, Config{Sync: mode, FaultHook: func(op string) error {
+			if op == "sync" {
+				syncs++
+			}
+			return nil
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 5; i++ {
+		for i := 0; i < n; i++ {
 			mustAppend(t, l, fmt.Sprintf("r%d", i))
+		}
+		if syncs != want {
+			t.Fatalf("%v: %d fsyncs over %d appends, want %d", mode, syncs, n, want)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got := payloadsOf(t, path); len(got) != 5 {
-			t.Fatalf("%v: %d records, want 5", mode, len(got))
+		if got := payloadsOf(t, path); len(got) != n {
+			t.Fatalf("%v: %d records, want %d", mode, len(got), n)
 		}
 	}
 }
