@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -59,21 +60,27 @@ type options struct {
 }
 
 func main() {
-	o := options{fleet: fleetflags.Bind(flag.CommandLine)}
-	flag.IntVar(&o.sessions, "sessions", 32, "number of optimization sessions to run")
-	flag.Int64Var(&o.seed, "seed", 1, "root seed; session i uses seed+i")
-	flag.StringVar(&o.benches, "bench", "all", "comma-separated benchmarks to draw from, or all")
-	flag.IntVar(&o.pairs, "pairs", 8, "limit of distinct (benchmark, input) pairs (0 = no limit)")
-	flag.BoolVar(&o.journal, "journal", false, "dump the event journal as JSON lines after the snapshot")
-	flag.StringVar(&o.metrics, "metrics", "", "also write the metrics snapshot as JSON to this file (- for stdout)")
-	flag.Float64Var(&o.faults, "faults", 0, "deterministic fault-injection rate per controller stage (0 = off)")
-	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "fault injector seed")
+	o := bindOptions(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(o); err != nil {
+	if err := run(o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "rpg2-fleet:", err)
 		os.Exit(1)
 	}
+}
+
+// bindOptions registers every rpg2-fleet flag on fs.
+func bindOptions(fs *flag.FlagSet) *options {
+	o := &options{fleet: fleetflags.Bind(fs)}
+	fs.IntVar(&o.sessions, "sessions", 32, "number of optimization sessions to run")
+	fs.Int64Var(&o.seed, "seed", 1, "root seed; session i uses seed+i")
+	fs.StringVar(&o.benches, "bench", "all", "comma-separated benchmarks to draw from, or all")
+	fs.IntVar(&o.pairs, "pairs", 8, "limit of distinct (benchmark, input) pairs (0 = no limit)")
+	fs.BoolVar(&o.journal, "journal", false, "dump the event journal as JSON lines after the snapshot")
+	fs.StringVar(&o.metrics, "metrics", "", "also write the metrics snapshot as JSON to this file (- for stdout)")
+	fs.Float64Var(&o.faults, "faults", 0, "deterministic fault-injection rate per controller stage (0 = off)")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "fault injector seed")
+	return o
 }
 
 // catalogue builds the (benchmark, input) pairs the fleet draws from. The
@@ -132,7 +139,8 @@ func catalogue(benches string, limit int) ([]rpg2.SessionSpec, error) {
 	return specs, nil
 }
 
-func run(o options) error {
+// run executes one batch (or resume) and prints its report to stdout.
+func run(o *options, stdout io.Writer) error {
 	cfg, err := o.fleet.Resolve(o.faultSeed)
 	if err != nil {
 		return err
@@ -156,7 +164,7 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(rec.Summary())
+		fmt.Fprintln(stdout, rec.Summary())
 	} else {
 		f = rpg2.NewFleet(cfg)
 	}
@@ -185,7 +193,7 @@ func run(o options) error {
 			specs[i] = pool[i%len(pool)]
 			specs[i].Seed = o.seed + int64(i)
 		}
-		fmt.Printf("running %d sessions over %d (benchmark, input) pairs on %s\n\n",
+		fmt.Fprintf(stdout, "running %d sessions over %d (benchmark, input) pairs on %s\n\n",
 			o.sessions, len(pool), m.Name)
 		if _, err := f.Run(specs); err != nil {
 			return err
@@ -197,7 +205,7 @@ func run(o options) error {
 	// state dir is consistent.
 	f.Close()
 	snap := f.Snapshot()
-	fmt.Print(snap.Render())
+	fmt.Fprint(stdout, snap.Render())
 	if o.fleet.Resume {
 		terminal := 0
 		for _, s := range rec.Requeued {
@@ -205,7 +213,7 @@ func run(o options) error {
 				terminal++
 			}
 		}
-		fmt.Printf("resume complete: %d recovered sessions terminal, %d store entries live\n",
+		fmt.Fprintf(stdout, "resume complete: %d recovered sessions terminal, %d store entries live\n",
 			terminal, snap.StoreEntries)
 		if terminal != len(rec.Requeued) {
 			return fmt.Errorf("%d recovered sessions never finished", len(rec.Requeued)-terminal)
@@ -213,17 +221,17 @@ func run(o options) error {
 	}
 	for _, s := range f.Sessions() {
 		if err := s.Err(); err != nil {
-			fmt.Printf("session %d (%s/%s) failed: %v\n", s.ID, s.Spec.Bench, s.Spec.Input, err)
+			fmt.Fprintf(stdout, "session %d (%s/%s) failed: %v\n", s.ID, s.Spec.Bench, s.Spec.Input, err)
 		}
 	}
 	if o.journal {
-		fmt.Println()
-		if err := f.Journal().WriteJSON(os.Stdout); err != nil {
+		fmt.Fprintln(stdout)
+		if err := f.Journal().WriteJSON(stdout); err != nil {
 			return err
 		}
 	}
 	if o.metrics != "" {
-		out := os.Stdout
+		out := stdout
 		if o.metrics != "-" {
 			file, err := os.Create(o.metrics)
 			if err != nil {
