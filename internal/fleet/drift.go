@@ -36,14 +36,13 @@ func (f *Fleet) driftConfig() drift.Config {
 // the watchdog re-admits the session into the re-tune lane, the session
 // stays open and a later dispatch finishes it; otherwise the terminal
 // bookkeeping lands here.
-func (f *Fleet) finishWatched(s *Session, live *rpgcore.Session, rep *rpgcore.Report, started time.Time, deadline float64, tier seedTier) {
+func (f *Fleet) finishWatched(s *Session, live *rpgcore.Session, rep *rpgcore.Report, started time.Time, deadline float64) {
 	f.settle(s, Done, rep.Costs.ExecSeconds, func() {
 		s.report = rep
 		s.wall = time.Since(started)
 	})
 	s.mu.Lock()
 	s.live = live
-	s.tier = tier
 	switch {
 	case s.det != nil:
 		// A completed re-tune pass: re-reference against the rate the
@@ -75,7 +74,7 @@ func (f *Fleet) finishWatched(s *Session, live *rpgcore.Session, rep *rpgcore.Re
 	s.mu.Lock()
 	s.wall = time.Since(started)
 	s.mu.Unlock()
-	f.finishOptimize(s, rep, Done, tier)
+	f.finishOptimize(s, rep, Done)
 }
 
 // runWatchdog samples the live target until the run budget ends, the
@@ -155,7 +154,6 @@ func (f *Fleet) scheduleRetune(s *Session, windows int) bool {
 		f.queuePeak = n
 	}
 	f.mu.Unlock()
-	f.metrics.retuneScheduled(windows)
 	return true
 }
 
@@ -167,7 +165,7 @@ func (f *Fleet) scheduleRetune(s *Session, windows int) bool {
 // which keeps the lane's store bypass and seed discipline.
 func (f *Fleet) runRetune(s *Session, started time.Time, m machine.Machine) {
 	s.mu.Lock()
-	live, prev, tier, seedD := s.live, s.report, s.tier, s.retuneDistance
+	live, prev, seedD := s.live, s.report, s.retuneDistance
 	s.mu.Unlock()
 	if live == nil || !prev.CanRetune() {
 		f.runOptimize(s, started, m)
@@ -185,7 +183,6 @@ func (f *Fleet) runRetune(s *Session, started time.Time, m machine.Machine) {
 	// sites already proved themselves at activation — only the distance
 	// is stale. Journal the bypass so every optimize-kind dispatch still
 	// makes exactly one store disposition.
-	f.metrics.bypass("retune")
 	f.journal.add(Event{
 		Session: s.ID, Type: "store-bypass", Reason: "retune",
 		Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: m.Name,
@@ -213,7 +210,7 @@ func (f *Fleet) runRetune(s *Session, started time.Time, m machine.Machine) {
 	}
 	f.finishRetune(s, re)
 	run, _ := f.runSeconds(s)
-	f.finishWatched(s, live, re, started, run, tier)
+	f.finishWatched(s, live, re, started, run)
 }
 
 // finishRetune closes one re-tune lane pass: counts it and journals
@@ -231,7 +228,6 @@ func (f *Fleet) finishRetune(s *Session, rep *rpgcore.Report) {
 	if rep.Outcome != rpgcore.Tuned {
 		return
 	}
-	f.metrics.retuneComplete()
 	ev := s.event("retune-complete")
 	ev.Attempt, ev.Retune = s.Attempt(), n
 	ev.Distance, ev.Rate = rep.FinalDistance, rep.BestRate

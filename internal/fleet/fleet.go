@@ -4,7 +4,8 @@
 // bounded worker pool, and a per-session lifecycle state machine wrapping
 // the single-process controller; a shared profile store amortises PEBS
 // profiling and distance search across sessions on matching workloads; an
-// event journal and a metrics layer make the whole thing observable.
+// event journal, and the one fold over it every reader shares, make the
+// whole thing observable.
 package fleet
 
 import (
@@ -23,7 +24,6 @@ type Fleet struct {
 	cfg     Config
 	store   Store
 	journal *Journal
-	metrics *metrics
 	persist *persister // nil when StateDir is unset: pure in-memory
 
 	mu        sync.Mutex
@@ -67,7 +67,6 @@ func newFleet(cfg Config) *Fleet {
 		cfg:     cfg,
 		store:   cfg.Store,
 		journal: NewJournal(),
-		metrics: newMetrics(),
 		sched: admission.NewQueue(admission.Config{
 			Quota:            cfg.Quota,
 			TenantQuota:      cfg.TenantQuota,
@@ -185,7 +184,6 @@ func (f *Fleet) submit(spec SessionSpec, attempt int, enforceCaps bool) (*Sessio
 	}
 	f.mu.Unlock()
 
-	f.metrics.submit()
 	ev := Event{
 		Session: s.ID, Type: "queued", Kind: spec.Kind.String(),
 		Bench: spec.Bench, Input: spec.Input, Machine: s.machineName,
@@ -246,7 +244,6 @@ func (f *Fleet) CancelQueued() int {
 		}
 		s := it.Payload.(*Session)
 		f.settle(s, Failed, 0, func() { s.err = ErrCanceled })
-		f.metrics.fail(0)
 		ev := s.event("session-failed")
 		ev.State, ev.Attempt, ev.Err = Failed.String(), it.Attempt, ErrCanceled.Error()
 		f.finish(s, ev)
@@ -277,7 +274,6 @@ func (f *Fleet) DegradeQueued(id int) bool {
 	}
 	s := it.Payload.(*Session)
 	f.transition(s, Degraded, 0)
-	f.metrics.degrade(0)
 	ev := s.event("session-degraded")
 	ev.State, ev.Attempt = Degraded.String(), it.Attempt
 	f.finish(s, ev)
@@ -290,7 +286,6 @@ func (f *Fleet) DegradeQueued(id int) bool {
 // fleet-level event types it does not know).
 func (f *Fleet) RecordPanic(route, msg string) {
 	f.journal.add(Event{Session: -1, Type: "handler-panic", Reason: route, Err: msg})
-	f.metrics.panicked()
 }
 
 // Run is the batch convenience: submit all specs, drain, return the
@@ -308,21 +303,27 @@ func (f *Fleet) Run(specs []SessionSpec) ([]*Session, error) {
 	return out, nil
 }
 
-// Snapshot freezes the fleet-wide metrics.
+// Snapshot freezes the fleet-wide metrics: the journal's fold beside the
+// scheduler, store, build-cache and persistence counters.
 func (f *Fleet) Snapshot() Snapshot {
 	f.mu.Lock()
-	workers, peak := f.cfg.Workers, f.queuePeak
-	depth := f.sched.Len()
-	tenants := f.sched.TenantDepths()
 	sched := f.sched.Stats()
-	open := f.sched.OpenBreakers()
-	breakers := f.sched.Breakers()
-	f.mu.Unlock()
-	var st Store
-	if !f.cfg.DisableStore {
-		st = f.store
+	snap := Snapshot{
+		Workers: f.cfg.Workers, QueuePeak: f.queuePeak,
+		QueueDepth: f.sched.Len(), TenantQueue: f.sched.TenantDepths(),
+		Retries: sched.Retries, BackoffWaitSecs: sched.BackoffWait, QuotaStalls: sched.QuotaStalls,
+		BreakerTrips: sched.BreakerTrips, BreakersOpen: f.sched.OpenBreakers(),
+		Breakers: f.sched.Breakers(), VirtualClock: sched.Clock,
 	}
-	snap := f.metrics.snapshot(st, f.cfg.Builds, workers, peak, depth, tenants, sched, open, breakers)
+	f.mu.Unlock()
+	f.journal.tally(&snap)
+	if st := f.Store(); st != nil {
+		snap.Store, snap.StoreEntries = st.Counters(), st.Len()
+		if n := snap.Store.Hits + snap.Store.Misses; n > 0 {
+			snap.StoreHitRate = float64(snap.Store.Hits) / float64(n)
+		}
+	}
+	snap.BuildConstructs, snap.BuildHits = f.cfg.Builds.Builds(), f.cfg.Builds.Hits()
 	if f.persist != nil {
 		f.persist.health(&snap)
 	}

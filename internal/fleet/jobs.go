@@ -37,7 +37,6 @@ func (f *Fleet) runAux(s *Session, started time.Time, m machine.Machine,
 		s.meas, s.sweep, s.cands, s.distance = r.meas, r.sweep, r.cands, r.distance
 		s.wall = time.Since(started)
 	})
-	f.metrics.finishAux(s.Spec.Kind.String(), s.Wall())
 	ev := s.event("session-done")
 	ev.State = Done.String()
 	f.finish(s, ev)

@@ -100,11 +100,13 @@ type Event struct {
 	Entry *Entry `json:"entry,omitempty"`
 }
 
-// Journal is an append-only, concurrency-safe event log.
+// Journal is an append-only, concurrency-safe event log, and the one fold
+// over it every reader of a session's story uses (fold.go).
 type Journal struct {
 	mu      sync.Mutex
 	start   time.Time
 	events  []Event
+	fold    fold
 	sink    func(Event)
 	commit  func()
 	watches map[chan struct{}]struct{}
@@ -153,6 +155,7 @@ func (j *Journal) add(e Event) {
 	e.Seq = len(j.events)
 	e.Wall = time.Since(j.start).Seconds()
 	j.events = append(j.events, e)
+	j.fold.apply(e)
 	if j.sink != nil {
 		j.sink(e)
 	}
@@ -181,16 +184,37 @@ func (j *Journal) LastSeq() int {
 	return len(j.events) - 1
 }
 
-// withLock runs fn over the live event slice while holding the journal
-// lock, freezing the event stream for the duration. It exists for the
-// persistence re-arm: re-seeding a fresh WAL from the in-memory journal
-// must observe a consistent prefix with no event able to land between the
-// scan and the sink swap. fn must not append events or acquire the fleet
-// lock (the fleet journals while holding it, so that edge would deadlock).
-func (j *Journal) withLock(fn func(events []Event)) {
+// withLock runs fn over the live event slice and its fold while holding
+// the journal lock, freezing the event stream for the duration. It exists
+// for the persistence re-arm: re-seeding a fresh WAL from the in-memory
+// journal must observe a consistent prefix with no event able to land
+// between the scan and the sink swap. fn must not append events or acquire
+// the fleet lock (the fleet journals while holding it, so that edge would
+// deadlock).
+func (j *Journal) withLock(fn func(events []Event, fd *fold)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	fn(j.events)
+	fn(j.events, &j.fold)
+}
+
+// View is session id as the records journaled so far tell it, and whether
+// any record names it. A record is in the view once its append has handed
+// it to the sink, so a view never runs ahead of the WAL.
+func (j *Journal) View(id int) (SessionView, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	sf, ok := j.fold.sessions[id]
+	if !ok {
+		return SessionView{}, false
+	}
+	return sf.SessionView, true
+}
+
+// tally fills the journal's half of a Snapshot (fold.tally).
+func (j *Journal) tally(s *Snapshot) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.fold.tally(s, time.Since(j.start).Seconds())
 }
 
 // Events returns a copy of the log in append order.

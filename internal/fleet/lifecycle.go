@@ -19,7 +19,6 @@ import (
 // virtual clock, and the byte-identity CI checks strip wall fields.)
 func (f *Fleet) parkSession(s *Session) {
 	f.settle(s, Degraded, 0, func() { s.wall = 0 })
-	f.metrics.degrade(s.Wall())
 	ev := s.event("session-degraded")
 	ev.State, ev.Attempt = Degraded.String(), s.Attempt()
 	f.finish(s, ev)
@@ -131,7 +130,6 @@ func (f *Fleet) failSession(s *Session, started time.Time, err error) {
 	retried := f.tryRetryLocked(s)
 	f.mu.Unlock()
 	if !retried {
-		f.metrics.fail(s.Wall())
 		close(s.finished) // session-failed above was this session's last record
 	}
 }
@@ -254,7 +252,6 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 		case f.cfg.DisableStore:
 			reason = "disabled"
 		}
-		f.metrics.bypass(reason)
 		f.journal.add(Event{
 			Session: s.ID, Type: "store-bypass", Reason: reason,
 			Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: m.Name,
@@ -371,13 +368,6 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 		// lane pass (journaling retune-complete when it re-activated).
 		f.finishRetune(s, rep)
 	}
-	tier := tierCold
-	switch {
-	case warm:
-		tier = tierWarm
-	case translated:
-		tier = tierTranslated
-	}
 
 	// Let the optimized (or untouched) target run out its budget, as a
 	// fleet operator would leave the service attached to a live process.
@@ -413,7 +403,7 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 			if !cold {
 				f.applyStorePolicy(s, key, rep, warm, seed, seedGen)
 			}
-			f.finishWatched(s, sess, rep, started, run, tier)
+			f.finishWatched(s, sess, rep, started, run)
 			return
 		}
 		sess.RunOut(run)
@@ -450,15 +440,16 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 		return
 	}
 
-	f.finishOptimize(s, rep, final, tier)
+	f.finishOptimize(s, rep, final)
 }
 
-// finishOptimize counts and journals an optimize session's terminal record.
-func (f *Fleet) finishOptimize(s *Session, rep *rpgcore.Report, final State, tier seedTier) {
-	f.metrics.finish(rep.Outcome.String(), tier, rep.Costs.PDEdits, s.Wall())
+// finishOptimize journals an optimize session's terminal record. The
+// session's seeding (warm, translated) is the one it activated with: a
+// re-tune pass never reseeds it.
+func (f *Fleet) finishOptimize(s *Session, rep *rpgcore.Report, final State) {
 	ev := s.event("session-done")
 	ev.State, ev.Report = final.String(), rep
-	ev.Warm, ev.Translated = tier == tierWarm, tier == tierTranslated
+	ev.Warm, ev.Translated = s.Warm(), s.Translated()
 	ev.Attempt, ev.Retune = s.Attempt(), s.Retunes()
 	f.finish(s, ev)
 }

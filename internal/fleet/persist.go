@@ -526,17 +526,12 @@ func (p *persister) rearm(j *Journal, sched admission.PersistState, dr []DriftRe
 		return err
 	}
 	var seedErr error
-	j.withLock(func(events []Event) {
-		// Pass 1 finds the sessions still open, by readState's own rule.
-		terminal := make(map[int]bool)
-		for _, e := range events {
-			if e.Session >= 0 {
-				terminal[e.Session] = terminalAfter(e, terminal[e.Session])
-			}
-		}
+	j.withLock(func(events []Event, fd *fold) {
+		// The journal's fold says which sessions are still open, by the same
+		// reading readState makes of the records.
 		lastSeq := w0
 		for _, e := range events {
-			include := e.Session >= 0 && !terminal[e.Session]
+			include := e.Session >= 0 && fd.sessions[e.Session].pending()
 			if !include && e.Seq > w0 {
 				switch e.Type {
 				case "store-commit", "store-invalidate", "breaker-open", "breaker-closed":

@@ -39,7 +39,6 @@ import (
 
 	"rpg2/internal/admission"
 	"rpg2/internal/drift"
-	rpgcore "rpg2/internal/rpg2"
 	"rpg2/internal/wal"
 )
 
@@ -84,23 +83,17 @@ type Recovery struct {
 	Records []RecoveredSession `json:"-"`
 }
 
-// RecoveredSession is one pre-crash session's distilled history. For a
-// session that reached a terminal record before the crash, State/Err/
-// Report reproduce its journaled outcome and Session is nil; for a
-// re-admitted session, Session is the live handle the recovered fleet is
-// running it under (its ID differs from OldID — recovery continues the ID
-// space, it does not reuse it).
+// RecoveredSession is one pre-crash session's distilled history: the same
+// view of its journal a live session's status reads. For a session that
+// reached a terminal record before the crash, the view is its journaled
+// outcome and Session is nil; for a re-admitted session, the view is the
+// attempt it re-runs as, and Session is the live handle the recovered fleet
+// is running it under (its ID differs from OldID — recovery continues the
+// ID space, it does not reuse it).
 type RecoveredSession struct {
-	OldID      int
-	State      string
-	Err        string
-	Warm       bool
-	Translated bool
-	Attempt    int
-	Retunes    int
-	Retuning   bool
-	Report     *rpgcore.Report
-	Session    *Session
+	OldID int
+	SessionView
+	Session *Session
 }
 
 // Summary renders the one-line operator account rpg2-fleet prints.
@@ -128,24 +121,16 @@ type breakerEdge struct {
 	open bool
 }
 
-// pendingSession is one session owed a re-admission.
+// pendingSession is one session owed a re-admission: its journal fold
+// (spec, whether it was in flight, re-tune lane posture), the attempt it
+// re-runs as, the detector posture the snapshot kept, and the index of its
+// entry in Recovery.Records.
 type pendingSession struct {
 	oldID   int
-	spec    SessionSpec
+	fold    *sessionFold
 	attempt int
-	// inFlight: the session was mid-run at the crash; its attempt is
-	// already bumped and the re-run goes cold with a derived seed.
-	inFlight bool
-	// Re-tune lane posture: grants already consumed, re-tunes completed,
-	// whether a re-tune admission was pending or mid-dispatch (the grant
-	// stays consumed; the attempt is NOT bumped — the lane, not the retry
-	// lane, owns the re-dispatch), the warm seed distance, and the
-	// detector posture to resume.
-	granted        int
-	retunes        int
-	retuning       bool
-	retuneDistance int
-	det            *drift.State
+	det     *drift.State
+	record  int
 }
 
 // recoveredState is everything readState distils from the state dir.
@@ -217,26 +202,23 @@ func Recover(stateDir string, cfg Config) (*Fleet, *Recovery, error) {
 	// staged file, so when commitPersist renames it into place the new
 	// journal already vouches for every pending session — and until that
 	// rename, the old journal still does. No crash instant loses one.
-	recordOf := make(map[int]*RecoveredSession, len(st.rec.Records))
-	for i := range st.rec.Records {
-		recordOf[st.rec.Records[i].OldID] = &st.rec.Records[i]
-	}
 	for _, ps := range st.pending {
-		s := f.submitRecovered(ps.spec, ps.attempt)
-		if ps.granted > 0 || ps.retunes > 0 || ps.retuning || ps.det != nil {
+		sf := ps.fold
+		s := f.submitRecovered(sf.spec.Spec(), ps.attempt)
+		if sf.granted > 0 || sf.Retunes > 0 || sf.Retuning || ps.det != nil {
 			// Restore the re-tune lane posture before workers can dispatch
 			// the session: consumed grants, completed count, warm seed, and
 			// the detector to resume once the re-run re-activates.
 			f.mu.Lock()
-			s.item.Retune = ps.granted
+			s.item.Retune = sf.granted
 			f.mu.Unlock()
 			s.mu.Lock()
-			s.retunes = ps.retunes
-			s.retuning = ps.retuning
-			s.retuneDistance = ps.retuneDistance
+			s.retunes = sf.Retunes
+			s.retuning = sf.Retuning
+			s.retuneDistance = sf.retuneDistance
 			s.recoveredDet = ps.det
 			s.mu.Unlock()
-			if ps.retuning {
+			if sf.Retuning {
 				// Restate the lane in the fresh epoch's journal so a second
 				// crash still sees it. A restated retune-scheduled has no
 				// paired drift-detected: the detection happened in a prior
@@ -245,17 +227,15 @@ func Recover(stateDir string, cfg Config) (*Fleet, *Recovery, error) {
 					Session: s.ID, Type: "retune-scheduled",
 					Kind:  s.Spec.Kind.String(),
 					Bench: s.Spec.Bench, Input: s.Spec.Input,
-					Attempt: ps.attempt, Retune: ps.granted,
-					Distance: ps.retuneDistance,
+					Attempt: ps.attempt, Retune: sf.granted,
+					Distance: sf.retuneDistance,
 				})
 				st.rec.RequeuedRetuning++
 			}
 		}
 		st.rec.Requeued = append(st.rec.Requeued, s)
-		if r := recordOf[ps.oldID]; r != nil {
-			r.Session = s
-		}
-		if ps.inFlight {
+		st.rec.Records[ps.record].Session = s
+		if sf.inFlight {
 			st.rec.RequeuedInFlight++
 		} else {
 			st.rec.RequeuedWaiting++
@@ -277,25 +257,6 @@ func PendingSessions(stateDir string) (int, error) {
 		return 0, err
 	}
 	return len(st.pending), nil
-}
-
-// terminalAfter folds one journal event into whether its session is
-// finished — the one rule for "who is still pending" that both readState's
-// tracker and a re-arm's re-seeded journal (persister.rearm) apply, so a
-// re-armed journal and a recovered one can never disagree. Last writer
-// wins: done and degraded close a session; a failure closes it unless it
-// is a drain's cancellation (the session never ran, resume re-admits it);
-// a scheduled retry or re-tune re-opens it; any other event leaves it be.
-func terminalAfter(e Event, terminal bool) bool {
-	switch e.Type {
-	case "session-done", "session-degraded":
-		return true
-	case "session-failed":
-		return e.Err != ErrCanceled.Error()
-	case "retry-scheduled", "retune-scheduled":
-		return false
-	}
-	return terminal
 }
 
 // errShardedStateDir refuses a state dir an older binary wrote in the
@@ -391,78 +352,12 @@ func readState(dir string) (*recoveredState, error) {
 		watermark = -1 // no (usable) snapshot for this epoch: replay all
 	}
 
-	type track struct {
-		spec       *SpecRecord
-		attempt    int
-		inFlight   bool
-		terminal   bool
-		known      bool
-		state      string
-		errText    string
-		warm       bool
-		translated bool
-		report     *rpgcore.Report
-		// Re-tune lane posture, from the journal's drift events plus the
-		// snapshot's drift records (the detector only lives in the latter).
-		granted        int
-		retunes        int
-		retuning       bool
-		retuneDistance int
-		det            *drift.State
-	}
-	sessions := make(map[int]*track)
-	var order []int
+	// One pass: every record folds into its session's story (the same fold
+	// the live journal keeps), and store and breaker records past the
+	// watermark roll forward.
+	var fd fold
 	for _, e := range events {
-		if e.Session >= 0 {
-			tr := sessions[e.Session]
-			if tr == nil {
-				tr = &track{}
-				sessions[e.Session] = tr
-				order = append(order, e.Session)
-			}
-			tr.terminal = terminalAfter(e, tr.terminal)
-			switch e.Type {
-			case "queued":
-				tr.spec, tr.known = e.Spec, true
-				tr.attempt = e.Attempt
-			case "admitted":
-				tr.inFlight, tr.attempt = true, e.Attempt
-			case "retry-scheduled":
-				tr.inFlight, tr.attempt = false, e.Attempt
-			case "retune-scheduled":
-				// The re-tune lane re-admitted a watched session (or a
-				// previous recovery restated the lane). Never the retry
-				// lane: the attempt is untouched.
-				tr.inFlight = false
-				tr.retuning = true
-				if e.Retune > tr.granted {
-					tr.granted = e.Retune
-				}
-				tr.retuneDistance = e.Distance
-			case "retune-complete":
-				tr.retuning = false
-				if e.Retune > tr.retunes {
-					tr.retunes = e.Retune
-				}
-			case "session-done", "session-degraded":
-				tr.inFlight = false
-				tr.state = e.State
-				tr.warm, tr.translated = e.Warm, e.Translated
-				if e.Report != nil {
-					tr.report = e.Report
-				}
-				if e.Attempt > tr.attempt {
-					tr.attempt = e.Attempt
-				}
-			case "session-failed":
-				// A SIGINT drain's cancellations never ran: they are
-				// interrupted, not finished, and resume re-admits them.
-				tr.inFlight = false
-				if tr.terminal {
-					tr.state, tr.errText = e.State, e.Err
-				}
-			}
-		}
+		fd.apply(e)
 		if e.Seq <= watermark {
 			continue
 		}
@@ -487,61 +382,54 @@ func readState(dir string) (*recoveredState, error) {
 		}
 	}
 
-	// Fold the snapshot's watchdog records into the tracks. For grants and
-	// completed re-tunes the journal and snapshot converge on max; the
-	// detector posture only exists here. The journal is authoritative for
-	// whether a re-tune admission is pending — except when the snapshot is
-	// from a newer epoch than the journal, in which case it saw further.
+	// Fold the snapshot's watchdog records in. For grants and completed
+	// re-tunes the journal and snapshot converge on max; the detector
+	// posture only exists here. The journal is authoritative for whether a
+	// re-tune admission is pending — except when the snapshot is from a
+	// newer epoch than the journal, in which case it saw further.
+	dets := make(map[int]*drift.State)
 	for _, d := range snap.drift {
-		tr := sessions[d.Session]
-		if tr == nil {
+		sf := fd.sessions[d.Session]
+		if sf == nil {
 			continue // no journal history to attach it to
 		}
-		if d.Granted > tr.granted {
-			tr.granted = d.Granted
-		}
-		if d.Retunes > tr.retunes {
-			tr.retunes = d.Retunes
-		}
+		sf.granted = max(sf.granted, d.Granted)
+		sf.Retunes = max(sf.Retunes, d.Retunes)
 		if rel == wal.SnapshotAhead {
-			tr.retuning = d.Retuning
+			sf.Retuning = d.Retuning
 		}
-		if tr.retuneDistance == 0 {
-			tr.retuneDistance = d.Distance
+		if sf.retuneDistance == 0 {
+			sf.retuneDistance = d.Distance
 		}
 		det := d.Detector
-		tr.det = &det
+		dets[d.Session] = &det
 	}
 
-	sort.Ints(order)
-	st.rec.Sessions = len(order)
-	st.maxID = -1
-	if n := len(order); n > 0 {
-		st.maxID = order[n-1]
+	ids := make([]int, 0, len(fd.sessions))
+	for id := range fd.sessions {
+		ids = append(ids, id)
 	}
-	for _, id := range order {
-		tr := sessions[id]
-		if tr.terminal || !tr.known || tr.spec == nil {
+	sort.Ints(ids)
+	st.rec.Sessions = len(ids)
+	st.maxID = -1
+	if n := len(ids); n > 0 {
+		st.maxID = ids[n-1]
+	}
+	for _, id := range ids {
+		sf := fd.sessions[id]
+		if !sf.pending() || sf.spec == nil {
 			// Finished before the crash — or damage swallowed the queued
 			// record, leaving nothing to re-admit.
 			st.rec.Terminal++
-			state := tr.state
-			if state == "" {
-				state = Failed.String()
+			v := sf.SessionView
+			if sf.pending() {
+				v.State = Failed.String()
 			}
-			st.rec.Records = append(st.rec.Records, RecoveredSession{
-				OldID: id, State: state, Err: tr.errText,
-				Warm: tr.warm, Translated: tr.translated,
-				Attempt: tr.attempt, Retunes: tr.retunes, Report: tr.report,
-			})
+			st.rec.Records = append(st.rec.Records, RecoveredSession{OldID: id, SessionView: v})
 			continue
 		}
-		ps := pendingSession{
-			oldID: id, spec: tr.spec.Spec(), attempt: tr.attempt, inFlight: tr.inFlight,
-			granted: tr.granted, retunes: tr.retunes, retuning: tr.retuning,
-			retuneDistance: tr.retuneDistance, det: tr.det,
-		}
-		if tr.inFlight && !tr.retuning {
+		ps := pendingSession{oldID: id, fold: sf, attempt: sf.Attempt, det: dets[id], record: len(st.rec.Records)}
+		if sf.inFlight && !sf.Retuning {
 			// The crash killed the attempt mid-run: the next attempt goes
 			// cold with a derived seed, like any failed attempt. A crash
 			// mid-re-tune-dispatch is the re-tune lane's to re-run instead —
@@ -549,10 +437,9 @@ func readState(dir string) (*recoveredState, error) {
 			ps.attempt++
 		}
 		st.pending = append(st.pending, ps)
-		st.rec.Records = append(st.rec.Records, RecoveredSession{
-			OldID: id, State: Queued.String(), Attempt: ps.attempt,
-			Retunes: ps.retunes, Retuning: ps.retuning,
-		})
+		st.rec.Records = append(st.rec.Records, RecoveredSession{OldID: id, SessionView: SessionView{
+			State: Queued.String(), Attempt: ps.attempt, Retunes: sf.Retunes, Retuning: sf.Retuning,
+		}})
 	}
 	return st, nil
 }

@@ -217,13 +217,11 @@ type Session struct {
 	// re-tunes; retuning marks a granted re-tune that has not completed
 	// (its next dispatch is a re-tune, not an optimize); retuneDistance
 	// seeds the warm re-tune search; recoveredDet is a crash-recovered
-	// detector posture to resume; tier remembers how the session was
-	// seeded for its eventual terminal metrics; windowMark is the detector
-	// sample count when the current watch episode was armed.
+	// detector posture to resume; windowMark is the detector sample count
+	// when the current watch episode was armed.
 	live           *rpgcore.Session
 	det            *drift.Detector
 	recoveredDet   *drift.State
-	tier           seedTier
 	retunes        int
 	retuning       bool
 	retuneDistance int

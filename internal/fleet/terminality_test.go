@@ -1,7 +1,10 @@
-// "Which journal events leave a session open" has one owner
-// (terminalAfter) and two readers: readState, which decides who Recover
-// re-admits, and persister.rearm, which decides whose history a re-armed
-// WAL is re-seeded with. These tests hold the two to the same answer.
+// "Which journal events leave a session open" has one owner, the journal's
+// fold (sessionFold.apply), and three readers: readState, which decides who
+// Recover re-admits; persister.rearm, which decides whose history a re-armed
+// WAL is re-seeded with; and Snapshot, which counts what finished. These
+// tests hold them to the same answer — with one intended difference: a
+// drain's cancellation is a failed session to Snapshot and a pending one to
+// recovery.
 package fleet
 
 import (
@@ -10,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"rpg2/internal/admission"
@@ -87,22 +91,23 @@ func TestTerminalityRuleSharedByRearmAndRecover(t *testing.T) {
 	cases := []struct {
 		name    string
 		events  []Event // after the session's "queued" record
-		pending bool
+		pending bool    // recovery re-admits it
+		counted string  // what Snapshot counts it as ("" = not finished)
 	}{
-		{"queued", nil, true},
-		{"in-flight", []Event{ev("admitted")}, true},
-		{"done", []Event{ev("admitted"), ev("session-done")}, false},
-		{"degraded", []Event{ev("admitted"), ev("session-degraded")}, false},
-		{"failed", []Event{ev("admitted"), failed("boom")}, false},
-		{"cancelled-resumes", []Event{failed(canceled)}, true},
-		{"fail-retry", []Event{ev("admitted"), failed("boom"), ev("retry-scheduled")}, true},
+		{"queued", nil, true, ""},
+		{"in-flight", []Event{ev("admitted")}, true, ""},
+		{"done", []Event{ev("admitted"), ev("session-done")}, false, "done"},
+		{"degraded", []Event{ev("admitted"), ev("session-degraded")}, false, "degraded"},
+		{"failed", []Event{ev("admitted"), failed("boom")}, false, "failed"},
+		{"cancelled-resumes", []Event{failed(canceled)}, true, "failed"},
+		{"fail-retry", []Event{ev("admitted"), failed("boom"), ev("retry-scheduled")}, true, ""},
 		{"fail-retry-done", []Event{ev("admitted"), failed("boom"), ev("retry-scheduled"),
-			ev("admitted"), ev("session-done")}, false},
+			ev("admitted"), ev("session-done")}, false, "done"},
 		{"fail-retry-cancelled", []Event{ev("admitted"), failed("boom"), ev("retry-scheduled"),
-			failed(canceled)}, true},
-		{"done-retune-scheduled", []Event{ev("admitted"), ev("session-done"), ev("retune-scheduled")}, true},
+			failed(canceled)}, true, "failed"},
+		{"done-retune-scheduled", []Event{ev("admitted"), ev("session-done"), ev("retune-scheduled")}, true, ""},
 		{"done-retune-done", []Event{ev("admitted"), ev("session-done"), ev("retune-scheduled"),
-			ev("admitted"), ev("retune-complete"), ev("session-done")}, false},
+			ev("admitted"), ev("retune-complete"), ev("session-done")}, false, "done"},
 	}
 
 	// One journal, one session per case, the cases' events interleaved so
@@ -131,14 +136,32 @@ func TestTerminalityRuleSharedByRearmAndRecover(t *testing.T) {
 		}
 	}
 
+	// The live journal's fold: each session's two readings, and the
+	// Snapshot they add up to.
+	var counts Snapshot
 	for id, c := range cases {
-		terminal := false
-		for _, e := range j.SessionEvents(id) {
-			terminal = terminalAfter(e, terminal)
+		sf := j.fold.sessions[id]
+		if sf.pending() != c.pending {
+			t.Errorf("%s: the fold reads pending=%v, want %v", c.name, sf.pending(), c.pending)
 		}
-		if terminal == c.pending {
-			t.Errorf("%s: terminalAfter folds to terminal=%v, want pending=%v", c.name, terminal, c.pending)
+		if got := strings.TrimPrefix(sf.end, "session-"); got != c.counted {
+			t.Errorf("%s: Snapshot counts it as %q, want %q", c.name, got, c.counted)
 		}
+		if c.counted != "" {
+			counts.Completed++
+		}
+		switch c.counted {
+		case "failed":
+			counts.Failed++
+		case "degraded":
+			counts.Degraded++
+		}
+	}
+	var snap Snapshot
+	j.tally(&snap)
+	if snap.Completed != counts.Completed || snap.Failed != counts.Failed || snap.Degraded != counts.Degraded {
+		t.Errorf("Snapshot counts %d completed, %d failed, %d degraded; want %d, %d, %d",
+			snap.Completed, snap.Failed, snap.Degraded, counts.Completed, counts.Failed, counts.Degraded)
 	}
 
 	plain := t.TempDir()

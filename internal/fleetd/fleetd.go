@@ -393,7 +393,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.sessions[sess.ID] = registered{live: sess}
 	s.mu.Unlock()
-	daemon.WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: sess.ID, State: sess.State().String()})
+	v, _ := s.fleet.Journal().View(sess.ID)
+	daemon.WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: sess.ID, State: v.State})
 }
 
 // session resolves the request's {id} to its registered handle or record,
@@ -413,29 +414,28 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (int, registere
 	return id, reg, ok
 }
 
-func statusOf(id int, reg registered) Status {
+// statusOf is the poll view: the session as its journaled records tell it
+// (a pre-crash session's from the recovered journal), terminal once its last
+// record is journaled (Session.Finished), the one condition /result serves
+// on. Finished is read before the records, so a terminal status always
+// carries its terminal state.
+func (s *Server) statusOf(id int, reg registered) Status {
+	v, terminal := fleet.SessionView{}, true
 	if reg.live != nil {
-		st := reg.live.State()
-		out := Status{
-			ID: id, State: st.String(), Terminal: st.Terminal(),
-			Warm: reg.live.Warm(), Translated: reg.live.Translated(),
-			Attempt: reg.live.Attempt(),
-		}
-		if err := reg.live.Err(); err != nil {
-			out.Err = err.Error()
-		}
-		return out
+		terminal = finished(reg.live)
+		v, _ = s.fleet.Journal().View(reg.live.ID)
+	} else {
+		v = reg.rec.SessionView
 	}
 	return Status{
-		ID: id, State: reg.rec.State, Terminal: true,
-		Warm: reg.rec.Warm, Translated: reg.rec.Translated,
-		Attempt: reg.rec.Attempt, Err: reg.rec.Err,
+		ID: id, State: v.State, Terminal: terminal,
+		Warm: v.Warm, Translated: v.Translated, Attempt: v.Attempt, Err: v.Err,
 	}
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if id, reg, ok := s.session(w, r); ok {
-		daemon.WriteJSON(w, http.StatusOK, statusOf(id, reg))
+		daemon.WriteJSON(w, http.StatusOK, s.statusOf(id, reg))
 	}
 }
 
@@ -444,13 +444,23 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // answered with the 202 poll view, not cut off.
 const maxResultWait = 20 * time.Second
 
-// finished reports whether the session's terminal record has been journaled
-// (fleet.Session.Finished) — the one condition a result is served on, so an
-// outcome a client was told is on disk, and is the last attempt's. A request
-// that asked to wait (?wait=<duration>, capped at maxResultWait) is held for
-// it first; the hold also ends when the wait runs out, the request's context
-// ends or the daemon drains. A missing or malformed wait holds nothing.
-func (s *Server) finished(r *http.Request, sess *fleet.Session) bool {
+// finished reports whether the session's last terminal record has been
+// journaled (fleet.Session.Finished) — the one condition a result is served
+// on, so an outcome a client was told is on disk, and is the last attempt's.
+func finished(sess *fleet.Session) bool {
+	select {
+	case <-sess.Finished():
+		return true
+	default:
+		return false
+	}
+}
+
+// heldUntilFinished is finished after holding a request that asked to wait
+// (?wait=<duration>, capped at maxResultWait) for it; the hold also ends when
+// the wait runs out, the request's context ends or the daemon drains. A
+// missing or malformed wait holds nothing.
+func (s *Server) heldUntilFinished(r *http.Request, sess *fleet.Session) bool {
 	if wait, err := time.ParseDuration(r.URL.Query().Get("wait")); err == nil && wait > 0 {
 		timer := time.NewTimer(min(wait, maxResultWait))
 		defer timer.Stop()
@@ -461,12 +471,7 @@ func (s *Server) finished(r *http.Request, sess *fleet.Session) bool {
 		case <-s.drainDone:
 		}
 	}
-	select {
-	case <-sess.Finished():
-		return true
-	default:
-		return false
-	}
+	return finished(sess)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -475,18 +480,19 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if reg.live != nil {
-		if !s.finished(r, reg.live) {
+		if !s.heldUntilFinished(r, reg.live) {
 			// Not done yet: hand back the poll view instead of a result,
 			// with 202 so clients can tell "keep waiting" from an error.
-			daemon.WriteJSON(w, http.StatusAccepted, statusOf(id, reg))
+			daemon.WriteJSON(w, http.StatusAccepted, s.statusOf(id, reg))
 			return
 		}
 		daemon.WriteJSON(w, http.StatusOK, OutcomeOf(reg.live))
 		return
 	}
+	v := reg.rec.SessionView
 	daemon.WriteJSON(w, http.StatusOK, Outcome{
-		State: reg.rec.State, Warm: reg.rec.Warm, Translated: reg.rec.Translated,
-		Attempt: reg.rec.Attempt, Err: reg.rec.Err, Report: reg.rec.Report,
+		State: v.State, Warm: v.Warm, Translated: v.Translated,
+		Attempt: v.Attempt, Err: v.Err, Report: v.Report,
 	})
 }
 
