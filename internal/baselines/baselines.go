@@ -120,7 +120,7 @@ func BuildPrefetched(w *workloads.Workload, candidates []int, distance int) (*Pr
 func (pf *Prefetched) SetDistance(p *proc.Process, d int) {
 	for _, pp := range pf.RW.PatchPoints {
 		pc := pf.F1Entry + pp.Offset
-		p.Text[pc] = pp.Apply(p.Text[pc], d)
+		p.WriteText(pc, pp.Apply(p.Text[pc], d))
 	}
 }
 
@@ -129,7 +129,7 @@ func (pf *Prefetched) SetDistance(p *proc.Process, d int) {
 func (pf *Prefetched) SetSiteDistance(p *proc.Process, site, d int) {
 	pp := pf.RW.PatchPoints[site]
 	pc := pf.F1Entry + pp.Offset
-	p.Text[pc] = pp.Apply(p.Text[pc], d)
+	p.WriteText(pc, pp.Apply(p.Text[pc], d))
 }
 
 // SweepConfig controls an offline distance sweep.

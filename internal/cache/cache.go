@@ -243,7 +243,8 @@ type Hierarchy struct {
 	dramFree    uint64  // next cycle the DRAM controller is free
 	maxComplete uint64  // latest in-flight completion, for a fast skip
 	inflight    []mshr
-	inflightSig uint64 // bit line&63 is set for every unconsumed entry's line
+	inflightSig uint64     // bit line&63 is set for every unconsumed entry's line
+	sigCount    [64]uint16 // unconsumed entries per signature bit
 	stride      []strideEntry
 	strideRecip uint64 // floor((2^64-1) / len(stride)), for strideIndex
 	stats       Stats
@@ -283,6 +284,7 @@ func (h *Hierarchy) Reset() {
 	h.maxComplete = 0
 	clear(h.inflight)
 	h.inflightSig = 0
+	h.sigCount = [64]uint16{}
 	if h.stride != nil {
 		clear(h.stride)
 	}
@@ -315,15 +317,21 @@ func (h *Hierarchy) allocInflight(now uint64) int {
 	return -1
 }
 
-// setInflight writes one MSHR and rebuilds the signature findInflight
-// filters on; a consumed entry is written as the zero mshr.
+// setInflight writes one MSHR and keeps the signature findInflight filters
+// on exact by counting the unconsumed entries under each bit; a consumed
+// entry is written as the zero mshr.
 func (h *Hierarchy) setInflight(slot int, e mshr) {
-	h.inflight[slot] = e
-	h.inflightSig = 0
-	for _, e := range h.inflight {
-		if e.complete != 0 {
-			h.inflightSig |= 1 << (e.line & 63)
+	if old := h.inflight[slot]; old.complete != 0 {
+		b := old.line & 63
+		if h.sigCount[b]--; h.sigCount[b] == 0 {
+			h.inflightSig &^= 1 << b
 		}
+	}
+	h.inflight[slot] = e
+	if e.complete != 0 {
+		b := e.line & 63
+		h.sigCount[b]++
+		h.inflightSig |= 1 << b
 	}
 }
 
@@ -575,7 +583,14 @@ func (h *Hierarchy) strideObserve(pc uint64, line Line, now uint64) {
 			if next < 0 {
 				break
 			}
-			h.Prefetch(mem.Addr(next)<<lineShift, now, HardwarePrefetch)
+			// A line some level holds is all Prefetch would count and
+			// drop; most candidates are, so skip the call for them.
+			addr := mem.Addr(next) << lineShift
+			if h.held(LineOf(addr)) != 0 {
+				h.stats.HWPrefetches++
+				continue
+			}
+			h.Prefetch(addr, now, HardwarePrefetch)
 		}
 	}
 }

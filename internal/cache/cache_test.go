@@ -729,7 +729,8 @@ func hierarchyConfig(g1, g2, g3, stride, mshrs byte) Config {
 
 // hierarchyOps drives a hierarchy and the reference through one operation
 // per four bytes of ops (kind, line, pc, time step) and fails at the first
-// difference in a Result, a Prefetch answer or any of the 13 Stats fields;
+// difference in a Result, a Prefetch answer or any of the 13 Stats fields,
+// or at an MSHR signature that is not the one its table rebuilds to;
 // at the end Present must agree for every line that could have been touched
 // and the directory must equal the scanned residency.
 //
@@ -804,6 +805,15 @@ func hierarchyOps(t *testing.T, cfg Config, nearCap bool, ops []byte) {
 			}
 		}
 		sameStats(i/4, "the operation")
+		var sig uint64
+		for _, e := range got.inflight {
+			if e.complete != 0 {
+				sig |= 1 << (e.line & 63)
+			}
+		}
+		if got.inflightSig != sig {
+			t.Fatalf("op %d: MSHR signature %#x, the table's unconsumed entries make %#x", i/4, got.inflightSig, sig)
+		}
 	}
 	if len(got.where) > dirCap {
 		t.Fatalf("directory grew to %d lines, cap %d", len(got.where), dirCap)

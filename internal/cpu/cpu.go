@@ -47,6 +47,7 @@ type Watch struct {
 	Count uint64
 
 	bits []uint64 // bit pc is set for every pc in PCs
+	gen  uint64   // counts additions to bits, for the cores' watched bits
 }
 
 // NewWatch builds a watch over the given PCs.
@@ -67,6 +68,7 @@ func (w *Watch) Extend(pcs []int) {
 		}
 		w.bits[pc>>6] |= 1 << (pc & 63)
 		w.PCs = append(w.PCs, pc)
+		w.gen++
 	}
 }
 
@@ -109,8 +111,15 @@ type Core struct {
 	// OnInitDone, if set, is invoked when the thread retires an InitDone
 	// marker (the benchmark's end-of-initialisation signal).
 	OnInitDone func()
+	// TextGen, if set, counts the in-place writes to the text the core
+	// runs, and RunUntil re-decodes that text when it has moved; package
+	// proc points it at its process's count. Without it, only a text at a
+	// new address or of a new length is re-decoded, so a caller that edits
+	// its text in place between calls must set it.
+	TextGen *uint64
 
 	outstanding []uint64 // completion cycles of in-flight demand misses
+	dec         decoded  // the text as ops, and what they were built from
 }
 
 // New builds a core bound to a hierarchy.
@@ -161,11 +170,11 @@ func (c *Core) Step(t *Thread, text []isa.Instr, as *mem.AddrSpace) error {
 
 // RunUntil is the interpreter loop: it executes the thread until the core
 // clock reaches bound, the thread halts or faults, or a hook (OnLLCMiss,
-// OnInitDone) has fired. Runnability, the text bounds and the watch list are
-// read once, and a hook may stop the process, grow its text or change the
-// watches: RunUntil returns after the instruction that fired one and the
-// caller, re-reading what it passes, calls again. A thread that is not
-// runnable or already at bound returns nil.
+// OnInitDone) has fired. Runnability, the op table for text and the watch
+// list are read once, and a hook may stop the process, edit or grow its
+// text or change the watches: RunUntil returns after the instruction that
+// fired one and the caller, re-reading what it passes, calls again. A thread
+// that is not runnable or already at bound returns nil.
 //
 // The clock, the retired count and the PC live in locals while the loop
 // runs. They are written back to c.Now, c.Instructions and t.PC before every
@@ -178,6 +187,7 @@ func (c *Core) RunUntil(t *Thread, text []isa.Instr, as *mem.AddrSpace, bound ui
 	}
 	var err error
 	r := &t.Regs
+	ops := c.opsFor(text)
 	watches := c.Watches
 	hier := c.hier
 	branchCost := c.cfg.BranchCost
@@ -185,62 +195,61 @@ func (c *Core) RunUntil(t *Thread, text []isa.Instr, as *mem.AddrSpace, bound ui
 loop:
 	for now < bound {
 		pc := next
-		if uint(pc) >= uint(len(text)) {
+		if uint(pc) >= uint(len(ops)) {
 			t.Fault = &mem.Fault{Addr: uint64(pc)}
 			err = fmt.Errorf("cpu: pc %d outside text segment", pc)
 			break loop
 		}
-		in := &text[pc]
+		o := &ops[pc]
 		next++
 		now++
 		retired++
-		for _, w := range watches {
-			if w.has(pc) {
-				w.Count++
+		if o.watched {
+			for _, w := range watches {
+				if w.has(pc) {
+					w.Count++
+				}
 			}
 		}
 
-		switch in.Op {
-		case isa.Nop:
-		case isa.InitDone:
+		var idx uint64 // the index register, for the base+index forms
+		switch o.kind {
+		case opNop:
+		case opInitDone:
 			if c.OnInitDone != nil {
 				c.Now, c.Instructions, t.PC = now, retired, next
 				c.OnInitDone()
 				return nil
 			}
-		case isa.MovImm:
-			r[in.Rd] = uint64(in.Imm)
-		case isa.Mov:
-			r[in.Rd] = r[in.Rs1]
-		case isa.Add:
-			r[in.Rd] = r[in.Rs1] + r[in.Rs2]
-		case isa.AddImm:
-			r[in.Rd] = r[in.Rs1] + uint64(in.Imm)
-		case isa.Sub:
-			r[in.Rd] = r[in.Rs1] - r[in.Rs2]
-		case isa.SubImm:
-			r[in.Rd] = r[in.Rs1] - uint64(in.Imm)
-		case isa.Mul:
-			r[in.Rd] = r[in.Rs1] * r[in.Rs2]
-		case isa.MulImm:
-			r[in.Rd] = r[in.Rs1] * uint64(in.Imm)
-		case isa.ShlImm:
-			r[in.Rd] = r[in.Rs1] << uint64(in.Imm)
-		case isa.ShrImm:
-			r[in.Rd] = r[in.Rs1] >> uint64(in.Imm)
-		case isa.AndImm:
-			r[in.Rd] = r[in.Rs1] & uint64(in.Imm)
-		case isa.Min:
-			a, b := r[in.Rs1], r[in.Rs2]
-			if b < a {
-				a = b
-			}
-			r[in.Rd] = a
-		case isa.Load:
-			addr := r[in.Rs1] + uint64(in.Imm)
-			if in.Rs2 != isa.NoReg {
-				addr += r[in.Rs2]
-			}
+		case opMovImm:
+			r[o.rd&15] = o.imm
+		case opMov:
+			r[o.rd&15] = r[o.rs1&15]
+		case opAdd:
+			r[o.rd&15] = r[o.rs1&15] + r[o.rs2&15]
+		case opAddImm:
+			r[o.rd&15] = r[o.rs1&15] + o.imm
+		case opSub:
+			r[o.rd&15] = r[o.rs1&15] - r[o.rs2&15]
+		case opSubImm:
+			r[o.rd&15] = r[o.rs1&15] - o.imm
+		case opMul:
+			r[o.rd&15] = r[o.rs1&15] * r[o.rs2&15]
+		case opMulImm:
+			r[o.rd&15] = r[o.rs1&15] * o.imm
+		case opShlImm:
+			r[o.rd&15] = r[o.rs1&15] << o.imm
+		case opShrImm:
+			r[o.rd&15] = r[o.rs1&15] >> o.imm
+		case opAndImm:
+			r[o.rd&15] = r[o.rs1&15] & o.imm
+		case opMin:
+			r[o.rd&15] = min(r[o.rs1&15], r[o.rs2&15])
+		case opLoadIdx:
+			idx = r[o.rs2&15]
+			fallthrough
+		case opLoad:
+			addr := r[o.rs1&15] + o.imm + idx
 			v, ok := as.Read(addr)
 			if !ok {
 				t.Fault = &mem.Fault{Addr: addr}
@@ -256,83 +265,118 @@ loop:
 				if c.OnLLCMiss != nil {
 					c.Now, c.Instructions, t.PC = now, retired, next
 					c.OnLLCMiss(pc, addr)
-					r[in.Rd] = v
+					r[o.rd&15] = v
 					return nil
 				}
 			}
-			r[in.Rd] = v
-		case isa.Store:
-			addr := r[in.Rs1] + uint64(in.Imm)
-			if in.Rs2 != isa.NoReg {
-				addr += r[in.Rs2]
-			}
-			if !as.Write(addr, r[in.Rd]) {
+			r[o.rd&15] = v
+		case opStoreIdx:
+			idx = r[o.rs2&15]
+			fallthrough
+		case opStore:
+			addr := r[o.rs1&15] + o.imm + idx
+			if !as.Write(addr, r[o.rd&15]) {
 				t.Fault = &mem.Fault{Addr: addr, Write: true}
 				break loop
 			}
 			// Stores occupy the fill path (write-allocate) but do not stall
 			// the core: store-miss latency hides behind the store buffer.
 			hier.Access(uint64(pc), addr, now)
-		case isa.Prefetch:
-			addr := r[in.Rs1] + uint64(in.Imm)
-			if in.Rs2 != isa.NoReg {
-				addr += r[in.Rs2]
-			}
+		case opPrefetchIdx:
+			idx = r[o.rs2&15]
+			fallthrough
+		case opPrefetch:
+			addr := r[o.rs1&15] + o.imm + idx
 			// Prefetch never faults: unmapped addresses are dropped.
 			if as.Mapped(addr) {
 				hier.Prefetch(addr, now, cache.SoftwarePrefetch)
 			}
-		case isa.Br:
-			if in.Cond.Holds(r[in.Rs1], r[in.Rs2]) {
-				next = in.Target
-				now += branchCost
+		case opBrEQ:
+			if r[o.rs1&15] == r[o.rs2&15] {
+				next, now = o.target, now+branchCost
 			}
-		case isa.BrImm:
-			if in.Cond.Holds(r[in.Rs1], uint64(in.Imm)) {
-				next = in.Target
-				now += branchCost
+		case opBrNE:
+			if r[o.rs1&15] != r[o.rs2&15] {
+				next, now = o.target, now+branchCost
 			}
-		case isa.Jmp:
-			next = in.Target
-			now += branchCost
-		case isa.Call:
+		case opBrLT:
+			if r[o.rs1&15] < r[o.rs2&15] {
+				next, now = o.target, now+branchCost
+			}
+		case opBrGE:
+			if r[o.rs1&15] >= r[o.rs2&15] {
+				next, now = o.target, now+branchCost
+			}
+		case opBrLE:
+			if r[o.rs1&15] <= r[o.rs2&15] {
+				next, now = o.target, now+branchCost
+			}
+		case opBrGT:
+			if r[o.rs1&15] > r[o.rs2&15] {
+				next, now = o.target, now+branchCost
+			}
+		case opBriEQ:
+			if r[o.rs1&15] == o.imm {
+				next, now = o.target, now+branchCost
+			}
+		case opBriNE:
+			if r[o.rs1&15] != o.imm {
+				next, now = o.target, now+branchCost
+			}
+		case opBriLT:
+			if r[o.rs1&15] < o.imm {
+				next, now = o.target, now+branchCost
+			}
+		case opBriGE:
+			if r[o.rs1&15] >= o.imm {
+				next, now = o.target, now+branchCost
+			}
+		case opBriLE:
+			if r[o.rs1&15] <= o.imm {
+				next, now = o.target, now+branchCost
+			}
+		case opBriGT:
+			if r[o.rs1&15] > o.imm {
+				next, now = o.target, now+branchCost
+			}
+		case opJmp:
+			next, now = o.target, now+branchCost
+		case opCall:
 			r[isa.SP]--
 			if !as.Write(r[isa.SP], uint64(next)) {
 				t.Fault = &mem.Fault{Addr: r[isa.SP], Write: true}
 				break loop
 			}
-			next = in.Target
-			now += branchCost
-		case isa.Ret:
+			next, now = o.target, now+branchCost
+		case opRet:
 			v, ok := as.Read(r[isa.SP])
 			if !ok {
 				t.Fault = &mem.Fault{Addr: r[isa.SP]}
 				break loop
 			}
 			r[isa.SP]++
-			next = int(v)
-			now += branchCost
-		case isa.Push:
+			next, now = int(v), now+branchCost
+		case opPush:
 			r[isa.SP]--
-			if !as.Write(r[isa.SP], r[in.Rs1]) {
+			if !as.Write(r[isa.SP], r[o.rs1&15]) {
 				t.Fault = &mem.Fault{Addr: r[isa.SP], Write: true}
 				break loop
 			}
-		case isa.Pop:
+		case opPop:
 			v, ok := as.Read(r[isa.SP])
 			if !ok {
 				t.Fault = &mem.Fault{Addr: r[isa.SP]}
 				break loop
 			}
 			r[isa.SP]++
-			r[in.Rd] = v
-		case isa.Halt:
+			r[o.rd&15] = v
+		case opHalt:
 			t.Halted = true
 			break loop
 		default:
 			// Code a tracer poked wrong: a crash, not a clean exit.
 			t.Fault = &mem.Fault{Addr: uint64(pc)}
-			err = fmt.Errorf("cpu: pc %d: unknown opcode %v", pc, in.Op)
+			err = fmt.Errorf("cpu: pc %d: illegal instruction %v", pc, text[pc])
 			break loop
 		}
 	}

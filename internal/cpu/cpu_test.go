@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"rpg2/internal/cache"
 	"rpg2/internal/isa"
@@ -557,22 +558,31 @@ func TestRunUntilOnStoppedThreadOrPastBound(t *testing.T) {
 }
 
 // An unknown opcode is code a tracer poked wrong: it must read as a crash
-// at that PC, not as a clean exit.
+// at that PC, not as a clean exit. So is a register field naming no
+// register, which once indexed the host's register array out of range.
 func TestIllegalInstructionFaults(t *testing.T) {
-	text := []isa.Instr{isa.MakeNop(), {Op: isa.Op(250)}, isa.MakeNop()}
-	for name, exec := range map[string]func(*Core, *Thread) error{
-		"Step": func(c *Core, th *Thread) error {
-			c.Step(th, text, mem.NewAddrSpace())
-			return c.Step(th, text, mem.NewAddrSpace())
-		},
-		"RunUntil": func(c *Core, th *Thread) error { return c.RunUntil(th, text, mem.NewAddrSpace(), 100) },
+	for _, bad := range []isa.Instr{
+		{Op: isa.Op(250)},
+		{Op: isa.Add, Rd: 20, Rs1: 1, Rs2: 2},
+		{Op: isa.Load, Rd: 1, Rs1: 2, Rs2: 16},
+		{Op: isa.Br, Cond: isa.Always, Rs1: 1, Rs2: isa.NoReg},
+		{Op: isa.Push, Rd: isa.NoReg, Rs1: 254, Rs2: isa.NoReg},
 	} {
-		core, th := New(Config{MLP: 1}, testHier()), &Thread{}
-		if err := exec(core, th); err == nil {
-			t.Fatalf("%s: an unknown opcode must error", name)
-		}
-		if th.Fault == nil || th.Fault.Addr != 1 || th.Runnable() {
-			t.Fatalf("%s: want a fault at pc 1 and a dead thread, got %+v", name, th)
+		text := []isa.Instr{isa.MakeNop(), bad, isa.MakeNop()}
+		for name, exec := range map[string]func(*Core, *Thread) error{
+			"Step": func(c *Core, th *Thread) error {
+				c.Step(th, text, mem.NewAddrSpace())
+				return c.Step(th, text, mem.NewAddrSpace())
+			},
+			"RunUntil": func(c *Core, th *Thread) error { return c.RunUntil(th, text, mem.NewAddrSpace(), 100) },
+		} {
+			core, th := New(Config{MLP: 1}, testHier()), &Thread{}
+			if err := exec(core, th); err == nil {
+				t.Fatalf("%s %v: an illegal instruction must error", name, bad)
+			}
+			if th.Fault == nil || th.Fault.Addr != 1 || th.Runnable() || core.Instructions != 2 {
+				t.Fatalf("%s %v: want a fault at pc 1 and a dead thread after 2 retirements, got %+v, %d", name, bad, th, core.Instructions)
+			}
 		}
 	}
 }
@@ -586,5 +596,12 @@ func TestWatchIgnoresPCsItCannotSee(t *testing.T) {
 	}
 	if !w.has(5) || !w.has(200) || len(w.PCs) != 2 {
 		t.Fatalf("watch lost a PC: %v", w.PCs)
+	}
+}
+
+// The decoded table costs each core at most 24 bytes per instruction.
+func TestOpIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(op{}); n > 24 {
+		t.Fatalf("op is %d bytes", n)
 	}
 }

@@ -102,7 +102,10 @@ type Options struct {
 // Process is a running instance of a Binary.
 type Process struct {
 	// Text is the process's code memory. It starts as a copy of the
-	// binary's text and grows when a tracer injects new functions.
+	// binary's text and grows when a tracer injects new functions. It is
+	// read-only outside this package: WriteText, Tracer.PokeText,
+	// LibPG2.PokeText and LibPG2.InjectCode are its writers, and each bumps
+	// the generation the cores' decoded tables are checked against.
 	Text []isa.Instr
 	// Funcs is the symbol table, including injected functions.
 	Funcs []isa.Function
@@ -120,6 +123,8 @@ type Process struct {
 
 	// stolenCycles accumulates stop-the-world penalties, for reporting.
 	stolenCycles uint64
+	// textGen counts writes to Text; every core's TextGen points here.
+	textGen uint64
 }
 
 // DefaultStackWords is the per-thread stack size when Options leaves it 0.
@@ -165,6 +170,7 @@ func (p *Process) spawn(pc int, regs [isa.NumRegs]uint64) *ThreadCtx {
 	regs[isa.SP] = stack.End()
 	core := cpu.New(p.opts.CPU, p.opts.Hier)
 	core.OnInitDone = func() { p.initDone = true }
+	core.TextGen = &p.textGen
 	tc := &ThreadCtx{
 		ID:     id,
 		Thread: cpu.Thread{Regs: regs, PC: pc},
@@ -228,6 +234,15 @@ func (p *Process) State() State {
 		return Exited
 	}
 	return p.state
+}
+
+// WriteText replaces the instruction at pc, free of charge: the static edit
+// of a caller that owns the process outright, such as a baseline moving its
+// prefetch distance between measurement windows. Every thread executes the
+// new instruction from its next retirement of pc.
+func (p *Process) WriteText(pc int, in isa.Instr) {
+	p.Text[pc] = in
+	p.textGen++
 }
 
 // Threads returns the process's threads.

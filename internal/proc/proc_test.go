@@ -269,23 +269,26 @@ func TestStateString(t *testing.T) {
 
 // A tracer that pokes a bad instruction has crashed its target: the process
 // must read Crashed, so the controller's "target crashed" path fires, and
-// not Exited as if it had run to Halt.
+// not Exited as if it had run to Halt. An unknown opcode and a register
+// outside the file are both bad instructions.
 func TestIllegalInstructionCrashesTheProcess(t *testing.T) {
-	p := launchCounter(t, 1<<40)
-	p.Run(100)
-	tr := Attach(p)
-	tr.Stop()
-	loop := p.MainThread().Thread.PC
-	if err := tr.PokeText(loop, isa.Instr{Op: isa.Op(250)}); err != nil {
-		t.Fatal(err)
-	}
-	tr.Resume()
-	p.Run(1000)
-	if p.State() != Crashed {
-		t.Fatalf("state = %v after an illegal instruction, want crashed", p.State())
-	}
-	if f := p.FaultedThread(); f == nil || f.Thread.Fault.Addr != uint64(loop) {
-		t.Fatalf("want a fault recorded at pc %d, got %+v", loop, f)
+	for _, bad := range []isa.Instr{{Op: isa.Op(250)}, {Op: isa.Add, Rd: 20, Rs1: 1, Rs2: 2}} {
+		p := launchCounter(t, 1<<40)
+		p.Run(100)
+		tr := Attach(p)
+		tr.Stop()
+		loop := p.MainThread().Thread.PC
+		if err := tr.PokeText(loop, bad); err != nil {
+			t.Fatal(err)
+		}
+		tr.Resume()
+		p.Run(1000)
+		if p.State() != Crashed {
+			t.Fatalf("state = %v after %v, want crashed", p.State(), bad)
+		}
+		if f := p.FaultedThread(); f == nil || f.Thread.Fault.Addr != uint64(loop) {
+			t.Fatalf("%v: want a fault recorded at pc %d, got %+v", bad, loop, f)
+		}
 	}
 }
 

@@ -86,7 +86,7 @@ func (tr *Tracer) PokeText(pc int, in isa.Instr) error {
 		return fmt.Errorf("proc: PokeText out of range: %d", pc)
 	}
 	tr.p.penalty(tr.p.opts.Costs.Mprotect + tr.p.opts.Costs.PokeText + tr.p.opts.Costs.Mprotect)
-	tr.p.Text[pc] = in
+	tr.p.WriteText(pc, in)
 	return nil
 }
 
@@ -168,6 +168,7 @@ func (l *LibPG2) InjectCode(name string, code []isa.Instr) (int, error) {
 	cost := l.p.opts.Costs.Mprotect + uint64(len(code))*l.p.opts.Costs.AgentPokeText + l.p.opts.Costs.Mprotect
 	l.p.penalty(cost)
 	l.p.Text = append(l.p.Text, code...)
+	l.p.textGen++
 	l.p.Funcs = append(l.p.Funcs, isa.Function{Name: name, Entry: entry, Size: len(code)})
 	l.p.sigstop = true // notify the tracer that injection completed
 	return entry, nil
@@ -187,6 +188,6 @@ func (l *LibPG2) PokeText(pc int, in isa.Instr) error {
 		return fmt.Errorf("proc: agent PokeText out of range: %d", pc)
 	}
 	l.p.penalty(l.p.opts.Costs.Mprotect + l.p.opts.Costs.AgentPokeText + l.p.opts.Costs.Mprotect)
-	l.p.Text[pc] = in
+	l.p.WriteText(pc, in)
 	return nil
 }
