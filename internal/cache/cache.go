@@ -176,6 +176,23 @@ func (l *level) front(line Line) bool {
 	return l.ways[int(line&l.setMask)*l.cfg.Assoc] == (line+1)<<1
 }
 
+// second takes the hit a lookup would find at the set's second way with the
+// mark clear, as the two-word swap that lookup's shift is at that position,
+// and reports whether the line was there. A 1-way level has no second way.
+func (l *level) second(line Line) bool {
+	if l.cfg.Assoc < 2 {
+		return false
+	}
+	b := int(line&l.setMask) * l.cfg.Assoc
+	key := (line + 1) << 1
+	if l.ways[b+1] != key {
+		return false
+	}
+	l.ways[b+1] = l.ways[b]
+	l.ways[b] = key
+	return true
+}
+
 // clearPF clears the unused-prefetch mark if the line is present, so a line
 // consumed at an upper level is not later miscounted as a useless prefetch.
 func (l *level) clearPF(line Line) {
@@ -243,12 +260,17 @@ type Hierarchy struct {
 	dramFree    uint64  // next cycle the DRAM controller is free
 	maxComplete uint64  // latest in-flight completion, for a fast skip
 	inflight    []mshr
-	inflightSig uint64     // bit line&63 is set for every unconsumed entry's line
-	sigCount    [64]uint16 // unconsumed entries per signature bit
+	inflightSig [sigBits / 64]uint64 // bit line%sigBits is set for every unconsumed entry's line
+	sigCount    [sigBits]uint16      // unconsumed entries per signature bit
 	stride      []strideEntry
-	strideRecip uint64 // floor((2^64-1) / len(stride)), for strideIndex
+	strideMask  uint64 // len(stride)-1, for strideIndex when that is a power of two
+	strideRecip uint64 // floor((2^64-1) / len(stride)) otherwise, and 0 for a power of two
 	stats       Stats
 }
+
+// sigBits is the width of the MSHR signature: wide enough that a line not in
+// flight almost never shares a bit with one that is.
+const sigBits = 1024
 
 // New builds a hierarchy from the configuration.
 func New(cfg Config) *Hierarchy {
@@ -260,8 +282,13 @@ func New(cfg Config) *Hierarchy {
 		inflight: make([]mshr, cfg.DRAM.MSHRs),
 	}
 	if cfg.Stride.Enabled {
-		h.stride = make([]strideEntry, cfg.Stride.TableSize)
-		h.strideRecip = ^uint64(0) / uint64(cfg.Stride.TableSize)
+		n := uint64(cfg.Stride.TableSize)
+		h.stride = make([]strideEntry, n)
+		if n&(n-1) == 0 {
+			h.strideMask = n - 1
+		} else {
+			h.strideRecip = ^uint64(0) / n
+		}
 	}
 	return h
 }
@@ -283,8 +310,8 @@ func (h *Hierarchy) Reset() {
 	h.dramFree = 0
 	h.maxComplete = 0
 	clear(h.inflight)
-	h.inflightSig = 0
-	h.sigCount = [64]uint16{}
+	h.inflightSig = [sigBits / 64]uint64{}
+	h.sigCount = [sigBits]uint16{}
 	if h.stride != nil {
 		clear(h.stride)
 	}
@@ -293,7 +320,7 @@ func (h *Hierarchy) Reset() {
 // findInflight returns the MSHR index tracking the line (still in flight at
 // the given cycle), or -1.
 func (h *Hierarchy) findInflight(line Line, now uint64) int {
-	if h.inflightSig>>(line&63)&1 == 0 {
+	if h.inflightSig[line/64%(sigBits/64)]>>(line%64)&1 == 0 {
 		return -1
 	}
 	for i := range h.inflight {
@@ -322,16 +349,16 @@ func (h *Hierarchy) allocInflight(now uint64) int {
 // entry is written as the zero mshr.
 func (h *Hierarchy) setInflight(slot int, e mshr) {
 	if old := h.inflight[slot]; old.complete != 0 {
-		b := old.line & 63
+		b := old.line % sigBits
 		if h.sigCount[b]--; h.sigCount[b] == 0 {
-			h.inflightSig &^= 1 << b
+			h.inflightSig[b/64] &^= 1 << (b % 64)
 		}
 	}
 	h.inflight[slot] = e
 	if e.complete != 0 {
-		b := e.line & 63
+		b := e.line % sigBits
 		h.sigCount[b]++
-		h.inflightSig |= 1 << b
+		h.inflightSig[b/64] |= 1 << (b % 64)
 	}
 }
 
@@ -430,7 +457,11 @@ func (h *Hierarchy) Access(pc uint64, addr mem.Addr, now uint64) Result {
 	res := h.demandLookup(line, now)
 
 	if h.stride != nil {
-		h.strideObserve(pc, line, now+res.Cycles)
+		// An entry that already saw this PC at this line learns nothing
+		// from seeing it again, and most accesses are such repeats.
+		if e := &h.stride[h.strideIndex(pc)]; e.pc != pc || e.last != line {
+			h.strideObserve(e, pc, line, now+res.Cycles)
+		}
 	}
 	return res
 }
@@ -459,8 +490,9 @@ func (h *Hierarchy) demandLookup(line Line, now uint64) Result {
 		}
 	}
 	// The commonest access of all, a consumed line still most recently used
-	// in its L1 set, changes nothing and needs no directory read.
-	if h.l1.front(line) {
+	// in its L1 set, changes nothing and needs no directory read; the next
+	// commonest, the same line one way down, is lookup's shift as a swap.
+	if h.l1.front(line) || h.l1.second(line) {
 		h.stats.L1Hits++
 		return Result{Cycles: h.cfg.L1.Latency, Level: 1}
 	}
@@ -546,9 +578,13 @@ func (h *Hierarchy) Prefetch(addr mem.Addr, now uint64, kind AccessKind) bool {
 	return true
 }
 
-// strideIndex is pc % len(h.stride) without the division: the high word of
-// pc * strideRecip is the quotient or one less, for any pc and table size.
+// strideIndex is pc % len(h.stride) without the division: a mask for a
+// power-of-two table, and otherwise the high word of pc * strideRecip, which
+// is the quotient or one less, for any pc and table size.
 func (h *Hierarchy) strideIndex(pc uint64) uint64 {
+	if h.strideRecip == 0 {
+		return pc & h.strideMask
+	}
 	n := uint64(len(h.stride))
 	q, _ := bits.Mul64(pc, h.strideRecip)
 	i := pc - q*n
@@ -558,18 +594,15 @@ func (h *Hierarchy) strideIndex(pc uint64) uint64 {
 	return i
 }
 
-// strideObserve trains the stride table on a demand access and issues
-// hardware prefetches once confident.
-func (h *Hierarchy) strideObserve(pc uint64, line Line, now uint64) {
-	e := &h.stride[h.strideIndex(pc)]
+// strideObserve trains the PC's stride table entry e on a demand access and
+// issues hardware prefetches once confident. The caller has skipped the
+// access that would teach nothing: e already holding this PC at this line.
+func (h *Hierarchy) strideObserve(e *strideEntry, pc uint64, line Line, now uint64) {
 	if e.pc != pc {
 		*e = strideEntry{pc: pc, last: line}
 		return
 	}
 	d := int64(line) - int64(e.last)
-	if d == 0 {
-		return // same line; no information
-	}
 	if d == e.stride {
 		e.conf++
 	} else {

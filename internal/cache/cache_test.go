@@ -3,6 +3,8 @@ package cache
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"rpg2/internal/mem"
@@ -383,6 +385,46 @@ func (l *refLevel) install(line Line, clock uint64, isPF bool) (victim Line, vic
 	return victim, victimValid, victimPF
 }
 
+// rank returns the line's position in its set's recency order (0 = most
+// recently used, -1 = absent) and its unused-prefetch flag.
+func (l *refLevel) rank(line Line) (pos int, pf bool) {
+	base := int(line&l.setMask) * l.cfg.Assoc
+	tag := line + 1
+	for w := 0; w < l.cfg.Assoc; w++ {
+		if l.tags[base+w] != tag {
+			continue
+		}
+		for v := 0; v < l.cfg.Assoc; v++ {
+			if l.tags[base+v] != 0 && l.use[base+v] > l.use[base+w] {
+				pos++
+			}
+		}
+		return pos, l.pf[base+w]
+	}
+	return -1, false
+}
+
+// order returns the line's set as the level packs it: the valid ways most
+// recently used first, (tag)<<1 | pf, then zeroes for the invalid ones.
+func (l *refLevel) order(line Line) []uint64 {
+	base := int(line&l.setMask) * l.cfg.Assoc
+	var ws []int
+	for w := base; w < base+l.cfg.Assoc; w++ {
+		if l.tags[w] != 0 {
+			ws = append(ws, w)
+		}
+	}
+	sort.Slice(ws, func(i, j int) bool { return l.use[ws[i]] > l.use[ws[j]] })
+	set := make([]uint64, l.cfg.Assoc)
+	for i, w := range ws {
+		set[i] = l.tags[w] << 1
+		if l.pf[w] {
+			set[i] |= 1
+		}
+	}
+	return set
+}
+
 func (l *refLevel) reset() {
 	clear(l.tags)
 	clear(l.use)
@@ -417,6 +459,20 @@ func levelOps(t *testing.T, assoc, sets int, ops []byte) {
 			return gp
 		}
 		switch {
+		case op < 1:
+			// second is lookup's hit at position 1 with the mark clear,
+			// and nothing else: it must answer exactly that and leave
+			// the reference's set order.
+			pos, pf := ref.rank(line)
+			if g := got.second(line); g != (pos == 1 && !pf) {
+				t.Fatalf("op %d: second(%d) = %v, reference holds it at position %d (pf %v)", i/2, line, g, pos, pf)
+			} else if g {
+				ref.lookup(line, clock)
+			}
+			set, _ := got.set(line)
+			if want := ref.order(line); !slices.Equal(set, want) {
+				t.Fatalf("op %d: after second(%d) set %v, reference %v", i/2, line, set, want)
+			}
 		case op < 5:
 			gh, gp := got.lookup(line)
 			rh, rp := ref.lookup(line, clock)
@@ -805,14 +861,15 @@ func hierarchyOps(t *testing.T, cfg Config, nearCap bool, ops []byte) {
 			}
 		}
 		sameStats(i/4, "the operation")
-		var sig uint64
+		var sig [sigBits / 64]uint64
 		for _, e := range got.inflight {
 			if e.complete != 0 {
-				sig |= 1 << (e.line & 63)
+				b := e.line % sigBits
+				sig[b/64] |= 1 << (b % 64)
 			}
 		}
 		if got.inflightSig != sig {
-			t.Fatalf("op %d: MSHR signature %#x, the table's unconsumed entries make %#x", i/4, got.inflightSig, sig)
+			t.Fatalf("op %d: MSHR signature %x, the table's unconsumed entries make %x", i/4, got.inflightSig, sig)
 		}
 	}
 	if len(got.where) > dirCap {
@@ -860,6 +917,18 @@ func TestHierarchyMatchesReference(t *testing.T) {
 		ops := make([]byte, 4*(1+rng.Intn(1500)))
 		rng.Read(ops)
 		hierarchyOps(t, hierarchyConfig(g[0], g[1], g[2], g[3], g[4]), round%8 == 0, ops)
+	}
+	// A 1-way L1 has no second way for the demand path's swap to read:
+	// every set count, under a 2-way and a 16-way L2 and L3, stride engine
+	// on and off.
+	for _, g1 := range []byte{0, 4, 8} {
+		for _, g23 := range []byte{1, 3} {
+			for stride := byte(0); stride < 3; stride++ {
+				ops := make([]byte, 4*1500)
+				rng.Read(ops)
+				hierarchyOps(t, hierarchyConfig(g1, g23, g23, stride, 3), false, ops)
+			}
+		}
 	}
 }
 

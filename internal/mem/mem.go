@@ -61,16 +61,18 @@ const (
 	maxIndexPages = 1 << 20
 )
 
-// ambiguous marks an index page that more than one segment overlaps.
-var ambiguous = new(Segment)
+// ambiguous marks an index page that more than one segment overlaps, and
+// unmapped one that none does. Neither contains an address, so a page's one
+// segment can be tested without first testing for them.
+var ambiguous, unmapped = new(Segment), new(Segment)
 
 // AddrSpace is a process's data address space: an ordered set of segments.
 type AddrSpace struct {
 	segs []*Segment
 	next Addr
 	// pages maps addr>>pageShift to the one segment overlapping that
-	// page, nil when there is none and ambiguous when MapAt put several
-	// there. It is built from each segment's length at map time.
+	// page, unmapped when there is none and ambiguous when MapAt put
+	// several there. It is built from each segment's length at map time.
 	pages []*Segment
 }
 
@@ -124,10 +126,14 @@ func (as *AddrSpace) index(s *Segment) {
 		return
 	}
 	if n := int(last) + 1; n > len(as.pages) {
-		as.pages = append(as.pages, make([]*Segment, n-len(as.pages))...)
+		old := len(as.pages)
+		as.pages = append(as.pages, make([]*Segment, n-old)...)
+		for p := old; p < n; p++ {
+			as.pages[p] = unmapped
+		}
 	}
 	for p := first; p <= last; p++ {
-		if as.pages[p] == nil {
+		if as.pages[p] == unmapped {
 			as.pages[p] = s
 		} else {
 			as.pages[p] = ambiguous
@@ -139,7 +145,7 @@ func (as *AddrSpace) index(s *Segment) {
 func (as *AddrSpace) Lookup(a Addr) *Segment {
 	if p := a >> pageShift; p < uint64(len(as.pages)) {
 		s := as.pages[p]
-		if s == nil || s.Contains(a) {
+		if s.Contains(a) {
 			return s
 		}
 		if s != ambiguous {
@@ -163,23 +169,38 @@ func (as *AddrSpace) scan(a Addr) *Segment {
 // Mapped reports whether the address is mapped.
 func (as *AddrSpace) Mapped(a Addr) bool { return as.Lookup(a) != nil }
 
+// word returns the address's word, or nil if unmapped. The common case,
+// an address the one segment of its index page holds, is settled here;
+// Lookup decides the rest (unmapped and ambiguous pages, and addresses
+// past the index).
+func (as *AddrSpace) word(a Addr) *uint64 {
+	if p := a >> pageShift; p < uint64(len(as.pages)) {
+		s := as.pages[p]
+		if i := a - s.Base; i < uint64(len(s.Data)) {
+			return &s.Data[i]
+		}
+	}
+	if s := as.Lookup(a); s != nil {
+		return &s.Data[a-s.Base]
+	}
+	return nil
+}
+
 // Read returns the word at the address, or false if unmapped.
 func (as *AddrSpace) Read(a Addr) (uint64, bool) {
-	s := as.Lookup(a)
-	if s == nil {
-		return 0, false
+	if w := as.word(a); w != nil {
+		return *w, true
 	}
-	return s.Data[a-s.Base], true
+	return 0, false
 }
 
 // Write stores a word at the address; it reports false if unmapped.
 func (as *AddrSpace) Write(a Addr, v uint64) bool {
-	s := as.Lookup(a)
-	if s == nil {
-		return false
+	if w := as.word(a); w != nil {
+		*w = v
+		return true
 	}
-	s.Data[a-s.Base] = v
-	return true
+	return false
 }
 
 // Segments returns the mapped segments in address order.

@@ -135,11 +135,15 @@ func layoutFromBytes(ops []byte) *AddrSpace {
 	return as
 }
 
-// checkLookup holds Lookup, Mapped and Read to the linear scan at a.
+// checkLookup holds Lookup, Mapped, Read and Write to the linear scan at a.
 func checkLookup(t *testing.T, as *AddrSpace, a Addr) {
 	t.Helper()
 	want := as.scan(a)
-	if got := as.Lookup(a); got != want {
+	got := as.Lookup(a)
+	if got == unmapped || got == ambiguous {
+		t.Fatalf("Lookup(%#x) returned an index sentinel", a)
+	}
+	if got != want {
 		t.Fatalf("Lookup(%#x) = %v, scan says %v", a, got, want)
 	}
 	v, ok := as.Read(a)
@@ -148,6 +152,17 @@ func checkLookup(t *testing.T, as *AddrSpace, a Addr) {
 	}
 	if ok && v != want.Data[a-want.Base] {
 		t.Fatalf("Read(%#x) = %d, want %d", a, v, want.Data[a-want.Base])
+	}
+	// Write lands in the scanned segment's word, and fails where the scan
+	// finds nothing; the word is put back so later probes read the layout.
+	if w := as.Write(a, ^v); w != ok {
+		t.Fatalf("Write(%#x) = %v, scan says %v", a, w, want)
+	}
+	if ok {
+		if got := want.Data[a-want.Base]; got != ^v {
+			t.Fatalf("Write(%#x, %d) left %d in segment %q", a, ^v, got, want.Name)
+		}
+		want.Data[a-want.Base] = v
 	}
 }
 

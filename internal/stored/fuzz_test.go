@@ -1,0 +1,158 @@
+package stored
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"rpg2/internal/store"
+	"rpg2/internal/wal"
+)
+
+// stateFiles runs a persisting daemon through commits, a guarded
+// invalidation and a snapshot roll, and returns the journal and snapshot it
+// leaves: epoch 2 on both, one entry in the snapshot, one commit after it.
+func stateFiles(f *testing.F) (journal, snapshot []byte) {
+	dir := f.TempDir()
+	s, err := New(Config{StateDir: dir, Fsync: wal.SyncAlways, SnapshotEvery: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	is, cg := store.Key{Bench: "is", Machine: "cascadelake"}, store.Key{Bench: "cg", Machine: "haswell"}
+	gen := s.commit(CommitReq{Key: is, Entry: store.Entry{Func: "f", Candidates: []int{3, 9}, Distance: 12}}).(GenResp).Gen
+	s.commit(CommitReq{Key: cg, Entry: store.Entry{Func: "g", Distance: 4, BaselineRate: 0.5}})
+	s.invalidate(GenReq{Key: is, Gen: gen})
+	if err := s.persist.snapshot(s.store.Export()); err != nil {
+		f.Fatal(err)
+	}
+	s.commit(CommitReq{Key: is, Entry: store.Entry{Func: "f", Distance: 16}})
+	s.persist.close()
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	return read(journalFile), read(snapshotFile)
+}
+
+// payloadLines is a WAL file's payloads joined by newlines: the form the
+// fuzz function frames back into records.
+func payloadLines(f *testing.F, data []byte) []byte {
+	path := filepath.Join(f.TempDir(), "log.wal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		f.Fatal(err)
+	}
+	recs, _, err := wal.ReadAll(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return bytes.Join(recs, []byte("\n"))
+}
+
+// FuzzReadLog feeds arbitrary bytes to recovery as the daemon's
+// store-journal.wal and store-snapshot.wal. With framed set, each input is
+// split into lines that are written as well-formed WAL records, so the
+// fuzzer reaches readLog's record decoding behind the checksums; without it
+// the bytes land on disk as they are. Whatever the files hold, readLog must
+// not panic or fail, its epoch must be the last epoch record's, every other
+// record must come back in order, and a frame that is not JSON must be
+// skipped with its neighbours kept; openPersister must recover at the
+// larger of the two epochs.
+func FuzzReadLog(f *testing.F) {
+	journal, snapshot := stateFiles(f)
+	f.Add(journal, snapshot, false)
+	f.Add(payloadLines(f, journal), payloadLines(f, snapshot), true)
+	f.Add([]byte(`{"op":"epoch","epoch":3}
+{"op":"commit","key":{"bench":"is"},"entry":{"func":"f","distance":12}}
+{"op":"epoch","epoch":5}
+{"op":"invalidate","key":{"bench":"is"}}
+{"op":"commit","key":{"bench":"cg"},"entry":null}`),
+		[]byte(`{"op":"epoch","epoch":5}
+{"op":"entry","key":{"bench":"cg"},"entry":{"func":"g","candidates":[1,2],"distance":4}}
+{"op":"epoch","epoch":"6"}
+{"op":7}`), true)
+	f.Add([]byte{}, []byte{}, false)
+
+	f.Fuzz(func(t *testing.T, journal, snapshot []byte, framed bool) {
+		dir := t.TempDir()
+		var epochs [2]uint64
+		for i, file := range []struct {
+			name string
+			data []byte
+		}{{journalFile, journal}, {snapshotFile, snapshot}} {
+			path := filepath.Join(dir, file.name)
+			var err error
+			if framed {
+				err = wal.WriteAtomic(path, bytes.Split(file.data, []byte("\n")))
+			} else {
+				err = os.WriteFile(path, file.data, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			epoch, recs, err := readLog(path, file.name)
+			if err != nil {
+				t.Fatalf("readLog(%s): %v", file.name, err)
+			}
+			epochs[i] = epoch
+
+			payloads, _, err := wal.ReadAll(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantEpoch uint64
+			var want []opRecord
+			for _, raw := range payloads {
+				var rec opRecord
+				switch {
+				case json.Unmarshal(raw, &rec) != nil:
+				case rec.Op == "epoch":
+					wantEpoch = rec.Epoch
+				default:
+					want = append(want, rec)
+				}
+			}
+			if epoch != wantEpoch {
+				t.Fatalf("%s: epoch %d, the last epoch record says %d", file.name, epoch, wantEpoch)
+			}
+			if len(recs) != len(want) || (len(want) > 0 && !reflect.DeepEqual(recs, want)) {
+				t.Fatalf("%s: records %+v, want %+v", file.name, recs, want)
+			}
+
+			// The same records with a frame that is not JSON after each
+			// one read back the same.
+			noisy := make([][]byte, 0, 2*len(payloads)+1)
+			noisy = append(noisy, []byte("{"))
+			for _, raw := range payloads {
+				noisy = append(noisy, raw, []byte(`{"op":`))
+			}
+			noisyPath := path + ".noisy"
+			if err := wal.WriteAtomic(noisyPath, noisy); err != nil {
+				t.Fatal(err)
+			}
+			nEpoch, nRecs, err := readLog(noisyPath, file.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nEpoch != epoch || !reflect.DeepEqual(nRecs, recs) {
+				t.Fatalf("%s: a skipped frame beside each record changed the read: epoch %d, %+v; want %d, %+v", file.name, nEpoch, nRecs, epoch, recs)
+			}
+			if err := os.Remove(noisyPath); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		p, entries, err := openPersister(Config{StateDir: dir})
+		if err != nil {
+			t.Fatalf("openPersister: %v", err)
+		}
+		if p.epoch != max(epochs[0], epochs[1]) || p.recoveredEntries != len(entries) {
+			t.Fatalf("recovered epoch %d with %d entries (%d returned); the files' epochs are %v", p.epoch, p.recoveredEntries, len(entries), epochs)
+		}
+	})
+}
