@@ -216,20 +216,23 @@ func (l *level) present(line Line) bool {
 	return false
 }
 
-// fill installs a line the caller has just probed for and missed; it returns
-// the evicted LRU line and whether that was an unused prefetch.
-func (l *level) fill(line Line, isPF bool) (victim Line, victimValid, victimPF bool) {
-	set, key := l.set(line)
-	tail := set[len(set)-1]
+// push makes w, the line's packed word, its set's most recently used way and
+// returns the tail word it dropped: 0 for an invalid way.
+func (l *level) push(line Line, w uint64) (tail uint64) {
+	set, _ := l.set(line)
+	tail = set[len(set)-1]
 	copy(set[1:], set)
+	set[0] = w
+	return tail
+}
+
+// packed is the line's way word, with the unused-prefetch mark if isPF.
+func packed(line Line, isPF bool) uint64 {
+	w := (line + 1) << 1
 	if isPF {
-		key |= 1
+		w |= 1
 	}
-	set[0] = key
-	if tail == 0 {
-		return 0, false, false
-	}
-	return tail>>1 - 1, true, tail&1 != 0
+	return w
 }
 
 func (l *level) reset() { clear(l.ways) }
@@ -401,21 +404,20 @@ func (h *Hierarchy) heldUntracked(line Line) uint8 {
 	return m
 }
 
-// fill installs a line that level l (directory bit) does not hold, and moves
-// the bit from the victim the level reports to the line: the only place
-// residency changes, so the directory is exact.
-func (h *Hierarchy) fill(l *level, bit uint8, line Line, isPF bool) (victimPF bool) {
-	victim, vValid, vPF := l.fill(line, isPF)
-	if vValid && victim < Line(len(h.where)) {
+// push pushes the line's packed word w into level l (directory bit), which
+// does not hold the line, and clears the bit of the line the level dropped;
+// the caller sets the line's own bit. Fills are the only place residency
+// changes, so the directory is exact. It reports whether the dropped line
+// was an unused prefetch.
+func (h *Hierarchy) push(l *level, bit uint8, line Line, w uint64) (victimPF bool) {
+	tail := l.push(line, w)
+	if tail == 0 {
+		return false
+	}
+	if victim := tail>>1 - 1; victim < Line(len(h.where)) {
 		h.where[victim] &^= bit
 	}
-	if line < dirCap {
-		if line >= Line(len(h.where)) {
-			h.growDir(line)
-		}
-		h.where[line] |= bit
-	}
-	return vValid && vPF
+	return tail&1 != 0
 }
 
 // growDir extends the directory to cover the line, at least doubling it.
@@ -427,23 +429,53 @@ func (h *Hierarchy) growDir(line Line) {
 }
 
 // fillAll fills a line absent from every level into every level (an
-// inclusive hierarchy), and tracks useless-prefetch victims.
+// inclusive hierarchy), and tracks useless-prefetch victims. The line held
+// no level, so once each victim's bit is cleared its directory byte is
+// stored whole.
 func (h *Hierarchy) fillAll(line Line, isPF bool) {
-	h.fill(h.l1, inL1, line, isPF)
-	h.fill(h.l2, inL2, line, isPF)
-	if h.fill(h.l3, inL3, line, isPF) {
+	w := packed(line, isPF)
+	h.push(h.l1, inL1, line, w)
+	h.push(h.l2, inL2, line, w)
+	if h.push(h.l3, inL3, line, w) {
 		h.stats.UselessPF++
+	}
+	if line < dirCap {
+		if line >= Line(len(h.where)) {
+			h.growDir(line)
+		}
+		h.where[line] = inL1 | inL2 | inL3
 	}
 }
 
-// install fills a line that may already be in the level; if it is, it is
-// consumed in place exactly as a lookup hit consumes it.
+// refill fills a line a lower level holds (held, its directory bits) into
+// the levels above it: L1 on an L2 hit, L1 and L2 on an L3 hit. A held line
+// below the cap already has a directory byte, so one |= marks it.
+func (h *Hierarchy) refill(line Line, held uint8) {
+	w := packed(line, false)
+	bits := uint8(inL1)
+	h.push(h.l1, inL1, line, w)
+	if held&inL2 == 0 {
+		h.push(h.l2, inL2, line, w)
+		bits |= inL2
+	}
+	if line < dirCap {
+		h.where[line] |= bits
+	}
+}
+
+// install fills an in-flight line into level l (directory bit), where it may
+// still be; if it is, it is consumed in place exactly as a lookup hit
+// consumes it. Its fill at issue grew the directory to cover it.
 func (h *Hierarchy) install(l *level, bit, held uint8, line Line) (victimPF bool) {
 	if held&bit != 0 {
 		l.lookup(line)
 		return false
 	}
-	return h.fill(l, bit, line, false)
+	victimPF = h.push(l, bit, line, packed(line, false))
+	if line < dirCap {
+		h.where[line] |= bit
+	}
+	return victimPF
 }
 
 // Access performs a demand load or store at word address addr, issued by the
@@ -520,7 +552,7 @@ func (h *Hierarchy) demandLookup(line Line, now uint64) Result {
 				h.l3.clearPF(line)
 			}
 		}
-		h.fill(h.l1, inL1, line, false)
+		h.refill(line, held)
 		return Result{Cycles: h.cfg.L2.Latency, Level: 2}
 	case held&inL3 != 0:
 		_, wasPF := h.l3.lookup(line)
@@ -528,8 +560,7 @@ func (h *Hierarchy) demandLookup(line Line, now uint64) Result {
 		if wasPF {
 			h.stats.TimelyPF++
 		}
-		h.fill(h.l1, inL1, line, false)
-		h.fill(h.l2, inL2, line, false)
+		h.refill(line, held)
 		return Result{Cycles: h.cfg.L3.Latency, Level: 3}
 	}
 	// Full miss: occupy a DRAM service slot.
@@ -556,6 +587,12 @@ func (h *Hierarchy) Prefetch(addr mem.Addr, now uint64, kind AccessKind) bool {
 	if h.held(line) != 0 {
 		return false
 	}
+	return h.issue(line, now)
+}
+
+// issue starts a prefetch fill of a line no level holds, unless the line is
+// already in flight or every MSHR is busy, and reports whether it started.
+func (h *Hierarchy) issue(line Line, now uint64) bool {
 	if h.findInflight(line, now) >= 0 {
 		return false
 	}
@@ -616,14 +653,12 @@ func (h *Hierarchy) strideObserve(e *strideEntry, pc uint64, line Line, now uint
 			if next < 0 {
 				break
 			}
-			// A line some level holds is all Prefetch would count and
-			// drop; most candidates are, so skip the call for them.
-			addr := mem.Addr(next) << lineShift
-			if h.held(LineOf(addr)) != 0 {
-				h.stats.HWPrefetches++
-				continue
+			// Prefetch's count and held test, inline: most candidates
+			// are held, and are counted and dropped without a call.
+			h.stats.HWPrefetches++
+			if c := LineOf(mem.Addr(next) << lineShift); h.held(c) == 0 {
+				h.issue(c, now)
 			}
-			h.Prefetch(addr, now, HardwarePrefetch)
 		}
 	}
 }

@@ -310,6 +310,17 @@ type refLevel struct {
 	pf      []bool   // line was brought in by a prefetch and not yet used
 }
 
+// fill installs a line the caller has just probed for and missed, as one
+// push, and decodes the word push dropped into the evicted LRU line and
+// whether that was an unused prefetch: the form refLevel.install answers in.
+func (l *level) fill(line Line, isPF bool) (victim Line, victimValid, victimPF bool) {
+	tail := l.push(line, packed(line, isPF))
+	if tail == 0 {
+		return 0, false, false
+	}
+	return tail>>1 - 1, true, tail&1 != 0
+}
+
 func newRefLevel(cfg LevelConfig) *refLevel {
 	sets := cfg.Lines / cfg.Assoc
 	return &refLevel{

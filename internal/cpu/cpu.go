@@ -188,6 +188,7 @@ func (c *Core) RunUntil(t *Thread, text []isa.Instr, as *mem.AddrSpace, bound ui
 	var err error
 	r := &t.Regs
 	ops := c.opsFor(text)
+	memos := c.memosFor(as, len(ops))[:len(ops)] // the reslice lets memos[pc] go unchecked
 	watches := c.Watches
 	hier := c.hier
 	branchCost := c.cfg.BranchCost
@@ -250,11 +251,15 @@ loop:
 			fallthrough
 		case opLoad:
 			addr := r[o.rs1&15] + o.imm + idx
-			v, ok := as.Read(addr)
-			if !ok {
-				t.Fault = &mem.Fault{Addr: addr}
-				break loop
+			m := &memos[pc]
+			w := m.word(addr)
+			if w == nil {
+				if w = m.refresh(as, addr); w == nil {
+					t.Fault = &mem.Fault{Addr: addr}
+					break loop
+				}
 			}
+			v := *w
 			// Cache hits pay their level latency directly; LLC misses
 			// enter the MLP window and fire the hook, which still runs
 			// before the load's write-back.
@@ -275,10 +280,15 @@ loop:
 			fallthrough
 		case opStore:
 			addr := r[o.rs1&15] + o.imm + idx
-			if !as.Write(addr, r[o.rd&15]) {
-				t.Fault = &mem.Fault{Addr: addr, Write: true}
-				break loop
+			m := &memos[pc]
+			w := m.word(addr)
+			if w == nil {
+				if w = m.refresh(as, addr); w == nil {
+					t.Fault = &mem.Fault{Addr: addr, Write: true}
+					break loop
+				}
 			}
+			*w = r[o.rd&15]
 			// Stores occupy the fill path (write-allocate) but do not stall
 			// the core: store-miss latency hides behind the store buffer.
 			hier.Access(uint64(pc), addr, now)
@@ -287,8 +297,10 @@ loop:
 			fallthrough
 		case opPrefetch:
 			addr := r[o.rs1&15] + o.imm + idx
-			// Prefetch never faults: unmapped addresses are dropped.
-			if as.Mapped(addr) {
+			// Prefetch never faults: unmapped addresses are dropped. A
+			// mapped one's word is prefetched on the host too, for the
+			// demand access it runs ahead of.
+			if as.Prefetch(addr) {
 				hier.Prefetch(addr, now, cache.SoftwarePrefetch)
 			}
 		case opBrEQ:

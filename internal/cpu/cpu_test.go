@@ -599,6 +599,80 @@ func TestWatchIgnoresPCsItCannotSee(t *testing.T) {
 	}
 }
 
+// TestRunUntilMemoFollowsAddressSpace runs one core over one text against two
+// address spaces in turn. Their data segments sit at different bases but
+// overlap in address, so a segment memo carried from one space into the
+// other would load and store the other space's words: in A the loop's store
+// walks off the segment's end into the guard gap and faults, in B it stays
+// mapped and the thread halts. Every run must leave the registers, PC,
+// fault, clock, retired count and all 13 cache.Stats a fresh core leaves.
+func TestRunUntilMemoFollowsAddressSpace(t *testing.T) {
+	a := isa.NewAsm("main")
+	a.MovImm(0, 9216) // mapped in both spaces, by different segments
+	a.MovImm(1, 0)    // sum
+	a.Label("loop")
+	a.Load(2, 0, 0)
+	a.Add(1, 1, 2)
+	a.Prefetch(0, 64)
+	a.Store(0, 600, 1)
+	a.AddImm(0, 0, 3)
+	a.BrImm(isa.LT, 0, 9216+512, "loop")
+	a.Halt()
+	bin, err := isa.NewProgram("main").Add(a).Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := func(base mem.Addr, mul uint64) *mem.AddrSpace {
+		as := mem.NewAddrSpace()
+		data := make([]uint64, 2048)
+		for i := range data {
+			data[i] = uint64(i)*mul + 1
+		}
+		if _, err := as.MapAt("data", base, data); err != nil {
+			t.Fatal(err)
+		}
+		return as
+	}
+	spaces := []*mem.AddrSpace{space(8192, 7), space(9216, 13)}
+	type outcome struct {
+		regs         [isa.NumRegs]uint64
+		pc           int
+		fault        mem.Fault
+		faulted      bool
+		now, retired uint64
+		stats        cache.Stats
+	}
+	run := func(c *Core, as *mem.AddrSpace) outcome {
+		th := &Thread{}
+		for th.Runnable() {
+			if err := c.RunUntil(th, bin.Text, as, c.Now+1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		o := outcome{regs: th.Regs, pc: th.PC, faulted: th.Fault != nil, now: c.Now, retired: c.Instructions,
+			stats: c.Hierarchy().Stats()}
+		if th.Fault != nil {
+			o.fault = *th.Fault
+		}
+		return o
+	}
+	shared := New(Config{MLP: 2}, testHier())
+	for round := 0; round < 6; round++ {
+		as := spaces[round%2]
+		shared.Hierarchy().Reset()
+		shared.Now, shared.Instructions = 0, 0
+		shared.ResetWindow()
+		got := run(shared, as)
+		want := run(New(Config{MLP: 2}, testHier()), as)
+		if got != want {
+			t.Fatalf("round %d: the shared core left\n%+v\na fresh core\n%+v", round, got, want)
+		}
+		if got.faulted != (round%2 == 0) {
+			t.Fatalf("round %d: faulted %v, want a fault in A only", round, got.faulted)
+		}
+	}
+}
+
 // The decoded table costs each core at most 24 bytes per instruction.
 func TestOpIs24Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(op{}); n > 24 {

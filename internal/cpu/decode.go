@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"rpg2/internal/isa"
+	"rpg2/internal/mem"
 )
 
 // kind is an op's one dense dispatch value: the opcode with its addressing
@@ -150,12 +151,61 @@ type watchStamp struct {
 
 // decoded is a core's op table for the text it last ran, and what the table
 // was built from: the text's address, length and edit generation, and the
-// watch set its watched bits reflect.
+// watch set its watched bits reflect. Beside it, one segment memo per op,
+// and the address space the memos were filled from.
 type decoded struct {
 	ops     []op
 	base    *isa.Instr
 	gen     uint64
 	watches []watchStamp
+	memos   []segMemo
+	as      *mem.AddrSpace
+}
+
+// segMemo is the segment an op's load or store last touched: its base and
+// backing words. Segments are never unmapped or moved, so a memo is right
+// about every address it holds for as long as its address space lives; the
+// zero memo holds none.
+type segMemo struct {
+	base mem.Addr
+	data []uint64
+}
+
+// word returns the address's word if the memo's segment holds it, and nil
+// otherwise: a nil from word is decided by refresh.
+func (m *segMemo) word(a mem.Addr) *uint64 {
+	if i := a - m.base; i < uint64(len(m.data)) {
+		return &m.data[i]
+	}
+	return nil
+}
+
+// refresh points the memo at the segment of as holding the address and
+// returns the address's word, or returns nil if as does not map it.
+func (m *segMemo) refresh(as *mem.AddrSpace, a mem.Addr) *uint64 {
+	s := as.Lookup(a)
+	if s == nil {
+		return nil
+	}
+	m.base, m.data = s.Base, s.Data
+	return &s.Data[a-s.Base]
+}
+
+// memosFor returns the core's segment memos for an op table of n ops run
+// against as. Memos filled from another address space are cleared; a text
+// rebuild only resizes them, since the bounds test decides for any op.
+func (c *Core) memosFor(as *mem.AddrSpace, n int) []segMemo {
+	d := &c.dec
+	if as != d.as {
+		d.as = as
+		clear(d.memos[:cap(d.memos)]) // past len too: no stale segment kept alive
+	}
+	if n <= len(d.memos) {
+		d.memos = d.memos[:n]
+	} else {
+		d.memos = append(d.memos, make([]segMemo, n-len(d.memos))...)
+	}
+	return d.memos
 }
 
 // opsFor returns the core's op table for text, rebuilding it when the text

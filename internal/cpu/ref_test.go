@@ -341,6 +341,23 @@ func FuzzRunUntilMatchesReference(f *testing.F) {
 		}
 	}
 	f.Add(byte(1), branches)
+	// One load and one store PC each alternating between the data and the
+	// stack segment (r2 and r4 swap every iteration), r2 stepping down
+	// until one of them lands in a guard gap: the segment memo's refresh
+	// and its miss. Base-only (208 decodes to NoReg) and indexed forms.
+	for _, v := range []struct{ flags, idx, step byte }{{3, 208, 200}, {2 | 2<<2, 5, 248}} {
+		f.Add(v.flags, []byte{
+			byte(isa.Mov), 0, 4, byte(isa.SP), 208, 0, 0,
+			byte(isa.AddImm), 0, 4, 4, 208, 248, 0, // r4 = SP-8, in the stack
+			byte(isa.Load), 0, 1, 2, v.idx, 0, 0,
+			byte(isa.Store), 0, 1, 4, v.idx, 0, 0,
+			byte(isa.Mov), 0, 3, 2, 208, 0, 0,
+			byte(isa.Mov), 0, 2, 4, 208, 0, 0,
+			byte(isa.Mov), 0, 4, 3, 208, 0, 0,
+			byte(isa.AddImm), 0, 2, 2, 208, v.step, 0, // -56 or -8
+			byte(isa.Jmp), 0, 0, 0, 0, 0, 3, // to the load
+		})
+	}
 	f.Fuzz(func(t *testing.T, flags byte, prog []byte) {
 		text := fuzzProgram(prog)
 		got, ref := newFuzzRig(text, flags), newFuzzRig(text, flags)

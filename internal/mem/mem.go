@@ -169,6 +169,18 @@ func (as *AddrSpace) scan(a Addr) *Segment {
 // Mapped reports whether the address is mapped.
 func (as *AddrSpace) Mapped(a Addr) bool { return as.Lookup(a) != nil }
 
+// Prefetch reports whether the address is mapped and, if it is, asks the
+// host to bring the line backing its word into the host's cache, so a later
+// Read or Write of it does not wait on host memory. Nothing it does is
+// visible to the simulated machine, and an unmapped address is not touched.
+func (as *AddrSpace) Prefetch(a Addr) bool {
+	if w := as.word(a); w != nil {
+		hostPrefetch(w)
+		return true
+	}
+	return false
+}
+
 // word returns the address's word, or nil if unmapped. The common case,
 // an address the one segment of its index page holds, is settled here;
 // Lookup decides the rest (unmapped and ambiguous pages, and addresses

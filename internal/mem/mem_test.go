@@ -135,7 +135,10 @@ func layoutFromBytes(ops []byte) *AddrSpace {
 	return as
 }
 
-// checkLookup holds Lookup, Mapped, Read and Write to the linear scan at a.
+// checkLookup holds Lookup, Mapped, Prefetch, Read and Write to the linear
+// scan at a. Prefetch touches host memory only where the scan finds a word,
+// so on unmapped, guard-gap and ambiguous-page addresses it must return
+// false without faulting.
 func checkLookup(t *testing.T, as *AddrSpace, a Addr) {
 	t.Helper()
 	want := as.scan(a)
@@ -147,8 +150,8 @@ func checkLookup(t *testing.T, as *AddrSpace, a Addr) {
 		t.Fatalf("Lookup(%#x) = %v, scan says %v", a, got, want)
 	}
 	v, ok := as.Read(a)
-	if ok != (want != nil) || as.Mapped(a) != ok {
-		t.Fatalf("Read/Mapped(%#x) = %v, scan says %v", a, ok, want)
+	if ok != (want != nil) || as.Mapped(a) != ok || as.Prefetch(a) != ok {
+		t.Fatalf("Read/Mapped/Prefetch(%#x) = %v/%v/%v, scan says %v", a, ok, as.Mapped(a), as.Prefetch(a), want)
 	}
 	if ok && v != want.Data[a-want.Base] {
 		t.Fatalf("Read(%#x) = %d, want %d", a, v, want.Data[a-want.Base])
