@@ -9,7 +9,6 @@
 //	rpg2-fleetctl metrics
 //	rpg2-fleetctl events -since 0
 //	rpg2-fleetctl drift -since 0
-//	rpg2-fleetctl lookup -bench is
 //	rpg2-fleetctl batch -bench is,cg,mg -tenant alice -count 2
 //	rpg2-fleetctl health
 //
@@ -44,7 +43,7 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "rpg2-fleetctl: need a subcommand: submit | status | wait | result | metrics | events | drift | lookup | batch | health")
+		fmt.Fprintln(os.Stderr, "rpg2-fleetctl: need a subcommand: submit | status | wait | result | metrics | events | drift | batch | health")
 		os.Exit(2)
 	}
 
@@ -72,8 +71,6 @@ func main() {
 		err = runEvents(ctx, cli, rest)
 	case "drift":
 		err = runDrift(ctx, cli, rest)
-	case "lookup":
-		err = runLookup(ctx, cli, rest)
 	case "batch":
 		err = runBatch(ctx, cli, rest)
 	case "health":
@@ -88,8 +85,7 @@ func main() {
 
 // exitErr maps error classes to distinct exit codes so scripts can branch
 // without parsing messages: 3 = daemon backpressure (come back after the
-// printed Retry-After), 4 = unknown session or empty store lookup, 1 =
-// everything else.
+// printed Retry-After), 4 = unknown session, 1 = everything else.
 func exitErr(err error) {
 	var over *fleetclient.Overloaded
 	switch {
@@ -236,37 +232,6 @@ func runDrift(ctx context.Context, cli *fleetclient.Client, args []string) error
 		}
 		return nil
 	})
-}
-
-func runLookup(ctx context.Context, cli *fleetclient.Client, args []string) error {
-	fs := flag.NewFlagSet("lookup", flag.ExitOnError)
-	bench := fs.String("bench", "", "benchmark name (required)")
-	input := fs.String("input", "", "graph/synthetic input")
-	machine := fs.String("machine", "", "machine name (empty = daemon's machine)")
-	translated := fs.Bool("translated", false, "fall back to a sibling machine's translated profile")
-	fs.Parse(args)
-	if *bench == "" {
-		return errors.New("lookup: -bench is required")
-	}
-	k := fleet.Key{Bench: *bench, Input: *input, Machine: *machine}
-	var (
-		res fleetclient.LookupResult
-		err error
-	)
-	if *translated {
-		res, err = cli.LookupTranslated(ctx, k)
-	} else {
-		res, err = cli.Lookup(ctx, k)
-	}
-	if err != nil {
-		if errors.Is(err, fleetclient.ErrNotFound) {
-			// %w keeps the ErrFleetNotFound chain intact so exitErr maps
-			// this to its distinct exit code.
-			return fmt.Errorf("no profile for %s/%s: %w", *bench, *input, err)
-		}
-		return err
-	}
-	return printJSON(res)
 }
 
 func runBatch(ctx context.Context, cli *fleetclient.Client, args []string) error {

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -162,7 +163,8 @@ func Health(draining *atomic.Bool) http.HandlerFunc {
 }
 
 // DecodeJSON reads one JSON request body into v, capped at maxBytes (0:
-// the default 1 MiB; negative: uncapped). On failure it has already
+// the default 1 MiB; negative: uncapped). The body must hold exactly one
+// value: only whitespace may follow it. On failure it has already
 // answered — 413 past the cap, 400 for anything else, the body called what
 // in both messages — and reports false. strict additionally rejects
 // unknown fields.
@@ -178,16 +180,22 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, strict b
 	if strict {
 		dec.DisallowUnknownFields()
 	}
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			WriteErr(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, tooBig.Limit)
-		} else {
-			WriteErr(w, http.StatusBadRequest, "decode %s: %v", what, err)
+	err := dec.Decode(v)
+	if err == nil {
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			return true
 		}
-		return false
+		if err == nil {
+			err = errors.New("trailing data after the first value")
+		}
 	}
-	return true
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		WriteErr(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, tooBig.Limit)
+	} else {
+		WriteErr(w, http.StatusBadRequest, "decode %s: %v", what, err)
+	}
+	return false
 }
 
 // Serve is a daemon main's run loop: publish the bound address to addrFile

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"rpg2/internal/daemon"
 	"rpg2/internal/fleet"
 	"rpg2/internal/fleetd"
 	"rpg2/internal/machine"
@@ -131,5 +132,50 @@ func TestHTTPServerTimeoutsBothDaemons(t *testing.T) {
 		if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.WriteTimeout <= 0 || hs.IdleTimeout <= 0 {
 			t.Errorf("%s: HTTPServer leaves a timeout unset: %+v", name, hs)
 		}
+	}
+}
+
+// TestDecodeJSONOneValue: a request body is one JSON value and nothing
+// else. Whitespace may follow it (json.Encoder ends with a newline), but a
+// second value or garbage is a 400: running only the first value would
+// silently drop part of what the client sent.
+func TestDecodeJSONOneValue(t *testing.T) {
+	cases := []struct {
+		name     string
+		body     string
+		max      int64
+		strict   bool
+		wantOK   bool
+		wantCode int
+	}{
+		{"one value", `{"bench":"is"}`, 0, true, true, http.StatusOK},
+		{"encoder newline", "{\"bench\":\"is\"}\n", 0, true, true, http.StatusOK},
+		{"surrounding whitespace", " \t{\"bench\":\"is\"} \r\n\t", 0, false, true, http.StatusOK},
+		{"second value", `{"bench":"is"}{"bench":"cg"}`, 0, true, false, http.StatusBadRequest},
+		{"second value, lax", `{"bench":"is"}{"bench":"cg"}`, 0, false, false, http.StatusBadRequest},
+		{"trailing garbage", `{"bench":"is"} garbage`, 0, true, false, http.StatusBadRequest},
+		{"trailing number", `{"bench":"is"} 7`, 0, false, false, http.StatusBadRequest},
+		{"trailing close brace", `{"bench":"is"}}`, 0, false, false, http.StatusBadRequest},
+		{"empty body", ``, 0, false, false, http.StatusBadRequest},
+		{"unknown field, strict", `{"bench":"is","x":1}`, 0, true, false, http.StatusBadRequest},
+		{"unknown field, lax", `{"bench":"is","x":1}`, 0, false, true, http.StatusOK},
+		{"past the cap", `{"bench":"is"}`, 8, false, false, http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := httptest.NewRecorder()
+			r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(tc.body))
+			var v struct {
+				Bench string `json:"bench"`
+			}
+			ok := daemon.DecodeJSON(w, r, tc.max, tc.strict, "spec", &v)
+			if ok != tc.wantOK || w.Code != tc.wantCode {
+				t.Fatalf("DecodeJSON(%q) = %v, status %d (%s); want %v, status %d",
+					tc.body, ok, w.Code, strings.TrimSpace(w.Body.String()), tc.wantOK, tc.wantCode)
+			}
+			if ok && v.Bench != "is" {
+				t.Fatalf("decoded %+v, want bench is", v)
+			}
+		})
 	}
 }

@@ -2,11 +2,11 @@ package fleet
 
 import "testing"
 
-func storeKey() Key { return Key{Bench: "pr", Input: "soc-alpha", Machine: "cascadelake"} }
+func profileKey() Key { return Key{Bench: "pr", Input: "soc-alpha", Machine: "cascadelake"} }
 
 func TestStoreHitMissCounting(t *testing.T) {
 	s := NewStore(StoreConfig{})
-	k := storeKey()
+	k := profileKey()
 	if _, _, ok := s.Lookup(k); ok {
 		t.Fatal("lookup on empty store hit")
 	}
@@ -23,7 +23,7 @@ func TestStoreHitMissCounting(t *testing.T) {
 
 func TestStoreStalenessEvicts(t *testing.T) {
 	s := NewStore(StoreConfig{MaxReuse: 2})
-	k := storeKey()
+	k := profileKey()
 	s.Commit(k, Entry{Distance: 10})
 	for i := 0; i < 2; i++ {
 		if _, _, ok := s.Lookup(k); !ok {
@@ -50,7 +50,7 @@ func TestStoreStalenessEvicts(t *testing.T) {
 
 func TestStoreInvalidateGenerationGuard(t *testing.T) {
 	s := NewStore(StoreConfig{})
-	k := storeKey()
+	k := profileKey()
 	s.Commit(k, Entry{Distance: 10})
 	_, gen1, _ := s.Lookup(k)
 	// A concurrent session commits a fresher profile before the first

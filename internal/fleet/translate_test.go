@@ -40,7 +40,7 @@ func TestTranslateDistanceScaling(t *testing.T) {
 // frozen fast path.
 func TestStoreLookupTranslated(t *testing.T) {
 	s := NewStore(StoreConfig{MaxReuse: 2})
-	k := storeKey()
+	k := profileKey()
 	if _, _, _, ok := s.LookupTranslated(k); ok {
 		t.Fatal("translated lookup on empty store hit")
 	}
@@ -83,7 +83,7 @@ func TestStoreLookupTranslated(t *testing.T) {
 // at zero, and actually restoring a charge a failed warm start consumed.
 func TestStoreRefund(t *testing.T) {
 	s := NewStore(StoreConfig{MaxReuse: 1})
-	k := storeKey()
+	k := profileKey()
 	s.Commit(k, Entry{Distance: 10})
 	_, gen, ok := s.Lookup(k)
 	if !ok {

@@ -1,5 +1,5 @@
 // Package fleetclient is the thin consumer side of the fleetd HTTP API:
-// submit specs, poll sessions, fetch results, read the store, and follow
+// submit specs, poll sessions, fetch results, read metrics, and follow
 // the journal event stream. Transient failures (connection errors and
 // 502/503/504) retry with capped exponential backoff; backpressure (429)
 // surfaces immediately as *Overloaded carrying the daemon's Retry-After,
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"time"
 
@@ -226,37 +225,6 @@ func (c *Client) Metrics(ctx context.Context) (fleet.Snapshot, error) {
 	var snap fleet.Snapshot
 	_, err := c.do(ctx, http.MethodGet, "/v1/metrics", nil, &snap, false)
 	return snap, err
-}
-
-// LookupResult is a store peek, as the daemon frames it.
-type LookupResult = fleetd.LookupResponse
-
-func storeQuery(k fleet.Key) string {
-	q := url.Values{}
-	q.Set("bench", k.Bench)
-	if k.Input != "" {
-		q.Set("input", k.Input)
-	}
-	if k.Machine != "" {
-		q.Set("machine", k.Machine)
-	}
-	return q.Encode()
-}
-
-// Lookup peeks the profile store (read-only; consumes no reuse budget).
-// A miss reports ErrNotFound.
-func (c *Client) Lookup(ctx context.Context, k fleet.Key) (LookupResult, error) {
-	var lr LookupResult
-	_, err := c.do(ctx, http.MethodGet, "/v1/store/lookup?"+storeQuery(k), nil, &lr, false)
-	return lr, err
-}
-
-// LookupTranslated peeks the cross-machine tier: the sibling entry a
-// translated warm start would seed from. A miss reports ErrNotFound.
-func (c *Client) LookupTranslated(ctx context.Context, k fleet.Key) (LookupResult, error) {
-	var lr LookupResult
-	_, err := c.do(ctx, http.MethodGet, "/v1/store/translated?"+storeQuery(k), nil, &lr, false)
-	return lr, err
 }
 
 // Stream follows the daemon's journal from the cursor (events with

@@ -3,9 +3,8 @@
 // a real daemon on a loopback listener; the parent submits sessions over
 // HTTP, SIGKILLs the helper once store commits are durable, restarts it
 // in resume mode, and then every pre-crash session ID must still resolve
-// to a terminal state and every committed store entry must still answer
-// lookups — all via fleetclient, never touching the state dir's fleet
-// directly.
+// to a terminal state through fleetclient, and every committed store entry
+// must be in the store the restarted helper recovered.
 package fleetd_test
 
 import (
@@ -29,8 +28,9 @@ import (
 
 // TestFleetdCrashHelperProcess is not a test: it is the daemon process
 // the networked crash test spawns (and SIGKILLs). It serves a persisted
-// fleet on a loopback port, publishes the bound address through a file,
-// and parks forever — the kill is its only exit.
+// fleet on a loopback port, publishes its store's keys as recovered and
+// then the bound address through files, and parks forever — the kill is
+// its only exit.
 func TestFleetdCrashHelperProcess(t *testing.T) {
 	if os.Getenv("FLEETD_WANT_CRASH_HELPER") != "1" {
 		t.Skip("helper process for TestNetworkedKillResumeThroughClient")
@@ -52,29 +52,46 @@ func TestFleetdCrashHelperProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Write-then-rename so the parent never reads a torn address.
-	addrFile := os.Getenv("FLEETD_ADDR_FILE")
-	tmp := addrFile + ".tmp"
-	if err := os.WriteFile(tmp, []byte(ln.Addr().String()), 0o644); err != nil {
+	// The store as recovered: Recover has started the workers, but no
+	// re-admitted session has had time to finish a search, the only thing
+	// that can drop an entry Import gave a full reuse budget.
+	entries, err := json.Marshal(srv.Fleet().Store().Export())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(tmp, addrFile); err != nil {
-		t.Fatal(err)
+	// Write-then-rename so the parent never reads a torn file; the keys go
+	// first, so a published address vouches for them.
+	for _, f := range []struct {
+		path string
+		data []byte
+	}{
+		{os.Getenv("FLEETD_KEYS_FILE"), entries},
+		{os.Getenv("FLEETD_ADDR_FILE"), []byte(ln.Addr().String())},
+	} {
+		if err := os.WriteFile(f.path+".tmp", f.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(f.path+".tmp", f.path); err != nil {
+			t.Fatal(err)
+		}
 	}
 	go http.Serve(ln, srv.Handler())
 	time.Sleep(10 * time.Minute) // the parent's SIGKILL ends this process
 }
 
 // startCrashHelper spawns the helper daemon and returns a client bound to
-// its published address, plus the process handle for the kill.
-func startCrashHelper(t *testing.T, dir string, resume bool) (*fleetclient.Client, *exec.Cmd, *bytes.Buffer) {
+// its published address, the process handle for the kill, and the store
+// keys the helper held when it started serving.
+func startCrashHelper(t *testing.T, dir string, resume bool) (*fleetclient.Client, *exec.Cmd, *bytes.Buffer, map[fleet.Key]bool) {
 	t.Helper()
-	addrFile := filepath.Join(t.TempDir(), "addr")
+	tmp := t.TempDir()
+	addrFile, keysFile := filepath.Join(tmp, "addr"), filepath.Join(tmp, "keys")
 	cmd := exec.Command(os.Args[0], "-test.run=TestFleetdCrashHelperProcess", "-test.v")
 	cmd.Env = append(os.Environ(),
 		"FLEETD_WANT_CRASH_HELPER=1",
 		"FLEETD_CRASH_DIR="+dir,
 		"FLEETD_ADDR_FILE="+addrFile,
+		"FLEETD_KEYS_FILE="+keysFile,
 	)
 	if resume {
 		cmd.Env = append(cmd.Env, "FLEETD_RESUME=1")
@@ -92,7 +109,19 @@ func startCrashHelper(t *testing.T, dir string, resume bool) (*fleetclient.Clien
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		if addr, err := os.ReadFile(addrFile); err == nil {
-			return fleetclient.New(fleetclient.Config{BaseURL: "http://" + string(addr)}), cmd, &out
+			data, err := os.ReadFile(keysFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var entries []fleet.KeyedEntry
+			if err := json.Unmarshal(data, &entries); err != nil {
+				t.Fatalf("helper's store keys: %v", err)
+			}
+			held := make(map[fleet.Key]bool, len(entries))
+			for _, ke := range entries {
+				held[ke.Key] = true
+			}
+			return fleetclient.New(fleetclient.Config{BaseURL: "http://" + string(addr)}), cmd, &out, held
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("helper never published an address; output:\n%s", out.String())
@@ -128,8 +157,8 @@ func committedKeys(t *testing.T, dir string) map[fleet.Key]bool {
 
 // TestNetworkedKillResumeThroughClient is the end-to-end acceptance test:
 // submit via the client, kill -9 the daemon mid-run, restart with resume,
-// and assert — still through the client — that every pre-crash session ID
-// reaches a terminal state and no committed store entry was lost.
+// and assert that no committed store entry was lost and — still through
+// the client — that every pre-crash session ID reaches a terminal state.
 func TestNetworkedKillResumeThroughClient(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-execs the test binary as a daemon")
@@ -138,7 +167,7 @@ func TestNetworkedKillResumeThroughClient(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
 
-	cli, cmd, out := startCrashHelper(t, dir, false)
+	cli, cmd, out, _ := startCrashHelper(t, dir, false)
 	pairs := []fleet.SpecRecord{
 		{Bench: "is"}, {Bench: "cg"}, {Bench: "randacc"},
 		{Bench: "bfs", Input: "soc-gamma"},
@@ -178,9 +207,17 @@ func TestNetworkedKillResumeThroughClient(t *testing.T) {
 		t.Fatal("kill left nothing pending; the crash test never raced the fleet")
 	}
 
-	// Restart in resume mode. The client keeps its pre-crash session IDs;
-	// all of them must resolve to terminal states through the new daemon.
-	cli2, _, out2 := startCrashHelper(t, dir, true)
+	// Restart in resume mode. No committed store entry may be lost: each
+	// key must be in the store the helper recovered.
+	cli2, _, out2, recovered := startCrashHelper(t, dir, true)
+	for k := range wantKeys {
+		if !recovered[k] {
+			t.Fatalf("committed entry %+v lost across the crash (recovered %v)", k, recovered)
+		}
+	}
+
+	// The client keeps its pre-crash session IDs; all of them must resolve
+	// to terminal states through the new daemon.
 	terminal := map[string]int{}
 	for _, id := range ids {
 		outc, err := cli2.Wait(ctx, id)
@@ -191,12 +228,5 @@ func TestNetworkedKillResumeThroughClient(t *testing.T) {
 	}
 	if got := len(ids); got != 24 {
 		t.Fatalf("resolved %d sessions, want 24 (%v)", got, terminal)
-	}
-
-	// No committed store entry lost: each key still answers lookups.
-	for k := range wantKeys {
-		if _, err := cli2.Lookup(ctx, k); err != nil {
-			t.Fatalf("committed entry %+v lost across the crash: %v", k, err)
-		}
 	}
 }

@@ -4,8 +4,7 @@
 // PGO pipelines use once cheap always-on collection has to flow through a
 // shared serving tier. The daemon owns one Fleet (fresh or recovered from
 // a PR 4 state dir), exposes session submission, polling, result fetch,
-// read-only store lookups, a metrics snapshot, and a resumable journal
-// event stream, and turns the fleet's backpressure rejections into
+// a metrics snapshot, and a resumable journal event stream, and turns the fleet's backpressure rejections into
 // HTTP 429 with a throughput-derived Retry-After.
 //
 // The wire format for specs is fleet.SpecRecord — the same JSON-safe
@@ -328,8 +327,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/sessions", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/sessions/{id}/result", s.handleResult)
-	s.mux.HandleFunc("GET /v1/store/lookup", s.handlePeek(false))
-	s.mux.HandleFunc("GET /v1/store/translated", s.handlePeek(true))
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/healthz", daemon.Health(&s.draining))
@@ -494,62 +491,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		State: v.State, Warm: v.Warm, Translated: v.Translated,
 		Attempt: v.Attempt, Err: v.Err, Report: v.Report,
 	})
-}
-
-// storeKey decodes a lookup key from the query string. An empty machine
-// means the daemon's own: store entries are keyed by the effective
-// machine name, so defaulting here lets clients peek without knowing
-// which machine the daemon was started on.
-func (s *Server) storeKey(r *http.Request) fleet.Key {
-	q := r.URL.Query()
-	k := fleet.Key{
-		Bench:   q.Get("bench"),
-		Input:   q.Get("input"),
-		Machine: q.Get("machine"),
-	}
-	if k.Machine == "" {
-		k.Machine = s.fleet.Machine().Name
-	}
-	return k
-}
-
-// LookupResponse frames a store peek: the entry, and (for translated
-// lookups) the sibling key it would seed from.
-type LookupResponse struct {
-	Key    fleet.Key   `json:"key"`
-	Entry  fleet.Entry `json:"entry"`
-	Source *fleet.Key  `json:"source,omitempty"`
-}
-
-// handlePeek serves both store peeks: the plain lookup, and (translated)
-// the sibling entry a cross-machine warm start would seed from.
-func (s *Server) handlePeek(translated bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		st := s.fleet.Store()
-		if st == nil {
-			daemon.WriteErr(w, http.StatusNotFound, "profile store disabled")
-			return
-		}
-		k := s.storeKey(r)
-		if k.Bench == "" {
-			daemon.WriteErr(w, http.StatusBadRequest, "lookup needs a bench")
-			return
-		}
-		resp := LookupResponse{Key: k}
-		var ok bool
-		if translated {
-			var src fleet.Key
-			if resp.Entry, src, ok = st.PeekTranslated(k); !ok {
-				daemon.WriteErr(w, http.StatusNotFound, "no sibling entry for %+v", k)
-				return
-			}
-			resp.Source = &src
-		} else if resp.Entry, ok = st.Peek(k); !ok {
-			daemon.WriteErr(w, http.StatusNotFound, "no entry for %+v", k)
-			return
-		}
-		daemon.WriteJSON(w, http.StatusOK, resp)
-	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

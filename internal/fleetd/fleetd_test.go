@@ -155,9 +155,6 @@ func TestAPIErrors(t *testing.T) {
 	if _, _, err := cli.Result(ctx, 999); !errors.Is(err, fleetclient.ErrNotFound) {
 		t.Fatalf("result of unknown session = %v, want ErrNotFound", err)
 	}
-	if _, err := cli.Lookup(ctx, fleet.Key{Bench: "is"}); !errors.Is(err, fleetclient.ErrNotFound) {
-		t.Fatalf("lookup on an empty store = %v, want ErrNotFound", err)
-	}
 	var apiErr *fleetclient.APIError
 	if _, err := cli.Submit(ctx, fleet.SpecRecord{}); !errors.As(err, &apiErr) || apiErr.Code != http.StatusBadRequest {
 		t.Fatalf("benchless submit = %v, want 400", err)
@@ -165,48 +162,6 @@ func TestAPIErrors(t *testing.T) {
 	if _, err := cli.Submit(ctx, fleet.SpecRecord{Bench: "is", Kind: 200}); !errors.As(err, &apiErr) || apiErr.Code != http.StatusBadRequest {
 		t.Fatalf("unknown-kind submit = %v, want 400", err)
 	}
-}
-
-// TestStoreLookupThroughDaemon: a committed profile is visible through
-// the read-only lookup endpoints, and peeking does not consume reuse
-// budget or bump counters (the store metrics stay untouched).
-func TestStoreLookupThroughDaemon(t *testing.T) {
-	srv, cli := newTestDaemon(t, fleetd.Config{Fleet: fleet.Config{
-		Machine: machine.CascadeLake(), Workers: 1,
-	}})
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-
-	id, err := cli.Submit(ctx, fleet.SpecRecord{Bench: "is", Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Wait(ctx, id); err != nil {
-		t.Fatal(err)
-	}
-
-	before, err := cli.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := fleet.Key{Bench: "is", Machine: machine.CascadeLake().Name}
-	for i := 0; i < 3; i++ {
-		res, err := cli.Lookup(ctx, k)
-		if err != nil {
-			t.Fatalf("lookup after commit: %v", err)
-		}
-		if res.Entry.Distance <= 0 {
-			t.Fatalf("lookup returned empty entry: %+v", res.Entry)
-		}
-	}
-	after, err := cli.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Store.Hits != before.Store.Hits || after.Store.Misses != before.Store.Misses {
-		t.Fatalf("read-only lookups moved store counters: %+v -> %+v", before.Store, after.Store)
-	}
-	_ = srv
 }
 
 // TestDrainEndsStreamsAndRefusesSubmits: a drain delivers the full

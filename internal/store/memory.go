@@ -96,45 +96,6 @@ func (s *Memory) LookupTranslated(k Key) (Entry, Key, uint64, bool) {
 	return Entry{}, Key{}, 0, false
 }
 
-// Peek returns the cached profile for a key without disturbing the policy
-// state: no counters move, no reuse budget is consumed, stale entries are
-// neither served nor evicted. It is the read-only observation path the
-// daemon's store-lookup endpoint uses — an HTTP GET must not age the
-// cache.
-func (s *Memory) Peek(k Key) (Entry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[k]
-	if !ok || (!s.frozen && e.uses >= s.cfg.MaxReuse) {
-		return Entry{}, false
-	}
-	return e.Entry, true
-}
-
-// PeekTranslated is LookupTranslated's read-only counterpart: it reports
-// the sibling entry a translated lookup *would* seed from (same
-// deterministic machine-name order), without consuming reuse budget,
-// moving counters, or evicting stale siblings.
-func (s *Memory) PeekTranslated(k Key) (Entry, Key, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var sibs []Key
-	for sk := range s.entries {
-		if sk.Bench == k.Bench && sk.Input == k.Input && sk.Machine != k.Machine {
-			sibs = append(sibs, sk)
-		}
-	}
-	sort.Slice(sibs, func(i, j int) bool { return sibs[i].Machine < sibs[j].Machine })
-	for _, sk := range sibs {
-		e := s.entries[sk]
-		if !s.frozen && e.uses >= s.cfg.MaxReuse {
-			continue
-		}
-		return e.Entry, sk, true
-	}
-	return Entry{}, Key{}, false
-}
-
 // Refund returns one reuse-budget charge to an entry whose warm start never
 // ran: a seeded session that dies before its search (build or launch
 // failure) consumed budget for nothing, and without the refund a string of

@@ -170,22 +170,6 @@ func (c *Client) LookupTranslated(k store.Key) (store.Entry, store.Key, uint64, 
 	return resp.Entry, resp.From, resp.Gen, resp.Found
 }
 
-func (c *Client) Peek(k store.Key) (store.Entry, bool) {
-	var resp stored.LookupResp
-	if !c.op("/v1/store/peek", stored.KeyReq{Key: k}, &resp) {
-		return c.fb.Peek(k)
-	}
-	return resp.Entry, resp.Found
-}
-
-func (c *Client) PeekTranslated(k store.Key) (store.Entry, store.Key, bool) {
-	var resp stored.LookupResp
-	if !c.op("/v1/store/peek-translated", stored.KeyReq{Key: k}, &resp) {
-		return c.fb.PeekTranslated(k)
-	}
-	return resp.Entry, resp.From, resp.Found
-}
-
 func (c *Client) Commit(k store.Key, e store.Entry) uint64 {
 	var resp stored.GenResp
 	if !c.op("/v1/store/commit", stored.CommitReq{Key: k, Entry: e}, &resp) {

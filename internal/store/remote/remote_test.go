@@ -69,8 +69,8 @@ func TestCrossClientGenGuard(t *testing.T) {
 	if c1.Refund(k, gen1) {
 		t.Fatal("client 1's stale-generation refund was accepted")
 	}
-	if e, ok := c1.Peek(k); !ok || e.Distance != 9 {
-		t.Fatalf("winner's entry lost: %+v, %v", e, ok)
+	if got := srv.Store().Export(); len(got) != 1 || got[0].Key != k || got[0].Entry.Distance != 9 {
+		t.Fatalf("winner's entry lost: %+v", got)
 	}
 	if !c2.Invalidate(k, gen2) {
 		t.Fatal("current-generation invalidate refused")

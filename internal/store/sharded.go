@@ -10,11 +10,11 @@ package store
 // ShardIndex — an FNV-1a hash of (bench, input) that deliberately excludes
 // Machine. The exclusion is the consistency story for translation: every
 // machine-axis sibling of a (bench, input) pair is co-resident on one
-// shard, so LookupTranslated/PeekTranslated are single-shard operations
+// shard, so LookupTranslated is a single-shard operation
 // under that shard's lock — a translated lookup can never observe a torn
 // cross-shard state because it never reads more than one shard.
 //
-// Per-key operations (Lookup, Commit, Invalidate, Refund, Peek) touch only
+// Per-key operations (Lookup, Commit, Invalidate, Refund) touch only
 // the key's shard. Whole-store operations that must be consistent
 // (Counters, Export, Len) lock every shard in index order,
 // read, then release — a single atomic snapshot, no torn reads between
@@ -97,16 +97,6 @@ func (s *Sharded) Lookup(k Key) (Entry, uint64, bool) {
 // under one shard lock.
 func (s *Sharded) LookupTranslated(k Key) (Entry, Key, uint64, bool) {
 	return s.shard(k).LookupTranslated(k)
-}
-
-// Peek routes to the key's shard; semantics are Memory's.
-func (s *Sharded) Peek(k Key) (Entry, bool) {
-	return s.shard(k).Peek(k)
-}
-
-// PeekTranslated routes to the key's shard, like LookupTranslated.
-func (s *Sharded) PeekTranslated(k Key) (Entry, Key, bool) {
-	return s.shard(k).PeekTranslated(k)
 }
 
 // Commit routes to the key's shard and returns that shard's new

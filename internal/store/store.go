@@ -84,8 +84,6 @@ type Counters struct {
 //   - LookupTranslated serves a machine-axis sibling of the same
 //     (bench, input) in deterministic machine-name order, consuming the
 //     sibling's budget and counting Translations, never Hits.
-//   - Peek/PeekTranslated are their read-only counterparts: no counters
-//     move, no budget is consumed, nothing is evicted.
 //   - Commit/Invalidate/Refund are generation-guarded: the gen returned by
 //     Lookup/Commit must match or the call is a no-op, so a racing Commit
 //     from a concurrent session is never clobbered. Gens are only ever
@@ -100,8 +98,6 @@ type Counters struct {
 type Store interface {
 	Lookup(k Key) (Entry, uint64, bool)
 	LookupTranslated(k Key) (Entry, Key, uint64, bool)
-	Peek(k Key) (Entry, bool)
-	PeekTranslated(k Key) (Entry, Key, bool)
 	Commit(k Key, e Entry) uint64
 	Refund(k Key, gen uint64) bool
 	Invalidate(k Key, gen uint64) bool

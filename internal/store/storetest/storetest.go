@@ -112,16 +112,6 @@ func Run(t *testing.T, newStore Factory) {
 		if c.Translations != 1 || c.Hits != 0 {
 			t.Fatalf("counters = %+v, want 1 translation and 0 hits", c)
 		}
-		// Peeks are read-only: neither consumes budget nor counts.
-		if _, ok := s.Peek(src); !ok {
-			t.Fatal("peek missed a live entry")
-		}
-		if _, from, ok := s.PeekTranslated(dst); !ok || from != src {
-			t.Fatalf("peek-translated = from %+v, ok %v", from, ok)
-		}
-		if got := s.Counters(); got != c {
-			t.Fatalf("peeks moved counters: %+v -> %+v", c, got)
-		}
 	})
 
 	t.Run("FrozenServesWithoutConsuming", func(t *testing.T) {

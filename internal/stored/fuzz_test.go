@@ -3,6 +3,8 @@ package stored
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -153,6 +155,122 @@ func FuzzReadLog(f *testing.F) {
 		}
 		if p.epoch != max(epochs[0], epochs[1]) || p.recoveredEntries != len(entries) {
 			t.Fatalf("recovered epoch %d with %d entries (%d returned); the files' epochs are %v", p.epoch, p.recoveredEntries, len(entries), epochs)
+		}
+	})
+}
+
+// handlerRoute is a store operation with a request body, and what a body
+// that decodes must do to a reference store: the answer it gets and the
+// state it leaves. run reports false for a body json.Unmarshal refuses.
+type handlerRoute struct {
+	path string
+	run  func(ref store.Store, body []byte) (resp any, ok bool)
+}
+
+func route[Req any](path string, do func(ref store.Store, req Req) any) handlerRoute {
+	return handlerRoute{path, func(ref store.Store, body []byte) (any, bool) {
+		var req Req
+		if json.Unmarshal(body, &req) != nil {
+			return nil, false
+		}
+		return do(ref, req), true
+	}}
+}
+
+var handlerRoutes = []handlerRoute{
+	route("lookup", func(ref store.Store, req KeyReq) any {
+		e, gen, found := ref.Lookup(req.Key)
+		return LookupResp{Entry: e, Gen: gen, Found: found}
+	}),
+	route("lookup-translated", func(ref store.Store, req KeyReq) any {
+		e, from, gen, found := ref.LookupTranslated(req.Key)
+		return LookupResp{Entry: e, From: from, Gen: gen, Found: found}
+	}),
+	route("commit", func(ref store.Store, req CommitReq) any {
+		return GenResp{Gen: ref.Commit(req.Key, req.Entry)}
+	}),
+	route("refund", func(ref store.Store, req GenReq) any {
+		return OKResp{OK: ref.Refund(req.Key, req.Gen)}
+	}),
+	route("invalidate", func(ref store.Store, req GenReq) any {
+		return OKResp{OK: ref.Invalidate(req.Key, req.Gen)}
+	}),
+	route("import", func(ref store.Store, req EntriesMsg) any {
+		ref.Import(req.Entries)
+		return OKResp{OK: true}
+	}),
+}
+
+// FuzzStoredHandler posts arbitrary bodies to the store daemon's operations
+// through Handler(). json.Unmarshal is the oracle for what a body carries:
+// it accepts exactly one JSON value with only whitespace around it. A body
+// it decodes must get a 200 and do exactly that one operation — the same
+// answer and the same store as the operation run on a reference
+// store.Memory. Any other body must get a 400, or a 413 past the body cap,
+// and leave the store as it was. A panic would answer 500.
+func FuzzStoredHandler(f *testing.F) {
+	const maxBody = 512
+	for i, body := range []string{
+		`{"key":{"bench":"is","machine":"cascadelake"}}`,
+		`{"key":{"bench":"is","machine":"skylake"}}`,
+		`{"key":{"bench":"cg","machine":"haswell"},"entry":{"func":"g","candidates":[4],"distance":6}}`,
+		`{"key":{"bench":"is","machine":"cascadelake"},"gen":1}`,
+		`{"key":{"bench":"is","machine":"haswell"},"gen":2}`,
+		`{"entries":[{"key":{"bench":"mg"},"entry":{"distance":3}}]}`,
+	} {
+		f.Add(uint8(i), []byte(body))
+		f.Add(uint8(i), []byte(body+"\n"))
+	}
+	for i := range handlerRoutes {
+		f.Add(uint8(i), []byte(`{"key":{"bench":"is"}}{"key":{"bench":"cg"}}`))
+		f.Add(uint8(i), []byte(`{"key":{"bench":"is"}} garbage`))
+	}
+	f.Add(uint8(0), bytes.Repeat([]byte(" "), maxBody+1))
+
+	f.Fuzz(func(t *testing.T, op uint8, body []byte) {
+		rt := handlerRoutes[int(op)%len(handlerRoutes)]
+		srv, err := New(Config{MaxBodyBytes: maxBody})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := store.NewMemory(store.Config{})
+		for _, st := range []store.Store{srv.Store(), ref} {
+			st.Commit(store.Key{Bench: "is", Machine: "cascadelake"}, store.Entry{Func: "f", Candidates: []int{3, 9}, Distance: 12})
+			st.Commit(store.Key{Bench: "is", Machine: "haswell"}, store.Entry{Func: "f", Distance: 8})
+		}
+
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/store/"+rt.path, bytes.NewReader(body)))
+
+		var want any
+		decodes := false
+		if len(body) <= maxBody {
+			want, decodes = rt.run(ref, body)
+		}
+		switch {
+		case decodes:
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s: body %q answered %d (%s), want 200", rt.path, body, w.Code, w.Body)
+			}
+			wantBody, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := bytes.TrimSpace(w.Body.Bytes()); !bytes.Equal(got, wantBody) {
+				t.Fatalf("%s: body %q answered %s, want %s", rt.path, body, got, wantBody)
+			}
+		case len(body) > maxBody:
+			if w.Code != http.StatusBadRequest && w.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s: %d-byte body answered %d, want 400 or 413", rt.path, len(body), w.Code)
+			}
+		case w.Code != http.StatusBadRequest:
+			t.Fatalf("%s: body %q answered %d (%s), want 400", rt.path, body, w.Code, w.Body)
+		}
+		if got, want := srv.Store().Export(), ref.Export(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: body %q left the store at %+v, want %+v", rt.path, body, got, want)
+		}
+		if got, want := srv.Store().Counters(), ref.Counters(); got != want {
+			t.Fatalf("%s: body %q left the counters at %+v, want %+v", rt.path, body, got, want)
 		}
 	})
 }

@@ -17,8 +17,6 @@
 //
 //	POST /v1/store/lookup             {key}        -> {entry, gen, found}
 //	POST /v1/store/lookup-translated  {key}        -> {entry, from, gen, found}
-//	POST /v1/store/peek               {key}        -> {entry, found}
-//	POST /v1/store/peek-translated    {key}        -> {entry, from, found}
 //	POST /v1/store/commit             {key, entry} -> {gen}
 //	POST /v1/store/refund             {key, gen}   -> {ok}
 //	POST /v1/store/invalidate         {key, gen}   -> {ok}
@@ -183,8 +181,6 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", daemon.Health(&s.draining))
 	mux.Handle("POST /v1/store/lookup", op(s, s.lookup))
 	mux.Handle("POST /v1/store/lookup-translated", op(s, s.lookupTranslated))
-	mux.Handle("POST /v1/store/peek", op(s, s.peek))
-	mux.Handle("POST /v1/store/peek-translated", op(s, s.peekTranslated))
 	mux.Handle("POST /v1/store/commit", op(s, s.commit))
 	mux.Handle("POST /v1/store/refund", op(s, s.refund))
 	mux.Handle("POST /v1/store/invalidate", op(s, s.invalidate))
@@ -233,16 +229,6 @@ func (s *Server) lookup(req KeyReq) any {
 func (s *Server) lookupTranslated(req KeyReq) any {
 	e, from, gen, ok := s.store.LookupTranslated(req.Key)
 	return LookupResp{Entry: e, From: from, Gen: gen, Found: ok}
-}
-
-func (s *Server) peek(req KeyReq) any {
-	e, ok := s.store.Peek(req.Key)
-	return LookupResp{Entry: e, Found: ok}
-}
-
-func (s *Server) peekTranslated(req KeyReq) any {
-	e, from, ok := s.store.PeekTranslated(req.Key)
-	return LookupResp{Entry: e, From: from, Found: ok}
 }
 
 func (s *Server) commit(req CommitReq) any {

@@ -6,8 +6,7 @@ import "rpg2/internal/store"
 // encode and decode them and the remote client (internal/store/remote)
 // imports them, so the two sides cannot drift.
 
-// KeyReq asks about one key (lookup, lookup-translated, peek,
-// peek-translated).
+// KeyReq asks about one key (lookup, lookup-translated).
 type KeyReq struct {
 	Key store.Key `json:"key"`
 }
@@ -25,8 +24,8 @@ type GenReq struct {
 	Gen uint64    `json:"gen"`
 }
 
-// LookupResp answers every lookup flavour; From is set by the translated
-// ones, Gen by the consuming ones.
+// LookupResp answers both lookups; From is set by the translated one, Gen
+// when an entry was found.
 type LookupResp struct {
 	Entry store.Entry `json:"entry"`
 	From  store.Key   `json:"from,omitempty"`
