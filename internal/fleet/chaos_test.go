@@ -24,11 +24,10 @@ import (
 // race the worker's records (even that session's own "admitted" — the
 // item is visible to workers before its queued record is appended), so
 // only per-session projections are comparable. Recover has the same
-// shape: re-admit, publish the journal, then start the workers.
+// shape: re-admit, open the epoch, then start the workers.
 func newGated(cfg Config) (f *Fleet, start func()) {
 	f = newFleet(cfg)
 	f.initPersist()
-	f.commitPersist()
 	return f, f.startWorkers
 }
 

@@ -234,25 +234,26 @@ func (f *Fleet) finishRetune(s *Session, rep *rpgcore.Report) {
 	f.journal.add(ev)
 }
 
-// captureDrift snapshots every session's watchdog posture for a WAL
-// snapshot; the locked variant is for callers already holding f.mu.
-func (f *Fleet) captureDrift() []DriftRecord {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.captureDriftLocked()
-}
-
+// captureDriftLocked exports every session's watchdog posture for a WAL
+// snapshot: consumed grants, completed re-tunes, a pending re-tune and its
+// warm seed, and the detector — the live one, or a crash-recovered one the
+// session has not resumed yet. Caller holds f.mu.
 func (f *Fleet) captureDriftLocked() []DriftRecord {
 	var out []DriftRecord
 	for _, s := range f.sessions {
 		s.mu.Lock()
-		if s.det != nil || s.retunes > 0 || s.retuning {
+		det := s.recoveredDet
+		if s.det != nil {
+			st := s.det.Export()
+			det = &st
+		}
+		if det != nil || s.retunes > 0 || s.retuning || s.item.Retune > 0 {
 			dr := DriftRecord{
 				Session: s.ID, Granted: s.item.Retune, Retunes: s.retunes,
 				Retuning: s.retuning, Distance: s.retuneDistance,
 			}
-			if s.det != nil {
-				dr.Detector = s.det.Export()
+			if det != nil {
+				dr.Detector = *det
 			}
 			out = append(out, dr)
 		}

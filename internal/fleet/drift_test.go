@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rpg2/internal/drift"
 	"rpg2/internal/machine"
 	rpgcore "rpg2/internal/rpg2"
 	"rpg2/internal/wal"
@@ -328,5 +329,88 @@ func TestKillMidRetuneRecoverLaneIntact(t *testing.T) {
 		if !s.State().Terminal() {
 			t.Fatalf("requeued session %d never finished: %v", s.ID, s.State())
 		}
+	}
+}
+
+// TestSecondCrashKeepsRetuneLane: the re-tune lane posture of a session
+// that was still watching when the process died — a consumed grant, a
+// completed re-tune, the detector — must survive a second crash right
+// after Recover, before any periodic snapshot. The old journal's
+// retune-scheduled and retune-complete records are not restated in the
+// fresh epoch, so only the fresh epoch's snapshot carries them.
+func TestSecondCrashKeepsRetuneLane(t *testing.T) {
+	dir := t.TempDir()
+	det := drift.State{Ref: 2.5, EWMA: 1.25, Degraded: 2, Samples: 9, Fired: 1}
+	rec := func(id int, typ string, mod func(*Event)) Event {
+		e := Event{Session: id, Type: typ, Bench: "is", Kind: OptimizeJob.String()}
+		if mod != nil {
+			mod(&e)
+		}
+		return e
+	}
+	queued := func(id, prio int, run float64) Event {
+		return rec(id, "queued", func(e *Event) {
+			e.State, e.Priority = Queued.String(), prio
+			e.Spec = &SpecRecord{Bench: "is", Seed: int64(id + 1), Priority: prio, RunSeconds: run}
+		})
+	}
+	state := func(id int, st State) Event {
+		return rec(id, "state", func(e *Event) { e.State = st.String() })
+	}
+	events := []Event{
+		// Session 0 outranks session 1 and runs long, so under one worker
+		// session 1 is still waiting when the state dir is read back below.
+		queued(0, 10, 20),
+		queued(1, 0, 0),
+		rec(1, "admitted", nil),
+		state(1, Profiling), state(1, Rewriting), state(1, Tuning), state(1, Done),
+		rec(1, "drift-detected", func(e *Event) { e.Retune, e.Windows = 1, 3 }),
+		rec(1, "retune-scheduled", func(e *Event) { e.Retune, e.Distance = 1, 12 }),
+		state(1, Queued),
+		rec(1, "admitted", nil),
+		state(1, Tuning),
+		rec(1, "store-bypass", func(e *Event) { e.Reason, e.Retune = "retune", 1 }),
+		rec(1, "retune-complete", func(e *Event) { e.Retune, e.Distance = 1, 14 }),
+		state(1, Done),
+	}
+	for i := range events {
+		events[i].Seq = i
+	}
+	writeJournalFile(t, dir, events)
+	lane := liveState{drift: []DriftRecord{{Session: 1, Granted: 1, Retunes: 1, Distance: 12, Detector: det}}}
+	if err := writeSnapshotFile(dir, 1, len(events)-1, lane, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	f, recovery, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	defer f.CancelQueued()
+	if len(recovery.Requeued) != 2 {
+		t.Fatalf("requeued %d sessions, want 2", len(recovery.Requeued))
+	}
+	watched := recovery.Requeued[1].ID
+
+	// The second crash: read the state dir as it stands.
+	st, err := readState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *pendingSession
+	for i := range st.pending {
+		if st.pending[i].oldID == watched {
+			got = &st.pending[i]
+		}
+	}
+	if got == nil {
+		t.Fatalf("session %d is not pending after the second crash", watched)
+	}
+	if got.fold.granted != 1 || got.fold.Retunes != 1 {
+		t.Errorf("second crash reads granted=%d retunes=%d, want 1 and 1", got.fold.granted, got.fold.Retunes)
+	}
+	if got.det == nil || *got.det != det {
+		t.Errorf("second crash reads detector %+v, want %+v", got.det, det)
 	}
 }

@@ -53,7 +53,6 @@ type Fleet struct {
 func New(cfg Config) *Fleet {
 	f := newFleet(cfg)
 	f.initPersist()
-	f.commitPersist()
 	f.startWorkers()
 	return f
 }
@@ -162,7 +161,7 @@ func (f *Fleet) submit(spec SessionSpec, attempt int, enforceCaps bool) (*Sessio
 			}
 		}
 	}
-	s := &Session{ID: f.nextID, Spec: spec, state: Queued, attempt: attempt, finished: make(chan struct{})}
+	s := &Session{ID: f.nextID, Spec: spec, journal: f.journal, finished: make(chan struct{})}
 	s.machineName = f.cfg.Machine.Name
 	if spec.Machine != nil {
 		s.machineName = spec.Machine.Name
@@ -190,10 +189,11 @@ func (f *Fleet) submit(spec SessionSpec, attempt int, enforceCaps bool) (*Sessio
 		State: Queued.String(), Priority: spec.Priority, Attempt: attempt,
 		Tenant: spec.Tenant,
 	}
-	if f.persist != nil {
+	if f.cfg.StateDir != "" {
 		// The replayable spec rides the WAL so recovery can re-admit this
 		// session if it never finishes; in-memory journals skip it to stay
-		// byte-identical to the pre-WAL fleet.
+		// byte-identical to the pre-WAL fleet. Recover re-admits before its
+		// persister exists, so this reads the config.
 		ev.Spec = RecordSpec(spec)
 	}
 	f.journal.add(ev)

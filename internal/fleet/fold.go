@@ -52,8 +52,12 @@ type sessionFold struct {
 // "who is finished" is the last-writer-wins reading of the records: done,
 // degraded and failed close the session; a scheduled retry or re-tune
 // re-opens it, so a failure the retry lane takes back is never an outcome.
+//
+// A submitter's "queued" record can land after its own session's first
+// dispatch records (DESIGN.md §11.4), so it names the state only of a
+// session no record has put in one yet: status never moves backwards.
 func (sf *sessionFold) apply(e Event) {
-	if e.State != "" {
+	if e.State != "" && (e.Type != "queued" || sf.State == "") {
 		sf.State = e.State
 	}
 	switch e.Type {

@@ -83,6 +83,33 @@ func TestFoldLiveMatchesRecovery(t *testing.T) {
 	}
 }
 
+// TestFoldLateQueuedKeepsState: a submitter's queued record may land after
+// its own session's dispatch records (DESIGN.md §11.4). It names the state
+// only of a session no record has put in one, so status never moves back.
+func TestFoldLateQueuedKeepsState(t *testing.T) {
+	ev := func(typ string, st State) Event { return Event{Type: typ, State: st.String()} }
+	queued, admitted := ev("queued", Queued), Event{Type: "admitted"}
+	cases := []struct {
+		name   string
+		events []Event
+		want   State
+	}{
+		{"queued first", []Event{queued, admitted, ev("state", Profiling)}, Profiling},
+		{"after admitted", []Event{admitted, queued}, Queued},
+		{"after a state edge", []Event{admitted, {Type: "store-miss"}, ev("state", Profiling), queued}, Profiling},
+		{"after the outcome", []Event{admitted, ev("state", Done), ev("session-done", Done), queued}, Done},
+	}
+	for _, c := range cases {
+		j := NewJournal()
+		for _, e := range c.events {
+			j.add(e)
+		}
+		if v, _ := j.View(0); v.State != c.want.String() {
+			t.Errorf("%s: state %q, want %q", c.name, v.State, c.want)
+		}
+	}
+}
+
 // lines is a WAL file's salvaged records, one per line.
 func lines(f *testing.F, file []byte) []byte {
 	path := filepath.Join(f.TempDir(), "x.wal")

@@ -117,9 +117,11 @@ func NewJournal() *Journal {
 	return &Journal{start: time.Now()}
 }
 
-// SetSink installs a tee: every subsequent event is handed to fn, under
-// the journal lock, in sequence order — the hook the fleet's WAL hangs
-// off. Install before any events are added.
+// SetSink installs a tee, replacing any earlier one: every subsequent
+// event is handed to fn, under the journal lock, in sequence order — the
+// hook the fleet's WAL hangs off. Events added before it are never handed
+// to fn; the fleet's WAL seeds the ones it needs from the journal itself
+// when it opens an epoch.
 func (j *Journal) SetSink(fn func(Event)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -186,11 +188,11 @@ func (j *Journal) LastSeq() int {
 
 // withLock runs fn over the live event slice and its fold while holding
 // the journal lock, freezing the event stream for the duration. It exists
-// for the persistence re-arm: re-seeding a fresh WAL from the in-memory
-// journal must observe a consistent prefix with no event able to land
-// between the scan and the sink swap. fn must not append events or acquire
-// the fleet lock (the fleet journals while holding it, so that edge would
-// deadlock).
+// for the WAL's epoch opener (persister.beginEpoch): seeding a fresh WAL
+// from the in-memory journal must observe a consistent prefix with no
+// event able to land between the scan and the log swap. fn must not append
+// events or acquire the fleet lock (the fleet journals while holding it, so
+// that edge would deadlock).
 func (j *Journal) withLock(fn func(events []Event, fd *fold)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rpg2/internal/admission"
@@ -45,9 +46,6 @@ func (f *Fleet) tryRetryLocked(s *Session) bool {
 	ev.Attempt, ev.Backoff, ev.Due = s.item.Attempt, backoff, due
 	f.journal.add(ev)
 	f.transition(s, Queued, 0)
-	s.mu.Lock()
-	s.attempt = s.item.Attempt
-	s.mu.Unlock()
 	if n := f.sched.Len(); n > f.queuePeak {
 		f.queuePeak = n
 	}
@@ -81,34 +79,21 @@ func (f *Fleet) transition(s *Session, next State, at float64) {
 
 // settle is transition with the edge's outcome attached: outcome (when
 // non-nil) stores the session's result fields — report, error, wall time —
-// inside the same s.mu hold that flips the state. A poller that observes a
-// terminal state therefore also observes its outcome. Flipping first and
-// storing afterwards left the journal append (an fsync under fsync-always)
-// between the two, so a concurrent result fetch could return a terminal
-// session with no report.
+// before the edge is journaled. State reads the journal's fold, so a poller
+// that observes a terminal state also observes its outcome.
 func (f *Fleet) settle(s *Session, next State, at float64, outcome func()) {
-	s.mu.Lock()
 	if outcome != nil {
+		s.mu.Lock()
 		outcome()
-	}
-	cur := s.state
-	if cur == next {
 		s.mu.Unlock()
+	}
+	cur := s.State()
+	if cur == next {
 		return
 	}
-	ok := false
-	for _, t := range legalNext[cur] {
-		if t == next {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		s.mu.Unlock()
+	if !slices.Contains(legalNext[cur], next) {
 		panic(fmt.Sprintf("fleet: illegal transition %v -> %v (session %d)", cur, next, s.ID))
 	}
-	s.state = next
-	s.mu.Unlock()
 	f.journal.add(Event{
 		Session: s.ID, Type: "state", State: next.String(), At: at,
 		Bench: s.Spec.Bench, Input: s.Spec.Input,
@@ -315,10 +300,6 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 		}
 		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	s.warm = warm
-	s.translated = translated
-	s.mu.Unlock()
 
 	// A seeded session that dies before the controller runs consumed the
 	// entry's reuse budget for nothing — refund it, or transient build

@@ -6,17 +6,22 @@
 // the last snapshot, replay the journal events past its watermark, and
 // re-admit every session that never reached a terminal record.
 //
+// The in-memory journal is the one record the WAL is built from. Every
+// epoch — the fleet's birth, a recovery, a re-arm — opens the same way
+// (persister.startEpoch): a snapshot of live state at the journal's tail,
+// then a staged journal seeded from the in-memory one with every open
+// session's history, swapped in under the journal lock and published.
+//
 // Persistence must never block session progress: a failed disk write flips
 // the fleet into degraded in-memory mode — the WAL is abandoned, sessions
 // keep running, and the metrics snapshot surfaces "Persistence: degraded"
 // with the error. Degradation is no longer forever: unless re-arming is
 // disabled (Config.RearmBackoff < 0) or the state dir was unusable from
 // birth, a degraded persister waits a capped, journal-event-counted
-// backoff (a virtual clock, so tests don't sleep) and then re-arms — a
-// fresh epoch snapshot of live state, a fresh staged journal re-seeded
-// with every non-terminal session's history, committed atomically exactly
-// like startup. The arc is journaled as "persist-degraded" /
-// "persist-rearm" / "persist-rearmed" fleet-level events.
+// backoff (a virtual clock, so tests don't sleep) and then re-arms by
+// opening a fresh epoch exactly like startup. The arc is journaled as
+// "persist-degraded" / "persist-rearm" / "persist-rearmed" fleet-level
+// events.
 package fleet
 
 import (
@@ -37,7 +42,7 @@ import (
 
 // State-dir file names: the event WAL, the snapshot (meta + scheduler +
 // watchdog + store entries, replaced atomically), and the staged journal a
-// fresh epoch appends to until commitJournal atomically renames it over
+// fresh epoch is seeded into until startEpoch atomically renames it over
 // journalFile.
 const (
 	journalFile      = "journal.wal"
@@ -152,9 +157,10 @@ type persister struct {
 	disk      *faults.DiskInjector // nil: no injected disk faults
 	rearmBase int                  // events between degradation and re-arm (<= 0: never)
 
-	// hookArmed gates the disk-fault hook: injection starts only after the
-	// epoch is open, so a chaos run always gets past birth and exercises
-	// the degrade/re-arm arc instead of degrading before the first event.
+	// hookArmed gates the disk-fault hook: injection starts only once the
+	// first epoch is staged, so a chaos run always gets past birth and
+	// exercises the degrade/re-arm arc instead of degrading before the
+	// first event.
 	// Atomic because the hook runs under the WAL's lock while appendEvent
 	// holds p.mu — the hook must not touch p.mu.
 	hookArmed atomic.Bool
@@ -203,31 +209,19 @@ func (p *persister) roll() wal.Roll {
 	}
 }
 
-// stageEpoch is the first half of an epoch roll (wal.Roll.Begin), shared
-// by birth and re-arm: read the previous epoch number from whatever state
-// files exist, bump it, atomically write the fresh epoch's snapshot
-// (covering journal events up to seq) while the old journal is still
-// untouched, and open a staged journal stamped with the epoch record.
-// Events append to the staged journal until commitJournal publishes it;
-// until then recovery reads the new snapshot over the old journal
-// (readState's snapshot-ahead branch), so neither rolled-forward store
-// commits nor pending sessions are ever orphaned behind a stale snapshot.
-func (p *persister) stageEpoch(seq int, sched admission.PersistState, dr []DriftRecord, entries []KeyedEntry) (int, *wal.Log, error) {
-	epoch := prevEpoch(p.dir) + 1
-	meta, _ := json.Marshal(walMeta{Wal: "journal", Epoch: epoch})
-	log, err := p.roll().Begin(meta, func() error {
-		return writeSnapshotFile(p.dir, epoch, seq, sched, dr, entries, p.faultHook("snapshot"))
-	})
-	return epoch, log, err
+// liveState is what a snapshot holds beside its watermark: the
+// scheduler's exportable state, the watchdog records and the store's
+// entries.
+type liveState struct {
+	sched   admission.PersistState
+	drift   []DriftRecord
+	entries []KeyedEntry
 }
 
-// openPersister starts epoch state under dir with the caller's store and
-// scheduler state as the fresh epoch's snapshot. An error means the state
-// dir is unusable (nothing was destroyed) and the fleet should degrade
-// from birth. Injected disk faults (cfg.DiskFaults) arm only once the
-// epoch is open: birth either succeeds or degrades permanently, so the
-// injector targets the steady state the re-arm machinery can actually heal.
-func openPersister(dir string, cfg Config, sched admission.PersistState, dr []DriftRecord, entries []KeyedEntry) (*persister, error) {
+// openPersister prepares dir for the fleet's WAL; startEpoch opens its
+// first epoch. An error means the state dir is unusable (nothing was
+// destroyed) and the fleet should degrade from birth.
+func openPersister(dir string, cfg Config) (*persister, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -239,41 +233,97 @@ func openPersister(dir string, cfg Config, sched admission.PersistState, dr []Dr
 	if rearmBase == 0 {
 		rearmBase = 64
 	}
-	p := &persister{
+	return &persister{
 		dir: dir, snapEvery: snapEvery, fsync: cfg.Fsync,
 		disk: cfg.DiskFaults, rearmBase: rearmBase,
 		lastSeq: -1,
-	}
-	epoch, log, err := p.stageEpoch(-1, sched, dr, entries)
-	if err != nil {
-		return nil, err
-	}
-	// Only an Overwrite start gets here with sharded-layout files in the
-	// dir (readState refuses them): the caller chose to discard that state,
-	// so drop the files or the next start is refused again.
-	for _, name := range shardedLayoutFiles(dir) {
-		os.Remove(filepath.Join(dir, name))
-	}
-	p.epoch, p.log, p.snapshots = epoch, log, 1
-	p.hookArmed.Store(true)
-	return p, nil
+	}, nil
 }
 
-// commitJournal publishes the staged journal over journalFile (the second
-// half of the epoch roll). Everything appended before the commit (the
-// epoch record, Recover's re-admitted "queued" events) is already inside
-// the file when it takes the journal's name, so a pending session is
-// vouched for by the old journal up to the rename and by the new one from
-// the rename on, with no gap.
-func (p *persister) commitJournal() {
+// startEpoch opens a fresh epoch from the in-memory journal j, the one way
+// the fleet's birth, Recover and a re-arm all start one: beginEpoch, then
+// publish the staged journal over journalFile. An error leaves the live
+// journal and the persister as they were; a failed publish degrades the
+// persister like any other write failure.
+func (p *persister) startEpoch(j *Journal, capture func() liveState) error {
+	if err := p.beginEpoch(j, capture); err != nil {
+		return err
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.degraded || p.closed {
-		return
+		return nil
 	}
 	if err := p.roll().Publish(p.log); err != nil {
 		p.failLocked(err)
 	}
+	return nil
+}
+
+// beginEpoch is the first half of the roll (wal.Roll.Begin). The fresh
+// epoch's snapshot of capture's state, at watermark j.LastSeq() read before
+// the capture (replaying a little extra on recovery is idempotent), lands
+// atomically while the old journal is untouched. Then, under the journal
+// lock, so no event slips between the scan and the swap, a staged journal
+// is seeded with every open session's history (the fold's reading, the
+// same readState makes, so a later crash still re-admits them) and the
+// store and breaker records past the watermark, and swapped in: the next
+// event flows through the sink into it. Until the publish, recovery reads
+// the new snapshot over the old journal (readState's snapshot-ahead
+// branch), so neither rolled-forward store commits nor pending sessions are
+// orphaned. Injected disk faults (Config.DiskFaults) arm once the first
+// stage is seeded: birth either succeeds or degrades permanently, so the
+// injector targets the steady state the re-arm machinery can heal.
+func (p *persister) beginEpoch(j *Journal, capture func() liveState) error {
+	w0 := j.LastSeq()
+	st := capture()
+	epoch := prevEpoch(p.dir) + 1
+	meta, _ := json.Marshal(walMeta{Wal: "journal", Epoch: epoch})
+	log, err := p.roll().Begin(meta, func() error {
+		return writeSnapshotFile(p.dir, epoch, w0, st, p.faultHook("snapshot"))
+	})
+	if err != nil {
+		return err
+	}
+	var seedErr error
+	j.withLock(func(events []Event, fd *fold) {
+		lastSeq := w0
+		for _, e := range events {
+			include := e.Session >= 0 && fd.sessions[e.Session].pending()
+			if !include && e.Seq > w0 {
+				switch e.Type {
+				case "store-commit", "store-invalidate", "breaker-open", "breaker-closed":
+					include = true
+				}
+			}
+			if !include {
+				continue
+			}
+			payload, err := json.Marshal(e)
+			if err != nil {
+				seedErr = err
+				return
+			}
+			// Write, not Append: the publish's Sync covers the whole seed.
+			if err := log.Write(payload); err != nil {
+				seedErr = err
+				return
+			}
+			lastSeq = max(lastSeq, e.Seq)
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		p.log, p.epoch, p.lastSeq = log, epoch, lastSeq
+		p.commits = 0
+		p.snapshots++
+		p.degraded, p.err, p.notice = false, nil, false
+	})
+	if seedErr != nil {
+		log.Abort()
+		return seedErr
+	}
+	p.hookArmed.Store(true)
+	return nil
 }
 
 // prevEpoch finds the newest epoch recorded in dir's state files (0 when
@@ -384,23 +434,23 @@ func (p *persister) watermark() int {
 // watchdog state (only when non-empty, keeping zero-knob snapshots in the
 // pre-watchdog format byte-for-byte), then the store entries. The optional
 // hook is the disk-fault seam.
-func writeSnapshotFile(dir string, epoch, seq int, sched admission.PersistState, dr []DriftRecord, entries []KeyedEntry, hook func(op string) error) error {
-	payloads := make([][]byte, 0, len(entries)+3)
+func writeSnapshotFile(dir string, epoch, seq int, st liveState, hook func(op string) error) error {
+	payloads := make([][]byte, 0, len(st.entries)+3)
 	m, _ := json.Marshal(walMeta{Wal: "snapshot", Epoch: epoch, Seq: seq})
 	payloads = append(payloads, m)
-	sc, err := json.Marshal(walSched{Sched: &sched})
+	sc, err := json.Marshal(walSched{Sched: &st.sched})
 	if err != nil {
 		return fmt.Errorf("encode scheduler state: %w", err)
 	}
 	payloads = append(payloads, sc)
-	if len(dr) > 0 {
-		db, err := json.Marshal(walDrift{Drift: dr})
+	if len(st.drift) > 0 {
+		db, err := json.Marshal(walDrift{Drift: st.drift})
 		if err != nil {
 			return fmt.Errorf("encode drift state: %w", err)
 		}
 		payloads = append(payloads, db)
 	}
-	for _, ke := range entries {
+	for _, ke := range st.entries {
 		b, err := json.Marshal(ke)
 		if err != nil {
 			return fmt.Errorf("encode store entry: %w", err)
@@ -413,7 +463,7 @@ func writeSnapshotFile(dir string, epoch, seq int, sched admission.PersistState,
 // writeSnapshot writes a snapshot for the live epoch. Callers serialize:
 // the fleet holds its snapshot mutex across capture and write, so two
 // writes never share a temp file.
-func (p *persister) writeSnapshot(seq int, sched admission.PersistState, dr []DriftRecord, entries []KeyedEntry) {
+func (p *persister) writeSnapshot(seq int, st liveState) {
 	p.mu.Lock()
 	if p.degraded || p.closed {
 		p.mu.Unlock()
@@ -421,7 +471,7 @@ func (p *persister) writeSnapshot(seq int, sched admission.PersistState, dr []Dr
 	}
 	epoch := p.epoch
 	p.mu.Unlock()
-	err := writeSnapshotFile(p.dir, epoch, seq, sched, dr, entries, p.faultHook("snapshot"))
+	err := writeSnapshotFile(p.dir, epoch, seq, st, p.faultHook("snapshot"))
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err != nil {
@@ -503,85 +553,21 @@ func (p *persister) rearmFailed(err error) {
 	p.rearmWait = b
 }
 
-// rearm rebuilds on-disk state for a degraded persister from the live
-// in-memory journal: stageEpoch with the caller's captured state, then the
-// staged journal re-seeded — under the journal lock, so no event can slip
-// between the scan and the sink coming back to life — with
-// every non-terminal session's history (so a later crash still re-admits
-// them) plus any store/breaker events newer than the snapshot watermark,
-// then the same atomic commit as startup. Every crash instant during a
-// re-arm leaves one of the proven recovery pairings: before the commit the
-// new snapshot out-epochs the old journal (readState's snapshot-ahead
-// branch); after it, watermark roll-forward. The caller holds snapMu and
-// must NOT hold the fleet lock.
-func (p *persister) rearm(j *Journal, sched admission.PersistState, dr []DriftRecord, entries []KeyedEntry) error {
-	// Watermark before capture is the standing snapshot discipline; here
-	// the journal's own tail is the freshest "known Seq" there is. The
-	// caller captured state after this point, so replaying a little extra
-	// on recovery stays idempotent.
-	w0 := j.LastSeq()
-	epoch, log, err := p.stageEpoch(w0, sched, dr, entries)
-	if err != nil {
+// rearm runs one claimed re-arm attempt: a fresh epoch from the live
+// journal, with the backoff bookkeeping around it. A staging failure stays
+// degraded and backs off further; a failed publish re-degrades through the
+// usual path (a fresh backoff at base — the disk did accept a whole
+// snapshot and journal, so it counts as a new incident). The caller holds
+// snapMu and must NOT hold the fleet lock.
+func (p *persister) rearm(j *Journal, capture func() liveState) error {
+	if err := p.startEpoch(j, capture); err != nil {
 		p.rearmFailed(err)
 		return err
 	}
-	var seedErr error
-	j.withLock(func(events []Event, fd *fold) {
-		// The journal's fold says which sessions are still open, by the same
-		// reading readState makes of the records.
-		lastSeq := w0
-		for _, e := range events {
-			include := e.Session >= 0 && fd.sessions[e.Session].pending()
-			if !include && e.Seq > w0 {
-				switch e.Type {
-				case "store-commit", "store-invalidate", "breaker-open", "breaker-closed":
-					include = true
-				}
-			}
-			if !include {
-				continue
-			}
-			payload, err := json.Marshal(e)
-			if err != nil {
-				seedErr = err
-				return
-			}
-			// Write, not Append: Publish's Sync below covers the whole seed.
-			if err := log.Write(payload); err != nil {
-				seedErr = err
-				return
-			}
-			if e.Seq > lastSeq {
-				lastSeq = e.Seq
-			}
-		}
-		// Swap while still holding the journal lock: the next event added
-		// flows through the sink into the re-seeded log with no gap.
-		p.mu.Lock()
-		p.log = log
-		p.epoch = epoch
-		p.lastSeq = lastSeq
-		p.commits = 0
-		p.snapshots++
-		p.degraded = false
-		p.err = nil
-		p.notice = false
-		p.rearming = false
-		p.rearms++
-		p.mu.Unlock()
-	})
-	if seedErr != nil {
-		log.Abort()
-		p.rearmFailed(seedErr)
-		return seedErr
-	}
-	// Publish: rename the staged journal into place. A failure here
-	// re-degrades through the usual path (a fresh backoff at base — the
-	// disk did accept a whole snapshot and journal, so this counts as a
-	// new incident, not a continued one).
-	p.commitJournal()
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.rearming = false
+	p.rearms++
 	if p.degraded {
 		return p.err
 	}

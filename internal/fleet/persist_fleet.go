@@ -1,48 +1,50 @@
 package fleet
 
-import "fmt"
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+)
 
-// initPersist stages the WAL epoch when StateDir is set: the epoch's
-// initial snapshot (carrying any recovered store and scheduler state)
-// lands atomically on disk first, then a staged journal opens for
-// appends; commitPersist publishes it over the previous epoch's journal.
-// An unusable state dir degrades the fleet instead of failing it — and so
-// does a state dir still holding an interrupted run, or one readState
-// cannot read, unless the caller explicitly opted into discarding it
-// (Config.Overwrite) or is Recover, which consumes that state. Either way
-// the old files are untouched.
+// initPersist opens the WAL's first epoch when StateDir is set, from
+// whatever the journal and the fleet hold at that moment (startEpoch),
+// and hangs the persister off the journal. An unusable state dir degrades
+// the fleet instead of failing it — and so does a state dir still holding
+// an interrupted run, or one readState cannot read, unless the caller
+// explicitly opted into discarding it (Config.Overwrite) or is Recover,
+// which consumes that state. Either way the old files are untouched.
 func (f *Fleet) initPersist() {
-	if f.cfg.StateDir == "" {
+	dir := f.cfg.StateDir
+	if dir == "" {
 		return
 	}
+	var err error
 	if !f.cfg.Overwrite {
-		n, err := PendingSessions(f.cfg.StateDir)
-		if err == nil && n > 0 {
+		var n int
+		if n, err = PendingSessions(dir); err == nil && n > 0 {
 			err = fmt.Errorf("state dir holds an interrupted run (%d unfinished sessions); Recover it (-resume) or set Overwrite (-fresh) to discard it", n)
 		}
-		if err != nil {
-			f.persist = degradedPersister(f.cfg.StateDir, err)
-			return
-		}
 	}
-	p, err := openPersister(f.cfg.StateDir, f.cfg, f.sched.Export(), f.captureDrift(), f.captureStore())
+	var p *persister
+	if err == nil {
+		p, err = openPersister(dir, f.cfg)
+	}
+	if err == nil {
+		err = p.startEpoch(f.journal, f.capture)
+	}
 	if err != nil {
-		f.persist = degradedPersister(f.cfg.StateDir, err)
+		f.persist = degradedPersister(dir, err)
 		return
+	}
+	// Only an Overwrite start gets here with sharded-layout files in the
+	// dir (readState refuses them): the caller chose to discard that state,
+	// so drop the files or the next start is refused again.
+	for _, name := range shardedLayoutFiles(dir) {
+		os.Remove(filepath.Join(dir, name))
 	}
 	f.persist = p
 	f.journal.SetSink(p.appendEvent)
 	f.journal.setCommit(p.commit)
-}
-
-// commitPersist publishes the staged journal over the previous epoch's.
-// Recover calls it only after re-admitting the old journal's pending
-// sessions, so their "queued" records are inside the file before it takes
-// the journal's name.
-func (f *Fleet) commitPersist() {
-	if f.persist != nil {
-		f.persist.commitJournal()
-	}
 }
 
 // tendPersist is the persistence layer's between-sessions heartbeat,
@@ -66,20 +68,15 @@ func (f *Fleet) tendPersist() {
 	}
 }
 
-// rearmPersist runs one claimed re-arm attempt: journal it, capture live
-// state under snapMu exactly like a periodic snapshot, and hand the
-// persister its fresh epoch. Success is journaled from the far side — the
+// rearmPersist runs one claimed re-arm attempt under snapMu, like a
+// periodic snapshot. Success is journaled from the far side — the
 // "persist-rearmed" record is the first event guaranteed to land in the
 // re-seeded WAL.
 func (f *Fleet) rearmPersist(attempt int) {
 	f.journal.add(Event{Session: -1, Type: "persist-rearm", Attempt: attempt})
 	f.snapMu.Lock()
 	defer f.snapMu.Unlock()
-	f.mu.Lock()
-	sched := f.sched.Export()
-	dr := f.captureDriftLocked()
-	f.mu.Unlock()
-	if err := f.persist.rearm(f.journal, sched, dr, f.captureStore()); err != nil {
+	if f.persist.rearm(f.journal, f.capture) != nil {
 		return
 	}
 	f.journal.add(Event{Session: -1, Type: "persist-rearmed", Attempt: attempt})
@@ -98,20 +95,20 @@ func (f *Fleet) persistSnapshot() {
 	defer f.snapMu.Unlock()
 	w := f.persist.watermark()
 	f.persist.commit()
-	f.mu.Lock()
-	sched := f.sched.Export()
-	dr := f.captureDriftLocked()
-	f.mu.Unlock()
-	f.persist.writeSnapshot(w, sched, dr, f.captureStore())
+	f.persist.writeSnapshot(w, f.capture())
 }
 
-// captureStore exports the store's contents for a WAL snapshot.
-func (f *Fleet) captureStore() []KeyedEntry {
+// capture takes the state a snapshot holds: the scheduler and every
+// session's watchdog posture under the fleet lock, then the store.
+func (f *Fleet) capture() liveState {
+	f.mu.Lock()
+	st := liveState{sched: f.sched.Export(), drift: f.captureDriftLocked()}
+	f.mu.Unlock()
 	// A remote store is the daemon's to persist: snapshotting its contents
 	// into this fleet's WAL would re-import another process's entries (and
 	// stale generations) on recovery, so the WAL records an empty store.
-	if f.store == nil || f.cfg.DisableStore || f.cfg.StoreAddr != "" {
-		return nil
+	if f.store != nil && !f.cfg.DisableStore && f.cfg.StoreAddr == "" {
+		st.entries = f.store.Export()
 	}
-	return f.store.Export()
+	return st
 }

@@ -18,14 +18,15 @@
 //     and breaker states import from the snapshot, then breaker edges
 //     journaled after the watermark roll forward coarsely.
 //
-// Recovery starts a fresh epoch in an order that keeps every crash
-// instant recoverable: the rebuilt state is written as a new snapshot
-// first (old journal untouched), the pending sessions are re-admitted so
-// their "queued" records land in a staged journal, and only then is the
-// staged journal atomically renamed over the old one. An interrupted
-// recovery therefore leaves either the old journal (pending sessions
-// still in it) or the new journal (pending sessions re-journaled) under
-// the new snapshot — both pairings readState reads consistently.
+// Recovery rebuilds the fleet in memory first: store and scheduler
+// imported, every pending session re-admitted with its re-tune lane
+// posture. Only then does the fresh epoch open (persister.startEpoch, the
+// same opener as birth and re-arm), so its snapshot captures the restored
+// posture and its staged journal is seeded with the re-admissions' "queued"
+// records in one batch. Until the staged journal is renamed over the old
+// one, the old journal still names every pending session under the new
+// snapshot; from the rename on, the new one does — both pairings readState
+// reads consistently.
 package fleet
 
 import (
@@ -191,17 +192,9 @@ func Recover(stateDir string, cfg Config) (*Fleet, *Recovery, error) {
 	st.rec.StoreEntries = len(st.entries)
 	st.rec.Breakers = len(f.sched.Breakers())
 
-	f.initPersist()
-	st.rec.Epoch = 0
-	if f.persist != nil {
-		st.rec.Epoch = f.persist.epoch
-	}
-
-	// Re-admit BEFORE publishing the staged journal and starting workers:
-	// the re-admissions' "queued" records (specs included) append to the
-	// staged file, so when commitPersist renames it into place the new
-	// journal already vouches for every pending session — and until that
-	// rename, the old journal still does. No crash instant loses one.
+	// Re-admit BEFORE the epoch opens and the workers start: the epoch's
+	// snapshot then holds the restored lane posture, and its journal is
+	// seeded with every re-admission. No crash instant loses a session.
 	for _, ps := range st.pending {
 		sf := ps.fold
 		s := f.submitRecovered(sf.spec.Spec(), ps.attempt)
@@ -241,7 +234,8 @@ func Recover(stateDir string, cfg Config) (*Fleet, *Recovery, error) {
 			st.rec.RequeuedWaiting++
 		}
 	}
-	f.commitPersist()
+	f.initPersist()
+	st.rec.Epoch = f.persist.epoch
 	f.startWorkers()
 	return f, st.rec, nil
 }

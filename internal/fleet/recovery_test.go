@@ -531,12 +531,18 @@ func TestRecoverSurvivesInterruptedRecovery(t *testing.T) {
 	if st.sched != nil {
 		half.sched.Import(*st.sched)
 	}
-	half.initPersist()
-	if half.persist == nil || half.persist.log == nil {
-		t.Fatalf("staging did not open a journal (persist %+v)", half.persist)
+	for _, ps := range st.pending {
+		half.submitRecovered(ps.fold.spec.Spec(), ps.attempt)
 	}
-	prevEpoch := half.persist.epoch
-	half.persist.log.Abort() // the crash: staged journal never commits
+	p, err := openPersister(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.beginEpoch(half.journal, half.capture); err != nil {
+		t.Fatalf("staging the epoch: %v", err)
+	}
+	prevEpoch := p.epoch
+	p.log.Abort() // the crash: staged journal never published
 
 	// The old journal still names the pending work.
 	if got := pendingSessions(t, dir); got != cancelled {
@@ -569,7 +575,7 @@ func TestRecoverSurvivesInterruptedRecovery(t *testing.T) {
 // store-commit threshold get exactly one snapshot claim.
 func TestClaimSnapshotSingleWinner(t *testing.T) {
 	dir := t.TempDir()
-	p, err := openPersister(dir, Config{Fsync: wal.SyncOnClose, SnapshotEvery: 4}, admission.PersistState{}, nil, nil)
+	p, err := openPersister(dir, Config{Fsync: wal.SyncOnClose, SnapshotEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,16 +190,15 @@ type Session struct {
 	// item is the session's admission-queue handle; its scheduler-owned
 	// fields are only touched under the fleet's mutex.
 	item *admission.Item
+	// journal holds the session's lifecycle: State, Attempt, Warm and
+	// Translated read its fold.
+	journal *Journal
 	// finished is closed once the session's last terminal record is
 	// journaled (see Finished).
 	finished chan struct{}
 
 	mu          sync.Mutex
 	machineName string
-	state       State
-	warm        bool
-	translated  bool
-	attempt     int
 	report      *rpgcore.Report
 	meas        *rpgcore.Measurement
 	sweep       *baselines.Sweep
@@ -228,11 +227,22 @@ type Session struct {
 	windowMark     int
 }
 
-// State returns the session's current lifecycle state.
+// State returns the session's current lifecycle state: the one its journal
+// records put it in.
 func (s *Session) State() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
+	name := s.view().State
+	for st := Queued; st <= Degraded; st++ {
+		if st.String() == name {
+			return st
+		}
+	}
+	return Queued // no record names a state yet: the queued record is in flight
+}
+
+// view is the session as its journal records tell it.
+func (s *Session) view() SessionView {
+	v, _ := s.journal.View(s.ID)
+	return v
 }
 
 // Finished is closed once the session's last record — the session-done,
@@ -246,11 +256,7 @@ func (s *Session) Finished() <-chan struct{} { return s.finished }
 
 // Attempt returns the session's current attempt index: 0 for the first
 // admission, incremented by each retry-lane re-admission.
-func (s *Session) Attempt() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.attempt
-}
+func (s *Session) Attempt() int { return s.view().Attempt }
 
 // Retunes returns how many re-tune lane passes the session completed
 // (0 for a session the watchdog never re-admitted).
@@ -269,20 +275,12 @@ func (s *Session) Retuning() bool {
 }
 
 // Warm reports whether the session was seeded from the profile store.
-func (s *Session) Warm() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.warm
-}
+func (s *Session) Warm() bool { return s.view().Warm }
 
 // Translated reports whether the session was seeded from a sibling
 // machine's profile through the translation layer (never true together
 // with Warm).
-func (s *Session) Translated() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.translated
-}
+func (s *Session) Translated() bool { return s.view().Translated }
 
 // Report returns the controller's report (nil until terminal or on failure
 // before optimization started).

@@ -1,10 +1,10 @@
 // "Which journal events leave a session open" has one owner, the journal's
 // fold (sessionFold.apply), and three readers: readState, which decides who
-// Recover re-admits; persister.rearm, which decides whose history a re-armed
-// WAL is re-seeded with; and Snapshot, which counts what finished. These
-// tests hold them to the same answer — with one intended difference: a
-// drain's cancellation is a failed session to Snapshot and a pending one to
-// recovery.
+// Recover re-admits; persister.beginEpoch, which decides whose history a
+// fresh epoch's WAL (a re-armed one included) is seeded with; and Snapshot,
+// which counts what finished. These tests hold them to the same answer —
+// with one intended difference: a drain's cancellation is a failed session
+// to Snapshot and a pending one to recovery.
 package fleet
 
 import (
@@ -16,7 +16,6 @@ import (
 	"strings"
 	"testing"
 
-	"rpg2/internal/admission"
 	"rpg2/internal/faults"
 	"rpg2/internal/machine"
 	"rpg2/internal/wal"
@@ -71,13 +70,16 @@ func pendingIDs(t *testing.T, dir string) []int {
 func rearmedDir(t *testing.T, j *Journal) string {
 	t.Helper()
 	dir := t.TempDir()
-	p, err := openPersister(dir, Config{Fsync: wal.SyncAlways}, admission.PersistState{}, nil, nil)
+	p, err := openPersister(dir, Config{Fsync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.commitJournal()
+	noState := func() liveState { return liveState{} }
+	if err := p.startEpoch(NewJournal(), noState); err != nil {
+		t.Fatal(err)
+	}
 	p.fail(errors.New("disk gone"))
-	if err := p.rearm(j, admission.PersistState{}, nil, nil); err != nil {
+	if err := p.rearm(j, noState); err != nil {
 		t.Fatalf("rearm: %v", err)
 	}
 	p.close()

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,14 +33,15 @@ import (
 )
 
 // Config tunes a daemon. Fleet is passed through to fleet.New (or
-// fleet.Recover when Resume finds recoverable state), so all persistence
-// and backpressure knobs live there.
+// fleet.Recover when Resume finds a state dir), so all persistence and
+// backpressure knobs live there.
 type Config struct {
 	// Fleet is the wrapped fleet's configuration.
 	Fleet fleet.Config
-	// Resume recovers Fleet.StateDir's interrupted run (when one exists)
-	// instead of starting fresh; sessions the crash left unfinished are
-	// re-admitted and stay pollable under their pre-crash IDs.
+	// Resume recovers Fleet.StateDir (when it exists) instead of starting
+	// fresh: committed profiles and breaker posture survive, and sessions
+	// a crash left unfinished are re-admitted and stay pollable under
+	// their pre-crash IDs.
 	Resume bool
 	// RetryAfterCap bounds the Retry-After header on 429 responses, in
 	// seconds (default 30).
@@ -87,10 +89,10 @@ type registered struct {
 }
 
 // New starts a daemon over a fresh or recovered fleet. With cfg.Resume and
-// a state dir holding an interrupted run, the fleet is rebuilt via
-// fleet.Recover: terminal pre-crash sessions keep answering polls from
-// their journaled outcomes, unfinished ones are re-admitted and tracked
-// live under both their old and new IDs.
+// an existing state dir, the fleet is rebuilt via fleet.Recover: terminal
+// pre-crash sessions keep answering polls from their journaled outcomes,
+// unfinished ones are re-admitted and tracked live under both their old
+// and new IDs.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
 		retryCap:   cfg.RetryAfterCap,
@@ -103,14 +105,7 @@ func New(cfg Config) (*Server, error) {
 	if s.retryCap <= 0 {
 		s.retryCap = 30
 	}
-	pending := 0
-	if cfg.Resume && cfg.Fleet.StateDir != "" {
-		var err error
-		if pending, err = fleet.PendingSessions(cfg.Fleet.StateDir); err != nil {
-			return nil, err
-		}
-	}
-	if pending > 0 {
+	if _, err := os.Stat(cfg.Fleet.StateDir); cfg.Resume && cfg.Fleet.StateDir != "" && err == nil {
 		f, rec, err := fleet.Recover(cfg.Fleet.StateDir, cfg.Fleet)
 		if err != nil {
 			return nil, err

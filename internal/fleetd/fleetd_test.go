@@ -287,3 +287,30 @@ func TestStreamResumeAfterDisconnect(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeCleanStateDirKeepsStore: resuming over a cleanly closed state
+// dir — nothing left pending — keeps the committed profiles and serves the
+// finished sessions' outcomes under their old IDs, instead of opening a
+// fresh epoch over an empty store.
+func TestResumeCleanStateDirKeepsStore(t *testing.T) {
+	cfg := fleet.Config{Machine: machine.CascadeLake(), Workers: 1, StateDir: t.TempDir()}
+	f := fleet.New(cfg)
+	if _, err := f.Run(tripSpecs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	want := f.Store().Len()
+	if want == 0 {
+		t.Fatal("the first run committed no profiles; the case is vacuous")
+	}
+
+	srv, cli := newTestDaemon(t, fleetd.Config{Fleet: cfg, Resume: true})
+	if got := srv.Fleet().Store().Len(); got != want {
+		t.Fatalf("resumed daemon holds %d store entries, want %d", got, want)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := cli.Status(ctx, 0); err != nil {
+		t.Fatalf("pre-restart session 0 is not pollable: %v", err)
+	}
+}
