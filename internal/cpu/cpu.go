@@ -259,11 +259,16 @@ loop:
 					break loop
 				}
 			}
+			// The word's host line is fetched while the cache model runs,
+			// and read after it: Access touches no simulated memory, and
+			// the value is still read before the hook, which may write it.
+			mem.HostPrefetch(w)
+			res := hier.Access(uint64(pc), addr, now)
 			v := *w
 			// Cache hits pay their level latency directly; LLC misses
 			// enter the MLP window and fire the hook, which still runs
 			// before the load's write-back.
-			if res := hier.Access(uint64(pc), addr, now); !res.LLCMiss {
+			if !res.LLCMiss {
 				now += res.Cycles
 			} else {
 				now += c.chargeMiss(now, now+res.Cycles)

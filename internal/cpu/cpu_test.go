@@ -544,6 +544,48 @@ func TestRunUntilReturnsAfterEveryHook(t *testing.T) {
 	}
 }
 
+// A load that missed the LLC retires the value its word held before the
+// OnLLCMiss hook ran, even when the hook writes that word through the
+// address space; the hook's write stands for the next load.
+func TestLoadValueReadBeforeHook(t *testing.T) {
+	a := isa.NewAsm("main")
+	a.Load(1, 0, 0)       // misses; the hook overwrites the word
+	a.LoadIdx(2, 0, 3, 0) // the indexed form, on another line
+	a.Load(4, 0, 0)       // hits, and reads what the hook wrote
+	a.Halt()
+	bin, err := isa.NewProgram("main").Add(a).Link()
+	if err != nil {
+		t.Fatalf("link: %v", err)
+	}
+	as := mem.NewAddrSpace()
+	data := as.Alloc("data", 128)
+	data.Data[0], data.Data[64] = 11, 22
+	th := &Thread{}
+	th.Regs[0], th.Regs[3] = data.Base, 64
+	core := New(Config{MLP: 2}, testHier())
+	var missed []mem.Addr
+	core.OnLLCMiss = func(_ int, addr mem.Addr) {
+		missed = append(missed, addr)
+		if !as.Write(addr, 1000+addr) {
+			t.Fatalf("hook could not write %#x", addr)
+		}
+	}
+	for th.Runnable() {
+		if err := core.RunUntil(th, bin.Text, as, 1<<40); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(missed) != 2 || missed[0] != data.Base || missed[1] != data.Base+64 {
+		t.Fatalf("hook saw misses at %#x; want the two first loads", missed)
+	}
+	if th.Regs[1] != 11 || th.Regs[2] != 22 {
+		t.Fatalf("loads retired r1=%d r2=%d; want the pre-hook values 11 and 22", th.Regs[1], th.Regs[2])
+	}
+	if want := 1000 + data.Base; th.Regs[4] != want {
+		t.Fatalf("reload read r4=%d; want the hook's %d", th.Regs[4], want)
+	}
+}
+
 func TestRunUntilOnStoppedThreadOrPastBound(t *testing.T) {
 	bin, fresh := missLoop(t)
 	core, th, as := fresh()

@@ -175,7 +175,7 @@ func (as *AddrSpace) Mapped(a Addr) bool { return as.Lookup(a) != nil }
 // visible to the simulated machine, and an unmapped address is not touched.
 func (as *AddrSpace) Prefetch(a Addr) bool {
 	if w := as.word(a); w != nil {
-		hostPrefetch(w)
+		HostPrefetch(w)
 		return true
 	}
 	return false

@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// func hostPrefetch(p *uint64)
-TEXT ·hostPrefetch(SB), NOSPLIT, $0-8
+// func HostPrefetch(p *uint64)
+TEXT ·HostPrefetch(SB), NOSPLIT, $0-8
 	MOVD	p+0(FP), R0
 	PRFM	(R0), PLDL1KEEP
 	RET

@@ -2,5 +2,5 @@
 
 package mem
 
-// hostPrefetch is a no-op where no prefetch instruction is wired up.
-func hostPrefetch(p *uint64) {}
+// HostPrefetch is a no-op where no prefetch instruction is wired up.
+func HostPrefetch(p *uint64) {}
