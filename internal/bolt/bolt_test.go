@@ -102,26 +102,26 @@ func stackSlotProgram(t *testing.T) (*isa.Binary, int) {
 	return bin, 5
 }
 
-func sliceFor(t *testing.T, bin *isa.Binary, pc int) (*Slice, error) {
+func sliceFor(t *testing.T, bin *isa.Binary, pc int) (*cfg.Slice, error) {
 	t.Helper()
 	f, _ := bin.Func("main")
 	g, err := cfg.Build(bin.Text, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ComputeSlice(g, g.Loops(), pc)
+	return cfg.ComputeSlice(g, g.Loops(), pc)
 }
 
 func TestSliceCategories(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func(*testing.T) (*isa.Binary, int)
-		want  Category
+		want  cfg.Category
 	}{
-		{"direct", directProgram, Direct},
-		{"indirect-inner", indirectProgram, IndirectInner},
-		{"indirect-outer", outerProgram, IndirectOuter},
-		{"stack-slot", stackSlotProgram, IndirectInner},
+		{"direct", directProgram, cfg.Direct},
+		{"indirect-inner", indirectProgram, cfg.IndirectInner},
+		{"indirect-outer", outerProgram, cfg.IndirectOuter},
+		{"stack-slot", stackSlotProgram, cfg.IndirectInner},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -389,7 +389,7 @@ func TestInjectPrefetchErrors(t *testing.T) {
 	if _, err := InjectPrefetch(bin, "main", []int{0}, 10); err == nil {
 		t.Fatal("non-load candidate must fail")
 	}
-	var ue *UnsupportedError
+	var ue *cfg.UnsupportedError
 	_, err := InjectPrefetch(bin, "main", []int{0}, 10)
 	if !errorsAs(err, &ue) {
 		t.Fatalf("error should be UnsupportedError, got %T", err)
@@ -400,8 +400,8 @@ func errorsAs(err error, target any) bool {
 	if err == nil {
 		return false
 	}
-	if ue, ok := err.(*UnsupportedError); ok {
-		*(target.(**UnsupportedError)) = ue
+	if ue, ok := err.(*cfg.UnsupportedError); ok {
+		*(target.(**cfg.UnsupportedError)) = ue
 		return true
 	}
 	return false
@@ -446,13 +446,5 @@ func TestApplyRetargetsCallsAndEntry(t *testing.T) {
 	// Original hot remains intact for rollback.
 	if _, ok := nb.Func("hot"); !ok {
 		t.Fatal("f0 must remain in the binary")
-	}
-}
-
-func TestCategoryStrings(t *testing.T) {
-	for _, c := range []Category{Direct, IndirectInner, IndirectOuter} {
-		if c.String() == "" {
-			t.Errorf("category %d unnamed", c)
-		}
 	}
 }

@@ -36,7 +36,7 @@ type Site struct {
 	// DemandPC is the f0 PC of the miss-causing load.
 	DemandPC int
 	// Category is the matched access pattern.
-	Category Category
+	Category cfg.Category
 	// KernelOffset is the f1 offset where the kernel begins.
 	KernelOffset int
 	// KernelLen is the kernel's instruction count.
@@ -82,6 +82,12 @@ func (rw *Rewrite) Rebase(base int) []isa.Instr {
 	return out
 }
 
+// unsupported refuses the load at pc for the pass's own reasons, the way
+// cfg.ComputeSlice refuses a slice.
+func unsupported(pc int, format string, args ...any) error {
+	return &cfg.UnsupportedError{PC: pc, Reason: fmt.Sprintf(format, args...)}
+}
+
 // pass carries the state of one InjectPrefetch invocation.
 type pass struct {
 	g     *cfg.Graph
@@ -117,7 +123,7 @@ type Options struct {
 // classifies the access, and generates a prefetch kernel in the appropriate
 // loop header. It returns the rewritten function, its BAT, and the distance
 // patch points. Candidates whose slices do not match a supported category
-// are skipped; if none can be optimized, an UnsupportedError is returned.
+// are skipped; if none can be optimized, a *cfg.UnsupportedError is returned.
 func InjectPrefetch(bin *isa.Binary, fnName string, candidatePCs []int, distance int) (*Rewrite, error) {
 	return InjectPrefetchWithOptions(bin, fnName, candidatePCs, distance, Options{})
 }
@@ -245,7 +251,7 @@ func InjectPrefetchWithOptions(bin *isa.Binary, fnName string, candidatePCs []in
 // The pick must avoid every register the kernel itself reads: the induction
 // variable, invariant leaves, dropped inner IVs, and the guard's bound
 // register.
-func (p *pass) scratchReg(s *Slice, guard isa.Instr) isa.Reg {
+func (p *pass) scratchReg(s *cfg.Slice, guard isa.Instr) isa.Reg {
 	reserved := map[isa.Reg]bool{isa.SP: true, s.IV.Reg: true}
 	for _, inv := range s.Invariants {
 		reserved[inv] = true
@@ -267,7 +273,7 @@ func (p *pass) scratchReg(s *Slice, guard isa.Instr) isa.Reg {
 // latchGuard derives the kernel's bounds check from the kernel loop's latch
 // branch: the latch condition is copied and inverted so the kernel skips the
 // prefetch when the future iteration would be out of bounds (§3.2.3).
-func (p *pass) latchGuard(s *Slice) (isa.Instr, error) {
+func (p *pass) latchGuard(s *cfg.Slice) (isa.Instr, error) {
 	latch := p.g.Blocks[s.KernelLoop.Latch]
 	br := p.g.Text[latch.End-1]
 	if br.Op != isa.Br && br.Op != isa.BrImm {
@@ -303,7 +309,7 @@ func (p *pass) latchGuard(s *Slice) (isa.Instr, error) {
 // re-executed into a scratch register, guarded by a bounds check, and the
 // demand load is converted into a prefetch.
 func (p *pass) buildKernel(pc, distance int) (*kernel, error) {
-	s, err := ComputeSlice(p.g, p.loops, pc)
+	s, err := cfg.ComputeSlice(p.g, p.loops, pc)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +325,7 @@ func (p *pass) buildKernel(pc, distance int) (*kernel, error) {
 	}
 	load := p.g.Text[pc]
 
-	if s.Category == Direct {
+	if s.Category == cfg.Direct {
 		// a[j] -> prefetch a[j + d*step]: a single instruction whose
 		// displacement encodes the distance; no bounds check is needed
 		// because prefetches never fault.
@@ -332,7 +338,7 @@ func (p *pass) buildKernel(pc, distance int) (*kernel, error) {
 		return k, nil
 	}
 
-	if s.Category == IndirectOuter && p.opts.PreferInnerPlacement {
+	if s.Category == cfg.IndirectOuter && p.opts.PreferInnerPlacement {
 		// Ablation: prefetch a future iteration of the *inner* loop,
 		// a[f(b[i])+j+d]. Within the inner loop the f(b[i]) term is
 		// invariant, so this degenerates to a direct-style prefetch on

@@ -1,8 +1,10 @@
 // Package cfg recovers control-flow structure from a function's machine
 // code: basic blocks, dominators, natural loops, loop-invariant registers,
-// and loop induction variables. It provides the analyses that the BOLT
-// InjectPrefetchPass builds on — the paper notes that BOLT already ships
-// dominator and reaching-definition analyses, which its pass reuses (§3.2.2).
+// and loop induction variables, and on them the backward slice of a load
+// (ComputeSlice). It provides the analyses that the BOLT InjectPrefetchPass
+// builds on — the paper notes that BOLT already ships dominator and
+// reaching-definition analyses, which its pass reuses (§3.2.2) — and that
+// the interpreter's host look-ahead slices its hot loads with.
 package cfg
 
 import (
@@ -39,7 +41,7 @@ type Graph struct {
 // Build recovers the CFG of fn within text. Branches leaving the function
 // (calls aside) are treated as function exits.
 func Build(text []isa.Instr, fn isa.Function) (*Graph, error) {
-	if fn.Entry < 0 || fn.Entry+fn.Size > len(text) {
+	if fn.Entry < 0 || fn.Size < 1 || fn.Entry+fn.Size > len(text) {
 		return nil, fmt.Errorf("cfg: function %q out of text range", fn.Name)
 	}
 	leaders := map[int]bool{fn.Entry: true}
@@ -375,28 +377,4 @@ func (g *Graph) DefsIn(l *Loop, r Reg) []int {
 		}
 	})
 	return pcs
-}
-
-// FreeRegs returns registers never referenced by the function (candidates
-// that need no spill) — excluding SP.
-func (g *Graph) FreeRegs() []Reg {
-	used := make(map[Reg]bool)
-	var buf []Reg
-	for pc := g.Fn.Entry; pc < g.Fn.Entry+g.Fn.Size; pc++ {
-		in := g.Text[pc]
-		if d := in.Defs(); d != isa.NoReg {
-			used[d] = true
-		}
-		buf = in.Uses(buf[:0])
-		for _, r := range buf {
-			used[r] = true
-		}
-	}
-	var free []Reg
-	for r := Reg(0); r < isa.NumRegs; r++ {
-		if r != isa.SP && !used[r] {
-			free = append(free, r)
-		}
-	}
-	return free
 }

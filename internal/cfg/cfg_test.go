@@ -156,22 +156,6 @@ func TestLoopInvariantAndDefs(t *testing.T) {
 	}
 }
 
-func TestFreeRegs(t *testing.T) {
-	bin, f := nestedLoops(t)
-	g, _ := Build(bin.Text, f)
-	free := g.FreeRegs()
-	used := map[isa.Reg]bool{0: true, 1: true, 8: true, 9: true, 10: true, 11: true, isa.SP: true}
-	for _, r := range free {
-		if used[r] {
-			t.Fatalf("register %v reported free but is used", r)
-		}
-	}
-	// r0,r1,r8..r11,SP used: 9 free registers remain.
-	if len(free) != 9 {
-		t.Fatalf("free = %v (%d), want 9", free, len(free))
-	}
-}
-
 func TestStraightLineFunctionHasNoLoops(t *testing.T) {
 	a := isa.NewAsm("s")
 	a.MovImm(0, 1).AddImm(0, 0, 1).Ret()

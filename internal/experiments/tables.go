@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"rpg2/internal/bolt"
+	"rpg2/internal/cfg"
 	"rpg2/internal/fleet"
 	"rpg2/internal/isa"
 	"rpg2/internal/machine"
@@ -18,7 +19,7 @@ import (
 type Table1Row struct {
 	Pattern  string
 	Program  string
-	Category bolt.Category
+	Category cfg.Category
 	Sites    int
 	KernelSz int
 }

@@ -3,7 +3,7 @@ package workloads_test
 import (
 	"testing"
 
-	"rpg2/internal/bolt"
+	"rpg2/internal/cfg"
 	"rpg2/internal/machine"
 	rpgcore "rpg2/internal/rpg2"
 	"rpg2/internal/workloads"
@@ -48,7 +48,7 @@ func TestBCDriftDegradesAndRetuneRecovers(t *testing.T) {
 	if rep.Outcome != rpgcore.Tuned {
 		t.Fatalf("outcome = %v, want Tuned", rep.Outcome)
 	}
-	if len(rep.Sites) != 1 || rep.Sites[0].Category != bolt.IndirectOuter {
+	if len(rep.Sites) != 1 || rep.Sites[0].Category != cfg.IndirectOuter {
 		t.Fatalf("sites = %+v, want one IndirectOuter", rep.Sites)
 	}
 	if !sess.CanRetune(rep) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rpg2/internal/bolt"
+	"rpg2/internal/cfg"
 	"rpg2/internal/isa"
 	"rpg2/internal/machine"
 	. "rpg2/internal/workloads"
@@ -58,11 +59,11 @@ func TestWorkPCIsTheDemandLoad(t *testing.T) {
 // TestEveryBenchmarkIsPrefetchable runs the InjectPrefetchPass over each
 // benchmark's marked site and checks the expected category and site count.
 func TestEveryBenchmarkIsPrefetchable(t *testing.T) {
-	wantCat := map[string]bolt.Category{
-		"pr": bolt.IndirectInner, "bfs": bolt.IndirectInner,
-		"sssp": bolt.IndirectInner, "bc": bolt.IndirectOuter,
-		"is": bolt.IndirectInner, "cg": bolt.IndirectInner,
-		"randacc": bolt.IndirectInner,
+	wantCat := map[string]cfg.Category{
+		"pr": cfg.IndirectInner, "bfs": cfg.IndirectInner,
+		"sssp": cfg.IndirectInner, "bc": cfg.IndirectOuter,
+		"is": cfg.IndirectInner, "cg": cfg.IndirectInner,
+		"randacc": cfg.IndirectInner,
 	}
 	for _, bench := range AllNames() {
 		input := ""
