@@ -299,6 +299,9 @@ func New(cfg Config) *Hierarchy {
 // Stats returns a snapshot of the counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }
 
+// Config returns the configuration the hierarchy was built with.
+func (h *Hierarchy) Config() Config { return h.cfg }
+
 // ResetStats zeroes the counters without disturbing cache contents, so
 // measurement windows observe a warm cache.
 func (h *Hierarchy) ResetStats() { h.stats = Stats{} }

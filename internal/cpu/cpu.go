@@ -117,9 +117,15 @@ type Core struct {
 	// new address or of a new length is re-decoded, so a caller that edits
 	// its text in place between calls must set it.
 	TextGen *uint64
+	// Funcs, if set, is the symbol table of the text the core runs; the
+	// host look-ahead slices a hot load within the function holding it.
+	// Package proc points it at its process's table. Without it, no load
+	// gets a look-ahead.
+	Funcs *[]isa.Function
 
 	outstanding []uint64 // completion cycles of in-flight demand misses
 	dec         decoded  // the text as ops, and what they were built from
+	armMisses   uint32   // the LLC's line count: the look-ahead gate's floor
 }
 
 // New builds a core bound to a hierarchy.
@@ -127,7 +133,7 @@ func New(cfg Config, hier *cache.Hierarchy) *Core {
 	if cfg.MLP < 1 {
 		cfg.MLP = 1
 	}
-	return &Core{cfg: cfg, hier: hier}
+	return &Core{cfg: cfg, hier: hier, armMisses: uint32(max(hier.Config().L3.Lines, 1))}
 }
 
 // Hierarchy returns the cache hierarchy the core is attached to.
@@ -189,6 +195,7 @@ func (c *Core) RunUntil(t *Thread, text []isa.Instr, as *mem.AddrSpace, bound ui
 	r := &t.Regs
 	ops := c.opsFor(text)
 	memos := c.memosFor(as, len(ops))[:len(ops)] // the reslice lets memos[pc] go unchecked
+	misses := c.dec.misses[:len(ops)]
 	watches := c.Watches
 	hier := c.hier
 	branchCost := c.cfg.BranchCost
@@ -246,6 +253,11 @@ loop:
 			r[o.rd&15] = r[o.rs1&15] & o.imm
 		case opMin:
 			r[o.rd&15] = min(r[o.rs1&15], r[o.rs2&15])
+		case opLoadAhead:
+			// An armed load first host-prefetches the word it will read
+			// d iterations on (lookahead.go).
+			c.dec.looks[o.look].run(r, memos, &memos[pc])
+			fallthrough
 		case opLoadIdx:
 			idx = r[o.rs2&15]
 			fallthrough
@@ -272,6 +284,9 @@ loop:
 				now += res.Cycles
 			} else {
 				now += c.chargeMiss(now, now+res.Cycles)
+				if misses[pc] != decided {
+					c.countMiss(text, pc, retired)
+				}
 				if c.OnLLCMiss != nil {
 					c.Now, c.Instructions, t.PC = now, retired, next
 					c.OnLLCMiss(pc, addr)

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/rand"
 	"testing"
 	"unsafe"
 
@@ -719,5 +720,83 @@ func TestRunUntilMemoFollowsAddressSpace(t *testing.T) {
 func TestOpIs24Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(op{}); n > 24 {
 		t.Fatalf("op is %d bytes", n)
+	}
+}
+
+// The host look-ahead changes no simulated bit. is's six-instruction loop
+// runs on a bare core with a symbol table, long enough for its demand load
+// to arm, and under the reference loop, to the same random bounds, with an
+// OnLLCMiss hook on both that rewrites, through the AddrSpace, the index
+// word the look-ahead reads next. After every bound the two must agree on
+// registers, PC, clock, retired count and all 13 cache.Stats.
+func TestLookAheadMatchesReference(t *testing.T) {
+	const keys, buckets = 4000, 1 << 12
+	a := isa.NewAsm("kernel")
+	a.MovImm(8, 0)
+	a.Label("loop")
+	a.LoadIdx(9, 0, 8, 0)  // key = keys[i]
+	a.LoadIdx(10, 1, 9, 0) // c = cnt[key]: pc 2, the load that arms
+	a.AddImm(10, 10, 1)
+	a.StoreIdx(1, 9, 0, 10)
+	a.AddImm(8, 8, 1)
+	a.Br(isa.LT, 8, 2, "loop")
+	a.Halt()
+	bin, err := isa.NewProgram("kernel").Add(a).Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand := 2
+	type side struct {
+		core *Core
+		th   *Thread
+		as   *mem.AddrSpace
+	}
+	rng := rand.New(rand.NewSource(41))
+	init := make([]uint64, keys)
+	for i := range init {
+		init[i] = uint64(rng.Intn(buckets))
+	}
+	launch := func() *side {
+		s := &side{core: New(Config{MLP: 2, BranchCost: 1}, testHier()), th: &Thread{}, as: mem.NewAddrSpace()}
+		k := s.as.Map("keys", append([]uint64(nil), init...))
+		s.th.Regs[0], s.th.Regs[1], s.th.Regs[2] = k.Base, s.as.Alloc("cnt", buckets).Base, keys
+		s.core.OnLLCMiss = func(int, mem.Addr) {
+			next := s.th.Regs[8] + 1 + lookAheadIters
+			if next < keys && !s.as.Write(k.Base+next, (next*7919)%buckets) {
+				t.Fatalf("hook could not write keys[%d]", next)
+			}
+		}
+		return s
+	}
+	got, ref := launch(), launch()
+	funcs := append([]isa.Function(nil), bin.Funcs...)
+	got.core.Funcs = &funcs
+	state := func(s *side) any {
+		return struct {
+			regs         [isa.NumRegs]uint64
+			pc           int
+			now, retired uint64
+			halted       bool
+			stats        cache.Stats
+		}{s.th.Regs, s.th.PC, s.core.Now, s.core.Instructions, s.th.Halted, s.core.Hierarchy().Stats()}
+	}
+	for bound := uint64(0); got.th.Runnable(); {
+		bound += 1 + uint64(rng.Intn(5000))
+		for got.th.Runnable() && got.core.Now < bound {
+			if err := got.core.RunUntil(got.th, bin.Text, got.as, bound); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for ref.th.Runnable() && ref.core.Now < bound {
+			if err := refRunUntil(ref.core, ref.th, bin.Text, ref.as, bound); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if g, r := state(got), state(ref); g != r {
+			t.Fatalf("bound %d: with the look-ahead\n%+v\nthe reference\n%+v", bound, g, r)
+		}
+	}
+	if got.core.dec.ops[demand].kind != opLoadAhead {
+		t.Fatalf("the demand load never armed: %d misses counted", got.core.dec.misses[demand])
 	}
 }

@@ -54,6 +54,9 @@ const (
 	opPush
 	opPop
 	opHalt
+	// opLoadAhead is an armed opLoadIdx: a load with a host look-ahead
+	// record (lookahead.go). No instruction decodes to it.
+	opLoadAhead
 )
 
 // op is one decoded instruction: 24 bytes. Every register field its kind
@@ -66,6 +69,8 @@ type op struct {
 	rd, rs1, rs2 uint8
 	// watched is set iff a watch on the core holds this PC.
 	watched bool
+	// look is the index of an opLoadAhead's record in decoded.looks.
+	look uint16
 }
 
 // regShape names the register fields an opcode reads or writes.
@@ -152,7 +157,10 @@ type watchStamp struct {
 // decoded is a core's op table for the text it last ran, and what the table
 // was built from: the text's address, length and edit generation, and the
 // watch set its watched bits reflect. Beside it, one segment memo per op,
-// and the address space the memos were filled from.
+// and the address space the memos were filled from; and the host
+// look-ahead's state since the table was built: each op's simulated LLC
+// misses (or decided), the retired count at the build, and the records of
+// the armed ops.
 type decoded struct {
 	ops     []op
 	base    *isa.Instr
@@ -160,6 +168,9 @@ type decoded struct {
 	watches []watchStamp
 	memos   []segMemo
 	as      *mem.AddrSpace
+	misses  []uint32
+	builtAt uint64
+	looks   []lookAhead
 }
 
 // segMemo is the segment an op's load or store last touched: its base and
@@ -211,7 +222,8 @@ func (c *Core) memosFor(as *mem.AddrSpace, n int) []segMemo {
 // opsFor returns the core's op table for text, rebuilding it when the text
 // or the watch set may have changed since it was built. RunUntil calls it on
 // entry: every hook returns from RunUntil, so nothing changes either while
-// the table is in use.
+// the table is in use. A rebuild drops the look-ahead records and restarts
+// the gate's counts.
 func (c *Core) opsFor(text []isa.Instr) []op {
 	d := &c.dec
 	var base *isa.Instr
@@ -222,16 +234,18 @@ func (c *Core) opsFor(text []isa.Instr) []op {
 	if c.TextGen != nil {
 		gen = *c.TextGen
 	}
-	if base != d.base || len(text) != len(d.ops) || gen != d.gen {
-		d.base, d.gen = base, gen
-		d.ops = d.ops[:0]
-		for _, in := range text {
-			d.ops = append(d.ops, decode(in))
-		}
-		c.markWatched()
-	} else if !c.sameWatches() {
-		c.markWatched()
+	if base == d.base && len(text) == len(d.ops) && gen == d.gen && c.sameWatches() {
+		return d.ops
 	}
+	d.base, d.gen = base, gen
+	d.ops = d.ops[:0]
+	for _, in := range text {
+		d.ops = append(d.ops, decode(in))
+	}
+	c.markWatched()
+	d.misses = append(d.misses[:0], make([]uint32, len(d.ops))...)
+	d.builtAt = c.Instructions
+	d.looks = d.looks[:0]
 	return d.ops
 }
 
@@ -247,12 +261,10 @@ func (c *Core) sameWatches() bool {
 	return true
 }
 
-// markWatched sets each op's watched bit from the core's watches.
+// markWatched sets the freshly decoded ops' watched bits from the core's
+// watches.
 func (c *Core) markWatched() {
 	d := &c.dec
-	for i := range d.ops {
-		d.ops[i].watched = false
-	}
 	d.watches = d.watches[:0]
 	for _, w := range c.Watches {
 		d.watches = append(d.watches, watchStamp{w, w.gen})

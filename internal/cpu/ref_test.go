@@ -221,8 +221,10 @@ func fuzzProgram(data []byte) []isa.Instr {
 }
 
 // fuzzRig is one interpreter's machine for a fuzzed program: a core on a
-// small hierarchy with the stride engine on, a thread whose even registers
-// point into a data segment, and what the flags attach.
+// small hierarchy with the stride engine on and a one-function symbol table
+// over the whole text (so hot loads arm the host look-ahead), a thread
+// whose even registers point into a data segment, and what the flags
+// attach.
 type fuzzRig struct {
 	core   *Core
 	th     *Thread
@@ -241,6 +243,7 @@ func newFuzzRig(text []isa.Instr, flags byte) *fuzzRig {
 		Stride: cache.StrideConfig{Enabled: true, TableSize: 8, Confidence: 1, Degree: 2},
 	})
 	g := &fuzzRig{core: New(Config{MLP: 2, BranchCost: 1}, h), th: &Thread{}, as: mem.NewAddrSpace()}
+	g.core.Funcs = &[]isa.Function{{Name: "fuzz", Size: len(text)}}
 	g.data = g.as.Alloc("data", 1024)
 	for i := range g.data.Data {
 		g.data.Data[i] = uint64(i * 3)
@@ -358,6 +361,21 @@ func FuzzRunUntilMatchesReference(f *testing.F) {
 			byte(isa.Jmp), 0, 0, 0, 0, 0, 3, // to the load
 		})
 	}
+	// a[b[i]]: r2 walks b and r4 is a's base, both in the data segment;
+	// t = (b[i]&23)<<5 keeps a[t] in it, on lines that crowd two L3 sets,
+	// so the demand load (pc 4) misses until it arms the look-ahead, whose
+	// record applies the AndImm and the ShlImm. The latch's immediate
+	// (-56) never lets the loop end before the bound does.
+	f.Add(byte(3|8<<2), []byte{
+		byte(isa.MovImm), 0, 1, 208, 208, 0, 0, // i = 0
+		byte(isa.Load), 0, 3, 2, 1, 0, 0, // t = b[i]
+		byte(isa.AndImm), 0, 6, 3, 208, 23, 0,
+		byte(isa.ShlImm), 0, 7, 6, 208, 5, 0,
+		byte(isa.Load), 0, 5, 4, 7, 0, 0, // v = a[t]
+		byte(isa.AddImm), 0, 1, 1, 208, 1, 0, // i++
+		byte(isa.BrImm), byte(isa.LT), 0, 1, 208, 200, 2, // to pc 1
+		byte(isa.Halt), 0, 0, 0, 0, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, flags byte, prog []byte) {
 		text := fuzzProgram(prog)
 		got, ref := newFuzzRig(text, flags), newFuzzRig(text, flags)
@@ -390,4 +408,15 @@ func FuzzRunUntilMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// ArmedPCs lists the PCs of the core's armed loads, for the external tests.
+func ArmedPCs(c *Core) []int {
+	var pcs []int
+	for pc, o := range c.dec.ops {
+		if o.kind == opLoadAhead {
+			pcs = append(pcs, pc)
+		}
+	}
+	return pcs
 }

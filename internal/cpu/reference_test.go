@@ -3,6 +3,7 @@ package cpu_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -125,4 +126,32 @@ func snapshotOf(p *proc.Process, w *cpu.Watch, misses int) snapshot {
 		s.fault = *tc.Thread.Fault
 	}
 	return s
+}
+
+// TestLookAheadArmsMissKernelsOnly runs the nine bench kernels past init
+// and through the repo benchmark's 10 simulated seconds of warm-up: each of
+// the five LLC-missing kernels must have armed its work load's host
+// look-ahead, and none of the four LLC-resident ones may have armed a load.
+func TestLookAheadArmsMissKernelsOnly(t *testing.T) {
+	m := machine.CascadeLake()
+	for i, k := range []string{"is", "randacc", "cg", "bfs/soc-gamma", "sssp/gowalla-like",
+		"pr/as20000102-like", "pr/ring-small", "sssp/as20000102-like", "pr/synth-small"} {
+		bench, input, _ := strings.Cut(k, "/")
+		w, err := workloads.Build(bench, input, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := m.Launch(w.Bin, w.Setup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := baselines.RunUntilInit(p, m); err != nil {
+			t.Fatal(err)
+		}
+		p.Run(m.Seconds(10))
+		armed := cpu.ArmedPCs(p.MainThread().Core)
+		if miss := i < 5; miss != slices.Contains(armed, w.WorkPC) || !miss && len(armed) > 0 {
+			t.Errorf("%s: armed loads %v (work load %d); want the work load armed iff the kernel misses the LLC", k, armed, w.WorkPC)
+		}
+	}
 }

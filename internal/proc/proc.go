@@ -171,6 +171,7 @@ func (p *Process) spawn(pc int, regs [isa.NumRegs]uint64) *ThreadCtx {
 	core := cpu.New(p.opts.CPU, p.opts.Hier)
 	core.OnInitDone = func() { p.initDone = true }
 	core.TextGen = &p.textGen
+	core.Funcs = &p.Funcs
 	tc := &ThreadCtx{
 		ID:     id,
 		Thread: cpu.Thread{Regs: regs, PC: pc},
