@@ -146,10 +146,6 @@ func (f *Fleet) scheduleRetune(s *Session, windows int) bool {
 	ev.Backoff, ev.Due = delay, due
 	f.journal.add(ev)
 	f.transition(s, Queued, 0)
-	s.mu.Lock()
-	s.retuning = true
-	s.retuneDistance = seedD
-	s.mu.Unlock()
 	if n := f.sched.Len(); n > f.queuePeak {
 		f.queuePeak = n
 	}
@@ -165,18 +161,13 @@ func (f *Fleet) scheduleRetune(s *Session, windows int) bool {
 // which keeps the lane's store bypass and seed discipline.
 func (f *Fleet) runRetune(s *Session, started time.Time, m machine.Machine) {
 	s.mu.Lock()
-	live, prev, seedD := s.live, s.report, s.retuneDistance
+	live, prev := s.live, s.report
 	s.mu.Unlock()
 	if live == nil || !prev.CanRetune() {
 		f.runOptimize(s, started, m)
 		return
 	}
-	s.mu.Lock()
-	s.retuning = false
-	s.mu.Unlock()
-	f.mu.Lock()
-	granted := s.item.Retune
-	f.mu.Unlock()
+	v := s.view()
 
 	f.transition(s, Tuning, 0)
 	// The lane never consults the store: the injected kernel and its
@@ -186,18 +177,17 @@ func (f *Fleet) runRetune(s *Session, started time.Time, m machine.Machine) {
 	f.journal.add(Event{
 		Session: s.ID, Type: "store-bypass", Reason: "retune",
 		Bench: s.Spec.Bench, Input: s.Spec.Input, Machine: m.Name,
-		Attempt: s.Attempt(), Retune: granted,
+		Attempt: v.Attempt, Retune: v.granted,
 	})
 
 	cfg := f.cfg.Session
 	if s.Spec.Config != nil {
 		cfg = *s.Spec.Config
 	}
-	attempt := s.Attempt()
-	cfg.Seed = s.Spec.Seed + int64(attempt)*retrySeedStride + int64(granted)*retuneSeedStride
+	cfg.Seed = s.Spec.Seed + int64(v.Attempt)*retrySeedStride + int64(v.granted)*retuneSeedStride
 	cfg.SeedDistance = 0
 	if !f.cfg.RetuneCold {
-		cfg.SeedDistance = seedD
+		cfg.SeedDistance = v.retuneDistance
 	}
 	re, err := live.Retune(cfg, prev)
 	if err != nil {
@@ -213,31 +203,25 @@ func (f *Fleet) runRetune(s *Session, started time.Time, m machine.Machine) {
 	f.finishWatched(s, live, re, started, run)
 }
 
-// finishRetune closes one re-tune lane pass: counts it and journals
-// retune-complete when the pass re-activated (a Tuned outcome). A pass
-// that found the target already exited ends with the session's terminal
-// event instead.
+// finishRetune closes one re-tune lane pass that re-activated (a Tuned
+// outcome) with its retune-complete record. A pass that did not — the
+// target exited — ends with the session's terminal record instead.
 func (f *Fleet) finishRetune(s *Session, rep *rpgcore.Report) {
-	s.mu.Lock()
-	s.retuning = false
-	if rep.Outcome == rpgcore.Tuned {
-		s.retunes++
-	}
-	n := s.retunes
-	s.mu.Unlock()
 	if rep.Outcome != rpgcore.Tuned {
 		return
 	}
+	v := s.view()
 	ev := s.event("retune-complete")
-	ev.Attempt, ev.Retune = s.Attempt(), n
+	ev.Attempt, ev.Retune = v.Attempt, v.Retunes+1
 	ev.Distance, ev.Rate = rep.FinalDistance, rep.BestRate
 	f.journal.add(ev)
 }
 
 // captureDriftLocked exports every session's watchdog posture for a WAL
-// snapshot: consumed grants, completed re-tunes, a pending re-tune and its
-// warm seed, and the detector — the live one, or a crash-recovered one the
-// session has not resumed yet. Caller holds f.mu.
+// snapshot: the re-tune lane's, as the fold reads it (consumed grants,
+// completed re-tunes, a pending re-tune and its warm seed), and the
+// detector — the live one, or a crash-recovered one the session has not
+// resumed yet. Caller holds f.mu.
 func (f *Fleet) captureDriftLocked() []DriftRecord {
 	var out []DriftRecord
 	for _, s := range f.sessions {
@@ -247,17 +231,18 @@ func (f *Fleet) captureDriftLocked() []DriftRecord {
 			st := s.det.Export()
 			det = &st
 		}
-		if det != nil || s.retunes > 0 || s.retuning || s.item.Retune > 0 {
+		s.mu.Unlock()
+		v := s.view()
+		if det != nil || v.granted > 0 || v.Retunes > 0 || v.Retuning {
 			dr := DriftRecord{
-				Session: s.ID, Granted: s.item.Retune, Retunes: s.retunes,
-				Retuning: s.retuning, Distance: s.retuneDistance,
+				Session: s.ID, Granted: v.granted, Retunes: v.Retunes,
+				Retuning: v.Retuning, Distance: v.retuneDistance,
 			}
 			if det != nil {
 				dr.Detector = *det
 			}
 			out = append(out, dr)
 		}
-		s.mu.Unlock()
 	}
 	return out
 }

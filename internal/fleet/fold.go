@@ -15,7 +15,14 @@ import (
 
 // SessionView is one session as its journal records tell it: the state and
 // attempt the records put it in, how it was seeded, the current attempt's
-// failure, the terminal report, and its re-tune lane posture.
+// failure, the terminal report, and its re-tune lane posture (DESIGN.md §8).
+//
+// The posture is kept here only. Retunes counts the lane's completed passes.
+// Retuning is true from a retune-scheduled record until the pass it grants
+// ends: its retune-complete, or the session's next terminal record or
+// retry-scheduled. A drain's cancellation is no end — the pass never ran,
+// and recovery re-admits it into the lane. granted is the lane's grants
+// consumed and retuneDistance the warm seed of the last one.
 type SessionView struct {
 	State      string
 	Attempt    int
@@ -25,6 +32,8 @@ type SessionView struct {
 	Report     *rpgcore.Report
 	Retunes    int
 	Retuning   bool
+
+	granted, retuneDistance int
 }
 
 // sessionFold is one session's fold.
@@ -41,8 +50,6 @@ type sessionFold struct {
 	cancelled bool
 	inFlight  bool
 
-	granted        int // re-tune lane grants consumed
-	retuneDistance int // the warm seed of the last granted re-tune
 	// admitted and ended are the Wall stamps of the attempt's admission and
 	// of the terminal record.
 	admitted, ended float64
@@ -75,7 +82,10 @@ func (sf *sessionFold) apply(e Event) {
 			sf.Warm, sf.Translated = false, false
 		}
 	case "retry-scheduled":
-		sf.Attempt = e.Attempt
+		// A re-tune pass the retry lane takes back has ended (one that
+		// rolled back is retried without a session-failed first): the retry
+		// is a cold re-profile, not a re-tune.
+		sf.Attempt, sf.Retuning = e.Attempt, false
 		sf.reopen()
 	case "retune-scheduled":
 		// Never the retry lane: the attempt is untouched.
@@ -88,6 +98,7 @@ func (sf *sessionFold) apply(e Event) {
 	case "session-done", "session-failed", "session-degraded":
 		sf.end, sf.ended, sf.inFlight = e.Type, e.Wall, false
 		sf.cancelled = e.Err == ErrCanceled.Error()
+		sf.Retuning = sf.Retuning && sf.cancelled
 		sf.Attempt, sf.Err = e.Attempt, e.Err
 		if e.Type != "session-failed" {
 			sf.Warm, sf.Translated = e.Warm, e.Translated

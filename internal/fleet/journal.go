@@ -212,6 +212,18 @@ func (j *Journal) View(id int) (SessionView, bool) {
 	return sf.SessionView, true
 }
 
+// restoreLane hands session id's fold the re-tune lane posture v that
+// recovery read for the pre-crash session id re-admits: grants consumed,
+// passes completed, the warm seed. id's queued record is journaled already.
+// A pending pass is not restored here: Recover restates its
+// retune-scheduled record, so a second crash sees it too.
+func (j *Journal) restoreLane(id int, v SessionView) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	sf := j.fold.sessions[id]
+	sf.granted, sf.Retunes, sf.retuneDistance = v.granted, v.Retunes, v.retuneDistance
+}
+
 // tally fills the journal's half of a Snapshot (fold.tally).
 func (j *Journal) tally(s *Snapshot) {
 	j.mu.Lock()

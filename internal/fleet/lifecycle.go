@@ -186,17 +186,14 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 	if s.Spec.Config != nil {
 		cfg = *s.Spec.Config
 	}
-	attempt := s.Attempt()
 	// A session re-dispatched through the re-tune lane whose live target
 	// died with a previous process (crash recovery) falls back to a full
 	// re-optimize here, still under the lane's discipline: store bypassed,
 	// search warm-seeded from the persisted distance.
-	retuning := s.Retuning()
-	granted := 0
+	v := s.view()
+	attempt, retuning, granted := v.Attempt, v.Retuning, 0
 	if retuning {
-		f.mu.Lock()
-		granted = s.item.Retune
-		f.mu.Unlock()
+		granted = v.granted
 	}
 	// Each retry attempt derives a fresh deterministic seed so a rolled-
 	// back search does not replay the same random starting distance;
@@ -291,14 +288,10 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 			})
 		}
 	}
-	if retuning && !f.cfg.RetuneCold {
+	if retuning && !f.cfg.RetuneCold && v.retuneDistance > 0 {
 		// The lane's warm seed: re-enter the search from the distance the
 		// drifted session had installed, with the warm ±2 gradient span.
-		s.mu.Lock()
-		if s.retuneDistance > 0 {
-			cfg.SeedDistance = s.retuneDistance
-		}
-		s.mu.Unlock()
+		cfg.SeedDistance = v.retuneDistance
 	}
 
 	// A seeded session that dies before the controller runs consumed the
@@ -428,10 +421,11 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 // session's seeding (warm, translated) is the one it activated with: a
 // re-tune pass never reseeds it.
 func (f *Fleet) finishOptimize(s *Session, rep *rpgcore.Report, final State) {
+	v := s.view()
 	ev := s.event("session-done")
 	ev.State, ev.Report = final.String(), rep
-	ev.Warm, ev.Translated = s.Warm(), s.Translated()
-	ev.Attempt, ev.Retune = s.Attempt(), s.Retunes()
+	ev.Warm, ev.Translated = v.Warm, v.Translated
+	ev.Attempt, ev.Retune = v.Attempt, v.Retunes
 	f.finish(s, ev)
 }
 

@@ -200,17 +200,16 @@ func Recover(stateDir string, cfg Config) (*Fleet, *Recovery, error) {
 		s := f.submitRecovered(sf.spec.Spec(), ps.attempt)
 		if sf.granted > 0 || sf.Retunes > 0 || sf.Retuning || ps.det != nil {
 			// Restore the re-tune lane posture before workers can dispatch
-			// the session: consumed grants, completed count, warm seed, and
-			// the detector to resume once the re-run re-activates.
+			// the session: the scheduler's grant budget, the fold's posture
+			// (consumed grants, completed count, warm seed), and the
+			// detector to resume once the re-run re-activates.
 			f.mu.Lock()
 			s.item.Retune = sf.granted
 			f.mu.Unlock()
 			s.mu.Lock()
-			s.retunes = sf.Retunes
-			s.retuning = sf.Retuning
-			s.retuneDistance = sf.retuneDistance
 			s.recoveredDet = ps.det
 			s.mu.Unlock()
+			f.journal.restoreLane(s.ID, sf.SessionView)
 			if sf.Retuning {
 				// Restate the lane in the fresh epoch's journal so a second
 				// crash still sees it. A restated retune-scheduled has no

@@ -190,8 +190,8 @@ type Session struct {
 	// item is the session's admission-queue handle; its scheduler-owned
 	// fields are only touched under the fleet's mutex.
 	item *admission.Item
-	// journal holds the session's lifecycle: State, Attempt, Warm and
-	// Translated read its fold.
+	// journal holds the session's lifecycle: State, Attempt, Warm,
+	// Translated, Retunes and Retuning read its fold.
 	journal *Journal
 	// finished is closed once the session's last terminal record is
 	// journaled (see Finished).
@@ -208,23 +208,18 @@ type Session struct {
 	err         error
 	wall        time.Duration
 
-	// Drift-watchdog state (zero/nil unless Config.WatchdogInterval armed
-	// the watchdog for this session). live is the in-process core session
-	// retained past Done so the watchdog can keep sampling and a re-tune
-	// can re-enter the search against the still-injected kernel; det is
-	// the session's degradation detector; retunes counts completed
-	// re-tunes; retuning marks a granted re-tune that has not completed
-	// (its next dispatch is a re-tune, not an optimize); retuneDistance
-	// seeds the warm re-tune search; recoveredDet is a crash-recovered
-	// detector posture to resume; windowMark is the detector sample count
-	// when the current watch episode was armed.
-	live           *rpgcore.Session
-	det            *drift.Detector
-	recoveredDet   *drift.State
-	retunes        int
-	retuning       bool
-	retuneDistance int
-	windowMark     int
+	// Drift-watchdog handles (nil unless Config.WatchdogInterval armed the
+	// watchdog for this session; the re-tune lane's posture is the fold's).
+	// live is the in-process core session retained past Done so the
+	// watchdog can keep sampling and a re-tune can re-enter the search
+	// against the still-injected kernel; det is the session's degradation
+	// detector; recoveredDet is a crash-recovered detector posture to
+	// resume; windowMark is the detector sample count when the current
+	// watch episode was armed.
+	live         *rpgcore.Session
+	det          *drift.Detector
+	recoveredDet *drift.State
+	windowMark   int
 }
 
 // State returns the session's current lifecycle state: the one its journal
@@ -260,19 +255,11 @@ func (s *Session) Attempt() int { return s.view().Attempt }
 
 // Retunes returns how many re-tune lane passes the session completed
 // (0 for a session the watchdog never re-admitted).
-func (s *Session) Retunes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retunes
-}
+func (s *Session) Retunes() int { return s.view().Retunes }
 
-// Retuning reports whether the session holds a granted re-tune that has
-// not completed: its next dispatch re-enters the distance search.
-func (s *Session) Retuning() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retuning
-}
+// Retuning reports whether the session holds a re-tune grant whose pass has
+// not ended: queued, its dispatch re-enters the distance search.
+func (s *Session) Retuning() bool { return s.view().Retuning }
 
 // Warm reports whether the session was seeded from the profile store.
 func (s *Session) Warm() bool { return s.view().Warm }

@@ -91,25 +91,40 @@ func TestTerminalityRuleSharedByRearmAndRecover(t *testing.T) {
 	ev := func(typ string) Event { return Event{Type: typ} }
 	failed := func(msg string) Event { return Event{Type: "session-failed", State: Failed.String(), Err: msg} }
 	cases := []struct {
-		name    string
-		events  []Event // after the session's "queued" record
-		pending bool    // recovery re-admits it
-		counted string  // what Snapshot counts it as ("" = not finished)
+		name     string
+		events   []Event // after the session's "queued" record
+		pending  bool    // recovery re-admits it
+		counted  string  // what Snapshot counts it as ("" = not finished)
+		retuning bool    // a granted re-tune pass has not ended
 	}{
-		{"queued", nil, true, ""},
-		{"in-flight", []Event{ev("admitted")}, true, ""},
-		{"done", []Event{ev("admitted"), ev("session-done")}, false, "done"},
-		{"degraded", []Event{ev("admitted"), ev("session-degraded")}, false, "degraded"},
-		{"failed", []Event{ev("admitted"), failed("boom")}, false, "failed"},
-		{"cancelled-resumes", []Event{failed(canceled)}, true, "failed"},
-		{"fail-retry", []Event{ev("admitted"), failed("boom"), ev("retry-scheduled")}, true, ""},
+		{"queued", nil, true, "", false},
+		{"in-flight", []Event{ev("admitted")}, true, "", false},
+		{"done", []Event{ev("admitted"), ev("session-done")}, false, "done", false},
+		{"degraded", []Event{ev("admitted"), ev("session-degraded")}, false, "degraded", false},
+		{"failed", []Event{ev("admitted"), failed("boom")}, false, "failed", false},
+		{"cancelled-resumes", []Event{failed(canceled)}, true, "failed", false},
+		{"fail-retry", []Event{ev("admitted"), failed("boom"), ev("retry-scheduled")}, true, "", false},
 		{"fail-retry-done", []Event{ev("admitted"), failed("boom"), ev("retry-scheduled"),
-			ev("admitted"), ev("session-done")}, false, "done"},
+			ev("admitted"), ev("session-done")}, false, "done", false},
 		{"fail-retry-cancelled", []Event{ev("admitted"), failed("boom"), ev("retry-scheduled"),
-			failed(canceled)}, true, "failed"},
-		{"done-retune-scheduled", []Event{ev("admitted"), ev("session-done"), ev("retune-scheduled")}, true, ""},
+			failed(canceled)}, true, "failed", false},
+		{"done-retune-scheduled", []Event{ev("admitted"), ev("session-done"), ev("retune-scheduled")}, true, "", true},
+		{"done-retune-in-flight", []Event{ev("admitted"), ev("session-done"), ev("retune-scheduled"),
+			ev("admitted")}, true, "", true},
 		{"done-retune-done", []Event{ev("admitted"), ev("session-done"), ev("retune-scheduled"),
-			ev("admitted"), ev("retune-complete"), ev("session-done")}, false, "done"},
+			ev("admitted"), ev("retune-complete"), ev("session-done")}, false, "done", false},
+		// The target exited mid-pass: no retune-complete, the session's
+		// session-done ends the pass.
+		{"done-retune-exited", []Event{ev("admitted"), ev("session-done"), ev("retune-scheduled"),
+			ev("admitted"), ev("session-done")}, false, "done", false},
+		{"done-retune-failed", []Event{ev("admitted"), ev("session-done"), ev("retune-scheduled"),
+			ev("admitted"), failed("boom")}, false, "failed", false},
+		// A pass that rolled back is retried as a cold re-profile.
+		{"done-retune-retry", []Event{ev("admitted"), ev("session-done"), ev("retune-scheduled"),
+			ev("admitted"), ev("retry-scheduled")}, true, "", false},
+		// A drain cancelled the pass before it ran: it is still owed.
+		{"done-retune-cancelled", []Event{ev("admitted"), ev("session-done"), ev("retune-scheduled"),
+			failed(canceled)}, true, "failed", true},
 	}
 
 	// One journal, one session per case, the cases' events interleaved so
@@ -149,6 +164,9 @@ func TestTerminalityRuleSharedByRearmAndRecover(t *testing.T) {
 		if got := strings.TrimPrefix(sf.end, "session-"); got != c.counted {
 			t.Errorf("%s: Snapshot counts it as %q, want %q", c.name, got, c.counted)
 		}
+		if v, _ := j.View(id); v.Retuning != c.retuning {
+			t.Errorf("%s: Journal.View reads retuning=%v, want %v", c.name, v.Retuning, c.retuning)
+		}
 		if c.counted != "" {
 			counts.Completed++
 		}
@@ -168,11 +186,31 @@ func TestTerminalityRuleSharedByRearmAndRecover(t *testing.T) {
 
 	plain := t.TempDir()
 	writeJournalFile(t, plain, j.Events())
+	rearmed := rearmedDir(t, j)
 	if got := pendingIDs(t, plain); !reflect.DeepEqual(got, want) {
 		t.Errorf("recovered journal: pending %v, want %v", got, want)
 	}
-	if got := pendingIDs(t, rearmedDir(t, j)); !reflect.DeepEqual(got, want) {
+	if got := pendingIDs(t, rearmed); !reflect.DeepEqual(got, want) {
 		t.Errorf("re-armed journal: pending %v, want %v", got, want)
+	}
+
+	// Whether a re-tune pass is owed reads the same in recovery's fold and
+	// in the Recovery.Records a restarted daemon serves status from.
+	for _, dir := range []string{plain, rearmed} {
+		st, err := readState(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ps := range st.pending {
+			if c := cases[ps.oldID]; ps.fold.Retuning != c.retuning {
+				t.Errorf("%s: readState reads retuning=%v, want %v", c.name, ps.fold.Retuning, c.retuning)
+			}
+		}
+		for _, r := range st.rec.Records {
+			if c := cases[r.OldID]; r.Retuning != c.retuning {
+				t.Errorf("%s: Recovery.Records reads retuning=%v, want %v", c.name, r.Retuning, c.retuning)
+			}
+		}
 	}
 }
 

@@ -27,10 +27,6 @@ var ErrNotRetunable = errors.New("rpg2: session is not re-tunable (no live inser
 // a fresh warm-seeded Optimize instead.
 func (r *Report) CanRetune() bool { return r != nil && r.Outcome == Tuned && r.ins != nil }
 
-// CanRetune reports whether a previous report on this session's target
-// can seed a live re-tune.
-func (s *Session) CanRetune(prev *Report) bool { return prev.CanRetune() }
-
 // Retune re-enters phase 4 only, against the still-injected f1 from a
 // previous Tuned report on the same process. The search starts from
 // cfg.SeedDistance — the fleet passes the currently installed distance,
@@ -59,33 +55,15 @@ func (c *Controller) Retune(p *proc.Process, prev *Report) (*Report, error) {
 		Samples:      prev.Samples,
 		Explored:     make(map[int]float64),
 	}
-	if p.State() == proc.Exited {
-		r.Outcome = TargetExited
-		return r, nil
-	}
-	if p.State() == proc.Crashed {
-		return r, ErrCrashed
+	if exited, err := c.checkTarget(p, r); exited {
+		return r, err
 	}
 
 	tr := proc.Attach(p)
 	defer tr.Detach()
 	agent := proc.Preload(p)
-
-	start := p.Clock()
-	record := func(phase string, ipc, rate float64) {
-		r.Timeline = append(r.Timeline, TimelinePoint{
-			Seconds: c.mach.ToSeconds(p.Clock() - start),
-			IPC:     ipc,
-			Rate:    rate,
-			Phase:   phase,
-		})
-	}
-	phase := func(name string) {
-		if c.cfg.OnPhase != nil {
-			c.cfg.OnPhase(name, c.mach.ToSeconds(p.Clock()-start))
-		}
-	}
-	defer phase("detach")
+	tl := c.timeline(p, r)
+	defer tl.phase("detach")
 
 	// A fresh private work counter over the candidate sites, in both code
 	// versions (execution is in f1; rates stay comparable with the
@@ -100,25 +78,17 @@ func (c *Controller) Retune(p *proc.Process, prev *Report) (*Report, error) {
 	c.watch = perf.AttachWatch(p, pcs)
 	defer perf.DetachWatch(p, c.watch)
 
-	phase("tune")
-	if c.cfg.SeedDistance > 0 {
-		r.InitialDistance = c.clampDistance(c.cfg.SeedDistance)
-	} else {
-		r.InitialDistance = 1 + c.rng.Intn(maxInitialDistance)
-	}
-	best, err := c.tune(tr, agent, ins, r, record)
+	tl.phase("tune")
+	r.InitialDistance = c.initialDistance()
+	best, err := c.tune(tr, agent, ins, r, tl.record)
 	r.BestIPC = best.ipc
 	r.BestRate = best.rate
-	r.Costs.ExecSeconds = c.mach.ToSeconds(p.Clock() - start)
+	r.Costs.ExecSeconds = tl.since()
 	if err != nil {
 		return r, err
 	}
-	if p.State() == proc.Exited {
-		r.Outcome = TargetExited
-		return r, nil
-	}
-	if p.State() == proc.Crashed {
-		return r, ErrCrashed
+	if exited, err := c.checkTarget(p, r); exited {
+		return r, err
 	}
 
 	d := best.d
@@ -131,7 +101,7 @@ func (c *Controller) Retune(p *proc.Process, prev *Report) (*Report, error) {
 	r.FinalDistance = d
 	r.Outcome = Tuned
 	r.ins = ins // chained re-tunes stay live
-	record("tuned", best.ipc, best.rate)
+	tl.record("tuned", best.ipc, best.rate)
 	return r, nil
 }
 

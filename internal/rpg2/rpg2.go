@@ -303,24 +303,11 @@ func (c *Controller) Optimize(p *proc.Process) (*Report, error) {
 		return r, err
 	}
 
-	start := p.Clock()
-	record := func(phase string, ipc, rate float64) {
-		r.Timeline = append(r.Timeline, TimelinePoint{
-			Seconds: c.mach.ToSeconds(p.Clock() - start),
-			IPC:     ipc,
-			Rate:    rate,
-			Phase:   phase,
-		})
-	}
-	phase := func(name string) {
-		if c.cfg.OnPhase != nil {
-			c.cfg.OnPhase(name, c.mach.ToSeconds(p.Clock()-start))
-		}
-	}
-	defer phase("detach")
+	tl := c.timeline(p, r)
+	defer tl.phase("detach")
 
 	// ---- Phase 1: profiling ----------------------------------------
-	phase("profile")
+	tl.phase("profile")
 	sampler := perf.NewSampler(c.mach.PEBSPeriod, 1<<16)
 	sampler.Attach(p)
 	profWindows := int(c.cfg.ProfileSeconds/windowSeconds + 0.5)
@@ -331,7 +318,7 @@ func (c *Controller) Optimize(p *proc.Process) (*Report, error) {
 	for i := 0; i < profWindows && p.State() == proc.Running; i++ {
 		w := perf.Measure(p, c.mach.Seconds(c.cfg.ProfileSeconds)/uint64(profWindows), c.rng, c.mach.IPCNoise)
 		ipcSum += w.IPC
-		record("profile", w.IPC, 0)
+		tl.record("profile", w.IPC, 0)
 	}
 	sampler.Detach()
 	r.BaselineIPC = ipcSum / float64(profWindows)
@@ -373,15 +360,11 @@ func (c *Controller) Optimize(p *proc.Process) (*Report, error) {
 	c.watch = perf.AttachWatch(p, candidates)
 	w := perf.MeasureWatch(p, c.watch, c.mach.Seconds(windowSeconds), c.rng, c.mach.IPCNoise)
 	r.BaselineRate = w.Rate
-	record("profile", w.IPC, w.Rate)
+	tl.record("profile", w.IPC, w.Rate)
 
 	// ---- Phase 2: code analysis & generation (runs in background) --
-	phase("rewrite")
-	if c.cfg.SeedDistance > 0 {
-		r.InitialDistance = c.clampDistance(c.cfg.SeedDistance)
-	} else {
-		r.InitialDistance = 1 + c.rng.Intn(maxInitialDistance)
-	}
+	tl.phase("rewrite")
+	r.InitialDistance = c.initialDistance()
 	bin := c.snapshotBinary(p)
 	p.Run(uint64(c.mach.BOLTCycles)) // the target runs while BOLT works
 	r.Costs.BOLTSeconds = c.mach.ToSeconds(uint64(c.mach.BOLTCycles))
@@ -400,7 +383,7 @@ func (c *Controller) Optimize(p *proc.Process) (*Report, error) {
 	}
 
 	// ---- Phase 3: runtime code insertion + OSR ----------------------
-	phase("insert")
+	tl.phase("insert")
 	if err := c.fault("osr"); err != nil {
 		return r, err
 	}
@@ -410,7 +393,7 @@ func (c *Controller) Optimize(p *proc.Process) (*Report, error) {
 	}
 	r.F1Entry = ins.f1Entry
 	r.Costs.CodeInsertSeconds = c.mach.ToSeconds(ins.stolen)
-	record("insert", r.BaselineIPC, r.BaselineRate)
+	tl.record("insert", r.BaselineIPC, r.BaselineRate)
 	// Every watched f0 instruction — in the controller's counter and in
 	// any observer's — now also lives at a translated f1 address. Extend
 	// every attached watch with the translations so all rates remain
@@ -426,21 +409,16 @@ func (c *Controller) Optimize(p *proc.Process) (*Report, error) {
 	}
 
 	// ---- Phase 4: monitoring and tuning -----------------------------
-	phase("tune")
-	best, err := c.tune(tr, agent, ins, r, record)
+	tl.phase("tune")
+	best, err := c.tune(tr, agent, ins, r, tl.record)
 	r.BestIPC = best.ipc
 	r.BestRate = best.rate
-	finish := func() { r.Costs.ExecSeconds = c.mach.ToSeconds(p.Clock() - start) }
-	defer finish()
+	defer func() { r.Costs.ExecSeconds = tl.since() }()
 	if err != nil {
 		return r, err
 	}
-	if p.State() == proc.Exited {
-		r.Outcome = TargetExited
-		return r, nil
-	}
-	if p.State() == proc.Crashed {
-		return r, ErrCrashed
+	if exited, err := c.checkTarget(p, r); exited {
+		return r, err
 	}
 
 	improved := best.d > 0 && best.metric > c.metricBaseline(r)*(1+c.cfg.MinImprovement)
@@ -451,7 +429,7 @@ func (c *Controller) Optimize(p *proc.Process) (*Report, error) {
 		}
 		r.Costs.RollbackSeconds = c.mach.ToSeconds(stolen)
 		r.Outcome = RolledBack
-		record("rollback", r.BaselineIPC, r.BaselineRate)
+		tl.record("rollback", r.BaselineIPC, r.BaselineRate)
 		return r, nil
 	}
 	// Install the best distance and detach (§3.4).
@@ -461,7 +439,7 @@ func (c *Controller) Optimize(p *proc.Process) (*Report, error) {
 	r.FinalDistance = best.d
 	r.Outcome = Tuned
 	r.ins = ins
-	record("tuned", best.ipc, best.rate)
+	tl.record("tuned", best.ipc, best.rate)
 	return r, nil
 }
 
@@ -508,6 +486,44 @@ func (c *Controller) fault(stage string) error {
 		return fmt.Errorf("rpg2: %s stage: %w", stage, err)
 	}
 	return nil
+}
+
+// timeline clocks one controller pass from the moment it attaches: the
+// report's timeline points and the OnPhase calls are stamped in simulated
+// seconds since then.
+type timeline struct {
+	c     *Controller
+	p     *proc.Process
+	r     *Report
+	start uint64
+}
+
+func (c *Controller) timeline(p *proc.Process, r *Report) timeline {
+	return timeline{c: c, p: p, r: r, start: p.Clock()}
+}
+
+// since is the simulated time the pass has run.
+func (t timeline) since() float64 { return t.c.mach.ToSeconds(t.p.Clock() - t.start) }
+
+// record appends one point to the report's timeline (Figure 10).
+func (t timeline) record(phase string, ipc, rate float64) {
+	t.r.Timeline = append(t.r.Timeline, TimelinePoint{Seconds: t.since(), IPC: ipc, Rate: rate, Phase: phase})
+}
+
+// phase tells Config.OnPhase that a controller phase starts.
+func (t timeline) phase(name string) {
+	if t.c.cfg.OnPhase != nil {
+		t.c.cfg.OnPhase(name, t.since())
+	}
+}
+
+// initialDistance is the search's starting distance r: the configured
+// seed, clamped, or else a random draw (§3.4).
+func (c *Controller) initialDistance() int {
+	if c.cfg.SeedDistance > 0 {
+		return c.clampDistance(c.cfg.SeedDistance)
+	}
+	return 1 + c.rng.Intn(maxInitialDistance)
 }
 
 // checkTarget folds target death into the report.

@@ -35,24 +35,6 @@ func (c *Controller) setDistance(tr *proc.Tracer, agent *proc.LibPG2, ins *inser
 	return nil
 }
 
-// SetSiteDistance edits a single site's distance, leaving the others alone.
-// RPG²'s own search never does this (it keeps distances symmetric for
-// tractability), but the asymmetric-distance experiment of Figure 13 uses it.
-func (c *Controller) SetSiteDistance(tr *proc.Tracer, agent *proc.LibPG2, ins *insertion, site, d int) error {
-	tr.Stop()
-	pp := ins.rw.PatchPoints[site]
-	pc := ins.f1Entry + pp.Offset
-	in, err := tr.PeekText(pc)
-	if err != nil {
-		return err
-	}
-	if err := agent.PokeText(pc, pp.Apply(in, d)); err != nil {
-		return err
-	}
-	tr.Resume()
-	return nil
-}
-
 // measureAt installs distance d, lets the target warm up, and measures one
 // window of the tuning metric. Results are cached in the report.
 func (c *Controller) measureAt(tr *proc.Tracer, agent *proc.LibPG2, ins *insertion, r *Report,

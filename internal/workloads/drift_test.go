@@ -51,7 +51,7 @@ func TestBCDriftDegradesAndRetuneRecovers(t *testing.T) {
 	if len(rep.Sites) != 1 || rep.Sites[0].Category != cfg.IndirectOuter {
 		t.Fatalf("sites = %+v, want one IndirectOuter", rep.Sites)
 	}
-	if !sess.CanRetune(rep) {
+	if !rep.CanRetune() {
 		t.Fatal("tuned report is not retunable")
 	}
 	t.Logf("activated at d=%d after %.1fs (explored %v)", rep.FinalDistance, sess.Elapsed(), rep.Explored)
