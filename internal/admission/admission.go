@@ -91,9 +91,6 @@ type Item struct {
 	Payload   any
 	// Attempt counts re-admissions through the retry lane (0 = first).
 	Attempt int
-	// Retune counts re-admissions through the re-tune lane (0 = never
-	// re-tuned). Independent of Attempt: drift repair is not failure.
-	Retune int
 
 	seq      int     // submission order, the FIFO tiebreak
 	waitedAt int     // dispatch-counter timestamp for aging
@@ -137,10 +134,6 @@ type Stats struct {
 	QuotaStalls int `json:"quota_stalls,omitempty"`
 	// BreakerTrips counts breaker openings (including half-open re-trips).
 	BreakerTrips int `json:"breaker_trips,omitempty"`
-	// Parked counts items dispatched as parked (degraded).
-	Parked int `json:"parked,omitempty"`
-	// Retunes counts re-admissions through the re-tune lane.
-	Retunes int `json:"retunes,omitempty"`
 	// Clock is the current virtual time in seconds.
 	Clock float64 `json:"clock,omitempty"`
 }
@@ -225,9 +218,6 @@ func (q *Queue) TenantDepths() map[string]int {
 
 // Empty reports whether nothing is waiting anywhere.
 func (q *Queue) Empty() bool { return q.Len() == 0 }
-
-// Clock returns the virtual time in seconds.
-func (q *Queue) Clock() float64 { return q.clock }
 
 // Stats returns the cumulative policy counters.
 func (q *Queue) Stats() Stats {
@@ -430,7 +420,6 @@ func (q *Queue) dispatch(it *Item, waited float64) (Decision, bool) {
 				d.HalfOpen = true
 			default:
 				d.Parked = true
-				q.stats.Parked++
 			}
 		}
 	}
@@ -559,26 +548,25 @@ func (q *Queue) Retry(it *Item) (backoff, due float64, ok bool) {
 }
 
 // Retune re-admits a drifted-but-successful item through the re-tune
-// lane. It reports the fixed delay and due time, or ok=false when the
-// re-tune budget is spent (or the lane is disabled). The item's Retune
-// count is incremented; its Attempt is untouched. The lane shares the
-// retry lane's due-sorted waiting list and promotion machinery, but none
-// of its policy: no exponential backoff, no retry budget.
-func (q *Queue) Retune(it *Item) (delay, due float64, ok bool) {
-	if q.cfg.MaxRetunes <= 0 || it.Retune >= q.cfg.MaxRetunes {
+// lane, granted being the re-tune grants the item has already used. It
+// reports the fixed delay and due time, or ok=false when the re-tune
+// budget is spent (or the lane is disabled). The item's Attempt is
+// untouched: drift repair is not failure. The lane shares the retry lane's
+// due-sorted waiting list and promotion machinery, but none of its policy:
+// no exponential backoff, no retry budget.
+func (q *Queue) Retune(it *Item, granted int) (delay, due float64, ok bool) {
+	if !q.CanRetune(granted) {
 		return 0, 0, false
 	}
-	it.Retune++
-	q.stats.Retunes++
 	return retuneDelay, q.park(it, retuneDelay), true
 }
 
-// CanRetune reports whether the re-tune lane still has budget for this
-// item. The fleet's watchdog disarms (stops sampling entirely) once the
-// budget is spent, so a drifted session never burns measurement windows
-// on a firing that could not be acted on.
-func (q *Queue) CanRetune(it *Item) bool {
-	return q.cfg.MaxRetunes > 0 && it.Retune < q.cfg.MaxRetunes
+// CanRetune reports whether the re-tune lane still has budget for an item
+// that has used granted grants. The fleet's watchdog disarms (stops
+// sampling entirely) once the budget is spent, so a drifted session never
+// burns measurement windows on a firing that could not be acted on.
+func (q *Queue) CanRetune(granted int) bool {
+	return q.cfg.MaxRetunes > 0 && granted < q.cfg.MaxRetunes
 }
 
 // Report feeds a finished attempt's outcome to its key's breaker and

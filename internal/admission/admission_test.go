@@ -146,8 +146,8 @@ func TestRetryBackoffAndVirtualClock(t *testing.T) {
 	if !ok || d.Item != it {
 		t.Fatal("retry item did not dispatch")
 	}
-	if d.Waited != 0.5 || q.Clock() != 0.5 {
-		t.Fatalf("waited=%v clock=%v, want 0.5/0.5", d.Waited, q.Clock())
+	if d.Waited != 0.5 || q.Stats().Clock != 0.5 {
+		t.Fatalf("waited=%v clock=%v, want 0.5/0.5", d.Waited, q.Stats().Clock)
 	}
 	q.ReleaseItem(d.Item)
 
@@ -222,7 +222,10 @@ func TestBreakerTripParkHalfOpenClose(t *testing.T) {
 		t.Fatalf("expected a parked dispatch, got %+v ok=%v", d, ok)
 	}
 	q.ReleaseItem(d.Item)
-	if s := q.Stats(); s.Parked != 1 || s.BreakerTrips != 1 {
+	if d.Item.ID != 1 || d.HalfOpen {
+		t.Fatalf("parked dispatch %+v, want item 1 and no trial", d)
+	}
+	if s := q.Stats(); s.BreakerTrips != 1 {
 		t.Fatalf("stats after park: %+v", s)
 	}
 
@@ -344,15 +347,15 @@ func TestQuotaBlockedRetryDoesNotAdvanceClock(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop dispatched a quota-blocked retry")
 	}
-	if q.Clock() != 0 {
-		t.Fatalf("clock advanced to %v for a quota-blocked retry", q.Clock())
+	if q.Stats().Clock != 0 {
+		t.Fatalf("clock advanced to %v for a quota-blocked retry", q.Stats().Clock)
 	}
 	q.ReleaseItem(a)
 	d, ok := q.Pop()
 	if !ok || d.Item != b {
 		t.Fatal("released slot did not admit the retry")
 	}
-	if q.Clock() == 0 {
+	if q.Stats().Clock == 0 {
 		t.Fatal("clock did not advance when the retry became admissible")
 	}
 }
@@ -533,13 +536,12 @@ func TestRetuneLaneFixedDelayAndBudget(t *testing.T) {
 	q.ReleaseItem(d.Item)
 
 	// First re-tune: fixed retuneDelay (0.5 s) from clock 0.
-	delay, due, ok := q.Retune(it)
+	delay, due, ok := q.Retune(it, 0)
 	if !ok || delay != retuneDelay || due != retuneDelay {
 		t.Fatalf("retune 1: delay=%v due=%v ok=%v, want 0.5/0.5/true", delay, due, ok)
 	}
-	if it.Retune != 1 || it.Attempt != 0 {
-		t.Fatalf("Retune=%d Attempt=%d, want 1/0 (re-tunes must not consume retry budget)",
-			it.Retune, it.Attempt)
+	if it.Attempt != 0 {
+		t.Fatalf("Attempt=%d, want 0 (re-tunes must not consume retry budget)", it.Attempt)
 	}
 	d, ok = q.Pop()
 	if !ok || d.Item != it {
@@ -548,20 +550,16 @@ func TestRetuneLaneFixedDelayAndBudget(t *testing.T) {
 	q.ReleaseItem(d.Item)
 
 	// Second re-tune: same fixed delay, no exponential growth.
-	if delay, _, _ = q.Retune(it); delay != retuneDelay {
+	if delay, _, _ = q.Retune(it, 1); delay != retuneDelay {
 		t.Fatalf("retune 2: delay=%v, want fixed 0.5", delay)
 	}
 	d, _ = q.Pop()
 	q.ReleaseItem(d.Item)
-	if _, _, ok = q.Retune(it); ok {
+	if _, _, ok = q.Retune(it, 2); ok || q.CanRetune(2) {
 		t.Fatal("retune 3 admitted past MaxRetunes=2")
 	}
 
-	s := q.Stats()
-	if s.Retunes != 2 {
-		t.Fatalf("Retunes = %d, want 2", s.Retunes)
-	}
-	if s.Retries != 0 {
+	if s := q.Stats(); s.Retries != 0 {
 		t.Fatalf("Retries = %d, want 0 (re-tunes must not count as retries)", s.Retries)
 	}
 }
@@ -571,7 +569,7 @@ func TestRetuneDisabledByDefault(t *testing.T) {
 	it := item(1, Key{}, 0)
 	q.Push(it)
 	q.Pop()
-	if _, _, ok := q.Retune(it); ok {
+	if _, _, ok := q.Retune(it, 0); ok {
 		t.Fatal("queue without MaxRetunes admitted a re-tune")
 	}
 }
@@ -592,13 +590,13 @@ func TestRetuneIndependentOfRetryBudget(t *testing.T) {
 	if _, _, ok := q.Retry(it); ok {
 		t.Fatal("retry 2 admitted past budget")
 	}
-	if _, _, ok := q.Retune(it); !ok {
+	if _, _, ok := q.Retune(it, 0); !ok {
 		t.Fatal("re-tune refused after retries were spent")
 	}
 	d, _ = q.Pop()
 	q.ReleaseItem(d.Item)
-	if it.Attempt != 1 || it.Retune != 1 {
-		t.Fatalf("Attempt=%d Retune=%d, want 1/1", it.Attempt, it.Retune)
+	if it.Attempt != 1 {
+		t.Fatalf("Attempt=%d, want 1", it.Attempt)
 	}
 }
 
@@ -611,7 +609,7 @@ func TestRetuneTenantDepthAccounting(t *testing.T) {
 	if got := q.TenantDepth("team-a"); got != 0 {
 		t.Fatalf("depth after pop = %d, want 0", got)
 	}
-	if _, _, ok := q.Retune(it); !ok {
+	if _, _, ok := q.Retune(it, 0); !ok {
 		t.Fatal("re-tune refused")
 	}
 	if got := q.TenantDepth("team-a"); got != 1 {

@@ -44,6 +44,3 @@ func (b *BAT) TranslateBack(f1Off int) (int, bool) {
 	pc, ok := b.ToF0[f1Off]
 	return pc, ok
 }
-
-// Len returns the number of translated (non-kernel) instructions.
-func (b *BAT) Len() int { return len(b.ToF1) }

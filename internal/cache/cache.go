@@ -302,10 +302,6 @@ func (h *Hierarchy) Stats() Stats { return h.stats }
 // Config returns the configuration the hierarchy was built with.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
-// ResetStats zeroes the counters without disturbing cache contents, so
-// measurement windows observe a warm cache.
-func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
-
 // Reset empties all cache state and counters.
 func (h *Hierarchy) Reset() {
 	h.l1.reset()
@@ -664,12 +660,4 @@ func (h *Hierarchy) strideObserve(e *strideEntry, pc uint64, line Line, now uint
 			}
 		}
 	}
-}
-
-// Present reports whether the line holding addr is in any cache level. It
-// scans the levels rather than reading the line directory: only tests call
-// it, and it is the directory's independent witness.
-func (h *Hierarchy) Present(addr mem.Addr) bool {
-	line := LineOf(addr)
-	return h.l1.present(line) || h.l2.present(line) || h.l3.present(line)
 }

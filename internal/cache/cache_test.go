@@ -10,6 +10,14 @@ import (
 	"rpg2/internal/mem"
 )
 
+// present reports whether the line holding addr is in any cache level. It
+// scans the levels rather than reading the line directory, so it is the
+// directory's independent witness.
+func present(h *Hierarchy, addr mem.Addr) bool {
+	line := LineOf(addr)
+	return h.l1.present(line) || h.l2.present(line) || h.l3.present(line)
+}
+
 // testConfig is a tiny hierarchy where eviction behaviour is easy to reason
 // about: L1 4 lines (2-way), L2 8 lines, L3 16 lines.
 func testConfig() Config {
@@ -121,7 +129,7 @@ func TestLatePrefetchIsCountedOnce(t *testing.T) {
 		h.Access(1, addr(l), now)
 		now += 200
 	}
-	if s := h.Stats(); h.Present(addr(5)) || s.UselessPF != 0 {
+	if s := h.Stats(); present(h, addr(5)) || s.UselessPF != 0 {
 		t.Fatalf("a used prefetch was evicted as useless: %+v", s)
 	}
 }
@@ -220,24 +228,12 @@ func TestResetClearsEverything(t *testing.T) {
 	if h.Stats() != (Stats{}) {
 		t.Fatalf("stats not cleared: %+v", h.Stats())
 	}
-	if h.Present(addr(7)) || h.Present(addr(9)) {
+	if present(h, addr(7)) || present(h, addr(9)) {
 		t.Fatal("cache contents not cleared")
 	}
 	r := h.Access(1, addr(7), 0)
 	if !r.LLCMiss {
 		t.Fatal("access after reset should miss")
-	}
-}
-
-func TestResetStatsKeepsContents(t *testing.T) {
-	h := New(testConfig())
-	h.Access(1, addr(7), 0)
-	h.ResetStats()
-	if h.Stats().DemandAccesses != 0 {
-		t.Fatal("stats not reset")
-	}
-	if r := h.Access(1, addr(7), 500); r.Level != 1 {
-		t.Fatalf("contents should survive ResetStats: %+v", r)
 	}
 }
 
@@ -798,7 +794,7 @@ func hierarchyConfig(g1, g2, g3, stride, mshrs byte) Config {
 // per four bytes of ops (kind, line, pc, time step) and fails at the first
 // difference in a Result, a Prefetch answer or any of the 13 Stats fields,
 // or at an MSHR signature that is not the one its table rebuilds to;
-// at the end Present must agree for every line that could have been touched
+// at the end present must agree for every line that could have been touched
 // and the directory must equal the scanned residency.
 //
 // Lines come from a range small enough to evict constantly, from both sides
@@ -863,7 +859,7 @@ func hierarchyOps(t *testing.T, cfg Config, nearCap bool, ops []byte) {
 				t.Fatalf("op %d: Prefetch(line %d, now %d, %d) = %v, reference %v", i/4, line, now, k, g, r)
 			}
 		case kind < 31:
-			got.ResetStats()
+			got.stats = Stats{}
 			ref.stats = Stats{}
 		default:
 			if sel%4 == 0 { // rarely, or nothing ever ages
@@ -894,8 +890,8 @@ func hierarchyOps(t *testing.T, cfg Config, nearCap bool, ops []byte) {
 			continue
 		}
 		want := ref.residency(line)
-		if g := got.Present(addr(line)); g != (want != 0) {
-			t.Fatalf("final Present(line %d) = %v, reference residency %03b", line, g, want)
+		if g := present(got, addr(line)); g != (want != 0) {
+			t.Fatalf("final present(line %d) = %v, reference residency %03b", line, g, want)
 		}
 		if g := got.held(line); g != want {
 			t.Fatalf("final held(line %d) = %03b, scanned residency %03b", line, g, want)

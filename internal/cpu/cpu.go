@@ -415,12 +415,3 @@ loop:
 	c.Now, c.Instructions, t.PC = now, retired, next
 	return err
 }
-
-// IPC returns instructions-per-cycle over the core's lifetime. Callers that
-// need windows should difference Instructions and Now themselves.
-func (c *Core) IPC() float64 {
-	if c.Now == 0 {
-		return 0
-	}
-	return float64(c.Instructions) / float64(c.Now)
-}

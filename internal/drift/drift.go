@@ -97,9 +97,6 @@ func (d *Detector) EWMA() float64 { return d.ewma }
 // Samples returns how many rates have been observed.
 func (d *Detector) Samples() int { return d.samples }
 
-// Fired returns how many times the detector has fired.
-func (d *Detector) Fired() int { return d.fired }
-
 // State is a Detector's JSON-safe persistable posture: what a fleet WAL
 // snapshot carries so Recover can resume an armed watchdog.
 type State struct {

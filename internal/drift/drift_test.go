@@ -21,8 +21,8 @@ func TestSteadyRateNeverFires(t *testing.T) {
 			t.Fatalf("fired at steady reference rate, sample %d", i)
 		}
 	}
-	if d.Fired() != 0 || d.Samples() != 1000 {
-		t.Fatalf("fired=%d samples=%d", d.Fired(), d.Samples())
+	if d.Export().Fired != 0 || d.Samples() != 1000 {
+		t.Fatalf("fired=%d samples=%d", d.Export().Fired, d.Samples())
 	}
 }
 

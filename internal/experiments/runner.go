@@ -164,12 +164,6 @@ func NewRunner(opts Options) *Runner {
 	return r
 }
 
-// Options returns the runner's configuration.
-func (r *Runner) Options() Options { return r.opts }
-
-// Fleet exposes the runner's execution layer.
-func (r *Runner) Fleet() *fleet.Fleet { return r.fleet }
-
 // Journal returns the fleet's event journal: every cell of every figure
 // appears here as a session lifecycle.
 func (r *Runner) Journal() *fleet.Journal { return r.fleet.Journal() }

@@ -83,9 +83,6 @@ func TestDiskMaxFaultsAndError(t *testing.T) {
 	for _, err := range errs {
 		if err != nil {
 			n++
-			if !InjectedDisk(err) {
-				t.Fatalf("injected error not recognised: %v", err)
-			}
 			var de *DiskError
 			if !errors.As(err, &de) || de.Op != DiskOpWrite {
 				t.Fatalf("wrong error shape: %v", err)
@@ -97,9 +94,6 @@ func TestDiskMaxFaultsAndError(t *testing.T) {
 	}
 	if d.Injected() != 2 {
 		t.Fatalf("Injected() = %d, want 2", d.Injected())
-	}
-	if InjectedDisk(errors.New("organic")) {
-		t.Fatal("organic error classified as injected")
 	}
 }
 
@@ -116,9 +110,6 @@ func TestDiskZeroRatesNeverInject(t *testing.T) {
 	var nilInj *DiskInjector
 	if err := nilInj.Check("k", DiskOpWrite); err != nil {
 		t.Fatalf("nil injector injected: %v", err)
-	}
-	if h := nilInj.Hook("k"); h != nil {
-		t.Fatal("nil injector returned a non-nil hook")
 	}
 }
 

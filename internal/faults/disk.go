@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -44,12 +43,6 @@ type DiskError struct {
 func (e *DiskError) Error() string {
 	return fmt.Sprintf("faults: injected disk %s fault (key %q, op #%d)",
 		e.Op, e.Key, e.Ordinal)
-}
-
-// InjectedDisk reports whether err is (or wraps) an injected disk fault.
-func InjectedDisk(err error) bool {
-	var de *DiskError
-	return errors.As(err, &de)
 }
 
 // DiskConfig tunes a DiskInjector.
@@ -136,15 +129,6 @@ func (d *DiskInjector) Check(key, op string) error {
 	d.injected[op]++
 	d.total++
 	return &DiskError{Op: op, Key: key, Ordinal: ord}
-}
-
-// Hook binds the injector to one file family in the shape the wal layer's
-// Config.FaultHook expects.
-func (d *DiskInjector) Hook(key string) func(op string) error {
-	if d == nil {
-		return nil
-	}
-	return func(op string) error { return d.Check(key, op) }
 }
 
 // TornTail returns the number of bytes a simulated crash tears off the tail

@@ -12,7 +12,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // Stage names one controller boundary the injector can fail.
@@ -27,9 +26,6 @@ const (
 	// StageOSR fails runtime code insertion / on-stack replacement.
 	StageOSR Stage = "osr"
 )
-
-// Stages lists the boundaries in controller phase order.
-func Stages() []Stage { return []Stage{StageProfile, StageRewrite, StageOSR} }
 
 // stageIndex gives each stage a stable hash discriminator.
 func stageIndex(s Stage) uint64 {
@@ -75,10 +71,9 @@ type Config struct {
 }
 
 // Injector makes deterministic per-(session, attempt, stage) failure
-// decisions and counts what it injected. It is safe for concurrent use.
+// decisions. It is safe for concurrent use.
 type Injector struct {
-	cfg      Config
-	injected atomic.Int64
+	cfg Config
 }
 
 // New builds an injector.
@@ -130,7 +125,6 @@ func (i *Injector) Check(stage Stage, sessionSeed int64, attempt int) error {
 	if r < 1 && hash01(uint64(i.cfg.Seed), uint64(sessionSeed), uint64(attempt), stageIndex(stage)) >= r {
 		return nil
 	}
-	i.injected.Add(1)
 	return &Error{Stage: stage, Seed: sessionSeed, Attempt: attempt}
 }
 
@@ -141,6 +135,3 @@ func (i *Injector) Hook(sessionSeed int64, attempt int) func(stage string) error
 		return i.Check(Stage(stage), sessionSeed, attempt)
 	}
 }
-
-// Injected returns the total number of faults injected so far.
-func (i *Injector) Injected() int { return int(i.injected.Load()) }

@@ -6,24 +6,28 @@ import (
 	"testing"
 )
 
+// stages lists the injection boundaries in controller phase order.
+var stages = []Stage{StageProfile, StageRewrite, StageOSR}
+
 func TestDecisionsAreDeterministic(t *testing.T) {
 	a := New(Config{Seed: 42, Rate: 0.3})
 	b := New(Config{Seed: 42, Rate: 0.3})
+	injected := 0
 	for seed := int64(0); seed < 200; seed++ {
 		for attempt := 0; attempt < 3; attempt++ {
-			for _, st := range Stages() {
+			for _, st := range stages {
 				ea := a.Check(st, seed, attempt)
 				eb := b.Check(st, seed, attempt)
 				if (ea == nil) != (eb == nil) {
 					t.Fatalf("divergent decision at (%v, %d, %d)", st, seed, attempt)
 				}
+				if ea != nil {
+					injected++
+				}
 			}
 		}
 	}
-	if a.Injected() != b.Injected() {
-		t.Fatalf("injected counts diverge: %d vs %d", a.Injected(), b.Injected())
-	}
-	if a.Injected() == 0 {
+	if injected == 0 {
 		t.Fatal("rate 0.3 over 1800 decisions injected nothing")
 	}
 }
@@ -59,9 +63,6 @@ func TestRateExtremes(t *testing.T) {
 			t.Fatal("rate 1 let a stage pass")
 		}
 	}
-	if never.Injected() != 0 || always.Injected() != 50 {
-		t.Fatalf("counts: never=%d always=%d", never.Injected(), always.Injected())
-	}
 }
 
 func TestRateFrequency(t *testing.T) {
@@ -70,7 +71,7 @@ func TestRateFrequency(t *testing.T) {
 	i := New(Config{Seed: 99, Rate: 0.2})
 	n := 0
 	for seed := int64(0); seed < 1000; seed++ {
-		for _, st := range Stages() {
+		for _, st := range stages {
 			if i.Check(st, seed, 0) != nil {
 				n++
 			}
@@ -83,19 +84,16 @@ func TestRateFrequency(t *testing.T) {
 }
 
 // TestPerStageRateOverride: there is no per-stage override — the one Rate
-// governs every stage in Stages().
+// governs every stage.
 func TestPerStageRateOverride(t *testing.T) {
 	always, never := New(Config{Seed: 3, Rate: 1}), New(Config{Seed: 3, Rate: 0})
-	for _, st := range Stages() {
+	for _, st := range stages {
 		if always.Check(st, 1, 0) == nil {
 			t.Fatalf("rate 1 let stage %s pass", st)
 		}
 		if err := never.Check(st, 1, 0); err != nil {
 			t.Fatalf("rate 0 fired at stage %s: %v", st, err)
 		}
-	}
-	if always.Injected() != len(Stages()) || never.Injected() != 0 {
-		t.Fatalf("counts: always=%d never=%d, want %d/0", always.Injected(), never.Injected(), len(Stages()))
 	}
 }
 
@@ -128,7 +126,7 @@ func TestHookMatchesCheck(t *testing.T) {
 	b := New(Config{Seed: 11, Rate: 0.4})
 	for seed := int64(0); seed < 100; seed++ {
 		hook := a.Hook(seed, 1)
-		for _, st := range Stages() {
+		for _, st := range stages {
 			if (hook(string(st)) != nil) != (b.Check(st, seed, 1) != nil) {
 				t.Fatalf("Hook and Check disagree at (%v, %d)", st, seed)
 			}

@@ -90,7 +90,7 @@ func (f *Fleet) runWatchdog(s *Session, deadline float64) bool {
 	interval, window := f.cfg.WatchdogInterval, watchdogWindow
 	for !live.Exited() {
 		f.mu.Lock()
-		armed := f.sched.CanRetune(s.item)
+		armed := f.sched.CanRetune(s.view().granted)
 		f.mu.Unlock()
 		if !armed {
 			break // budget spent: a firing could not be acted on
@@ -131,12 +131,13 @@ func (f *Fleet) scheduleRetune(s *Session, windows int) bool {
 	s.mu.Unlock()
 
 	f.mu.Lock()
-	delay, due, ok := f.sched.Retune(s.item)
+	granted := s.view().granted
+	delay, due, ok := f.sched.Retune(s.item, granted)
 	if !ok {
 		f.mu.Unlock()
 		return false
 	}
-	granted := s.item.Retune
+	granted++
 	ev := s.event("drift-detected")
 	ev.Attempt, ev.Retune = s.Attempt(), granted
 	ev.Rate, ev.Ref, ev.Windows = ewma, ref, windows

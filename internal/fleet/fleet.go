@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"rpg2/internal/admission"
-	"rpg2/internal/machine"
 	"rpg2/internal/store/remote"
 	"rpg2/internal/workloads"
 )
@@ -341,10 +340,6 @@ func (f *Fleet) Snapshot() Snapshot {
 
 // Builds returns the fleet's workload build cache.
 func (f *Fleet) Builds() *workloads.BuildCache { return f.cfg.Builds }
-
-// Machine returns the fleet's default machine (the one sessions run on
-// when their spec does not override it).
-func (f *Fleet) Machine() machine.Machine { return f.cfg.Machine }
 
 // worker pulls dispatch decisions from the admission scheduler until the
 // fleet is closed and fully drained. A false Pop means everything waiting

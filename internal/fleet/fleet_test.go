@@ -49,9 +49,9 @@ func TestWarmSessionsConvergeFaster(t *testing.T) {
 		if !s.Warm() {
 			t.Fatalf("session %d missed the store", s.ID)
 		}
-		if s.Probes() >= cold.Probes() {
+		if s.Report().Costs.PDEdits >= cold.Report().Costs.PDEdits {
 			t.Fatalf("warm session %d used %d probes, cold used %d",
-				s.ID, s.Probes(), cold.Probes())
+				s.ID, s.Report().Costs.PDEdits, cold.Report().Costs.PDEdits)
 		}
 	}
 	c := f.Store().Counters()

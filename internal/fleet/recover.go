@@ -200,12 +200,9 @@ func Recover(stateDir string, cfg Config) (*Fleet, *Recovery, error) {
 		s := f.submitRecovered(sf.spec.Spec(), ps.attempt)
 		if sf.granted > 0 || sf.Retunes > 0 || sf.Retuning || ps.det != nil {
 			// Restore the re-tune lane posture before workers can dispatch
-			// the session: the scheduler's grant budget, the fold's posture
-			// (consumed grants, completed count, warm seed), and the
-			// detector to resume once the re-run re-activates.
-			f.mu.Lock()
-			s.item.Retune = sf.granted
-			f.mu.Unlock()
+			// the session: the fold's posture (consumed grants, completed
+			// count, warm seed), which the scheduler budgets against, and
+			// the detector to resume once the re-run re-activates.
 			s.mu.Lock()
 			s.recoveredDet = ps.det
 			s.mu.Unlock()

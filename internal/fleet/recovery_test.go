@@ -651,24 +651,37 @@ func TestRecoverCorruptTail(t *testing.T) {
 }
 
 // TestRecoverEmptyStateDir: recovering a dir with no state files yields an
-// empty, working fleet rather than an error.
+// empty, working fleet rather than an error. So does a dir holding only an
+// older snapshot whose scheduler counters carry keys this version no longer
+// keeps ("parked", "retunes"): the decoder ignores them and restores the rest.
 func TestRecoverEmptyStateDir(t *testing.T) {
-	dir := t.TempDir()
-	f, rec, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 1})
-	if err != nil {
+	older := t.TempDir()
+	if err := wal.WriteAtomic(filepath.Join(older, snapshotFile), [][]byte{
+		[]byte(`{"wal":"snapshot","epoch":1,"seq":0}`),
+		[]byte(`{"sched":{"clock":2.5,"stats":{"retries":1,"parked":2,"retunes":3,"clock":2.5}}}`),
+	}); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if rec.Sessions != 0 || rec.StoreEntries != 0 || len(rec.Requeued) != 0 {
-		t.Fatalf("empty dir recovered state: %+v", rec)
-	}
-	s, err := f.Submit(SessionSpec{Bench: "is", Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Drain()
-	if !s.State().Terminal() {
-		t.Fatalf("session state = %v", s.State())
+	for _, dir := range []string{t.TempDir(), older} {
+		f, rec, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if rec.Sessions != 0 || rec.StoreEntries != 0 || len(rec.Requeued) != 0 {
+			t.Fatalf("empty dir recovered state: %+v", rec)
+		}
+		if snap := f.Snapshot(); dir == older && (snap.Retries != 1 || snap.VirtualClock != 2.5) {
+			t.Fatalf("older snapshot restored retries=%d clock=%v, want 1 and 2.5", snap.Retries, snap.VirtualClock)
+		}
+		s, err := f.Submit(SessionSpec{Bench: "is", Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Drain()
+		if !s.State().Terminal() {
+			t.Fatalf("session state = %v", s.State())
+		}
 	}
 }
 

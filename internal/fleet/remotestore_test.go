@@ -60,8 +60,8 @@ func TestRemoteStoreSharedAcrossFleets(t *testing.T) {
 	if !warm.Warm() {
 		t.Fatal("second fleet missed the profile the first fleet committed to the shared daemon")
 	}
-	if warm.Probes() >= cold.Probes() {
-		t.Fatalf("daemon-seeded session used %d probes, cold used %d", warm.Probes(), cold.Probes())
+	if warm.Report().Costs.PDEdits >= cold.Report().Costs.PDEdits {
+		t.Fatalf("daemon-seeded session used %d probes, cold used %d", warm.Report().Costs.PDEdits, cold.Report().Costs.PDEdits)
 	}
 
 	c := daemon.Store().Counters()

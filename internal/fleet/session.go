@@ -291,16 +291,6 @@ func (s *Session) Wall() time.Duration {
 	return s.wall
 }
 
-// Probes returns the number of distance probes the session's search made.
-func (s *Session) Probes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.report == nil {
-		return 0
-	}
-	return s.report.Costs.PDEdits
-}
-
 // MachineName returns the effective machine the session runs on.
 func (s *Session) MachineName() string {
 	s.mu.Lock()

@@ -42,46 +42,6 @@ type Graph struct {
 // M returns the edge count.
 func (g *Graph) M() int { return len(g.Edges) }
 
-// AvgDegree returns the mean out-degree.
-func (g *Graph) AvgDegree() float64 {
-	if g.N == 0 {
-		return 0
-	}
-	return float64(g.M()) / float64(g.N)
-}
-
-// Validate checks CSR invariants.
-func (g *Graph) Validate() error {
-	if len(g.Offsets) != g.N+1 {
-		return fmt.Errorf("graphs: offsets length %d, want %d", len(g.Offsets), g.N+1)
-	}
-	if g.Offsets[0] != 0 || g.Offsets[g.N] != uint64(len(g.Edges)) {
-		return fmt.Errorf("graphs: offsets endpoints [%d,%d], want [0,%d]", g.Offsets[0], g.Offsets[g.N], len(g.Edges))
-	}
-	for v := 0; v < g.N; v++ {
-		if g.Offsets[v] > g.Offsets[v+1] {
-			return fmt.Errorf("graphs: offsets not monotone at %d", v)
-		}
-	}
-	for i, e := range g.Edges {
-		if e >= uint64(g.N) {
-			return fmt.Errorf("graphs: edge %d targets %d >= n=%d", i, e, g.N)
-		}
-	}
-	if g.Weights != nil && len(g.Weights) != len(g.Edges) {
-		return fmt.Errorf("graphs: weights length %d, want %d", len(g.Weights), len(g.Edges))
-	}
-	if len(g.SrcOf) != len(g.Edges) {
-		return fmt.Errorf("graphs: srcof length %d, want %d", len(g.SrcOf), len(g.Edges))
-	}
-	for i, s := range g.SrcOf {
-		if s >= uint64(g.N) {
-			return fmt.Errorf("graphs: srcof %d is %d >= n=%d", i, s, g.N)
-		}
-	}
-	return nil
-}
-
 // source is rand.NewSource(seed)'s exact stream, drawn without an
 // interface call. That source is an additive lagged Fibonacci generator:
 // each output is x[n] = x[n-607] + x[n-273] mod 2^64, so its last 607

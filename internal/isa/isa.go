@@ -180,26 +180,6 @@ func (c Cond) Holds(a, b uint64) bool {
 	return false
 }
 
-// Invert returns the negation of the condition, used when RPG² copies a loop
-// latch condition into a prefetch kernel bounds check (§3.2.3).
-func (c Cond) Invert() Cond {
-	switch c {
-	case EQ:
-		return NE
-	case NE:
-		return EQ
-	case LT:
-		return GE
-	case GE:
-		return LT
-	case LE:
-		return GT
-	case GT:
-		return LE
-	}
-	return c
-}
-
 // Instr is a single decoded instruction. PCs are indices into a text segment
 // ([]Instr); Target is an absolute PC for control transfers.
 type Instr struct {
@@ -227,9 +207,10 @@ func (in Instr) Defs() Reg {
 	return NoReg
 }
 
-// Uses appends the registers read by the instruction to dst and returns it.
-// Push/Pop/Call/Ret implicitly use SP; the implicit use is included so that
-// slicing and liveness remain conservative.
+// Uses appends the registers read by the instruction to dst and returns it,
+// the implicit SP of Push/Pop/Call/Ret included. Together with Defs it is
+// the ISA's def/use specification: the reference fuzz rig checks every
+// register field a generated instruction carries against it.
 func (in Instr) Uses(dst []Reg) []Reg {
 	switch in.Op {
 	case Mov:

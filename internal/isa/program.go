@@ -3,7 +3,6 @@ package isa
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Function describes one function's extent inside a Binary's text segment.
@@ -71,19 +70,6 @@ func (b *Binary) Clone() *Binary {
 		EntryName: b.EntryName,
 	}
 	return nb
-}
-
-// Disassemble renders the binary's text segment with function headers, for
-// debugging and golden tests.
-func (b *Binary) Disassemble() string {
-	var sb strings.Builder
-	for _, f := range b.Funcs {
-		fmt.Fprintf(&sb, "%s:\n", f.Name)
-		for pc := f.Entry; pc < f.Entry+f.Size && pc < len(b.Text); pc++ {
-			fmt.Fprintf(&sb, "  %4d  %s\n", pc, b.Text[pc])
-		}
-	}
-	return sb.String()
 }
 
 // Validate checks structural invariants: functions are sorted and

@@ -35,7 +35,6 @@ type Sampler struct {
 
 	records []PEBSRecord
 	until   uint64 // events remaining until the next sample
-	seen    uint64
 	rng     *rand.Rand
 	target  *proc.Process
 }
@@ -86,7 +85,6 @@ func (s *Sampler) Detach() {
 }
 
 func (s *Sampler) observe(pc int, addr mem.Addr) {
-	s.seen++
 	if s.until--; s.until > 0 {
 		return
 	}
@@ -98,17 +96,6 @@ func (s *Sampler) observe(pc int, addr mem.Addr) {
 
 // Records returns the sampled records.
 func (s *Sampler) Records() []PEBSRecord { return s.records }
-
-// EventsSeen returns the total number of LLC-miss events observed (sampled
-// or not).
-func (s *Sampler) EventsSeen() uint64 { return s.seen }
-
-// Reset clears the sample buffer and event count.
-func (s *Sampler) Reset() {
-	s.records = s.records[:0]
-	s.seen = 0
-	s.until = s.nextGap()
-}
 
 // MissSite aggregates samples by PC.
 type MissSite struct {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rpg2/internal/machine"
+	"rpg2/internal/mem"
 	"rpg2/internal/perf"
 	"rpg2/internal/workloads"
 )
@@ -28,20 +29,26 @@ func TestSamplerPeriodAndRecords(t *testing.T) {
 	}
 	s := perf.NewSampler(4, 1000)
 	s.Attach(p)
+	// Count every event the sampler is handed, sampled or not.
+	var seen uint64
+	for _, th := range p.Threads() {
+		observe := th.Core.OnLLCMiss
+		th.Core.OnLLCMiss = func(pc int, addr mem.Addr) { seen++; observe(pc, addr) }
+	}
 	p.Run(500_000)
 	s.Detach()
-	if s.EventsSeen() == 0 {
+	if seen == 0 {
 		t.Fatal("no LLC-miss events observed")
 	}
 	// The sampling gap is randomized around the period, so the count is
 	// approximate: within 25% of seen/period (or at the buffer cap).
-	want := float64(s.EventsSeen()) / 4
+	want := float64(seen) / 4
 	got := len(s.Records())
 	if got == 1000 {
 		want = 1000
 	}
 	if float64(got) < 0.75*want || float64(got) > 1.25*want {
-		t.Fatalf("records = %d, want ~%.0f (seen %d)", got, want, s.EventsSeen())
+		t.Fatalf("records = %d, want ~%.0f (seen %d)", got, want, seen)
 	}
 	// Records carry both a PC and an address.
 	for _, r := range s.Records()[:10] {
@@ -52,15 +59,10 @@ func TestSamplerPeriodAndRecords(t *testing.T) {
 			t.Fatalf("record PC %d not in any function", r.PC)
 		}
 	}
-	// After detach, no more events accumulate.
-	seen := s.EventsSeen()
+	// After detach, no more records accumulate.
 	p.Run(100_000)
-	if s.EventsSeen() != seen {
-		t.Fatal("sampler still counting after detach")
-	}
-	s.Reset()
-	if len(s.Records()) != 0 || s.EventsSeen() != 0 {
-		t.Fatal("Reset incomplete")
+	if len(s.Records()) != got {
+		t.Fatal("sampler still recording after detach")
 	}
 }
 

@@ -339,7 +339,7 @@ func TestHookMayStopAndGrowText(t *testing.T) {
 		stoppedAt = core.Instructions
 	}
 	p.Run(50_000)
-	if !tr.Stopped() || stoppedAt == 0 {
+	if p.State() != Stopped || stoppedAt == 0 {
 		t.Fatal("the hook should have stopped the process")
 	}
 	// The very next instruction is the poked jump, and the rest of the

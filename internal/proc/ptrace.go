@@ -64,9 +64,6 @@ func (tr *Tracer) Resume() {
 	}
 }
 
-// Stopped reports whether the target is currently stopped.
-func (tr *Tracer) Stopped() bool { return tr.p.state == Stopped }
-
 // PeekText reads one instruction via the ptrace path.
 func (tr *Tracer) PeekText(pc int) (isa.Instr, error) {
 	if pc < 0 || pc >= len(tr.p.Text) {

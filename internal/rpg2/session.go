@@ -40,12 +40,6 @@ func NewSessionBin(m machine.Machine, bin *isa.Binary, setup func(*mem.AddrSpace
 	return &Session{mach: m, p: p, watch: perf.AttachWatch(p, watchPCs)}, nil
 }
 
-// Process exposes the underlying target.
-func (s *Session) Process() *proc.Process { return s.p }
-
-// Watch exposes the session's work counter.
-func (s *Session) Watch() *cpu.Watch { return s.watch }
-
 // Optimize runs the four-phase controller against the session's target.
 func (s *Session) Optimize(cfg Config) (*Report, error) {
 	return New(s.mach, cfg).Optimize(s.p)

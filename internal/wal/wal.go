@@ -208,7 +208,6 @@ type Log struct {
 
 	mu      sync.Mutex
 	f       *os.File
-	path    string
 	cfg     Config
 	records int // valid records in the file (salvaged + written)
 	unsynct int // writes since the last fsync began
@@ -260,7 +259,7 @@ func Open(path string, cfg Config) (*Log, Salvage, error) {
 			return nil, sal, err
 		}
 	}
-	return &Log{f: f, path: path, cfg: cfg, records: sal.Records, synced: sal.Records}, sal, nil
+	return &Log{f: f, cfg: cfg, records: sal.Records, synced: sal.Records}, sal, nil
 }
 
 // Write frames one record and hands it to the OS; it never syncs. The
@@ -473,9 +472,6 @@ func (l *Log) Records() int {
 	defer l.mu.Unlock()
 	return l.records
 }
-
-// Path is the log's file path.
-func (l *Log) Path() string { return l.path }
 
 // ReadAll salvage-scans the log at path without modifying it, returning
 // the payloads of the longest valid prefix. A missing file is an error

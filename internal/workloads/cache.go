@@ -68,13 +68,6 @@ func (c *BuildCache) Builds() int64 { return c.builds.Load() }
 // Hits reports how many Build calls were served by an existing entry.
 func (c *BuildCache) Hits() int64 { return c.hits.Load() }
 
-// Len reports the number of distinct keys resident in the cache.
-func (c *BuildCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 var shared = NewBuildCache()
 
 // SharedCache returns the process-wide build cache, used by default by the

@@ -8,6 +8,13 @@ import (
 	"rpg2/internal/mem"
 )
 
+// resident reports the number of distinct keys resident in the cache.
+func resident(c *BuildCache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
 // Concurrent Build calls for the same key must share one construction and
 // return the same immutable workload pointer. Run with -race.
 func TestBuildCacheConcurrent(t *testing.T) {
@@ -61,7 +68,7 @@ func TestBuildCacheKeying(t *testing.T) {
 	if got := c.Builds(); got != 3 {
 		t.Fatalf("Builds() = %d, want 3", got)
 	}
-	if got := c.Len(); got != 3 {
+	if got := resident(c); got != 3 {
 		t.Fatalf("Len() = %d, want 3", got)
 	}
 }

@@ -95,11 +95,6 @@ func shard(m, tid, n int) (uint64, uint64) {
 	return uint64(start), uint64(end)
 }
 
-// Builder is a constructor for a workload given a repeat count for the
-// driver loop. Repeat counts are calibrated by the experiment harness so
-// baseline runs last the target simulated duration.
-type Builder func(repeats int) (*Workload, error)
-
 // CRONONames lists the CRONO benchmarks.
 func CRONONames() []string { return []string{"pr", "bfs", "sssp", "bc"} }
 
