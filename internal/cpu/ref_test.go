@@ -94,7 +94,7 @@ loop:
 			if res := hier.Access(uint64(pc), addr, now); !res.LLCMiss {
 				now += res.Cycles
 			} else {
-				now += c.chargeMiss(now, now+res.Cycles)
+				now += refChargeMiss(c, now, now+res.Cycles)
 				if c.OnLLCMiss != nil {
 					c.Now, c.Instructions, t.PC = now, retired, next
 					c.OnLLCMiss(pc, addr)
@@ -180,6 +180,25 @@ loop:
 	}
 	c.Now, c.Instructions, t.PC = now, retired, next
 	return err
+}
+
+// refChargeMiss is the MLP window as it was before the ring, kept verbatim
+// (but for taking the core as an argument) for refRunUntil: the window is
+// c.outstanding oldest first, shifted down by one when a miss retires the
+// oldest of a full window. ResetWindow empties it for both loops.
+func refChargeMiss(c *Core, now, completion uint64) uint64 {
+	if len(c.outstanding) < c.cfg.MLP {
+		c.outstanding = append(c.outstanding, completion)
+		return 0
+	}
+	// Window full: wait for the oldest outstanding miss to retire.
+	oldest := c.outstanding[0]
+	copy(c.outstanding, c.outstanding[1:])
+	c.outstanding[len(c.outstanding)-1] = completion
+	if oldest > now {
+		return oldest - now
+	}
+	return 0
 }
 
 // RefRunUntil exports the reference to the package's external tests.
