@@ -407,12 +407,10 @@ func (h *Hierarchy) heldUntracked(line Line) uint8 {
 // does not hold the line, and clears the bit of the line the level dropped;
 // the caller sets the line's own bit. Fills are the only place residency
 // changes, so the directory is exact. It reports whether the dropped line
-// was an unused prefetch.
+// was an unused prefetch. An invalid tail, 0, names line 2⁶⁴-1, which no
+// directory reaches, so it clears nothing.
 func (h *Hierarchy) push(l *level, bit uint8, line Line, w uint64) (victimPF bool) {
 	tail := l.push(line, w)
-	if tail == 0 {
-		return false
-	}
 	if victim := tail>>1 - 1; victim < Line(len(h.where)) {
 		h.where[victim] &^= bit
 	}
@@ -431,11 +429,25 @@ func (h *Hierarchy) growDir(line Line) {
 // inclusive hierarchy), and tracks useless-prefetch victims. The line held
 // no level, so once each victim's bit is cleared its directory byte is
 // stored whole.
+//
+// It is the three levels' push in one flat pass, with no call but the set
+// shifts: the miss path's commonest fill.
 func (h *Hierarchy) fillAll(line Line, isPF bool) {
 	w := packed(line, isPF)
-	h.push(h.l1, inL1, line, w)
-	h.push(h.l2, inL2, line, w)
-	if h.push(h.l3, inL3, line, w) {
+	t1 := h.l1.push(line, w)
+	t2 := h.l2.push(line, w)
+	t3 := h.l3.push(line, w)
+	where := h.where
+	if v := t1>>1 - 1; v < Line(len(where)) {
+		where[v] &^= inL1
+	}
+	if v := t2>>1 - 1; v < Line(len(where)) {
+		where[v] &^= inL2
+	}
+	if v := t3>>1 - 1; v < Line(len(where)) {
+		where[v] &^= inL3
+	}
+	if t3&1 != 0 {
 		h.stats.UselessPF++
 	}
 	if line < dirCap {
@@ -488,10 +500,25 @@ func (h *Hierarchy) Access(pc uint64, addr mem.Addr, now uint64) Result {
 	res := h.demandLookup(line, now)
 
 	if h.stride != nil {
-		// An entry that already saw this PC at this line learns nothing
-		// from seeing it again, and most accesses are such repeats.
-		if e := &h.stride[h.strideIndex(pc)]; e.pc != pc || e.last != line {
-			h.strideObserve(e, pc, line, now+res.Cycles)
+		// The PC's stride entry trains here, in line; only a confident
+		// entry calls out, to issue. An entry that already saw this PC at
+		// this line learns nothing from seeing it again, and most
+		// accesses are such repeats.
+		e := &h.stride[h.strideIndex(pc)]
+		switch {
+		case e.pc != pc:
+			*e = strideEntry{pc: pc, last: line}
+		case e.last != line:
+			if d := int64(line) - int64(e.last); d == e.stride {
+				e.conf++
+			} else {
+				e.stride = d
+				e.conf = 0
+			}
+			e.last = line
+			if e.conf >= h.cfg.Stride.Confidence {
+				h.strideIssue(e, line, now+res.Cycles)
+			}
 		}
 	}
 	return res
@@ -630,34 +657,19 @@ func (h *Hierarchy) strideIndex(pc uint64) uint64 {
 	return i
 }
 
-// strideObserve trains the PC's stride table entry e on a demand access and
-// issues hardware prefetches once confident. The caller has skipped the
-// access that would teach nothing: e already holding this PC at this line.
-func (h *Hierarchy) strideObserve(e *strideEntry, pc uint64, line Line, now uint64) {
-	if e.pc != pc {
-		*e = strideEntry{pc: pc, last: line}
-		return
-	}
-	d := int64(line) - int64(e.last)
-	if d == e.stride {
-		e.conf++
-	} else {
-		e.stride = d
-		e.conf = 0
-	}
-	e.last = line
-	if e.conf >= h.cfg.Stride.Confidence {
-		for i := 1; i <= h.cfg.Stride.Degree; i++ {
-			next := int64(line) + e.stride*int64(i)
-			if next < 0 {
-				break
-			}
-			// Prefetch's count and held test, inline: most candidates
-			// are held, and are counted and dropped without a call.
-			h.stats.HWPrefetches++
-			if c := LineOf(mem.Addr(next) << lineShift); h.held(c) == 0 {
-				h.issue(c, now)
-			}
+// strideIssue issues the hardware prefetches of a confident stride entry e
+// that Access has just trained on the line.
+func (h *Hierarchy) strideIssue(e *strideEntry, line Line, now uint64) {
+	for i := 1; i <= h.cfg.Stride.Degree; i++ {
+		next := int64(line) + e.stride*int64(i)
+		if next < 0 {
+			break
+		}
+		// Prefetch's count and held test, inline: most candidates are
+		// held, and are counted and dropped without a call.
+		h.stats.HWPrefetches++
+		if c := LineOf(mem.Addr(next) << lineShift); h.held(c) == 0 {
+			h.issue(c, now)
 		}
 	}
 }

@@ -99,8 +99,15 @@ type Core struct {
 	Instructions uint64
 
 	// OnLLCMiss, if set, is invoked for every retired demand load that
-	// missed the LLC; package perf hooks PEBS sampling here.
+	// missed the LLC, or, with MissGap set, for the sampled ones; package
+	// perf hooks PEBS sampling here.
 	OnLLCMiss func(pc int, addr mem.Addr)
+	// MissGap, if set beside OnLLCMiss, is a PEBS-style event counter the
+	// core counts down itself: every LLC miss decrements it, and only the
+	// miss that leaves it at 0 calls OnLLCMiss, which reloads it. Misses
+	// in the gap neither call the hook nor return from RunUntil. Package
+	// perf points it at its sampler's count.
+	MissGap *uint64
 	// Watches are the retirement counters attached to this core. Each
 	// watch counts retirements of its PCs independently, so several
 	// observers (an experiment harness and the RPG² controller, say) can
@@ -123,7 +130,8 @@ type Core struct {
 	// gets a look-ahead.
 	Funcs *[]isa.Function
 
-	outstanding []uint64 // completion cycles of in-flight demand misses
+	outstanding []uint64 // completion cycles of in-flight demand misses, a ring once full
+	head        int      // the ring's oldest slot in a full window; 0 while it fills
 	dec         decoded  // the text as ops, and what they were built from
 	armMisses   uint32   // the LLC's line count: the look-ahead gate's floor
 }
@@ -141,23 +149,40 @@ func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }
 
 // ResetWindow clears the outstanding-miss window, e.g. after the thread has
 // been stopped and resumed by the tracer.
-func (c *Core) ResetWindow() { c.outstanding = c.outstanding[:0] }
+func (c *Core) ResetWindow() { c.outstanding, c.head = c.outstanding[:0], 0 }
 
 // chargeMiss applies the MLP model to a demand miss that is issued at now and
 // completes at the given absolute cycle, and returns the stall charged now.
+// The window fills in issue order; once full it is a ring, and the new miss
+// takes the oldest's slot, so no miss shifts the window.
 func (c *Core) chargeMiss(now, completion uint64) uint64 {
 	if len(c.outstanding) < c.cfg.MLP {
 		c.outstanding = append(c.outstanding, completion)
 		return 0
 	}
 	// Window full: wait for the oldest outstanding miss to retire.
-	oldest := c.outstanding[0]
-	copy(c.outstanding, c.outstanding[1:])
-	c.outstanding[len(c.outstanding)-1] = completion
+	i := c.head
+	oldest := c.outstanding[i]
+	c.outstanding[i] = completion
+	if i++; i == len(c.outstanding) {
+		i = 0
+	}
+	c.head = i
 	if oldest > now {
 		return oldest - now
 	}
 	return 0
+}
+
+// sampled counts an LLC miss down the miss gap and reports whether the
+// OnLLCMiss hook is owed for it: always without a gap.
+func (c *Core) sampled() bool {
+	g := c.MissGap
+	if g == nil {
+		return true
+	}
+	*g--
+	return *g == 0
 }
 
 // ErrHalted is returned (wrapped) when stepping a non-runnable thread.
@@ -253,11 +278,6 @@ loop:
 			r[o.rd&15] = r[o.rs1&15] & o.imm
 		case opMin:
 			r[o.rd&15] = min(r[o.rs1&15], r[o.rs2&15])
-		case opLoadAhead:
-			// An armed load first host-prefetches the word it will read
-			// d iterations on (lookahead.go).
-			c.dec.looks[o.look].run(r, memos, &memos[pc])
-			fallthrough
 		case opLoadIdx:
 			idx = r[o.rs2&15]
 			fallthrough
@@ -287,7 +307,36 @@ loop:
 				if misses[pc] != decided {
 					c.countMiss(text, pc, retired)
 				}
-				if c.OnLLCMiss != nil {
+				if c.OnLLCMiss != nil && c.sampled() {
+					c.Now, c.Instructions, t.PC = now, retired, next
+					c.OnLLCMiss(pc, addr)
+					r[o.rd&15] = v
+					return nil
+				}
+			}
+			r[o.rd&15] = v
+		case opLoadAhead:
+			// An armed load (always the Idx form) host-prefetches the word
+			// it will read d iterations on (lookahead.go). Its own word was
+			// that prefetch d iterations ago, so unlike opLoad it issues
+			// none now; otherwise this is opLoadIdx's body.
+			c.dec.looks[o.look].run(r, memos, &memos[pc])
+			addr := r[o.rs1&15] + o.imm + r[o.rs2&15]
+			m := &memos[pc]
+			w := m.word(addr)
+			if w == nil {
+				if w = m.refresh(as, addr); w == nil {
+					t.Fault = &mem.Fault{Addr: addr}
+					break loop
+				}
+			}
+			res := hier.Access(uint64(pc), addr, now)
+			v := *w
+			if !res.LLCMiss {
+				now += res.Cycles
+			} else {
+				now += c.chargeMiss(now, now+res.Cycles)
+				if c.OnLLCMiss != nil && c.sampled() {
 					c.Now, c.Instructions, t.PC = now, retired, next
 					c.OnLLCMiss(pc, addr)
 					r[o.rd&15] = v

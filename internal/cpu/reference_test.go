@@ -132,16 +132,12 @@ func snapshotOf(p *proc.Process, w *cpu.Watch, misses int) snapshot {
 // and through the repo benchmark's 10 simulated seconds of warm-up: each of
 // the five LLC-missing kernels must have armed its work load's host
 // look-ahead, and none of the four LLC-resident ones may have armed a load.
+// The five missing kernels' f₁ binaries at distance 2, whose loops still
+// miss but hold their own Prefetch, must arm nothing.
 func TestLookAheadArmsMissKernelsOnly(t *testing.T) {
 	m := machine.CascadeLake()
-	for i, k := range []string{"is", "randacc", "cg", "bfs/soc-gamma", "sssp/gowalla-like",
-		"pr/as20000102-like", "pr/ring-small", "sssp/as20000102-like", "pr/synth-small"} {
-		bench, input, _ := strings.Cut(k, "/")
-		w, err := workloads.Build(bench, input, 1<<30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := m.Launch(w.Bin, w.Setup)
+	armed := func(bin *isa.Binary, w *workloads.Workload) []int {
+		p, err := m.Launch(bin, w.Setup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,9 +145,28 @@ func TestLookAheadArmsMissKernelsOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Run(m.Seconds(10))
-		armed := cpu.ArmedPCs(p.MainThread().Core)
-		if miss := i < 5; miss != slices.Contains(armed, w.WorkPC) || !miss && len(armed) > 0 {
-			t.Errorf("%s: armed loads %v (work load %d); want the work load armed iff the kernel misses the LLC", k, armed, w.WorkPC)
+		return cpu.ArmedPCs(p.MainThread().Core)
+	}
+	for i, k := range []string{"is", "randacc", "cg", "bfs/soc-gamma", "sssp/gowalla-like",
+		"pr/as20000102-like", "pr/ring-small", "sssp/as20000102-like", "pr/synth-small"} {
+		bench, input, _ := strings.Cut(k, "/")
+		w, err := workloads.Build(bench, input, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pcs := armed(w.Bin, w)
+		if miss := i < 5; miss != slices.Contains(pcs, w.WorkPC) || !miss && len(pcs) > 0 {
+			t.Errorf("%s: armed loads %v (work load %d); want the work load armed iff the kernel misses the LLC", k, pcs, w.WorkPC)
+		}
+		if i >= 5 {
+			continue
+		}
+		pf, err := baselines.BuildPrefetched(w, []int{w.WorkPC}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pcs := armed(pf.Bin, w); len(pcs) > 0 {
+			t.Errorf("%s f1 at d=2: armed loads %v; want none in a loop that prefetches", k, pcs)
 		}
 	}
 }

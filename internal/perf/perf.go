@@ -65,11 +65,13 @@ func (s *Sampler) nextGap() uint64 {
 }
 
 // Attach starts sampling the process's cores. Only one sampler may be
-// attached to a process at a time.
+// attached to a process at a time. The cores count the gap to the next
+// sample themselves, as PEBS hardware counts its event, and call the
+// sampler only on the miss it records.
 func (s *Sampler) Attach(p *proc.Process) {
 	s.target = p
 	for _, t := range p.Threads() {
-		t.Core.OnLLCMiss = s.observe
+		t.Core.OnLLCMiss, t.Core.MissGap = s.observe, &s.until
 	}
 }
 
@@ -79,15 +81,14 @@ func (s *Sampler) Detach() {
 		return
 	}
 	for _, t := range s.target.Threads() {
-		t.Core.OnLLCMiss = nil
+		t.Core.OnLLCMiss, t.Core.MissGap = nil, nil
 	}
 	s.target = nil
 }
 
+// observe is called for the miss that ran the gap out: it records the miss
+// and reloads the gap.
 func (s *Sampler) observe(pc int, addr mem.Addr) {
-	if s.until--; s.until > 0 {
-		return
-	}
 	s.until = s.nextGap()
 	if len(s.records) < s.MaxRecords {
 		s.records = append(s.records, PEBSRecord{PC: pc, Addr: addr})

@@ -2,11 +2,15 @@ package perf_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"rpg2/internal/cache"
+	"rpg2/internal/isa"
 	"rpg2/internal/machine"
 	"rpg2/internal/mem"
 	"rpg2/internal/perf"
+	"rpg2/internal/proc"
 	"rpg2/internal/workloads"
 )
 
@@ -29,26 +33,22 @@ func TestSamplerPeriodAndRecords(t *testing.T) {
 	}
 	s := perf.NewSampler(4, 1000)
 	s.Attach(p)
-	// Count every event the sampler is handed, sampled or not.
-	var seen uint64
-	for _, th := range p.Threads() {
-		observe := th.Core.OnLLCMiss
-		th.Core.OnLLCMiss = func(pc int, addr mem.Addr) { seen++; observe(pc, addr) }
-	}
+	// Count every miss event, sampled or not.
+	seen := perMiss(p)
 	p.Run(500_000)
 	s.Detach()
-	if seen == 0 {
+	if *seen == 0 {
 		t.Fatal("no LLC-miss events observed")
 	}
 	// The sampling gap is randomized around the period, so the count is
 	// approximate: within 25% of seen/period (or at the buffer cap).
-	want := float64(seen) / 4
+	want := float64(*seen) / 4
 	got := len(s.Records())
 	if got == 1000 {
 		want = 1000
 	}
 	if float64(got) < 0.75*want || float64(got) > 1.25*want {
-		t.Fatalf("records = %d, want ~%.0f (seen %d)", got, want, seen)
+		t.Fatalf("records = %d, want ~%.0f (seen %d)", got, want, *seen)
 	}
 	// Records carry both a PC and an address.
 	for _, r := range s.Records()[:10] {
@@ -63,6 +63,72 @@ func TestSamplerPeriodAndRecords(t *testing.T) {
 	p.Run(100_000)
 	if len(s.Records()) != got {
 		t.Fatal("sampler still recording after detach")
+	}
+}
+
+// perMiss moves the attached sampler's gap count out of the process's cores
+// and into their hook, which sees every LLC miss, counts it, and hands the
+// sampler the miss that runs the gap out: the sampler as it was before the
+// cores counted its gap. It returns the count of misses seen.
+func perMiss(p *proc.Process) *uint64 {
+	seen := new(uint64)
+	for _, th := range p.Threads() {
+		observe, gap := th.Core.OnLLCMiss, th.Core.MissGap
+		th.Core.MissGap = nil
+		th.Core.OnLLCMiss = func(pc int, addr mem.Addr) {
+			*seen++
+			if *gap--; *gap == 0 {
+				observe(pc, addr)
+			}
+		}
+	}
+	return seen
+}
+
+// TestSamplerMatchesPerMissReference profiles the same run twice at periods
+// 1, 2, 8 and 16: once with the cores counting the sampler's gap, and once
+// with the per-miss hook of perMiss as the reference. The records, and the
+// process's clock, retired count, registers and cache counters after each
+// stretch, must be identical.
+func TestSamplerMatchesPerMissReference(t *testing.T) {
+	w, m, _ := launchPR(t)
+	for _, period := range []uint64{1, 2, 8, 16} {
+		type side struct {
+			p *proc.Process
+			s *perf.Sampler
+		}
+		launch := func(reference bool) side {
+			p, err := m.Launch(w.Bin, w.Setup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := perf.NewSampler(period, 1<<16)
+			s.Attach(p)
+			if reference {
+				perMiss(p)
+			}
+			return side{p, s}
+		}
+		got, ref := launch(false), launch(true)
+		state := func(x side) any {
+			tc := x.p.MainThread()
+			return struct {
+				c    proc.Counters
+				regs [isa.NumRegs]uint64
+				pc   int
+				st   cache.Stats
+			}{x.p.Counters(), tc.Thread.Regs, tc.Thread.PC, tc.Core.Hierarchy().Stats()}
+		}
+		for i := 0; i < 8; i++ {
+			got.p.Run(100_000)
+			ref.p.Run(100_000)
+			if g, r := state(got), state(ref); g != r {
+				t.Fatalf("period %d, stretch %d: the core-counted gap left\n%+v\nthe reference\n%+v", period, i, g, r)
+			}
+		}
+		if len(ref.s.Records()) == 0 || !slices.Equal(got.s.Records(), ref.s.Records()) {
+			t.Fatalf("period %d: %d records, want the reference's %d, equal", period, len(got.s.Records()), len(ref.s.Records()))
+		}
 	}
 }
 

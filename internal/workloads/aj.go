@@ -51,7 +51,6 @@ func IS(repeats int) (*Workload, error) {
 	w := &Workload{
 		Name: "is", InputName: "aj-is", Bin: bin,
 		FootprintWords: isKeys + isBuckets,
-		ExpectedSites:  1,
 		WorkPC:         workPC,
 		ManualDistance: 64,
 	}
@@ -115,7 +114,6 @@ func CG(repeats int) (*Workload, error) {
 	w := &Workload{
 		Name: "cg", InputName: "aj-cg", Bin: bin,
 		FootprintWords: 3*nnz + 2*cgRows,
-		ExpectedSites:  1,
 		WorkPC:         workPC,
 		ManualDistance: 32,
 	}
@@ -175,7 +173,6 @@ func RandAcc(repeats int) (*Workload, error) {
 	w := &Workload{
 		Name: "randacc", InputName: "aj-randacc", Bin: bin,
 		FootprintWords: randIdxLen + randTable,
-		ExpectedSites:  1,
 		WorkPC:         workPC,
 		ManualDistance: 64,
 	}

@@ -48,7 +48,6 @@ func Chase(repeats int) (*Workload, error) {
 	w := &Workload{
 		Name: "chase", InputName: "ring", Bin: bin,
 		FootprintWords: chaseNodes,
-		ExpectedSites:  0, // nothing RPG² can do
 		WorkPC:         workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {

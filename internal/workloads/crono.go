@@ -57,7 +57,6 @@ func PR(input string, repeats int) (*Workload, error) {
 	w := &Workload{
 		Name: "pr", InputName: in.Name, Bin: bin,
 		FootprintWords: 2*g.M() + 2*g.N,
-		ExpectedSites:  1,
 		WorkPC:         workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
@@ -156,7 +155,6 @@ func BFS(input string, repeats int) (*Workload, error) {
 	w := &Workload{
 		Name: "bfs", InputName: in.Name, Bin: bin,
 		FootprintWords: g.M() + g.N + 2*g.N + g.N + 1,
-		ExpectedSites:  1,
 		WorkPC:         workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
@@ -212,7 +210,6 @@ func SSSP(input string, repeats int) (*Workload, error) {
 	w := &Workload{
 		Name: "sssp", InputName: in.Name, Bin: bin,
 		FootprintWords: 3*g.M() + 2*g.N,
-		ExpectedSites:  2,
 		WorkPC:         workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
@@ -297,7 +294,6 @@ func BC(input string, repeats int) (*Workload, error) {
 	w := &Workload{
 		Name: "bc", InputName: in.Name, Bin: bin,
 		FootprintWords: g.M() + 2*g.N,
-		ExpectedSites:  1,
 		WorkPC:         workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {

@@ -133,7 +133,6 @@ func BCDrift(repeats int) (*Workload, error) {
 	w := &Workload{
 		Name: "bc-drift", InputName: "mutating-graph", Bin: bin,
 		FootprintWords: bcDriftEdges + bcDriftRowsA + bcDriftRowsB,
-		ExpectedSites:  1,
 		WorkPC:         workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
@@ -185,7 +184,6 @@ func ISDrift(repeats int) (*Workload, error) {
 	w := &Workload{
 		Name: "is-drift", InputName: "growing-keys", Bin: bin,
 		FootprintWords: 2*isDriftIters + isDriftBuckets,
-		ExpectedSites:  1,
 		WorkPC:         workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
@@ -237,7 +235,6 @@ func ChaseDrift(repeats int) (*Workload, error) {
 	w := &Workload{
 		Name: "chase-drift", InputName: "alternating-rings", Bin: bin,
 		FootprintWords: chaseDriftBig + chaseDriftSmall,
-		ExpectedSites:  0, // self-dependent chain: nothing RPG² can do
 		WorkPC:         workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {

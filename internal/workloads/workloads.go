@@ -37,9 +37,6 @@ type Workload struct {
 	Setup func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64)
 	// FootprintWords is the total mapped data size, for reporting.
 	FootprintWords int
-	// ExpectedSites is how many prefetchable demand loads the benchmark
-	// exposes (sssp has two, the rest one).
-	ExpectedSites int
 	// WorkPC is the global PC of the benchmark's primary miss-causing
 	// demand load in the original binary. Experiments count retirements
 	// of this instruction (and of its image in any rewritten function)
