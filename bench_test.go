@@ -140,15 +140,10 @@ func placementSpeedup(b *testing.B, m machine.Machine, inner bool) float64 {
 		b.Fatal(err)
 	}
 	// Baseline.
-	bp, err := m.Launch(w.Bin, w.Setup)
+	bp, bw, err := baselines.LaunchWarm(w, w.Bin, m, []int{w.WorkPC}, 1.5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := baselines.RunUntilInit(bp, m); err != nil {
-		b.Fatal(err)
-	}
-	bw := perf.AttachWatch(bp, []int{w.WorkPC})
-	bp.Run(m.Seconds(1.5))
 	base := perf.MeasureWatch(bp, bw, m.Seconds(1.0), nil, 0)
 
 	// Prefetched with the selected placement, at a good distance.
@@ -160,20 +155,12 @@ func placementSpeedup(b *testing.B, m machine.Machine, inner bool) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pp, err := m.Launch(nb, w.Setup)
+	f1, _ := nb.Func(rw.NewName)
+	pcs := []int{w.WorkPC}
+	pp, pw, err := baselines.LaunchWarm(w, nb, m, append(pcs, rw.BAT.Live(f1.Entry, pcs)...), 1.5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := baselines.RunUntilInit(pp, m); err != nil {
-		b.Fatal(err)
-	}
-	f1, _ := nb.Func(rw.NewName)
-	pcs := []int{w.WorkPC}
-	if off, ok := rw.BAT.Translate(w.WorkPC); ok {
-		pcs = append(pcs, f1.Entry+off)
-	}
-	pw := perf.AttachWatch(pp, pcs)
-	pp.Run(m.Seconds(1.5))
 	win := perf.MeasureWatch(pp, pw, m.Seconds(1.0), nil, 0)
 	return win.Rate / base.Rate
 }

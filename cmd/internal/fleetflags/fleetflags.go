@@ -41,7 +41,6 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&c.WatchdogInterval, "watchdog-interval", 0, "sample tuned sessions every this many simulated seconds for phase drift (0 = watchdog off, byte-identical fleet)")
 	fs.IntVar(&c.WatchdogHysteresis, "watchdog-hysteresis", 0, "consecutive degraded samples before the watchdog fires (0 = default 3)")
 	fs.IntVar(&c.MaxRetunes, "max-retunes", 0, "re-tune lane budget per session (0 = default 1 when the watchdog is armed)")
-	fs.BoolVar(&c.RetuneCold, "retune-cold", false, "ablation: re-tune searches start cold instead of seeded from the installed distance")
 	fs.StringVar(&c.StateDir, "state-dir", "", "persist the journal WAL and profile-store snapshots here (empty = in-memory only)")
 	fs.BoolVar(&f.Resume, "resume", false, "recover the state dir's interrupted run instead of starting a fresh epoch")
 	fs.BoolVar(&c.Overwrite, "fresh", false, "discard a state dir's interrupted run and start a fresh epoch (default: refuse)")
@@ -49,7 +48,7 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&f.disk.WriteRate, "chaos-disk-write", 0, "probability a WAL write fails with an injected disk fault")
 	fs.Float64Var(&f.disk.SyncRate, "chaos-disk-sync", 0, "probability a WAL fsync fails with an injected disk fault")
 	fs.Float64Var(&f.disk.SnapshotRate, "chaos-disk-snapshot", 0, "probability a snapshot rewrite fails with an injected disk fault")
-	fs.IntVar(&c.RearmBackoff, "rearm-backoff", 0, "journal events to wait before degraded persistence retries re-arming (0 = default 64, negative = stay degraded)")
+	fs.IntVar(&c.RearmBackoff, "rearm-backoff", 0, "journal events to wait before degraded persistence retries re-arming (0 = default 64)")
 	return f
 }
 

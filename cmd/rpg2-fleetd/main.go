@@ -44,8 +44,8 @@ func main() {
 	flag.IntVar(&fleet.Fleet.MaxTenantQueue, "tenant-queue", 0, "max waiting sessions per tenant before its submissions get 429 (0 = unbounded)")
 	flag.IntVar(&cfg.RetryAfterCap, "retry-after-cap", 30, "upper bound on the Retry-After header, in seconds")
 	addrFile := flag.String("addr-file", "", "write the bound listen address to this file once serving (for test harnesses using port 0)")
-	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", 0, "per-request context deadline for non-streaming handlers (0 = default 30s, negative = off)")
-	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", 0, "max submit body size in bytes, 413 past it (0 = default 1 MiB, negative = unlimited)")
+	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", 0, "per-request context deadline for non-streaming handlers (0 = default 30s)")
+	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", 0, "max submit body size in bytes, 413 past it (0 = default 1 MiB)")
 	flag.Int64Var(&chaos.Seed, "chaos-seed", 1, "seed shared by the disk and network fault injectors")
 	flag.Float64Var(&chaos.DelayRate, "chaos-net-delay", 0, "probability a request is delayed before dispatch")
 	flag.Float64Var(&chaos.ErrorRate, "chaos-net-error", 0, "probability a request gets an injected 500")

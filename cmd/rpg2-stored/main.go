@@ -38,10 +38,10 @@ func main() {
 	flag.StringVar(&cfg.StateDir, "state-dir", "", "persist the op journal and snapshots here (empty = in-memory only)")
 	flag.BoolVar(&cfg.Fresh, "fresh", false, "discard the state dir's prior contents instead of recovering them")
 	fsync := flag.String("fsync", "interval", "WAL durability: interval, always, or never")
-	flag.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "journaled mutations between snapshots (0 = default 256, negative = journal only)")
+	flag.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "journaled mutations between snapshots (0 = default 256)")
 	addrFile := flag.String("addr-file", "", "write the bound listen address to this file once serving (for test harnesses using port 0)")
-	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", 0, "per-request context deadline (0 = default 30s, negative = off)")
-	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", 0, "max request body size in bytes, 413 past it (0 = default 1 MiB, negative = unlimited)")
+	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", 0, "per-request context deadline (0 = default 30s)")
+	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", 0, "max request body size in bytes, 413 past it (0 = default 1 MiB)")
 	flag.Parse()
 
 	if err := run(cfg, *listen, *fsync, *addrFile); err != nil {

@@ -1,6 +1,7 @@
 package rpg2_test
 
 import (
+	"cmp"
 	"go/ast"
 	"go/build"
 	"go/constant"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -53,27 +55,7 @@ var keptWithoutProductCaller = map[string]string{
 // type's zero value are skipped: their callers are dynamic or their use is
 // implicit.
 func TestEveryExportHasAProductCaller(t *testing.T) {
-	c := &moduleChecker{
-		t:        t,
-		fset:     token.NewFileSet(),
-		pkgs:     map[string]*types.Package{},
-		infos:    map[string]*types.Info{},
-		imported: map[string]*types.Package{},
-	}
-	c.std = importer.ForCompiler(c.fset, "source", nil).(types.ImporterFrom)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		c.check(path)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := checkModule(t)
 
 	// errors.Is, As and Unwrap call these methods through interfaces the
 	// errors package declares inline, out of the scope's reach.
@@ -180,6 +162,118 @@ type unwrap interface{ Unwrap() error }`, 0)
 		len(keptWithoutProductCaller), len(c.order))
 }
 
+// writtenWithoutReader is every struct field under internal/ and
+// cmd/internal/ that non-test code writes and never reads, with the reason
+// it stays: a witness its package's tests check, or a field of a type the
+// module encodes as JSON without a tag.
+var writtenWithoutReader = map[string]string{
+	"internal/admission.Decision.HalfOpen":  "admission's breaker tests check that a dispatch is the half-open probe",
+	"internal/admission.Item.ID":            "admission's tests check dispatch order by item",
+	"internal/baselines.Sweep.BaselineRate": "JSON: fleetd's result body encodes the sweep",
+	"internal/bolt.Site.KernelOffset":       "JSON: the journal's reports encode their sites; bolt's and rpg2's tests locate the kernel with it",
+	"internal/bolt.Site.Spilled":            "JSON: the journal's reports encode their sites; bolt's tests check the spill",
+	"internal/bolt.Site.ViaStack":           "JSON: the journal's reports encode their sites; bolt's tests check the stack-slot slice",
+	"internal/cache.Result.Level":           "cache's tests check which level served an access",
+	"internal/cache.Stats.DroppedPF":        "prefetch counter: proc's pinned state digests all 13 Stats fields; ROADMAP item 6 surfaces it",
+	"internal/cache.Stats.LatePF":           "prefetch counter: proc's pinned state digests all 13 Stats fields; ROADMAP item 6 surfaces it",
+	"internal/cache.Stats.SWPrefetches":     "prefetch counter: proc's pinned state digests all 13 Stats fields; ROADMAP item 6 surfaces it",
+	"internal/cache.Stats.TimelyPF":         "prefetch counter: proc's pinned state digests all 13 Stats fields; ROADMAP item 6 surfaces it",
+	"internal/cache.Stats.UselessPF":        "prefetch counter: proc's pinned state digests all 13 Stats fields; ROADMAP item 6 surfaces it",
+	"internal/fleet.pendingSession.oldID":   "fleet's recovery tests map each re-admission back to its pre-crash session",
+	"internal/perf.PEBSRecord.Addr":         "a PEBS record carries the data address (DESIGN.md §1); perf's tests check it",
+	"internal/rpg2.Report.BestIPC":          "JSON: cmd/rpg2 -json and the journal encode the report; rpg2's tests check it",
+}
+
+// TestEveryFieldHasAReader fails on a struct field declared under internal/
+// or cmd/internal/ that the module's non-test code writes (an assignment or
+// ++/-- target, or a composite-literal key) and never otherwise reads,
+// unless the allowlist above names it. A field with a struct tag is read by
+// its encoder, and an embedded field by its promoted selectors, so both are
+// skipped.
+func TestEveryFieldHasAReader(t *testing.T) {
+	c := checkModule(t)
+	names := map[*types.Var]string{} // every field the rule covers, by its name in the allowlist
+	written := map[*ast.Ident]bool{}
+	for _, path := range c.order {
+		dir := strings.TrimPrefix(path, "rpg2/")
+		if !strings.HasPrefix(dir, "internal/") && !strings.HasPrefix(dir, "cmd/internal/") {
+			dir = ""
+		}
+		info := c.infos[path]
+		for _, f := range c.files[path] {
+			owner := map[*ast.StructType]string{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						owner[st] = n.Name.Name
+					}
+				case *ast.StructType:
+					for _, fd := range n.Fields.List {
+						if dir == "" || fd.Tag != nil {
+							continue
+						}
+						for _, id := range fd.Names {
+							if v, ok := info.Defs[id].(*types.Var); ok && id.Name != "_" {
+								names[v] = dir + "." + cmp.Or(owner[n], "struct") + "." + id.Name
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							written[sel.Sel] = true
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+						written[sel.Sel] = true
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[id] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	writes, reads := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, info := range c.infos {
+		for id, obj := range info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				if written[id] {
+					writes[v.Origin()] = true
+				} else {
+					reads[v.Origin()] = true
+				}
+			}
+		}
+	}
+	var missing []string
+	seen := map[string]bool{}
+	for v, name := range names {
+		if !writes[v] || reads[v] {
+			continue
+		}
+		seen[name] = true
+		if _, ok := writtenWithoutReader[name]; !ok {
+			missing = append(missing, name)
+		}
+	}
+	for name := range writtenWithoutReader {
+		if !seen[name] {
+			t.Errorf("%s is allowlisted but has a reader now, or is gone: drop it from writtenWithoutReader", name)
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		t.Errorf("%s is written and never read outside tests: delete it, or allowlist it with a reason", name)
+	}
+	t.Logf("%d struct fields kept without a reader (allowlisted), %d packages checked",
+		len(writtenWithoutReader), len(c.order))
+}
+
 func hasMethod(it *types.Interface, name string) bool {
 	for i := 0; i < it.NumMethods(); i++ {
 		if it.Method(i).Name() == name {
@@ -209,8 +303,51 @@ type moduleChecker struct {
 	std      types.ImporterFrom
 	pkgs     map[string]*types.Package // by import path; nil for a dir with no Go package
 	infos    map[string]*types.Info
+	files    map[string][]*ast.File
 	imported map[string]*types.Package // what the module imports from outside it, and errors' inline interfaces
 	order    []string
+}
+
+// module is the type-checked module both scans read, checked once per test
+// binary.
+var module struct {
+	once sync.Once
+	c    *moduleChecker
+}
+
+// checkModule type-checks every package of the module, non-test files only.
+func checkModule(t *testing.T) *moduleChecker {
+	module.once.Do(func() { module.c = loadModule(t) })
+	if module.c == nil {
+		t.Fatal("the module did not type-check")
+	}
+	return module.c
+}
+
+func loadModule(t *testing.T) *moduleChecker {
+	c := &moduleChecker{
+		t:        t,
+		fset:     token.NewFileSet(),
+		pkgs:     map[string]*types.Package{},
+		infos:    map[string]*types.Info{},
+		files:    map[string][]*ast.File{},
+		imported: map[string]*types.Package{},
+	}
+	c.std = importer.ForCompiler(c.fset, "source", nil).(types.ImporterFrom)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		c.check(path)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func (c *moduleChecker) Import(path string) (*types.Package, error) {
@@ -266,7 +403,7 @@ func (c *moduleChecker) check(dir string) *types.Package {
 	if err != nil {
 		c.t.Fatalf("type-check %s: %v", path, err)
 	}
-	c.pkgs[path], c.infos[path] = pkg, info
+	c.pkgs[path], c.infos[path], c.files[path] = pkg, info, files
 	c.order = append(c.order, path)
 	return pkg
 }

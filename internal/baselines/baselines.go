@@ -20,6 +20,7 @@ import (
 	"math/rand"
 
 	"rpg2/internal/bolt"
+	"rpg2/internal/cpu"
 	"rpg2/internal/isa"
 	"rpg2/internal/machine"
 	"rpg2/internal/perf"
@@ -38,41 +39,40 @@ func RunUntilInit(p *proc.Process, m machine.Machine) error {
 	return nil
 }
 
+// LaunchWarm launches bin over w's data, runs it past initialisation,
+// attaches a work watch over watchPCs (none when watchPCs is empty) and
+// runs it warmSeconds more: how every reference-scheme measurement starts.
+func LaunchWarm(w *workloads.Workload, bin *isa.Binary, m machine.Machine, watchPCs []int, warmSeconds float64) (*proc.Process, *cpu.Watch, error) {
+	p, err := m.Launch(bin, w.Setup)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := RunUntilInit(p, m); err != nil {
+		return nil, nil, err
+	}
+	var watch *cpu.Watch
+	if len(watchPCs) > 0 {
+		watch = perf.AttachWatch(p, watchPCs)
+	}
+	p.Run(m.Seconds(warmSeconds))
+	return p, watch, nil
+}
+
 // ProfileCandidates launches the workload and runs PEBS-style profiling to
-// find its prefetch-candidate loads, using the same >=10%-of-function-misses
-// filter as RPG². It returns the candidate PCs in the hot function.
+// find its prefetch-candidate loads with RPG²'s own rule (perf.Candidates).
+// It returns the candidate PCs in the hot function.
 func ProfileCandidates(w *workloads.Workload, m machine.Machine, seconds float64) ([]int, error) {
-	p, err := m.Launch(w.Bin, w.Setup)
+	// Let the main phase settle past any per-superstep prologue (e.g.
+	// bfs's visited-array reset) before sampling.
+	p, _, err := LaunchWarm(w, w.Bin, m, nil, 1.0)
 	if err != nil {
 		return nil, err
 	}
-	if err := RunUntilInit(p, m); err != nil {
-		return nil, err
-	}
-	// Let the main phase settle past any per-superstep prologue (e.g.
-	// bfs's visited-array reset) before sampling.
-	p.Run(m.Seconds(1.0))
 	s := perf.NewSampler(m.PEBSPeriod, 1<<16)
 	s.Attach(p)
 	p.Run(m.Seconds(seconds))
 	s.Detach()
-	sites := perf.AggregateByPC(s.Records(), p)
-	totals := make(map[string]int)
-	for _, st := range sites {
-		totals[st.FuncName] += st.Count
-	}
-	bestFn, bestN := "", 0
-	for fn, n := range totals {
-		if fn != "" && (n > bestN || (n == bestN && fn < bestFn)) {
-			bestFn, bestN = fn, n
-		}
-	}
-	var pcs []int
-	for _, st := range sites {
-		if st.FuncName == bestFn && st.Share >= 0.10 {
-			pcs = append(pcs, st.PC)
-		}
-	}
+	_, pcs := perf.Candidates(perf.AggregateByPC(s.Records(), p))
 	if len(pcs) == 0 {
 		return nil, fmt.Errorf("baselines: no candidate loads found for %s/%s", w.Name, w.InputName)
 	}
@@ -105,13 +105,7 @@ func BuildPrefetched(w *workloads.Workload, candidates []int, distance int) (*Pr
 	if !ok {
 		return nil, fmt.Errorf("baselines: rewritten binary lacks %q", rw.NewName)
 	}
-	pf := &Prefetched{Bin: nb, RW: rw, F1Entry: f1.Entry}
-	for _, pc := range candidates {
-		if off, ok := rw.BAT.Translate(pc); ok {
-			pf.WatchPCs = append(pf.WatchPCs, f1.Entry+off)
-		}
-	}
-	return pf, nil
+	return &Prefetched{Bin: nb, RW: rw, F1Entry: f1.Entry, WatchPCs: rw.BAT.Live(f1.Entry, candidates)}, nil
 }
 
 // SetDistance rewrites every distance patch point in a live process running
@@ -221,15 +215,10 @@ func RunSweepWorkload(w *workloads.Workload, m machine.Machine, cfg SweepConfig)
 	}
 
 	// Baseline steady-state rate.
-	bp, err := m.Launch(w.Bin, w.Setup)
+	bp, bwatch, err := LaunchWarm(w, w.Bin, m, candidates, cfg.BaselineWarmSeconds)
 	if err != nil {
 		return nil, err
 	}
-	if err := RunUntilInit(bp, m); err != nil {
-		return nil, err
-	}
-	bwatch := perf.AttachWatch(bp, candidates)
-	bp.Run(m.Seconds(cfg.BaselineWarmSeconds))
 	base := perf.MeasureWatch(bp, bwatch, m.Seconds(cfg.BaselineWindowSeconds), rng, noise)
 	if base.Work == 0 {
 		return nil, fmt.Errorf("baselines: baseline run retired no work items for %s/%s", bench, input)
@@ -239,15 +228,11 @@ func RunSweepWorkload(w *workloads.Workload, m machine.Machine, cfg SweepConfig)
 	if err != nil {
 		return nil, err
 	}
-	pp, err := m.Launch(pf.Bin, w.Setup)
+	// The same warm-up as the baseline, for the same phase alignment.
+	pp, pwatch, err := LaunchWarm(w, pf.Bin, m, pf.WatchPCs, cfg.BaselineWarmSeconds)
 	if err != nil {
 		return nil, err
 	}
-	if err := RunUntilInit(pp, m); err != nil {
-		return nil, err
-	}
-	pwatch := perf.AttachWatch(pp, pf.WatchPCs)
-	pp.Run(m.Seconds(cfg.BaselineWarmSeconds)) // same phase alignment as the baseline
 
 	out := &Sweep{
 		Bench: bench, Input: input, Machine: m.Name,
@@ -284,15 +269,10 @@ func APTGETDistanceWorkload(w *workloads.Workload, m machine.Machine) (int, erro
 	if err != nil {
 		return 0, err
 	}
-	p, err := m.Launch(w.Bin, w.Setup)
+	p, watch, err := LaunchWarm(w, w.Bin, m, candidates[:1], 1.5)
 	if err != nil {
 		return 0, err
 	}
-	if err := RunUntilInit(p, m); err != nil {
-		return 0, err
-	}
-	watch := perf.AttachWatch(p, []int{candidates[0]})
-	p.Run(m.Seconds(1.5))
 	win := perf.MeasureWatch(p, watch, m.Seconds(1.0), nil, 0)
 	if win.Work == 0 {
 		return 0, fmt.Errorf("baselines: apt-get profile of %s/%s observed no loop iterations", bench, input)

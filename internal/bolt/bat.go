@@ -38,6 +38,19 @@ func (b *BAT) Translate(f0PC int) (int, bool) {
 	return off, ok
 }
 
+// Live returns the live address, in an f1 loaded at f1Entry, of each of
+// f0PCs that f1 holds, in order. A work watch over f0PCs plus Live(f0PCs)
+// counts the same instructions whichever version runs.
+func (b *BAT) Live(f1Entry int, f0PCs []int) []int {
+	var out []int
+	for _, pc := range f0PCs {
+		if off, ok := b.ToF1[pc]; ok {
+			out = append(out, f1Entry+off)
+		}
+	}
+	return out
+}
+
 // TranslateBack maps an f1 offset to an f0 PC. It returns false for offsets
 // inside an injected kernel.
 func (b *BAT) TranslateBack(f1Off int) (int, bool) {

@@ -21,8 +21,6 @@ type PatchPoint struct {
 	// Scale converts iterations of distance into immediate units (the
 	// induction variable's step).
 	Scale int64
-	// SitePC is the f0 PC of the demand load this distance tunes.
-	SitePC int
 }
 
 // Apply returns the instruction rewritten to encode the given distance.
@@ -64,8 +62,6 @@ type Rewrite struct {
 	PatchPoints []PatchPoint
 	// Sites lists the injected prefetch kernels.
 	Sites []Site
-	// InitialDistance is the distance baked in at generation time.
-	InitialDistance int
 
 	internal map[int]bool // offsets whose Target is f1-relative
 }
@@ -92,7 +88,6 @@ func unsupported(pc int, format string, args ...any) error {
 type pass struct {
 	g     *cfg.Graph
 	loops []*cfg.Loop
-	fn    isa.Function
 	opts  Options
 }
 
@@ -138,7 +133,7 @@ func InjectPrefetchWithOptions(bin *isa.Binary, fnName string, candidatePCs []in
 	if err != nil {
 		return nil, err
 	}
-	p := &pass{g: g, loops: g.Loops(), fn: f, opts: opts}
+	p := &pass{g: g, loops: g.Loops(), opts: opts}
 
 	seen := make(map[int]bool)
 	var kernels []*kernel
@@ -172,11 +167,10 @@ func InjectPrefetchWithOptions(bin *isa.Binary, fnName string, candidatePCs []in
 	})
 
 	rw := &Rewrite{
-		FuncName:        fnName,
-		NewName:         fnName + ".bolt",
-		BAT:             NewBAT(),
-		InitialDistance: distance,
-		internal:        make(map[int]bool),
+		FuncName: fnName,
+		NewName:  fnName + ".bolt",
+		BAT:      NewBAT(),
+		internal: make(map[int]bool),
 	}
 
 	byInsert := make(map[int][]*kernel)
@@ -210,7 +204,6 @@ func InjectPrefetchWithOptions(bin *isa.Binary, fnName string, candidatePCs []in
 					Offset: base + k.patchIdx,
 					Base:   k.patchBase,
 					Scale:  k.patchScale,
-					SitePC: k.site.DemandPC,
 				})
 			}
 			rw.Sites = append(rw.Sites, k.site)

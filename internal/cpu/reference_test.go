@@ -137,14 +137,10 @@ func snapshotOf(p *proc.Process, w *cpu.Watch, misses int) snapshot {
 func TestLookAheadArmsMissKernelsOnly(t *testing.T) {
 	m := machine.CascadeLake()
 	armed := func(bin *isa.Binary, w *workloads.Workload) []int {
-		p, err := m.Launch(bin, w.Setup)
+		p, _, err := baselines.LaunchWarm(w, bin, m, nil, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := baselines.RunUntilInit(p, m); err != nil {
-			t.Fatal(err)
-		}
-		p.Run(m.Seconds(10))
 		return cpu.ArmedPCs(p.MainThread().Core)
 	}
 	for i, k := range []string{"is", "randacc", "cg", "bfs/soc-gamma", "sssp/gowalla-like",

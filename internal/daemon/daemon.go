@@ -22,7 +22,8 @@ import (
 	"time"
 )
 
-// What a zero RequestTimeout / MaxBodyBytes in a daemon's Config means.
+// What a zero (or negative) RequestTimeout / MaxBodyBytes in a daemon's
+// Config means.
 const (
 	defaultRequestTimeout = 30 * time.Second
 	defaultMaxBody        = 1 << 20
@@ -30,8 +31,8 @@ const (
 
 // Hardening is what differs between daemons in the middleware stack.
 type Hardening struct {
-	// Timeout bounds each request with a context deadline (0: the default
-	// 30s; negative: none).
+	// Timeout bounds each request with a context deadline (0 or less: the
+	// default 30s).
 	Timeout time.Duration
 	// Exempt, when set, names the requests Timeout does not apply to —
 	// streams that are long-lived by contract.
@@ -106,11 +107,8 @@ func recoverPanics(next http.Handler, onPanic func(*http.Request, any)) http.Han
 // withDeadline bounds every non-exempt request with a context deadline so
 // a wedged handler cannot hold a connection past the timeout.
 func withDeadline(next http.Handler, timeout time.Duration, exempt func(*http.Request) bool) http.Handler {
-	if timeout == 0 {
+	if timeout <= 0 {
 		timeout = defaultRequestTimeout
-	}
-	if timeout < 0 {
-		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if exempt != nil && exempt(r) {
@@ -162,21 +160,17 @@ func Health(draining *atomic.Bool) http.HandlerFunc {
 	}
 }
 
-// DecodeJSON reads one JSON request body into v, capped at maxBytes (0:
-// the default 1 MiB; negative: uncapped). The body must hold exactly one
+// DecodeJSON reads one JSON request body into v, capped at maxBytes (0 or
+// less: the default 1 MiB). The body must hold exactly one
 // value: only whitespace may follow it. On failure it has already
 // answered — 413 past the cap, 400 for anything else, the body called what
 // in both messages — and reports false. strict additionally rejects
 // unknown fields.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, strict bool, what string, v any) bool {
-	if maxBytes == 0 {
+	if maxBytes <= 0 {
 		maxBytes = defaultMaxBody
 	}
-	body := r.Body
-	if maxBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, maxBytes)
-	}
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
 	if strict {
 		dec.DisallowUnknownFields()
 	}

@@ -53,10 +53,9 @@ type DriftArm struct {
 	// RetuneProbes is the re-tune search's distance-edit count; with
 	// detection it forms the cell's recovery latency in windows.
 	RetuneProbes int
-	// RetuneDistance and RetuneRate are the re-tuned landing point (zero
-	// if the re-tune rolled back or never fired).
+	// RetuneDistance is the re-tuned landing point (zero if the re-tune
+	// rolled back or never fired).
 	RetuneDistance int
-	RetuneRate     float64
 	// StaticRate is the noise-free end-of-run rate of RetuneDistance.
 	StaticRate float64
 }
@@ -246,7 +245,6 @@ func driftArmOf(s *fleet.Session, j *fleet.Journal) DriftArm {
 			a.DetectWindows = e.Windows
 		case "retune-complete":
 			a.RetuneDistance = e.Distance
-			a.RetuneRate = e.Rate
 		}
 	}
 	if a.Fired && !s.Retuning() && a.RetuneDistance > 0 {

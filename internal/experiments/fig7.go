@@ -178,6 +178,8 @@ func (r *Runner) Fig7(benches []string) (*Fig7Result, error) {
 	return res, nil
 }
 
+// manualDistance is the benchmark developers' hand-chosen prefetch distance
+// (AJ benchmarks only, §4.1.1); 0 where none exists.
 func manualDistance(bench string) int {
 	switch bench {
 	case "is", "randacc":

@@ -220,33 +220,20 @@ func (r *Runner) Fig13() (*Fig13Result, error) {
 	}
 
 	// Baseline.
-	bp, err := m.Launch(w.Bin, w.Setup)
+	bp, bwatch, err := baselines.LaunchWarm(w, w.Bin, m, []int{w.WorkPC}, 1.0)
 	if err != nil {
 		return nil, err
 	}
-	if err := baselines.RunUntilInit(bp, m); err != nil {
-		return nil, err
-	}
-	bwatch := perf.AttachWatch(bp, []int{w.WorkPC})
-	bp.Run(m.Seconds(1.0))
 	base := perf.MeasureWatch(bp, bwatch, m.Seconds(1.0), nil, 0)
 	if base.Work == 0 {
 		return nil, fmt.Errorf("fig13: baseline retired no work")
 	}
 
-	pp, err := m.Launch(pf.Bin, w.Setup)
+	pcs := []int{w.WorkPC}
+	pp, pwatch, err := baselines.LaunchWarm(w, pf.Bin, m, append(pcs, pf.RW.BAT.Live(pf.F1Entry, pcs)...), 1.0)
 	if err != nil {
 		return nil, err
 	}
-	if err := baselines.RunUntilInit(pp, m); err != nil {
-		return nil, err
-	}
-	pcs := []int{w.WorkPC}
-	if off, ok := pf.RW.BAT.Translate(w.WorkPC); ok {
-		pcs = append(pcs, pf.F1Entry+off)
-	}
-	pwatch := perf.AttachWatch(pp, pcs)
-	pp.Run(m.Seconds(1.0))
 
 	ds := []int{2, 4, 8, 16, 32, 64, 96}
 	out := &Fig13Result{Input: input, Machine: m.Name, D0: ds, D1: ds}

@@ -74,15 +74,13 @@ type TransplantRow struct {
 	NativeStaticRate, TranslatedStaticRate float64
 	// SavesWindows: the translated arm's mean measurement-window count
 	// undercuts the cold arm's (a translated session profiles for the
-	// short warm window, so this is the tier's headline saving).
-	// SavesProbes: its mean distance-probe count alone undercuts the
-	// cold arm's. Judged: the native distance's static re-measurement
-	// produced a signal to compare against (some tiny inputs retire no
-	// miss-site work, leaving nothing to judge). WithinGuard: the
-	// translated distance's true (static) rate is within the warm-accept
-	// noise guard (1 - 2·IPCNoise) of the natively tuned distance's on
-	// the same machine.
-	SavesWindows, SavesProbes, Judged, WithinGuard bool
+	// short warm window, so this is the tier's headline saving). Judged:
+	// the native distance's static re-measurement produced a signal to
+	// compare against (some tiny inputs retire no miss-site work, leaving
+	// nothing to judge). WithinGuard: the translated distance's true
+	// (static) rate is within the warm-accept noise guard (1 - 2·IPCNoise)
+	// of the natively tuned distance's on the same machine.
+	SavesWindows, Judged, WithinGuard bool
 }
 
 // TransplantResult is the full study across benchmarks and machines.
@@ -269,7 +267,6 @@ func (r *Runner) TableTransplant(benches []string) (*TransplantResult, error) {
 		if row.Source != "" && row.Cold.Trials > 0 && row.Translated.Trials > 0 {
 			row.Comparable = true
 			row.SavesWindows = row.Translated.Windows < row.Cold.Windows
-			row.SavesProbes = row.Translated.Probes < row.Cold.Probes
 		}
 		out.Rows[i] = row
 	}
@@ -415,7 +412,7 @@ func (t *TransplantResult) Render(w io.Writer) {
 	}
 	type agg struct {
 		coldW, coldP, transW, transP float64
-		cells, savesW, savesP        int
+		cells, savesW                int
 		judged, guard                int
 	}
 	perBench := make(map[string]*agg)
@@ -447,9 +444,6 @@ func (t *TransplantResult) Render(w io.Writer) {
 			a.transP += row.Translated.Probes
 			if row.SavesWindows {
 				a.savesW++
-			}
-			if row.SavesProbes {
-				a.savesP++
 			}
 			if row.Judged {
 				a.judged++

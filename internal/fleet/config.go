@@ -156,11 +156,10 @@ type Config struct {
 	DiskFaults *faults.DiskInjector
 	// RearmBackoff is how many journal events a degraded persister waits
 	// before attempting to re-arm (snapshot live state into a fresh epoch
-	// and resume the WAL). 0 means the default (64); negative disables
-	// re-arming, restoring the old "first disk error degrades forever"
-	// behavior. The clock is journal events, not wall time: deterministic
-	// in tests, and an idle fleet never churns a disk it just failed on.
-	// Each failed attempt doubles the wait, up to 8x RearmBackoff.
+	// and resume the WAL). 0 or less means the default (64). The clock is
+	// journal events, not wall time: deterministic in tests, and an idle
+	// fleet never churns a disk it just failed on. Each failed attempt
+	// doubles the wait, up to 8x RearmBackoff.
 	RearmBackoff int
 }
 

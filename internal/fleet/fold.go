@@ -62,14 +62,16 @@ type sessionFold struct {
 //
 // A submitter's "queued" record can land after its own session's first
 // dispatch records (DESIGN.md §11.4), so it names the state only of a
-// session no record has put in one yet: status never moves backwards.
+// session no record has put in one yet, and never lowers the attempt: status
+// never moves backwards.
 func (sf *sessionFold) apply(e Event) {
 	if e.State != "" && (e.Type != "queued" || sf.State == "") {
 		sf.State = e.State
 	}
 	switch e.Type {
 	case "queued":
-		sf.queued, sf.spec, sf.kind, sf.Attempt = true, e.Spec, e.Kind, e.Attempt
+		sf.queued, sf.spec, sf.kind = true, e.Spec, e.Kind
+		sf.Attempt = max(sf.Attempt, e.Attempt)
 	case "admitted":
 		// A dispatch supersedes the previous attempt's error.
 		sf.inFlight, sf.Attempt, sf.admitted, sf.Err = true, e.Attempt, e.Wall, ""

@@ -78,10 +78,7 @@ func (f *Fleet) staticJob(s *Session, m machine.Machine, w *workloads.Workload) 
 		return auxResult{}, err
 	}
 	pcs := []int{w.WorkPC}
-	if off, ok := pf.RW.BAT.Translate(w.WorkPC); ok {
-		pcs = append(pcs, pf.F1Entry+off)
-	}
-	sess, err := rpgcore.NewSessionBin(m, pf.Bin, w.Setup, pcs)
+	sess, err := rpgcore.NewSessionBin(m, pf.Bin, w.Setup, append(pcs, pf.RW.BAT.Live(pf.F1Entry, pcs)...))
 	if err != nil {
 		return auxResult{}, err
 	}

@@ -15,13 +15,12 @@
 // Persistence must never block session progress: a failed disk write flips
 // the fleet into degraded in-memory mode — the WAL is abandoned, sessions
 // keep running, and the metrics snapshot surfaces "Persistence: degraded"
-// with the error. Degradation is no longer forever: unless re-arming is
-// disabled (Config.RearmBackoff < 0) or the state dir was unusable from
-// birth, a degraded persister waits a capped, journal-event-counted
-// backoff (a virtual clock, so tests don't sleep) and then re-arms by
-// opening a fresh epoch exactly like startup. The arc is journaled as
-// "persist-degraded" / "persist-rearm" / "persist-rearmed" fleet-level
-// events.
+// with the error. Degradation is not forever: unless the state dir was
+// unusable from birth, a degraded persister waits a capped,
+// journal-event-counted backoff (a virtual clock, so tests don't sleep)
+// and then re-arms by opening a fresh epoch exactly like startup. The arc
+// is journaled as "persist-degraded" / "persist-rearm" / "persist-rearmed"
+// fleet-level events.
 package fleet
 
 import (
@@ -155,7 +154,7 @@ type persister struct {
 	snapEvery int
 	fsync     wal.SyncMode
 	disk      *faults.DiskInjector // nil: no injected disk faults
-	rearmBase int                  // events between degradation and re-arm (<= 0: never)
+	rearmBase int                  // events between degradation and re-arm
 
 	// hookArmed gates the disk-fault hook: injection starts only once the
 	// first epoch is staged, so a chaos run always gets past birth and
@@ -230,7 +229,7 @@ func openPersister(dir string, cfg Config) (*persister, error) {
 		snapEvery = 8
 	}
 	rearmBase := cfg.RearmBackoff
-	if rearmBase == 0 {
+	if rearmBase <= 0 {
 		rearmBase = 64
 	}
 	return &persister{
@@ -360,7 +359,7 @@ func (p *persister) appendEvent(e Event) {
 		// Degraded time is measured in journal events — a virtual clock the
 		// re-arm backoff counts down on, so tests never sleep and idle
 		// fleets never churn the disk they just failed on.
-		if p.degraded && !p.closed && !p.permanent && p.rearmBase > 0 && p.rearmWait > 0 {
+		if p.degraded && !p.closed && !p.permanent && p.rearmWait > 0 {
 			p.rearmWait--
 		}
 		return
@@ -498,7 +497,7 @@ func (p *persister) failLocked(err error) {
 	if p.log != nil {
 		p.log.Abort()
 	}
-	if !p.permanent && p.rearmBase > 0 {
+	if !p.permanent {
 		p.rearmBackoff = p.rearmBase
 		p.rearmWait = p.rearmBackoff
 		p.notice = true
@@ -526,8 +525,7 @@ func (p *persister) takeDegradeNotice() (msg string, n int, ok bool) {
 func (p *persister) claimRearm() (int, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.degraded || p.permanent || p.closed || p.rearming ||
-		p.rearmBase <= 0 || p.rearmWait > 0 {
+	if !p.degraded || p.permanent || p.closed || p.rearming || p.rearmWait > 0 {
 		return 0, false
 	}
 	p.rearming = true
@@ -599,7 +597,7 @@ func (p *persister) health(s *Snapshot) {
 		if p.err != nil {
 			s.PersistenceError = p.err.Error()
 		}
-		if !p.permanent && p.rearmBase > 0 {
+		if !p.permanent {
 			s.PersistRearmIn = p.rearmWait
 		}
 	} else {

@@ -698,12 +698,12 @@ func TestRecoverMissingDirErrors(t *testing.T) {
 
 // TestDiskFailureDegrades: the first failed WAL write flips the fleet to
 // in-memory mode — sessions keep finishing, and the snapshot surfaces the
-// degradation instead of hiding it. Re-arming is disabled here (negative
-// RearmBackoff) to pin the old permanent-degradation contract; the
-// self-healing arc has its own coverage in chaos_test.go.
+// degradation instead of hiding it. The re-arm backoff is longer than the
+// run, so the fleet is still degraded at the end; the self-healing arc has
+// its own coverage in chaos_test.go.
 func TestDiskFailureDegrades(t *testing.T) {
 	dir := t.TempDir()
-	f := New(Config{Machine: machine.CascadeLake(), Workers: 2, StateDir: dir, RearmBackoff: -1})
+	f := New(Config{Machine: machine.CascadeLake(), Workers: 2, StateDir: dir, RearmBackoff: 1 << 30})
 	defer f.Close()
 	if snap := f.Snapshot(); snap.Persistence != "active" {
 		t.Fatalf("fresh persisted fleet reports %q", snap.Persistence)

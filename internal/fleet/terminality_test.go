@@ -214,6 +214,41 @@ func TestTerminalityRuleSharedByRearmAndRecover(t *testing.T) {
 	}
 }
 
+// TestFoldLateQueuedKeepsAttempt: a submitter's queued record can land
+// after its own session's dispatch records (DESIGN.md §11.4), here after a
+// failure and the retry it scheduled. The queued record's submit-time
+// attempt must not take the session back to attempt 0: the live view,
+// recovery's re-admission and the record a restarted daemon serves all
+// read attempt 1, as the journal does.
+func TestFoldLateQueuedKeepsAttempt(t *testing.T) {
+	j := NewJournal()
+	spec := SessionSpec{Bench: "is", Seed: 1}
+	for _, e := range []Event{
+		{Type: "admitted", Attempt: 0},
+		{Type: "session-failed", State: Failed.String(), Err: "boom", Attempt: 0},
+		{Type: "retry-scheduled", Attempt: 1},
+		{Type: "queued", State: Queued.String(), Spec: RecordSpec(spec), Attempt: 0},
+	} {
+		e.Bench = "is"
+		j.add(e)
+	}
+	if v, _ := j.View(0); v.Attempt != 1 {
+		t.Errorf("Journal.View reads attempt %d, want 1", v.Attempt)
+	}
+	dir := t.TempDir()
+	writeJournalFile(t, dir, j.Events())
+	st, err := readState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.pending) != 1 || st.pending[0].attempt != 1 {
+		t.Errorf("readState re-admits %+v, want session 0 as attempt 1", st.pending)
+	}
+	if len(st.rec.Records) != 1 || st.rec.Records[0].Attempt != 1 {
+		t.Errorf("Recovery.Records reads %+v, want attempt 1", st.rec.Records)
+	}
+}
+
 // TestRearmedJournalRecoversLikeNeverDegraded is the end-to-end case: a
 // persisted fleet degrades on an injected fsync fault, re-arms with most of
 // its sessions still open, has the rest of its queue cancelled, and dies

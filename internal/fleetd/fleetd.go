@@ -53,11 +53,11 @@ type Config struct {
 	// request path is byte-identical to a daemon built without the knob.
 	NetFaults *faults.NetInjector
 	// RequestTimeout bounds each non-streaming request with a context
-	// deadline (default 30s; negative disables). The /v1/events stream is
+	// deadline (0 or less: the default 30s). The /v1/events stream is
 	// exempt — it is long-lived by design.
 	RequestTimeout time.Duration
-	// MaxBodyBytes caps POST bodies via http.MaxBytesReader (default 1MiB;
-	// negative disables). Oversized submissions get 413.
+	// MaxBodyBytes caps POST bodies via http.MaxBytesReader (0 or less:
+	// the default 1 MiB). Oversized submissions get 413.
 	MaxBodyBytes int64
 }
 

@@ -367,9 +367,6 @@ type Input struct {
 	Skew float64
 	// Seed makes generation deterministic.
 	Seed int64
-	// Synthetic marks inputs drawn from the APT-GET synthetic set rather
-	// than the SNAP-like set (bc only runs on these, §4.2).
-	Synthetic bool
 }
 
 // Build generates the input's graph.
@@ -444,12 +441,12 @@ func Catalogue() []Input {
 // ones bc runs on (§4.2).
 func SyntheticCatalogue() []Input {
 	return []Input{
-		{Name: "synth-u1", Kind: KindUniform, N: 131072, Deg: 8, Seed: 71, Synthetic: true},
-		{Name: "synth-u2", Kind: KindUniform, N: 196608, Deg: 12, Seed: 72, Synthetic: true},
-		{Name: "synth-p1", Kind: KindPowerLaw, N: 163840, Deg: 8, Skew: 0.6, Seed: 73, Synthetic: true},
-		{Name: "synth-p2", Kind: KindPowerLaw, N: 98304, Deg: 16, Skew: 0.8, Seed: 74, Synthetic: true},
-		{Name: "synth-g1", Kind: KindGrid, N: 147456, Deg: 4, Seed: 75, Synthetic: true},
-		{Name: "synth-small", Kind: KindUniform, N: 12288, Deg: 8, Seed: 76, Synthetic: true},
+		{Name: "synth-u1", Kind: KindUniform, N: 131072, Deg: 8, Seed: 71},
+		{Name: "synth-u2", Kind: KindUniform, N: 196608, Deg: 12, Seed: 72},
+		{Name: "synth-p1", Kind: KindPowerLaw, N: 163840, Deg: 8, Skew: 0.6, Seed: 73},
+		{Name: "synth-p2", Kind: KindPowerLaw, N: 98304, Deg: 16, Skew: 0.8, Seed: 74},
+		{Name: "synth-g1", Kind: KindGrid, N: 147456, Deg: 4, Seed: 75},
+		{Name: "synth-small", Kind: KindUniform, N: 12288, Deg: 8, Seed: 76},
 	}
 }
 

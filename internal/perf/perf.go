@@ -149,6 +149,34 @@ func AggregateByPC(records []PEBSRecord, p *proc.Process) []MissSite {
 	return out
 }
 
+// candidateShare keeps only loads causing at least this fraction of their
+// function's sampled misses (paper: 10%, §3.1).
+const candidateShare = 0.10
+
+// Candidates is RPG²'s candidate rule (§3.1), which the reference schemes
+// share: the function with the most sampled misses, and its loads with at
+// least candidateShare of that function's misses, in the sites' order.
+// Sites outside any function are never picked; a tie goes to the name that
+// sorts first. fn is "" when no site is in a function.
+func Candidates(sites []MissSite) (fn string, pcs []int) {
+	totals := make(map[string]int)
+	for _, s := range sites {
+		totals[s.FuncName] += s.Count
+	}
+	bestN := 0
+	for name, n := range totals {
+		if name != "" && (n > bestN || (n == bestN && name < fn)) {
+			fn, bestN = name, n
+		}
+	}
+	for _, s := range sites {
+		if s.FuncName == fn && s.Share >= candidateShare {
+			pcs = append(pcs, s.PC)
+		}
+	}
+	return fn, pcs
+}
+
 // Window is a perf-stat style measurement over a bounded run of the target.
 type Window struct {
 	Cycles       uint64

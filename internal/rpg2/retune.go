@@ -71,11 +71,8 @@ func (c *Controller) Retune(p *proc.Process, prev *Report) (*Report, error) {
 	var pcs []int
 	for _, site := range prev.Sites {
 		pcs = append(pcs, site.DemandPC)
-		if off, ok := ins.rw.BAT.Translate(site.DemandPC); ok {
-			pcs = append(pcs, ins.f1Entry+off)
-		}
 	}
-	c.watch = perf.AttachWatch(p, pcs)
+	c.watch = perf.AttachWatch(p, append(pcs, ins.rw.BAT.Live(ins.f1Entry, pcs)...))
 	defer perf.DetachWatch(p, c.watch)
 
 	tl.phase("tune")

@@ -36,9 +36,6 @@ import (
 
 // The paper's fixed controller parameters (§3).
 const (
-	// candidateShare keeps only loads causing at least this fraction of
-	// their function's sampled misses (paper: 10%).
-	candidateShare = 0.10
 	// windowSeconds is one IPC measurement window (paper: 0.3 s).
 	windowSeconds = 0.3
 	// warmupSeconds runs after each distance edit before measuring, so
@@ -343,8 +340,7 @@ func (c *Controller) Optimize(p *proc.Process) (*Report, error) {
 	if seeded {
 		fnName, candidates = c.cfg.SeedFunc, c.cfg.SeedCandidates
 	} else {
-		sites := perf.AggregateByPC(sampler.Records(), p)
-		fnName, candidates = c.pickCandidates(sites)
+		fnName, candidates = perf.Candidates(perf.AggregateByPC(sampler.Records(), p))
 	}
 	if fnName == "" {
 		r.Outcome = NotActivated
@@ -399,13 +395,7 @@ func (c *Controller) Optimize(p *proc.Process) (*Report, error) {
 	// every attached watch with the translations so all rates remain
 	// comparable across the version switch (and across rollback).
 	for _, wt := range perf.Watches(p) {
-		var translated []int
-		for _, pc := range wt.PCs {
-			if off, ok := rw.BAT.Translate(pc); ok {
-				translated = append(translated, ins.f1Entry+off)
-			}
-		}
-		wt.Extend(translated)
+		wt.Extend(rw.BAT.Live(ins.f1Entry, wt.PCs))
 	}
 
 	// ---- Phase 4: monitoring and tuning -----------------------------
@@ -536,31 +526,6 @@ func (c *Controller) checkTarget(p *proc.Process, r *Report) (stop bool, err err
 		return true, nil
 	}
 	return false, nil
-}
-
-// pickCandidates selects the function with the most sampled misses and its
-// qualifying load PCs.
-func (c *Controller) pickCandidates(sites []perf.MissSite) (string, []int) {
-	totals := make(map[string]int)
-	for _, s := range sites {
-		totals[s.FuncName] += s.Count
-	}
-	bestFn, bestN := "", 0
-	for fn, n := range totals {
-		if fn == "" {
-			continue
-		}
-		if n > bestN || (n == bestN && fn < bestFn) {
-			bestFn, bestN = fn, n
-		}
-	}
-	var pcs []int
-	for _, s := range sites {
-		if s.FuncName == bestFn && s.Share >= candidateShare {
-			pcs = append(pcs, s.PC)
-		}
-	}
-	return bestFn, pcs
 }
 
 // metricBaseline returns the baseline value of the tuning metric.

@@ -19,7 +19,7 @@ import (
 // leaves: epoch 2 on both, one entry in the snapshot, one commit after it.
 func stateFiles(f *testing.F) (journal, snapshot []byte) {
 	dir := f.TempDir()
-	s, err := New(Config{StateDir: dir, Fsync: wal.SyncAlways, SnapshotEvery: -1})
+	s, err := New(Config{StateDir: dir, Fsync: wal.SyncAlways, SnapshotEvery: 1 << 30})
 	if err != nil {
 		f.Fatal(err)
 	}

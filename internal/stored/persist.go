@@ -58,7 +58,7 @@ type opRecord struct {
 type persister struct {
 	dir     string
 	roll    wal.Roll
-	every   int // mutations between snapshots (<0 = never)
+	every   int // mutations between snapshots
 	epoch   uint64
 	journal *wal.Log
 	ops     int // journaled mutations since the last snapshot
@@ -218,7 +218,7 @@ func (p *persister) appendOp(rec opRecord, st store.Store) {
 		return
 	}
 	p.ops++
-	if p.every > 0 && p.ops >= p.every {
+	if p.ops >= p.every {
 		p.snapshot(st.Export())
 	}
 }

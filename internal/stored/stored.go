@@ -61,13 +61,13 @@ type Config struct {
 	// appends and on close).
 	Fsync wal.SyncMode
 	// SnapshotEvery rewrites the snapshot after this many journaled
-	// mutations (default 256; negative = never, journal only).
+	// mutations (0 or less: the default 256).
 	SnapshotEvery int
-	// RequestTimeout bounds each request's handler (default 30s;
-	// negative = no deadline).
+	// RequestTimeout bounds each request's handler (0 or less: the
+	// default 30s).
 	RequestTimeout time.Duration
-	// MaxBodyBytes caps request bodies, 413 past it (default 1 MiB;
-	// negative = unlimited).
+	// MaxBodyBytes caps request bodies, 413 past it (0 or less: the
+	// default 1 MiB).
 	MaxBodyBytes int64
 }
 
@@ -93,7 +93,7 @@ type Server struct {
 // New builds a daemon over a fresh store — or, when cfg.StateDir holds
 // prior state, over the recovered contents.
 func New(cfg Config) (*Server, error) {
-	if cfg.SnapshotEvery == 0 {
+	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 256
 	}
 	s := &Server{cfg: cfg, store: store.NewMemory(cfg.Store)}

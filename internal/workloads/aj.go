@@ -50,9 +50,7 @@ func IS(repeats int) (*Workload, error) {
 	}
 	w := &Workload{
 		Name: "is", InputName: "aj-is", Bin: bin,
-		FootprintWords: isKeys + isBuckets,
-		WorkPC:         workPC,
-		ManualDistance: 64,
+		WorkPC: workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
 		regs[0] = as.Map("keys", keys).Base
@@ -113,9 +111,7 @@ func CG(repeats int) (*Workload, error) {
 	}
 	w := &Workload{
 		Name: "cg", InputName: "aj-cg", Bin: bin,
-		FootprintWords: 3*nnz + 2*cgRows,
-		WorkPC:         workPC,
-		ManualDistance: 32,
+		WorkPC: workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
 		regs[0] = as.Map("col", col).Base
@@ -172,9 +168,7 @@ func RandAcc(repeats int) (*Workload, error) {
 	}
 	w := &Workload{
 		Name: "randacc", InputName: "aj-randacc", Bin: bin,
-		FootprintWords: randIdxLen + randTable,
-		WorkPC:         workPC,
-		ManualDistance: 64,
+		WorkPC: workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
 		regs[0] = as.Map("idx", idx).Base

@@ -47,8 +47,7 @@ func Chase(repeats int) (*Workload, error) {
 	}
 	w := &Workload{
 		Name: "chase", InputName: "ring", Bin: bin,
-		FootprintWords: chaseNodes,
-		WorkPC:         workPC,
+		WorkPC: workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
 		regs[0] = as.Map("next", next).Base

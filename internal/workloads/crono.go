@@ -56,8 +56,7 @@ func PR(input string, repeats int) (*Workload, error) {
 	}
 	w := &Workload{
 		Name: "pr", InputName: in.Name, Bin: bin,
-		FootprintWords: 2*g.M() + 2*g.N,
-		WorkPC:         workPC,
+		WorkPC: workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
 		regs[0] = as.Map("src", g.SrcOf).Base
@@ -154,8 +153,7 @@ func BFS(input string, repeats int) (*Workload, error) {
 	}
 	w := &Workload{
 		Name: "bfs", InputName: in.Name, Bin: bin,
-		FootprintWords: g.M() + g.N + 2*g.N + g.N + 1,
-		WorkPC:         workPC,
+		WorkPC: workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
 		regs[0] = as.Map("off", g.Offsets).Base
@@ -209,8 +207,7 @@ func SSSP(input string, repeats int) (*Workload, error) {
 	}
 	w := &Workload{
 		Name: "sssp", InputName: in.Name, Bin: bin,
-		FootprintWords: 3*g.M() + 2*g.N,
-		WorkPC:         workPC,
+		WorkPC: workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
 		// The kernel writes dist, so each process must map its own copy:
@@ -293,8 +290,7 @@ func BC(input string, repeats int) (*Workload, error) {
 	}
 	w := &Workload{
 		Name: "bc", InputName: in.Name, Bin: bin,
-		FootprintWords: g.M() + 2*g.N,
-		WorkPC:         workPC,
+		WorkPC: workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
 		regs[0] = as.Map("rowptr", rowptr).Base

@@ -48,8 +48,8 @@ func digestBuilds() [][2]string {
 }
 
 // buildDigest is FNV-1a over everything a build hands a process: the
-// registers Setup leaves, the text, WorkPC, FootprintWords and every
-// mapped segment's name, base and contents.
+// registers Setup leaves, the text, WorkPC and every mapped segment's
+// name, base and contents.
 func buildDigest(w *Workload) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -73,7 +73,6 @@ func buildDigest(w *Workload) uint64 {
 		word(h, uint64(in.Target))
 	}
 	word(h, uint64(w.WorkPC))
-	word(h, uint64(w.FootprintWords))
 	for _, s := range as.Segments() {
 		h.Write([]byte(s.Name))
 		word(h, s.Base)

@@ -132,8 +132,7 @@ func BCDrift(repeats int) (*Workload, error) {
 	}
 	w := &Workload{
 		Name: "bc-drift", InputName: "mutating-graph", Bin: bin,
-		FootprintWords: bcDriftEdges + bcDriftRowsA + bcDriftRowsB,
-		WorkPC:         workPC,
+		WorkPC: workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
 		regs[0] = as.Map("rowptr", ptr).Base
@@ -183,8 +182,7 @@ func ISDrift(repeats int) (*Workload, error) {
 	}
 	w := &Workload{
 		Name: "is-drift", InputName: "growing-keys", Bin: bin,
-		FootprintWords: 2*isDriftIters + isDriftBuckets,
-		WorkPC:         workPC,
+		WorkPC: workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
 		regs[0] = as.Map("keys", keys).Base
@@ -234,8 +232,7 @@ func ChaseDrift(repeats int) (*Workload, error) {
 	}
 	w := &Workload{
 		Name: "chase-drift", InputName: "alternating-rings", Bin: bin,
-		FootprintWords: chaseDriftBig + chaseDriftSmall,
-		WorkPC:         workPC,
+		WorkPC: workPC,
 	}
 	w.Setup = func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64) {
 		regs[0] = as.Map("next", next).Base

@@ -7,6 +7,7 @@ import (
 	"rpg2/internal/cfg"
 	"rpg2/internal/isa"
 	"rpg2/internal/machine"
+	"rpg2/internal/mem"
 	. "rpg2/internal/workloads"
 )
 
@@ -87,22 +88,6 @@ func TestEveryBenchmarkIsPrefetchable(t *testing.T) {
 	}
 }
 
-func TestAJManualDistances(t *testing.T) {
-	for _, bench := range AJNames() {
-		w, err := Build(bench, "", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w.ManualDistance == 0 {
-			t.Errorf("%s: AJ benchmarks carry developer manual distances", bench)
-		}
-	}
-	w, _ := Build("pr", "soc-alpha", 1)
-	if w.ManualDistance != 0 {
-		t.Error("CRONO benchmarks have no manual distance")
-	}
-}
-
 // TestAJFootprintsExceedLLC pins the property that makes the AJ benchmarks
 // prefetch-friendly: their indirect arrays dwarf both machines' LLCs.
 func TestAJFootprintsExceedLLC(t *testing.T) {
@@ -112,8 +97,15 @@ func TestAJFootprintsExceedLLC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w.FootprintWords < 4*llcWords {
-			t.Errorf("%s footprint %d words < 4x LLC (%d)", bench, w.FootprintWords, llcWords)
+		as := mem.NewAddrSpace()
+		var regs [isa.NumRegs]uint64
+		w.Setup(as, &regs)
+		words := 0
+		for _, s := range as.Segments() {
+			words += len(s.Data)
+		}
+		if words < 4*llcWords {
+			t.Errorf("%s maps %d words < 4x LLC (%d)", bench, words, llcWords)
 		}
 	}
 }

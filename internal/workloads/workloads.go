@@ -35,17 +35,12 @@ type Workload struct {
 	// initialises the main thread's registers (argument bases, sizes,
 	// and the repeat count).
 	Setup func(as *mem.AddrSpace, regs *[isa.NumRegs]uint64)
-	// FootprintWords is the total mapped data size, for reporting.
-	FootprintWords int
 	// WorkPC is the global PC of the benchmark's primary miss-causing
 	// demand load in the original binary. Experiments count retirements
 	// of this instruction (and of its image in any rewritten function)
 	// as the unit of work, giving a performance metric comparable across
 	// schemes whose instruction mixes differ.
 	WorkPC int
-	// ManualDistance is the benchmark developer's hand-chosen prefetch
-	// distance, where one exists (AJ benchmarks only, §4.1.1); 0 if none.
-	ManualDistance int
 	// Partition, when non-nil, rewrites a thread's argument registers so
 	// it processes the tid-th of n shards of the iteration space. The
 	// flat-loop benchmarks (pr, sssp, is, cg, randacc) are data-parallel

@@ -141,14 +141,10 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 				}
 				bin = pf.Bin
 			}
-			p, err := m.Launch(bin, w.Setup)
+			p, _, err := baselines.LaunchWarm(w, bin, m, nil, 10)
 			if err != nil {
-				b.Fatalf("Launch: %v", err)
-			}
-			if err := baselines.RunUntilInit(p, m); err != nil {
 				b.Fatal(err)
 			}
-			p.Run(m.Seconds(10))
 			before := p.Counters()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
