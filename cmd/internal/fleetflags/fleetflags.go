@@ -41,13 +41,12 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&c.WatchdogInterval, "watchdog-interval", 0, "sample tuned sessions every this many simulated seconds for phase drift (0 = watchdog off, byte-identical fleet)")
 	fs.IntVar(&c.WatchdogHysteresis, "watchdog-hysteresis", 0, "consecutive degraded samples before the watchdog fires (0 = default 3)")
 	fs.IntVar(&c.MaxRetunes, "max-retunes", 0, "re-tune lane budget per session (0 = default 1 when the watchdog is armed)")
-	fs.StringVar(&c.StateDir, "state-dir", "", "persist the journal WAL and profile-store snapshots here (empty = in-memory only)")
+	fs.StringVar(&c.StateDir, "state-dir", "", "persist the journal WAL here, the profile store and scheduler state at the head of each epoch (empty = in-memory only)")
 	fs.BoolVar(&f.Resume, "resume", false, "recover the state dir's interrupted run instead of starting a fresh epoch")
 	fs.BoolVar(&c.Overwrite, "fresh", false, "discard a state dir's interrupted run and start a fresh epoch (default: refuse)")
 	fs.StringVar(&f.fsync, "fsync", "interval", "WAL durability: interval, always, or never")
 	fs.Float64Var(&f.disk.WriteRate, "chaos-disk-write", 0, "probability a WAL write fails with an injected disk fault")
 	fs.Float64Var(&f.disk.SyncRate, "chaos-disk-sync", 0, "probability a WAL fsync fails with an injected disk fault")
-	fs.Float64Var(&f.disk.SnapshotRate, "chaos-disk-snapshot", 0, "probability a snapshot rewrite fails with an injected disk fault")
 	fs.IntVar(&c.RearmBackoff, "rearm-backoff", 0, "journal events to wait before degraded persistence retries re-arming (0 = default 64)")
 	return f
 }
@@ -80,7 +79,7 @@ func (f *Flags) Resolve(diskSeed int64) (fleet.Config, error) {
 			return cfg, fmt.Errorf("state dir %q holds an interrupted run (%d unfinished sessions); pass -resume to recover it or -fresh to discard it", cfg.StateDir, n)
 		}
 	}
-	if f.disk.WriteRate > 0 || f.disk.SyncRate > 0 || f.disk.SnapshotRate > 0 {
+	if f.disk.WriteRate > 0 || f.disk.SyncRate > 0 {
 		f.disk.Seed = diskSeed
 		cfg.DiskFaults = faults.NewDisk(f.disk)
 	}

@@ -10,14 +10,17 @@
 //	rpg2-stored -listen :8049 -state-dir ./store-state -fsync always
 //	rpg2-stored -listen :8049 -state-dir ./store-state -fresh
 //
-// With -state-dir the store is crash-safe: mutations journal to a
-// checksummed WAL and the whole store snapshots atomically every
-// -snapshot-every mutations; a restart recovers the fold of the two. A
-// disk failure degrades persistence (the daemon keeps serving from
-// memory, the stats endpoint reports it) instead of dropping requests.
+// With -state-dir the store is crash-safe: mutations journal to one
+// checksummed WAL, store-journal.wal, and every -snapshot-every mutations
+// it rolls to a fresh epoch whose head is the whole store; a restart folds
+// the ops after the head over it. A state dir an older binary left with a
+// store-snapshot.wal is refused until -fresh (or move its entries over
+// with GET /v1/store/export and POST /v1/store/import). A disk failure
+// degrades persistence (the daemon keeps serving from memory, the stats
+// endpoint reports it) instead of dropping requests.
 //
 // SIGINT/SIGTERM triggers a graceful drain: store requests get 503, a
-// final snapshot lands, the WAL closes, and the process exits 0.
+// final epoch roll lands, the WAL closes, and the process exits 0.
 package main
 
 import (
@@ -35,10 +38,10 @@ func main() {
 	var cfg stored.Config
 	listen := flag.String("listen", "127.0.0.1:8049", "address to serve the store API on")
 	flag.IntVar(&cfg.Store.MaxReuse, "max-reuse", 0, "serves per committed entry before it goes stale (0 = default 16)")
-	flag.StringVar(&cfg.StateDir, "state-dir", "", "persist the op journal and snapshots here (empty = in-memory only)")
+	flag.StringVar(&cfg.StateDir, "state-dir", "", "persist the op journal here (empty = in-memory only)")
 	flag.BoolVar(&cfg.Fresh, "fresh", false, "discard the state dir's prior contents instead of recovering them")
 	fsync := flag.String("fsync", "interval", "WAL durability: interval, always, or never")
-	flag.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "journaled mutations between snapshots (0 = default 256)")
+	flag.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "store commits between epoch rolls, each writing the whole store at the head of a fresh journal (0 = default 256)")
 	addrFile := flag.String("addr-file", "", "write the bound listen address to this file once serving (for test harnesses using port 0)")
 	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", 0, "per-request context deadline (0 = default 30s)")
 	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", 0, "max request body size in bytes, 413 past it (0 = default 1 MiB)")
@@ -69,7 +72,7 @@ func run(cfg stored.Config, listen, fsync, addrFile string) error {
 	}
 	fmt.Printf("rpg2-stored: serving on http://%s\n", ln.Addr())
 	return daemon.Serve(ln, srv.HTTPServer(), addrFile, func(sig os.Signal) {
-		fmt.Fprintf(os.Stderr, "rpg2-stored: %v: draining (final snapshot, WAL close)\n", sig)
+		fmt.Fprintf(os.Stderr, "rpg2-stored: %v: draining (final epoch roll, WAL close)\n", sig)
 		st := srv.Drain()
 		if msg, bad := srv.Degraded(); bad {
 			fmt.Fprintf(os.Stderr, "rpg2-stored: persistence degraded: %s\n", msg)

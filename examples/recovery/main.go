@@ -2,10 +2,12 @@
 //
 //  1. A persisted fleet runs a batch of sessions, journaling every event
 //     to a checksummed WAL and committing tuned profiles to the store.
+//     Close rolls the WAL one last time: one journal file whose head holds
+//     the store and scheduler state, followed by every session's records.
 //  2. We simulate a crash: the journal is rewound to mid-run (as if the
-//     process died there), the snapshot is deleted, and garbage is
-//     appended to the journal's tail (a torn final write).
-//  3. RecoverFleet salvages the damaged files, restores the committed
+//     process died there) and garbage is appended to its tail (a torn
+//     final write).
+//  3. RecoverFleet salvages the damaged file, restores the committed
 //     profiles, and re-admits every session the "crash" interrupted; the
 //     resumed sessions finish and warm-start from the recovered store.
 //  4. Finally, a fleet pointed at a hopeless state dir shows graceful
@@ -53,8 +55,9 @@ func main() {
 	fmt.Printf("ran %d sessions into %s\n", len(specs), dir)
 
 	// --- 2. Manufacture a crash. Rewind the journal to just after the
-	// first session finished (everything later "never happened"), delete
-	// the snapshot (forcing pure journal replay), and tear the tail.
+	// second session finished (every later record "never happened") and
+	// tear the tail. There is no second file to delete: the store's entries
+	// are the journal's head.
 	journal := filepath.Join(dir, "journal.wal")
 	recs, _, err := wal.ReadAll(journal)
 	if err != nil {
@@ -75,21 +78,18 @@ func main() {
 	if err := wal.WriteAtomic(journal, recs[:cut]); err != nil {
 		log.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "snapshot.wal")); err != nil {
-		log.Fatal(err)
-	}
 	jf, err := os.OpenFile(journal, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	jf.WriteString("fffffff0 9 torn-writ") // a torn final record
 	jf.Close()
-	fmt.Printf("simulated crash: journal rewound to %d of %d records, snapshot deleted, tail torn\n",
+	fmt.Printf("simulated crash: journal rewound to %d of %d records, tail torn\n",
 		cut, len(recs))
 
 	// --- 3. Recover. Salvage keeps the valid prefix, the committed store
-	// entries are rebuilt from the journal, and interrupted sessions are
-	// re-admitted; draining finishes them.
+	// entries are rebuilt from the journal's head, and interrupted sessions
+	// are re-admitted; draining finishes them.
 	f2, rec, err := rpg2.RecoverFleet(dir, rpg2.FleetConfig{Machine: m, Workers: 2})
 	if err != nil {
 		log.Fatal(err)

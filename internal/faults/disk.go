@@ -12,8 +12,6 @@ const (
 	DiskOpWrite = "write"
 	// DiskOpSync fails the fsync that would make prior writes durable.
 	DiskOpSync = "sync"
-	// DiskOpSnapshot fails the atomic snapshot write (tmp+rename path).
-	DiskOpSnapshot = "snapshot"
 )
 
 // diskOpIndex gives each operation a stable hash discriminator, disjoint
@@ -25,8 +23,6 @@ func diskOpIndex(op string) uint64 {
 		return 11
 	case DiskOpSync:
 		return 12
-	case DiskOpSnapshot:
-		return 13
 	}
 	return 10
 }
@@ -35,7 +31,7 @@ func diskOpIndex(op string) uint64 {
 // the persistence layer can tell injected failures from organic ones when
 // tests assert on the degradation arc.
 type DiskError struct {
-	Op      string // DiskOpWrite, DiskOpSync, or DiskOpSnapshot
+	Op      string // DiskOpWrite or DiskOpSync
 	Key     string // which file family the injector was keyed on
 	Ordinal int    // how many prior operations this key+op had seen
 }
@@ -54,8 +50,6 @@ type DiskConfig struct {
 	WriteRate float64
 	// SyncRate is the probability that one fsync fails.
 	SyncRate float64
-	// SnapshotRate is the probability that one atomic snapshot write fails.
-	SnapshotRate float64
 	// MaxFaults caps the total number of injected faults (0 = unlimited).
 	// A cap of 1 scripts "exactly one transient disk error", which is how
 	// the chaos suite proves the persistence re-arm recovers.
@@ -97,8 +91,6 @@ func (d *DiskInjector) rate(op string) float64 {
 		return d.cfg.WriteRate
 	case DiskOpSync:
 		return d.cfg.SyncRate
-	case DiskOpSnapshot:
-		return d.cfg.SnapshotRate
 	}
 	return 0
 }

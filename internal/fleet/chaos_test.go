@@ -5,6 +5,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -27,7 +28,7 @@ import (
 // shape: re-admit, open the epoch, then start the workers.
 func newGated(cfg Config) (f *Fleet, start func()) {
 	f = newFleet(cfg)
-	f.initPersist()
+	f.initPersist(nil)
 	return f, f.startWorkers
 }
 
@@ -84,7 +85,7 @@ func TestChaosCombinedFaultsInvariants(t *testing.T) {
 	const sessions = 48
 	dir := t.TempDir()
 	disk := faults.NewDisk(faults.DiskConfig{
-		Seed: 7, WriteRate: 0.02, SyncRate: 0.02, SnapshotRate: 0.1,
+		Seed: 7, WriteRate: 0.02, SyncRate: 0.02,
 	})
 	f := New(Config{
 		Machine: machine.CascadeLake(), Workers: 4,
@@ -134,7 +135,7 @@ func TestChaosDeterministicSameSeed(t *testing.T) {
 	run := func() ([]Event, map[string]int) {
 		dir := t.TempDir()
 		disk := faults.NewDisk(faults.DiskConfig{
-			Seed: 7, WriteRate: 0.03, SyncRate: 0.03, SnapshotRate: 0.2,
+			Seed: 7, WriteRate: 0.03, SyncRate: 0.03,
 		})
 		f := New(Config{
 			Machine: machine.CascadeLake(), Workers: 1,
@@ -211,8 +212,8 @@ func TestChaosDeterministicSameSeed(t *testing.T) {
 
 // TestChaosRearmArcHeals drives the full self-healing arc: one injected
 // fsync fault degrades persistence, the re-arm countdown runs down in
-// journal events (the virtual clock), the re-arm re-snapshots and
-// re-seeds a fresh WAL, and the fleet reports itself active again — with
+// journal events (the virtual clock), the re-arm rolls a fresh WAL with
+// the store at its head and the open sessions seeded, and the fleet reports itself active again — with
 // the whole arc visible as journal events and health lines.
 func TestChaosRearmArcHeals(t *testing.T) {
 	dir := t.TempDir()
@@ -266,7 +267,7 @@ func TestChaosRearmArcHeals(t *testing.T) {
 
 	// The re-seeded WAL must be a valid recovery source: everything the
 	// fleet finished is terminal on disk, and a recovered fleet warm-starts
-	// from the store the re-arm snapshot carried.
+	// from the store the rolls' heads carried.
 	_, sessions, terminal := journalLedger(t, dir)
 	if sessions == 0 || sessions != terminal {
 		t.Fatalf("re-seeded ledger: %d sessions, %d terminal", sessions, terminal)
@@ -281,7 +282,7 @@ func TestChaosRearmArcHeals(t *testing.T) {
 			rec.Sessions, rec.Terminal, sessions, terminal)
 	}
 	if rec.StoreEntries == 0 {
-		t.Fatal("re-arm snapshot carried no store entries")
+		t.Fatal("the journal's head carried no store entries")
 	}
 }
 
@@ -423,10 +424,13 @@ func TestChaosZeroKnobsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRecoverManifestBadCRC corrupts snapshot.wal, the file that vouches
-// for the journal watermark: a CRC-breaking byte flip in its last record
-// must push recovery off the watermark fast path and into a full journal
-// replay that still converges to exactly the ledger's committed entries.
+// TestRecoverManifestBadCRC corrupts the head of journal.wal, the records
+// that stand in for the store and scheduler state: a CRC-breaking byte
+// flip in the head's last store entry ends the valid prefix there. With one
+// file there is no second copy to replay the lost entry from, so recovery
+// must keep exactly the head records before the flip — every entry the
+// salvaged head still holds, replayed over nothing — report the damage,
+// re-admit nothing it cannot read, and serve what survived.
 func TestRecoverManifestBadCRC(t *testing.T) {
 	dir := t.TempDir()
 	f := New(Config{
@@ -442,36 +446,56 @@ func TestRecoverManifestBadCRC(t *testing.T) {
 	f.Drain()
 	f.Close()
 
-	sp := filepath.Join(dir, snapshotFile)
-	data, err := os.ReadFile(sp)
-	if err != nil {
-		t.Fatalf("read snapshot: %v", err)
+	jp := filepath.Join(dir, journalFile)
+	recs, sal, err := wal.ReadAll(jp)
+	if err != nil || !sal.Clean() {
+		t.Fatalf("read the closed journal: %v (%s)", err, sal)
 	}
-	// Flip a payload byte near the end: the last record (a store entry)
-	// fails its CRC, so the snapshot salvages one entry short and cannot
-	// vouch for its watermark.
-	data[len(data)-2] ^= 0xFF
-	if err := os.WriteFile(sp, data, 0o644); err != nil {
+	// The head's store entries, and the byte range of the last one.
+	var entries []Key
+	for _, rec := range recs {
+		var ke KeyedEntry
+		if json.Unmarshal(rec, &ke) == nil && ke.Key.Bench != "" {
+			entries = append(entries, ke.Key)
+		}
+	}
+	if len(entries) < 2 {
+		t.Fatalf("the head holds %d store entries; the corruption test needs two", len(entries))
+	}
+	last, err := json.Marshal(entries[len(entries)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, append([]byte(`{"key":`), last...))
+	if at < 0 {
+		t.Fatal("the head's last store entry is not in the file")
+	}
+	data[at+2] ^= 0xFF
+	if err := os.WriteFile(jp, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	wantKeys, _, _ := journalLedger(t, dir)
-	if len(wantKeys) == 0 {
-		t.Fatal("ledger has no committed keys; the corruption test has nothing to protect")
+	if len(wantKeys) != len(entries)-1 {
+		t.Fatalf("the salvaged ledger holds %d keys, want the %d before the flip", len(wantKeys), len(entries)-1)
 	}
 
 	f2, rec, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 2})
 	if err != nil {
-		t.Fatalf("Recover with corrupt snapshot: %v", err)
+		t.Fatalf("Recover with a corrupt head: %v", err)
 	}
 	defer f2.Close()
-	if rec.StoreEntries != len(wantKeys) {
-		t.Fatalf("full journal replay converged to %d entries, ledger says %d",
-			rec.StoreEntries, len(wantKeys))
+	if rec.JournalSalvage.Clean() || rec.JournalSalvage.Reason != "record failed checksum" {
+		t.Fatalf("corrupt head went unreported: salvage %q", rec.JournalSalvage)
 	}
-	if rec.SnapshotSalvage.Clean() || rec.Replayed == 0 {
-		t.Fatalf("corrupt snapshot did not force a journal replay: salvage %q, %d replayed", rec.SnapshotSalvage, rec.Replayed)
+	if rec.StoreEntries != len(wantKeys) || rec.Replayed != 0 || len(rec.Requeued) != 0 {
+		t.Fatalf("recovered %d entries, %d replayed, %d requeued; want %d, 0, 0",
+			rec.StoreEntries, rec.Replayed, len(rec.Requeued), len(wantKeys))
 	}
-	// The replayed store must serve: a session on a committed key
+	// The salvaged store must serve: a session on a surviving key
 	// warm-starts.
 	var spec SessionSpec
 	for k := range wantKeys {
@@ -484,6 +508,6 @@ func TestRecoverManifestBadCRC(t *testing.T) {
 	}
 	f2.Drain()
 	if !s.Warm() {
-		t.Fatal("session on a replayed key did not warm-start")
+		t.Fatal("session on a surviving key did not warm-start")
 	}
 }

@@ -42,7 +42,8 @@ type Config struct {
 	// process-local store (journaled as a fleet-level "store-degraded"
 	// event and surfaced in the snapshot) rather than blocking sessions.
 	// Because the daemon owns its own durability, the fleet's WAL stops
-	// snapshotting store contents and Recover stops re-importing them.
+	// writing store contents at its heads and Recover stops re-importing
+	// them.
 	// Ignored when Store is set or DisableStore is on; empty (the zero
 	// value) keeps the in-process store byte-identical to before.
 	StoreAddr string
@@ -130,16 +131,18 @@ type Config struct {
 	// pre-WAL fleet. ---
 
 	// StateDir, when set, makes the fleet crash-safe: every journal event
-	// is teed into an append-only checksummed WAL under this directory and
-	// the profile store plus scheduler state snapshot periodically, so
-	// Recover can rebuild the fleet after a crash. An unusable directory
-	// degrades the fleet to in-memory mode instead of failing it.
+	// is teed into an append-only checksummed WAL under this directory,
+	// and the WAL rolls periodically to a fresh epoch whose head holds the
+	// profile store plus scheduler state, so Recover can rebuild the fleet
+	// after a crash. An unusable directory degrades the fleet to in-memory
+	// mode instead of failing it.
 	StateDir string
 	// Fsync is the WAL durability policy (default wal.SyncInterval: fsync
 	// every 64 appends and on close).
 	Fsync wal.SyncMode
-	// SnapshotEvery is how many store commits trigger a fresh snapshot
-	// (default 8).
+	// SnapshotEvery is how many store commits run between epoch rolls,
+	// each of which writes the store and scheduler state at the head of a
+	// fresh journal (default 8).
 	SnapshotEvery int
 	// Overwrite lets New start a fresh epoch over a state dir whose
 	// journal still holds unfinished sessions. Without it, New refuses to
@@ -148,15 +151,15 @@ type Config struct {
 	// exactly as the crash left it for Recover. Recover itself consumes
 	// the old state and overwrites implicitly.
 	Overwrite bool
-	// DiskFaults, when non-nil, injects deterministic disk faults (write,
-	// fsync, snapshot-write errors) into the persistence layer — the chaos
+	// DiskFaults, when non-nil, injects deterministic disk faults (write
+	// and fsync errors) into the persistence layer — the chaos
 	// knob that exercises the degrade/re-arm arc on demand. Decisions are
 	// pure hashes of (injector seed, file key, operation ordinal), so the
 	// same faults fire at the same operations regardless of worker count.
 	DiskFaults *faults.DiskInjector
 	// RearmBackoff is how many journal events a degraded persister waits
-	// before attempting to re-arm (snapshot live state into a fresh epoch
-	// and resume the WAL). 0 or less means the default (64). The clock is
+	// before attempting to re-arm (roll live state into a fresh epoch and
+	// resume the WAL). 0 or less means the default (64). The clock is
 	// journal events, not wall time: deterministic in tests, and an idle
 	// fleet never churns a disk it just failed on. Each failed attempt
 	// doubles the wait, up to 8x RearmBackoff.

@@ -335,9 +335,9 @@ func TestKillMidRetuneRecoverLaneIntact(t *testing.T) {
 // TestSecondCrashKeepsRetuneLane: the re-tune lane posture of a session
 // that was still watching when the process died — a consumed grant, a
 // completed re-tune, the detector — must survive a second crash right
-// after Recover, before any periodic snapshot. The old journal's
+// after Recover, before any periodic roll. The old journal's
 // retune-scheduled and retune-complete records are not restated in the
-// fresh epoch, so only the fresh epoch's snapshot carries them.
+// fresh epoch, so only the fresh epoch's head carries them.
 func TestSecondCrashKeepsRetuneLane(t *testing.T) {
 	dir := t.TempDir()
 	det := drift.State{Ref: 2.5, EWMA: 1.25, Degraded: 2, Samples: 9, Fired: 1}
@@ -376,11 +376,7 @@ func TestSecondCrashKeepsRetuneLane(t *testing.T) {
 	for i := range events {
 		events[i].Seq = i
 	}
-	writeJournalFile(t, dir, events)
-	lane := liveState{drift: []DriftRecord{{Session: 1, Granted: 1, Retunes: 1, Distance: 12, Detector: det}}}
-	if err := writeSnapshotFile(dir, 1, len(events)-1, lane, nil); err != nil {
-		t.Fatal(err)
-	}
+	writeJournalFile(t, dir, events, walDrift{Drift: []DriftRecord{{Session: 1, Granted: 1, Retunes: 1, Distance: 12, Detector: det}}})
 
 	f, recovery, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 1})
 	if err != nil {

@@ -35,10 +35,6 @@ type Fleet struct {
 	sessions  []*Session
 
 	workers sync.WaitGroup
-	// snapMu serializes persistSnapshot: state capture and the atomic
-	// snapshot replace happen one at a time, so concurrent workers never
-	// interleave writes through the snapshot's shared temp file.
-	snapMu sync.Mutex
 
 	// Remote-store degrade state (Config.StoreAddr): the client fires
 	// OnDegrade exactly once; the error lands before the flag flips so
@@ -51,7 +47,7 @@ type Fleet struct {
 // as they are submitted. Call Close when done admitting.
 func New(cfg Config) *Fleet {
 	f := newFleet(cfg)
-	f.initPersist()
+	f.initPersist(nil)
 	f.startWorkers()
 	return f
 }
@@ -212,10 +208,10 @@ func (f *Fleet) Drain() {
 }
 
 // Close stops admission, drains the queue (including the retry lane), and
-// stops the workers. When persisting, it then writes a final snapshot and
-// flushes and closes the WAL, so a cleanly closed state dir resumes
-// without replaying anything. Close is idempotent: repeated or concurrent
-// calls all block until the pool has shut down.
+// stops the workers. When persisting, it then rolls the WAL one last time
+// and closes it, so a cleanly closed state dir resumes with the scheduler's
+// clock and counters and every session's outcome. Close is idempotent:
+// repeated or concurrent calls all block until the pool has shut down.
 func (f *Fleet) Close() {
 	f.mu.Lock()
 	f.closed = true
@@ -223,8 +219,7 @@ func (f *Fleet) Close() {
 	f.cond.Broadcast()
 	f.workers.Wait()
 	if f.persist != nil {
-		f.persistSnapshot()
-		f.persist.close()
+		f.persist.close(f.journal, f.capture)
 	}
 }
 

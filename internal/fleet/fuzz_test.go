@@ -14,14 +14,15 @@ import (
 
 // crashedRun leaves a state dir the way a crash does: a persisted fleet with
 // faults and a retry lane finishes two sessions, has the rest of its queue
-// cancelled, drains, and is left unclosed (it closes at cleanup). It
-// returns the fleet and its state dir.
+// cancelled, drains, and is left unclosed (it closes at cleanup). No roll
+// runs after birth, so the journal holds every event. It returns the fleet
+// and its state dir.
 func crashedRun(tb testing.TB) (*Fleet, string) {
 	tb.Helper()
 	dir := tb.TempDir()
 	f, start := newGated(Config{
 		Machine: machine.CascadeLake(), Workers: 1,
-		StateDir: dir, Fsync: wal.SyncAlways, SnapshotEvery: 1,
+		StateDir: dir, Fsync: wal.SyncAlways, SnapshotEvery: 1 << 30,
 		MaxRetries: 1, Faults: faults.New(faults.Config{Seed: 7, Rate: 0.3}),
 	})
 	tb.Cleanup(f.Close)
@@ -124,41 +125,43 @@ func lines(f *testing.F, file []byte) []byte {
 }
 
 // FuzzReadState feeds arbitrary bytes to recovery as a state dir's
-// journal.wal and snapshot.wal. With framed set, each input is split into
-// lines that are written as well-formed WAL records, so the fuzzer reaches
-// the snapshot decoder (readSnap), the event decoder and the fold behind the
-// checksums; without it the bytes land on disk as they are. Whatever the
-// files hold, readState must not panic, must not fail (only the sharded
-// layout is refused), must account for every session it saw as terminal or
-// pending, and must re-admit only sessions whose queued record carries a
-// spec.
+// journal.wal and a leftover journal.next. With framed set, each input is
+// split into lines that are written as well-formed WAL records, so the
+// fuzzer reaches the head's decoders, the event decoder and the fold
+// behind the checksums; without it the bytes land on disk as they are.
+// Whatever the journal holds, readState must not panic, must not fail
+// (only the legacy layouts are refused), must account for every session it
+// saw as terminal or pending, and must re-admit only sessions whose queued
+// record carries a spec. Whatever the stage holds, readState must read the
+// state dir exactly as without it.
 func FuzzReadState(f *testing.F) {
 	_, dir := crashedRun(f)
-	read := func(name string) []byte {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
+	journal, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		f.Fatal(err)
 	}
-	journal, snapshot := read(journalFile), read(snapshotFile)
-	f.Add(journal, snapshot, false)
-	f.Add(lines(f, journal), lines(f, snapshot), true)
-	f.Add([]byte(`{"wal":"journal","epoch":2}
+	// A roll that died before its rename: the next epoch's stamp over the
+	// head and half the seed.
+	recs := bytes.Split(lines(f, journal), []byte("\n"))
+	stage := bytes.Join(append([][]byte{[]byte(`{"wal":"journal","epoch":2,"seq":6}`)}, recs[1:len(recs)/2]...), []byte("\n"))
+	f.Add(journal, []byte{}, false)
+	f.Add(lines(f, journal), stage, true)
+	f.Add([]byte(`{"wal":"journal","epoch":2,"seq":4}
+{"sched":{}}
+{"drift":[{"session":0,"granted":1,"retuning":true,"distance":9,"detector":{"ref":1}}]}
+{"key":{"bench":"is"},"entry":{"func":"f","distance":12}}
 {"session":0,"type":"queued","spec":{"bench":"is"}}
 {"session":0,"type":"admitted"}
 {"session":0,"type":"session-done","state":"done"}
 {"session":0,"type":"retune-scheduled","retune":1,"distance":12}
 {"session":1,"type":"session-failed","error":"fleet: session cancelled before dispatch"}`),
-		[]byte(`{"wal":"snapshot","epoch":3,"seq":1}
-{"sched":{}}
-{"drift":[{"session":0,"granted":1,"retuning":true,"distance":9,"detector":{"ref":1}}]}
-{"key":{"bench":"is"},"entry":{"func":"f","distance":12}}`), true)
+		[]byte(`{"wal":"journal","epoch":3,"seq":1}
+{"session":2,"type":"queued","spec":{"bench":"cg"}}`), true)
 	f.Add([]byte{}, []byte{}, false)
 
-	f.Fuzz(func(t *testing.T, journal, snapshot []byte, framed bool) {
+	f.Fuzz(func(t *testing.T, journal, stage []byte, framed bool) {
 		dir := t.TempDir()
-		for name, data := range map[string][]byte{journalFile: journal, snapshotFile: snapshot} {
+		place := func(name string, data []byte) {
 			path := filepath.Join(dir, name)
 			var err error
 			if framed {
@@ -170,6 +173,7 @@ func FuzzReadState(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		place(journalFile, journal)
 		st, err := readState(dir)
 		if err != nil {
 			t.Fatalf("readState: %v", err)
@@ -193,5 +197,42 @@ func FuzzReadState(f *testing.F) {
 				t.Fatalf("session %d is re-admitted without a queued record carrying its spec", ps.oldID)
 			}
 		}
+
+		// A leftover stage is a roll that never published: nothing in it
+		// reaches recovery.
+		place(journalStageFile, stage)
+		st2, err := readState(dir)
+		if err != nil {
+			t.Fatalf("readState beside a stage file: %v", err)
+		}
+		if a, b := stateDigest(st), stateDigest(st2); a != b {
+			t.Fatalf("a stage file changed recovery:\n%s\nwithout it:\n%s", b, a)
+		}
 	})
+}
+
+// stateDigest renders what recovery distilled: the epoch and ID space, the
+// store, the scheduler and breaker postures, and every session's record
+// and re-admission.
+func stateDigest(st *recoveredState) string {
+	type pending struct{ ID, Attempt int }
+	var ps []pending
+	for _, p := range st.pending {
+		ps = append(ps, pending{p.oldID, p.attempt})
+	}
+	var entries []KeyedEntry
+	for _, k := range st.order {
+		if e, ok := st.entries[k]; ok {
+			entries = append(entries, KeyedEntry{Key: k, Entry: e})
+		}
+	}
+	b, _ := json.Marshal(struct {
+		Epoch, MaxID int
+		Sched        any
+		Entries      []KeyedEntry
+		Breakers     int
+		Pending      []pending
+		Records      []RecoveredSession
+	}{st.prevEpoch, st.maxID, st.sched, entries, len(st.breakers), ps, st.rec.Records})
+	return string(b)
 }

@@ -157,17 +157,22 @@ func TestStreamMatchesWALTee(t *testing.T) {
 	f.Drain()
 	close(stop)
 	<-streamDone
-	f.Close()
 
 	total := len(f.Journal().Events())
 	requireDense(t, streamed, 0, total)
 
+	// The epoch's journal as the tee wrote it, before Close's final roll
+	// keeps only what a restart needs.
 	recs, salvage, err := wal.ReadAll(filepath.Join(dir, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !salvage.Clean() {
-		t.Fatalf("clean close left a damaged WAL: %s", salvage)
+		t.Fatalf("the tee left a damaged WAL: %s", salvage)
+	}
+	f.Close()
+	if _, salvage, err := wal.ReadAll(filepath.Join(dir, journalFile)); err != nil || !salvage.Clean() {
+		t.Fatalf("clean close left a damaged WAL: %v %s", err, salvage)
 	}
 	var teed []int
 	for _, rec := range recs {
@@ -176,7 +181,7 @@ func TestStreamMatchesWALTee(t *testing.T) {
 			t.Fatalf("WAL record does not decode: %v", err)
 		}
 		if e.Type == "" {
-			continue // epoch header, not a journal event
+			continue // the epoch's stamp and head, not journal events
 		}
 		teed = append(teed, e.Seq)
 	}

@@ -1,16 +1,18 @@
 // Crash-safe persistence for the fleet. When Config.StateDir is set, the
 // fleet tees every journal event into an append-only checksummed WAL
-// (internal/wal) and periodically snapshots the profile store plus the
-// admission scheduler's exportable state into a second, atomically
-// replaced file. Recovery (recover.go) is snapshot + roll-forward: load
-// the last snapshot, replay the journal events past its watermark, and
-// re-admit every session that never reached a terminal record.
+// (internal/wal), one file per state dir. Each epoch's journal opens with a
+// head — the admission scheduler's exportable state, the watchdog records
+// and the profile store's entries — and rolls forward from it: recovery
+// (recover.go) imports the head, replays the store and breaker records
+// after it, and re-admits every session that never reached a terminal
+// record.
 //
 // The in-memory journal is the one record the WAL is built from. Every
-// epoch — the fleet's birth, a recovery, a re-arm — opens the same way
-// (persister.startEpoch): a snapshot of live state at the journal's tail,
-// then a staged journal seeded from the in-memory one with every open
-// session's history, swapped in under the journal lock and published.
+// epoch — the fleet's birth, a recovery, a re-arm, a roll every
+// SnapshotEvery store commits, a clean close — opens the same way
+// (persister.startEpoch): a staged journal holding the head, then every
+// open session's history seeded from the in-memory journal, swapped in
+// under the journal lock and published over the live one.
 //
 // Persistence must never block session progress: a failed disk write flips
 // the fleet into degraded in-memory mode — the WAL is abandoned, sessions
@@ -39,13 +41,11 @@ import (
 	"rpg2/internal/wal"
 )
 
-// State-dir file names: the event WAL, the snapshot (meta + scheduler +
-// watchdog + store entries, replaced atomically), and the staged journal a
-// fresh epoch is seeded into until startEpoch atomically renames it over
+// State-dir file names: the journal WAL, and the staged journal a fresh
+// epoch is written into until startEpoch atomically renames it over
 // journalFile.
 const (
 	journalFile      = "journal.wal"
-	snapshotFile     = "snapshot.wal"
 	journalStageFile = "journal.next"
 )
 
@@ -111,17 +111,18 @@ func (r *SpecRecord) Spec() SessionSpec {
 	return s
 }
 
-// walMeta is the first record of every state file: it names the file's
-// role ("journal" or "snapshot") and epoch, and (for the snapshot) the
-// journal watermark — the highest event Seq whose effects the snapshot
-// already folds in.
+// walMeta is the first record of every journal: its epoch, and the
+// session ID the fleet would hand out next when the epoch opened —
+// recovery continues the ID space from there even when every session below
+// it finished before the roll and left no record behind. Its key stays
+// "seq", so the stamp carries no key it did not always carry.
 type walMeta struct {
-	Wal   string `json:"wal"`
-	Epoch int    `json:"epoch"`
-	Seq   int    `json:"seq"`
+	Wal    string `json:"wal"`
+	Epoch  int    `json:"epoch"`
+	NextID int    `json:"seq"`
 }
 
-// walSched frames the scheduler state inside a snapshot file.
+// walSched frames the scheduler state in a journal's head.
 type walSched struct {
 	Sched *admission.PersistState `json:"sched"`
 }
@@ -129,7 +130,7 @@ type walSched struct {
 // DriftRecord is one session's persisted watchdog posture: the re-tune
 // lane grants consumed, completed re-tunes, whether a re-tune admission
 // is in flight, the warm seed distance it would start from, and the
-// detector's exported state. A WAL snapshot carries one per session with
+// detector's exported state. A journal's head carries one per session with
 // an armed watchdog so Recover resumes them armed.
 type DriftRecord struct {
 	Session  int         `json:"session"`
@@ -140,9 +141,8 @@ type DriftRecord struct {
 	Detector drift.State `json:"detector"`
 }
 
-// walDrift frames the watchdog records inside a snapshot file. The record
-// is only written when at least one session has drift state, so zero-knob
-// snapshots stay byte-identical to the pre-watchdog fleet.
+// walDrift frames the watchdog records in a journal's head. The record is
+// only written when at least one session has drift state.
 type walDrift struct {
 	Drift []DriftRecord `json:"drift"`
 }
@@ -167,9 +167,10 @@ type persister struct {
 	mu        sync.Mutex
 	epoch     int
 	log       *wal.Log
-	lastSeq   int // highest event Seq appended to the WAL
-	commits   int // store commits since the last snapshot
-	snapshots int
+	written   int // records in the journals earlier rolls replaced
+	commits   int // store commits since the last roll
+	rolls     int
+	rolling   bool // a claimed roll (claimRoll) is running
 	degraded  bool
 	err       error
 	closed    bool
@@ -179,15 +180,14 @@ type persister struct {
 	rearmWait     int // journal events left before the next re-arm attempt
 	rearmBackoff  int // current backoff (doubles per failed attempt, capped)
 	rearmAttempts int
-	rearming      bool
 	rearms        int
 	degradations  int
 }
 
 // faultHook adapts the configured disk injector to the wal layer's hook
-// shape for one file family, gated on hookArmed. Nil when no injector is
-// configured, so the zero-knob fleet takes no new code path at all.
-func (p *persister) faultHook(key string) func(op string) error {
+// shape, gated on hookArmed. Nil when no injector is configured, so the
+// zero-knob fleet takes no new code path at all.
+func (p *persister) faultHook() func(op string) error {
 	if p.disk == nil {
 		return nil
 	}
@@ -195,7 +195,7 @@ func (p *persister) faultHook(key string) func(op string) error {
 		if !p.hookArmed.Load() {
 			return nil
 		}
-		return p.disk.Check(key, op)
+		return p.disk.Check(journalFile, op)
 	}
 }
 
@@ -204,17 +204,20 @@ func (p *persister) roll() wal.Roll {
 	return wal.Roll{
 		Live:   filepath.Join(p.dir, journalFile),
 		Stage:  filepath.Join(p.dir, journalStageFile),
-		Config: wal.Config{Sync: p.fsync, FaultHook: p.faultHook(journalFile)},
+		Config: wal.Config{Sync: p.fsync, FaultHook: p.faultHook()},
 	}
 }
 
-// liveState is what a snapshot holds beside its watermark: the
-// scheduler's exportable state, the watchdog records and the store's
-// entries.
+// liveState is what a journal's head holds — the scheduler's exportable
+// state, the watchdog records, the store's entries and the next session
+// ID — and whether the fleet is closed, when the roll keeps every
+// session's history rather than the open ones'.
 type liveState struct {
 	sched   admission.PersistState
 	drift   []DriftRecord
 	entries []KeyedEntry
+	nextID  int
+	final   bool
 }
 
 // openPersister prepares dir for the fleet's WAL; startEpoch opens its
@@ -235,68 +238,88 @@ func openPersister(dir string, cfg Config) (*persister, error) {
 	return &persister{
 		dir: dir, snapEvery: snapEvery, fsync: cfg.Fsync,
 		disk: cfg.DiskFaults, rearmBase: rearmBase,
-		lastSeq: -1,
 	}, nil
 }
 
 // startEpoch opens a fresh epoch from the in-memory journal j, the one way
-// the fleet's birth, Recover and a re-arm all start one: beginEpoch, then
-// publish the staged journal over journalFile. An error leaves the live
-// journal and the persister as they were; a failed publish degrades the
-// persister like any other write failure.
+// the fleet's birth, Recover, a re-arm, a periodic roll and Close all start
+// one: beginEpoch, then publish the staged journal over journalFile and
+// retire the journal it replaces. An error leaves the live journal and the
+// persister as they were; a failed publish degrades the persister like any
+// other write failure. Callers run one roll at a time (claimRoll), and no
+// lock is held across the publish's fsync.
 func (p *persister) startEpoch(j *Journal, capture func() liveState) error {
+	p.mu.Lock()
+	old := p.log
+	p.mu.Unlock()
 	if err := p.beginEpoch(j, capture); err != nil {
 		return err
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.degraded || p.closed {
-		return nil
+	log := p.log
+	p.mu.Unlock()
+	err := p.roll().Publish(log)
+	if old != nil {
+		// Everything the old journal holds that has a future is in the new
+		// one; a commit still waiting on it moves over (commit).
+		old.Abort()
 	}
-	if err := p.roll().Publish(p.log); err != nil {
-		p.failLocked(err)
+	if err != nil {
+		p.mu.Lock()
+		if p.log == log {
+			p.failLocked(err)
+		}
+		p.mu.Unlock()
 	}
 	return nil
 }
 
-// beginEpoch is the first half of the roll (wal.Roll.Begin). The fresh
-// epoch's snapshot of capture's state, at watermark j.LastSeq() read before
-// the capture (replaying a little extra on recovery is idempotent), lands
-// atomically while the old journal is untouched. Then, under the journal
-// lock, so no event slips between the scan and the swap, a staged journal
-// is seeded with every open session's history (the fold's reading, the
-// same readState makes, so a later crash still re-admits them) and the
-// store and breaker records past the watermark, and swapped in: the next
-// event flows through the sink into it. Until the publish, recovery reads
-// the new snapshot over the old journal (readState's snapshot-ahead
-// branch), so neither rolled-forward store commits nor pending sessions are
-// orphaned. Injected disk faults (Config.DiskFaults) arm once the first
-// stage is seeded: birth either succeeds or degrades permanently, so the
-// injector targets the steady state the re-arm machinery can heal.
+// beginEpoch is the first half of the roll (wal.Roll.Begin). The staged
+// journal gets the next epoch's stamp and the head — capture's state, taken
+// after reading j.LastSeq() as w0 — while the live journal is untouched.
+// Then, under the journal lock, so no event slips between the scan and the
+// swap, it is seeded with every open session's history (the fold's
+// reading, the same readState makes, so a later crash still re-admits
+// them) and the store and breaker records past w0, which the head's export
+// may predate (store mutations precede their journal events, so none at or
+// below w0 can), and swapped in: the next event flows through the sink into
+// it. Until the publish, recovery reads the old journal, and a commit on
+// the stage waits for the publish (wal.Log.Commit). Injected disk faults
+// (Config.DiskFaults) arm once the first stage is seeded: birth either
+// succeeds or degrades permanently, so the injector targets the steady
+// state the re-arm machinery can heal.
 func (p *persister) beginEpoch(j *Journal, capture func() liveState) error {
 	w0 := j.LastSeq()
 	st := capture()
-	epoch := prevEpoch(p.dir) + 1
-	meta, _ := json.Marshal(walMeta{Wal: "journal", Epoch: epoch})
-	log, err := p.roll().Begin(meta, func() error {
-		return writeSnapshotFile(p.dir, epoch, w0, st, p.faultHook("snapshot"))
-	})
+	p.mu.Lock()
+	epoch := p.epoch + 1
+	p.mu.Unlock()
+	head, err := encodeHead(epoch, st)
 	if err != nil {
 		return err
 	}
+	log, err := p.roll().Begin(head[0])
+	if err != nil {
+		return err
+	}
+	for _, rec := range head[1:] {
+		if err := log.Write(rec); err != nil {
+			log.Abort()
+			return err
+		}
+	}
 	var seedErr error
 	j.withLock(func(events []Event, fd *fold) {
-		lastSeq := w0
 		for _, e := range events {
-			include := e.Session >= 0 && fd.sessions[e.Session].pending()
-			if !include && e.Seq > w0 {
-				switch e.Type {
-				case "store-commit", "store-invalidate", "breaker-open", "breaker-closed":
-					include = true
+			switch e.Type {
+			case "store-commit", "store-invalidate", "breaker-open", "breaker-closed":
+				if e.Seq <= w0 {
+					continue
 				}
-			}
-			if !include {
-				continue
+			default:
+				if e.Session < 0 || !st.final && !fd.sessions[e.Session].pending() {
+					continue
+				}
 			}
 			payload, err := json.Marshal(e)
 			if err != nil {
@@ -308,13 +331,15 @@ func (p *persister) beginEpoch(j *Journal, capture func() liveState) error {
 				seedErr = err
 				return
 			}
-			lastSeq = max(lastSeq, e.Seq)
 		}
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		p.log, p.epoch, p.lastSeq = log, epoch, lastSeq
+		if p.log != nil {
+			p.written += p.log.Records()
+		}
+		p.log, p.epoch = log, epoch
 		p.commits = 0
-		p.snapshots++
+		p.rolls++
 		p.degraded, p.err, p.notice = false, nil, false
 	})
 	if seedErr != nil {
@@ -325,21 +350,32 @@ func (p *persister) beginEpoch(j *Journal, capture func() liveState) error {
 	return nil
 }
 
-// prevEpoch finds the newest epoch recorded in dir's state files (0 when
-// there are none).
-func prevEpoch(dir string) int {
-	best := 0
-	for _, name := range []string{snapshotFile, journalFile} {
-		recs, _, err := wal.ReadAll(filepath.Join(dir, name))
-		if err != nil || len(recs) == 0 {
-			continue
-		}
-		var m walMeta
-		if json.Unmarshal(recs[0], &m) == nil && m.Epoch > best {
-			best = m.Epoch
-		}
+// encodeHead frames an epoch's stamp and head: meta, the scheduler state,
+// the watchdog state (only when non-empty), then the store entries.
+func encodeHead(epoch int, st liveState) ([][]byte, error) {
+	recs := make([][]byte, 0, len(st.entries)+3)
+	m, _ := json.Marshal(walMeta{Wal: "journal", Epoch: epoch, NextID: st.nextID})
+	recs = append(recs, m)
+	sc, err := json.Marshal(walSched{Sched: &st.sched})
+	if err != nil {
+		return nil, fmt.Errorf("encode scheduler state: %w", err)
 	}
-	return best
+	recs = append(recs, sc)
+	if len(st.drift) > 0 {
+		db, err := json.Marshal(walDrift{Drift: st.drift})
+		if err != nil {
+			return nil, fmt.Errorf("encode drift state: %w", err)
+		}
+		recs = append(recs, db)
+	}
+	for _, ke := range st.entries {
+		b, err := json.Marshal(ke)
+		if err != nil {
+			return nil, fmt.Errorf("encode store entry: %w", err)
+		}
+		recs = append(recs, b)
+	}
+	return recs, nil
 }
 
 // appendEvent is the journal sink: it runs under the journal lock, so WAL
@@ -372,7 +408,6 @@ func (p *persister) appendEvent(e Event) {
 		p.failLocked(err)
 		return
 	}
-	p.lastSeq = e.Seq
 	if e.Type == "store-commit" {
 		p.commits++
 	}
@@ -380,104 +415,84 @@ func (p *persister) appendEvent(e Event) {
 
 // commit is the journal's durability barrier under fsync-always: it returns
 // once every record appendEvent wrote before the call is on stable storage
-// (or the persister has degraded trying). It runs outside the journal lock
-// and outside p.mu, so concurrent commit points share one fsync and events
-// keep landing meanwhile.
+// in the journal recovery reads (or the persister has degraded trying). It
+// runs outside the journal lock and outside p.mu, so concurrent commit
+// points share one fsync and events keep landing meanwhile. A log a roll
+// replaced meanwhile hands the wait to its successor, which carries every
+// record of the old one that has a future.
 func (p *persister) commit() {
-	p.mu.Lock()
-	log := p.log
-	skip := p.degraded || p.closed || p.fsync != wal.SyncAlways
-	p.mu.Unlock()
-	if skip {
-		return
-	}
-	if err := log.Commit(); err != nil {
+	for {
 		p.mu.Lock()
-		defer p.mu.Unlock()
-		// A log swapped out (re-arm) or closed since is not this failure's
-		// to degrade.
-		if p.log == log && !p.closed {
+		log := p.log
+		skip := p.degraded || p.closed || p.fsync != wal.SyncAlways
+		p.mu.Unlock()
+		if skip {
+			return
+		}
+		err := log.Commit()
+		if err == nil {
+			return
+		}
+		p.mu.Lock()
+		current := p.log == log
+		if current && !p.closed {
 			p.failLocked(err)
 		}
-	}
-}
-
-// claimSnapshot reports whether enough store commits accumulated to
-// justify a fresh snapshot and, when they have, claims the work by
-// resetting the counter under the lock — workers racing across the same
-// threshold get exactly one true, so exactly one of them snapshots. A
-// claimed snapshot that then fails to write degrades the persister, so
-// the claim never needs restoring.
-func (p *persister) claimSnapshot() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.degraded || p.closed || p.commits < p.snapEvery {
-		return false
-	}
-	p.commits = 0
-	return true
-}
-
-// watermark is the highest event Seq known to be in the WAL. Capture it
-// BEFORE exporting the store: every store mutation happens before its
-// journal event, so an export taken afterwards folds in every event up to
-// (at least) this Seq, and replaying a little extra is idempotent.
-func (p *persister) watermark() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastSeq
-}
-
-// writeSnapshotFile atomically replaces the snapshot with the given state,
-// covering journal events up to seq: meta, the scheduler state, the
-// watchdog state (only when non-empty, keeping zero-knob snapshots in the
-// pre-watchdog format byte-for-byte), then the store entries. The optional
-// hook is the disk-fault seam.
-func writeSnapshotFile(dir string, epoch, seq int, st liveState, hook func(op string) error) error {
-	payloads := make([][]byte, 0, len(st.entries)+3)
-	m, _ := json.Marshal(walMeta{Wal: "snapshot", Epoch: epoch, Seq: seq})
-	payloads = append(payloads, m)
-	sc, err := json.Marshal(walSched{Sched: &st.sched})
-	if err != nil {
-		return fmt.Errorf("encode scheduler state: %w", err)
-	}
-	payloads = append(payloads, sc)
-	if len(st.drift) > 0 {
-		db, err := json.Marshal(walDrift{Drift: st.drift})
-		if err != nil {
-			return fmt.Errorf("encode drift state: %w", err)
-		}
-		payloads = append(payloads, db)
-	}
-	for _, ke := range st.entries {
-		b, err := json.Marshal(ke)
-		if err != nil {
-			return fmt.Errorf("encode store entry: %w", err)
-		}
-		payloads = append(payloads, b)
-	}
-	return wal.WriteAtomicHook(filepath.Join(dir, snapshotFile), payloads, hook)
-}
-
-// writeSnapshot writes a snapshot for the live epoch. Callers serialize:
-// the fleet holds its snapshot mutex across capture and write, so two
-// writes never share a temp file.
-func (p *persister) writeSnapshot(seq int, st liveState) {
-	p.mu.Lock()
-	if p.degraded || p.closed {
 		p.mu.Unlock()
-		return
+		if current {
+			return
+		}
 	}
-	epoch := p.epoch
-	p.mu.Unlock()
-	err := writeSnapshotFile(p.dir, epoch, seq, st, p.faultHook("snapshot"))
+}
+
+// claimRoll grants the next roll to exactly one worker: a re-arm once a
+// degraded persister's backoff clock has run out (its attempt number rides
+// the claim, for journaling), or a periodic roll once SnapshotEvery store
+// commits have accumulated (attempt 0). rollEpoch releases the claim.
+func (p *persister) claimRoll() (attempt int, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err != nil {
-		p.failLocked(err)
-		return
+	switch {
+	case p.rolling || p.closed || p.permanent:
+		return 0, false
+	case p.degraded:
+		if p.rearmWait > 0 {
+			return 0, false
+		}
+		p.rearmAttempts++
+		attempt = p.rearmAttempts
+	case p.commits < p.snapEvery:
+		return 0, false
 	}
-	p.snapshots++
+	p.rolling = true
+	return attempt, true
+}
+
+// rollEpoch runs a claimed roll and releases the claim. A periodic roll
+// that fails to stage degrades the persister like any write failure. A
+// re-arm that fails to stage stays degraded and doubles the backoff up to
+// 8x the base; one whose publish fails re-degrades through the usual path
+// (a fresh backoff at base — the disk did accept a whole staged journal,
+// so it counts as a new incident). The caller must NOT hold the fleet lock.
+func (p *persister) rollEpoch(j *Journal, capture func() liveState, attempt int) error {
+	err := p.startEpoch(j, capture)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.rolling = false
+	switch {
+	case err != nil && attempt == 0:
+		p.failLocked(err)
+	case err != nil:
+		p.err = err
+		p.rearmBackoff = min(max(p.rearmBackoff*2, p.rearmBase), 8*p.rearmBase)
+		p.rearmWait = p.rearmBackoff
+	case attempt > 0:
+		p.rearms++
+		if p.degraded {
+			err = p.err
+		}
+	}
+	return err
 }
 
 // fail flips the persister into degraded in-memory mode.
@@ -520,67 +535,26 @@ func (p *persister) takeDegradeNotice() (msg string, n int, ok bool) {
 	return msg, p.degradations, true
 }
 
-// claimRearm grants the re-arm to exactly one worker once the backoff
-// clock has run out. The attempt number rides the claim for journaling.
-func (p *persister) claimRearm() (int, bool) {
+// close ends a healthy persister with a final roll — so a clean restart
+// finds the scheduler's clock and counters, the watchdog postures and every
+// session the fleet ran — then flushes and closes the WAL. Idempotent; the
+// caller's workers have stopped, so no claimed roll is running.
+func (p *persister) close(j *Journal, capture func() liveState) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.degraded || p.permanent || p.closed || p.rearming || p.rearmWait > 0 {
-		return 0, false
-	}
-	p.rearming = true
-	p.rearmAttempts++
-	return p.rearmAttempts, true
-}
-
-// rearmFailed records a failed re-arm attempt: stay degraded, double the
-// backoff up to 8x the base, and wind the virtual clock back up.
-func (p *persister) rearmFailed(err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rearming = false
-	p.err = err
-	b := p.rearmBackoff * 2
-	if b > 8*p.rearmBase {
-		b = 8 * p.rearmBase
-	}
-	if b < p.rearmBase {
-		b = p.rearmBase
-	}
-	p.rearmBackoff = b
-	p.rearmWait = b
-}
-
-// rearm runs one claimed re-arm attempt: a fresh epoch from the live
-// journal, with the backoff bookkeeping around it. A staging failure stays
-// degraded and backs off further; a failed publish re-degrades through the
-// usual path (a fresh backoff at base — the disk did accept a whole
-// snapshot and journal, so it counts as a new incident). The caller holds
-// snapMu and must NOT hold the fleet lock.
-func (p *persister) rearm(j *Journal, capture func() liveState) error {
-	if err := p.startEpoch(j, capture); err != nil {
-		p.rearmFailed(err)
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rearming = false
-	p.rearms++
-	if p.degraded {
-		return p.err
-	}
-	return nil
-}
-
-// close flushes and closes the WAL; the caller writes the final snapshot
-// first. Idempotent.
-func (p *persister) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.closed {
+		p.mu.Unlock()
 		return
 	}
 	p.closed = true
+	final := !p.degraded
+	p.mu.Unlock()
+	if final {
+		if err := p.startEpoch(j, capture); err != nil {
+			p.fail(err)
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.log != nil && !p.degraded {
 		if err := p.log.Close(); err != nil {
 			p.degraded, p.err = true, err
@@ -588,7 +562,9 @@ func (p *persister) close() {
 	}
 }
 
-// health fills the snapshot's persistence block.
+// health fills the snapshot's persistence block. WALRecords counts every
+// record this persister wrote, heads and seeds included, across rolls;
+// WALSnapshots counts the rolls.
 func (p *persister) health(s *Snapshot) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -604,9 +580,10 @@ func (p *persister) health(s *Snapshot) {
 		s.Persistence = "active"
 	}
 	s.WALEpoch = p.epoch
-	s.WALSnapshots = p.snapshots
+	s.WALSnapshots = p.rolls
+	s.WALRecords = p.written
 	if p.log != nil {
-		s.WALRecords = p.log.Records()
+		s.WALRecords += p.log.Records()
 	}
 	s.PersistDegradations = p.degradations
 	s.PersistRearms = p.rearms
@@ -621,5 +598,5 @@ func (p *persister) health(s *Snapshot) {
 // re-arming would destroy exactly the recoverable state the refusal
 // protects).
 func degradedPersister(dir string, err error) *persister {
-	return &persister{dir: dir, degraded: true, err: err, lastSeq: -1, permanent: true, degradations: 1}
+	return &persister{dir: dir, degraded: true, err: err, permanent: true, degradations: 1}
 }

@@ -1,13 +1,13 @@
 // Commit-point durability: under fsync-always the journal sink only writes,
 // and a record is made durable before anyone outside the process is told
-// about it (DESIGN.md §11.5). What a power cut keeps is therefore a prefix
-// of the written journal that reaches at least the last commit point. The
-// sweep below recovers from every such prefix; the pin checks the ordering
-// that makes those the only prefixes.
+// about it (DESIGN.md §11.5). What a crash keeps is the journal file as it
+// stood at that instant — one file, rolled now and then to a fresh epoch —
+// or, after a power cut, a prefix of it that reaches at least the last
+// commit point. The sweep below recovers from every such state; the pins
+// check the ordering that makes those the only states.
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,57 +42,8 @@ func hookJournal(t *testing.T, f *Fleet, hook func(op string) error) *wal.Log {
 	return log
 }
 
-// durableFrontier is a journal hook that tracks how many records have
-// reached stable storage — each fsync ("sync") covers at least the records
-// the log held when the hook ran — and, before each record is written
-// ("write"), keeps the snapshot file as it stands: with the journal's
-// records so far, the state dir a power cut at that instant leaves.
-type durableFrontier struct {
-	log  atomic.Pointer[wal.Log]
-	snap string // the state dir's snapshot file
-	mu   sync.Mutex
-	n    int
-	base int      // records the log held when the hook was installed
-	seen [][]byte // seen[i]: the snapshot file while the log held base+i records
-}
-
-func (d *durableFrontier) hook(op string) error {
-	switch op {
-	case "sync":
-		n := d.log.Load().Records()
-		d.mu.Lock()
-		if n > d.n {
-			d.n = n
-		}
-		d.mu.Unlock()
-	case "write":
-		// Runs under the log's lock, so it must not ask the log anything;
-		// the rename that replaces a snapshot is atomic, so this reads the
-		// old file or the new one.
-		b, _ := os.ReadFile(d.snap)
-		d.mu.Lock()
-		d.seen = append(d.seen, b)
-		d.mu.Unlock()
-	}
-	return nil
-}
-
-func (d *durableFrontier) records() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.n
-}
-
-// snapshotAt is the snapshot file as it stood while the journal held its
-// first n records (n below the records written so far).
-func (d *durableFrontier) snapshotAt(n int) []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.seen[n-d.base]
-}
-
 // prefixSession is one session as an independent reading of a journal
-// prefix sees it, by the rules DESIGN.md §11 states (not by calling
+// file sees it, by the rules DESIGN.md §11 states (not by calling
 // recovery's own fold).
 type prefixSession struct {
 	queued   bool
@@ -102,22 +53,34 @@ type prefixSession struct {
 	state    string
 }
 
-// readPrefix folds a journal prefix (records[0] is the epoch stamp) into
-// per-session dispositions and the store keys committed inside it.
+// readPrefix folds a journal file's records (the stamp, the head, then
+// events) into per-session dispositions and the store keys committed: the
+// head's entries, then the store records after it.
 func readPrefix(t *testing.T, recs [][]byte) (map[int]*prefixSession, map[Key]bool) {
 	t.Helper()
 	sessions := make(map[int]*prefixSession)
 	keys := make(map[Key]bool)
-	for _, rec := range recs[1:] {
+	for _, rec := range recs {
 		var e Event
 		if err := json.Unmarshal(rec, &e); err != nil {
 			t.Fatalf("journal record: %v", err)
 		}
+		if e.Type == "" {
+			var ke KeyedEntry
+			if json.Unmarshal(rec, &ke) == nil && ke.Key.Bench != "" {
+				keys[ke.Key] = true
+			}
+			continue
+		}
 		switch e.Type {
 		case "store-commit":
 			keys[Key{Bench: e.Bench, Input: e.Input, Machine: e.Machine}] = true
+			continue
 		case "store-invalidate":
 			delete(keys, Key{Bench: e.Bench, Input: e.Input, Machine: e.Machine})
+			continue
+		case "breaker-open", "breaker-closed":
+			continue // roll-forward records: they name no session's story
 		}
 		if e.Session < 0 {
 			continue
@@ -141,57 +104,50 @@ func readPrefix(t *testing.T, recs [][]byte) (map[int]*prefixSession, map[Key]bo
 	return sessions, keys
 }
 
-// recordOf is the length of the shortest journal prefix holding the event
-// numbered seq (0 for seq < 0: a snapshot from before any event).
-func recordOf(t *testing.T, journal [][]byte, seq int) int {
-	t.Helper()
-	if seq < 0 {
-		return 0
-	}
-	for i, rec := range journal[1:] {
-		var e Event
-		if json.Unmarshal(rec, &e) == nil && e.Seq == seq {
-			return i + 2
-		}
-	}
-	t.Fatalf("no journal record holds event %d", seq)
-	return 0
+// crashState is a state dir as a crash at one instant leaves it: the live
+// journal's records, the stage file beside it (nil when there is none),
+// and which sessions the in-memory journal had finished by then.
+type crashState struct {
+	journal  [][]byte
+	stage    []byte
+	finished map[int]bool
 }
 
-// cutStateDir writes a state dir holding the given snapshot file and the
-// journal cut to its first n records — what a power cut that kept exactly
-// that prefix leaves.
-func cutStateDir(t *testing.T, snap []byte, journal [][]byte, n int) string {
+// write lays the journal down in a fresh dir, beside stage when it is
+// not nil.
+func (cs crashState) write(t *testing.T, stage []byte) string {
 	t.Helper()
 	dst := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dst, snapshotFile), snap, 0o644); err != nil {
+	if err := wal.WriteAtomic(filepath.Join(dst, journalFile), cs.journal); err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.WriteAtomic(filepath.Join(dst, journalFile), journal[:n]); err != nil {
-		t.Fatal(err)
+	if stage != nil {
+		if err := os.WriteFile(filepath.Join(dst, journalStageFile), stage, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return dst
 }
 
 // TestPrefixRecoverySweep freezes a fleet mid-batch — sessions finished,
-// one retried, two in flight, two never admitted — and recovers from what a
-// power cut at any instant after the batch was submitted leaves: every
-// journal prefix from the last Submit's record to everything written, each
-// with the snapshot file as it stood while that prefix was the whole
-// journal, and each prefix also with the snapshot file as it stood at the
-// freeze, which may be ahead of the surviving tail. Starting at the last
-// Submit fixes the sweep's extent, which the durable frontier (what the
-// commit points' fsyncs covered, wherever the two workers' last commit
-// point happened to land) does not. At each pairing a power cut leaves no
-// session whose Submit returned is lost, finished ones keep their journaled
-// outcome and are not run again, unfinished ones are re-admitted exactly
-// once as the next attempt, and the store holds exactly the prefix's
-// commits. With snapshots written mid-run the same holds, and no snapshot
-// ever vouches for a record past the journal's end or, at the freeze, past
-// the durable frontier: the journal is committed before a snapshot may
-// vouch for it. Paired with a prefix no cut leaves it with, the frozen
-// snapshot still loses no session, runs no finished one again and drops no
-// committed key.
+// one retried, two in flight, two never admitted — and recovers from what
+// a crash at any instant after the batch was submitted leaves: the state
+// dir as it stood when each journal event had just been written. Starting
+// at the last Submit fixes the sweep's extent. In "snapshot-mid-run" the
+// journal rolls every two store commits, so the instants span several
+// journal files, and an instant inside a roll leaves the old journal beside
+// a staged one. At each instant no session whose Submit returned is lost:
+// one the journal file names is finished by it (its journaled outcome
+// kept, not run again) or re-admitted exactly once as the next attempt;
+// one it does not name had finished before the roll that dropped it. The
+// store holds exactly the file's commits. Where the journal's tail is past
+// the last commit point, a power cut may keep less of it: within one
+// epoch's file those prefixes are earlier instants, swept too; a roll's
+// stamp, head and seed are synced before its rename, so no cut reaches
+// into them (TestEpochRollCrashPoints). Each instant is also recovered
+// beside the stage a
+// roll begun at the freeze leaves ("snapshot=at-freeze", the subtest name
+// the two-file layout's frozen snapshot had), which must change nothing.
 func TestPrefixRecoverySweep(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -207,9 +163,34 @@ func sweepPrefixes(t *testing.T, snapEvery int) {
 		Machine: machine.CascadeLake(), Workers: 2, MaxRetries: 1,
 		StateDir: dir, Fsync: wal.SyncAlways, SnapshotEvery: snapEvery,
 	})
-	frontier := &durableFrontier{snap: filepath.Join(dir, snapshotFile)}
-	frontier.log.Store(hookJournal(t, f, frontier.hook))
-	frontier.base = frontier.log.Load().Records()
+	// After each event is written, keep the state dir as it stands: the
+	// sink runs under the journal lock, so no other event lands meanwhile.
+	var (
+		mu       sync.Mutex
+		states   = make(map[int]crashState) // by the event's Seq
+		finished = make(map[int]bool)
+	)
+	f.Journal().SetSink(func(e Event) {
+		f.persist.appendEvent(e)
+		recs, _, err := wal.ReadAll(filepath.Join(dir, journalFile))
+		if err != nil {
+			t.Errorf("read the live journal: %v", err)
+		}
+		stage, _ := os.ReadFile(filepath.Join(dir, journalStageFile))
+		mu.Lock()
+		defer mu.Unlock()
+		switch e.Type {
+		case "session-done", "session-failed", "session-degraded":
+			finished[e.Session] = true
+		case "retry-scheduled":
+			delete(finished, e.Session)
+		}
+		done := make(map[int]bool, len(finished))
+		for id := range finished {
+			done[id] = true
+		}
+		states[e.Seq] = crashState{journal: recs, stage: stage, finished: done}
+	})
 
 	// The batch, in dispatch order: four plain sessions, one whose first
 	// attempt fails (the retry lane re-admits it), two that park their
@@ -248,7 +229,7 @@ func sweepPrefixes(t *testing.T, snapEvery int) {
 	submit(SessionSpec{Bench: "randacc", Seed: 7, Config: &park})
 	submit(SessionSpec{Bench: "is", Seed: 8})
 	submit(SessionSpec{Bench: "cg", Seed: 9})
-	from := frontier.log.Load().Records() // every Submit has returned
+	from := f.Journal().LastSeq() + 2 // records=N: the instant N-1 events were written
 	start()
 	defer func() {
 		close(release)
@@ -257,29 +238,10 @@ func sweepPrefixes(t *testing.T, snapEvery int) {
 	}()
 	<-entered
 	<-entered // both workers are parked: nothing journals any more
+	end := f.Journal().LastSeq() + 2
 
-	journal, sal, err := wal.ReadAll(filepath.Join(dir, journalFile))
-	if err != nil || !sal.Clean() {
-		t.Fatalf("read the frozen journal: %v (%s)", err, sal)
-	}
-	durable := frontier.records()
-	if durable < 1 || durable > len(journal) {
-		t.Fatalf("durable frontier %d outside the journal's %d records", durable, len(journal))
-	}
-	t.Logf("%d records written, %d durable: sweeping %d prefixes from %d", len(journal), durable, len(journal)-from+1, from)
-	if durable == len(journal) {
-		t.Fatal("nothing written past the last commit point; a cut at the freeze leaves one prefix")
-	}
-
-	// Submit returned for every session, so each queued record is durable.
-	atFrontier, _ := readPrefix(t, journal[:durable])
-	for _, id := range submitted {
-		if s := atFrontier[id]; s == nil || !s.queued {
-			t.Fatalf("session %d: Submit returned but its queued record is past the durable frontier", id)
-		}
-	}
 	// The frozen state really has every kind of session in it.
-	full, _ := readPrefix(t, journal)
+	full, _ := readPrefix(t, eventRecords(t, f.Journal().Events()))
 	var nTerminal, nInFlight, nWaiting, nRetried int
 	for _, s := range full {
 		switch {
@@ -297,48 +259,50 @@ func sweepPrefixes(t *testing.T, snapEvery int) {
 	if nTerminal < 4 || nInFlight != 2 || nWaiting < 2 || nRetried != 1 {
 		t.Fatalf("frozen batch: %d terminal, %d in flight, %d waiting, %d retried", nTerminal, nInFlight, nWaiting, nRetried)
 	}
-	// Commit before snapshot: the watermark the snapshot vouches for is
-	// inside the durable prefix, so no prefix a cut at the freeze could
-	// leave is behind it.
-	snap, err := readSnap(dir)
-	if err != nil {
-		t.Fatal(err)
+	// In the rolling run the sweep really crosses rolls.
+	stamps := make(map[string]bool)
+	for n := from; n <= end; n++ {
+		stamps[string(states[n-2].journal[0])] = true
 	}
-	if snapEvery < 1<<30 && snap.seq < 0 {
-		t.Fatal("no snapshot was written mid-run; lower SnapshotEvery")
-	}
-	if w := recordOf(t, journal, snap.seq); w > durable {
-		t.Fatalf("snapshot watermark %d is record %d, past the durable frontier %d", snap.seq, w, durable)
-	}
-	frozenSnap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
-	if err != nil {
-		t.Fatal(err)
+	if rolled := len(stamps) > 1; rolled != (snapEvery < 1<<30) {
+		t.Fatalf("the swept instants span %d journal epochs with SnapshotEvery %d", len(stamps), snapEvery)
 	}
 
-	// recoverCut recovers a state dir holding snapFile and the journal's
-	// first n records, and checks it against what that prefix says. A
-	// pairing no power cut leaves (reachable false) may hold a snapshot
-	// newer than the surviving journal; recovery from it must still lose no
-	// session, run no finished one again and keep every committed key, but
-	// the snapshot may vouch past the journal's end and hold later commits.
-	recoverCut := func(t *testing.T, snapFile []byte, n int, reachable bool) {
-		want, wantKeys := readPrefix(t, journal[:n])
-		cut := cutStateDir(t, snapFile, journal, n)
-		cs, err := readSnap(cut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w := recordOf(t, journal, cs.seq); reachable && w > n {
-			t.Fatalf("the snapshot on disk at this cut vouches for record %d, past the journal's end", w)
-		}
+	// The stage a roll begun at the freeze leaves: the next epoch's stamp,
+	// the head and every open session's history, never renamed into place.
+	// Finishing the roll afterwards keeps the frozen fleet healthy.
+	f.persist.mu.Lock()
+	old := f.persist.log
+	f.persist.mu.Unlock()
+	if err := f.persist.beginEpoch(f.journal, f.capture); err != nil {
+		t.Fatal(err)
+	}
+	frozenStage, err := os.ReadFile(filepath.Join(dir, journalStageFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.persist.mu.Lock()
+	staged := f.persist.log
+	f.persist.mu.Unlock()
+	if err := f.persist.roll().Publish(staged); err != nil {
+		t.Fatal(err)
+	}
+	old.Abort()
+	t.Logf("%d events written: sweeping %d instants from %d over %d journal epochs", end-1, end-from+1, from, len(stamps))
+
+	// recoverCut recovers the state dir a crash at instant cs leaves (plus
+	// stage, when set) and checks it against the file's own reading.
+	recoverCut := func(t *testing.T, cs crashState, stage []byte) {
+		want, wantKeys := readPrefix(t, cs.journal)
+		cut := cs.write(t, stage)
 
 		// The store, before recovery starts running sessions on it.
 		st, err := readState(cut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reachable && len(st.entries) != len(wantKeys) {
-			t.Fatalf("recovered store has %d entries, the prefix committed %d", len(st.entries), len(wantKeys))
+		if len(st.entries) != len(wantKeys) {
+			t.Fatalf("recovered store has %d entries, the journal committed %d", len(st.entries), len(wantKeys))
 		}
 		for k := range wantKeys {
 			if _, ok := st.entries[k]; !ok {
@@ -351,6 +315,9 @@ func sweepPrefixes(t *testing.T, snapEvery int) {
 			t.Fatal(err)
 		}
 		defer f2.Close()
+		if _, err := os.Stat(filepath.Join(cut, journalStageFile)); !os.IsNotExist(err) {
+			t.Fatalf("the stage file outlived the recovered epoch's roll: %v", err)
+		}
 		records := make(map[int]RecoveredSession)
 		for _, r := range rec.Records {
 			records[r.OldID] = r
@@ -358,10 +325,20 @@ func sweepPrefixes(t *testing.T, snapEvery int) {
 		readmitted := make(map[*Session]int)
 		for _, id := range submitted {
 			r, ok := records[id]
+			w := want[id]
+			if w == nil || !w.queued {
+				// A roll dropped the session's history: only a finished one's.
+				if !cs.finished[id] {
+					t.Fatalf("session %d lost: unfinished at the crash, but its queued record is not in the journal", id)
+				}
+				if ok {
+					t.Fatalf("session %d has no journal history but recovered as %+v", id, r)
+				}
+				continue
+			}
 			if !ok {
 				t.Fatalf("session %d lost: no recovery record", id)
 			}
-			w := want[id]
 			if w.terminal {
 				if r.Session != nil {
 					t.Fatalf("session %d finished (%s) before the cut but was run again", id, w.state)
@@ -399,26 +376,77 @@ func sweepPrefixes(t *testing.T, snapEvery int) {
 		}
 	}
 
-	// Each prefix is paired with the snapshot file on disk when the journal
-	// held exactly n records (a cut at that instant) and with the frozen one.
-	// A power cut leaves the frozen file with the prefix if a cut at the
-	// freeze could (n from the durable frontier up; the file may hold store
-	// and scheduler state captured after record n was written) or if it was
-	// already on disk when the journal held n records. Every other pairing
-	// is checked as one no cut leaves. The durable frontier lands wherever
-	// the two workers' last commit point happened to, so it decides how a
-	// pairing is checked, never which pairings are.
-	for n := from; n <= len(journal); n++ {
+	for n := from; n <= end; n++ {
 		t.Run(fmt.Sprintf("records=%d", n), func(t *testing.T) {
 			t.Parallel() // each recovers its own copies of the state dir
-			if n < len(journal) {
-				t.Run("snapshot=at-cut", func(t *testing.T) { recoverCut(t, frontier.snapshotAt(n), n, true) })
-			}
-			t.Run("snapshot=at-freeze", func(t *testing.T) {
-				reachable := n >= durable || bytes.Equal(frozenSnap, frontier.snapshotAt(n))
-				recoverCut(t, frozenSnap, n, reachable)
-			})
+			mu.Lock()
+			cs := states[n-2]
+			mu.Unlock()
+			t.Run("snapshot=at-cut", func(t *testing.T) { recoverCut(t, cs, cs.stage) })
+			t.Run("snapshot=at-freeze", func(t *testing.T) { recoverCut(t, cs, frozenStage) })
 		})
+	}
+}
+
+// eventRecords is events as journal records.
+func eventRecords(t *testing.T, events []Event) [][]byte {
+	t.Helper()
+	recs := make([][]byte, len(events))
+	for i, e := range events {
+		b, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = b
+	}
+	return recs
+}
+
+// TestSubmitNotAckedFromAnUnpublishedStage: a roll swaps its staged
+// journal in before it renames it over journal.wal. A Submit in that window
+// writes its queued record into the stage, so it must not return — hand
+// out its session ID — until the rename: a kill -9 before it recovers the
+// old journal, which does not name the session.
+func TestSubmitNotAckedFromAnUnpublishedStage(t *testing.T) {
+	dir := t.TempDir()
+	f, start := newGated(Config{
+		Machine: machine.CascadeLake(), Workers: 1,
+		StateDir: dir, Fsync: wal.SyncAlways, SnapshotEvery: 1 << 30,
+	})
+	defer func() {
+		start()
+		f.Drain()
+		f.Close()
+	}()
+	// The roll's first half: the stage is seeded and swapped in.
+	if err := f.persist.beginEpoch(f.journal, f.capture); err != nil {
+		t.Fatal(err)
+	}
+	returned := make(chan *Session, 1)
+	go func() {
+		s, err := f.Submit(SessionSpec{Bench: "is", Seed: 1})
+		if err != nil {
+			t.Error(err)
+		}
+		returned <- s
+	}()
+	select {
+	case s := <-returned:
+		if got := pendingSessions(t, dir); got != 1 {
+			t.Fatalf("Submit returned session %d while journal.wal names %d pending sessions: a crash now loses it", s.ID, got)
+		}
+	case <-time.After(100 * time.Millisecond):
+	}
+	// The roll's second half.
+	f.persist.mu.Lock()
+	staged := f.persist.log
+	f.persist.mu.Unlock()
+	if err := f.persist.roll().Publish(staged); err != nil {
+		t.Fatal(err)
+	}
+	<-returned
+	if got := pendingSessions(t, dir); got != 1 {
+		t.Fatalf("after the publish journal.wal names %d pending sessions, want 1", got)
 	}
 }
 

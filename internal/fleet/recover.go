@@ -1,11 +1,11 @@
 // Crash recovery: rebuild a fleet's durable state from its state dir.
 // The invariants, in order of importance:
 //
-//  1. No committed profile-store entry is lost: entries live in the last
-//     snapshot, and commits after its watermark roll forward from the
-//     journal WAL (store mutations always precede their journal events,
-//     so the watermark never overclaims; replaying a little extra is
-//     idempotent).
+//  1. No committed profile-store entry is lost: entries live in the
+//     journal's head, and commits after it roll forward from the records
+//     that follow (store mutations always precede their journal events, so
+//     a roll seeds every store record its head's export may predate;
+//     replaying a little extra is idempotent).
 //  2. No submitted session is lost: every session whose journal lacks a
 //     terminal record is re-admitted. A session that was in flight when
 //     the process died re-runs as the next attempt — cold, with a
@@ -15,18 +15,17 @@
 //     for. Sessions with closure-carrying specs re-run under the fleet's
 //     base config (closures cannot survive a process).
 //  3. Scheduler posture survives: the virtual clock, policy counters,
-//     and breaker states import from the snapshot, then breaker edges
-//     journaled after the watermark roll forward coarsely.
+//     and breaker states import from the head, then breaker edges
+//     journaled after it roll forward coarsely.
 //
 // Recovery rebuilds the fleet in memory first: store and scheduler
 // imported, every pending session re-admitted with its re-tune lane
 // posture. Only then does the fresh epoch open (persister.startEpoch, the
-// same opener as birth and re-arm), so its snapshot captures the restored
+// same opener as birth and re-arm), so its head captures the restored
 // posture and its staged journal is seeded with the re-admissions' "queued"
 // records in one batch. Until the staged journal is renamed over the old
-// one, the old journal still names every pending session under the new
-// snapshot; from the rename on, the new one does — both pairings readState
-// reads consistently.
+// one, the old journal still names every pending session; from the rename
+// on, the new one does.
 package fleet
 
 import (
@@ -50,13 +49,12 @@ type Recovery struct {
 	StateDir  string `json:"state_dir"`
 	Epoch     int    `json:"epoch"`
 	PrevEpoch int    `json:"prev_epoch"`
-	// JournalSalvage and SnapshotSalvage report WAL damage (a torn tail
-	// from the crash is normal and harmless).
-	JournalSalvage  wal.Salvage `json:"journal_salvage"`
-	SnapshotSalvage wal.Salvage `json:"snapshot_salvage"`
+	// JournalSalvage reports WAL damage (a torn tail from the crash is
+	// normal and harmless).
+	JournalSalvage wal.Salvage `json:"journal_salvage"`
 	// Events is how many journal events the crashed epoch left behind;
-	// Replayed counts the store/breaker events rolled forward past the
-	// snapshot watermark.
+	// Replayed counts the store/breaker events rolled forward over the
+	// journal's head.
 	Events   int `json:"events"`
 	Replayed int `json:"replayed"`
 	// StoreEntries is how many committed profile entries survived.
@@ -109,14 +107,11 @@ func (r *Recovery) Summary() string {
 	if !r.JournalSalvage.Clean() {
 		fmt.Fprintf(&b, "; journal salvage: %s", r.JournalSalvage)
 	}
-	if !r.SnapshotSalvage.Clean() {
-		fmt.Fprintf(&b, "; snapshot salvage: %s", r.SnapshotSalvage)
-	}
 	return b.String()
 }
 
-// breakerEdge is a journaled breaker transition rolled forward past the
-// snapshot watermark.
+// breakerEdge is a journaled breaker transition rolled forward over the
+// journal's head.
 type breakerEdge struct {
 	key  admission.Key
 	open bool
@@ -124,7 +119,7 @@ type breakerEdge struct {
 
 // pendingSession is one session owed a re-admission: its journal fold
 // (spec, whether it was in flight, re-tune lane posture), the attempt it
-// re-runs as, the detector posture the snapshot kept, and the index of its
+// re-runs as, the detector posture the head kept, and the index of its
 // entry in Recovery.Records.
 type pendingSession struct {
 	oldID   int
@@ -193,8 +188,8 @@ func Recover(stateDir string, cfg Config) (*Fleet, *Recovery, error) {
 	st.rec.Breakers = len(f.sched.Breakers())
 
 	// Re-admit BEFORE the epoch opens and the workers start: the epoch's
-	// snapshot then holds the restored lane posture, and its journal is
-	// seeded with every re-admission. No crash instant loses a session.
+	// head then holds the restored lane posture, and its journal is seeded
+	// with every re-admission. No crash instant loses a session.
 	for _, ps := range st.pending {
 		sf := ps.fold
 		s := f.submitRecovered(sf.spec.Spec(), ps.attempt)
@@ -230,7 +225,7 @@ func Recover(stateDir string, cfg Config) (*Fleet, *Recovery, error) {
 			st.rec.RequeuedWaiting++
 		}
 	}
-	f.initPersist()
+	f.initPersist(st)
 	st.rec.Epoch = f.persist.epoch
 	f.startWorkers()
 	return f, st.rec, nil
@@ -239,7 +234,7 @@ func Recover(stateDir string, cfg Config) (*Fleet, *Recovery, error) {
 // PendingSessions reports how many sessions in stateDir's journal never
 // reached a terminal record — the work Recover would re-admit and a fresh
 // epoch would discard. A missing or empty state dir reports zero; one that
-// cannot be read (errShardedStateDir included) reports the error, because
+// cannot be read (errLegacyStateDir included) reports the error, because
 // "nothing pending" would license a fresh epoch on top of it.
 func PendingSessions(stateDir string) (int, error) {
 	st, err := readState(stateDir)
@@ -249,17 +244,17 @@ func PendingSessions(stateDir string) (int, error) {
 	return len(st.pending), nil
 }
 
-// errShardedStateDir refuses a state dir an older binary wrote in the
-// per-shard snapshot layout this one no longer reads: its store entries
-// live in files recovery would silently skip.
-var errShardedStateDir = errors.New("fleet: state dir holds the sharded snapshot layout, which this binary cannot read: " +
-	"run the previous binary once with -resume -store-shards 1 (it rewrites the dir as snapshot.wal), or pass -fresh to discard the state")
+// errLegacyStateDir refuses a state dir an older binary wrote in a layout
+// this one no longer reads — the sharded snapshot files, or a snapshot.wal
+// beside the journal: store entries and scheduler state live in files
+// recovery would silently skip.
+var errLegacyStateDir = errors.New("fleet: state dir holds an older binary's snapshot layout, which this binary cannot read: " +
+	"pass -fresh to discard the state")
 
-// shardedLayoutFiles names the sharded snapshot layout's files present in
-// dir.
-func shardedLayoutFiles(dir string) []string {
+// legacyLayoutFiles names the older layouts' files present in dir.
+func legacyLayoutFiles(dir string) []string {
 	var names []string
-	for _, pattern := range []string{"manifest.wal", "shard-*.wal"} {
+	for _, pattern := range []string{"manifest.wal", "shard-*.wal", "snapshot.wal"} {
 		paths, _ := filepath.Glob(filepath.Join(dir, pattern))
 		for _, p := range paths {
 			names = append(names, filepath.Base(p))
@@ -268,131 +263,94 @@ func shardedLayoutFiles(dir string) []string {
 	return names
 }
 
-// readState salvages the snapshot and journal and distils the recovered
-// state. Only unreadable directories and the sharded layout are errors;
-// damaged files salvage.
+// readState salvages the journal and distils the recovered state: the
+// head's scheduler, watchdog and store records, then every event after
+// them. Only unreadable directories and the legacy layouts are errors;
+// damaged files salvage. A stage file (journalStageFile) is a roll that
+// never published, and is not read.
 func readState(dir string) (*recoveredState, error) {
-	if stale := shardedLayoutFiles(dir); len(stale) > 0 {
-		return nil, fmt.Errorf("%w (%s: %s)", errShardedStateDir, dir, strings.Join(stale, ", "))
+	if stale := legacyLayoutFiles(dir); len(stale) > 0 {
+		return nil, fmt.Errorf("%w (%s: %s)", errLegacyStateDir, dir, strings.Join(stale, ", "))
 	}
 	st := &recoveredState{
 		entries: make(map[Key]Entry),
 		rec:     &Recovery{StateDir: dir},
 	}
-
-	snap, err := readSnap(dir)
-	if err != nil {
-		return nil, err
-	}
-	st.rec.SnapshotSalvage = snap.sal
-	snapEpoch, snapSeq := snap.epoch, snap.seq
-	st.sched = snap.sched
-	for _, ke := range snap.entries {
-		if _, seen := st.entries[ke.Key]; !seen {
-			st.order = append(st.order, ke.Key)
-		}
-		st.entries[ke.Key] = ke.Entry
-	}
-	// A partial snapshot (torn mid-write should be impossible under the
-	// atomic rename, but disks lie) cannot vouch for its watermark: replay
-	// the whole journal over whatever survived.
-	if !snap.sal.Clean() {
-		snapSeq = -1
-	}
-
-	// Journal: epoch record then events.
-	journalEpoch := 0
-	var events []Event
-	jRecs, jSal, err := wal.ReadAll(filepath.Join(dir, journalFile))
+	recs, sal, err := wal.ReadAll(filepath.Join(dir, journalFile))
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	st.rec.JournalSalvage = jSal
-	for i, rec := range jRecs {
-		if i == 0 {
-			var meta walMeta
-			if json.Unmarshal(rec, &meta) == nil && meta.Wal == "journal" {
-				journalEpoch = meta.Epoch
-				continue
-			}
-		}
+	st.rec.JournalSalvage = sal
+
+	// One pass: the stamp, the head, then the events. Store and breaker
+	// records roll forward over the head (a roll seeds only the ones the
+	// head may predate, whoever's session they name); every other record
+	// folds into its session's story (the same fold the live journal keeps,
+	// where store and breaker records move no view), so a session whose
+	// history a roll dropped is not revived by a seeded store record.
+	var (
+		fd     fold
+		dets   []DriftRecord
+		nextID int
+	)
+	for i, rec := range recs {
 		var e Event
 		if json.Unmarshal(rec, &e) == nil && e.Type != "" {
-			events = append(events, e)
+			st.rec.Events++
+			st.rec.Replayed++
+			switch e.Type {
+			case "store-commit":
+				if e.Entry != nil {
+					st.put(Key{Bench: e.Bench, Input: e.Input, Machine: e.Machine}, *e.Entry)
+				}
+			case "store-invalidate":
+				delete(st.entries, Key{Bench: e.Bench, Input: e.Input, Machine: e.Machine})
+			case "breaker-open":
+				st.breakers = append(st.breakers, breakerEdge{admission.Key{Bench: e.Bench, Input: e.Input}, true})
+			case "breaker-closed":
+				st.breakers = append(st.breakers, breakerEdge{admission.Key{Bench: e.Bench, Input: e.Input}, false})
+			default:
+				st.rec.Replayed--
+				fd.apply(e)
+			}
+			continue
 		}
-	}
-	st.rec.Events = len(events)
-	st.prevEpoch = journalEpoch
-	if snapEpoch > st.prevEpoch {
-		st.prevEpoch = snapEpoch
+		var (
+			meta walMeta
+			sc   walSched
+			wd   walDrift
+			ke   KeyedEntry
+		)
+		switch {
+		case i == 0 && json.Unmarshal(rec, &meta) == nil && meta.Wal == "journal":
+			st.prevEpoch, nextID = meta.Epoch, meta.NextID
+		case json.Unmarshal(rec, &sc) == nil && sc.Sched != nil:
+			st.sched = sc.Sched
+		case json.Unmarshal(rec, &wd) == nil && len(wd.Drift) > 0:
+			dets = wd.Drift
+		case json.Unmarshal(rec, &ke) == nil && ke.Key.Bench != "":
+			st.put(ke.Key, ke.Entry)
+		}
 	}
 	st.rec.PrevEpoch = st.prevEpoch
 
-	// The watermark only gates store/breaker roll-forward, and only when
-	// the snapshot describes this journal's epoch. An older journal (a
-	// previous recovery died between snapshot and journal reset) is fully
-	// folded into the snapshot already — but its pending sessions were
-	// never re-admitted anywhere, so session tracking still reads it.
-	watermark := snapSeq
-	rel := wal.Relate(snapEpoch, journalEpoch)
-	switch rel {
-	case wal.SnapshotAhead:
-		watermark = int(^uint(0) >> 1) // fold nothing
-	case wal.JournalAhead:
-		watermark = -1 // no (usable) snapshot for this epoch: replay all
-	}
-
-	// One pass: every record folds into its session's story (the same fold
-	// the live journal keeps), and store and breaker records past the
-	// watermark roll forward.
-	var fd fold
-	for _, e := range events {
-		fd.apply(e)
-		if e.Seq <= watermark {
-			continue
-		}
-		st.rec.Replayed++
-		switch e.Type {
-		case "store-commit":
-			if e.Entry != nil {
-				k := Key{Bench: e.Bench, Input: e.Input, Machine: e.Machine}
-				if _, seen := st.entries[k]; !seen {
-					st.order = append(st.order, k)
-				}
-				st.entries[k] = *e.Entry
-			}
-		case "store-invalidate":
-			delete(st.entries, Key{Bench: e.Bench, Input: e.Input, Machine: e.Machine})
-		case "breaker-open":
-			st.breakers = append(st.breakers, breakerEdge{admission.Key{Bench: e.Bench, Input: e.Input}, true})
-		case "breaker-closed":
-			st.breakers = append(st.breakers, breakerEdge{admission.Key{Bench: e.Bench, Input: e.Input}, false})
-		default:
-			st.rec.Replayed--
-		}
-	}
-
-	// Fold the snapshot's watchdog records in. For grants and completed
-	// re-tunes the journal and snapshot converge on max; the detector
-	// posture only exists here. The journal is authoritative for whether a
-	// re-tune admission is pending — except when the snapshot is from a
-	// newer epoch than the journal, in which case it saw further.
-	dets := make(map[int]*drift.State)
-	for _, d := range snap.drift {
+	// Fold the head's watchdog records in. For grants and completed
+	// re-tunes the journal and head converge on max; the detector posture
+	// only exists here. The records after the head are authoritative for
+	// whether a re-tune admission is pending.
+	detOf := make(map[int]*drift.State)
+	for _, d := range dets {
 		sf := fd.sessions[d.Session]
 		if sf == nil {
 			continue // no journal history to attach it to
 		}
 		sf.granted = max(sf.granted, d.Granted)
 		sf.Retunes = max(sf.Retunes, d.Retunes)
-		if rel == wal.SnapshotAhead {
-			sf.Retuning = d.Retuning
-		}
 		if sf.retuneDistance == 0 {
 			sf.retuneDistance = d.Distance
 		}
 		det := d.Detector
-		dets[d.Session] = &det
+		detOf[d.Session] = &det
 	}
 
 	ids := make([]int, 0, len(fd.sessions))
@@ -401,9 +359,9 @@ func readState(dir string) (*recoveredState, error) {
 	}
 	sort.Ints(ids)
 	st.rec.Sessions = len(ids)
-	st.maxID = -1
+	st.maxID = nextID - 1
 	if n := len(ids); n > 0 {
-		st.maxID = ids[n-1]
+		st.maxID = max(st.maxID, ids[n-1])
 	}
 	for _, id := range ids {
 		sf := fd.sessions[id]
@@ -418,7 +376,7 @@ func readState(dir string) (*recoveredState, error) {
 			st.rec.Records = append(st.rec.Records, RecoveredSession{OldID: id, SessionView: v})
 			continue
 		}
-		ps := pendingSession{oldID: id, fold: sf, attempt: sf.Attempt, det: dets[id], record: len(st.rec.Records)}
+		ps := pendingSession{oldID: id, fold: sf, attempt: sf.Attempt, det: detOf[id], record: len(st.rec.Records)}
 		if sf.inFlight && !sf.Retuning {
 			// The crash killed the attempt mid-run: the next attempt goes
 			// cold with a derived seed, like any failed attempt. A crash
@@ -434,49 +392,11 @@ func readState(dir string) (*recoveredState, error) {
 	return st, nil
 }
 
-// snapState is the decoded snapshot file; epoch 0 and seq -1 when there is
-// no usable snapshot.
-type snapState struct {
-	epoch   int
-	seq     int
-	sched   *admission.PersistState
-	drift   []DriftRecord
-	entries []KeyedEntry
-	sal     wal.Salvage
-}
-
-// readSnap decodes snapshot.wal: meta, scheduler state, watchdog state,
-// store entries.
-func readSnap(dir string) (snapState, error) {
-	ss := snapState{seq: -1}
-	recs, sal, err := wal.ReadAll(filepath.Join(dir, snapshotFile))
-	if err != nil && !os.IsNotExist(err) {
-		return ss, err
+// put sets a recovered store entry, keeping first-commit order for a
+// deterministic Import.
+func (st *recoveredState) put(k Key, e Entry) {
+	if _, seen := st.entries[k]; !seen {
+		st.order = append(st.order, k)
 	}
-	ss.sal = sal
-	if len(recs) == 0 {
-		return ss, nil
-	}
-	var meta walMeta
-	if json.Unmarshal(recs[0], &meta) != nil || meta.Wal != "snapshot" {
-		return ss, nil
-	}
-	ss.epoch, ss.seq = meta.Epoch, meta.Seq
-	for _, rec := range recs[1:] {
-		var sc walSched
-		if json.Unmarshal(rec, &sc) == nil && sc.Sched != nil {
-			ss.sched = sc.Sched
-			continue
-		}
-		var wd walDrift
-		if json.Unmarshal(rec, &wd) == nil && len(wd.Drift) > 0 {
-			ss.drift = wd.Drift
-			continue
-		}
-		var ke KeyedEntry
-		if json.Unmarshal(rec, &ke) == nil && ke.Key.Bench != "" {
-			ss.entries = append(ss.entries, ke)
-		}
-	}
-	return ss, nil
+	st.entries[k] = e
 }

@@ -44,7 +44,7 @@ func TestCrashHelperProcess(t *testing.T) {
 		StateDir: os.Getenv("FLEET_CRASH_DIR"),
 		// Every append hits disk, so the parent's kill tears at most the
 		// record being written; a huge SnapshotEvery pins recovery to the
-		// journal-replay path (the clean-close test covers snapshots).
+		// birth epoch's journal (the clean-close test covers rolls).
 		Fsync: wal.SyncAlways, SnapshotEvery: 1 << 30,
 	}
 	f := New(cfg)
@@ -60,14 +60,15 @@ func TestCrashHelperProcess(t *testing.T) {
 }
 
 // journalLedger independently replays a journal WAL file: the committed
-// store keys that must survive recovery, and per-session terminality. It
+// store keys that must survive recovery (the head's entries, then the
+// store records after it), and per-session terminality. It
 // deliberately re-derives the invariants from the raw file rather than
 // trusting Recover's own accounting — but it must mirror recovery's
-// *rules*: any session-tagged event makes the session known to the
-// journal (chaos can swallow the queued record while a later store event
-// survives the same session), and a session whose queued record never
-// made it to disk has no spec to re-admit, so recovery books it as a
-// terminal record rather than losing it.
+// *rules*: any session-tagged event other than a store or breaker record
+// makes the session known to the journal (a roll seeds a finished
+// session's store records without its history), and a session whose
+// queued record never made it to disk has no spec to re-admit, so recovery
+// books it as a terminal record rather than losing it.
 func journalLedger(t *testing.T, dir string) (keys map[Key]bool, sessions, terminal int) {
 	t.Helper()
 	recs, _, err := wal.ReadAll(filepath.Join(dir, journalFile))
@@ -83,13 +84,22 @@ func journalLedger(t *testing.T, dir string) (keys map[Key]bool, sessions, termi
 	for _, rec := range recs {
 		var e Event
 		if err := json.Unmarshal(rec, &e); err != nil || e.Type == "" {
+			// The head's store entries are committed keys too.
+			var ke KeyedEntry
+			if json.Unmarshal(rec, &ke) == nil && ke.Key.Bench != "" {
+				keys[ke.Key] = true
+			}
 			continue
 		}
 		switch e.Type {
 		case "store-commit":
 			keys[Key{Bench: e.Bench, Input: e.Input, Machine: e.Machine}] = true
+			continue
 		case "store-invalidate":
 			delete(keys, Key{Bench: e.Bench, Input: e.Input, Machine: e.Machine})
+			continue
+		case "breaker-open", "breaker-closed":
+			continue
 		}
 		if e.Session < 0 {
 			continue
@@ -225,7 +235,8 @@ func TestKillMidRunRecoverLosesNothing(t *testing.T) {
 }
 
 // TestCleanCloseRecover: a cleanly closed state dir resumes from its final
-// snapshot with nothing to requeue and the full store intact.
+// roll with nothing to requeue, every session's outcome and the full store
+// intact.
 func TestCleanCloseRecover(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Machine: machine.CascadeLake(), Workers: 2, StateDir: dir}
@@ -261,8 +272,8 @@ func TestCleanCloseRecover(t *testing.T) {
 			t.Fatalf("entry %d mismatch: %+v vs %+v", i, got[i], want[i])
 		}
 	}
-	if !rec.JournalSalvage.Clean() || !rec.SnapshotSalvage.Clean() {
-		t.Fatalf("clean close reported salvage: %s / %s", rec.JournalSalvage, rec.SnapshotSalvage)
+	if !rec.JournalSalvage.Clean() {
+		t.Fatalf("clean close reported salvage: %s", rec.JournalSalvage)
 	}
 }
 
@@ -373,11 +384,40 @@ func TestNewRefusesToClobberInterruptedStateDir(t *testing.T) {
 	}
 }
 
-// shardedStateDir builds what the previous binary left behind with a
+// shardedStateDir builds what an older binary left behind with a
 // two-shard store: a valid journal.wal beside a hand-written manifest.wal
-// sealing shard-0.wal and shard-1.wal, and no snapshot.wal. It returns
-// every file's bytes by name.
+// sealing shard-0.wal and shard-1.wal. It returns every file's bytes by
+// name.
 func shardedStateDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries := legacyRun(t, dir)
+	type shardMeta struct {
+		Wal    string `json:"wal"`
+		Epoch  int    `json:"epoch"`
+		Seq    int    `json:"seq"`
+		Shard  int    `json:"shard,omitempty"`
+		Shards int    `json:"shards,omitempty"`
+	}
+	writeLegacy(t, dir, "shard-0.wal", shardMeta{Wal: "shard", Epoch: 1, Seq: 99, Shards: 2}, entries[0])
+	writeLegacy(t, dir, "shard-1.wal", shardMeta{Wal: "shard", Epoch: 1, Seq: 99, Shard: 1, Shards: 2})
+	writeLegacy(t, dir, "manifest.wal", shardMeta{Wal: "manifest", Epoch: 1, Seq: 99, Shards: 2},
+		walSched{Sched: &admission.PersistState{}})
+	return readDir(t, dir)
+}
+
+// twoFileStateDir builds what the previous binary left behind: a
+// snapshot.wal holding the store and scheduler state beside the journal.
+func twoFileStateDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries := legacyRun(t, dir)
+	writeLegacy(t, dir, "snapshot.wal", walMeta{Wal: "snapshot", Epoch: 1, NextID: 0},
+		walSched{Sched: &admission.PersistState{}}, entries[0])
+	return readDir(t, dir)
+}
+
+// legacyRun leaves a journal.wal from one finished session and returns the
+// store entries it committed.
+func legacyRun(t *testing.T, dir string) []KeyedEntry {
 	t.Helper()
 	f := New(Config{Machine: machine.CascadeLake(), Workers: 1, StateDir: dir})
 	if _, err := f.Submit(SessionSpec{Bench: "is", Seed: 1}); err != nil {
@@ -389,31 +429,19 @@ func shardedStateDir(t *testing.T, dir string) map[string][]byte {
 	if len(entries) == 0 {
 		t.Fatal("fixture run committed nothing")
 	}
-	if err := os.Remove(filepath.Join(dir, snapshotFile)); err != nil {
+	return entries
+}
+
+// writeLegacy writes one older-layout state file of JSON records.
+func writeLegacy(t *testing.T, dir, name string, recs ...any) {
+	t.Helper()
+	payloads := make([][]byte, len(recs))
+	for i, r := range recs {
+		payloads[i], _ = json.Marshal(r)
+	}
+	if err := wal.WriteAtomic(filepath.Join(dir, name), payloads); err != nil {
 		t.Fatal(err)
 	}
-	write := func(name string, recs ...any) {
-		t.Helper()
-		payloads := make([][]byte, len(recs))
-		for i, r := range recs {
-			payloads[i], _ = json.Marshal(r)
-		}
-		if err := wal.WriteAtomic(filepath.Join(dir, name), payloads); err != nil {
-			t.Fatal(err)
-		}
-	}
-	type shardMeta struct {
-		Wal    string `json:"wal"`
-		Epoch  int    `json:"epoch"`
-		Seq    int    `json:"seq"`
-		Shard  int    `json:"shard,omitempty"`
-		Shards int    `json:"shards,omitempty"`
-	}
-	write("shard-0.wal", shardMeta{Wal: "shard", Epoch: 1, Seq: 99, Shards: 2}, entries[0])
-	write("shard-1.wal", shardMeta{Wal: "shard", Epoch: 1, Seq: 99, Shard: 1, Shards: 2})
-	write("manifest.wal", shardMeta{Wal: "manifest", Epoch: 1, Seq: 99, Shards: 2},
-		walSched{Sched: &admission.PersistState{}})
-	return readDir(t, dir)
 }
 
 func readDir(t *testing.T, dir string) map[string][]byte {
@@ -445,69 +473,93 @@ func sameFiles(a, b map[string][]byte) bool {
 	return true
 }
 
-// TestNewRefusesShardedStateDir: a state dir in the sharded snapshot layout
-// holds store entries this binary would silently skip, so New refuses it
-// like an interrupted run — degraded, naming both ways out, nothing on
+// legacyLayouts are the older binaries' state dirs, by the files that
+// name them.
+var legacyLayouts = []struct {
+	name  string
+	build func(*testing.T, string) map[string][]byte
+	files []string
+}{
+	{"sharded", shardedStateDir, []string{"manifest.wal", "shard-0.wal", "shard-1.wal"}},
+	{"two-file", twoFileStateDir, []string{"snapshot.wal"}},
+}
+
+// TestNewRefusesShardedStateDir: a state dir in an older snapshot layout —
+// the sharded one, or a snapshot.wal beside the journal — holds store
+// entries this binary would silently skip, so New refuses it like an
+// interrupted run — degraded, naming the files and the way out, nothing on
 // disk touched — and Overwrite starts clean and drops the stale files.
 func TestNewRefusesShardedStateDir(t *testing.T) {
-	dir := t.TempDir()
-	before := shardedStateDir(t, dir)
-	if _, err := PendingSessions(dir); !errors.Is(err, errShardedStateDir) {
-		t.Fatalf("PendingSessions = %v, want errShardedStateDir", err)
-	}
+	for _, layout := range legacyLayouts {
+		t.Run(layout.name, func(t *testing.T) {
+			dir := t.TempDir()
+			before := layout.build(t, dir)
+			if _, err := PendingSessions(dir); !errors.Is(err, errLegacyStateDir) {
+				t.Fatalf("PendingSessions = %v, want errLegacyStateDir", err)
+			}
 
-	f := New(Config{Machine: machine.CascadeLake(), Workers: 1, StateDir: dir})
-	snap := f.Snapshot()
-	f.Close()
-	if snap.Persistence != "degraded" {
-		t.Fatalf("persistence = %q, want degraded", snap.Persistence)
-	}
-	for _, want := range []string{"sharded snapshot layout", "previous binary once with -resume", "-fresh", "manifest.wal", "shard-0.wal", "shard-1.wal"} {
-		if !strings.Contains(snap.PersistenceError, want) {
-			t.Fatalf("refusal %q does not mention %q", snap.PersistenceError, want)
-		}
-	}
-	if !sameFiles(before, readDir(t, dir)) {
-		t.Fatal("refusing New modified the state dir")
-	}
+			f := New(Config{Machine: machine.CascadeLake(), Workers: 1, StateDir: dir})
+			snap := f.Snapshot()
+			f.Close()
+			if snap.Persistence != "degraded" {
+				t.Fatalf("persistence = %q, want degraded", snap.Persistence)
+			}
+			for _, want := range append([]string{"snapshot layout", "-fresh"}, layout.files...) {
+				if !strings.Contains(snap.PersistenceError, want) {
+					t.Fatalf("refusal %q does not mention %q", snap.PersistenceError, want)
+				}
+			}
+			if strings.Contains(snap.PersistenceError, "-resume") {
+				t.Fatalf("refusal %q offers a -resume the refused dir cannot take", snap.PersistenceError)
+			}
+			if !sameFiles(before, readDir(t, dir)) {
+				t.Fatal("refusing New modified the state dir")
+			}
 
-	f2 := New(Config{Machine: machine.CascadeLake(), Workers: 1, StateDir: dir, Overwrite: true})
-	snap = f2.Snapshot()
-	f2.Close()
-	if snap.Persistence != "active" || snap.StoreEntries != 0 {
-		t.Fatalf("Overwrite fleet = %q with %d store entries, want active and empty", snap.Persistence, snap.StoreEntries)
-	}
-	if left := shardedLayoutFiles(dir); len(left) > 0 {
-		t.Fatalf("Overwrite left %v behind", left)
-	}
-	if got := pendingSessions(t, dir); got != 0 {
-		t.Fatalf("overwritten dir reports %d pending sessions", got)
+			f2 := New(Config{Machine: machine.CascadeLake(), Workers: 1, StateDir: dir, Overwrite: true})
+			snap = f2.Snapshot()
+			f2.Close()
+			if snap.Persistence != "active" || snap.StoreEntries != 0 {
+				t.Fatalf("Overwrite fleet = %q with %d store entries, want active and empty", snap.Persistence, snap.StoreEntries)
+			}
+			if left := legacyLayoutFiles(dir); len(left) > 0 {
+				t.Fatalf("Overwrite left %v behind", left)
+			}
+			if got := pendingSessions(t, dir); got != 0 {
+				t.Fatalf("overwritten dir reports %d pending sessions", got)
+			}
+		})
 	}
 }
 
 // TestRecoverRefusesShardedStateDir: Recover surfaces the same refusal
-// instead of recovering the journal without the shard files' entries.
+// instead of recovering the journal without the older files' entries.
 func TestRecoverRefusesShardedStateDir(t *testing.T) {
-	dir := t.TempDir()
-	before := shardedStateDir(t, dir)
-	f, _, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 1})
-	if err == nil {
-		f.Close()
-		t.Fatal("Recover accepted a sharded-layout state dir")
-	}
-	if !errors.Is(err, errShardedStateDir) || !strings.Contains(err.Error(), "previous binary once with -resume") || !strings.Contains(err.Error(), "-fresh") {
-		t.Fatalf("Recover error = %v", err)
-	}
-	if !sameFiles(before, readDir(t, dir)) {
-		t.Fatal("refusing Recover modified the state dir")
+	for _, layout := range legacyLayouts {
+		t.Run(layout.name, func(t *testing.T) {
+			dir := t.TempDir()
+			before := layout.build(t, dir)
+			f, _, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 1})
+			if err == nil {
+				f.Close()
+				t.Fatal("Recover accepted an older-layout state dir")
+			}
+			if !errors.Is(err, errLegacyStateDir) || !strings.Contains(err.Error(), layout.files[0]) || !strings.Contains(err.Error(), "-fresh") {
+				t.Fatalf("Recover error = %v", err)
+			}
+			if !sameFiles(before, readDir(t, dir)) {
+				t.Fatal("refusing Recover modified the state dir")
+			}
+		})
 	}
 }
 
 // TestRecoverSurvivesInterruptedRecovery: a recovery that dies after
-// staging the fresh epoch (snapshot written, staged journal never
-// published) leaves the new snapshot over the OLD journal. A later
-// recovery must read that pairing consistently: store entries from the
-// snapshot, pending sessions from the journal — nothing lost.
+// staging the fresh epoch (head and seed written, staged journal never
+// published) leaves the OLD journal whole beside a stage file. A later
+// recovery must read the old journal alone — store entries and pending
+// sessions from it, nothing lost — and reopen the epoch the dead one
+// staged.
 func TestRecoverSurvivesInterruptedRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cancelled := interruptedStateDir(t, dir)
@@ -538,11 +590,15 @@ func TestRecoverSurvivesInterruptedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.epoch = st.prevEpoch
 	if err := p.beginEpoch(half.journal, half.capture); err != nil {
 		t.Fatalf("staging the epoch: %v", err)
 	}
-	prevEpoch := p.epoch
+	staged := p.epoch
 	p.log.Abort() // the crash: staged journal never published
+	if _, err := os.Stat(filepath.Join(dir, journalStageFile)); err != nil {
+		t.Fatalf("the interrupted roll left no stage file: %v", err)
+	}
 
 	// The old journal still names the pending work.
 	if got := pendingSessions(t, dir); got != cancelled {
@@ -560,8 +616,8 @@ func TestRecoverSurvivesInterruptedRecovery(t *testing.T) {
 	if rec.StoreEntries != len(wantKeys) {
 		t.Fatalf("recovered %d store entries, want %d", rec.StoreEntries, len(wantKeys))
 	}
-	if rec.PrevEpoch != prevEpoch || rec.Epoch != prevEpoch+1 {
-		t.Fatalf("epochs %d -> %d, want %d -> %d", rec.PrevEpoch, rec.Epoch, prevEpoch, prevEpoch+1)
+	if rec.PrevEpoch != staged-1 || rec.Epoch != staged {
+		t.Fatalf("epochs %d -> %d, want %d -> %d", rec.PrevEpoch, rec.Epoch, staged-1, staged)
 	}
 	f.Drain()
 	for _, s := range rec.Requeued {
@@ -571,39 +627,66 @@ func TestRecoverSurvivesInterruptedRecovery(t *testing.T) {
 	}
 }
 
-// TestClaimSnapshotSingleWinner: workers racing across the same
-// store-commit threshold get exactly one snapshot claim.
+// TestClaimSnapshotSingleWinner: workers racing for the one roll claim —
+// a periodic roll across the same store-commit threshold, or a re-arm once
+// the backoff has run out — get exactly one grant between them, and no
+// second until the roll releases it.
 func TestClaimSnapshotSingleWinner(t *testing.T) {
 	dir := t.TempDir()
 	p, err := openPersister(dir, Config{Fsync: wal.SyncOnClose, SnapshotEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.close()
+	noState := func() liveState { return liveState{} }
+	race := func() (wins, attempt int32) {
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if a, ok := p.claimRoll(); ok {
+					atomic.AddInt32(&wins, 1)
+					atomic.StoreInt32(&attempt, int32(a))
+				}
+			}()
+		}
+		wg.Wait()
+		return wins, attempt
+	}
+
 	p.mu.Lock()
 	p.commits = 4
 	p.mu.Unlock()
+	if wins, attempt := race(); wins != 1 || attempt != 0 {
+		t.Fatalf("threshold crossing claimed %d times (attempt %d), want one periodic roll", wins, attempt)
+	}
+	if wins, _ := race(); wins != 0 {
+		t.Fatalf("a held claim was granted %d more times", wins)
+	}
+	if err := p.rollEpoch(NewJournal(), noState, 0); err != nil {
+		t.Fatal(err)
+	}
 
-	var wg sync.WaitGroup
-	var wins int32
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if p.claimSnapshot() {
-				atomic.AddInt32(&wins, 1)
-			}
-		}()
+	p.fail(errors.New("disk gone"))
+	p.mu.Lock()
+	p.rearmWait = 0
+	p.mu.Unlock()
+	if wins, attempt := race(); wins != 1 || attempt != 1 {
+		t.Fatalf("an expired backoff was claimed %d times (attempt %d), want one re-arm", wins, attempt)
 	}
-	wg.Wait()
-	if wins != 1 {
-		t.Fatalf("threshold crossing claimed %d times, want 1", wins)
+	if err := p.rollEpoch(NewJournal(), noState, 1); err != nil {
+		t.Fatal(err)
 	}
+	if wins, _ := race(); wins != 0 {
+		t.Fatalf("a fresh epoch with no commits was claimed %d times", wins)
+	}
+	p.close(NewJournal(), noState)
 }
 
-// TestRecoverCorruptTail: flip a byte in the journal's tail and truncate
-// the snapshot to garbage; recovery keeps the valid prefix, reports the
-// damage, and still loses no fully journaled commit.
+// TestRecoverCorruptTail: chop the journal mid-record and leave garbage
+// where a roll's stage would be; recovery keeps the valid prefix, reports
+// the damage, ignores the stage, and still loses no fully journaled
+// commit.
 func TestRecoverCorruptTail(t *testing.T) {
 	dir := t.TempDir()
 	f := New(Config{Machine: machine.CascadeLake(), Workers: 2, StateDir: dir, SnapshotEvery: 1 << 30})
@@ -616,8 +699,8 @@ func TestRecoverCorruptTail(t *testing.T) {
 	f.Drain()
 	f.Close()
 
-	// Snapshot file: overwrite with garbage (a torn snapshot write).
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte("not a wal"), 0o644); err != nil {
+	// Stage file: garbage (a roll torn before its rename).
+	if err := os.WriteFile(filepath.Join(dir, journalStageFile), []byte("not a wal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Journal: chop mid-record to simulate a torn tail.
@@ -651,13 +734,13 @@ func TestRecoverCorruptTail(t *testing.T) {
 }
 
 // TestRecoverEmptyStateDir: recovering a dir with no state files yields an
-// empty, working fleet rather than an error. So does a dir holding only an
-// older snapshot whose scheduler counters carry keys this version no longer
+// empty, working fleet rather than an error. So does a dir holding only a
+// journal head whose scheduler counters carry keys this version no longer
 // keeps ("parked", "retunes"): the decoder ignores them and restores the rest.
 func TestRecoverEmptyStateDir(t *testing.T) {
 	older := t.TempDir()
-	if err := wal.WriteAtomic(filepath.Join(older, snapshotFile), [][]byte{
-		[]byte(`{"wal":"snapshot","epoch":1,"seq":0}`),
+	if err := wal.WriteAtomic(filepath.Join(older, journalFile), [][]byte{
+		[]byte(`{"wal":"journal","epoch":1,"seq":0}`),
 		[]byte(`{"sched":{"clock":2.5,"stats":{"retries":1,"parked":2,"retunes":3,"clock":2.5}}}`),
 	}); err != nil {
 		t.Fatal(err)
@@ -672,7 +755,7 @@ func TestRecoverEmptyStateDir(t *testing.T) {
 			t.Fatalf("empty dir recovered state: %+v", rec)
 		}
 		if snap := f.Snapshot(); dir == older && (snap.Retries != 1 || snap.VirtualClock != 2.5) {
-			t.Fatalf("older snapshot restored retries=%d clock=%v, want 1 and 2.5", snap.Retries, snap.VirtualClock)
+			t.Fatalf("older head restored retries=%d clock=%v, want 1 and 2.5", snap.Retries, snap.VirtualClock)
 		}
 		s, err := f.Submit(SessionSpec{Bench: "is", Seed: 1})
 		if err != nil {
@@ -755,5 +838,50 @@ func TestUnusableStateDirDegradesFromBirth(t *testing.T) {
 	}
 	if snap := f.Snapshot(); snap.Persistence != "degraded" || snap.PersistenceError == "" {
 		t.Fatalf("snapshot = %q / %q", snap.Persistence, snap.PersistenceError)
+	}
+}
+
+// TestRecoverContinuesIDSpaceAfterRoll: a roll drops the history of every
+// session that finished before it, so after a crash the journal may name
+// none of the sessions clients still hold IDs for. The stamp's next-ID
+// floor keeps recovery from handing those IDs out again.
+func TestRecoverContinuesIDSpaceAfterRoll(t *testing.T) {
+	dir := t.TempDir()
+	f := New(Config{Machine: machine.CascadeLake(), Workers: 1, StateDir: dir, SnapshotEvery: 1})
+	defer f.Close()
+	var last int
+	for i, spec := range crashPairs {
+		spec.Seed = int64(i + 1)
+		s, err := f.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = s.ID
+	}
+	f.Drain()
+	if snap := f.Snapshot(); snap.WALSnapshots < 2 {
+		t.Fatalf("%d rolls; the case needs one after the sessions finished", snap.WALSnapshots)
+	}
+	// The crash: the state dir as the live fleet left it.
+	crashed := t.TempDir()
+	for name, data := range readDir(t, dir) {
+		if err := os.WriteFile(filepath.Join(crashed, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f2, rec, err := Recover(crashed, Config{Machine: machine.CascadeLake(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f2.Close()
+	if rec.Sessions >= len(crashPairs) {
+		t.Fatalf("the rolled journal still names %d sessions; the case is vacuous", rec.Sessions)
+	}
+	s, err := f2.Submit(SessionSpec{Bench: "is", Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.ID <= last {
+		t.Fatalf("recovered fleet handed out session ID %d again (pre-crash IDs reach %d)", s.ID, last)
 	}
 }

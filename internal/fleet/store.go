@@ -12,8 +12,8 @@ type Key = store.Key
 // Entry is one cached profile.
 type Entry = store.Entry
 
-// KeyedEntry pairs a key with its entry: the unit a WAL snapshot persists
-// and crash recovery restores.
+// KeyedEntry pairs a key with its entry: the unit a journal's head
+// persists and crash recovery restores.
 type KeyedEntry = store.KeyedEntry
 
 // StoreConfig tunes the reuse policy.

@@ -22,11 +22,19 @@ import (
 )
 
 // writeJournalFile lays events down as a never-degraded persister would
-// have: the epoch record, then every event in order.
-func writeJournalFile(t *testing.T, dir string, events []Event) {
+// have: the epoch record, the given head records, then every event in
+// order.
+func writeJournalFile(t *testing.T, dir string, events []Event, head ...any) {
 	t.Helper()
 	meta, _ := json.Marshal(walMeta{Wal: "journal", Epoch: 1})
 	payloads := [][]byte{meta}
+	for _, rec := range head {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, b)
+	}
 	for _, e := range events {
 		b, err := json.Marshal(e)
 		if err != nil {
@@ -79,10 +87,10 @@ func rearmedDir(t *testing.T, j *Journal) string {
 		t.Fatal(err)
 	}
 	p.fail(errors.New("disk gone"))
-	if err := p.rearm(j, noState); err != nil {
+	if err := p.rollEpoch(j, noState, 1); err != nil {
 		t.Fatalf("rearm: %v", err)
 	}
-	p.close()
+	p.close(j, noState)
 	return dir
 }
 
@@ -282,7 +290,7 @@ func TestRearmedJournalRecoversLikeNeverDegraded(t *testing.T) {
 	}
 	cancelled := f.CancelQueued()
 	f.Drain()
-	// The crash: no Close, so no final snapshot and no clean WAL close.
+	// The crash: no Close, so no final roll and no clean WAL close.
 	// Under fsync-always every journaled event is already on disk.
 	defer f.Close()
 

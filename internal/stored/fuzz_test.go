@@ -15,9 +15,10 @@ import (
 )
 
 // stateFiles runs a persisting daemon through commits, a guarded
-// invalidation and a snapshot roll, and returns the journal and snapshot it
-// leaves: epoch 2 on both, one entry in the snapshot, one commit after it.
-func stateFiles(f *testing.F) (journal, snapshot []byte) {
+// invalidation and an epoch roll, and returns the journal it leaves (epoch
+// 2: one entry at its head, one commit after it) and a stage file a roll
+// that died before its rename would leave beside it.
+func stateFiles(f *testing.F) (journal, stage []byte) {
 	dir := f.TempDir()
 	s, err := New(Config{StateDir: dir, Fsync: wal.SyncAlways, SnapshotEvery: 1 << 30})
 	if err != nil {
@@ -31,6 +32,17 @@ func stateFiles(f *testing.F) (journal, snapshot []byte) {
 		f.Fatal(err)
 	}
 	s.commit(CommitReq{Key: is, Entry: store.Entry{Func: "f", Distance: 16}})
+	// A roll that dies after staging its head: the stage is left behind.
+	meta, _ := json.Marshal(opRecord{Op: "epoch", Epoch: 3})
+	log, err := s.persist.roll.Begin(meta)
+	if err != nil {
+		f.Fatal(err)
+	}
+	head, _ := json.Marshal(opRecord{Op: "entry", Key: cg, Entry: &store.Entry{Func: "stale"}})
+	if err := log.Write(head); err != nil {
+		f.Fatal(err)
+	}
+	log.Abort()
 	s.persist.close()
 	read := func(name string) []byte {
 		b, err := os.ReadFile(filepath.Join(dir, name))
@@ -39,7 +51,7 @@ func stateFiles(f *testing.F) (journal, snapshot []byte) {
 		}
 		return b
 	}
-	return read(journalFile), read(snapshotFile)
+	return read(journalFile), read(journalStageFile)
 }
 
 // payloadLines is a WAL file's payloads joined by newlines: the form the
@@ -57,104 +69,113 @@ func payloadLines(f *testing.F, data []byte) []byte {
 }
 
 // FuzzReadLog feeds arbitrary bytes to recovery as the daemon's
-// store-journal.wal and store-snapshot.wal. With framed set, each input is
-// split into lines that are written as well-formed WAL records, so the
-// fuzzer reaches readLog's record decoding behind the checksums; without it
-// the bytes land on disk as they are. Whatever the files hold, readLog must
-// not panic or fail, its epoch must be the last epoch record's, every other
-// record must come back in order, and a frame that is not JSON must be
-// skipped with its neighbours kept; openPersister must recover at the
-// larger of the two epochs.
+// store-journal.wal and a leftover store-journal.next. With framed set,
+// each input is split into lines that are written as well-formed WAL
+// records, so the fuzzer reaches readLog's record decoding behind the
+// checksums; without it the bytes land on disk as they are. Whatever the
+// journal holds, readLog must not panic or fail, its epoch must be the last
+// epoch record's, every other record must come back in order, and a frame
+// that is not JSON must be skipped with its neighbours kept. Whatever the
+// stage holds, openPersister must recover the journal's epoch and entries
+// exactly as without it.
 func FuzzReadLog(f *testing.F) {
-	journal, snapshot := stateFiles(f)
-	f.Add(journal, snapshot, false)
-	f.Add(payloadLines(f, journal), payloadLines(f, snapshot), true)
+	journal, stage := stateFiles(f)
+	f.Add(journal, stage, false)
+	f.Add(payloadLines(f, journal), payloadLines(f, stage), true)
 	f.Add([]byte(`{"op":"epoch","epoch":3}
 {"op":"commit","key":{"bench":"is"},"entry":{"func":"f","distance":12}}
 {"op":"epoch","epoch":5}
 {"op":"invalidate","key":{"bench":"is"}}
-{"op":"commit","key":{"bench":"cg"},"entry":null}`),
-		[]byte(`{"op":"epoch","epoch":5}
+{"op":"commit","key":{"bench":"cg"},"entry":null}
 {"op":"entry","key":{"bench":"cg"},"entry":{"func":"g","candidates":[1,2],"distance":4}}
 {"op":"epoch","epoch":"6"}
-{"op":7}`), true)
+{"op":7}`),
+		[]byte(`{"op":"epoch","epoch":6}
+{"op":"entry","key":{"bench":"pr"},"entry":{"func":"h","distance":2}}`), true)
 	f.Add([]byte{}, []byte{}, false)
 
-	f.Fuzz(func(t *testing.T, journal, snapshot []byte, framed bool) {
+	f.Fuzz(func(t *testing.T, journal, stage []byte, framed bool) {
 		dir := t.TempDir()
-		var epochs [2]uint64
-		for i, file := range []struct {
-			name string
-			data []byte
-		}{{journalFile, journal}, {snapshotFile, snapshot}} {
-			path := filepath.Join(dir, file.name)
+		place := func(name string, data []byte) string {
+			path := filepath.Join(dir, name)
 			var err error
 			if framed {
-				err = wal.WriteAtomic(path, bytes.Split(file.data, []byte("\n")))
+				err = wal.WriteAtomic(path, bytes.Split(data, []byte("\n")))
 			} else {
-				err = os.WriteFile(path, file.data, 0o644)
+				err = os.WriteFile(path, data, 0o644)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			epoch, recs, err := readLog(path, file.name)
-			if err != nil {
-				t.Fatalf("readLog(%s): %v", file.name, err)
-			}
-			epochs[i] = epoch
+			return path
+		}
+		path := place(journalFile, journal)
+		epoch, recs, err := readLog(path)
+		if err != nil {
+			t.Fatalf("readLog: %v", err)
+		}
 
-			payloads, _, err := wal.ReadAll(path)
-			if err != nil {
-				t.Fatal(err)
+		payloads, _, err := wal.ReadAll(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantEpoch uint64
+		var want []opRecord
+		for _, raw := range payloads {
+			var rec opRecord
+			switch {
+			case json.Unmarshal(raw, &rec) != nil:
+			case rec.Op == "epoch":
+				wantEpoch = rec.Epoch
+			default:
+				want = append(want, rec)
 			}
-			var wantEpoch uint64
-			var want []opRecord
-			for _, raw := range payloads {
-				var rec opRecord
-				switch {
-				case json.Unmarshal(raw, &rec) != nil:
-				case rec.Op == "epoch":
-					wantEpoch = rec.Epoch
-				default:
-					want = append(want, rec)
-				}
-			}
-			if epoch != wantEpoch {
-				t.Fatalf("%s: epoch %d, the last epoch record says %d", file.name, epoch, wantEpoch)
-			}
-			if len(recs) != len(want) || (len(want) > 0 && !reflect.DeepEqual(recs, want)) {
-				t.Fatalf("%s: records %+v, want %+v", file.name, recs, want)
-			}
+		}
+		if epoch != wantEpoch {
+			t.Fatalf("epoch %d, the last epoch record says %d", epoch, wantEpoch)
+		}
+		if len(recs) != len(want) || (len(want) > 0 && !reflect.DeepEqual(recs, want)) {
+			t.Fatalf("records %+v, want %+v", recs, want)
+		}
 
-			// The same records with a frame that is not JSON after each
-			// one read back the same.
-			noisy := make([][]byte, 0, 2*len(payloads)+1)
-			noisy = append(noisy, []byte("{"))
-			for _, raw := range payloads {
-				noisy = append(noisy, raw, []byte(`{"op":`))
-			}
-			noisyPath := path + ".noisy"
-			if err := wal.WriteAtomic(noisyPath, noisy); err != nil {
-				t.Fatal(err)
-			}
-			nEpoch, nRecs, err := readLog(noisyPath, file.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nEpoch != epoch || !reflect.DeepEqual(nRecs, recs) {
-				t.Fatalf("%s: a skipped frame beside each record changed the read: epoch %d, %+v; want %d, %+v", file.name, nEpoch, nRecs, epoch, recs)
-			}
-			if err := os.Remove(noisyPath); err != nil {
-				t.Fatal(err)
-			}
+		// The same records with a frame that is not JSON after each one
+		// read back the same.
+		noisy := make([][]byte, 0, 2*len(payloads)+1)
+		noisy = append(noisy, []byte("{"))
+		for _, raw := range payloads {
+			noisy = append(noisy, raw, []byte(`{"op":`))
+		}
+		noisyPath := path + ".noisy"
+		if err := wal.WriteAtomic(noisyPath, noisy); err != nil {
+			t.Fatal(err)
+		}
+		nEpoch, nRecs, err := readLog(noisyPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nEpoch != epoch || !reflect.DeepEqual(nRecs, recs) {
+			t.Fatalf("a skipped frame beside each record changed the read: epoch %d, %+v; want %d, %+v", nEpoch, nRecs, epoch, recs)
+		}
+		if err := os.Remove(noisyPath); err != nil {
+			t.Fatal(err)
 		}
 
 		p, entries, err := openPersister(Config{StateDir: dir})
 		if err != nil {
 			t.Fatalf("openPersister: %v", err)
 		}
-		if p.epoch != max(epochs[0], epochs[1]) || p.recoveredEntries != len(entries) {
-			t.Fatalf("recovered epoch %d with %d entries (%d returned); the files' epochs are %v", p.epoch, p.recoveredEntries, len(entries), epochs)
+		if p.epoch != epoch || p.recoveredEntries != len(entries) {
+			t.Fatalf("recovered epoch %d with %d entries (%d returned); the journal's epoch is %d", p.epoch, p.recoveredEntries, len(entries), epoch)
+		}
+		// A leftover stage is a roll that never published: nothing in it
+		// reaches recovery.
+		place(journalStageFile, stage)
+		p2, staged, err := openPersister(Config{StateDir: dir})
+		if err != nil {
+			t.Fatalf("openPersister beside a stage file: %v", err)
+		}
+		if p2.epoch != epoch || !reflect.DeepEqual(staged, entries) {
+			t.Fatalf("a stage file changed recovery: epoch %d, %+v; want %d, %+v", p2.epoch, staged, epoch, entries)
 		}
 	})
 }

@@ -1,22 +1,24 @@
 package stored
 
-// Persistence for the store daemon, on internal/wal's checksummed framing:
+// Persistence for the store daemon, on internal/wal's checksummed framing,
+// one file per state dir:
 //
-//	store-snapshot.wal  meta{epoch E} + one entry record per live profile
-//	store-journal.wal   meta{epoch E} + one op record per accepted mutation
+//	store-journal.wal  epoch stamp + one entry record per live profile
+//	                   (the head) + one op record per accepted mutation
 //
-// Every snapshot is an epoch roll (wal.Roll): the whole store written
-// atomically under epoch E+1, an empty journal stamped E+1 staged beside
-// the live one, then renamed over it. The stamp makes the pair
-// crash-consistent without cross-file coordination: recovery folds the
-// journal over the snapshot only when wal.Relate says their epochs match —
-// a journal one epoch behind was exported into the newer snapshot already.
-// The journal is never removed or truncated in place, so there is no
-// instant at which it is missing or headerless.
+// Every snapshot is an epoch roll (wal.Roll): a fresh journal staged
+// beside the live one with the next stamp and the whole store as its head,
+// then renamed over it. A crash before the rename leaves the old journal
+// whole, one after it the new one; a leftover stage file
+// (store-journal.next) is never read and the next roll deletes it. The
+// journal is never removed or truncated in place, so there is no instant
+// at which it is missing or headerless.
 //
 // Fold order equals commit order because Server.mu spans each store
-// mutation and its journal append, so replaying ops in sequence lands on
-// the same winner every live race resolved to.
+// mutation and its journal write, so replaying ops in sequence lands on
+// the same winner every live race resolved to. Under fsync-always a
+// mutation is written under Server.mu and committed after it, before the
+// handler replies, so concurrent requests share fsyncs.
 //
 // Refunds are deliberately not journaled: they move only reuse budget,
 // and Import (recovery's install path) grants fresh budgets anyway.
@@ -26,11 +28,11 @@ package stored
 // stats endpoint's health. No re-arm: unlike the fleet's persist lane, a
 // shared store that silently resumed journaling after missing ops would
 // recover to a hole-ridden state, which is worse than recovering to the
-// last good snapshot. (ROADMAP notes the possible snapshot-on-rearm
-// upgrade.)
+// last good roll.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,12 +43,19 @@ import (
 )
 
 const (
-	snapshotFile     = "store-snapshot.wal"
 	journalFile      = "store-journal.wal"
 	journalStageFile = "store-journal.next"
+	// legacySnapshotFile is the two-file layout's snapshot, which this
+	// binary no longer reads.
+	legacySnapshotFile = "store-snapshot.wal"
 )
 
-// opRecord is one WAL record: the epoch meta ("epoch"), a snapshot entry
+// errLegacyStateDir refuses a state dir holding the two-file layout: its
+// entries live in a file recovery would silently skip.
+var errLegacyStateDir = errors.New("stored: state dir holds an older binary's snapshot layout (" + legacySnapshotFile + "), which this binary cannot read: " +
+	"move the entries over with the previous binary's GET /v1/store/export into this one's POST /v1/store/import, or pass -fresh to discard the state")
+
+// opRecord is one WAL record: the epoch stamp ("epoch"), a head entry
 // ("entry"), or a journaled mutation ("commit", "invalidate").
 type opRecord struct {
 	Op    string       `json:"op"`
@@ -56,12 +65,11 @@ type opRecord struct {
 }
 
 type persister struct {
-	dir     string
 	roll    wal.Roll
-	every   int // mutations between snapshots
+	every   int // mutations between epoch rolls
 	epoch   uint64
 	journal *wal.Log
-	ops     int // journaled mutations since the last snapshot
+	ops     int // journaled mutations since the last roll
 
 	// recoveredEntries is what openPersister folded out of the state dir.
 	recoveredEntries int
@@ -80,39 +88,33 @@ func openPersister(cfg Config) (*persister, []store.KeyedEntry, error) {
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("stored: create state dir: %w", err)
 	}
-	snapPath := filepath.Join(cfg.StateDir, snapshotFile)
-	jrnlPath := filepath.Join(cfg.StateDir, journalFile)
+	legacy := filepath.Join(cfg.StateDir, legacySnapshotFile)
 	p := &persister{
-		dir: cfg.StateDir,
 		roll: wal.Roll{
-			Live:   jrnlPath,
+			Live:   filepath.Join(cfg.StateDir, journalFile),
 			Stage:  filepath.Join(cfg.StateDir, journalStageFile),
 			Config: wal.Config{Sync: cfg.Fsync},
 		},
 		every: cfg.SnapshotEvery,
 	}
 	if cfg.Fresh {
-		for _, path := range []string{snapPath, jrnlPath, p.roll.Stage} {
+		for _, path := range []string{legacy, p.roll.Live, p.roll.Stage} {
 			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 				return nil, nil, fmt.Errorf("stored: discard prior state: %w", err)
 			}
 		}
 		return p, nil, nil
 	}
+	if _, err := os.Stat(legacy); err == nil {
+		return nil, nil, fmt.Errorf("%w (%s)", errLegacyStateDir, cfg.StateDir)
+	}
 
-	snapEpoch, snap, err := readLog(snapPath, "snapshot")
+	epoch, recs, err := readLog(p.roll.Live)
 	if err != nil {
 		return nil, nil, err
-	}
-	jrnlEpoch, ops, err := readLog(jrnlPath, "journal")
-	if err != nil {
-		return nil, nil, err
-	}
-	if wal.Relate(snapEpoch, jrnlEpoch) != wal.SameEpoch {
-		ops = nil // a stale journal's ops are already inside the snapshot
 	}
 	state := make(map[store.Key]store.Entry)
-	for _, rec := range append(snap, ops...) {
+	for _, rec := range recs {
 		switch rec.Op {
 		case "entry", "commit":
 			if rec.Entry != nil {
@@ -124,7 +126,7 @@ func openPersister(cfg Config) (*persister, []store.KeyedEntry, error) {
 			delete(state, rec.Key)
 		}
 	}
-	p.epoch = max(snapEpoch, jrnlEpoch)
+	p.epoch = epoch
 
 	entries := make([]store.KeyedEntry, 0, len(state))
 	for k, e := range state {
@@ -135,16 +137,16 @@ func openPersister(cfg Config) (*persister, []store.KeyedEntry, error) {
 	return p, entries, nil
 }
 
-// readLog reads one state file (what names it in errors): its epoch stamp
-// and its other records in order. A missing file is epoch 0 with no
-// records; a salvaged tail keeps the valid prefix.
-func readLog(path, what string) (uint64, []opRecord, error) {
+// readLog reads the journal at path: its epoch stamp and its other records
+// in order. A missing file is epoch 0 with no records; a salvaged tail
+// keeps the valid prefix.
+func readLog(path string) (uint64, []opRecord, error) {
 	payloads, _, err := wal.ReadAll(path)
 	if os.IsNotExist(err) {
 		return 0, nil, nil
 	}
 	if err != nil {
-		return 0, nil, fmt.Errorf("stored: read %s: %w", what, err)
+		return 0, nil, fmt.Errorf("stored: read journal: %w", err)
 	}
 	var epoch uint64
 	var recs []opRecord
@@ -162,37 +164,36 @@ func readLog(path, what string) (uint64, []opRecord, error) {
 	return epoch, recs, nil
 }
 
-// snapshot rolls the epoch: the whole store durably under epoch E+1, then
-// an empty E+1 journal published over the old one. Callers hold Server.mu
-// (or are pre-serving).
+// snapshot rolls the epoch: a journal staged with the next stamp and the
+// whole store as its head, published over the old one. Callers hold
+// Server.mu (or are pre-serving).
 func (p *persister) snapshot(entries []store.KeyedEntry) error {
 	if p == nil || p.isDegraded() {
 		return fmt.Errorf("stored: persistence degraded")
 	}
 	next := p.epoch + 1
-	payloads := make([][]byte, 0, len(entries)+1)
 	meta, _ := json.Marshal(opRecord{Op: "epoch", Epoch: next})
-	payloads = append(payloads, meta)
-	for i := range entries {
-		raw, err := json.Marshal(opRecord{Op: "entry", Key: entries[i].Key, Entry: &entries[i].Entry})
-		if err != nil {
-			return p.degrade(fmt.Errorf("stored: encode snapshot entry: %w", err))
-		}
-		payloads = append(payloads, raw)
-	}
-	log, err := p.roll.Begin(meta, func() error {
-		return wal.WriteAtomic(filepath.Join(p.dir, snapshotFile), payloads)
-	})
+	log, err := p.roll.Begin(meta)
 	if err != nil {
 		return p.degrade(fmt.Errorf("stored: stage epoch %d: %w", next, err))
+	}
+	for i := range entries {
+		raw, err := json.Marshal(opRecord{Op: "entry", Key: entries[i].Key, Entry: &entries[i].Entry})
+		if err == nil {
+			err = log.Write(raw)
+		}
+		if err != nil {
+			log.Abort()
+			return p.degrade(fmt.Errorf("stored: stage epoch %d head: %w", next, err))
+		}
 	}
 	if err := p.roll.Publish(log); err != nil {
 		log.Abort()
 		return p.degrade(fmt.Errorf("stored: publish epoch %d journal: %w", next, err))
 	}
 	if p.journal != nil {
-		// Every op the old journal holds is in the snapshot just written,
-		// and its name now belongs to the new file: nothing left to flush.
+		// Every op the old journal holds is in the head just published, and
+		// its name now belongs to the new file: nothing left to flush.
 		p.journal.Abort()
 	}
 	p.journal = log
@@ -203,24 +204,38 @@ func (p *persister) snapshot(entries []store.KeyedEntry) error {
 
 // appendOp journals one accepted mutation and snapshots when due. Callers
 // hold Server.mu, so the journal's order is the store's commit order. st
-// is only exported if this append trips the snapshot threshold.
-func (p *persister) appendOp(rec opRecord, st store.Store) {
+// is only exported if this append trips the snapshot threshold. Under
+// fsync-always the record is only written: it returns the log the caller
+// commits after releasing Server.mu, before it replies (nil when there is
+// nothing to commit). The other policies keep their per-append schedule.
+func (p *persister) appendOp(rec opRecord, st store.Store) *wal.Log {
 	if p.isDegraded() || p.journal == nil {
-		return
+		return nil
 	}
 	raw, err := json.Marshal(rec)
 	if err != nil {
 		p.degrade(fmt.Errorf("stored: encode op: %w", err))
-		return
+		return nil
 	}
-	if err := p.journal.Append(raw); err != nil {
+	log := p.journal
+	appendRecord := log.Append
+	if p.roll.Config.Sync == wal.SyncAlways {
+		appendRecord = log.Write
+	}
+	if err := appendRecord(raw); err != nil {
 		p.degrade(fmt.Errorf("stored: journal append: %w", err))
-		return
+		return nil
 	}
 	p.ops++
 	if p.ops >= p.every {
+		// The roll's publish syncs the head that now holds this op.
 		p.snapshot(st.Export())
+		return nil
 	}
+	if p.roll.Config.Sync != wal.SyncAlways {
+		return nil
+	}
+	return log
 }
 
 func (p *persister) close() {

@@ -29,13 +29,14 @@
 //
 // With Config.StateDir set the daemon is crash-safe: every accepted
 // mutation (a commit, a guard-passing invalidate, an import) appends to an
-// op journal in internal/wal's checksummed framing, and the whole store
-// snapshots atomically every SnapshotEvery mutations. Restart folds
-// journal ops past the snapshot's watermark back over the snapshot, so a
+// op journal in internal/wal's checksummed framing, and every
+// SnapshotEvery mutations the journal rolls to a fresh epoch whose head is
+// the whole store. Restart folds the ops after the head over it, so a
 // kill -9 loses at most the unsynced WAL tail.
 package stored
 
 import (
+	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -50,18 +51,18 @@ import (
 type Config struct {
 	// Store is the wrapped store's reuse policy.
 	Store store.Config
-	// StateDir persists the op journal and snapshots here (empty =
-	// in-memory only). A state dir with prior state is recovered
-	// automatically — durability is the daemon's whole point — unless
-	// Fresh discards it.
+	// StateDir persists the op journal here (empty = in-memory only). A
+	// state dir with prior state is recovered automatically — durability
+	// is the daemon's whole point — unless Fresh discards it.
 	StateDir string
 	// Fresh discards any prior state in StateDir instead of recovering it.
 	Fresh bool
 	// Fsync is the WAL durability policy (default interval: fsync every 64
 	// appends and on close).
 	Fsync wal.SyncMode
-	// SnapshotEvery rewrites the snapshot after this many journaled
-	// mutations (0 or less: the default 256).
+	// SnapshotEvery is how many journaled mutations (store commits) run
+	// between epoch rolls, each of which writes the whole store as the
+	// fresh journal's head (0 or less: the default 256).
 	SnapshotEvery int
 	// RequestTimeout bounds each request's handler (0 or less: the
 	// default 30s).
@@ -80,10 +81,12 @@ type Server struct {
 	mux     http.Handler
 	persist *persister // nil when StateDir is unset
 
-	// mu serializes mutating store ops with their journal appends, so the
+	// mu serializes mutating store ops with their journal writes, so the
 	// journal's op order is the store's commit order — recovery folds ops
 	// in sequence and must arrive at the same winner every racing pair
-	// arrived at live. Read paths never take it.
+	// arrived at live. Read paths never take it, so a lookup may see a
+	// commit whose fsync is still pending; the handler that made it
+	// replies only after the fsync.
 	mu sync.Mutex
 
 	draining  atomic.Bool
@@ -106,8 +109,8 @@ func New(cfg Config) (*Server, error) {
 		if len(recovered) > 0 {
 			s.store.Import(recovered)
 		}
-		// Seal the epoch start: the fresh snapshot carries the recovered
-		// state so the new journal can start empty.
+		// Seal the epoch start: the fresh journal's head carries the
+		// recovered state.
 		if err := p.snapshot(s.store.Export()); err != nil {
 			p.close()
 			return nil, err
@@ -143,13 +146,13 @@ func (s *Server) HTTPServer() *http.Server { return daemon.HTTPServer(s.Handler(
 type DrainStats struct {
 	// Entries is the live entry count at drain.
 	Entries int
-	// Snapshotted says whether a final durable snapshot landed.
+	// Snapshotted says whether a final epoch roll landed.
 	Snapshotted bool
 }
 
 // Drain seals the daemon: subsequent requests (except healthz) get 503, a
-// final snapshot lands if persistence is active, and the WAL closes. Safe
-// to call more than once.
+// final epoch roll lands if persistence is active, and the WAL closes.
+// Safe to call more than once.
 func (s *Server) Drain() DrainStats {
 	var st DrainStats
 	s.drainOnce.Do(func() {
@@ -233,12 +236,31 @@ func (s *Server) lookupTranslated(req KeyReq) any {
 
 func (s *Server) commit(req CommitReq) any {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	gen := s.store.Commit(req.Key, req.Entry)
+	var log *wal.Log
 	if gen != 0 && s.persist != nil {
-		s.persist.appendOp(opRecord{Op: "commit", Key: req.Key, Entry: &req.Entry}, s.store)
+		log = s.persist.appendOp(opRecord{Op: "commit", Key: req.Key, Entry: &req.Entry}, s.store)
 	}
+	s.mu.Unlock()
+	s.commitLog(log)
 	return GenResp{Gen: gen}
+}
+
+// commitLog makes the ops appendOp wrote to log durable before the handler
+// replies, outside s.mu so concurrent requests share one fsync. A log a
+// roll replaced meanwhile reports itself closed: the roll's own sync
+// covered its ops.
+func (s *Server) commitLog(log *wal.Log) {
+	if log == nil {
+		return
+	}
+	if err := log.Commit(); err != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.persist.journal == log {
+			s.persist.degrade(fmt.Errorf("stored: journal commit: %w", err))
+		}
+	}
 }
 
 // refund moves only the in-memory reuse budget — recovery resets budgets
@@ -249,26 +271,34 @@ func (s *Server) refund(req GenReq) any {
 
 func (s *Server) invalidate(req GenReq) any {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	ok := s.store.Invalidate(req.Key, req.Gen)
+	var log *wal.Log
 	if ok && s.persist != nil {
 		// Journal only guard-passing invalidations: the op deleted a live
 		// entry, so replay deletes it too (replay is unguarded — the guard
 		// already ran, live, against the gen it was issued for).
-		s.persist.appendOp(opRecord{Op: "invalidate", Key: req.Key}, s.store)
+		log = s.persist.appendOp(opRecord{Op: "invalidate", Key: req.Key}, s.store)
 	}
+	s.mu.Unlock()
+	s.commitLog(log)
 	return OKResp{OK: ok}
 }
 
+// importEntries journals every entry, then commits once: one fsync for
+// the whole import.
 func (s *Server) importEntries(req EntriesMsg) any {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.store.Import(req.Entries)
+	var log *wal.Log
 	if s.persist != nil {
 		for i := range req.Entries {
-			s.persist.appendOp(opRecord{Op: "commit", Key: req.Entries[i].Key, Entry: &req.Entries[i].Entry}, s.store)
+			if l := s.persist.appendOp(opRecord{Op: "commit", Key: req.Entries[i].Key, Entry: &req.Entries[i].Entry}, s.store); l != nil {
+				log = l
+			}
 		}
 	}
+	s.mu.Unlock()
+	s.commitLog(log)
 	return OKResp{OK: true}
 }
 

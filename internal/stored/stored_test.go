@@ -1,6 +1,6 @@
 // Daemon-side tests: WAL persistence across clean and crashed restarts,
-// the epoch discipline that keeps snapshot and journal crash-consistent,
-// and the drain seal. The endpoint semantics are tested from the client
+// the epoch roll that keeps the one journal crash-consistent, and the
+// drain seal. The endpoint semantics are tested from the client
 // side (internal/store/remote runs the conformance suite over a live
 // daemon), so these tests drive the store through the HTTP surface only
 // where the journaling path is what's under test.
@@ -9,10 +9,12 @@ package stored_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rpg2/internal/store"
@@ -99,10 +101,9 @@ func TestPersistenceCleanRestart(t *testing.T) {
 	srv2.Drain()
 }
 
-// TestPersistenceCrashRecovery: no Drain, no final snapshot — the journal
-// alone (SyncAlways) must rebuild every op folded over the last snapshot,
-// including ops past the snapshot threshold (which exercises an epoch
-// roll mid-run).
+// TestPersistenceCrashRecovery: no Drain, no final roll — the journal
+// (SyncAlways) must rebuild every op folded over its head, including ops
+// past the roll threshold (which exercises an epoch roll mid-run).
 func TestPersistenceCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := stored.New(stored.Config{StateDir: dir, SnapshotEvery: 3, Fsync: wal.SyncAlways})
@@ -137,9 +138,10 @@ func TestPersistenceCrashRecovery(t *testing.T) {
 	srv2.Drain()
 }
 
-// TestStaleJournalIgnored: a journal whose epoch predates the snapshot's
-// (the crash window between a snapshot landing and the journal resetting)
-// must be ignored — its ops are already folded into the snapshot.
+// TestStaleJournalIgnored: a stage file beside the journal is a roll that
+// died before its rename — never the journal recovery reads — so whatever
+// it holds (here an invalidate of a live entry and a stale epoch) must be
+// ignored, and the next roll replaces it.
 func TestStaleJournalIgnored(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := stored.New(stored.Config{StateDir: dir, Fsync: wal.SyncAlways})
@@ -149,15 +151,14 @@ func TestStaleJournalIgnored(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	k := store.Key{Bench: "pr", Input: "uni", Machine: "clx"}
 	commit(t, ts.URL, k, store.Entry{Distance: 3})
-	srv.Drain() // final snapshot at epoch E+1, journal reset to E+1
+	srv.Drain() // a final roll: the entry is the journal's head
 	ts.Close()
 
-	// Forge the post-snapshot/pre-reset crash: rewrite the journal as an
-	// older epoch holding an invalidate that was already folded away.
-	jrnl := filepath.Join(dir, "store-journal.wal")
+	// Forge the crash mid-roll: a stage that would drop the entry.
+	stage := filepath.Join(dir, "store-journal.next")
 	meta, _ := json.Marshal(map[string]any{"op": "epoch", "epoch": 1})
 	op, _ := json.Marshal(map[string]any{"op": "invalidate", "key": k})
-	if err := wal.WriteAtomic(jrnl, [][]byte{meta, op}); err != nil {
+	if err := wal.WriteAtomic(stage, [][]byte{meta, op}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -166,7 +167,57 @@ func TestStaleJournalIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	if srv2.Recovered() != 1 {
-		t.Fatalf("stale journal was replayed: recovered %d entries, want 1", srv2.Recovered())
+		t.Fatalf("stale stage was replayed: recovered %d entries, want 1", srv2.Recovered())
+	}
+	if _, err := os.Stat(stage); !os.IsNotExist(err) {
+		t.Fatalf("the stage file outlived the next roll: %v", err)
+	}
+	srv2.Drain()
+}
+
+// TestRefusesLegacyStateDir: a state dir the two-file layout left behind
+// keeps its entries in store-snapshot.wal, which this binary does not
+// read, so New refuses it — naming the file and both ways out, touching
+// nothing — until Fresh discards it.
+func TestRefusesLegacyStateDir(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "store-snapshot.wal")
+	meta, _ := json.Marshal(map[string]any{"op": "epoch", "epoch": 4})
+	entry, _ := json.Marshal(map[string]any{"op": "entry", "key": store.Key{Bench: "pr"}, "entry": store.Entry{Distance: 3}})
+	if err := wal.WriteAtomic(legacy, [][]byte{meta, entry}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.WriteAtomic(filepath.Join(dir, "store-journal.wal"), [][]byte{meta}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = stored.New(stored.Config{StateDir: dir})
+	if err == nil {
+		t.Fatal("New accepted a two-file state dir")
+	}
+	for _, want := range []string{"store-snapshot.wal", "-fresh", "GET /v1/store/export", "POST /v1/store/import"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not mention %q", err, want)
+		}
+	}
+	if after, err := os.ReadFile(legacy); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refusing New touched the legacy snapshot: %v", err)
+	}
+
+	srv, err := stored.New(stored.Config{StateDir: dir, Fresh: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Drain()
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Fatalf("Fresh left the legacy snapshot behind: %v", err)
+	}
+	srv2, err := stored.New(stored.Config{StateDir: dir})
+	if err != nil {
+		t.Fatalf("restart after Fresh: %v", err)
 	}
 	srv2.Drain()
 }
@@ -235,8 +286,97 @@ func TestStateDirCreated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "store-snapshot.wal")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "store-journal.wal")); err != nil {
 		t.Fatalf("state dir not initialised: %v", err)
+	}
+	srv.Drain()
+}
+
+// TestPrefixRecoverySweep recovers from every state a crash can leave the
+// store daemon's one journal in, across epoch rolls: after each accepted
+// op, the state dir as it stands (a kill -9 there) and every record prefix
+// of its journal that keeps the head (a power cut that kept only part of
+// the tail; under fsync-always a reply means its op is durable, so these
+// are the instants before earlier replies). Each must recover exactly the
+// store as it stood after the ops that prefix holds — never a head from
+// one epoch with another's ops, never a lost acknowledged op.
+func TestPrefixRecoverySweep(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := stored.New(stored.Config{StateDir: dir, SnapshotEvery: 3, Fsync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	journal := filepath.Join(dir, "store-journal.wal")
+	type state struct {
+		journal [][]byte
+		models  [][]store.KeyedEntry // models[m]: the store after the journal's first m ops
+	}
+	var (
+		states []state
+		models = [][]store.KeyedEntry{srv.Store().Export()}
+	)
+	capture := func() {
+		t.Helper()
+		recs, sal, err := wal.ReadAll(journal)
+		if err != nil || !sal.Clean() {
+			t.Fatalf("read the journal: %v (%s)", err, sal)
+		}
+		ops := 0
+		for _, rec := range recs {
+			if bytes.Contains(rec, []byte(`"op":"commit"`)) || bytes.Contains(rec, []byte(`"op":"invalidate"`)) {
+				ops++
+			}
+		}
+		states = append(states, state{journal: recs, models: models[len(models)-1-ops:]})
+	}
+	for i := 0; i < 10; i++ {
+		k := store.Key{Bench: "bfs", Input: string(rune('a' + i%4)), Machine: "clx"}
+		gen := commit(t, ts.URL, k, store.Entry{Distance: 10 + i})
+		models = append(models, srv.Store().Export())
+		capture()
+		if i%3 == 1 {
+			invalidate(t, ts.URL, k, gen)
+			models = append(models, srv.Store().Export())
+			capture()
+		}
+	}
+	rolls := 0
+	for i := 1; i < len(states); i++ {
+		if !bytes.Equal(states[i].journal[0], states[i-1].journal[0]) {
+			rolls++
+		}
+	}
+	if rolls < 2 {
+		t.Fatalf("the run rolled the journal %d times; the sweep needs rolls mid-run", rolls)
+	}
+
+	for i, st := range states {
+		head := len(st.journal) - (len(st.models) - 1)
+		for n := head; n <= len(st.journal); n++ {
+			t.Run(fmt.Sprintf("op=%d/records=%d", i, n), func(t *testing.T) {
+				cut := t.TempDir()
+				if err := wal.WriteAtomic(filepath.Join(cut, "store-journal.wal"), st.journal[:n]); err != nil {
+					t.Fatal(err)
+				}
+				srv2, err := stored.New(stored.Config{StateDir: cut})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv2.Drain()
+				got, want := srv2.Store().Export(), st.models[n-head]
+				if len(got) != len(want) {
+					t.Fatalf("recovered %d entries, want %d", len(got), len(want))
+				}
+				for j := range got {
+					if got[j].Key != want[j].Key || got[j].Entry.Distance != want[j].Entry.Distance {
+						t.Fatalf("entry %d = %+v, want %+v", j, got[j], want[j])
+					}
+				}
+			})
+		}
 	}
 	srv.Drain()
 }

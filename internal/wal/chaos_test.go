@@ -160,30 +160,3 @@ func TestFaultHookGatesWriteAndSync(t *testing.T) {
 		t.Fatalf("payloads = %v", got)
 	}
 }
-
-// WriteAtomicHook with a failing hook must leave the previous file intact.
-func TestWriteAtomicHookPreservesOldFileOnFault(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.wal")
-	if err := WriteAtomic(path, [][]byte{[]byte("old")}); err != nil {
-		t.Fatal(err)
-	}
-	injected := errors.New("injected")
-	err := WriteAtomicHook(path, [][]byte{[]byte("new")}, func(op string) error {
-		if op != "snapshot" {
-			t.Fatalf("hook op = %q, want snapshot", op)
-		}
-		return injected
-	})
-	if !errors.Is(err, injected) {
-		t.Fatalf("WriteAtomicHook = %v, want injected", err)
-	}
-	if got := payloadsOf(t, path); len(got) != 1 || got[0] != "old" {
-		t.Fatalf("old snapshot damaged: %v", got)
-	}
-	if err := WriteAtomicHook(path, [][]byte{[]byte("new")}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := payloadsOf(t, path); len(got) != 1 || got[0] != "new" {
-		t.Fatalf("retry did not replace: %v", got)
-	}
-}

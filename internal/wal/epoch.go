@@ -1,23 +1,21 @@
 package wal
 
 import (
-	"cmp"
 	"os"
 	"path/filepath"
 )
 
-// Epoch rolls. A journal only means something relative to the snapshot it
-// rolls forward from, so both carry an epoch stamp (the caller's record
-// format; this package never parses it) and every fresh start — boot,
-// recovery, re-arm, a periodic store snapshot — moves the pair to E+1 in
-// one order: the caller's snapshot file(s) stamped E+1, written atomically
-// while the epoch-E journal is untouched (Begin); a fresh journal staged
-// beside the live one and stamped E+1 (Begin); whatever the caller seeds
-// it with; sync, rename over the live journal, fsync the directory
-// (Publish). A crash leaves one of two pairings, which Relate names: the
-// E+1 snapshot over the epoch-E journal before the rename, both at E+1
-// after it. The reverse order — reset the journal, then snapshot — would
-// let a crash between the two lose both. DESIGN.md §11.3 has the table.
+// Epoch rolls. A state dir holds one journal, and every fresh start — boot,
+// recovery, re-arm, a periodic roll, a clean close — replaces it whole in
+// one order: a fresh journal staged beside the live one, stamped with the
+// caller's epoch record (this package never parses it) (Begin); whatever
+// the caller writes at its head — the state a restart needs, then the
+// records still owed a future (the caller's seed); sync, rename over the
+// live journal, fsync the directory (Publish). A crash before the rename
+// leaves the old journal whole, one after it the new one; a leftover stage
+// file is a roll that died before its rename, which nothing reads and the
+// next Begin deletes. There is nothing to reconcile. DESIGN.md §11.3 has
+// the table.
 
 // Roll names the two paths one journal's epochs move through, and how the
 // staged journal is opened.
@@ -29,14 +27,13 @@ type Roll struct {
 	Config Config
 }
 
-// Begin runs steps 1 and 2: the caller's snapshot writer, then a fresh
-// journal at Stage holding only stamp. The returned log is open for the
-// caller's seeding; the live journal has not been touched, so on any error
-// (or a crash) the state dir still recovers as it would have before.
-func (r Roll) Begin(stamp []byte, writeSnapshot func() error) (*Log, error) {
-	if err := writeSnapshot(); err != nil {
-		return nil, err
-	}
+// Begin stages a fresh journal at Stage holding only stamp, written but not
+// synced: Publish's sync covers it and whatever the caller writes after
+// it. The returned log is open for the caller's head and seed, and a
+// Commit on it waits for its Publish; the live journal has not been
+// touched, so on any error (or a crash) the state dir still recovers as it
+// would have before.
+func (r Roll) Begin(stamp []byte) (*Log, error) {
 	// A leftover stage file is a roll that died before Publish, superseded.
 	if err := os.Remove(r.Stage); err != nil && !os.IsNotExist(err) {
 		return nil, err
@@ -45,17 +42,20 @@ func (r Roll) Begin(stamp []byte, writeSnapshot func() error) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := log.Append(stamp); err != nil {
+	log.staged = make(chan struct{})
+	if err := log.Write(stamp); err != nil {
 		log.Abort()
 		return nil, err
 	}
 	return log, nil
 }
 
-// Publish runs step 4 for a log Begin returned: flush it, then atomically
-// rename it over the live journal. The open log keeps appending to the
-// same inode — only the name changes — so everything appended before the
-// publish is inside the file when it takes the journal's name.
+// Publish flushes a log Begin returned, then atomically renames it over
+// the live journal and releases every Commit waiting on it. The open log
+// keeps appending to the same inode — only the name changes — so
+// everything written before the publish is inside the file when it takes
+// the journal's name. On an error the waiting Commits stay held until the
+// caller aborts the log.
 func (r Roll) Publish(log *Log) error {
 	if err := log.Sync(); err != nil {
 		return err
@@ -64,6 +64,7 @@ func (r Roll) Publish(log *Log) error {
 		return err
 	}
 	syncDir(filepath.Dir(r.Live))
+	log.publish()
 	return nil
 }
 
@@ -73,31 +74,4 @@ func syncDir(dir string) {
 		d.Sync()
 		d.Close()
 	}
-}
-
-// Relation is how a recovered snapshot's epoch stands to the journal's.
-type Relation uint8
-
-const (
-	// SameEpoch: the journal continues this snapshot; fold its records past
-	// the snapshot's watermark.
-	SameEpoch Relation = iota
-	// SnapshotAhead: a roll died between its snapshot and its publish. The
-	// journal's effects are already inside the snapshot — fold none of them
-	// — but it is still the only record of what step 3 would have re-seeded.
-	SnapshotAhead
-	// JournalAhead: no usable snapshot for the journal's epoch (lost or
-	// damaged); the snapshot cannot vouch for any of the journal.
-	JournalAhead
-)
-
-// Relate compares a snapshot's epoch stamp with a journal's.
-func Relate[E cmp.Ordered](snapshot, journal E) Relation {
-	switch {
-	case snapshot > journal:
-		return SnapshotAhead
-	case snapshot < journal:
-		return JournalAhead
-	}
-	return SameEpoch
 }

@@ -222,6 +222,13 @@ type Log struct {
 	failedSync  int
 	failedCover int
 	failedErr   error
+
+	// staged is open while the log is a Roll's unpublished stage: a Commit
+	// waits for it to close (Publish, or the log closing) before it may
+	// report anything durable, because a record that is on disk under the
+	// stage's name is not yet in the journal recovery reads. Nil for a log
+	// Open returned.
+	staged chan struct{}
 }
 
 var errClosed = errors.New("wal: log is closed")
@@ -320,12 +327,33 @@ func (l *Log) Append(payload []byte) error {
 // when it begins, so concurrent committers share fsyncs, and a caller whose
 // records an earlier fsync already covered touches no disk and consults no
 // FaultHook. A failed fsync is returned to every Commit it was covering; a
-// later Commit tries again.
+// later Commit tries again. On a staged log (Roll.Begin) Commit first waits
+// for the Publish that gives the records the journal's name; that Publish's
+// sync usually covers them.
 func (l *Log) Commit() error {
 	l.mu.Lock()
-	target, seen := l.records, l.syncs
+	target, seen, staged := l.records, l.syncs, l.staged
 	l.mu.Unlock()
+	if staged != nil {
+		<-staged
+		l.mu.Lock()
+		unpublished := l.staged != nil
+		l.mu.Unlock()
+		if unpublished {
+			return errClosed
+		}
+	}
 	return l.fsync(target, seen)
+}
+
+// publish releases the Commits waiting on a staged log.
+func (l *Log) publish() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.staged != nil && !l.closed {
+		close(l.staged)
+		l.staged = nil
+	}
 }
 
 // Sync forces an fsync of everything written so far, covered or not.
@@ -353,9 +381,6 @@ func (l *Log) fsync(target, seen int) error {
 		return err
 	case l.closed:
 		l.mu.Unlock()
-		if target < 0 {
-			return nil
-		}
 		return errClosed
 	}
 	cover := l.records
@@ -392,6 +417,11 @@ func (l *Log) shut() bool {
 		return false
 	}
 	l.closed = true
+	if l.staged != nil {
+		// Never published: wake the waiting Commits, and leave staged set
+		// so they report the log closed.
+		close(l.staged)
+	}
 	return true
 }
 
@@ -487,22 +517,8 @@ func ReadAll(path string) ([][]byte, Salvage, error) {
 
 // WriteAtomic replaces the log at path with exactly the given records,
 // via a temp file, fsync, and rename — either the old file or the
-// complete new one survives a crash, never a mix. Snapshot files use the
-// same framing as the journal so one salvage reader serves both.
-func WriteAtomic(path string, payloads [][]byte) error {
-	return WriteAtomicHook(path, payloads, nil)
-}
-
-// WriteAtomicHook is WriteAtomic with a fault hook consulted (op
-// "snapshot") before the write begins; a non-nil hook error aborts the
-// write with the old file untouched — which is also the failure atomicity
-// a real mid-snapshot disk error would leave behind.
-func WriteAtomicHook(path string, payloads [][]byte, hook func(op string) error) (err error) {
-	if hook != nil {
-		if err := hook("snapshot"); err != nil {
-			return err
-		}
-	}
+// complete new one survives a crash, never a mix.
+func WriteAtomic(path string, payloads [][]byte) (err error) {
 	var buf bytes.Buffer
 	buf.WriteString(header)
 	for _, p := range payloads {
