@@ -35,7 +35,6 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&c.DisableStore, "no-store", false, "disable the profile store (every session cold)")
 	fs.BoolVar(&c.Translate, "translate", false, "on a store miss, seed from a sibling machine's profile with a latency-scaled distance")
 	fs.StringVar(&c.StoreAddr, "store-addr", "", "share an rpg2-stored daemon's profile store at this base URL (e.g. http://127.0.0.1:8049) instead of an in-process store")
-	fs.IntVar(&c.Quota, "quota", 0, "max in-flight sessions per (benchmark, input) pair (0 = unlimited)")
 	fs.IntVar(&c.MaxRetries, "retries", 0, "retry budget for failed/rolled-back sessions (0 = no retry lane)")
 	fs.IntVar(&c.BreakerThreshold, "breaker", 0, "consecutive rollbacks that trip a pair's circuit breaker (0 = off)")
 	fs.Float64Var(&c.WatchdogInterval, "watchdog-interval", 0, "sample tuned sessions every this many simulated seconds for phase drift (0 = watchdog off, byte-identical fleet)")

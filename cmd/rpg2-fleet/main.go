@@ -9,12 +9,12 @@
 //
 //	rpg2-fleet -machine cascadelake -sessions 32 -workers 4
 //	rpg2-fleet -bench pr,bfs -pairs 4 -sessions 24 -journal
-//	rpg2-fleet -sessions 48 -faults 0.2 -retries 2 -quota 2
+//	rpg2-fleet -sessions 48 -faults 0.2 -retries 2 -breaker 2
 //
 // With -state-dir the fleet is crash-safe: every event is journaled to an
-// append-only checksummed WAL and the profile store snapshots alongside
-// it, so a killed run resumes with -resume — committed profiles survive
-// and interrupted sessions re-run:
+// append-only checksummed WAL whose epochs open with the profile store, so
+// a killed run resumes with -resume — committed profiles survive and
+// interrupted sessions re-run:
 //
 //	rpg2-fleet -state-dir ./state -fsync always -sessions 48
 //	rpg2-fleet -state-dir ./state -resume

@@ -101,21 +101,14 @@ func exitErr(err error) {
 	}
 }
 
-// specFlags registers the session-spec flags shared by submit and batch.
-func specFlags(fs *flag.FlagSet) (bench, input, tenant *string, seed *int64, priority *int, cold *bool, seconds *float64) {
-	bench = fs.String("bench", "", "benchmark name (required)")
-	input = fs.String("input", "", "graph/synthetic input (empty for AJ benchmarks)")
-	tenant = fs.String("tenant", "", "tenant the session is accounted to")
-	seed = fs.Int64("seed", 0, "deterministic seed")
-	priority = fs.Int("priority", 0, "admission priority (higher dispatches first)")
-	cold = fs.Bool("cold", false, "skip the profile store for this session")
-	seconds = fs.Float64("seconds", 0, "simulated run budget override (0 = daemon default)")
-	return
-}
-
 func runSubmit(ctx context.Context, cli *fleetclient.Client, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
-	bench, input, tenant, seed, priority, cold, seconds := specFlags(fs)
+	bench := fs.String("bench", "", "benchmark name (required)")
+	input := fs.String("input", "", "graph/synthetic input (empty for AJ benchmarks)")
+	tenant := fs.String("tenant", "", "tenant the session is accounted to")
+	seed := fs.Int64("seed", 0, "deterministic seed")
+	cold := fs.Bool("cold", false, "skip the profile store for this session")
+	seconds := fs.Float64("seconds", 0, "simulated run budget override (0 = daemon default)")
 	wait := fs.Bool("wait", false, "block until the session is terminal and print its outcome")
 	fs.Parse(args)
 	if *bench == "" {
@@ -123,7 +116,7 @@ func runSubmit(ctx context.Context, cli *fleetclient.Client, args []string) erro
 	}
 	spec := fleet.SpecRecord{
 		Bench: *bench, Input: *input, Tenant: *tenant, Seed: *seed,
-		Priority: *priority, Cold: *cold, RunSeconds: *seconds,
+		Cold: *cold, RunSeconds: *seconds,
 	}
 	id, err := cli.Submit(ctx, spec)
 	if err != nil {

@@ -9,13 +9,12 @@
 //	rpg2-fleetd -listen 127.0.0.1:8047 -machine cascadelake -workers 4
 //	rpg2-fleetd -listen :8047 -state-dir ./state -fsync always
 //	rpg2-fleetd -listen :8047 -state-dir ./state -resume
-//	rpg2-fleetd -listen :8047 -tenant-queue 8 -max-queue 64 -tenant-quota 2
+//	rpg2-fleetd -listen :8047 -tenant-queue 8 -max-queue 64
 //
 // Backpressure: -max-queue caps the total waiting sessions and
 // -tenant-queue caps one tenant's share; a submission over either cap is
 // rejected with HTTP 429 and a Retry-After header instead of growing the
-// queue without bound. -tenant-quota additionally bounds each tenant's
-// in-flight sessions.
+// queue without bound.
 //
 // SIGINT/SIGTERM triggers a graceful drain: new submissions get 503,
 // queued sessions journal as cancelled, in-flight sessions finish, the
@@ -39,7 +38,6 @@ func main() {
 	var cfg fleetd.Config
 	var chaos faults.NetConfig
 	listen := flag.String("listen", "127.0.0.1:8047", "address to serve the HTTP API on")
-	flag.IntVar(&fleet.Fleet.TenantQuota, "tenant-quota", 0, "max in-flight sessions per tenant (0 = unlimited)")
 	flag.IntVar(&fleet.Fleet.MaxQueue, "max-queue", 0, "max waiting sessions before submissions get 429 (0 = unbounded)")
 	flag.IntVar(&fleet.Fleet.MaxTenantQueue, "tenant-queue", 0, "max waiting sessions per tenant before its submissions get 429 (0 = unbounded)")
 	flag.IntVar(&cfg.RetryAfterCap, "retry-after-cap", 30, "upper bound on the Retry-After header, in seconds")

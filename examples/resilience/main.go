@@ -1,8 +1,7 @@
 // Example resilience exercises the fleet's admission-control layer under a
 // deterministic 25% fault injection rate: the retry lane re-admits failed
-// sessions with exponential backoff on a virtual clock, per-pair quotas
-// keep one workload from monopolising the pool, and a circuit breaker
-// parks sessions on a pair that keeps rolling back.
+// sessions with exponential backoff on a virtual clock, and a circuit
+// breaker parks sessions on a pair that keeps rolling back.
 package main
 
 import (
@@ -25,8 +24,6 @@ func main() {
 		// 0.5 s then 1 s of virtual time; retries run cold with a fresh
 		// derived seed.
 		MaxRetries: 2,
-		// At most two in-flight sessions per (benchmark, input) pair.
-		Quota: 2,
 		// Four consecutive rollbacks on one pair open its breaker.
 		BreakerThreshold: 4,
 	})
@@ -38,8 +35,6 @@ func main() {
 		specs = append(specs, rpg2.SessionSpec{
 			Bench: benches[i%len(benches)],
 			Seed:  int64(i + 1),
-			// Every fourth session is urgent; aging keeps the rest moving.
-			Priority: 3 * (i % 4 / 3),
 		})
 	}
 	sessions, err := f.Run(specs)

@@ -1,13 +1,13 @@
 // Package admission is the fleet's scheduling and resilience layer: the
 // policy that decides which submitted session a free worker runs next. It
-// replaces the fleet's original FIFO channel with four cooperating
+// replaces the fleet's original FIFO channel with three cooperating
 // mechanisms:
 //
-//   - a priority scheduler: items carry an explicit priority, and waiting
-//     items age (one effective priority point per agingStep dispatches), so
-//     low-priority work is delayed, never starved;
-//   - per-key admission quotas: at most Quota sessions per (bench, input)
-//     key in flight at once, so one workload cannot monopolise the pool;
+//   - an aged FIFO order: a waiting item gains one point per agingStep
+//     dispatches it has waited, and the highest score dispatches first,
+//     submission order breaking ties — so a retry promoted from the lane
+//     queues behind work that has waited a full step longer, and ahead of
+//     newer work;
 //   - a retry lane with capped exponential backoff, driven by a
 //     deterministic virtual clock (seconds that advance only when a
 //     dispatch consumes a backoff wait — never wall time), re-admitting
@@ -27,22 +27,15 @@ package admission
 
 import "sort"
 
-// Key is the quota and breaker domain: one (bench, input) workload.
+// Key is the breaker domain: one (bench, input) workload.
 type Key struct {
 	Bench string `json:"bench"`
 	Input string `json:"input,omitempty"`
 }
 
 // Config tunes the scheduler. The zero value is a plain FIFO queue:
-// no quotas, no retries, no aging pressure, no breaker.
+// no retries, no re-tunes, no breaker.
 type Config struct {
-	// Quota bounds in-flight items per key (0 = unlimited).
-	Quota int
-	// TenantQuota bounds in-flight items per tenant (0 = unlimited), so a
-	// single submitter cannot monopolise the worker pool no matter how many
-	// distinct workloads it spreads its sessions over. Items with an empty
-	// tenant are exempt (they belong to no one to protect against).
-	TenantQuota int
 	// MaxRetries is the per-item retry budget (0 = no retry lane).
 	MaxRetries int
 	// BreakerThreshold is the consecutive-rollback count that trips a
@@ -64,8 +57,8 @@ const (
 	// backoffBase·2^(n-1), capped at backoffCap.
 	backoffBase = 0.5
 	backoffCap  = 8.0
-	// agingStep is how many dispatches raise a waiting item's effective
-	// priority by one.
+	// agingStep is how many dispatches raise a waiting item's score by
+	// one.
 	agingStep = 8
 	// breakerCooldown is how long a tripped breaker stays open before
 	// admitting a half-open trial.
@@ -79,11 +72,10 @@ const (
 // Item is one schedulable unit. The fleet stores its *Session in Payload;
 // the queue never inspects it.
 type Item struct {
-	ID       int
-	Key      Key
-	Priority int
-	// Tenant names the submitter the item is accounted to for tenant
-	// quotas and queue-depth tracking ("" = untenanted, exempt from both).
+	ID  int
+	Key Key
+	// Tenant names the submitter the item's queue depth is accounted to
+	// ("" = untenanted, not tracked).
 	Tenant string
 	// Breakable items participate in the circuit breaker (the fleet sets
 	// this for optimize jobs; reference-scheme jobs pass through).
@@ -129,9 +121,6 @@ type Stats struct {
 	Retries int `json:"retries,omitempty"`
 	// BackoffWait is the total virtual seconds consumed by backoff.
 	BackoffWait float64 `json:"backoff_wait,omitempty"`
-	// QuotaStalls counts dispatch attempts that went empty-handed while
-	// work was queued, because every eligible item's key was at quota.
-	QuotaStalls int `json:"quota_stalls,omitempty"`
 	// BreakerTrips counts breaker openings (including half-open re-trips).
 	BreakerTrips int `json:"breaker_trips,omitempty"`
 	// Clock is the current virtual time in seconds.
@@ -150,14 +139,12 @@ type breaker struct {
 type Queue struct {
 	cfg Config
 
-	ready    []*Item // scanned for the best effective priority
+	ready    []*Item // scanned for the best score
 	retries  []*Item // retry lane, kept sorted by due time
-	inflight map[Key]int
 	breakers map[Key]*breaker
-	// tenantInflight and tenantDepth account non-empty tenants: items a
-	// tenant has running, and items it has waiting (ready + retry lane).
-	tenantInflight map[string]int
-	tenantDepth    map[string]int
+	// tenantDepth counts the items each non-empty tenant has waiting
+	// (ready + retry lane).
+	tenantDepth map[string]int
 
 	clock      float64
 	dispatches int
@@ -168,11 +155,9 @@ type Queue struct {
 // NewQueue builds an empty scheduler.
 func NewQueue(cfg Config) *Queue {
 	return &Queue{
-		cfg:            cfg,
-		inflight:       make(map[Key]int),
-		breakers:       make(map[Key]*breaker),
-		tenantInflight: make(map[string]int),
-		tenantDepth:    make(map[string]int),
+		cfg:         cfg,
+		breakers:    make(map[Key]*breaker),
+		tenantDepth: make(map[string]int),
 	}
 }
 
@@ -337,27 +322,13 @@ func (q *Queue) ReplayBreaker(k Key, open bool) {
 	}
 }
 
-// quotaFull reports whether a key has no in-flight slot left.
-func (q *Queue) quotaFull(k Key) bool {
-	return q.cfg.Quota > 0 && q.inflight[k] >= q.cfg.Quota
-}
-
-// tenantFull reports whether a tenant has no in-flight slot left.
-func (q *Queue) tenantFull(tenant string) bool {
-	return q.cfg.TenantQuota > 0 && tenant != "" &&
-		q.tenantInflight[tenant] >= q.cfg.TenantQuota
-}
-
-// blocked reports whether an item cannot dispatch right now because of a
-// key or tenant ceiling.
-func (q *Queue) blocked(it *Item) bool {
-	return q.quotaFull(it.Key) || q.tenantFull(it.Tenant)
-}
-
-// effective is an item's aged priority: explicit priority plus one point
-// per agingStep dispatches spent waiting.
-func (q *Queue) effective(it *Item) int {
-	return it.Priority + (q.dispatches-it.waitedAt)/agingStep
+// score is an item's aging bucket: one point per agingStep dispatches
+// spent waiting since it entered the ready queue. It is not plain list
+// order: a retry promoted from the lane restarts at zero, so it dispatches
+// after fresh work that has waited a full step longer and, by seq, before
+// fresh work that has not.
+func (q *Queue) score(it *Item) int {
+	return (q.dispatches - it.waitedAt) / agingStep
 }
 
 // promoteDue moves retry-lane items whose due time has arrived into the
@@ -375,21 +346,18 @@ func (q *Queue) promoteDue() {
 	q.retries = kept
 }
 
-// pick scans the ready queue for the best admissible item. It reports
-// whether a quota ceiling (rather than emptiness) blocked the dispatch.
-func (q *Queue) pick() (best *Item, quotaBlocked bool) {
-	bestEff := 0
+// pick returns the ready item with the best score, the lowest seq among
+// equals (nil when nothing is ready).
+func (q *Queue) pick() *Item {
+	var best *Item
+	bestScore := 0
 	for _, it := range q.ready {
-		if q.blocked(it) {
-			quotaBlocked = true
-			continue
-		}
-		eff := q.effective(it)
-		if best == nil || eff > bestEff || (eff == bestEff && it.seq < best.seq) {
-			best, bestEff = it, eff
+		sc := q.score(it)
+		if best == nil || sc > bestScore || (sc == bestScore && it.seq < best.seq) {
+			best, bestScore = it, sc
 		}
 	}
-	return best, quotaBlocked
+	return best
 }
 
 // remove drops an item from the ready queue.
@@ -402,14 +370,10 @@ func (q *Queue) remove(it *Item) {
 	}
 }
 
-// dispatch finalises a pick: quota accounting, breaker parking, counters.
+// dispatch finalises a pick: depth accounting, breaker parking, counters.
 func (q *Queue) dispatch(it *Item, waited float64) (Decision, bool) {
 	q.remove(it)
 	q.depthAdd(it.Tenant, -1)
-	q.inflight[it.Key]++
-	if it.Tenant != "" {
-		q.tenantInflight[it.Tenant]++
-	}
 	q.dispatches++
 	d := Decision{Item: it, Waited: waited}
 	if it.Breakable && q.cfg.BreakerThreshold > 0 {
@@ -427,50 +391,24 @@ func (q *Queue) dispatch(it *Item, waited float64) (Decision, bool) {
 }
 
 // Pop hands the caller the next dispatch, if any. When nothing is ready
-// but the retry lane holds an admissible item, the virtual clock jumps to
-// its due time — the deterministic stand-in for sleeping out the backoff.
-// A false return means the caller must wait for an in-flight completion
-// (quota or breaker-trial slots to free) or for new submissions.
+// but the retry lane holds an item, the virtual clock jumps to the lane's
+// earliest due time — the deterministic stand-in for sleeping out the
+// backoff. A false return means nothing is waiting at all.
 func (q *Queue) Pop() (Decision, bool) {
 	q.promoteDue()
-	if it, _ := q.pick(); it != nil {
+	if it := q.pick(); it != nil {
 		return q.dispatch(it, 0)
 	}
-	// Nothing ready: advance the clock to the earliest retry whose key
-	// and tenant have a free slot, if any. The lane is sorted by due time,
-	// so the first admissible item is the one a real scheduler would wake
-	// for.
-	for _, it := range q.retries {
-		if q.blocked(it) {
-			continue
-		}
-		waited := it.due - q.clock
-		if waited < 0 {
-			waited = 0
-		}
-		q.clock = it.due
-		q.stats.BackoffWait += waited
-		q.promoteDue()
-		if picked, _ := q.pick(); picked != nil {
-			return q.dispatch(picked, waited)
-		}
-		break
+	if len(q.retries) == 0 {
+		return Decision{}, false
 	}
-	if _, quotaBlocked := q.pick(); quotaBlocked || q.blockedRetries() {
-		q.stats.QuotaStalls++
-	}
-	return Decision{}, false
-}
-
-// blockedRetries reports whether the retry lane is non-empty but entirely
-// quota-blocked.
-func (q *Queue) blockedRetries() bool {
-	for _, it := range q.retries {
-		if q.blocked(it) {
-			return true
-		}
-	}
-	return false
+	// promoteDue left only items due after now, and the lane is sorted by
+	// due time, so its head is the one a real scheduler would wake for.
+	waited := q.retries[0].due - q.clock
+	q.clock = q.retries[0].due
+	q.stats.BackoffWait += waited
+	q.promoteDue()
+	return q.dispatch(q.pick(), waited)
 }
 
 // EvictWhere removes and returns the first waiting item whose payload
@@ -494,20 +432,6 @@ func (q *Queue) EvictWhere(pred func(payload any) bool) (*Item, bool) {
 		}
 	}
 	return nil, false
-}
-
-// ReleaseItem returns the key quota slot and the tenant quota slot an item
-// occupied; call once per Pop'd item after it finishes (or is parked).
-func (q *Queue) ReleaseItem(it *Item) {
-	if q.inflight[it.Key] > 0 {
-		q.inflight[it.Key]--
-	}
-	if it.Tenant != "" && q.tenantInflight[it.Tenant] > 0 {
-		q.tenantInflight[it.Tenant]--
-		if q.tenantInflight[it.Tenant] == 0 {
-			delete(q.tenantInflight, it.Tenant)
-		}
-	}
 }
 
 // Backoff returns the wait attempt n (1-based) would be scheduled with.

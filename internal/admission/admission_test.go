@@ -2,8 +2,8 @@ package admission
 
 import "testing"
 
-func item(id int, k Key, prio int) *Item {
-	return &Item{ID: id, Key: k, Priority: prio, Breakable: true}
+func item(id int, k Key) *Item {
+	return &Item{ID: id, Key: k, Breakable: true}
 }
 
 // pop pops and returns the dispatched item, failing if the queue had
@@ -29,109 +29,72 @@ func evictAll(q *Queue) (*Item, bool) { return q.EvictWhere(func(any) bool { ret
 func TestZeroConfigIsFIFO(t *testing.T) {
 	q := NewQueue(Config{})
 	for i := 0; i < 8; i++ {
-		q.Push(item(i, Key{Bench: "pr"}, 0))
+		q.Push(item(i, Key{Bench: "pr"}))
 	}
 	for i := 0; i < 8; i++ {
-		it := pop(t, q)
-		if it.ID != i {
-			t.Fatalf("dispatch %d: got item %d, want FIFO order", i, it.ID)
+		if got := popID(t, q); got != i {
+			t.Fatalf("dispatch %d: got item %d, want FIFO order", i, got)
 		}
-		q.ReleaseItem(it)
 	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop succeeded on an empty queue")
 	}
 	s := q.Stats()
-	if s.Retries != 0 || s.QuotaStalls != 0 || s.BreakerTrips != 0 || s.Clock != 0 {
+	if s.Retries != 0 || s.BreakerTrips != 0 || s.Clock != 0 {
 		t.Fatalf("zero-config queue accrued policy stats: %+v", s)
 	}
 }
 
-func TestPriorityOrderWithFIFOTiebreak(t *testing.T) {
-	q := NewQueue(Config{}) // four dispatches < agingStep: explicit priority alone
-	q.Push(item(0, Key{Bench: "a"}, 0))
-	q.Push(item(1, Key{Bench: "b"}, 5))
-	q.Push(item(2, Key{Bench: "c"}, 5))
-	q.Push(item(3, Key{Bench: "d"}, 1))
-	want := []int{1, 2, 3, 0} // high priority first, equal priority by seq
-	for i, w := range want {
-		if got := popID(t, q); got != w {
-			t.Fatalf("dispatch %d: got item %d, want %d", i, got, w)
+// TestAgedOrder pins the one order rule the queue keeps: a waiting item's
+// score is its aging bucket, the highest score dispatches first, and seq
+// breaks ties. A retry r (seq 0) is promoted from the lane after fresh
+// work f has already waited gap dispatches. Within one bucket r goes first
+// by seq, which a plain FIFO pick (f is ahead of r in the ready list) gets
+// wrong; once f has waited a full agingStep longer it goes first, which a
+// lowest-seq pick gets wrong.
+func TestAgedOrder(t *testing.T) {
+	for _, tc := range []struct {
+		gap   int
+		first int // ID dispatched first: r=0, f=1
+	}{
+		{gap: 0, first: 0},
+		{gap: agingStep - 1, first: 0},
+		{gap: agingStep, first: 1},
+		{gap: 2*agingStep + 3, first: 1},
+	} {
+		q := NewQueue(Config{MaxRetries: 1})
+		r := item(0, Key{Bench: "retry"})
+		q.Push(r)
+		pop(t, q)
+		if _, _, ok := q.Retry(r); !ok {
+			t.Fatal("retry refused")
 		}
-	}
-}
-
-// starveRound pushes a priority-0 item, then one fresh priority-10 item and
-// one dispatch per round, and returns the round the low item dispatched in
-// (-1 if it did not within rounds).
-func starveRound(t *testing.T, rounds int) int {
-	q := NewQueue(Config{})
-	q.Push(item(999, Key{Bench: "low"}, 0))
-	for round := 0; round < rounds; round++ {
-		q.Push(item(round, Key{Bench: "hi"}, 10))
-		if popID(t, q) == 999 {
-			return round
+		// gap fillers ahead of f (lower seq, same bucket) dispatch first,
+		// so f waits exactly gap dispatches before r is promoted.
+		for i := 0; i < tc.gap; i++ {
+			q.Push(item(100+i, Key{Bench: "filler"}))
 		}
-	}
-	return -1
-}
-
-func TestAgingPreventsStarvation(t *testing.T) {
-	// A priority-0 item waits while priority-10 items keep arriving; its
-	// effective priority gains a point every agingStep dispatches, so after
-	// 10·agingStep dispatches it ties the fresh item and wins on seq.
-	if got := starveRound(t, 10*agingStep+1); got < 0 {
-		t.Fatalf("low-priority item starved for %d rounds despite aging", 10*agingStep+1)
-	}
-}
-
-func TestAgingNeverPromotesEarly(t *testing.T) {
-	// Before 10·agingStep dispatches the low item must still wait.
-	if got := starveRound(t, 10*agingStep); got != -1 {
-		t.Fatalf("round %d: aged item dispatched before its priority caught up", got)
-	}
-}
-
-func TestQuotaBoundsInflightPerKey(t *testing.T) {
-	q := NewQueue(Config{Quota: 2})
-	k := Key{Bench: "pr", Input: "soc"}
-	other := Key{Bench: "bfs"}
-	for i := 0; i < 4; i++ {
-		q.Push(item(i, k, 0))
-	}
-	q.Push(item(10, other, 0))
-
-	first := pop(t, q)
-	if first.ID != 0 {
-		t.Fatalf("first dispatch: got %d", first.ID)
-	}
-	if got := popID(t, q); got != 1 {
-		t.Fatalf("second dispatch: got %d", got)
-	}
-	// k is at quota: the other key's item dispatches instead.
-	if got := popID(t, q); got != 10 {
-		t.Fatalf("third dispatch: got %d, want the unblocked key's item", got)
-	}
-	// Everything left is quota-blocked: Pop stalls and counts it.
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop dispatched past the quota ceiling")
-	}
-	if s := q.Stats(); s.QuotaStalls != 1 {
-		t.Fatalf("QuotaStalls = %d, want 1", s.QuotaStalls)
-	}
-	// Releasing one slot frees the next item.
-	q.ReleaseItem(first)
-	if got := popID(t, q); got != 2 {
-		t.Fatalf("post-release dispatch: got %d, want 2", got)
+		q.Push(item(1, Key{Bench: "fresh"}))
+		for i := 0; i < tc.gap; i++ {
+			if got := popID(t, q); got != 100+i {
+				t.Fatalf("gap %d: filler dispatch %d got item %d", tc.gap, i, got)
+			}
+		}
+		q.clock = r.due // r's backoff is over: the next Pop promotes it
+		if got := popID(t, q); got != tc.first {
+			t.Fatalf("gap %d: item %d dispatched first, want %d", tc.gap, got, tc.first)
+		}
+		if got := popID(t, q); got != 1-tc.first {
+			t.Fatalf("gap %d: item %d dispatched second, want %d", tc.gap, got, 1-tc.first)
+		}
 	}
 }
 
 func TestRetryBackoffAndVirtualClock(t *testing.T) {
 	q := NewQueue(Config{MaxRetries: 3})
-	it := item(1, Key{Bench: "pr"}, 0)
+	it := item(1, Key{Bench: "pr"})
 	q.Push(it)
-	d, _ := q.Pop()
-	q.ReleaseItem(d.Item)
+	pop(t, q)
 
 	// First retry: backoffBase (0.5 s) from clock 0.
 	backoff, due, ok := q.Retry(it)
@@ -142,27 +105,24 @@ func TestRetryBackoffAndVirtualClock(t *testing.T) {
 		t.Fatalf("Attempt = %d, want 1", it.Attempt)
 	}
 	// Nothing ready: Pop must jump the virtual clock to the due time.
-	d, ok = q.Pop()
+	d, ok := q.Pop()
 	if !ok || d.Item != it {
 		t.Fatal("retry item did not dispatch")
 	}
 	if d.Waited != 0.5 || q.Stats().Clock != 0.5 {
 		t.Fatalf("waited=%v clock=%v, want 0.5/0.5", d.Waited, q.Stats().Clock)
 	}
-	q.ReleaseItem(d.Item)
 
 	// Exponential doubling: attempt 2 waits 1.0 s.
 	if backoff, due, _ = q.Retry(it); backoff != 1.0 || due != 1.5 {
 		t.Fatalf("retry 2: backoff=%v due=%v, want 1.0/1.5", backoff, due)
 	}
-	d, _ = q.Pop()
-	q.ReleaseItem(d.Item)
+	pop(t, q)
 	// Attempt 3 waits 2.0 s and exhausts the budget.
 	if backoff, _, _ = q.Retry(it); backoff != 2.0 {
 		t.Fatalf("retry 3: backoff=%v, want 2.0", backoff)
 	}
-	d, _ = q.Pop()
-	q.ReleaseItem(d.Item)
+	pop(t, q)
 	if _, _, ok = q.Retry(it); ok {
 		t.Fatal("retry 4 admitted past MaxRetries=3")
 	}
@@ -191,7 +151,7 @@ func TestBackoffCap(t *testing.T) {
 
 func TestRetryDisabledByDefault(t *testing.T) {
 	q := NewQueue(Config{})
-	it := item(1, Key{}, 0)
+	it := item(1, Key{})
 	q.Push(it)
 	q.Pop()
 	if _, _, ok := q.Retry(it); ok {
@@ -216,12 +176,11 @@ func TestBreakerTripParkHalfOpenClose(t *testing.T) {
 	}
 
 	// Before the cooldown expires, breakable items park.
-	q.Push(item(1, k, 0))
+	q.Push(item(1, k))
 	d, ok := q.Pop()
 	if !ok || !d.Parked {
 		t.Fatalf("expected a parked dispatch, got %+v ok=%v", d, ok)
 	}
-	q.ReleaseItem(d.Item)
 	if d.Item.ID != 1 || d.HalfOpen {
 		t.Fatalf("parked dispatch %+v, want item 1 and no trial", d)
 	}
@@ -232,10 +191,9 @@ func TestBreakerTripParkHalfOpenClose(t *testing.T) {
 	// Put the probe in the retry lane and move the clock to reopenAt:
 	// the cooldown has expired, and the next dispatch is the single
 	// half-open trial.
-	probe := item(2, k, 0)
+	probe := item(2, k)
 	q.Push(probe)
 	d, _ = q.Pop()
-	q.ReleaseItem(d.Item)
 	if !d.Parked { // clock still 0 < reopenAt = breakerCooldown
 		t.Fatal("pre-cooldown dispatch was not parked")
 	}
@@ -248,13 +206,11 @@ func TestBreakerTripParkHalfOpenClose(t *testing.T) {
 		t.Fatalf("expected the half-open trial, got %+v ok=%v", d, ok)
 	}
 	// While the trial is in flight, further items still park.
-	q.Push(item(3, k, 0))
+	q.Push(item(3, k))
 	d2, _ := q.Pop()
 	if !d2.Parked {
 		t.Fatal("second dispatch during half-open trial was not parked")
 	}
-	q.ReleaseItem(d.Item)
-	q.ReleaseItem(d2.Item)
 
 	// The trial succeeds: breaker closes.
 	if _, closed := q.Report(k, Success); !closed {
@@ -263,7 +219,7 @@ func TestBreakerTripParkHalfOpenClose(t *testing.T) {
 	if q.OpenBreakers() != 0 {
 		t.Fatal("breaker still open after close")
 	}
-	q.Push(item(4, k, 0))
+	q.Push(item(4, k))
 	if d, _ := q.Pop(); d.Parked {
 		t.Fatal("dispatch parked after the breaker closed")
 	}
@@ -276,18 +232,17 @@ func TestBreakerHalfOpenRollbackReopens(t *testing.T) {
 		t.Fatal("threshold-1 breaker did not trip")
 	}
 	q.clock = breakerCooldown + 1
-	q.Push(item(1, k, 0))
+	q.Push(item(1, k))
 	d, _ := q.Pop()
 	if !d.HalfOpen {
 		t.Fatal("post-cooldown dispatch was not the half-open trial")
 	}
-	q.ReleaseItem(d.Item)
 	opened, _ := q.Report(k, Rollback)
 	if !opened {
 		t.Fatal("rolled-back trial did not re-open the breaker")
 	}
 	// The cooldown restarted: items park again.
-	q.Push(item(2, k, 0))
+	q.Push(item(2, k))
 	if d, _ := q.Pop(); !d.Parked {
 		t.Fatal("dispatch after a failed trial was not parked")
 	}
@@ -300,7 +255,7 @@ func TestNonBreakableItemsIgnoreOpenBreaker(t *testing.T) {
 	q := NewQueue(Config{BreakerThreshold: 1})
 	k := Key{Bench: "pr"}
 	q.Report(k, Rollback)
-	it := item(1, k, 0)
+	it := item(1, k)
 	it.Breakable = false // e.g. a baseline or sweep job on the same pair
 	q.Push(it)
 	if d, _ := q.Pop(); d.Parked {
@@ -310,12 +265,11 @@ func TestNonBreakableItemsIgnoreOpenBreaker(t *testing.T) {
 
 func TestEvictDrainsReadyThenRetries(t *testing.T) {
 	q := NewQueue(Config{MaxRetries: 2})
-	a := item(1, Key{Bench: "a"}, 0)
-	b := item(2, Key{Bench: "b"}, 0)
+	a := item(1, Key{Bench: "a"})
+	b := item(2, Key{Bench: "b"})
 	q.Push(a)
 	q.Push(b)
-	d, _ := q.Pop() // dispatch a
-	q.ReleaseItem(d.Item)
+	pop(t, q)  // dispatch a
 	q.Retry(a) // a now sits in the retry lane
 
 	if it, ok := evictAll(q); !ok || it != b {
@@ -332,34 +286,6 @@ func TestEvictDrainsReadyThenRetries(t *testing.T) {
 	}
 }
 
-func TestQuotaBlockedRetryDoesNotAdvanceClock(t *testing.T) {
-	q := NewQueue(Config{Quota: 1, MaxRetries: 2})
-	k := Key{Bench: "pr"}
-	a := item(1, k, 0)
-	b := item(2, k, 0)
-	q.Push(b)
-	q.ReleaseItem(pop(t, q)) // b runs once...
-	q.Retry(b)               // ...and lands in the retry lane
-	q.Push(a)
-	pop(t, q) // a in flight, holding k's only slot
-	// b waits in the retry lane but its key is at quota: the clock must
-	// not jump, and Pop must report a stall.
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop dispatched a quota-blocked retry")
-	}
-	if q.Stats().Clock != 0 {
-		t.Fatalf("clock advanced to %v for a quota-blocked retry", q.Stats().Clock)
-	}
-	q.ReleaseItem(a)
-	d, ok := q.Pop()
-	if !ok || d.Item != b {
-		t.Fatal("released slot did not admit the retry")
-	}
-	if q.Stats().Clock == 0 {
-		t.Fatal("clock did not advance when the retry became admissible")
-	}
-}
-
 // TestExportImportRoundTrip: the persistable scheduler state survives a
 // round trip into a fresh queue, and an imported open breaker still parks
 // work exactly like the one that was exported.
@@ -368,9 +294,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	q := NewQueue(cfg)
 	k := Key{Bench: "pr", Input: "kron"}
 	for i := 0; i < 2; i++ {
-		it := item(i+1, k, 0)
-		q.Push(it)
-		q.ReleaseItem(pop(t, q))
+		q.Push(item(i+1, k))
+		pop(t, q)
 		q.Report(k, Rollback)
 	}
 	st := q.Export()
@@ -385,7 +310,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 		got.Clock != st.Clock || got.Stats != st.Stats {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, st)
 	}
-	q2.Push(item(9, k, 0))
+	q2.Push(item(9, k))
 	if d, ok := q2.Pop(); !ok || !d.Parked {
 		t.Fatalf("imported open breaker did not park: parked=%v ok=%v", d.Parked, ok)
 	}
@@ -424,56 +349,13 @@ func TestReplayBreakerEdges(t *testing.T) {
 	}
 }
 
-// TestTenantQuotaCapsDispatch: with TenantQuota=2, a tenant with three
-// waiting items across three distinct keys dispatches only two, while an
-// untenanted item (and another tenant's item) still flow.
-func TestTenantQuotaCapsDispatch(t *testing.T) {
-	q := NewQueue(Config{TenantQuota: 2})
-	for i := 0; i < 3; i++ {
-		it := item(i, Key{Bench: "a", Input: string(rune('x' + i))}, 5)
-		it.Tenant = "alice"
-		q.Push(it)
-	}
-	bob := item(10, Key{Bench: "b"}, 0)
-	bob.Tenant = "bob"
-	q.Push(bob)
-	q.Push(item(20, Key{Bench: "c"}, 0)) // untenanted: exempt
-
-	if got := popID(t, q); got != 0 {
-		t.Fatalf("first dispatch = %d, want alice/0", got)
-	}
-	if got := popID(t, q); got != 1 {
-		t.Fatalf("second dispatch = %d, want alice/1", got)
-	}
-	// Alice is at her quota: her third item must be skipped in favour of
-	// bob and the untenanted item despite its higher priority.
-	if got := popID(t, q); got != 10 {
-		t.Fatalf("third dispatch = %d, want bob/10 (alice at quota)", got)
-	}
-	if got := popID(t, q); got != 20 {
-		t.Fatalf("fourth dispatch = %d, want untenanted/20", got)
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("alice's third item dispatched while she was at quota")
-	}
-	if q.Stats().QuotaStalls == 0 {
-		t.Fatal("tenant-blocked Pop did not count a quota stall")
-	}
-	// Releasing one of alice's items frees the slot.
-	first := &Item{ID: 0, Key: Key{Bench: "a", Input: "x"}, Tenant: "alice"}
-	q.ReleaseItem(first)
-	if got := popID(t, q); got != 2 {
-		t.Fatalf("post-release dispatch = %d, want alice/2", got)
-	}
-}
-
 // TestTenantDepthAccounting: depth follows Push/dispatch/Retry/EvictWhere, and
 // zeroed tenants are dropped from the map.
 func TestTenantDepthAccounting(t *testing.T) {
 	q := NewQueue(Config{MaxRetries: 2})
-	a := item(1, Key{Bench: "a"}, 0)
+	a := item(1, Key{Bench: "a"})
 	a.Tenant = "alice"
-	b := item(2, Key{Bench: "b"}, 0)
+	b := item(2, Key{Bench: "b"})
 	b.Tenant = "bob"
 	q.Push(a)
 	q.Push(b)
@@ -511,29 +393,11 @@ func TestTenantDepthAccounting(t *testing.T) {
 	}
 }
 
-// TestUntenantedExemptFromTenantQuota: empty tenants never block even with
-// TenantQuota=1.
-func TestUntenantedExemptFromTenantQuota(t *testing.T) {
-	q := NewQueue(Config{TenantQuota: 1})
-	for i := 0; i < 4; i++ {
-		q.Push(item(i, Key{Bench: "a", Input: string(rune('0' + i))}, 0))
-	}
-	for i := 0; i < 4; i++ {
-		if got := popID(t, q); got != i {
-			t.Fatalf("dispatch %d = %d; untenanted items must be exempt", i, got)
-		}
-	}
-	if q.TenantDepths() != nil {
-		t.Fatal("untenanted items leaked into tenant depth accounting")
-	}
-}
-
 func TestRetuneLaneFixedDelayAndBudget(t *testing.T) {
 	q := NewQueue(Config{MaxRetunes: 2})
-	it := item(1, Key{Bench: "bc-drift"}, 0)
+	it := item(1, Key{Bench: "bc-drift"})
 	q.Push(it)
 	d, _ := q.Pop()
-	q.ReleaseItem(d.Item)
 
 	// First re-tune: fixed retuneDelay (0.5 s) from clock 0.
 	delay, due, ok := q.Retune(it, 0)
@@ -547,14 +411,12 @@ func TestRetuneLaneFixedDelayAndBudget(t *testing.T) {
 	if !ok || d.Item != it {
 		t.Fatal("re-tuned item did not dispatch")
 	}
-	q.ReleaseItem(d.Item)
 
 	// Second re-tune: same fixed delay, no exponential growth.
 	if delay, _, _ = q.Retune(it, 1); delay != retuneDelay {
 		t.Fatalf("retune 2: delay=%v, want fixed 0.5", delay)
 	}
 	d, _ = q.Pop()
-	q.ReleaseItem(d.Item)
 	if _, _, ok = q.Retune(it, 2); ok || q.CanRetune(2) {
 		t.Fatal("retune 3 admitted past MaxRetunes=2")
 	}
@@ -566,7 +428,7 @@ func TestRetuneLaneFixedDelayAndBudget(t *testing.T) {
 
 func TestRetuneDisabledByDefault(t *testing.T) {
 	q := NewQueue(Config{MaxRetries: 3})
-	it := item(1, Key{}, 0)
+	it := item(1, Key{})
 	q.Push(it)
 	q.Pop()
 	if _, _, ok := q.Retune(it, 0); ok {
@@ -577,24 +439,21 @@ func TestRetuneDisabledByDefault(t *testing.T) {
 func TestRetuneIndependentOfRetryBudget(t *testing.T) {
 	// An item that exhausted its retries can still re-tune, and vice versa.
 	q := NewQueue(Config{MaxRetries: 1, MaxRetunes: 1})
-	it := item(1, Key{Bench: "pr"}, 0)
+	it := item(1, Key{Bench: "pr"})
 	q.Push(it)
-	d, _ := q.Pop()
-	q.ReleaseItem(d.Item)
+	pop(t, q)
 
 	if _, _, ok := q.Retry(it); !ok {
 		t.Fatal("retry 1 refused")
 	}
-	d, _ = q.Pop()
-	q.ReleaseItem(d.Item)
+	pop(t, q)
 	if _, _, ok := q.Retry(it); ok {
 		t.Fatal("retry 2 admitted past budget")
 	}
 	if _, _, ok := q.Retune(it, 0); !ok {
 		t.Fatal("re-tune refused after retries were spent")
 	}
-	d, _ = q.Pop()
-	q.ReleaseItem(d.Item)
+	pop(t, q)
 	if it.Attempt != 1 {
 		t.Fatalf("Attempt=%d, want 1", it.Attempt)
 	}
@@ -604,8 +463,7 @@ func TestRetuneTenantDepthAccounting(t *testing.T) {
 	q := NewQueue(Config{MaxRetunes: 1})
 	it := &Item{ID: 1, Key: Key{Bench: "bc-drift"}, Tenant: "team-a", Breakable: true}
 	q.Push(it)
-	d, _ := q.Pop()
-	q.ReleaseItem(d.Item)
+	pop(t, q)
 	if got := q.TenantDepth("team-a"); got != 0 {
 		t.Fatalf("depth after pop = %d, want 0", got)
 	}
@@ -615,8 +473,7 @@ func TestRetuneTenantDepthAccounting(t *testing.T) {
 	if got := q.TenantDepth("team-a"); got != 1 {
 		t.Fatalf("depth after re-tune = %d, want 1 (lane must be depth-accounted)", got)
 	}
-	d, _ = q.Pop()
-	q.ReleaseItem(d.Item)
+	pop(t, q)
 	if got := q.TenantDepth("team-a"); got != 0 {
 		t.Fatalf("depth after re-dispatch = %d, want 0", got)
 	}

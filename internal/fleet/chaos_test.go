@@ -7,6 +7,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -15,6 +16,7 @@ import (
 
 	"rpg2/internal/faults"
 	"rpg2/internal/machine"
+	rpgcore "rpg2/internal/rpg2"
 	"rpg2/internal/wal"
 )
 
@@ -291,7 +293,11 @@ func TestChaosRearmArcHeals(t *testing.T) {
 // goes), then dies abruptly — simulated by tearing the WAL tail at a
 // fault-injector-chosen offset, exactly what a kill -9 mid-append leaves
 // behind. Recovery must account for every session the surviving journal
-// knows, finish the unfinished, and keep the salvaged store usable.
+// knows, finish the unfinished, and keep the salvaged store usable. One
+// session is still in flight at the kill, so the surviving journal always
+// knows it: an epoch holds open sessions only, and a re-arm that lands
+// after every other session has finished would otherwise leave nothing to
+// recover.
 func TestChaosKillUnderActiveDiskFaults(t *testing.T) {
 	const sessions = 32
 	dir := t.TempDir()
@@ -301,8 +307,26 @@ func TestChaosKillUnderActiveDiskFaults(t *testing.T) {
 		StateDir: dir, Fsync: wal.SyncAlways, SnapshotEvery: 1 << 30,
 		DiskFaults: disk, RearmBackoff: 8,
 	})
+	entered, release := make(chan struct{}), make(chan struct{})
+	hold := rpgcore.Config{FaultHook: func(stage string) error {
+		if stage != "profile" {
+			return nil
+		}
+		close(entered)
+		<-release
+		return errors.New("the process is gone")
+	}}
+	held, err := f.Submit(SessionSpec{Bench: "is", Seed: 1000, Config: &hold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
 	chaosSubmit(t, f, sessions)
-	f.Drain()
+	for _, s := range f.Sessions() {
+		if s != held {
+			<-s.Finished()
+		}
+	}
 
 	// Simulated kill -9: tear the journal's tail mid-record and never run
 	// the clean-close path. (If an injected fault has the WAL degraded at
@@ -363,6 +387,7 @@ func TestChaosKillUnderActiveDiskFaults(t *testing.T) {
 
 	// Shut the crashed fleet down last; its state dir writes no longer
 	// matter.
+	close(release)
 	f.Close()
 }
 

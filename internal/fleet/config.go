@@ -60,13 +60,6 @@ type Config struct {
 	// --- Admission & resilience knobs (internal/admission). The zero
 	// value of every knob reproduces the original FIFO fleet exactly. ---
 
-	// Quota bounds concurrent in-flight sessions per (bench, input) so
-	// one workload cannot monopolise the worker pool (0 = unlimited).
-	Quota int
-	// TenantQuota bounds concurrent in-flight sessions per tenant (0 =
-	// unlimited; untenanted sessions are exempt), so one submitter cannot
-	// monopolise the pool by spreading over many workloads.
-	TenantQuota int
 	// MaxQueue bounds the total number of waiting sessions: Submit
 	// returns an *OverloadError (429 through the daemon) instead of
 	// growing the queue past it (0 = unbounded, the pre-daemon

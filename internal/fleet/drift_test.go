@@ -348,20 +348,21 @@ func TestSecondCrashKeepsRetuneLane(t *testing.T) {
 		}
 		return e
 	}
-	queued := func(id, prio int, run float64) Event {
+	queued := func(id int, run float64) Event {
 		return rec(id, "queued", func(e *Event) {
-			e.State, e.Priority = Queued.String(), prio
-			e.Spec = &SpecRecord{Bench: "is", Seed: int64(id + 1), Priority: prio, RunSeconds: run}
+			e.State = Queued.String()
+			e.Spec = &SpecRecord{Bench: "is", Seed: int64(id + 1), RunSeconds: run}
 		})
 	}
 	state := func(id int, st State) Event {
 		return rec(id, "state", func(e *Event) { e.State = st.String() })
 	}
 	events := []Event{
-		// Session 0 outranks session 1 and runs long, so under one worker
-		// session 1 is still waiting when the state dir is read back below.
-		queued(0, 10, 20),
-		queued(1, 0, 0),
+		// Recovery re-admits in old-ID order, so under one worker session
+		// 0 dispatches first and runs long: session 1 is still waiting when
+		// the state dir is read back below.
+		queued(0, 20),
+		queued(1, 0),
 		rec(1, "admitted", nil),
 		state(1, Profiling), state(1, Rewriting), state(1, Tuning), state(1, Done),
 		rec(1, "drift-detected", func(e *Event) { e.Retune, e.Windows = 1, 3 }),

@@ -62,8 +62,6 @@ func newFleet(cfg Config) *Fleet {
 		store:   cfg.Store,
 		journal: NewJournal(),
 		sched: admission.NewQueue(admission.Config{
-			Quota:            cfg.Quota,
-			TenantQuota:      cfg.TenantQuota,
 			MaxRetries:       cfg.MaxRetries,
 			MaxRetunes:       cfg.MaxRetunes,
 			BreakerThreshold: cfg.BreakerThreshold,
@@ -164,7 +162,6 @@ func (f *Fleet) submit(spec SessionSpec, attempt int, enforceCaps bool) (*Sessio
 	s.item = &admission.Item{
 		ID:        s.ID,
 		Key:       admission.Key{Bench: spec.Bench, Input: spec.Input},
-		Priority:  spec.Priority,
 		Breakable: spec.Kind == OptimizeJob,
 		Payload:   s,
 		Attempt:   attempt,
@@ -181,8 +178,7 @@ func (f *Fleet) submit(spec SessionSpec, attempt int, enforceCaps bool) (*Sessio
 	ev := Event{
 		Session: s.ID, Type: "queued", Kind: spec.Kind.String(),
 		Bench: spec.Bench, Input: spec.Input, Machine: s.machineName,
-		State: Queued.String(), Priority: spec.Priority, Attempt: attempt,
-		Tenant: spec.Tenant,
+		State: Queued.String(), Attempt: attempt, Tenant: spec.Tenant,
 	}
 	if f.cfg.StateDir != "" {
 		// The replayable spec rides the WAL so recovery can re-admit this
@@ -305,7 +301,7 @@ func (f *Fleet) Snapshot() Snapshot {
 	snap := Snapshot{
 		Workers: f.cfg.Workers, QueuePeak: f.queuePeak,
 		QueueDepth: f.sched.Len(), TenantQueue: f.sched.TenantDepths(),
-		Retries: sched.Retries, BackoffWaitSecs: sched.BackoffWait, QuotaStalls: sched.QuotaStalls,
+		Retries: sched.Retries, BackoffWaitSecs: sched.BackoffWait,
 		BreakerTrips: sched.BreakerTrips, BreakersOpen: f.sched.OpenBreakers(),
 		Breakers: f.sched.Breakers(), VirtualClock: sched.Clock,
 	}
@@ -337,9 +333,9 @@ func (f *Fleet) Snapshot() Snapshot {
 func (f *Fleet) Builds() *workloads.BuildCache { return f.cfg.Builds }
 
 // worker pulls dispatch decisions from the admission scheduler until the
-// fleet is closed and fully drained. A false Pop means everything waiting
-// is quota-blocked (or nothing is waiting): the worker sleeps until a
-// completion or submission changes the picture.
+// fleet is closed and fully drained. A false Pop means nothing is waiting:
+// the worker sleeps until a submission, or a completion's retry or
+// re-tune, changes the picture.
 func (f *Fleet) worker() {
 	defer f.workers.Done()
 	for {
@@ -350,7 +346,7 @@ func (f *Fleet) worker() {
 			if dec, ok = f.sched.Pop(); ok {
 				break
 			}
-			if f.closed && f.sched.Empty() && f.inflight == 0 {
+			if f.closed && f.inflight == 0 {
 				f.mu.Unlock()
 				f.cond.Broadcast()
 				return
@@ -362,7 +358,7 @@ func (f *Fleet) worker() {
 
 		s := dec.Item.Payload.(*Session)
 		ev := s.event("admitted")
-		ev.Attempt, ev.Priority, ev.Wait = dec.Item.Attempt, s.Spec.Priority, dec.Waited
+		ev.Attempt, ev.Wait = dec.Item.Attempt, dec.Waited
 		f.journal.add(ev)
 		if dec.Parked {
 			f.parkSession(s)
@@ -372,7 +368,6 @@ func (f *Fleet) worker() {
 		f.tendPersist()
 
 		f.mu.Lock()
-		f.sched.ReleaseItem(dec.Item)
 		f.inflight--
 		f.mu.Unlock()
 		f.cond.Broadcast()

@@ -53,6 +53,10 @@ type sessionFold struct {
 	// admitted and ended are the Wall stamps of the attempt's admission and
 	// of the terminal record.
 	admitted, ended float64
+
+	// first is the Seq of the session's first record, idx its place in
+	// fold.order.
+	first, idx int
 }
 
 // apply folds one of the session's records in. The transition rule for
@@ -133,6 +137,11 @@ func (sf *sessionFold) wall() float64 {
 // records Snapshot counts fleet-wide without their being a session outcome.
 type fold struct {
 	sessions map[int]*sessionFold
+	// order lists the sessions by their first record. Every session before
+	// order[open] is closed, so an epoch roll finds the oldest pending
+	// session's first record without walking the whole history.
+	order    []*sessionFold
+	open     int
 	bypasses map[string]int // store-bypass records by reason
 	drift    int            // drift-detected records
 	windows  int            // their detection windows, summed
@@ -163,10 +172,26 @@ func (fd *fold) apply(e Event) {
 		if fd.sessions == nil {
 			fd.sessions = make(map[int]*sessionFold)
 		}
-		sf = &sessionFold{}
+		sf = &sessionFold{first: e.Seq, idx: len(fd.order)}
 		fd.sessions[e.Session] = sf
+		fd.order = append(fd.order, sf)
 	}
 	sf.apply(e)
+	if sf.idx < fd.open && sf.pending() {
+		fd.open = sf.idx // re-opened: a retry, a re-tune, a cancellation
+	}
+}
+
+// oldestPending is the Seq of the first record of the oldest session still
+// pending, or -1 when none is.
+func (fd *fold) oldestPending() int {
+	for fd.open < len(fd.order) && !fd.order[fd.open].pending() {
+		fd.open++
+	}
+	if fd.open == len(fd.order) {
+		return -1
+	}
+	return fd.order[fd.open].first
 }
 
 // tally fills the journal's half of a Snapshot: sessions submitted (one

@@ -179,7 +179,8 @@ func TestAuxJobKinds(t *testing.T) {
 		t.Fatalf("activation rate %f with no optimize sessions", snap.ActivationRate)
 	}
 	for _, s := range got {
-		evs := f.Journal().SessionEvents(s.ID)
+		// The submitter's queued record races the worker's (DESIGN.md §11.4).
+		evs := queuedFirst(t, s.ID, f.Journal().SessionEvents(s.ID))
 		if evs[0].Type != "queued" || evs[0].Kind != s.Spec.Kind.String() {
 			t.Fatalf("session %d first event %+v", s.ID, evs[0])
 		}

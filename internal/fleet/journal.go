@@ -55,8 +55,6 @@ type Event struct {
 	// Reason is why a "store-bypass" session skipped the store entirely:
 	// "cold" (Spec.Cold), "retry" (re-profile attempt), or "disabled".
 	Reason string `json:"reason,omitempty"`
-	// Priority is the session's admission priority ("queued", "admitted").
-	Priority int `json:"priority,omitempty"`
 	// Attempt is the retry-lane attempt index the event belongs to
 	// (0, omitted, for a session's first admission).
 	Attempt int `json:"attempt,omitempty"`

@@ -58,7 +58,6 @@ type SpecRecord struct {
 	Bench             string                 `json:"bench"`
 	Input             string                 `json:"input,omitempty"`
 	Kind              uint8                  `json:"kind,omitempty"`
-	Priority          int                    `json:"priority,omitempty"`
 	Machine           string                 `json:"machine,omitempty"`
 	Seed              int64                  `json:"seed,omitempty"`
 	Cold              bool                   `json:"cold,omitempty"`
@@ -78,7 +77,7 @@ type SpecRecord struct {
 func RecordSpec(spec SessionSpec) *SpecRecord {
 	r := &SpecRecord{
 		Bench: spec.Bench, Input: spec.Input, Kind: uint8(spec.Kind),
-		Priority: spec.Priority, Seed: spec.Seed, Cold: spec.Cold,
+		Seed: spec.Seed, Cold: spec.Cold,
 		RunSeconds: spec.RunSeconds, TailSeconds: spec.TailSeconds,
 		TailWindows: spec.TailWindows, TailWindowSeconds: spec.TailWindowSeconds,
 		Distance: spec.Distance, Candidates: spec.Candidates,
@@ -96,7 +95,7 @@ func RecordSpec(spec SessionSpec) *SpecRecord {
 func (r *SpecRecord) Spec() SessionSpec {
 	s := SessionSpec{
 		Bench: r.Bench, Input: r.Input, Kind: Kind(r.Kind),
-		Priority: r.Priority, Seed: r.Seed, Cold: r.Cold,
+		Seed: r.Seed, Cold: r.Cold,
 		RunSeconds: r.RunSeconds, TailSeconds: r.TailSeconds,
 		TailWindows: r.TailWindows, TailWindowSeconds: r.TailWindowSeconds,
 		Distance: r.Distance, Candidates: r.Candidates,
@@ -283,11 +282,13 @@ func (p *persister) startEpoch(j *Journal, capture func() liveState) error {
 // them) and the store and breaker records past w0, which the head's export
 // may predate (store mutations precede their journal events, so none at or
 // below w0 can), and swapped in: the next event flows through the sink into
-// it. Until the publish, recovery reads the old journal, and a commit on
-// the stage waits for the publish (wal.Log.Commit). Injected disk faults
-// (Config.DiskFaults) arm once the first stage is seeded: birth either
-// succeeds or degrades permanently, so the injector targets the steady
-// state the re-arm machinery can heal.
+// it. The scan starts at the oldest pending session's first record, or just
+// past w0 if that is earlier; a closing roll keeps every session's history
+// and scans from the start. Until the publish, recovery reads the old
+// journal, and a commit on the stage waits for the publish
+// (wal.Log.Commit). Injected disk faults (Config.DiskFaults) arm once the
+// first stage is seeded: birth either succeeds or degrades permanently, so
+// the injector targets the steady state the re-arm machinery can heal.
 func (p *persister) beginEpoch(j *Journal, capture func() liveState) error {
 	w0 := j.LastSeq()
 	st := capture()
@@ -310,7 +311,14 @@ func (p *persister) beginEpoch(j *Journal, capture func() liveState) error {
 	}
 	var seedErr error
 	j.withLock(func(events []Event, fd *fold) {
-		for _, e := range events {
+		from := 0
+		if !st.final {
+			from = w0 + 1
+			if seq := fd.oldestPending(); seq >= 0 && seq < from {
+				from = seq
+			}
+		}
+		for _, e := range events[from:] {
 			switch e.Type {
 			case "store-commit", "store-invalidate", "breaker-open", "breaker-closed":
 				if e.Seq <= w0 {

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -274,6 +275,56 @@ func TestCleanCloseRecover(t *testing.T) {
 	}
 	if !rec.JournalSalvage.Clean() {
 		t.Fatalf("clean close reported salvage: %s", rec.JournalSalvage)
+	}
+}
+
+// TestRecoverOlderPriorityJournal: a state dir written while sessions
+// still carried an admission priority and the scheduler counted quota
+// stalls recovers. Its queued records (event and spec) carry "priority",
+// its head's scheduler stats "quota_stalls"; the WAL decode ignores both,
+// and the two sessions are re-admitted and dispatched in submission order,
+// although the later one was submitted at the higher priority.
+func TestRecoverOlderPriorityJournal(t *testing.T) {
+	dir := t.TempDir()
+	recs := []string{
+		`{"wal":"journal","epoch":1,"seq":2}`,
+		`{"sched":{"stats":{"quota_stalls":3}}}`,
+		`{"seq":0,"wall":0.001,"session":0,"type":"queued","bench":"is","kind":"optimize","machine":"cascadelake","state":"queued","priority":10,"spec":{"bench":"is","priority":10,"seed":1,"run_seconds":-1}}`,
+		`{"seq":1,"wall":0.002,"session":1,"type":"queued","bench":"cg","kind":"optimize","machine":"cascadelake","state":"queued","priority":30,"spec":{"bench":"cg","priority":30,"seed":2,"run_seconds":-1}}`,
+	}
+	payloads := make([][]byte, len(recs))
+	for i, r := range recs {
+		payloads[i] = []byte(r)
+	}
+	if err := wal.WriteAtomic(filepath.Join(dir, journalFile), payloads); err != nil {
+		t.Fatal(err)
+	}
+
+	f, rec, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if len(rec.Requeued) != 2 || rec.Requeued[0].Spec.Bench != "is" || rec.Requeued[1].Spec.Bench != "cg" {
+		t.Fatalf("requeued %+v, want is then cg", rec.Requeued)
+	}
+	f.Drain()
+	var order []int
+	for _, e := range f.Journal().Events() {
+		if e.Type == "admitted" {
+			order = append(order, e.Session)
+		}
+	}
+	if want := []int{rec.Requeued[0].ID, rec.Requeued[1].ID}; !slices.Equal(order, want) {
+		t.Fatalf("dispatch order %v, want submission order %v", order, want)
+	}
+	for _, s := range rec.Requeued {
+		if !s.State().Terminal() || s.State() == Failed {
+			t.Fatalf("recovered session %d ended %v (err %v)", s.ID, s.State(), s.Err())
+		}
+	}
+	if n := f.Snapshot().QuotaStalls; n != 0 {
+		t.Fatalf("recovered fleet reports %d quota stalls, want 0", n)
 	}
 }
 

@@ -62,11 +62,11 @@ func TestFaultInjectionResilience(t *testing.T) {
 		t.Fatal("20% fault rate failed nothing; the baseline proves nothing")
 	}
 
-	// Same specs, same injector seed, plus a retry budget and quotas.
+	// Same specs, same injector seed, plus a retry budget.
 	f := New(Config{
 		Machine: machine.CascadeLake(), Workers: 4,
 		Faults:     faults.New(faults.Config{Seed: 7, Rate: 0.2}),
-		MaxRetries: 3, Quota: 2,
+		MaxRetries: 3,
 	})
 	defer f.Close()
 	got, err := f.Run(stressSpecs(sessions, 1))
@@ -116,58 +116,6 @@ func containsStr(haystack, needle string) bool {
 		}
 	}
 	return false
-}
-
-// TestQuotaBoundViaJournal replays the journal and asserts the admission
-// invariant directly: at no point are more than Quota attempts of one
-// (bench, input) pair between their "admitted" event and the event that
-// ends the attempt.
-func TestQuotaBoundViaJournal(t *testing.T) {
-	const quota = 2
-	f := New(Config{
-		Machine: machine.CascadeLake(), Workers: 8,
-		Quota:      quota,
-		Faults:     faults.New(faults.Config{Seed: 3, Rate: 0.15}),
-		MaxRetries: 2,
-	})
-	defer f.Close()
-	// Two pairs only, so eight workers must contend for 2×quota slots.
-	specs := make([]SessionSpec, 24)
-	for i := range specs {
-		specs[i] = SessionSpec{Bench: "is", Seed: int64(i + 1)}
-		if i%2 == 1 {
-			specs[i] = SessionSpec{Bench: "cg", Seed: int64(i + 1)}
-		}
-	}
-	if _, err := f.Run(specs); err != nil {
-		t.Fatal(err)
-	}
-
-	type key struct{ bench, input string }
-	inflight := make(map[key]int)
-	running := make(map[int]bool) // session currently between admitted and attempt end
-	for _, e := range f.Journal().Events() {
-		k := key{e.Bench, e.Input}
-		switch e.Type {
-		case "admitted":
-			inflight[k]++
-			running[e.Session] = true
-			if inflight[k] > quota {
-				t.Fatalf("journal shows %d in-flight attempts for %v (quota %d) at seq %d",
-					inflight[k], k, quota, e.Seq)
-			}
-		case "session-done", "session-degraded", "session-failed", "retry-scheduled":
-			// The first attempt-ending event releases the slot; a
-			// "retry-scheduled" after "session-failed" must not double-free.
-			if running[e.Session] {
-				inflight[k]--
-				running[e.Session] = false
-			}
-		}
-	}
-	if snap := f.Snapshot(); snap.QuotaStalls == 0 {
-		t.Fatalf("8 workers over 2 quota-%d pairs never stalled: %+v", quota, snap)
-	}
 }
 
 // TestBreakerDegradesSessions forces consecutive rollbacks with an
@@ -220,17 +168,15 @@ func TestBreakerDegradesSessions(t *testing.T) {
 	}
 }
 
-// TestPriorityOrdersDispatch holds the single worker hostage with a
-// blocking fault hook, submits a low-priority batch then a high-priority
-// straggler, and asserts the straggler is admitted first once the worker
-// frees up.
-func TestPriorityOrdersDispatch(t *testing.T) {
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	blockOnce := rpgcore.Config{FaultHook: func(stage string) error {
+// TestMaxQueueRefusesPastCap: with the only worker busy, MaxQueue sessions
+// wait and the next submission is refused with a global OverloadError that
+// admits nothing; once the queue drains, submissions are admitted again.
+func TestMaxQueueRefusesPastCap(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	block := rpgcore.Config{FaultHook: func(stage string) error {
 		if stage == "profile" {
 			select {
-			case <-entered: // already signalled: later attempts pass through
+			case <-entered:
 			default:
 				close(entered)
 				<-release
@@ -238,34 +184,29 @@ func TestPriorityOrdersDispatch(t *testing.T) {
 		}
 		return nil
 	}}
-
-	f := New(Config{Machine: machine.CascadeLake(), Workers: 1})
+	f := New(Config{Machine: machine.CascadeLake(), Workers: 1, MaxQueue: 2})
 	defer f.Close()
-	if _, err := f.Submit(SessionSpec{Bench: "is", Seed: 1, Config: &blockOnce}); err != nil {
+	if _, err := f.Submit(SessionSpec{Bench: "is", Seed: 1, Config: &block, RunSeconds: -1}); err != nil {
 		t.Fatal(err)
 	}
-	<-entered // the worker is now parked inside session 0
-
-	low, err := f.Submit(SessionSpec{Bench: "cg", Seed: 2, Priority: 0})
-	if err != nil {
-		t.Fatal(err)
+	<-entered // the worker is held inside session 0; the queue is empty
+	for i := 0; i < 2; i++ {
+		if _, err := f.Submit(SessionSpec{Bench: "cg", Seed: int64(2 + i), RunSeconds: -1}); err != nil {
+			t.Fatalf("submission %d under the cap: %v", i, err)
+		}
 	}
-	high, err := f.Submit(SessionSpec{Bench: "randacc", Seed: 3, Priority: 5})
-	if err != nil {
-		t.Fatal(err)
+	_, err := f.Submit(SessionSpec{Bench: "cg", Seed: 9, RunSeconds: -1})
+	var over *OverloadError
+	if !errors.Is(err, ErrOverloaded) || !errors.As(err, &over) || over.Scope != "global" || over.Depth != 2 || over.Cap != 2 {
+		t.Fatalf("submission past the cap = %v, want a global overload at depth 2", err)
+	}
+	if n := len(f.Sessions()); n != 3 {
+		t.Fatalf("refused submission admitted a session: %d sessions", n)
 	}
 	close(release)
 	f.Drain()
-
-	var order []int
-	for _, e := range f.Journal().Events() {
-		if e.Type == "admitted" {
-			order = append(order, e.Session)
-		}
-	}
-	want := []int{0, high.ID, low.ID}
-	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
-		t.Fatalf("admission order %v, want %v", order, want)
+	if _, err := f.Submit(SessionSpec{Bench: "cg", Seed: 9, RunSeconds: -1}); err != nil {
+		t.Fatalf("submission after the drain: %v", err)
 	}
 }
 
@@ -372,7 +313,7 @@ func TestJournalEventOrdering(t *testing.T) {
 	f := New(Config{
 		Machine: machine.CascadeLake(), Workers: 8,
 		Faults:     faults.New(faults.Config{Seed: 11, Rate: 0.2}),
-		MaxRetries: 2, Quota: 3, BreakerThreshold: 4,
+		MaxRetries: 2, BreakerThreshold: 4,
 	})
 	defer f.Close()
 	if _, err := f.Run(stressSpecs(sessions, 100)); err != nil {

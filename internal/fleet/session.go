@@ -131,11 +131,6 @@ type SessionSpec struct {
 	Input string
 	// Kind selects the job type (default OptimizeJob).
 	Kind Kind
-	// Priority orders admission: higher-priority sessions dispatch first.
-	// Equal priorities dispatch in submission order, and waiting sessions
-	// age (every 8 dispatches raise a waiting session's effective priority
-	// by one) so low priority delays work but cannot starve it.
-	Priority int
 	// Machine, when non-nil, overrides the fleet's machine for this
 	// session. The profile store is keyed on the effective machine, so
 	// the same bench on two machines never cross-seeds.
@@ -173,10 +168,9 @@ type SessionSpec struct {
 	Sweep *baselines.SweepConfig
 	// ProfileSeconds is ProfileJob's sampling window (default 2 s).
 	ProfileSeconds float64
-	// Tenant names the submitter for per-tenant admission quotas and
-	// queue-depth backpressure (Config.TenantQuota, MaxTenantQueue). The
-	// empty tenant is exempt from both, so untenanted fleets behave
-	// exactly as before the field existed.
+	// Tenant names the submitter for per-tenant queue-depth backpressure
+	// (Config.MaxTenantQueue). The empty tenant is exempt, so untenanted
+	// fleets behave exactly as before the field existed.
 	Tenant string
 }
 

@@ -326,3 +326,106 @@ func TestRearmedJournalRecoversLikeNeverDegraded(t *testing.T) {
 		}
 	}
 }
+
+// TestRollScanMatchesFullScan: a roll scans the journal from the oldest
+// pending session's first record (or from just past w0), not from seq 0.
+// Over a long history of finished sessions, with a session that re-opens
+// after the roll has moved past it, a cancelled one, open ones and store
+// and breaker records on both sides of w0, every stage must hold byte for
+// byte what a scan of the whole history writes — the closing roll's
+// included.
+func TestRollScanMatchesFullScan(t *testing.T) {
+	j := NewJournal()
+	add := func(id int, types ...string) {
+		for _, typ := range types {
+			e := Event{Session: id, Type: typ, Bench: "is"}
+			if typ == "session-failed" {
+				e.Err = "boom"
+			}
+			j.add(e)
+		}
+	}
+	finished := func(from, to int) {
+		for id := from; id < to; id++ {
+			add(id, "queued", "admitted", "session-done")
+			if id%97 == 0 {
+				add(-1, "store-commit", "breaker-open")
+			}
+		}
+	}
+	add(0, "queued", "admitted", "session-failed") // re-opened after the first roll
+	finished(1, 1500)
+	j.add(Event{Session: 1500, Type: "queued"})
+	j.add(Event{Session: 1500, Type: "session-failed", Err: ErrCanceled.Error()})
+	finished(1501, 3000)
+	add(3000, "queued", "admitted") // still open
+
+	dir := t.TempDir()
+	p, err := openPersister(dir, Config{Fsync: wal.SyncOnClose})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roll := func(final bool) {
+		t.Helper()
+		w0 := j.LastSeq()
+		st := liveState{nextID: 3001, final: final}
+		capture := func() liveState {
+			// Records landing between w0 and the scan.
+			add(-1, "store-commit", "breaker-closed")
+			add(3000, "state")
+			return st
+		}
+		old := p.log
+		if err := p.beginEpoch(j, capture); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := wal.ReadAll(filepath.Join(dir, journalStageFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := encodeHead(p.epoch, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fd fold
+		events := j.Events()
+		for _, e := range events {
+			fd.apply(e)
+		}
+		for _, e := range events {
+			switch e.Type {
+			case "store-commit", "store-invalidate", "breaker-open", "breaker-closed":
+				if e.Seq <= w0 {
+					continue
+				}
+			default:
+				if e.Session < 0 || !final && !fd.sessions[e.Session].pending() {
+					continue
+				}
+			}
+			want = append(want, eventRecords(t, []Event{e})...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("final=%v: stage holds %d records, a full scan writes %d", final, len(got), len(want))
+		}
+		for i := range want {
+			if string(got[i]) != string(want[i]) {
+				t.Fatalf("final=%v: stage record %d = %s, a full scan writes %s", final, i, got[i], want[i])
+			}
+		}
+		if err := p.roll().Publish(p.log); err != nil {
+			t.Fatal(err)
+		}
+		if old != nil {
+			old.Abort()
+		}
+	}
+	roll(false)
+	add(0, "retry-scheduled") // behind the scan's start since the last roll
+	finished(3001, 3200)
+	roll(false)
+	add(0, "admitted", "session-done")
+	roll(false)
+	roll(true)
+	p.log.Close()
+}

@@ -164,6 +164,24 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesPriority: sessions no longer carry an admission
+// priority, and the submit decode is strict, so a spec that still sends
+// one is refused with a 400 naming the field, and nothing is queued.
+func TestSubmitRefusesPriority(t *testing.T) {
+	srv, _ := newTestDaemon(t, fleetd.Config{Fleet: fleet.Config{
+		Machine: machine.CascadeLake(), Workers: 1,
+	}})
+	w := httptest.NewRecorder()
+	body := bytes.NewReader([]byte(`{"bench":"is","seed":1,"priority":10}`))
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sessions", body))
+	if w.Code != http.StatusBadRequest || !bytes.Contains(w.Body.Bytes(), []byte(`priority`)) {
+		t.Fatalf("submit with a priority answered %d (%s), want 400 naming the field", w.Code, w.Body)
+	}
+	if n := len(srv.Fleet().Sessions()); n != 0 {
+		t.Fatalf("refused submit queued %d sessions", n)
+	}
+}
+
 // TestDrainEndsStreamsAndRefusesSubmits: a drain delivers the full
 // journal to open streams, ends them cleanly (Stream returns nil), and
 // turns later submissions into 503s. The streamed history must be dense.

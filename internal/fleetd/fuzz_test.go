@@ -75,7 +75,7 @@ func FuzzFleetdSubmit(f *testing.F) {
 	for _, body := range []string{
 		`{"bench":"is"}`,
 		`{"bench":"is"}` + "\n",
-		`{"bench":"bfs","input":"soc-gamma","kind":2,"priority":3,"machine":"haswell","seed":7,"cold":true,"run_seconds":1.5,"candidates":[4,8],"tenant":"alice"}`,
+		`{"bench":"bfs","input":"soc-gamma","kind":2,"machine":"haswell","seed":7,"cold":true,"run_seconds":1.5,"candidates":[4,8],"tenant":"alice"}`,
 		`{"bench":"is"}{"bench":"cg"}`,
 		`{"bench":"is"} garbage`,
 		`{"bench":"is","x":1}`,

@@ -271,7 +271,7 @@ const (
 type FleetRecovery = fleet.Recovery
 
 // RecoverFleet rebuilds a crashed (or cleanly closed) fleet from its state
-// dir: the profile store, the scheduler's breaker/retry/quota posture, and
+// dir: the profile store, the scheduler's breaker and retry posture, and
 // every session that was queued or in flight when the process died — the
 // latter re-admitted (an interrupted in-flight attempt re-runs cold with a
 // derived seed). The returned fleet is live; Drain it to finish the
