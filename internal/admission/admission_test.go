@@ -45,47 +45,62 @@ func TestZeroConfigIsFIFO(t *testing.T) {
 	}
 }
 
-// TestAgedOrder pins the one order rule the queue keeps: a waiting item's
+// agedFirst pins the one order rule the queue keeps: a waiting item's
 // score is its aging bucket, the highest score dispatches first, and seq
-// breaks ties. A retry r (seq 0) is promoted from the lane after fresh
-// work f has already waited gap dispatches. Within one bucket r goes first
-// by seq, which a plain FIFO pick (f is ahead of r in the ready list) gets
-// wrong; once f has waited a full agingStep longer it goes first, which a
-// lowest-seq pick gets wrong.
-func TestAgedOrder(t *testing.T) {
-	for _, tc := range []struct {
-		gap   int
-		first int // ID dispatched first: r=0, f=1
-	}{
-		{gap: 0, first: 0},
-		{gap: agingStep - 1, first: 0},
-		{gap: agingStep, first: 1},
-		{gap: 2*agingStep + 3, first: 1},
-	} {
-		q := NewQueue(Config{MaxRetries: 1})
-		r := item(0, Key{Bench: "retry"})
-		q.Push(r)
-		pop(t, q)
-		if _, _, ok := q.Retry(r); !ok {
-			t.Fatal("retry refused")
+// breaks ties. A retry r (ID 0, seq 0) is promoted from the lane after
+// fresh work f (ID 1) has already waited gap dispatches; agedFirst returns
+// the ID dispatched first of the two, after checking the other follows.
+func agedFirst(t *testing.T, gap int) int {
+	t.Helper()
+	q := NewQueue(Config{MaxRetries: 1})
+	r := item(0, Key{Bench: "retry"})
+	q.Push(r)
+	pop(t, q)
+	if _, _, ok := q.Retry(r); !ok {
+		t.Fatal("retry refused")
+	}
+	// gap fillers ahead of f (lower seq, same bucket) dispatch first,
+	// so f waits exactly gap dispatches before r is promoted.
+	for i := 0; i < gap; i++ {
+		q.Push(item(100+i, Key{Bench: "filler"}))
+	}
+	q.Push(item(1, Key{Bench: "fresh"}))
+	for i := 0; i < gap; i++ {
+		if got := popID(t, q); got != 100+i {
+			t.Fatalf("gap %d: filler dispatch %d got item %d", gap, i, got)
 		}
-		// gap fillers ahead of f (lower seq, same bucket) dispatch first,
-		// so f waits exactly gap dispatches before r is promoted.
-		for i := 0; i < tc.gap; i++ {
-			q.Push(item(100+i, Key{Bench: "filler"}))
-		}
-		q.Push(item(1, Key{Bench: "fresh"}))
-		for i := 0; i < tc.gap; i++ {
-			if got := popID(t, q); got != 100+i {
-				t.Fatalf("gap %d: filler dispatch %d got item %d", tc.gap, i, got)
-			}
-		}
-		q.clock = r.due // r's backoff is over: the next Pop promotes it
-		if got := popID(t, q); got != tc.first {
-			t.Fatalf("gap %d: item %d dispatched first, want %d", tc.gap, got, tc.first)
-		}
-		if got := popID(t, q); got != 1-tc.first {
-			t.Fatalf("gap %d: item %d dispatched second, want %d", tc.gap, got, 1-tc.first)
+	}
+	q.clock = r.due // r's backoff is over: the next Pop promotes it
+	first := popID(t, q)
+	if second := popID(t, q); first+second != 1 {
+		t.Fatalf("gap %d: items %d then %d dispatched, want r and f", gap, first, second)
+	}
+	return first
+}
+
+// TestPriorityOrderWithFIFOTiebreak: within one aging bucket the retry goes
+// first by seq, which a plain FIFO pick (f is ahead of r in the ready list)
+// gets wrong.
+func TestPriorityOrderWithFIFOTiebreak(t *testing.T) {
+	if got := agedFirst(t, 0); got != 0 {
+		t.Fatalf("item %d dispatched first, want the lower-seq retry", got)
+	}
+}
+
+// TestAgingNeverPromotesEarly: fresh work that has waited fewer than
+// agingStep dispatches longer than the retry is still in its bucket.
+func TestAgingNeverPromotesEarly(t *testing.T) {
+	if got := agedFirst(t, agingStep-1); got != 0 {
+		t.Fatalf("item %d dispatched first: aged before agingStep dispatches", got)
+	}
+}
+
+// TestAgingPreventsStarvation: once fresh work has waited a full agingStep
+// longer it goes first, which a lowest-seq pick gets wrong.
+func TestAgingPreventsStarvation(t *testing.T) {
+	for _, gap := range []int{agingStep, 2*agingStep + 3} {
+		if got := agedFirst(t, gap); got != 1 {
+			t.Fatalf("gap %d: item %d dispatched first, want the longer-waiting fresh item", gap, got)
 		}
 	}
 }

@@ -100,7 +100,14 @@ func (f *Fleet) settle(s *Session, next State, at float64, outcome func()) {
 	})
 }
 
+// failSession journals a failed attempt's terminal record, then re-admits
+// the session through the retry lane if budget remains. No epoch roll
+// seeds in between (persister.retrying).
 func (f *Fleet) failSession(s *Session, started time.Time, err error) {
+	if f.persist != nil {
+		f.persist.retrying.RLock()
+		defer f.persist.retrying.RUnlock()
+	}
 	f.settle(s, Failed, 0, func() {
 		s.err = err
 		s.wall = time.Since(started)

@@ -163,6 +163,13 @@ type persister struct {
 	// holds p.mu — the hook must not touch p.mu.
 	hookArmed atomic.Bool
 
+	// retrying is held for read while a failed attempt's retry is decided
+	// (Fleet.failSession) and for write by a roll's seed scan, so no scan
+	// falls between a session-failed record and the retry-scheduled that
+	// re-opens the session: it would read the session as finished and leave
+	// its queued record out of the new epoch.
+	retrying sync.RWMutex
+
 	mu        sync.Mutex
 	epoch     int
 	log       *wal.Log
@@ -284,7 +291,8 @@ func (p *persister) startEpoch(j *Journal, capture func() liveState) error {
 // below w0 can), and swapped in: the next event flows through the sink into
 // it. The scan starts at the oldest pending session's first record, or just
 // past w0 if that is earlier; a closing roll keeps every session's history
-// and scans from the start. Until the publish, recovery reads the old
+// and scans from the start, once no retry decision is in progress
+// (retrying). Until the publish, recovery reads the old
 // journal, and a commit on the stage waits for the publish
 // (wal.Log.Commit). Injected disk faults (Config.DiskFaults) arm once the
 // first stage is seeded: birth either succeeds or degrades permanently, so
@@ -310,6 +318,7 @@ func (p *persister) beginEpoch(j *Journal, capture func() liveState) error {
 		}
 	}
 	var seedErr error
+	p.retrying.Lock()
 	j.withLock(func(events []Event, fd *fold) {
 		from := 0
 		if !st.final {
@@ -350,6 +359,7 @@ func (p *persister) beginEpoch(j *Journal, capture func() liveState) error {
 		p.rolls++
 		p.degraded, p.err, p.notice = false, nil, false
 	})
+	p.retrying.Unlock()
 	if seedErr != nil {
 		log.Abort()
 		return seedErr

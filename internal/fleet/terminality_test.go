@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"rpg2/internal/faults"
 	"rpg2/internal/machine"
@@ -428,4 +429,49 @@ func TestRollScanMatchesFullScan(t *testing.T) {
 	roll(false)
 	roll(true)
 	p.log.Close()
+}
+
+// TestRollWaitsOutRetryDecision: a roll begun between a session-failed
+// record and the retry-scheduled that re-opens the session (the window
+// Fleet.failSession holds persister.retrying across) seeds only once the
+// decision is journaled, so the new epoch keeps the session's queued
+// record. Without the wait the scan reads the session as finished, and a
+// crash in that epoch loses the re-admitted session.
+func TestRollWaitsOutRetryDecision(t *testing.T) {
+	j := NewJournal()
+	j.add(Event{Session: 0, Type: "queued", Bench: "is"})
+	j.add(Event{Session: 0, Type: "admitted", Bench: "is"})
+	dir := t.TempDir()
+	p, err := openPersister(dir, Config{Fsync: wal.SyncOnClose})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.retrying.RLock()
+	j.add(Event{Session: 0, Type: "session-failed", Bench: "is", Err: "boom"})
+	captured, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		done <- p.beginEpoch(j, func() liveState {
+			close(captured)
+			return liveState{nextID: 1}
+		})
+	}()
+	<-captured
+	time.Sleep(20 * time.Millisecond) // let an unguarded scan run first
+	j.add(Event{Session: 0, Type: "retry-scheduled", Bench: "is", Attempt: 1})
+	p.retrying.RUnlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	defer p.log.Abort()
+	got, _, err := wal.ReadAll(filepath.Join(dir, journalStageFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := string(eventRecords(t, j.Events()[:1])[0])
+	for _, rec := range got {
+		if string(rec) == queued {
+			return
+		}
+	}
+	t.Fatalf("the stage lost the retried session's queued record: %d records", len(got))
 }
