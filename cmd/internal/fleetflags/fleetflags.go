@@ -32,7 +32,6 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.machine, "machine", "cascadelake", "machine: cascadelake or haswell")
 	fs.IntVar(&c.Workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	fs.Float64Var(&c.RunSeconds, "seconds", 2, "simulated post-optimization run budget per session")
-	fs.BoolVar(&c.DisableStore, "no-store", false, "disable the profile store (every session cold)")
 	fs.BoolVar(&c.Translate, "translate", false, "on a store miss, seed from a sibling machine's profile with a latency-scaled distance")
 	fs.StringVar(&c.StoreAddr, "store-addr", "", "share an rpg2-stored daemon's profile store at this base URL (e.g. http://127.0.0.1:8049) instead of an in-process store")
 	fs.IntVar(&c.MaxRetries, "retries", 0, "retry budget for failed/rolled-back sessions (0 = no retry lane)")

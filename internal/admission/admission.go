@@ -3,11 +3,9 @@
 // replaces the fleet's original FIFO channel with three cooperating
 // mechanisms:
 //
-//   - an aged FIFO order: a waiting item gains one point per agingStep
-//     dispatches it has waited, and the highest score dispatches first,
-//     submission order breaking ties — so a retry promoted from the lane
-//     queues behind work that has waited a full step longer, and ahead of
-//     newer work;
+//   - submission order: the waiting item submitted first dispatches
+//     first, so a retry promoted from the lane keeps its original place
+//     ahead of everything submitted after it;
 //   - a retry lane with capped exponential backoff, driven by a
 //     deterministic virtual clock (seconds that advance only when a
 //     dispatch consumes a backoff wait — never wall time), re-admitting
@@ -57,9 +55,6 @@ const (
 	// backoffBase·2^(n-1), capped at backoffCap.
 	backoffBase = 0.5
 	backoffCap  = 8.0
-	// agingStep is how many dispatches raise a waiting item's score by
-	// one.
-	agingStep = 8
 	// breakerCooldown is how long a tripped breaker stays open before
 	// admitting a half-open trial.
 	breakerCooldown = 16.0
@@ -84,9 +79,8 @@ type Item struct {
 	// Attempt counts re-admissions through the retry lane (0 = first).
 	Attempt int
 
-	seq      int     // submission order, the FIFO tiebreak
-	waitedAt int     // dispatch-counter timestamp for aging
-	due      float64 // virtual due time while parked in the retry lane
+	seq int     // submission order, the dispatch order
+	due float64 // virtual due time while parked in the retry lane
 }
 
 // Decision is one dispatch: the item to run plus how it was admitted.
@@ -139,17 +133,16 @@ type breaker struct {
 type Queue struct {
 	cfg Config
 
-	ready    []*Item // scanned for the best score
+	ready    []*Item // scanned for the lowest seq
 	retries  []*Item // retry lane, kept sorted by due time
 	breakers map[Key]*breaker
 	// tenantDepth counts the items each non-empty tenant has waiting
 	// (ready + retry lane).
 	tenantDepth map[string]int
 
-	clock      float64
-	dispatches int
-	seq        int
-	stats      Stats
+	clock float64
+	seq   int
+	stats Stats
 }
 
 // NewQueue builds an empty scheduler.
@@ -161,11 +154,10 @@ func NewQueue(cfg Config) *Queue {
 	}
 }
 
-// Push admits a new item. The zero-config queue dispatches in push order.
+// Push admits a new item, behind every waiting item pushed before it.
 func (q *Queue) Push(it *Item) {
 	it.seq = q.seq
 	q.seq++
-	it.waitedAt = q.dispatches
 	q.ready = append(q.ready, it)
 	q.depthAdd(it.Tenant, 1)
 }
@@ -322,22 +314,12 @@ func (q *Queue) ReplayBreaker(k Key, open bool) {
 	}
 }
 
-// score is an item's aging bucket: one point per agingStep dispatches
-// spent waiting since it entered the ready queue. It is not plain list
-// order: a retry promoted from the lane restarts at zero, so it dispatches
-// after fresh work that has waited a full step longer and, by seq, before
-// fresh work that has not.
-func (q *Queue) score(it *Item) int {
-	return (q.dispatches - it.waitedAt) / agingStep
-}
-
 // promoteDue moves retry-lane items whose due time has arrived into the
-// ready queue (aging restarts from promotion).
+// ready queue, appended in the lane's due order.
 func (q *Queue) promoteDue() {
 	kept := q.retries[:0]
 	for _, it := range q.retries {
 		if it.due <= q.clock {
-			it.waitedAt = q.dispatches
 			q.ready = append(q.ready, it)
 		} else {
 			kept = append(kept, it)
@@ -346,15 +328,14 @@ func (q *Queue) promoteDue() {
 	q.retries = kept
 }
 
-// pick returns the ready item with the best score, the lowest seq among
-// equals (nil when nothing is ready).
+// pick returns the ready item with the lowest seq (nil when nothing is
+// ready). It scans rather than keeping ready sorted: EvictWhere walks the
+// list order, in which a promoted batch keeps the lane's due order.
 func (q *Queue) pick() *Item {
 	var best *Item
-	bestScore := 0
 	for _, it := range q.ready {
-		sc := q.score(it)
-		if best == nil || sc > bestScore || (sc == bestScore && it.seq < best.seq) {
-			best, bestScore = it, sc
+		if best == nil || it.seq < best.seq {
+			best = it
 		}
 	}
 	return best
@@ -374,7 +355,6 @@ func (q *Queue) remove(it *Item) {
 func (q *Queue) dispatch(it *Item, waited float64) (Decision, bool) {
 	q.remove(it)
 	q.depthAdd(it.Tenant, -1)
-	q.dispatches++
 	d := Decision{Item: it, Waited: waited}
 	if it.Breakable && q.cfg.BreakerThreshold > 0 {
 		if b := q.breakers[it.Key]; b != nil && b.open {

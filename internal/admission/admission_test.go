@@ -45,12 +45,31 @@ func TestZeroConfigIsFIFO(t *testing.T) {
 	}
 }
 
-// agedFirst pins the one order rule the queue keeps: a waiting item's
-// score is its aging bucket, the highest score dispatches first, and seq
-// breaks ties. A retry r (ID 0, seq 0) is promoted from the lane after
-// fresh work f (ID 1) has already waited gap dispatches; agedFirst returns
-// the ID dispatched first of the two, after checking the other follows.
-func agedFirst(t *testing.T, gap int) int {
+// popLowest pops like pop, and fails if the dispatch passed over a ready or
+// due item with a lower seq.
+func popLowest(t *testing.T, q *Queue) *Item {
+	t.Helper()
+	low := -1
+	for _, w := range append(append([]*Item(nil), q.ready...), q.retries...) {
+		if w.due <= q.clock && (low < 0 || w.seq < low) {
+			low = w.seq
+		}
+	}
+	it := pop(t, q)
+	if it.seq != low {
+		t.Fatalf("dispatched seq %d (item %d) while seq %d waited", it.seq, it.ID, low)
+	}
+	return it
+}
+
+// agedFirst pins the order rule the queue keeps: the waiting item with the
+// lowest seq dispatches first. A retry r (ID 0, seq 0) is promoted from the
+// lane after fresh work f (ID 1) has already waited gap dispatches, and
+// later more items are pushed before each of the two dispatches that
+// follow. agedFirst returns the ID dispatched first of r and f, after
+// checking the other follows at once and that no dispatch passed over a
+// lower seq.
+func agedFirst(t *testing.T, gap, later int) int {
 	t.Helper()
 	q := NewQueue(Config{MaxRetries: 1})
 	r := item(0, Key{Bench: "retry"})
@@ -59,48 +78,59 @@ func agedFirst(t *testing.T, gap int) int {
 	if _, _, ok := q.Retry(r); !ok {
 		t.Fatal("retry refused")
 	}
-	// gap fillers ahead of f (lower seq, same bucket) dispatch first,
-	// so f waits exactly gap dispatches before r is promoted.
+	// gap fillers ahead of f (lower seq) dispatch first, so f waits
+	// exactly gap dispatches before r is promoted.
 	for i := 0; i < gap; i++ {
 		q.Push(item(100+i, Key{Bench: "filler"}))
 	}
 	q.Push(item(1, Key{Bench: "fresh"}))
 	for i := 0; i < gap; i++ {
-		if got := popID(t, q); got != 100+i {
+		if got := popLowest(t, q).ID; got != 100+i {
 			t.Fatalf("gap %d: filler dispatch %d got item %d", gap, i, got)
 		}
 	}
 	q.clock = r.due // r's backoff is over: the next Pop promotes it
-	first := popID(t, q)
-	if second := popID(t, q); first+second != 1 {
-		t.Fatalf("gap %d: items %d then %d dispatched, want r and f", gap, first, second)
+	var got [2]int
+	for i := range got {
+		for j := 0; j < later; j++ {
+			q.Push(item(1000+i*later+j, Key{Bench: "later"}))
+		}
+		got[i] = popLowest(t, q).ID
 	}
-	return first
+	if got[0]+got[1] != 1 {
+		t.Fatalf("gap %d, %d later: items %d then %d dispatched, want r and f", gap, later, got[0], got[1])
+	}
+	return got[0]
 }
 
-// TestPriorityOrderWithFIFOTiebreak: within one aging bucket the retry goes
-// first by seq, which a plain FIFO pick (f is ahead of r in the ready list)
-// gets wrong.
+// TestPriorityOrderWithFIFOTiebreak: the promoted retry goes first by seq,
+// which a plain list-order pick (f is ahead of r in the ready list) gets
+// wrong.
 func TestPriorityOrderWithFIFOTiebreak(t *testing.T) {
-	if got := agedFirst(t, 0); got != 0 {
+	if got := agedFirst(t, 0, 0); got != 0 {
 		t.Fatalf("item %d dispatched first, want the lower-seq retry", got)
 	}
 }
 
-// TestAgingNeverPromotesEarly: fresh work that has waited fewer than
-// agingStep dispatches longer than the retry is still in its bucket.
+// TestAgingNeverPromotesEarly: however long fresh work has waited, it never
+// passes the lower-seq retry.
 func TestAgingNeverPromotesEarly(t *testing.T) {
-	if got := agedFirst(t, agingStep-1); got != 0 {
-		t.Fatalf("item %d dispatched first: aged before agingStep dispatches", got)
+	for gap := 0; gap <= 24; gap++ {
+		if got := agedFirst(t, gap, 0); got != 0 {
+			t.Fatalf("gap %d: item %d dispatched first, want the lower-seq retry", gap, got)
+		}
 	}
 }
 
-// TestAgingPreventsStarvation: once fresh work has waited a full agingStep
-// longer it goes first, which a lowest-seq pick gets wrong.
+// TestAgingPreventsStarvation: whatever the gap and however many later
+// pushes arrive, no item dispatches ahead of a waiting item with a lower
+// seq, so both r and f dispatch before any later push.
 func TestAgingPreventsStarvation(t *testing.T) {
-	for _, gap := range []int{agingStep, 2*agingStep + 3} {
-		if got := agedFirst(t, gap); got != 1 {
-			t.Fatalf("gap %d: item %d dispatched first, want the longer-waiting fresh item", gap, got)
+	for _, gap := range []int{0, 8, 19} {
+		for _, later := range []int{1, 4, 16} {
+			if got := agedFirst(t, gap, later); got != 0 {
+				t.Fatalf("gap %d, %d later: item %d dispatched first, want the lower-seq retry", gap, later, got)
+			}
 		}
 	}
 }

@@ -26,13 +26,11 @@ type Config struct {
 	// overrides Seed (and, when warm, the seeding fields).
 	Session rpgcore.Config
 	// Store shares a profile store across fleets; nil creates a private
-	// one (unless DisableStore).
+	// one (or a remote client, with StoreAddr). Every fleet has a store.
 	Store Store
 	// Builds is the workload build cache sessions construct targets
 	// from; nil uses the process-wide shared cache.
 	Builds *workloads.BuildCache
-	// DisableStore turns off profile reuse: every session runs cold.
-	DisableStore bool
 	// StoreAddr, when set, replaces the in-process store with a client for
 	// a shared rpg2-stored daemon at this base URL (e.g.
 	// "http://127.0.0.1:8049"), so several fleet processes share one
@@ -44,8 +42,8 @@ type Config struct {
 	// Because the daemon owns its own durability, the fleet's WAL stops
 	// writing store contents at its heads and Recover stops re-importing
 	// them.
-	// Ignored when Store is set or DisableStore is on; empty (the zero
-	// value) keeps the in-process store byte-identical to before.
+	// Ignored when Store is set; empty (the zero value) keeps the
+	// in-process store byte-identical to before.
 	StoreAddr string
 	// Translate enables the cross-machine seeding tier: a session whose
 	// store lookup misses may warm-start from a sibling entry for the same

@@ -67,7 +67,7 @@ func newFleet(cfg Config) *Fleet {
 			BreakerThreshold: cfg.BreakerThreshold,
 		}),
 	}
-	if f.store == nil && !cfg.DisableStore {
+	if f.store == nil {
 		if cfg.StoreAddr != "" {
 			// Shared out-of-process store. The client's fallback is the same
 			// default Memory store as the in-process arm below, so a degraded
@@ -98,13 +98,8 @@ func (f *Fleet) startWorkers() {
 	}
 }
 
-// Store returns the fleet's profile store (nil when disabled).
-func (f *Fleet) Store() Store {
-	if f.cfg.DisableStore {
-		return nil
-	}
-	return f.store
-}
+// Store returns the fleet's profile store.
+func (f *Fleet) Store() Store { return f.store }
 
 // Journal returns the fleet's event journal.
 func (f *Fleet) Journal() *Journal { return f.journal }
@@ -307,17 +302,15 @@ func (f *Fleet) Snapshot() Snapshot {
 	}
 	f.mu.Unlock()
 	f.journal.tally(&snap)
-	if st := f.Store(); st != nil {
-		snap.Store, snap.StoreEntries = st.Counters(), st.Len()
-		if n := snap.Store.Hits + snap.Store.Misses; n > 0 {
-			snap.StoreHitRate = float64(snap.Store.Hits) / float64(n)
-		}
+	snap.Store, snap.StoreEntries = f.store.Counters(), f.store.Len()
+	if n := snap.Store.Hits + snap.Store.Misses; n > 0 {
+		snap.StoreHitRate = float64(snap.Store.Hits) / float64(n)
 	}
 	snap.BuildConstructs, snap.BuildHits = f.cfg.Builds.Builds(), f.cfg.Builds.Hits()
 	if f.persist != nil {
 		f.persist.health(&snap)
 	}
-	if f.cfg.StoreAddr != "" && !f.cfg.DisableStore {
+	if f.cfg.StoreAddr != "" {
 		snap.RemoteStore = "active"
 		if f.storeDegraded.Load() {
 			snap.RemoteStore = "degraded"

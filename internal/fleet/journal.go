@@ -53,7 +53,8 @@ type Event struct {
 	// event — what the translated session's search starts from.
 	Distance int `json:"distance,omitempty"`
 	// Reason is why a "store-bypass" session skipped the store entirely:
-	// "cold" (Spec.Cold), "retry" (re-profile attempt), or "disabled".
+	// "cold" (Spec.Cold), "retry" (re-profile attempt), or "retune" (a
+	// re-tune lane pass).
 	Reason string `json:"reason,omitempty"`
 	// Attempt is the retry-lane attempt index the event belongs to
 	// (0, omitted, for a session's first admission).

@@ -222,7 +222,7 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 	// Retry attempts run cold by design: the cached profile (or the luck
 	// of the first attempt) is suspect, so they re-profile from scratch.
 	// Re-tune fallbacks run cold too: the lane never touches the store.
-	cold := s.Spec.Cold || f.cfg.DisableStore || attempt > 0 || retuning
+	cold := s.Spec.Cold || attempt > 0 || retuning
 	var seed Entry
 	var seedGen uint64
 	var seedKey Key
@@ -238,8 +238,6 @@ func (f *Fleet) runOptimize(s *Session, started time.Time, m machine.Machine) {
 			reason = "retune"
 		case attempt > 0:
 			reason = "retry"
-		case f.cfg.DisableStore:
-			reason = "disabled"
 		}
 		f.journal.add(Event{
 			Session: s.ID, Type: "store-bypass", Reason: reason,
@@ -442,9 +440,6 @@ func (f *Fleet) finishOptimize(s *Session, rep *rpgcore.Report, final State) {
 // rate the entry promised, in which case it invalidates; a warm rolled-back
 // session always invalidates (the cached profile actively hurt).
 func (f *Fleet) applyStorePolicy(s *Session, key Key, rep *rpgcore.Report, warm bool, seed Entry, seedGen uint64) {
-	if f.cfg.DisableStore {
-		return
-	}
 	switch {
 	case rep.Outcome == rpgcore.Tuned && warm:
 		if seed.TunedRate > 0 && rep.BestRate < seed.TunedRate*(1-regressTolerance) {

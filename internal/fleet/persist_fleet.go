@@ -94,7 +94,7 @@ func (f *Fleet) capture() liveState {
 	// A remote store is the daemon's to persist: writing its contents into
 	// this fleet's WAL would re-import another process's entries (and stale
 	// generations) on recovery, so the WAL records an empty store.
-	if f.store != nil && !f.cfg.DisableStore && f.cfg.StoreAddr == "" {
+	if f.cfg.StoreAddr == "" {
 		st.entries = f.store.Export()
 	}
 	return st

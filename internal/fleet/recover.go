@@ -169,7 +169,7 @@ func Recover(stateDir string, cfg Config) (*Fleet, *Recovery, error) {
 	f.nextID = st.maxID + 1
 	// A remote store is never re-imported: the daemon owns the live state
 	// (and its generations), and the WAL recorded an empty store anyway.
-	if f.store != nil && !cfg.DisableStore && cfg.StoreAddr == "" {
+	if cfg.StoreAddr == "" {
 		entries := make([]KeyedEntry, 0, len(st.entries))
 		for _, k := range st.order {
 			if e, ok := st.entries[k]; ok {

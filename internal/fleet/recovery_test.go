@@ -328,6 +328,61 @@ func TestRecoverOlderPriorityJournal(t *testing.T) {
 	}
 }
 
+// TestRecoverOlderStoreDisabledJournal: a state dir written while the store
+// could still be switched off recovers. Session 0 finished with a
+// store-bypass record whose reason, "disabled", no live fleet journals any
+// more; session 1 was still queued. The pending session is re-admitted and
+// runs, and the fold recovery reads the old journal with still counts the
+// old bypass under its reason.
+func TestRecoverOlderStoreDisabledJournal(t *testing.T) {
+	dir := t.TempDir()
+	recs := []string{
+		`{"wal":"journal","epoch":1,"seq":6}`,
+		`{"sched":{"stats":{}}}`,
+		`{"seq":0,"wall":0.001,"session":0,"type":"queued","bench":"is","kind":"optimize","machine":"cascadelake","state":"queued","spec":{"bench":"is","seed":5}}`,
+		`{"seq":1,"wall":0.002,"session":0,"type":"admitted","bench":"is","kind":"optimize","machine":"cascadelake"}`,
+		`{"seq":2,"wall":0.003,"session":0,"type":"store-bypass","bench":"is","machine":"cascadelake","reason":"disabled"}`,
+		`{"seq":3,"wall":0.004,"session":1,"type":"queued","bench":"cg","kind":"optimize","machine":"cascadelake","state":"queued","spec":{"bench":"cg","seed":6}}`,
+		`{"seq":4,"wall":0.060,"session":0,"type":"state","bench":"is","state":"done","t":4.44}`,
+		`{"seq":5,"wall":0.061,"session":0,"type":"session-done","bench":"is","kind":"optimize","machine":"cascadelake","state":"done","report":{"Outcome":"tuned","FinalDistance":13}}`,
+	}
+	payloads := make([][]byte, len(recs))
+	for i, r := range recs {
+		payloads[i] = []byte(r)
+	}
+	if err := wal.WriteAtomic(filepath.Join(dir, journalFile), payloads); err != nil {
+		t.Fatal(err)
+	}
+
+	var fd fold
+	for _, r := range recs[2:] {
+		var e Event
+		if err := json.Unmarshal([]byte(r), &e); err != nil {
+			t.Fatal(err)
+		}
+		fd.apply(e)
+	}
+	var snap Snapshot
+	fd.tally(&snap, 1)
+	if snap.StoreBypasses["disabled"] != 1 || snap.Completed != 1 || snap.Submitted != 2 {
+		t.Fatalf("old journal folds to %d submitted, %d completed, bypasses %v; want 2, 1, 1 disabled",
+			snap.Submitted, snap.Completed, snap.StoreBypasses)
+	}
+
+	f, rec, err := Recover(dir, Config{Machine: machine.CascadeLake(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if rec.Terminal != 1 || len(rec.Requeued) != 1 || rec.Requeued[0].Spec.Bench != "cg" {
+		t.Fatalf("%d terminal, requeued %+v; want 1 and the pending cg session alone", rec.Terminal, rec.Requeued)
+	}
+	f.Drain()
+	if s := rec.Requeued[0]; !s.State().Terminal() || s.State() == Failed {
+		t.Fatalf("recovered session %d ended %v (err %v)", s.ID, s.State(), s.Err())
+	}
+}
+
 // TestRecoverCancelledSessionsResume: sessions a SIGINT drain cancelled
 // (ErrCanceled) are interrupted, not finished — resume re-admits them.
 func TestRecoverCancelledSessionsResume(t *testing.T) {

@@ -119,9 +119,9 @@ type Snapshot struct {
 	TranslatedProbesMean float64 `json:"translated_probes_mean"`
 
 	// StoreBypasses counts optimize attempts that skipped the store
-	// entirely, by reason ("cold", "retry", "retune", "disabled") — the
-	// demand the hit rate never sees. Empty (and omitted) when every
-	// attempt asked.
+	// entirely, by reason ("cold", "retry", "retune"; an older journal's
+	// other reasons count under their own names) — the demand the hit rate
+	// never sees. Empty (and omitted) when every attempt asked.
 	StoreBypasses map[string]int `json:"store_bypasses,omitempty"`
 
 	// Phase-drift watchdog counters: detector firings acted on, re-tune

@@ -206,7 +206,7 @@ func TestRefundOnBuildFailure(t *testing.T) {
 
 // TestStoreDispositionInvariant: every optimize attempt journals exactly one
 // store disposition — hit, miss, translated, or bypass — even through
-// retries, fault injection, per-spec cold runs, and a disabled store.
+// retries, fault injection, per-spec cold runs, and live re-tune passes.
 func TestStoreDispositionInvariant(t *testing.T) {
 	f := New(Config{
 		Machine: machine.CascadeLake(), Workers: 4,
@@ -224,15 +224,16 @@ func TestStoreDispositionInvariant(t *testing.T) {
 	}
 	checkDispositions(t, f, map[string]bool{"cold": true, "retry": true})
 
-	// A store-disabled fleet bypasses with its own reason.
-	df := New(Config{Machine: machine.CascadeLake(), Workers: 2, DisableStore: true})
-	defer df.Close()
-	if _, err := df.Run([]SessionSpec{{Bench: "is", Seed: 1}, {Bench: "cg", Seed: 2}}); err != nil {
+	// A watchdog-armed fleet's re-tune lane pass is a dispatch of its own:
+	// one admission, one bypass with the lane's reason.
+	wf := New(Config{Machine: machine.CascadeLake(), Workers: 1, WatchdogInterval: 1})
+	defer wf.Close()
+	if _, err := wf.Run([]SessionSpec{driftSpec()}); err != nil {
 		t.Fatal(err)
 	}
-	checkDispositions(t, df, map[string]bool{"disabled": true})
-	if snap := df.Snapshot(); snap.StoreBypasses["disabled"] != 2 {
-		t.Fatalf("snapshot bypasses = %+v", snap.StoreBypasses)
+	checkDispositions(t, wf, map[string]bool{"cold": true, "retune": true})
+	if snap := wf.Snapshot(); snap.StoreBypasses["retune"] == 0 {
+		t.Fatalf("no re-tune pass ran: bypasses = %+v", snap.StoreBypasses)
 	}
 }
 
